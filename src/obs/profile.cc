@@ -5,39 +5,15 @@
 #include <cstdio>
 #include <sstream>
 
-#include "obs/json.h"
+#include "support/json.h"
 
 namespace wasabi::obs {
 
 namespace {
 
-/** Escape a string for embedding in a JSON document. All names we
- * emit are ASCII identifiers, but analysis names come from the CLI
- * user, so escape defensively. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
+// All names we emit are ASCII identifiers, but analysis names come
+// from the CLI user, so escape defensively.
+using json::escape;
 
 /** Nanoseconds as a human-friendly "1.234 ms" style string. */
 std::string
@@ -249,7 +225,7 @@ ProfileCollector::toJson(bool deterministic) const
     out << "  \"deterministic\": " << (deterministic ? "true" : "false")
         << ",\n";
     if (!instrumentMode_.empty()) {
-        out << "  \"instrumentMode\": \"" << jsonEscape(instrumentMode_)
+        out << "  \"instrumentMode\": \"" << escape(instrumentMode_)
             << "\",\n";
     }
 
@@ -258,7 +234,7 @@ ProfileCollector::toJson(bool deterministic) const
         for (size_t i = 0; i < phases_.size(); ++i) {
             const auto &p = phases_[i];
             out << (i ? "," : "") << "\n    {\"name\": \""
-                << jsonEscape(p.name) << "\", \"startNanos\": "
+                << escape(p.name) << "\", \"startNanos\": "
                 << p.startNanos << ", \"nanos\": " << p.nanos << "}";
         }
         out << "\n  ],\n";
@@ -315,7 +291,7 @@ ProfileCollector::toJson(bool deterministic) const
                                     ? "analysis " + std::to_string(a)
                                     : an.name;
             out << (a ? "," : "") << "\n      {\"analysis\": \""
-                << jsonEscape(label) << "\", \"perKind\": [";
+                << escape(label) << "\", \"perKind\": [";
             bool f2 = true;
             for (size_t k = 0; k < an.perKind.size(); ++k) {
                 const auto &c = an.perKind[k];
@@ -358,7 +334,7 @@ ProfileCollector::toChromeTrace() const
     auto meta = [&](int tid, const std::string &name) {
         sep() << "{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": 1, "
                  "\"tid\": "
-              << tid << ", \"args\": {\"name\": \"" << jsonEscape(name)
+              << tid << ", \"args\": {\"name\": \"" << escape(name)
               << "\"}}";
     };
 
@@ -375,7 +351,7 @@ ProfileCollector::toChromeTrace() const
             instrument_start = p.startNanos;
         if (p.name == "execute")
             execute_start = p.startNanos;
-        sep() << "{\"ph\": \"X\", \"name\": \"" << jsonEscape(p.name)
+        sep() << "{\"ph\": \"X\", \"name\": \"" << escape(p.name)
               << "\", \"cat\": \"phase\", \"pid\": 1, \"tid\": 0, "
                  "\"ts\": "
               << micros(p.startNanos) << ", \"dur\": " << micros(p.nanos)

@@ -3,11 +3,11 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "obs/json.h"
+#include "support/json.h"
 
 namespace wasabi::serve {
 
-using obs::json::Value;
+using json::Value;
 
 wasm::Value
 parseArgSpec(const std::string &spec)
@@ -56,7 +56,7 @@ Request
 parseRequest(const std::string &line)
 {
     std::string err;
-    std::optional<Value> doc = obs::json::parse(line, &err);
+    std::optional<Value> doc = json::parse(line, &err);
     if (!doc)
         throw BadRequest("malformed request JSON: " + err);
     if (!doc->isObject())
@@ -119,31 +119,6 @@ parseRequest(const std::string &line)
     if (r.op == "instrument" && r.out.empty())
         throw BadRequest("instrument: missing \"out\" path");
     return r;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (unsigned char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
-    return out;
 }
 
 ResponseWriter::ResponseWriter(bool ok, const std::string &op,

@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "support/json.h"
 #include "wasm/module.h"
 
 namespace wasabi::serve {
@@ -71,8 +72,9 @@ Request parseRequest(const std::string &line);
 /** Parse a "i32:5" / "i64:-1" / "f64:1.5" argument spec. */
 wasm::Value parseArgSpec(const std::string &spec);
 
-/** JSON string escaping for response payloads. */
-std::string jsonEscape(const std::string &s);
+/** JSON string escaping for response payloads: the shared escaper,
+ * under the name serve callers already use. */
+inline constexpr auto &jsonEscape = json::escape;
 
 /** Incremental response writer: one flat JSON object, fields appended
  * in call order, rendered with result(). */

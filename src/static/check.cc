@@ -1711,21 +1711,40 @@ checkInstrumentation(const core::StaticInfo &info,
     return Checker(info.original, instrumented, opts, &info).run();
 }
 
+namespace {
+
+Diagnostics
+badRangeManifest(const std::string &err)
+{
+    Diagnostics ds;
+    ds.error("check.range.bad-manifest",
+             "cannot parse range manifest: " + err);
+    return ds;
+}
+
+} // namespace
+
+Diagnostics
+checkRangeManifest(const Module &original, const json::Value &manifest,
+                   unsigned num_threads)
+{
+    passes::RangeClaims claims;
+    std::string err;
+    if (!passes::rangeClaimsFromManifest(manifest, &claims, &err))
+        return badRangeManifest(err);
+    return passes::checkRangeClaims(original, claims, num_threads);
+}
+
 Diagnostics
 checkRangeManifest(const Module &original,
                    const std::string &manifest_text,
                    unsigned num_threads)
 {
-    passes::RangeClaims claims;
     std::string err;
-    if (!passes::rangeClaimsFromManifest(manifest_text, &claims,
-                                         &err)) {
-        Diagnostics ds;
-        ds.error("check.range.bad-manifest",
-                 "cannot parse range manifest: " + err);
-        return ds;
-    }
-    return passes::checkRangeClaims(original, claims, num_threads);
+    std::optional<json::Value> doc = json::parse(manifest_text, &err);
+    if (!doc)
+        return badRangeManifest(err);
+    return checkRangeManifest(original, *doc, num_threads);
 }
 
 } // namespace wasabi::static_analysis

@@ -40,6 +40,7 @@
 
 #include "core/static_info.h"
 #include "static/diagnostics.h"
+#include "support/json.h"
 
 namespace wasabi::static_analysis {
 
@@ -101,12 +102,18 @@ Diagnostics checkInstrumentation(const core::StaticInfo &info,
 
 /**
  * Re-prove a range-claim manifest (`wasabi check --manifest=` with a
- * "wasabi-range-manifest"): parse @p manifest_text and re-derive every
+ * "wasabi-range-manifest"): read @p manifest and re-derive every
  * claimed in-bounds access from @p original with the value-range
- * analysis. Parse failures surface as check.range.bad-manifest;
+ * analysis. Read failures surface as check.range.bad-manifest;
  * semantic failures as check.range.* codes from the range pass. An
  * empty result licenses engine bounds-check elision for the claims.
  */
+Diagnostics checkRangeManifest(const wasm::Module &original,
+                               const json::Value &manifest,
+                               unsigned num_threads = 1);
+
+/** checkRangeManifest() over the parse of @p manifest_text; a parse
+ * failure is a check.range.bad-manifest finding. */
 Diagnostics checkRangeManifest(const wasm::Module &original,
                                const std::string &manifest_text,
                                unsigned num_threads = 1);

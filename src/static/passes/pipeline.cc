@@ -1,7 +1,7 @@
 #include "static/passes/pipeline.h"
 
 #include <algorithm>
-#include <cctype>
+#include <array>
 #include <set>
 
 #include "core/control_stack.h"
@@ -9,6 +9,7 @@
 #include "static/interproc/ipcp.h"
 #include "static/interproc/refined_call_graph.h"
 #include "static/interproc/summaries.h"
+#include "static/manifest.h"
 #include "static/passes/branch_refine.h"
 #include "static/passes/constprop.h"
 #include "static/passes/deadstore.h"
@@ -367,25 +368,33 @@ computePlan(const Module &m)
     return plan;
 }
 
-// ----- manifest serialization ----------------------------------------
+// ----- manifest ------------------------------------------------------
 
 namespace {
 
-core::Location
-unpackLoc(uint64_t key)
-{
-    return core::Location{static_cast<uint32_t>(key >> 32),
-                          static_cast<uint32_t>(key)};
-}
-
-/** Sorted copy, for deterministic manifests. */
-template <typename Set>
+/** Sorted keys of a set or map, for deterministic manifests. */
+template <typename C>
 std::vector<uint64_t>
-sorted(const Set &s)
+sortedKeys(const C &c)
 {
-    std::vector<uint64_t> v(s.begin(), s.end());
+    std::vector<uint64_t> v;
+    for (const auto &e : c) {
+        if constexpr (requires { e.first; })
+            v.push_back(e.first);
+        else
+            v.push_back(e);
+    }
     std::sort(v.begin(), v.end());
     return v;
+}
+
+/** The row of a packLoc-packed location: func, instr, then @p extra. */
+template <typename... Extra>
+std::array<uint32_t, 2 + sizeof...(Extra)>
+locRow(uint64_t key, Extra... extra)
+{
+    return {static_cast<uint32_t>(key >> 32), static_cast<uint32_t>(key),
+            extra...};
 }
 
 } // namespace
@@ -393,337 +402,96 @@ sorted(const Set &s)
 std::string
 planToManifest(const core::HookOptimizationPlan &plan)
 {
-    std::string out = "{\n  \"version\": 1,\n  \"skips\": [";
-    bool first = true;
-    for (uint64_t key : sorted(plan.skips)) {
-        core::Location loc = unpackLoc(key);
-        out += std::string(first ? "" : ", ") + "[" +
-               std::to_string(loc.func) + ", " +
-               std::to_string(loc.instr) + "]";
-        first = false;
-    }
-    out += "],\n  \"deadFunctions\": [";
-    first = true;
-    for (uint64_t f : sorted(plan.deadFunctions)) {
-        out += std::string(first ? "" : ", ") + std::to_string(f);
-        first = false;
-    }
-    out += "],\n  \"brTableToBr\": [";
-    first = true;
-    {
-        std::vector<uint64_t> keys;
-        for (const auto &[key, _] : plan.constBrTableIndex)
-            keys.push_back(key);
-        std::sort(keys.begin(), keys.end());
-        for (uint64_t key : keys) {
-            core::Location loc = unpackLoc(key);
-            out += std::string(first ? "" : ", ") + "[" +
-                   std::to_string(loc.func) + ", " +
-                   std::to_string(loc.instr) + ", " +
-                   std::to_string(plan.constBrTableIndex.at(key)) +
-                   "]";
-            first = false;
-        }
-    }
-    out += "],\n  \"elidedBlocks\": [";
-    first = true;
-    for (uint64_t key : sorted(plan.elidedBegins)) {
-        core::Location loc = unpackLoc(key);
-        out += std::string(first ? "" : ", ") + "[" +
-               std::to_string(loc.func) + ", " +
-               std::to_string(loc.instr) + ", " +
-               std::to_string(loc.instr + 1) + "]";
-        first = false;
-    }
-    out += "],\n  \"callIndirectToCall\": [";
-    first = true;
-    {
-        std::vector<uint64_t> keys;
-        for (const auto &[key, _] : plan.constCallTargets)
-            keys.push_back(key);
-        std::sort(keys.begin(), keys.end());
-        for (uint64_t key : keys) {
-            core::Location loc = unpackLoc(key);
+    std::string out = manifest::header(nullptr);
+    manifest::appendField(out, "skips", sortedKeys(plan.skips),
+                          [](uint64_t key) { return locRow(key); });
+    manifest::appendField(out, "deadFunctions",
+                          sortedKeys(plan.deadFunctions), [](uint64_t f) {
+                              return std::array{static_cast<uint32_t>(f)};
+                          });
+    manifest::appendField(out, "brTableToBr",
+                          sortedKeys(plan.constBrTableIndex),
+                          [&](uint64_t key) {
+                              return locRow(key,
+                                            plan.constBrTableIndex.at(key));
+                          });
+    manifest::appendField(out, "elidedBlocks",
+                          sortedKeys(plan.elidedBegins), [](uint64_t key) {
+                              return locRow(key,
+                                            static_cast<uint32_t>(key) + 1);
+                          });
+    manifest::appendField(
+        out, "callIndirectToCall", sortedKeys(plan.constCallTargets),
+        [&](uint64_t key) {
             const auto &claim = plan.constCallTargets.at(key);
-            out += std::string(first ? "" : ", ") + "[" +
-                   std::to_string(loc.func) + ", " +
-                   std::to_string(loc.instr) + ", " +
-                   std::to_string(claim.tableIndex) + ", " +
-                   std::to_string(claim.target) + "]";
-            first = false;
-        }
-    }
-    out += "]\n}\n";
-    return out;
+            return locRow(key, claim.tableIndex, claim.target);
+        });
+    return out + "\n}\n";
 }
 
-// ----- manifest parsing ----------------------------------------------
-
-namespace {
-
-/** A minimal parser for the manifest's JSON subset: objects with
- * string keys, arrays, and non-negative integers. No external JSON
- * dependency is available (or needed). */
-class ManifestParser {
-  public:
-    explicit ManifestParser(const std::string &text) : text_(text) {}
-
-    bool
-    parse(core::HookOptimizationPlan &plan, std::string &error)
-    {
-        skipWs();
-        if (!expect('{')) {
-            error = err_;
-            return false;
-        }
-        bool first = true;
-        while (true) {
-            skipWs();
-            if (peek() == '}') {
-                ++pos_;
-                break;
-            }
-            if (!first && !expect(',')) {
-                error = err_;
-                return false;
-            }
-            first = false;
-            skipWs();
-            std::string key;
-            if (!parseString(key)) {
-                error = err_;
-                return false;
-            }
-            skipWs();
-            if (!expect(':')) {
-                error = err_;
-                return false;
-            }
-            skipWs();
-            if (!parseField(key, plan)) {
-                error = err_;
-                return false;
-            }
-        }
-        skipWs();
-        if (pos_ != text_.size()) {
-            error = "trailing characters after manifest object";
-            return false;
-        }
-        if (!sawVersion_) {
-            error = "manifest lacks a \"version\" field";
-            return false;
-        }
-        return true;
-    }
-
-  private:
-    char
-    peek() const
-    {
-        return pos_ < text_.size() ? text_[pos_] : '\0';
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    expect(char c)
-    {
-        if (peek() != c) {
-            err_ = std::string("expected '") + c + "' at offset " +
-                   std::to_string(pos_);
-            return false;
-        }
-        ++pos_;
-        return true;
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        if (!expect('"'))
-            return false;
-        out.clear();
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            if (text_[pos_] == '\\') {
-                err_ = "escape sequences not supported in manifest "
-                       "keys";
-                return false;
-            }
-            out += text_[pos_++];
-        }
-        return expect('"');
-    }
-
-    bool
-    parseUint(uint64_t &out)
-    {
-        if (!std::isdigit(static_cast<unsigned char>(peek()))) {
-            err_ = "expected a number at offset " +
-                   std::to_string(pos_);
-            return false;
-        }
-        out = 0;
-        while (std::isdigit(static_cast<unsigned char>(peek()))) {
-            out = out * 10 + static_cast<uint64_t>(peek() - '0');
-            if (out > 0xFFFFFFFFull) {
-                err_ = "number out of range at offset " +
-                       std::to_string(pos_);
-                return false;
-            }
-            ++pos_;
-        }
-        return true;
-    }
-
-    /** Parse "[n, n, ...]" rows of fixed width into @p rows. */
-    bool
-    parseRows(size_t width, std::vector<std::vector<uint64_t>> &rows)
-    {
-        if (!expect('['))
-            return false;
-        skipWs();
-        if (peek() == ']') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            std::vector<uint64_t> row;
-            if (width == 1) {
-                uint64_t v;
-                if (!parseUint(v))
-                    return false;
-                row.push_back(v);
-            } else {
-                if (!expect('['))
-                    return false;
-                for (size_t k = 0; k < width; ++k) {
-                    skipWs();
-                    if (k && !expect(','))
-                        return false;
-                    skipWs();
-                    uint64_t v;
-                    if (!parseUint(v))
-                        return false;
-                    row.push_back(v);
-                }
-                skipWs();
-                if (!expect(']'))
-                    return false;
-            }
-            rows.push_back(std::move(row));
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            return expect(']');
-        }
-    }
-
-    bool
-    parseField(const std::string &key,
-               core::HookOptimizationPlan &plan)
-    {
-        if (key == "version") {
-            uint64_t v;
-            if (!parseUint(v))
-                return false;
-            if (v != 1) {
-                err_ = "unsupported manifest version " +
-                       std::to_string(v);
-                return false;
-            }
-            sawVersion_ = true;
-            return true;
-        }
-        std::vector<std::vector<uint64_t>> rows;
-        if (key == "skips") {
-            if (!parseRows(2, rows))
-                return false;
-            for (const auto &r : rows)
-                plan.skips.insert(core::packLoc(
-                    {static_cast<uint32_t>(r[0]),
-                     static_cast<uint32_t>(r[1])}));
-            return true;
-        }
-        if (key == "deadFunctions") {
-            if (!parseRows(1, rows))
-                return false;
-            for (const auto &r : rows)
-                plan.deadFunctions.insert(
-                    static_cast<uint32_t>(r[0]));
-            return true;
-        }
-        if (key == "brTableToBr") {
-            if (!parseRows(3, rows))
-                return false;
-            for (const auto &r : rows)
-                plan.constBrTableIndex[core::packLoc(
-                    {static_cast<uint32_t>(r[0]),
-                     static_cast<uint32_t>(r[1])})] =
-                    static_cast<uint32_t>(r[2]);
-            return true;
-        }
-        if (key == "callIndirectToCall") {
-            if (!parseRows(4, rows))
-                return false;
-            for (const auto &r : rows)
-                plan.constCallTargets[core::packLoc(
-                    {static_cast<uint32_t>(r[0]),
-                     static_cast<uint32_t>(r[1])})] =
-                    core::HookOptimizationPlan::CallTargetClaim{
-                        static_cast<uint32_t>(r[2]),
-                        static_cast<uint32_t>(r[3])};
-            return true;
-        }
-        if (key == "elidedBlocks") {
-            if (!parseRows(3, rows))
-                return false;
-            for (const auto &r : rows) {
-                if (r[2] != r[1] + 1) {
-                    err_ = "elided block end must be begin + 1";
-                    return false;
-                }
-                plan.elidedBegins.insert(core::packLoc(
-                    {static_cast<uint32_t>(r[0]),
-                     static_cast<uint32_t>(r[1])}));
-                plan.elidedEnds.insert(core::packLoc(
-                    {static_cast<uint32_t>(r[0]),
-                     static_cast<uint32_t>(r[2])}));
-            }
-            return true;
-        }
-        err_ = "unknown manifest field \"" + key + "\"";
-        return false;
-    }
-
-    const std::string &text_;
-    size_t pos_ = 0;
-    bool sawVersion_ = false;
-    std::string err_;
-};
-
-} // namespace
-
 std::optional<core::HookOptimizationPlan>
-planFromManifest(const std::string &text, std::string *error)
+planFromManifest(const json::Value &doc, std::string *error)
 {
     core::HookOptimizationPlan plan;
+    auto loc = [](const manifest::Row &r) {
+        return core::packLoc({r[0], r[1]});
+    };
+    bool contiguous = true;
     std::string err;
-    if (!ManifestParser(text).parse(plan, err)) {
+    bool ok =
+        manifest::checkTopLevel(doc, nullptr,
+                                {"skips", "deadFunctions", "brTableToBr",
+                                 "elidedBlocks", "callIndirectToCall"},
+                                err) &&
+        manifest::forEachRow(
+            doc, "skips", 2,
+            [&](const manifest::Row &r) { plan.skips.insert(loc(r)); },
+            err) &&
+        manifest::forEachRow(
+            doc, "deadFunctions", 1,
+            [&](const manifest::Row &r) {
+                plan.deadFunctions.insert(r[0]);
+            },
+            err) &&
+        manifest::forEachRow(
+            doc, "brTableToBr", 3,
+            [&](const manifest::Row &r) {
+                plan.constBrTableIndex[loc(r)] = r[2];
+            },
+            err) &&
+        manifest::forEachRow(
+            doc, "elidedBlocks", 3,
+            [&](const manifest::Row &r) {
+                contiguous &= r[2] == uint64_t{r[1]} + 1;
+                plan.elidedBegins.insert(loc(r));
+                plan.elidedEnds.insert(core::packLoc({r[0], r[2]}));
+            },
+            err) &&
+        manifest::forEachRow(
+            doc, "callIndirectToCall", 4,
+            [&](const manifest::Row &r) {
+                plan.constCallTargets[loc(r)] =
+                    core::HookOptimizationPlan::CallTargetClaim{r[2],
+                                                                r[3]};
+            },
+            err);
+    if (ok && !contiguous) {
+        err = "elided block end must be begin + 1";
+        ok = false;
+    }
+    if (!ok) {
         if (error)
             *error = err;
         return std::nullopt;
     }
     return plan;
+}
+
+std::optional<core::HookOptimizationPlan>
+planFromManifest(const std::string &text, std::string *error)
+{
+    std::optional<json::Value> doc = json::parse(text, error);
+    return doc ? planFromManifest(*doc, error) : std::nullopt;
 }
 
 } // namespace wasabi::static_analysis::passes

@@ -26,6 +26,7 @@
 
 #include "core/opt_plan.h"
 #include "static/diagnostics.h"
+#include "support/json.h"
 #include "wasm/module.h"
 
 namespace wasabi::static_analysis::passes {
@@ -92,10 +93,15 @@ emptyBlockPairs(const wasm::Module &m, uint32_t func_idx);
 std::string planToManifest(const core::HookOptimizationPlan &plan);
 
 /**
- * Parse an optimization manifest. Returns std::nullopt and sets
- * @p error on malformed input; the *claims* themselves are verified
- * later by the checker, not here.
+ * Read an optimization manifest (see static/manifest.h for the shared
+ * strictness rules). Returns std::nullopt and sets @p error on
+ * malformed input; the *claims* themselves are verified later by the
+ * checker, not here.
  */
+std::optional<core::HookOptimizationPlan>
+planFromManifest(const json::Value &doc, std::string *error);
+
+/** planFromManifest() over the parse of @p text. */
 std::optional<core::HookOptimizationPlan>
 planFromManifest(const std::string &text, std::string *error);
 

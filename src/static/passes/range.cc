@@ -1,7 +1,6 @@
 #include "static/passes/range.h"
 
 #include <algorithm>
-#include <cctype>
 #include <condition_variable>
 #include <deque>
 #include <map>
@@ -14,6 +13,7 @@
 #include "static/dataflow.h"
 #include "static/interproc/refined_call_graph.h"
 #include "static/interproc/scc.h"
+#include "static/manifest.h"
 #include "static/passes/constprop.h"
 
 namespace wasabi::static_analysis::passes {
@@ -1361,9 +1361,8 @@ provableRangeClaims(const ModuleRanges &mr)
 std::string
 rangeClaimsToManifest(const RangeClaims &c)
 {
-    std::string out = "{\n  \"schema\": \"wasabi-range-manifest\",\n"
-                      "  \"version\": 1,\n";
-    out += "  \"minPages\": " + std::to_string(c.minPages) + ",\n";
+    std::string out = manifest::header(manifest::kRangeSchema);
+    out += ",\n  \"minPages\": " + std::to_string(c.minPages) + ",\n";
     out += "  \"claims\": [";
     for (size_t i = 0; i < c.claims.size(); ++i) {
         out += i ? ",\n    " : "\n    ";
@@ -1376,314 +1375,38 @@ rangeClaimsToManifest(const RangeClaims &c)
 }
 
 bool
-isRangeManifest(const std::string &text)
+rangeClaimsFromManifest(const json::Value &doc, RangeClaims *out,
+                        std::string *error)
 {
-    // Route on the top-level "schema" field, not a substring sniff:
-    // another manifest kind (or any file) that merely mentions the
-    // schema string somewhere in a nested value must not land here.
-    // The scan is lenient about field contents — full validation is
-    // the parser's job — but strict about object structure.
-    size_t pos = 0;
-    auto skipWs = [&] {
-        while (pos < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[pos])))
-            ++pos;
-    };
-    auto parseString = [&](std::string *out) -> bool {
-        if (pos >= text.size() || text[pos] != '"')
-            return false;
-        ++pos;
-        const size_t start = pos;
-        while (pos < text.size() && text[pos] != '"') {
-            if (text[pos] == '\\')
-                return false; // manifest subset has no escapes
-            ++pos;
-        }
-        if (pos >= text.size())
-            return false;
-        if (out)
-            out->assign(text, start, pos - start);
-        ++pos;
-        return true;
-    };
-    // Consume one value (scalar, array, or object) without
-    // validating it, stopping before the delimiter that follows.
-    auto skipValue = [&]() -> bool {
-        int depth = 0;
-        skipWs();
-        const size_t start = pos;
-        while (pos < text.size()) {
-            const char c = text[pos];
-            if (c == '"') {
-                if (!parseString(nullptr))
-                    return false;
-            } else if (c == '[' || c == '{') {
-                ++depth;
-                ++pos;
-            } else if (c == ']' || c == '}') {
-                if (depth == 0)
-                    return pos > start;
-                --depth;
-                ++pos;
-            } else if (c == ',' && depth == 0) {
-                return pos > start;
-            } else {
-                ++pos;
-            }
-        }
-        return false;
-    };
-    skipWs();
-    if (pos >= text.size() || text[pos] != '{')
-        return false;
-    ++pos;
-    bool first = true;
-    while (true) {
-        skipWs();
-        if (pos >= text.size())
-            return false;
-        if (text[pos] == '}')
-            return false; // object ended without a schema field
-        if (!first) {
-            if (text[pos] != ',')
-                return false;
-            ++pos;
-            skipWs();
-        }
-        first = false;
-        std::string key;
-        if (!parseString(&key))
-            return false;
-        skipWs();
-        if (pos >= text.size() || text[pos] != ':')
-            return false;
-        ++pos;
-        if (key == "schema") {
-            skipWs();
-            std::string v;
-            return parseString(&v) && v == "wasabi-range-manifest";
-        }
-        if (!skipValue())
-            return false;
+    RangeClaims c;
+    std::string err;
+    const json::Value *pages = doc.find("minPages");
+    std::optional<uint32_t> min_pages =
+        pages ? manifest::toU32(*pages) : uint32_t{0};
+    bool ok = manifest::checkTopLevel(doc, manifest::kRangeSchema,
+                                      {"minPages", "claims"}, err) &&
+              manifest::readRows<2>(doc, "claims", c.claims, err);
+    if (ok && !min_pages) {
+        err = "manifest field \"minPages\" is not an integer in "
+              "[0, 4294967295]";
+        ok = false;
     }
+    if (!ok) {
+        if (error)
+            *error = err;
+        return false;
+    }
+    c.minPages = *min_pages;
+    *out = std::move(c);
+    return true;
 }
-
-namespace {
-
-/** Minimal parser for the manifest's JSON subset, mirroring the
- * instrumentation-manifest parser (objects, arrays, non-negative
- * integers; no escapes, no floats). */
-class RangeManifestParser {
-  public:
-    explicit RangeManifestParser(const std::string &text)
-        : text_(text)
-    {
-    }
-
-    bool
-    parse(RangeClaims &out, std::string &error)
-    {
-        skipWs();
-        if (!expect('{')) {
-            error = err_;
-            return false;
-        }
-        bool first = true;
-        while (true) {
-            skipWs();
-            if (peek() == '}') {
-                ++pos_;
-                break;
-            }
-            if (!first && !expect(',')) {
-                error = err_;
-                return false;
-            }
-            first = false;
-            skipWs();
-            std::string key;
-            if (!parseString(key)) {
-                error = err_;
-                return false;
-            }
-            skipWs();
-            if (!expect(':')) {
-                error = err_;
-                return false;
-            }
-            skipWs();
-            if (!parseField(key, out)) {
-                error = err_;
-                return false;
-            }
-        }
-        skipWs();
-        if (pos_ != text_.size()) {
-            error = "trailing characters after manifest object";
-            return false;
-        }
-        if (!sawVersion_) {
-            error = "manifest lacks a \"version\" field";
-            return false;
-        }
-        if (schema_ != "wasabi-range-manifest") {
-            error = "not a wasabi-range-manifest";
-            return false;
-        }
-        return true;
-    }
-
-  private:
-    char
-    peek() const
-    {
-        return pos_ < text_.size() ? text_[pos_] : '\0';
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    expect(char c)
-    {
-        if (peek() != c) {
-            err_ = std::string("expected '") + c + "' at offset " +
-                   std::to_string(pos_);
-            return false;
-        }
-        ++pos_;
-        return true;
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        if (!expect('"'))
-            return false;
-        out.clear();
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            if (text_[pos_] == '\\') {
-                err_ = "escape sequences not supported in manifest";
-                return false;
-            }
-            out += text_[pos_++];
-        }
-        return expect('"');
-    }
-
-    bool
-    parseUint(uint64_t &out)
-    {
-        if (!std::isdigit(static_cast<unsigned char>(peek()))) {
-            err_ = "expected a number at offset " +
-                   std::to_string(pos_);
-            return false;
-        }
-        out = 0;
-        while (std::isdigit(static_cast<unsigned char>(peek()))) {
-            out = out * 10 + static_cast<uint64_t>(peek() - '0');
-            if (out > 0xFFFFFFFFull) {
-                err_ = "number out of range at offset " +
-                       std::to_string(pos_);
-                return false;
-            }
-            ++pos_;
-        }
-        return true;
-    }
-
-    bool
-    parseField(const std::string &key, RangeClaims &out)
-    {
-        if (key == "schema")
-            return parseString(schema_);
-        if (key == "version") {
-            uint64_t v = 0;
-            if (!parseUint(v))
-                return false;
-            if (v != 1) {
-                err_ = "unsupported manifest version " +
-                       std::to_string(v);
-                return false;
-            }
-            sawVersion_ = true;
-            return true;
-        }
-        if (key == "minPages") {
-            uint64_t v = 0;
-            if (!parseUint(v))
-                return false;
-            out.minPages = static_cast<uint32_t>(v);
-            return true;
-        }
-        if (key == "claims") {
-            if (!expect('['))
-                return false;
-            skipWs();
-            if (peek() == ']') {
-                ++pos_;
-                return true;
-            }
-            while (true) {
-                skipWs();
-                if (!expect('['))
-                    return false;
-                uint64_t f = 0, i = 0;
-                skipWs();
-                if (!parseUint(f))
-                    return false;
-                skipWs();
-                if (!expect(','))
-                    return false;
-                skipWs();
-                if (!parseUint(i))
-                    return false;
-                skipWs();
-                if (!expect(']'))
-                    return false;
-                out.claims.push_back(
-                    RangeClaim{static_cast<uint32_t>(f),
-                               static_cast<uint32_t>(i)});
-                skipWs();
-                if (peek() == ',') {
-                    ++pos_;
-                    continue;
-                }
-                return expect(']');
-            }
-        }
-        err_ = "unknown manifest key \"" + key + "\"";
-        return false;
-    }
-
-    const std::string &text_;
-    size_t pos_ = 0;
-    std::string err_;
-    std::string schema_;
-    bool sawVersion_ = false;
-};
-
-} // namespace
 
 bool
 rangeClaimsFromManifest(const std::string &text, RangeClaims *out,
                         std::string *error)
 {
-    RangeClaims c;
-    std::string err;
-    RangeManifestParser parser(text);
-    if (!parser.parse(c, err)) {
-        if (error)
-            *error = err;
-        return false;
-    }
-    *out = std::move(c);
-    return true;
+    std::optional<json::Value> doc = json::parse(text, error);
+    return doc && rangeClaimsFromManifest(*doc, out, error);
 }
 
 Diagnostics

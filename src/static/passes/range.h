@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "static/diagnostics.h"
+#include "support/json.h"
 #include "wasm/module.h"
 
 namespace wasabi::static_analysis::passes {
@@ -182,12 +183,12 @@ RangeClaims provableRangeClaims(const ModuleRanges &mr);
 /** Serialize to the "wasabi-range-manifest" v1 JSON format. */
 std::string rangeClaimsToManifest(const RangeClaims &c);
 
-/** Does @p text declare `"schema": "wasabi-range-manifest"` at the
- * top level? Parses the object structurally (a substring sniff would
- * misroute files that merely mention the schema string in a value). */
-bool isRangeManifest(const std::string &text);
+/** Read a parsed manifest (see static/manifest.h for the shared
+ * strictness rules); on failure returns false and sets @p error. */
+bool rangeClaimsFromManifest(const json::Value &doc, RangeClaims *out,
+                             std::string *error);
 
-/** Parse a manifest; on failure returns false and sets @p error. */
+/** rangeClaimsFromManifest() over the parse of @p text. */
 bool rangeClaimsFromManifest(const std::string &text, RangeClaims *out,
                              std::string *error);
 

@@ -1,7 +1,6 @@
 #include "static/rewrite/opt.h"
 
 #include <algorithm>
-#include <cctype>
 #include <map>
 #include <set>
 
@@ -9,6 +8,7 @@
 #include "static/interproc/ipcp.h"
 #include "static/interproc/refined_call_graph.h"
 #include "static/interproc/table_layout.h"
+#include "static/manifest.h"
 #include "static/passes/constprop.h"
 #include "static/passes/deadstore.h"
 #include "static/rewrite/rewrite.h"
@@ -860,454 +860,79 @@ optimize(const Module &m, const std::vector<std::string> &passes)
 std::string
 claimsToManifest(const OptClaims &claims)
 {
-    std::string out = "{\n  \"schema\": \"wasabi-opt-manifest\",\n"
-                      "  \"version\": 1,\n  \"passes\": [";
-    bool first = true;
-    for (const std::string &p : claims.passes) {
-        out += std::string(first ? "" : ", ") + "\"" + p + "\"";
-        first = false;
-    }
-    out += "],\n  \"strippedFunctions\": [";
-    first = true;
-    for (uint32_t f : claims.strippedFunctions) {
-        out += std::string(first ? "" : ", ") + std::to_string(f);
-        first = false;
-    }
-    out += "],\n  \"directCalls\": [";
-    first = true;
-    for (const DirectCallClaim &c : claims.directCalls) {
-        out += std::string(first ? "" : ", ") + "[" +
-               std::to_string(c.func) + ", " + std::to_string(c.instr) +
-               ", " + std::to_string(c.typeIdx) + ", " +
-               std::to_string(c.target) + "]";
-        first = false;
-    }
-    out += "],\n  \"ipoConstArgs\": [";
-    first = true;
-    for (const IpoConstArgClaim &c : claims.ipoConstArgs) {
-        out += std::string(first ? "" : ", ") + "[" +
-               std::to_string(c.func) + ", " + std::to_string(c.instr) +
-               ", " + std::to_string(c.local) + ", " +
-               std::to_string(c.value) + "]";
-        first = false;
-    }
-    out += "],\n  \"ipoConstReturns\": [";
-    first = true;
-    for (const IpoConstReturnClaim &c : claims.ipoConstReturns) {
-        out += std::string(first ? "" : ", ") + "[" +
-               std::to_string(c.func) + ", " + std::to_string(c.instr) +
-               ", " + std::to_string(c.callee) + ", " +
-               std::to_string(c.value) + "]";
-        first = false;
-    }
-    out += "],\n  \"inlinedCalls\": [";
-    first = true;
-    for (const InlineClaim &c : claims.inlinedCalls) {
-        out += std::string(first ? "" : ", ") + "[" +
-               std::to_string(c.func) + ", " + std::to_string(c.instr) +
-               ", " + std::to_string(c.callee) + "]";
-        first = false;
-    }
-    out += "],\n  \"inlineStripped\": [";
-    first = true;
-    for (uint32_t f : claims.inlineStripped) {
-        out += std::string(first ? "" : ", ") + std::to_string(f);
-        first = false;
-    }
-    out += "],\n  \"tableSlots\": [";
-    first = true;
-    for (const TableSlotClaim &c : claims.tableSlots) {
-        out += std::string(first ? "" : ", ") + "[" +
-               std::to_string(c.oldSlot) + ", " +
-               std::to_string(c.funcIdx) + "]";
-        first = false;
-    }
-    out += "],\n  \"tableIndexRewrites\": [";
-    first = true;
-    for (const TableIndexRewriteClaim &c : claims.tableIndexRewrites) {
-        out += std::string(first ? "" : ", ") + "[" +
-               std::to_string(c.func) + ", " + std::to_string(c.instr) +
-               ", " + std::to_string(c.oldIndex) + ", " +
-               std::to_string(c.newIndex) + "]";
-        first = false;
-    }
-    out += "],\n  \"tableStripped\": [";
-    first = true;
-    for (uint32_t f : claims.tableStripped) {
-        out += std::string(first ? "" : ", ") + std::to_string(f);
-        first = false;
-    }
-    out += "],\n  \"constFolds\": [";
-    first = true;
-    for (const ConstFoldClaim &c : claims.constFolds) {
-        out += std::string(first ? "" : ", ") + "[" +
-               std::to_string(c.func) + ", " + std::to_string(c.first) +
-               ", " + std::to_string(c.count) + ", " +
-               std::to_string(c.value) + "]";
-        first = false;
-    }
-    out += "],\n  \"deadStores\": [";
-    first = true;
-    for (const DeadStoreClaim &c : claims.deadStores) {
-        out += std::string(first ? "" : ", ") + "[" +
-               std::to_string(c.func) + ", " + std::to_string(c.instr) +
-               ", " + std::to_string(c.local) + "]";
-        first = false;
-    }
-    out += "],\n  \"emptyBlocks\": [";
-    first = true;
-    for (const EmptyBlockClaim &c : claims.emptyBlocks) {
-        out += std::string(first ? "" : ", ") + "[" +
-               std::to_string(c.func) + ", " + std::to_string(c.begin) +
-               "]";
-        first = false;
-    }
-    out += "]\n}\n";
-    return out;
+    using manifest::appendRows;
+    std::string out = manifest::header(manifest::kOptSchema);
+    manifest::appendField(out, "passes", claims.passes,
+                          [](const std::string &p) { return p; });
+    appendRows<1>(out, "strippedFunctions", claims.strippedFunctions);
+    appendRows<4>(out, "directCalls", claims.directCalls);
+    appendRows<4>(out, "ipoConstArgs", claims.ipoConstArgs);
+    appendRows<4>(out, "ipoConstReturns", claims.ipoConstReturns);
+    appendRows<3>(out, "inlinedCalls", claims.inlinedCalls);
+    appendRows<1>(out, "inlineStripped", claims.inlineStripped);
+    appendRows<2>(out, "tableSlots", claims.tableSlots);
+    appendRows<4>(out, "tableIndexRewrites", claims.tableIndexRewrites);
+    appendRows<1>(out, "tableStripped", claims.tableStripped);
+    appendRows<4>(out, "constFolds", claims.constFolds);
+    appendRows<3>(out, "deadStores", claims.deadStores);
+    appendRows<2>(out, "emptyBlocks", claims.emptyBlocks);
+    return out + "\n}\n";
 }
 
-namespace {
-
-/** Minimal parser for the opt manifest's JSON subset: one object with
- * string keys, string values, and arrays of strings / non-negative
- * integers / fixed-width integer rows. No external JSON dependency is
- * available (or needed). */
-class OptManifestParser {
-  public:
-    explicit OptManifestParser(const std::string &text) : text_(text) {}
-
-    bool
-    parse(OptClaims &claims, std::string &error)
-    {
-        skipWs();
-        if (!expect('{')) {
-            error = err_;
+bool
+claimsFromManifest(const json::Value &doc, OptClaims &claims,
+                   std::string *error)
+{
+    using manifest::readRows;
+    std::string err;
+    auto passes = [&] {
+        const json::Value *list = doc.find("passes");
+        if (!list)
+            return true;
+        if (!list->isArray() ||
+            !std::all_of(list->array.begin(), list->array.end(),
+                         [](const json::Value &p) { return p.isString(); })) {
+            err = "manifest field \"passes\" is not an array of strings";
             return false;
         }
-        bool first = true;
-        while (true) {
-            skipWs();
-            if (peek() == '}') {
-                ++pos_;
-                break;
-            }
-            if (!first && !expect(',')) {
-                error = err_;
-                return false;
-            }
-            first = false;
-            skipWs();
-            std::string key;
-            if (!parseString(key)) {
-                error = err_;
-                return false;
-            }
-            skipWs();
-            if (!expect(':')) {
-                error = err_;
-                return false;
-            }
-            skipWs();
-            if (!parseField(key, claims)) {
-                error = err_;
-                return false;
-            }
-        }
-        skipWs();
-        if (pos_ != text_.size()) {
-            error = "trailing characters after manifest object";
-            return false;
-        }
-        if (!sawSchema_) {
-            error = "manifest lacks a \"schema\" field";
-            return false;
-        }
-        if (!sawVersion_) {
-            error = "manifest lacks a \"version\" field";
-            return false;
-        }
+        for (const json::Value &p : list->array)
+            claims.passes.push_back(p.str);
         return true;
-    }
-
-  private:
-    char
-    peek() const
-    {
-        return pos_ < text_.size() ? text_[pos_] : '\0';
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    expect(char c)
-    {
-        if (peek() != c) {
-            err_ = std::string("expected '") + c + "' at offset " +
-                   std::to_string(pos_);
-            return false;
-        }
-        ++pos_;
-        return true;
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        if (!expect('"'))
-            return false;
-        out.clear();
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            if (text_[pos_] == '\\') {
-                err_ = "escape sequences are not supported";
-                return false;
-            }
-            out += text_[pos_++];
-        }
-        return expect('"');
-    }
-
-    bool
-    parseUint(uint64_t &out)
-    {
-        if (!std::isdigit(static_cast<unsigned char>(peek()))) {
-            err_ = "expected integer at offset " + std::to_string(pos_);
-            return false;
-        }
-        out = 0;
-        while (std::isdigit(static_cast<unsigned char>(peek()))) {
-            out = out * 10 + static_cast<uint64_t>(text_[pos_] - '0');
-            if (out > 0xFFFFFFFFull) {
-                err_ = "integer out of range at offset " +
-                       std::to_string(pos_);
-                return false;
-            }
-            ++pos_;
-        }
-        return true;
-    }
-
-    /** Parse `[n, n, ...]` rows of exactly @p width into @p rows. */
-    bool
-    parseRows(size_t width, std::vector<std::vector<uint32_t>> &rows)
-    {
-        if (!expect('['))
-            return false;
-        skipWs();
-        if (peek() == ']') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            std::vector<uint32_t> row;
-            if (width == 1) {
-                uint64_t v;
-                if (!parseUint(v))
-                    return false;
-                row.push_back(static_cast<uint32_t>(v));
-            } else {
-                if (!expect('['))
-                    return false;
-                for (size_t k = 0; k < width; ++k) {
-                    skipWs();
-                    if (k > 0 && !expect(','))
-                        return false;
-                    skipWs();
-                    uint64_t v;
-                    if (!parseUint(v))
-                        return false;
-                    row.push_back(static_cast<uint32_t>(v));
-                }
-                skipWs();
-                if (!expect(']'))
-                    return false;
-            }
-            rows.push_back(std::move(row));
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            return expect(']');
-        }
-    }
-
-    bool
-    parseField(const std::string &key, OptClaims &claims)
-    {
-        if (key == "schema") {
-            std::string schema;
-            if (!parseString(schema))
-                return false;
-            if (schema != "wasabi-opt-manifest") {
-                err_ = "unexpected schema \"" + schema + "\"";
-                return false;
-            }
-            sawSchema_ = true;
-            return true;
-        }
-        if (key == "version") {
-            uint64_t v;
-            if (!parseUint(v))
-                return false;
-            if (v != 1) {
-                err_ = "unsupported manifest version " +
-                       std::to_string(v);
-                return false;
-            }
-            sawVersion_ = true;
-            return true;
-        }
-        if (key == "passes") {
-            if (!expect('['))
-                return false;
-            skipWs();
-            if (peek() == ']') {
-                ++pos_;
-                return true;
-            }
-            while (true) {
-                skipWs();
-                std::string p;
-                if (!parseString(p))
-                    return false;
-                claims.passes.push_back(std::move(p));
-                skipWs();
-                if (peek() == ',') {
-                    ++pos_;
-                    continue;
-                }
-                return expect(']');
-            }
-        }
-        std::vector<std::vector<uint32_t>> rows;
-        if (key == "strippedFunctions") {
-            if (!parseRows(1, rows))
-                return false;
-            for (const auto &r : rows)
-                claims.strippedFunctions.push_back(r[0]);
-            return true;
-        }
-        if (key == "directCalls") {
-            if (!parseRows(4, rows))
-                return false;
-            for (const auto &r : rows)
-                claims.directCalls.push_back(
-                    DirectCallClaim{r[0], r[1], r[2], r[3]});
-            return true;
-        }
-        if (key == "ipoConstArgs") {
-            if (!parseRows(4, rows))
-                return false;
-            for (const auto &r : rows)
-                claims.ipoConstArgs.push_back(
-                    IpoConstArgClaim{r[0], r[1], r[2], r[3]});
-            return true;
-        }
-        if (key == "ipoConstReturns") {
-            if (!parseRows(4, rows))
-                return false;
-            for (const auto &r : rows)
-                claims.ipoConstReturns.push_back(
-                    IpoConstReturnClaim{r[0], r[1], r[2], r[3]});
-            return true;
-        }
-        if (key == "inlinedCalls") {
-            if (!parseRows(3, rows))
-                return false;
-            for (const auto &r : rows)
-                claims.inlinedCalls.push_back(
-                    InlineClaim{r[0], r[1], r[2]});
-            return true;
-        }
-        if (key == "inlineStripped") {
-            if (!parseRows(1, rows))
-                return false;
-            for (const auto &r : rows)
-                claims.inlineStripped.push_back(r[0]);
-            return true;
-        }
-        if (key == "tableSlots") {
-            if (!parseRows(2, rows))
-                return false;
-            for (const auto &r : rows)
-                claims.tableSlots.push_back(TableSlotClaim{r[0], r[1]});
-            return true;
-        }
-        if (key == "tableIndexRewrites") {
-            if (!parseRows(4, rows))
-                return false;
-            for (const auto &r : rows)
-                claims.tableIndexRewrites.push_back(
-                    TableIndexRewriteClaim{r[0], r[1], r[2], r[3]});
-            return true;
-        }
-        if (key == "tableStripped") {
-            if (!parseRows(1, rows))
-                return false;
-            for (const auto &r : rows)
-                claims.tableStripped.push_back(r[0]);
-            return true;
-        }
-        if (key == "constFolds") {
-            if (!parseRows(4, rows))
-                return false;
-            for (const auto &r : rows)
-                claims.constFolds.push_back(
-                    ConstFoldClaim{r[0], r[1], r[2], r[3]});
-            return true;
-        }
-        if (key == "deadStores") {
-            if (!parseRows(3, rows))
-                return false;
-            for (const auto &r : rows)
-                claims.deadStores.push_back(
-                    DeadStoreClaim{r[0], r[1], r[2]});
-            return true;
-        }
-        if (key == "emptyBlocks") {
-            if (!parseRows(2, rows))
-                return false;
-            for (const auto &r : rows)
-                claims.emptyBlocks.push_back(EmptyBlockClaim{r[0], r[1]});
-            return true;
-        }
-        err_ = "unknown manifest field \"" + key + "\"";
-        return false;
-    }
-
-    const std::string &text_;
-    size_t pos_ = 0;
-    std::string err_;
-    bool sawSchema_ = false;
-    bool sawVersion_ = false;
-};
-
-} // namespace
+    };
+    bool ok =
+        manifest::checkTopLevel(
+            doc, manifest::kOptSchema,
+            {"passes", "strippedFunctions", "directCalls", "ipoConstArgs",
+             "ipoConstReturns", "inlinedCalls", "inlineStripped",
+             "tableSlots", "tableIndexRewrites", "tableStripped",
+             "constFolds", "deadStores", "emptyBlocks"},
+            err) &&
+        passes() &&
+        readRows<1>(doc, "strippedFunctions", claims.strippedFunctions,
+                    err) &&
+        readRows<4>(doc, "directCalls", claims.directCalls, err) &&
+        readRows<4>(doc, "ipoConstArgs", claims.ipoConstArgs, err) &&
+        readRows<4>(doc, "ipoConstReturns", claims.ipoConstReturns, err) &&
+        readRows<3>(doc, "inlinedCalls", claims.inlinedCalls, err) &&
+        readRows<1>(doc, "inlineStripped", claims.inlineStripped, err) &&
+        readRows<2>(doc, "tableSlots", claims.tableSlots, err) &&
+        readRows<4>(doc, "tableIndexRewrites", claims.tableIndexRewrites,
+                    err) &&
+        readRows<1>(doc, "tableStripped", claims.tableStripped, err) &&
+        readRows<4>(doc, "constFolds", claims.constFolds, err) &&
+        readRows<3>(doc, "deadStores", claims.deadStores, err) &&
+        readRows<2>(doc, "emptyBlocks", claims.emptyBlocks, err);
+    if (!ok && error)
+        *error = err;
+    return ok;
+}
 
 bool
 claimsFromManifest(const std::string &text, OptClaims &claims,
                    std::string *error)
 {
-    std::string err;
-    if (!OptManifestParser(text).parse(claims, err)) {
-        if (error)
-            *error = err;
-        return false;
-    }
-    return true;
-}
-
-bool
-isOptManifest(const std::string &text)
-{
-    return text.find("\"wasabi-opt-manifest\"") != std::string::npos;
+    std::optional<json::Value> doc = json::parse(text, error);
+    return doc && claimsFromManifest(*doc, claims, error);
 }
 
 // ----- checker -------------------------------------------------------

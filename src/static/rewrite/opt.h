@@ -57,6 +57,7 @@
 #include <vector>
 
 #include "static/diagnostics.h"
+#include "support/json.h"
 #include "wasm/module.h"
 
 namespace wasabi::static_analysis::rewrite {
@@ -212,15 +213,16 @@ OptResult optimize(const wasm::Module &m,
 std::string claimsToManifest(const OptClaims &claims);
 
 /**
- * Parse a manifest produced by claimsToManifest. Returns false and
- * sets @p error on malformed input.
+ * Read a parsed manifest produced by claimsToManifest, appending to
+ * @p claims (see static/manifest.h for the shared strictness rules).
+ * Returns false and sets @p error on malformed input.
  */
-bool claimsFromManifest(const std::string &text, OptClaims &claims,
+bool claimsFromManifest(const json::Value &doc, OptClaims &claims,
                         std::string *error);
 
-/** Cheap sniff: does this text look like an opt manifest (vs a
- * hook-optimization plan manifest)? */
-bool isOptManifest(const std::string &text);
+/** claimsFromManifest() over the parse of @p text. */
+bool claimsFromManifest(const std::string &text, OptClaims &claims,
+                        std::string *error);
 
 /**
  * Re-prove every claim: replay the pass pipeline on @p original,

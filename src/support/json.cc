@@ -1,10 +1,11 @@
-#include "obs/json.h"
+#include "support/json.h"
 
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
-namespace wasabi::obs::json {
+namespace wasabi::json {
 
 const Value *
 Value::find(const std::string &key) const
@@ -312,4 +313,29 @@ parse(const std::string &text, std::string *error)
     return Parser(text, error).run();
 }
 
-} // namespace wasabi::obs::json
+std::string
+escape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size() + 8);
+    for (unsigned char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (c < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof buf, "\\u%04x", c);
+                out += buf;
+            } else {
+                out += static_cast<char>(c);
+            }
+        }
+    }
+    return out;
+}
+
+} // namespace wasabi::json

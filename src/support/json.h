@@ -1,24 +1,26 @@
 /**
  * @file
- * A minimal recursive-descent JSON reader for the observability
- * layer: schema validation of profile JSON (`wasabi profile
- * --check=`) and structural checks on Chrome trace-event output in
- * tests. Parse-only — the profile writers emit JSON by hand, this
- * reader verifies it. Not a general-purpose JSON library: numbers are
- * doubles, and input size is bounded by the caller. \uXXXX escapes
- * decode to UTF-8, including surrogate pairs; lone or malformed
- * surrogates are rejected.
+ * The one JSON reader of the tree, a minimal recursive-descent parser
+ * into a small tagged tree. It backs every reader of JSON input: the
+ * three claim manifests (`wasabi check --manifest=`, see
+ * static/manifest.h), `serve` request lines, profile schema validation
+ * (`wasabi profile --check=`) and trace-event checks in tests. The
+ * writers emit JSON by hand and share escape(). Not a general-purpose
+ * JSON library: numbers are doubles, and input size is bounded by the
+ * caller. \uXXXX escapes decode to UTF-8, including surrogate pairs;
+ * lone or malformed surrogates are rejected.
  */
 
-#ifndef WASABI_OBS_JSON_H
-#define WASABI_OBS_JSON_H
+#ifndef WASABI_SUPPORT_JSON_H
+#define WASABI_SUPPORT_JSON_H
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-namespace wasabi::obs::json {
+namespace wasabi::json {
 
 /** One parsed JSON value (a small tagged tree). */
 struct Value {
@@ -54,6 +56,10 @@ struct Value {
  */
 std::optional<Value> parse(const std::string &text, std::string *error);
 
-} // namespace wasabi::obs::json
+/** Escape @p s for embedding between the quotes of a JSON string:
+ * quote, backslash and control characters; other bytes pass through. */
+std::string escape(const std::string &s);
 
-#endif // WASABI_OBS_JSON_H
+} // namespace wasabi::json
+
+#endif // WASABI_SUPPORT_JSON_H

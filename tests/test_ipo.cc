@@ -16,6 +16,7 @@
 #include "interp/interpreter.h"
 #include "runtime/runtime.h"
 #include "static/interproc/ipcp.h"
+#include "static/manifest.h"
 #include "static/rewrite/opt.h"
 #include "static/rewrite/rewrite.h"
 #include "wasm/builder.h"
@@ -552,7 +553,9 @@ TEST(OptManifest, RoundTripsIpoClaimKinds)
     claims.tableStripped = {4, 6};
 
     std::string text = claimsToManifest(claims);
-    EXPECT_TRUE(isOptManifest(text));
+    std::optional<json::Value> doc = json::parse(text, nullptr);
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_EQ(manifestKind(*doc, nullptr), ManifestKind::Opt);
     OptClaims parsed;
     std::string error;
     ASSERT_TRUE(claimsFromManifest(text, parsed, &error)) << error;

@@ -1,19 +1,20 @@
 /**
  * @file
- * Tests for the observability subsystem (src/obs/): the mini JSON
- * reader, the ProfileCollector and its three reporters, schema
- * validation, dispatch-count accounting against the runtime, the
- * determinism guarantee of `toJson(deterministic=true)` across
- * instrumentation thread counts, and the interpreter counters.
+ * Tests for the observability subsystem (src/obs/): the shared JSON
+ * reader (support/json.h), the ProfileCollector and its three
+ * reporters, schema validation, dispatch-count accounting against
+ * the runtime, the determinism guarantee of
+ * `toJson(deterministic=true)` across instrumentation thread counts,
+ * and the interpreter counters.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/instrument.h"
 #include "interp/interpreter.h"
-#include "obs/json.h"
 #include "obs/profile.h"
 #include "runtime/runtime.h"
+#include "support/json.h"
 #include "wasm/builder.h"
 #include "wasm/validator.h"
 

@@ -18,6 +18,7 @@
 #include "interp/interpreter.h"
 #include "static/analyze.h"
 #include "static/check.h"
+#include "static/manifest.h"
 #include "static/passes/constprop.h"
 #include "static/passes/pipeline.h"
 #include "static/passes/range.h"
@@ -469,7 +470,9 @@ TEST(RangeManifest, RoundTripsAndReproves)
     RangeClaims claims = provableRangeClaims(moduleRanges(m, 1));
     ASSERT_EQ(claims.claims.size(), 1u);
     std::string text = rangeClaimsToManifest(claims);
-    EXPECT_TRUE(isRangeManifest(text));
+    std::optional<json::Value> doc = json::parse(text, nullptr);
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_EQ(manifestKind(*doc, nullptr), ManifestKind::Range);
 
     RangeClaims parsed;
     std::string error;
@@ -479,26 +482,6 @@ TEST(RangeManifest, RoundTripsAndReproves)
 
     EXPECT_TRUE(checkRangeClaims(m, parsed).empty());
     EXPECT_TRUE(checkRangeManifest(m, text).empty());
-}
-
-TEST(RangeManifest, SchemaSniffIsStructural)
-{
-    EXPECT_FALSE(isRangeManifest(""));
-    EXPECT_FALSE(isRangeManifest("schema: wasabi-range-manifest"));
-    // A file of another manifest kind that merely mentions the schema
-    // string in a value must not be routed to the range checker.
-    EXPECT_FALSE(isRangeManifest(
-        "{\"schema\": \"wasabi-opt-manifest\", \"version\": 1, "
-        "\"note\": \"wasabi-range-manifest\"}"));
-    EXPECT_FALSE(isRangeManifest(
-        "{\"claims\": [\"wasabi-range-manifest\"], \"version\": 1}"));
-    EXPECT_FALSE(isRangeManifest("{}"));
-    // The top-level schema field decides, wherever it appears.
-    EXPECT_TRUE(isRangeManifest(
-        "{\"version\": 1, \"minPages\": 1, \"claims\": [[0, 3]], "
-        "\"schema\": \"wasabi-range-manifest\"}"));
-    EXPECT_TRUE(
-        isRangeManifest("{\"schema\": \"wasabi-range-manifest\"}"));
 }
 
 TEST(RangeManifest, UnprovableClaimIsRejected)
@@ -562,11 +545,47 @@ TEST(RangeManifest, MalformedTextIsRejected)
           "{\"schema\": \"wasabi-range-manifest\", \"version\": 2, "
           "\"minPages\": 1, \"claims\": []}",
           "{\"schema\": \"wasabi-range-manifest\", \"version\": 1, "
-          "\"minPages\": 1, \"claims\": [[0]]}"}) {
+          "\"minPages\": 1, \"claims\": [[0]]}",
+          // Numbers must be integers in [0, 2^32-1], never rounded.
+          "{\"schema\": \"wasabi-range-manifest\", \"version\": 1, "
+          "\"minPages\": -1, \"claims\": []}",
+          "{\"schema\": \"wasabi-range-manifest\", \"version\": 1, "
+          "\"minPages\": 1.5, \"claims\": []}",
+          "{\"schema\": \"wasabi-range-manifest\", \"version\": 1, "
+          "\"minPages\": 4294967296, \"claims\": []}",
+          "{\"schema\": \"wasabi-range-manifest\", \"version\": 1, "
+          "\"minPages\": 1, \"claims\": [[0, -1]]}",
+          "{\"schema\": \"wasabi-range-manifest\", \"version\": 1, "
+          "\"minPages\": 1, \"claims\": [[0, 1.5]]}",
+          "{\"schema\": \"wasabi-range-manifest\", \"version\": 1, "
+          "\"minPages\": 1, \"claims\": [[4294967296, 0]]}"}) {
         Diagnostics d = checkRangeManifest(m, bad);
         EXPECT_TRUE(d.hasCode("check.range.bad-manifest"))
             << "input: " << bad << "\n"
             << toString(d);
+    }
+}
+
+TEST(RangeManifest, DuplicateKeyIsRejected)
+{
+    // With duplicates, which value wins would depend on the reader;
+    // the manifest is rejected instead of guessing.
+    Module m = provenStoreModule();
+    std::string text =
+        rangeClaimsToManifest(provableRangeClaims(moduleRanges(m, 1)));
+    ASSERT_TRUE(checkRangeManifest(m, text).empty());
+    for (const char *dup :
+         {"\"minPages\": 7, ", "\"claims\": [], ", "\"version\": 1, ",
+          "\"schema\": \"wasabi-range-manifest\", "}) {
+        std::string bad = text;
+        bad.insert(bad.find('{') + 1, dup);
+        RangeClaims parsed;
+        std::string error;
+        EXPECT_FALSE(rangeClaimsFromManifest(bad, &parsed, &error)) << bad;
+        EXPECT_NE(error.find("duplicate"), std::string::npos) << error;
+        EXPECT_TRUE(checkRangeManifest(m, bad).hasCode(
+            "check.range.bad-manifest"))
+            << bad;
     }
 }
 

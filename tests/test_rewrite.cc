@@ -15,6 +15,7 @@
 #include "core/instrument.h"
 #include "interp/interpreter.h"
 #include "runtime/runtime.h"
+#include "static/manifest.h"
 #include "static/rewrite/opt.h"
 #include "static/rewrite/rewrite.h"
 #include "wasm/builder.h"
@@ -508,7 +509,9 @@ TEST(OptManifest, RoundTripsAllClaimKinds)
     claims.emptyBlocks = {{4, 0}};
 
     std::string text = claimsToManifest(claims);
-    EXPECT_TRUE(isOptManifest(text));
+    std::optional<json::Value> doc = json::parse(text, nullptr);
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_EQ(manifestKind(*doc, nullptr), ManifestKind::Opt);
     OptClaims parsed;
     std::string error;
     ASSERT_TRUE(claimsFromManifest(text, parsed, &error)) << error;
@@ -532,7 +535,45 @@ TEST(OptManifest, MalformedInputIsRejected)
     EXPECT_FALSE(claimsFromManifest(
         "{\"schema\": \"wasabi-opt-manifest\", \"version\": 2}", claims,
         &error));
-    EXPECT_FALSE(isOptManifest("{\"schema\": \"wasabi-hook-plan\"}"));
+    // Numbers must be integers in [0, 2^32-1], never rounded.
+    for (const char *rows :
+         {"\"strippedFunctions\": [-1]", "\"strippedFunctions\": [1.5]",
+          "\"strippedFunctions\": [4294967296]",
+          "\"directCalls\": [[0, 1, 2, -1]]",
+          "\"constFolds\": [[0, 1, 1.5, 3]]",
+          "\"tableSlots\": [[4294967296, 0]]"}) {
+        std::string text =
+            std::string("{\"schema\": \"wasabi-opt-manifest\", "
+                        "\"version\": 1, ") +
+            rows + "}";
+        OptClaims parsed;
+        error.clear();
+        EXPECT_FALSE(claimsFromManifest(text, parsed, &error)) << text;
+        EXPECT_FALSE(error.empty()) << text;
+    }
+}
+
+TEST(OptManifest, DuplicateKeyIsRejected)
+{
+    // Duplicated claim arrays used to merge silently; with a tree
+    // reader the first would win. Either way the claim set would not
+    // be the one the manifest's author saw, so it is rejected.
+    OptClaims claims;
+    claims.passes = allOptPasses();
+    claims.directCalls = {{1, 2, 3, 4}};
+    std::string text = claimsToManifest(claims);
+    OptClaims parsed;
+    std::string error;
+    ASSERT_TRUE(claimsFromManifest(text, parsed, &error)) << error;
+    for (const char *dup :
+         {"\"directCalls\": [[5, 6, 7, 8]], ", "\"passes\": [], ",
+          "\"version\": 1, ", "\"schema\": \"wasabi-opt-manifest\", "}) {
+        std::string bad = text;
+        bad.insert(bad.find('{') + 1, dup);
+        OptClaims again;
+        EXPECT_FALSE(claimsFromManifest(bad, again, &error)) << bad;
+        EXPECT_NE(error.find("duplicate"), std::string::npos) << error;
+    }
 }
 
 TEST(OptCheck, RejectsTamperedBinary)

@@ -516,15 +516,43 @@ TEST(Manifest, MalformedInputIsRejectedWithAnError)
         "[]",
         "{\"version\": 2, \"skips\": []}",          // wrong version
         "{\"version\": 1, \"bogus\": []}",          // unknown field
+        // Mentions the opt schema only in a value: still a plan.
+        "{\"version\": 1, \"skips\": [], \"note\": \"wasabi-opt-manifest\"}",
         "{\"version\": 1, \"skips\": [[1]]}",       // wrong row width
         "{\"version\": 1, \"skips\": [[1, -2]]}",   // negative
         "{\"version\": 1, \"elidedBlocks\": [[0, 4, 9]]}", // not begin+1
+        "{\"version\": 1, \"elidedBlocks\": [[0, 4294967295, 0]]}", // wraps
+        // Numbers must be integers in [0, 2^32-1], never rounded.
+        "{\"version\": 1, \"deadFunctions\": [-1]}",
+        "{\"version\": 1, \"deadFunctions\": [1.5]}",
+        "{\"version\": 1, \"deadFunctions\": [4294967296]}",
+        "{\"version\": 1, \"skips\": [[0, 1.5]]}",
+        "{\"version\": 1, \"brTableToBr\": [[0, 1, 4294967296]]}",
+        "{\"version\": 1.5, \"skips\": []}",
+        "{\"version\": 1, \"skips\": {}}",        // not an array
+        "{\"version\": 1, \"schema\": \"x\"}",     // plans have none
     };
     for (const char *text : bad) {
         std::string error;
         EXPECT_FALSE(planFromManifest(text, &error).has_value())
             << text;
         EXPECT_FALSE(error.empty()) << text;
+    }
+}
+
+TEST(Manifest, DuplicateKeyIsRejected)
+{
+    core::HookOptimizationPlan plan;
+    plan.skips = {packLoc({0, 7})};
+    std::string text = planToManifest(plan);
+    std::string error;
+    ASSERT_TRUE(planFromManifest(text, &error).has_value()) << error;
+    for (const char *dup : {"\"skips\": [[1, 2]], ", "\"version\": 1, ",
+                            "\"deadFunctions\": [], "}) {
+        std::string bad = text;
+        bad.insert(bad.find('{') + 1, dup);
+        EXPECT_FALSE(planFromManifest(bad, &error).has_value()) << bad;
+        EXPECT_NE(error.find("duplicate"), std::string::npos) << error;
     }
 }
 

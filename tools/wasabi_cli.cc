@@ -19,8 +19,10 @@
  *   wasabi check     <orig.wasm> <instrumented.wasm> [--hooks=...]
  *                     [--no-split-i64] [--import-module=NAME]
  *                     [--no-side-tables] [--manifest=FILE] [--json]
- *                     (an opt manifest routes to the optimization
- *                     checker: <orig.wasm> <optimized.wasm>)
+ *                     (the manifest's top-level "schema" routes
+ *                     it: an opt manifest to the optimization
+ *                     checker, <orig.wasm> <optimized.wasm>; a range
+ *                     manifest to the range checker, <orig.wasm>)
  *   wasabi lint      <in.wasm> [--json]
  *   wasabi analyze   <in.wasm> [--json] [--summaries] [--ranges]
  *                     [--manifest-out=FILE] [--threads=N]
@@ -60,6 +62,7 @@
 #include "static/analyze.h"
 #include "static/check.h"
 #include "static/interproc/ipcp.h"
+#include "static/manifest.h"
 #include "static/passes/pipeline.h"
 #include "static/passes/range.h"
 #include "static/rewrite/opt.h"
@@ -68,6 +71,7 @@
 #include "serve/server.h"
 #include "serve/socket.h"
 #include "support/file_io.h"
+#include "support/json.h"
 #include "support/module_io.h"
 #include "wasm/decoder.h"
 #include "wasm/encoder.h"
@@ -891,6 +895,25 @@ cmdOpt(const std::vector<std::string> &args)
     return 0;
 }
 
+/** Print @p diags (as JSON, or as text ending in a count) or, when
+ * there are none, @p ok_line; return the exit code (0 clean, 3
+ * findings). */
+int
+reportFindings(const static_analysis::Diagnostics &diags, bool json,
+               const std::string &ok_line)
+{
+    if (json) {
+        std::fputs(static_analysis::toJson(diags).c_str(), stdout);
+        std::fputs("\n", stdout);
+    } else if (diags.empty()) {
+        std::printf("%s\n", ok_line.c_str());
+    } else {
+        std::fputs(static_analysis::toString(diags).c_str(), stdout);
+        std::printf("%zu finding(s)\n", diags.size());
+    }
+    return diags.empty() ? 0 : 3;
+}
+
 int
 cmdCheck(const std::vector<std::string> &args)
 {
@@ -915,104 +938,85 @@ cmdCheck(const std::vector<std::string> &args)
         else
             instr_path = a;
     }
-    std::string manifest_text;
+    if (orig_path.empty())
+        throw UsageError(
+            "usage: check <orig.wasm> <instrumented.wasm> [opts]\n"
+            "       check <orig.wasm> --manifest=<range-manifest> "
+            "[--json]");
+    // Parse the manifest once and route it on its top-level schema.
+    using static_analysis::ManifestKind;
+    std::optional<json::Value> manifest;
+    ManifestKind kind = ManifestKind::Plan;
     if (!manifest_path.empty()) {
         std::vector<uint8_t> bytes = readFile(manifest_path);
-        manifest_text.assign(bytes.begin(), bytes.end());
-    }
-    if (static_analysis::passes::isRangeManifest(manifest_text)) {
-        // Range-claim manifest: checked against the original module
-        // alone — there is no second binary, the claims license
-        // engine bounds-check elision on the original itself.
-        if (orig_path.empty() || !instr_path.empty())
-            throw UsageError("usage: check <orig.wasm> "
-                             "--manifest=<range-manifest> [--json]");
-        wasm::Module orig = loadModule(orig_path);
-        static_analysis::Diagnostics diags =
-            static_analysis::checkRangeManifest(orig, manifest_text);
-        if (json) {
-            std::fputs(static_analysis::toJson(diags).c_str(), stdout);
-            std::fputs("\n", stdout);
-        } else if (diags.empty()) {
-            static_analysis::passes::RangeClaims rc;
-            std::string perr;
-            static_analysis::passes::rangeClaimsFromManifest(
-                manifest_text, &rc, &perr);
-            std::printf("OK: all %zu range claim(s) re-proved\n",
-                        rc.claims.size());
-        } else {
-            std::fputs(static_analysis::toString(diags).c_str(),
-                       stdout);
-            std::printf("%zu finding(s)\n", diags.size());
-        }
-        return diags.empty() ? 0 : 3;
-    }
-    if (orig_path.empty() || instr_path.empty()) {
-        // A single positional plus --manifest= is only meaningful for
-        // a range manifest; anything else here is a broken file, not
-        // a usage mistake.
-        if (!manifest_path.empty() && !orig_path.empty() &&
-            instr_path.empty())
-            throw std::runtime_error(
-                "manifest " + manifest_path +
-                " is not a wasabi-range-manifest (malformed or wrong "
-                "schema); two-binary manifests need <orig.wasm> "
-                "<instrumented.wasm>");
-        throw UsageError(
-            "usage: check <orig.wasm> <instrumented.wasm> [opts]");
-    }
-    if (!manifest_path.empty()) {
-        const std::string &text = manifest_text;
-        if (static_analysis::rewrite::isOptManifest(text)) {
-            // `wasabi opt` manifest: re-prove every optimization claim
-            // against the original module and require the replayed
-            // result to match the optimized binary byte-for-byte.
-            std::string error;
-            static_analysis::rewrite::OptClaims claims;
-            if (!static_analysis::rewrite::claimsFromManifest(text, claims,
-                                                              &error))
-                throw std::runtime_error("malformed opt manifest " +
-                                         manifest_path + ": " + error);
-            wasm::Module orig = loadModule(orig_path);
-            static_analysis::Diagnostics diags =
-                static_analysis::rewrite::checkOptimization(
-                    orig, readFile(instr_path), claims);
-            if (json) {
-                std::fputs(static_analysis::toJson(diags).c_str(), stdout);
-                std::fputs("\n", stdout);
-            } else if (diags.empty()) {
-                std::printf("OK: all %zu optimization claim(s) re-proved, "
-                            "output byte-identical to replay\n",
-                            claims.totalClaims());
-            } else {
-                std::fputs(static_analysis::toString(diags).c_str(),
-                           stdout);
-                std::printf("%zu finding(s)\n", diags.size());
-            }
-            return diags.empty() ? 0 : 3;
-        }
         std::string error;
-        std::optional<core::HookOptimizationPlan> plan =
-            static_analysis::passes::planFromManifest(text, &error);
-        if (!plan)
+        manifest = json::parse(std::string(bytes.begin(), bytes.end()),
+                               &error);
+        std::optional<ManifestKind> routed =
+            manifest ? static_analysis::manifestKind(*manifest, &error)
+                     : std::nullopt;
+        if (!routed)
             throw std::runtime_error("malformed manifest " +
                                      manifest_path + ": " + error);
-        opts.plan = std::move(plan);
+        kind = *routed;
     }
-    wasm::Module orig = loadModule(orig_path);
-    wasm::Module instr = loadModule(instr_path);
-    static_analysis::Diagnostics diags =
-        static_analysis::checkInstrumentation(orig, instr, opts);
-    if (json) {
-        std::fputs(static_analysis::toJson(diags).c_str(), stdout);
-        std::fputs("\n", stdout);
-    } else if (diags.empty()) {
-        std::printf("OK: all instrumentation invariants hold\n");
-    } else {
-        std::fputs(static_analysis::toString(diags).c_str(), stdout);
-        std::printf("%zu finding(s)\n", diags.size());
+    // Only a range manifest is checked against the original alone.
+    if ((kind == ManifestKind::Range) != instr_path.empty())
+        throw UsageError(
+            kind == ManifestKind::Range
+                ? "usage: check <orig.wasm> --manifest=<range-manifest> "
+                  "[--json]"
+                : "usage: check <orig.wasm> <instrumented.wasm> [opts]");
+    static_analysis::Diagnostics diags;
+    std::string ok_line;
+    switch (kind) {
+      case ManifestKind::Range: {
+        // Range-claim manifest: there is no second binary, the claims
+        // license engine bounds-check elision on the original itself.
+        diags = static_analysis::checkRangeManifest(
+            loadModule(orig_path), *manifest);
+        static_analysis::passes::RangeClaims rc;
+        static_analysis::passes::rangeClaimsFromManifest(*manifest, &rc,
+                                                         nullptr);
+        ok_line = "OK: all " + std::to_string(rc.claims.size()) +
+                  " range claim(s) re-proved";
+        break;
+      }
+      case ManifestKind::Opt: {
+        // `wasabi opt` manifest: re-prove every optimization claim
+        // against the original module and require the replayed
+        // result to match the optimized binary byte-for-byte.
+        std::string error;
+        static_analysis::rewrite::OptClaims claims;
+        if (!static_analysis::rewrite::claimsFromManifest(*manifest, claims,
+                                                          &error))
+            throw std::runtime_error("malformed opt manifest " +
+                                     manifest_path + ": " + error);
+        wasm::Module orig = loadModule(orig_path);
+        diags = static_analysis::rewrite::checkOptimization(
+            orig, readFile(instr_path), claims);
+        ok_line = "OK: all " + std::to_string(claims.totalClaims()) +
+                  " optimization claim(s) re-proved, output "
+                  "byte-identical to replay";
+        break;
+      }
+      case ManifestKind::Plan: {
+        if (manifest) {
+            std::string error;
+            opts.plan = static_analysis::passes::planFromManifest(
+                *manifest, &error);
+            if (!opts.plan)
+                throw std::runtime_error("malformed manifest " +
+                                         manifest_path + ": " + error);
+        }
+        wasm::Module orig = loadModule(orig_path);
+        wasm::Module instr = loadModule(instr_path);
+        diags = static_analysis::checkInstrumentation(orig, instr, opts);
+        ok_line = "OK: all instrumentation invariants hold";
+        break;
+      }
     }
-    return diags.empty() ? 0 : 3;
+    return reportFindings(diags, json, ok_line);
 }
 
 int
@@ -1033,18 +1037,8 @@ cmdLint(const std::vector<std::string> &args)
         std::fprintf(stderr, "INVALID: %s\n", err->c_str());
         return 1;
     }
-    static_analysis::Diagnostics diags =
-        static_analysis::passes::lintModule(m);
-    if (json) {
-        std::fputs(static_analysis::toJson(diags).c_str(), stdout);
-        std::fputs("\n", stdout);
-    } else if (diags.empty()) {
-        std::printf("OK: no findings\n");
-    } else {
-        std::fputs(static_analysis::toString(diags).c_str(), stdout);
-        std::printf("%zu finding(s)\n", diags.size());
-    }
-    return diags.empty() ? 0 : 3;
+    return reportFindings(static_analysis::passes::lintModule(m), json,
+                          "OK: no findings");
 }
 
 int
@@ -1474,10 +1468,10 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
             "                       --manifest-out=`; every claimed\n"
             "                       omission is re-proved against the\n"
             "                       original module before it exempts\n"
-            "                       a site from completeness. A\n"
-            "                       `wasabi opt` manifest is detected\n"
-            "                       automatically and routes to the\n"
-            "                       optimization checker instead\n"
+            "                       a site from completeness. The\n"
+            "                       top-level \"schema\" routes the\n"
+            "                       file: a `wasabi opt` manifest goes\n"
+            "                       to the optimization checker\n"
             "                       (check.opt.* findings); a range\n"
             "                       manifest (`analyze --ranges\n"
             "                       --manifest-out=`) needs only the\n"
