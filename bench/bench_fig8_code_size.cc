@@ -4,17 +4,13 @@
  * of the original size) per selectively-instrumented hook, for the
  * PolyBench mean and the two synthetic applications, plus the
  * "all hooks" configuration (paper: 495% - 743%).
- *
- * A second section measures the analysis-guided optimizer
- * (`wasabi instrument --optimize-hooks`): instrumented size with and
- * without the static hook-optimization plan, for the branch-analysis
- * and coverage-analysis hook configurations.
  */
 
+#include <array>
 #include <cstdio>
+#include <cstdlib>
 
 #include "bench_common.h"
-#include "static/passes/pipeline.h"
 
 using namespace wasabi;
 using namespace wasabi::bench;
@@ -28,33 +24,6 @@ sizeIncreasePct(const wasm::Module &m, core::HookSet hooks)
     core::InstrumentResult r = core::instrument(m, hooks);
     size_t inst = binarySize(r.module);
     return 100.0 * (static_cast<double>(inst) - base) / base;
-}
-
-struct OptDelta {
-    size_t plain = 0;
-    size_t optimized = 0;
-};
-
-OptDelta
-optimizedSizes(const wasm::Module &m, core::HookSet hooks)
-{
-    OptDelta d;
-    d.plain = binarySize(core::instrument(m, hooks).module);
-    core::HookOptimizationPlan plan =
-        static_analysis::passes::computePlan(m);
-    core::InstrumentOptions opts;
-    opts.plan = &plan;
-    d.optimized = binarySize(core::instrument(m, hooks, opts).module);
-    return d;
-}
-
-double
-savedPct(const OptDelta &d)
-{
-    return 100.0 *
-           (static_cast<double>(d.plain) -
-            static_cast<double>(d.optimized)) /
-           static_cast<double>(d.plain);
 }
 
 } // namespace
@@ -96,45 +65,5 @@ main(int argc, char **argv)
     std::printf("\n(paper: most hooks <10%%; load/store 39-58%%, "
                 "begin/end 11-84%%, const 59-71%%, local 128-180%%, "
                 "binary 83-190%%; all 495-743%%)\n");
-
-    std::printf("\n=== --optimize-hooks: instrumented size with the "
-                "static plan (bytes saved) ===\n\n");
-    struct Config {
-        const char *name;
-        core::HookSet hooks;
-    };
-    const Config configs[] = {
-        {"branch", core::HookSet{core::HookKind::If, core::HookKind::BrIf,
-                                 core::HookKind::BrTable,
-                                 core::HookKind::Select}},
-        {"coverage", core::HookSet{core::HookKind::Begin,
-                                   core::HookKind::End}},
-    };
-    std::printf("%-10s %-14s %12s %12s %9s\n", "config", "workload",
-                "plain", "optimized", "saved");
-    for (const Config &cfg : configs) {
-        size_t poly_plain = 0, poly_opt = 0;
-        for (const auto &w : suite) {
-            OptDelta d = optimizedSizes(w.module, cfg.hooks);
-            poly_plain += d.plain;
-            poly_opt += d.optimized;
-        }
-        OptDelta poly{poly_plain, poly_opt};
-        std::printf("%-10s %-14s %12zu %12zu %8.2f%%\n", cfg.name,
-                    "polybench-sum", poly.plain, poly.optimized,
-                    savedPct(poly));
-        OptDelta pdf = optimizedSizes(pdfkit.module, cfg.hooks);
-        std::printf("%-10s %-14s %12zu %12zu %8.2f%%\n", cfg.name,
-                    "pspdfkit-like", pdf.plain, pdf.optimized,
-                    savedPct(pdf));
-        OptDelta unr = optimizedSizes(unreal.module, cfg.hooks);
-        std::printf("%-10s %-14s %12zu %12zu %8.2f%%\n", cfg.name,
-                    "unreal-like", unr.plain, unr.optimized,
-                    savedPct(unr));
-    }
-    std::printf("\n(the plan skips hooks in CFG-unreachable code, "
-                "drops hooks from call-graph-dead functions, narrows "
-                "constant-index br_tables to plain br hooks, and "
-                "elides begin/end pairs of empty blocks)\n");
     return 0;
 }

@@ -60,6 +60,22 @@ struct ControlFrame {
     /** True if the frame was opened inside dead code (the whole block
      * can never execute). */
     bool deadEntry = false;
+
+    /** Index where this frame's region ends: the then-region of an
+     * if/else ends at the `else`, every other region at its `end`. */
+    uint32_t
+    regionEnd() const
+    {
+        return kind == BlockKind::If && elseIdx ? *elseIdx : endIdx;
+    }
+
+    /** Index where this frame's region begins: an else-region begins
+     * at the `else`, every other region at its block instruction. */
+    uint32_t
+    regionBegin() const
+    {
+        return kind == BlockKind::Else && elseIdx ? *elseIdx : beginIdx;
+    }
 };
 
 /**

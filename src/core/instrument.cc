@@ -1,6 +1,5 @@
 #include "core/instrument.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <chrono>
@@ -33,9 +32,7 @@ constexpr uint32_t kHookBase = 0x80000000u;
 struct FuncOut {
     std::vector<Instr> body;
     std::vector<ValType> extraLocals;
-    std::unordered_map<uint64_t, BranchTarget> brTargets;
-    std::unordered_map<uint64_t, BrTableInfo> brTables;
-    std::unordered_map<uint64_t, BlockEndInfo> blockEnds;
+    SideTables tables;
 };
 
 /** Instruments a single function (runs on a worker thread). */
@@ -49,9 +46,7 @@ class FuncInstrumenter {
                          &local_hook_ids)
         : m_(m), funcIdx_(func_idx), hooks_(hooks), opts_(opts),
           hookMap_(hook_map), localHookIds_(local_hook_ids),
-          func_(m.functions.at(func_idx)), state_(m, func_idx),
-          plan_(opts.plan),
-          funcDead_(plan_ && plan_->deadFunctions.count(func_idx) != 0)
+          func_(m.functions.at(func_idx)), state_(m, func_idx)
     {
         firstScratch_ =
             static_cast<uint32_t>(m.funcType(func_idx).params.size() +
@@ -61,14 +56,6 @@ class FuncInstrumenter {
     FuncOut
     run()
     {
-        // A call-graph-dead function never runs: no entry hooks.
-        if (funcDead_) {
-            for (uint32_t i = 0; i < func_.body.size(); ++i) {
-                instrumentInstr(func_.body[i], i);
-                state_.apply(func_.body[i], i);
-            }
-            return std::move(out_);
-        }
         // Function-entry hooks.
         if (hooks_.has(HookKind::Start) && m_.start &&
             *m_.start == funcIdx_) {
@@ -166,120 +153,13 @@ class FuncInstrumenter {
         }
     }
 
-    // ----- control-stack derived info --------------------------------
-
-    /** End location of a frame; for the then-region of an if/else the
-     * region ends at the `else` instruction. */
-    uint32_t
-    frameEndIdx(const ControlFrame &f) const
-    {
-        if (f.kind == BlockKind::If && f.elseIdx)
-            return *f.elseIdx;
-        return f.endIdx;
-    }
-
-    /** Begin location of a frame (the `else` for else-regions). */
-    uint32_t
-    frameBeginIdx(const ControlFrame &f) const
-    {
-        if (f.kind == BlockKind::Else && f.elseIdx)
-            return *f.elseIdx;
-        return f.beginIdx;
-    }
-
-    EndedBlock
-    endedBlock(const ControlFrame &f) const
-    {
-        return EndedBlock{f.kind, Location{funcIdx_, frameEndIdx(f)},
-                          Location{funcIdx_, frameBeginIdx(f)}};
-    }
-
     /** Emit the end-hook call for one traversed frame (§2.4.5). */
     void
     emitEndHookFor(const ControlFrame &f)
     {
-        emitLoc(frameEndIdx(f));
-        emit(Instr::i32Const(frameBeginIdx(f)));
+        emitLoc(f.regionEnd());
+        emit(Instr::i32Const(f.regionBegin()));
         emitHookCall(HookSpec{.kind = HookKind::End, .block = f.kind});
-    }
-
-    BranchTarget
-    resolvedTarget(uint32_t label) const
-    {
-        return BranchTarget{label,
-                            Location{funcIdx_, state_.resolveLabel(label)}};
-    }
-
-    // ----- optimization-plan queries ----------------------------------
-
-    /** Hooks at instruction @p i are skipped by the plan (the site is
-     * CFG-unreachable, or the whole function is call-graph dead). */
-    bool
-    planSkips(uint32_t i) const
-    {
-        return funcDead_ ||
-               (plan_ &&
-                plan_->skips.count(packLoc({funcIdx_, i})) != 0);
-    }
-
-    bool
-    planElidesBegin(uint32_t i) const
-    {
-        return plan_ &&
-               plan_->elidedBegins.count(packLoc({funcIdx_, i})) != 0;
-    }
-
-    bool
-    planElidesEnd(uint32_t i) const
-    {
-        return plan_ &&
-               plan_->elidedEnds.count(packLoc({funcIdx_, i})) != 0;
-    }
-
-    /** The plan's unique call_indirect target claim at @p i, if any. */
-    const HookOptimizationPlan::CallTargetClaim *
-    planCallTarget(uint32_t i) const
-    {
-        if (!plan_)
-            return nullptr;
-        auto it = plan_->constCallTargets.find(packLoc({funcIdx_, i}));
-        return it == plan_->constCallTargets.end() ? nullptr
-                                                   : &it->second;
-    }
-
-    /** Constant br_table index proven by the plan, or nullptr. */
-    const uint32_t *
-    planConstIndex(uint32_t i) const
-    {
-        if (!plan_)
-            return nullptr;
-        auto it = plan_->constBrTableIndex.find(packLoc({funcIdx_, i}));
-        return it == plan_->constBrTableIndex.end() ? nullptr
-                                                    : &it->second;
-    }
-
-    /** Record the branch metadata for a skipped (uninstrumented)
-     * branch: the runtime and checker key side tables off live sites
-     * whether or not hooks were emitted there. */
-    void
-    recordBranchMetadata(const Instr &instr, OpClass cls, uint32_t i)
-    {
-        if (cls == OpClass::Br || cls == OpClass::BrIf) {
-            out_.brTargets[packLoc({funcIdx_, i})] =
-                resolvedTarget(instr.imm.idx);
-        } else if (cls == OpClass::BrTable) {
-            recordBrTable(instr, i);
-        }
-    }
-
-    void
-    recordBrTable(const Instr &instr, uint32_t i)
-    {
-        BrTableInfo table_info;
-        for (size_t k = 0; k + 1 < instr.table.size(); ++k)
-            table_info.cases.push_back(makeBrTableEntry(instr.table[k]));
-        table_info.defaultCase = makeBrTableEntry(instr.table.back());
-        out_.brTables[packLoc({funcIdx_, i})] = std::move(table_info);
     }
 
     // ----- per-instruction instrumentation ----------------------------
@@ -288,32 +168,9 @@ class FuncInstrumenter {
     instrumentInstr(const Instr &instr, uint32_t i)
     {
         const OpInfo &info = wasm::opInfo(instr.op);
-        const bool live = state_.reachable();
+        recordSideTables(state_, instr, funcIdx_, i, out_.tables);
 
-        // Structural bookkeeping that happens regardless of liveness.
-        if (info.cls == OpClass::End || info.cls == OpClass::Else) {
-            const ControlFrame &f = state_.frames().back();
-            BlockKind kind =
-                info.cls == OpClass::Else ? BlockKind::If : f.kind;
-            uint32_t begin = info.cls == OpClass::Else
-                                 ? f.beginIdx
-                                 : frameBeginIdx(f);
-            out_.blockEnds[packLoc({funcIdx_, i})] =
-                BlockEndInfo{kind, Location{funcIdx_, begin}};
-        }
-
-        if (planSkips(i)) {
-            // The pass pipeline proved this site can never execute;
-            // copy it unchanged, but keep recording branch metadata
-            // at structurally-live sites — the metadata invariant is
-            // independent of hook emission.
-            if (live)
-                recordBranchMetadata(instr, info.cls, i);
-            emit(instr);
-            return;
-        }
-
-        if (!live) {
+        if (!state_.reachable()) {
             // Dead code never executes: copy it unchanged. (Its types
             // may be unknowable anyway, cf. drop in unreachable code.)
             // Exception: an `else` whose *then*-branch ended dead still
@@ -354,7 +211,7 @@ class FuncInstrumenter {
           case OpClass::Block:
           case OpClass::Loop: {
             emit(instr);
-            if (hooks_.has(HookKind::Begin) && !planElidesBegin(i)) {
+            if (hooks_.has(HookKind::Begin)) {
                 emitLoc(i);
                 emitHookCall(HookSpec{
                     .kind = HookKind::Begin,
@@ -400,10 +257,10 @@ class FuncInstrumenter {
           }
 
           case OpClass::End: {
-            if (hooks_.has(HookKind::End) && !planElidesEnd(i)) {
+            if (hooks_.has(HookKind::End)) {
                 const ControlFrame &f = state_.frames().back();
                 emitLoc(i);
-                emit(Instr::i32Const(frameBeginIdx(f)));
+                emit(Instr::i32Const(f.regionBegin()));
                 emitHookCall(
                     HookSpec{.kind = HookKind::End, .block = f.kind});
             }
@@ -413,7 +270,6 @@ class FuncInstrumenter {
 
           case OpClass::Br: {
             uint32_t label = instr.imm.idx;
-            out_.brTargets[packLoc({funcIdx_, i})] = resolvedTarget(label);
             if (hooks_.has(HookKind::Br)) {
                 emitLoc(i);
                 emitHookCall(HookSpec{.kind = HookKind::Br});
@@ -428,7 +284,6 @@ class FuncInstrumenter {
 
           case OpClass::BrIf: {
             uint32_t label = instr.imm.idx;
-            out_.brTargets[packLoc({funcIdx_, i})] = resolvedTarget(label);
             bool want_hook = hooks_.has(HookKind::BrIf);
             bool want_ends = hooks_.has(HookKind::End);
             if (want_hook || want_ends) {
@@ -456,33 +311,8 @@ class FuncInstrumenter {
 
           case OpClass::BrTable: {
             // Which branch is taken — and thus which blocks are left —
-            // is only known at runtime; store a side table and let the
-            // low-level hook dispatch (paper §2.4.5).
-            recordBrTable(instr, i);
-
-            if (const uint32_t *cidx = planConstIndex(i)) {
-                // The index operand is a compile-time constant: the
-                // taken label — and the frames it exits — are known
-                // statically, so the runtime side-table dispatch
-                // narrows to a plain br hook plus static end hooks.
-                size_t sel = std::min<size_t>(
-                    *cidx, instr.table.size() - 1);
-                uint32_t label = instr.table[sel];
-                out_.brTargets[packLoc({funcIdx_, i})] =
-                    resolvedTarget(label);
-                if (hooks_.has(HookKind::BrTable)) {
-                    emitLoc(i);
-                    emitHookCall(HookSpec{.kind = HookKind::Br});
-                }
-                if (hooks_.has(HookKind::End)) {
-                    for (const ControlFrame &f :
-                         state_.traversedFrames(label))
-                        emitEndHookFor(f);
-                }
-                emit(instr);
-                break;
-            }
-
+            // is only known at runtime; the low-level hook dispatches
+            // through the side table recorded above (paper §2.4.5).
             if (hooks_.has(HookKind::BrTable) ||
                 hooks_.has(HookKind::End)) {
                 uint32_t idx = scratch(ValType::I32, 0);
@@ -531,12 +361,6 @@ class FuncInstrumenter {
                 emit(instr);
                 break;
             }
-            // A plan-claimed constant-index call_indirect narrows to
-            // the direct call_pre variant: the table-index hook
-            // argument is dropped (the runtime reports the statically
-            // known target instead), but the index value itself is
-            // still saved/restored for the actual call.
-            bool narrowed = indirect && planCallTarget(i) != nullptr;
             int nargs = static_cast<int>(type.params.size());
             uint32_t tbl = 0;
             if (indirect) {
@@ -548,13 +372,13 @@ class FuncInstrumenter {
                 emit(Instr::localSet(scratch(type.params[j], j)));
             // call_pre hook: loc, (table index,) args.
             emitLoc(i);
-            if (indirect && !narrowed)
+            if (indirect)
                 emit(Instr::localGet(tbl));
             for (int j = 0; j < nargs; ++j)
                 emitLocalArg(scratch(type.params[j], j), type.params[j]);
             emitHookCall(HookSpec{.kind = HookKind::Call,
                                   .types = type.params,
-                                  .indirect = indirect && !narrowed});
+                                  .indirect = indirect});
             // Restore arguments and perform the call.
             for (int j = 0; j < nargs; ++j)
                 emit(Instr::localGet(scratch(type.params[j], j)));
@@ -777,16 +601,6 @@ class FuncInstrumenter {
         }
     }
 
-    BrTableEntry
-    makeBrTableEntry(uint32_t label) const
-    {
-        BrTableEntry e;
-        e.target = resolvedTarget(label);
-        for (const ControlFrame &f : state_.traversedFrames(label))
-            e.ended.push_back(endedBlock(f));
-        return e;
-    }
-
     ValType
     localType(uint32_t idx) const
     {
@@ -805,8 +619,6 @@ class FuncInstrumenter {
     std::unordered_map<std::string, uint32_t> &localHookIds_;
     const Function &func_;
     AbstractState state_;
-    const HookOptimizationPlan *plan_;
-    bool funcDead_;
     FuncOut out_;
     uint32_t firstScratch_;
     std::map<std::pair<ValType, int>, uint32_t> scratch_;
@@ -896,8 +708,6 @@ instrument(const Module &m, HookSet hooks, const InstrumentOptions &opts)
     info->splitI64 = opts.splitI64;
     info->instrumentedHooks = hooks;
     info->hooks = hook_map.specs();
-    if (opts.plan)
-        info->optimization = *opts.plan;
 
     const uint32_t num_hooks = static_cast<uint32_t>(info->hooks.size());
     const uint32_t base = info->numOrigImports;
@@ -935,9 +745,9 @@ instrument(const Module &m, HookSet hooks, const InstrumentOptions &opts)
                         outs[f].extraLocals.end());
         g.body = std::move(outs[f].body);
         // Merge this function's static-info contributions.
-        info->brTargets.merge(outs[f].brTargets);
-        info->brTables.merge(outs[f].brTables);
-        info->blockEnds.merge(outs[f].blockEnds);
+        info->brTargets.merge(outs[f].tables.brTargets);
+        info->brTables.merge(outs[f].tables.brTables);
+        info->blockEnds.merge(outs[f].tables.blockEnds);
     }
 
     // Final pass: patch all function references for the shifted index

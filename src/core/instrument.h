@@ -23,7 +23,6 @@
 
 #include <memory>
 
-#include "core/opt_plan.h"
 #include "core/static_info.h"
 
 namespace wasabi::core {
@@ -41,14 +40,6 @@ struct InstrumentOptions {
 
     /** Module name under which hook imports are declared. */
     std::string importModule = "wasabi";
-
-    /** Optional hook-optimization plan computed by the static pass
-     * pipeline (`--optimize-hooks`): per-site licenses to skip, elide
-     * or narrow hook calls. Null means full instrumentation. The plan
-     * must have been computed for exactly this module; it is copied
-     * into the resulting StaticInfo so `wasabi check` can re-verify
-     * every deviation. */
-    const HookOptimizationPlan *plan = nullptr;
 };
 
 /**

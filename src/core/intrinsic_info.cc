@@ -1,102 +1,9 @@
 #include "core/intrinsic_info.h"
 
-#include "core/control_stack.h"
-#include "wasm/opcode.h"
-
 namespace wasabi::core {
 
-using wasm::Instr;
-using wasm::Module;
-using wasm::OpClass;
-
-namespace {
-
-/** End location of a frame; for the then-region of an if/else the
- * region ends at the `else` instruction (mirrors instrument.cc). */
-uint32_t
-frameEndIdx(const ControlFrame &f)
-{
-    if (f.kind == BlockKind::If && f.elseIdx)
-        return *f.elseIdx;
-    return f.endIdx;
-}
-
-/** Begin location of a frame (the `else` for else-regions). */
-uint32_t
-frameBeginIdx(const ControlFrame &f)
-{
-    if (f.kind == BlockKind::Else && f.elseIdx)
-        return *f.elseIdx;
-    return f.beginIdx;
-}
-
-EndedBlock
-endedBlock(uint32_t func_idx, const ControlFrame &f)
-{
-    return EndedBlock{f.kind, Location{func_idx, frameEndIdx(f)},
-                      Location{func_idx, frameBeginIdx(f)}};
-}
-
-BrTableEntry
-makeBrTableEntry(const AbstractState &state, uint32_t func_idx,
-                 uint32_t label)
-{
-    BrTableEntry e;
-    e.target = BranchTarget{label,
-                            Location{func_idx, state.resolveLabel(label)}};
-    for (const ControlFrame &f : state.traversedFrames(label))
-        e.ended.push_back(endedBlock(func_idx, f));
-    return e;
-}
-
-void
-walkFunction(const Module &m, uint32_t func_idx, StaticInfo &info)
-{
-    const std::vector<Instr> &body = m.functions.at(func_idx).body;
-    AbstractState state(m, func_idx);
-
-    for (uint32_t i = 0; i < body.size(); ++i) {
-        const Instr &instr = body[i];
-        OpClass cls = wasm::opInfo(instr.op).cls;
-        const bool live = state.reachable();
-
-        // Block-end metadata is structural and recorded regardless of
-        // liveness, exactly as the instrumenter does.
-        if (cls == OpClass::End || cls == OpClass::Else) {
-            const ControlFrame &f = state.frames().back();
-            BlockKind kind =
-                cls == OpClass::Else ? BlockKind::If : f.kind;
-            uint32_t begin = cls == OpClass::Else ? f.beginIdx
-                                                  : frameBeginIdx(f);
-            info.blockEnds[packLoc({func_idx, i})] =
-                BlockEndInfo{kind, Location{func_idx, begin}};
-        }
-
-        if (live) {
-            if (cls == OpClass::Br || cls == OpClass::BrIf) {
-                uint32_t label = instr.imm.idx;
-                info.brTargets[packLoc({func_idx, i})] = BranchTarget{
-                    label, Location{func_idx, state.resolveLabel(label)}};
-            } else if (cls == OpClass::BrTable) {
-                BrTableInfo table_info;
-                for (size_t k = 0; k + 1 < instr.table.size(); ++k)
-                    table_info.cases.push_back(makeBrTableEntry(
-                        state, func_idx, instr.table[k]));
-                table_info.defaultCase = makeBrTableEntry(
-                    state, func_idx, instr.table.back());
-                info.brTables[packLoc({func_idx, i})] =
-                    std::move(table_info);
-            }
-        }
-
-        state.apply(instr, i);
-    }
-}
-
-} // namespace
-
 std::shared_ptr<StaticInfo>
-buildIntrinsicInfo(const Module &m, HookSet kinds)
+buildIntrinsicInfo(const wasm::Module &m, HookSet kinds)
 {
     auto info = std::make_shared<StaticInfo>();
     info->original = m;
@@ -107,7 +14,7 @@ buildIntrinsicInfo(const Module &m, HookSet kinds)
 
     for (uint32_t f = info->numOrigImports;
          f < static_cast<uint32_t>(m.functions.size()); ++f)
-        walkFunction(m, f, *info);
+        recordFunctionSideTables(m, f, *info);
 
     return info;
 }

@@ -1,1 +1,63 @@
 #include "core/static_info.h"
+
+#include "wasm/opcode.h"
+
+namespace wasabi::core {
+
+using wasm::Instr;
+using wasm::OpClass;
+
+void
+recordSideTables(const AbstractState &state, const Instr &instr,
+                 uint32_t func_idx, uint32_t instr_idx, SideTables &out)
+{
+    const uint64_t key = packLoc({func_idx, instr_idx});
+    const OpClass cls = wasm::opInfo(instr.op).cls;
+
+    // Block-end info is structural: recorded whether or not the
+    // closing instruction is reachable. An `else` closes the
+    // then-region, which began at the `if`.
+    if (cls == OpClass::End || cls == OpClass::Else) {
+        const ControlFrame &f = state.frames().back();
+        out.blockEnds[key] =
+            cls == OpClass::Else
+                ? BlockEndInfo{BlockKind::If, {func_idx, f.beginIdx}}
+                : BlockEndInfo{f.kind, {func_idx, f.regionBegin()}};
+    }
+    if (!state.reachable())
+        return;
+
+    if (cls == OpClass::Br || cls == OpClass::BrIf) {
+        out.brTargets[key] = BranchTarget{
+            instr.imm.idx,
+            Location{func_idx, state.resolveLabel(instr.imm.idx)}};
+    } else if (cls == OpClass::BrTable) {
+        auto entry = [&](uint32_t label) {
+            BrTableEntry e;
+            e.target = BranchTarget{
+                label, Location{func_idx, state.resolveLabel(label)}};
+            for (const ControlFrame &f : state.traversedFrames(label))
+                e.ended.push_back(endedBlock(func_idx, f));
+            return e;
+        };
+        BrTableInfo table;
+        for (size_t k = 0; k + 1 < instr.table.size(); ++k)
+            table.cases.push_back(entry(instr.table[k]));
+        table.defaultCase = entry(instr.table.back());
+        out.brTables[key] = std::move(table);
+    }
+}
+
+void
+recordFunctionSideTables(const wasm::Module &m, uint32_t func_idx,
+                         SideTables &out)
+{
+    const std::vector<Instr> &body = m.functions.at(func_idx).body;
+    AbstractState state(m, func_idx);
+    for (uint32_t i = 0; i < body.size(); ++i) {
+        recordSideTables(state, body[i], func_idx, i, out);
+        state.apply(body[i], i);
+    }
+}
+
+} // namespace wasabi::core

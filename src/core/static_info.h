@@ -11,13 +11,11 @@
 #ifndef WASABI_CORE_STATIC_INFO_H
 #define WASABI_CORE_STATIC_INFO_H
 
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "core/control_stack.h"
 #include "core/hook_map.h"
-#include "core/opt_plan.h"
 #include "wasm/module.h"
 
 namespace wasabi::core {
@@ -74,8 +72,48 @@ struct BlockEndInfo {
     Location begin;
 };
 
-/** All static information about one instrumentation run. */
-class StaticInfo {
+/** The per-location side tables the runtime resolves branches and
+ * block ends through, keyed by packLoc of original locations. */
+struct SideTables {
+    /** Resolved targets of br and br_if instructions. */
+    std::unordered_map<uint64_t, BranchTarget> brTargets;
+
+    /** Side tables of br_table instructions. */
+    std::unordered_map<uint64_t, BrTableInfo> brTables;
+
+    /** Block info keyed by end (and else) locations. */
+    std::unordered_map<uint64_t, BlockEndInfo> blockEnds;
+};
+
+/** The block a branch in function @p func_idx leaves by traversing
+ * frame @p f: the frame's region (ControlFrame::regionBegin/End). */
+inline EndedBlock
+endedBlock(uint32_t func_idx, const ControlFrame &f)
+{
+    return EndedBlock{f.kind, Location{func_idx, f.regionEnd()},
+                      Location{func_idx, f.regionBegin()}};
+}
+
+/**
+ * Record the side-table entries of instruction @p instr at
+ * (@p func_idx, @p instr_idx) into @p out; @p state is the abstract
+ * state *before* the instruction. Every `end`/`else` gets its
+ * block-end info, live or not; live br/br_if get their resolved
+ * target and live br_tables their side table. This is the one place
+ * the tables are built, for both instrument modes.
+ */
+void recordSideTables(const AbstractState &state, const wasm::Instr &instr,
+                      uint32_t func_idx, uint32_t instr_idx,
+                      SideTables &out);
+
+/** recordSideTables() over the body of defined function @p func_idx,
+ * for callers that walk a function for no other purpose. */
+void recordFunctionSideTables(const wasm::Module &m, uint32_t func_idx,
+                              SideTables &out);
+
+/** All static information about one instrumentation run; its side
+ * tables are the inherited SideTables members. */
+class StaticInfo : public SideTables {
   public:
     /** The original, uninstrumented module (locations refer to it). */
     wasm::Module original;
@@ -95,20 +133,6 @@ class StaticInfo {
 
     /** The hook kinds this run instrumented. */
     HookSet instrumentedHooks;
-
-    /** Resolved targets of br and br_if instructions. */
-    std::unordered_map<uint64_t, BranchTarget> brTargets;
-
-    /** Side tables of br_table instructions. */
-    std::unordered_map<uint64_t, BrTableInfo> brTables;
-
-    /** Block info keyed by end (and else) locations. */
-    std::unordered_map<uint64_t, BlockEndInfo> blockEnds;
-
-    /** The hook-optimization plan applied during instrumentation (set
-     * iff `--optimize-hooks` was used); the checker verifies every
-     * per-site deviation it licenses against the original module. */
-    std::optional<HookOptimizationPlan> optimization;
 
     /** Function index of a hook id in the instrumented module. */
     uint32_t

@@ -65,13 +65,10 @@ struct CtrlFrame {
     /** Forward branches to this label (bit 31 set: pool index). */
     std::vector<uint32_t> fixups;
     /** Source-block identity, tracked only in intrinsic-hook mode so
-     * branch sites can report the blocks they end (DESIGN.md §13).
-     * Mirrors the instrumenter's ControlFrame fields: srcKind flips
-     * If -> Else at `else`, srcElse records the else index. */
-    core::BlockKind srcKind = core::BlockKind::Function;
-    uint32_t srcBegin = core::kFunctionEntry;
-    uint32_t srcEnd = 0;
-    uint32_t srcElse = UINT32_MAX;
+     * branch sites can report the blocks they end (DESIGN.md §13):
+     * the instrumenter's own frame, whose kind flips If -> Else at
+     * `else`. */
+    core::ControlFrame src;
 };
 
 class Translator {
@@ -104,11 +101,10 @@ class Translator {
         root.resultArity = out_.resultArity;
         if (intr_) {
             matches_ = core::matchBlocks(func.body);
-            root.srcKind = core::BlockKind::Function;
-            root.srcBegin = core::kFunctionEntry;
-            root.srcEnd = func.body.empty()
-                              ? 0
-                              : static_cast<uint32_t>(func.body.size() - 1);
+            root.src.endIdx =
+                func.body.empty()
+                    ? 0
+                    : static_cast<uint32_t>(func.body.size() - 1);
         }
         frames_.push_back(std::move(root));
 
@@ -271,30 +267,10 @@ class Translator {
     {
         if (!intr_)
             return;
-        f.srcKind = kind;
-        f.srcBegin = instrIdx_;
-        f.srcEnd = matches_[instrIdx_].endIdx;
-        f.srcElse = matches_[instrIdx_].elseIdx
-                        ? *matches_[instrIdx_].elseIdx
-                        : UINT32_MAX;
-    }
-
-    /** The source block one traversed frame ends, mirroring the
-     * instrumenter's frameEndIdx/frameBeginIdx: the then-region of an
-     * if/else ends at the `else`; an else-region begins there. */
-    core::EndedBlock
-    srcEnded(const CtrlFrame &f) const
-    {
-        uint32_t end = (f.srcKind == core::BlockKind::If &&
-                        f.srcElse != UINT32_MAX)
-                           ? f.srcElse
-                           : f.srcEnd;
-        uint32_t begin = (f.srcKind == core::BlockKind::Else &&
-                          f.srcElse != UINT32_MAX)
-                             ? f.srcElse
-                             : f.srcBegin;
-        return core::EndedBlock{f.srcKind, {funcIdx_, end},
-                                {funcIdx_, begin}};
+        f.src.kind = kind;
+        f.src.beginIdx = instrIdx_;
+        f.src.endIdx = matches_[instrIdx_].endIdx;
+        f.src.elseIdx = matches_[instrIdx_].elseIdx;
     }
 
     /** Blocks a branch to @p label traverses, innermost first, both
@@ -304,7 +280,8 @@ class Translator {
     {
         std::vector<core::EndedBlock> ended;
         for (uint32_t i = 0; i <= label && i < frames_.size(); ++i)
-            ended.push_back(srcEnded(frames_[frames_.size() - 1 - i]));
+            ended.push_back(core::endedBlock(
+                funcIdx_, frames_[frames_.size() - 1 - i].src));
         return ended;
     }
 
@@ -316,12 +293,9 @@ class Translator {
     {
         HookSite s;
         s.kind = core::HookKind::End;
-        s.block = f.srcKind;
+        s.block = f.src.kind;
         s.loc = {funcIdx_, instrIdx_};
-        s.index = (f.srcKind == core::BlockKind::Else &&
-                   f.srcElse != UINT32_MAX)
-                      ? f.srcElse
-                      : f.srcBegin;
+        s.index = f.src.regionBegin();
         hookSite(std::move(s), takeFlush());
     }
 
@@ -441,7 +415,7 @@ class Translator {
                 s.kind = core::HookKind::End;
                 s.block = core::BlockKind::If;
                 s.loc = {funcIdx_, instrIdx_};
-                s.index = f.srcBegin;
+                s.index = f.src.beginIdx;
                 hookSite(std::move(s), takeFlush());
             }
             batch(); // the `else` instruction
@@ -452,7 +426,7 @@ class Translator {
         height_ = f.entryHeight;
         pending_ = 0;
         if (intr_)
-            f.srcKind = core::BlockKind::Else;
+            f.src.kind = core::BlockKind::Else;
         if (f.enteredReachable) {
             // False edge of the lowered `if` enters the else body
             // directly (the `else` opcode is not dispatched on it).

@@ -425,8 +425,8 @@ checkU64Field(const json::Value &obj, const char *key,
               const std::string &where, std::string *error)
 {
     const json::Value *v = obj.find(key);
-    if (!v || !v->isNumber())
-        return failv(error, where + ": missing numeric \"" +
+    if (!v || !v->asUInt())
+        return failv(error, where + ": missing unsigned integer \"" +
                                 std::string(key) + "\"");
     return true;
 }
@@ -450,7 +450,7 @@ checkPerKind(const json::Value &arr, const std::string &where,
             !checkU64Field(e, "nanos", where, error))
             return false;
         if (sum)
-            *sum += e.find("count")->asU64();
+            *sum += *e.find("count")->asUInt();
     }
     return true;
 }
@@ -473,9 +473,8 @@ validateProfileJson(const std::string &text, std::string *error)
         return failv(error, "missing or wrong \"schema\" (expected \"" +
                                 std::string(kProfileSchemaName) + "\")");
     const json::Value *version = doc->find("version");
-    if (!version || !version->isNumber() ||
-        version->asU64() !=
-            static_cast<uint64_t>(kProfileSchemaVersion))
+    if (!version ||
+        version->asUInt() != static_cast<uint64_t>(kProfileSchemaVersion))
         return failv(error, "missing or unsupported \"version\"");
     const json::Value *det = doc->find("deterministic");
     if (!det || !det->isBool())
@@ -557,7 +556,7 @@ validateProfileJson(const std::string &text, std::string *error)
     uint64_t kind_sum = 0;
     if (!checkPerKind(*per_kind, "runtime", &kind_sum, error))
         return false;
-    uint64_t invocations = runtime->find("hookInvocations")->asU64();
+    uint64_t invocations = *runtime->find("hookInvocations")->asUInt();
     if (kind_sum != invocations)
         return failv(error,
                      "runtime: perKind counts sum to " +

@@ -348,24 +348,7 @@ WasabiRuntime::fire(const HookSpec &spec, Instance &inst, Location loc,
                     func = info_->unmapFuncIdx(*f);
             }
         } else {
-            // A direct call_pre hook can also sit at a plan-narrowed
-            // call_indirect site: it carries no table-index argument,
-            // but the plan proved the constant index and the unique
-            // target statically (imm.idx would be a type index there).
-            const core::HookOptimizationPlan::CallTargetClaim *claim =
-                nullptr;
-            if (info_->optimization) {
-                auto it = info_->optimization->constCallTargets.find(
-                    core::packLoc(loc));
-                if (it != info_->optimization->constCallTargets.end())
-                    claim = &it->second;
-            }
-            if (claim) {
-                func = claim->target;
-                table_index = claim->tableIndex;
-            } else {
-                func = info_->instrAt(loc).imm.idx;
-            }
+            func = info_->instrAt(loc).imm.idx;
         }
         forEach(HookKind::Call, [&](Analysis &a) {
             a.onCallPre(loc, func, args, table_index);

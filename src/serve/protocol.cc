@@ -94,16 +94,18 @@ parseRequest(const std::string &line)
         }
     }
     if (const Value *fuel = doc->find("fuel")) {
-        if (!fuel->isNumber() || fuel->number < 0)
-            throw BadRequest("\"fuel\" must be a non-negative number");
-        r.fuel = fuel->asU64();
+        std::optional<uint64_t> v = fuel->asUInt();
+        if (!v)
+            throw BadRequest("\"fuel\" must be a non-negative integer "
+                             "below 2^64");
+        r.fuel = *v;
     }
     if (const Value *pages = doc->find("memoryPages")) {
-        if (!pages->isNumber() || pages->number < 0 ||
-            pages->number > 65536)
+        std::optional<uint64_t> v = pages->asUInt(65536);
+        if (!v)
             throw BadRequest(
-                "\"memoryPages\" must be a number in [0, 65536]");
-        r.memoryPages = static_cast<uint32_t>(pages->asU64());
+                "\"memoryPages\" must be an integer in [0, 65536]");
+        r.memoryPages = static_cast<uint32_t>(*v);
     }
     if (const Value *verbose = doc->find("verbose")) {
         if (!verbose->isBool())

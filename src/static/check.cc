@@ -2,16 +2,11 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "core/control_stack.h"
 #include "core/instrument.h"
-#include "static/call_graph.h"
-#include "static/dataflow.h"
-#include "static/interproc/refined_call_graph.h"
-#include "static/passes/constprop.h"
 #include "static/passes/range.h"
 #include "wasm/validator.h"
 
@@ -64,7 +59,8 @@ struct Site {
 };
 
 /** Kind and begin location of the region closing at an `end`/`else`
- * instruction, mirroring the instrumenter's frameBeginIdx logic. */
+ * instruction: the rule of core::ControlFrame::regionBegin, derived
+ * here independently so the checker stays an oracle for it. */
 struct RegionEnd {
     BlockKind kind = BlockKind::Block;
     uint32_t begin = 0;
@@ -82,10 +78,6 @@ class Checker {
             const CheckOptions &opts, const core::StaticInfo *info)
         : orig_(orig), instr_(instr), opts_(opts), info_(info)
     {
-        if (info_ && info_->optimization)
-            plan_ = &*info_->optimization;
-        else if (opts_.plan)
-            plan_ = &*opts_.plan;
     }
 
     Diagnostics
@@ -104,8 +96,6 @@ class Checker {
                              *err);
         }
         checkStructure();
-        if (plan_)
-            verifyPlan();
         for (uint32_t g = 0; g < instr_.numFunctions(); ++g) {
             if (!instr_.functions[g].imported())
                 scanFunction(g);
@@ -119,13 +109,10 @@ class Checker {
         } else if (opts_.checkSideTables) {
             // The two-binary path has no side-table metadata in the
             // artifact; regenerate it and check the instrumenter's
-            // output (also cross-checking the hook-import set). With
-            // a manifest the reference run applies the same plan, so
-            // the hook-import sets stay comparable.
+            // output (also cross-checking the hook-import set).
             core::InstrumentOptions iopts;
             iopts.splitI64 = split_;
             iopts.importModule = opts_.importModule;
-            iopts.plan = plan_;
             core::InstrumentResult ref =
                 core::instrument(orig_, hooks_, iopts);
             compareHookSets(ref.info->hooks);
@@ -297,18 +284,12 @@ class Checker {
     /** A hook kind whose sites/imports are permitted under the
      * effective hook set. br_table instrumentation is also emitted
      * when only `end` is enabled (its side table drives the dynamic
-     * end hooks, §2.4.5), and a plan that narrows constant-index
-     * br_tables turns their sites into plain br hooks. */
+     * end hooks, §2.4.5). */
     bool
     kindAllowed(HookKind k) const
     {
-        if (hooks_.has(k))
-            return true;
-        if (k == HookKind::BrTable && hooks_.has(HookKind::End))
-            return true;
-        return k == HookKind::Br && plan_ &&
-               !plan_->constBrTableIndex.empty() &&
-               hooks_.has(HookKind::BrTable);
+        return hooks_.has(k) ||
+               (k == HookKind::BrTable && hooks_.has(HookKind::End));
     }
 
     void
@@ -718,10 +699,7 @@ class Checker {
           case HookKind::BrTable:
           case HookKind::Return:
             if (core::hookKindForClass(cls) != spec.kind &&
-                !(spec.kind == HookKind::If && cls == OpClass::If) &&
-                !(spec.kind == HookKind::Br &&
-                  cls == OpClass::BrTable &&
-                  planConstIndex(f, site.origInstr)))
+                !(spec.kind == HookKind::If && cls == OpClass::If))
                 mismatch("original instruction '" +
                          std::string(wasm::name(in.op)) +
                          "' is of a different kind");
@@ -745,12 +723,7 @@ class Checker {
                          std::string(wasm::name(in.op)) +
                          "' is not a call");
             } else if (!spec.post &&
-                       spec.indirect != (cls == OpClass::CallIndirect) &&
-                       !(cls == OpClass::CallIndirect &&
-                         !spec.indirect &&
-                         planCallTarget(f, site.origInstr))) {
-                // Exception: a verified plan claim narrows the
-                // indirect call_pre to the direct variant.
+                       spec.indirect != (cls == OpClass::CallIndirect)) {
                 mismatch("call_pre direct/indirect flavor does not "
                          "match the instruction");
             }
@@ -909,12 +882,6 @@ class Checker {
     void
     checkCoverage(uint32_t f)
     {
-        // A plan-declared dead function carries no hooks at all, not
-        // even entry hooks; verifyPlan() has already re-proved the
-        // claim against the call graph.
-        if (planDeadFunc(f))
-            return;
-
         const Function &func = orig_.functions[f];
         const std::vector<Instr> &body = func.body;
         AbstractState state(orig_, f);
@@ -937,15 +904,7 @@ class Checker {
         for (uint32_t i = 0; i < body.size(); ++i) {
             const Instr &in = body[i];
             OpClass cls = wasm::opInfo(in.op).cls;
-            bool live = state.reachable();
-            if (planSkips(f, i)) {
-                // Hook omission licensed (and re-verified) by the
-                // plan: the instruction is CFG-unreachable, which is
-                // strictly stronger than per-block liveness.
-                state.apply(in, i);
-                continue;
-            }
-            if (live) {
+            if (state.reachable()) {
                 checkCoverageAt(f, i, in, cls, state);
             } else if (cls == OpClass::Else &&
                        !state.frames().back().deadEntry &&
@@ -984,8 +943,7 @@ class Checker {
             }
         };
         auto begin = [&](BlockKind block, const char *what) {
-            if (hooks_.has(HookKind::Begin) &&
-                !planElidesBegin(f, i)) {
+            if (hooks_.has(HookKind::Begin)) {
                 requireSite(f, i, what, [block](const Site &s) {
                     return s.spec->kind == HookKind::Begin &&
                            s.spec->block == block;
@@ -1026,7 +984,7 @@ class Checker {
             begin(BlockKind::Else, "begin_else");
             break;
           case OpClass::End:
-            if (hooks_.has(HookKind::End) && !planElidesEnd(f, i)) {
+            if (hooks_.has(HookKind::End)) {
                 BlockKind kind = state.frames().back().kind;
                 requireSite(f, i,
                             "end_" + std::string(name(kind)),
@@ -1051,24 +1009,6 @@ class Checker {
             }
             break;
           case OpClass::BrTable:
-            if (const uint32_t *cidx = planConstIndex(f, i)) {
-                // Narrowed by the plan: a plain br hook replaces the
-                // table dispatch, and the end hooks for the (single,
-                // statically known) taken target are emitted directly.
-                if (hooks_.has(HookKind::BrTable)) {
-                    requireSite(f, i, "br (narrowed br_table)",
-                                [](const Site &s) {
-                                    return s.spec->kind == HookKind::Br;
-                                });
-                }
-                if (hooks_.has(HookKind::End)) {
-                    size_t sel = std::min<size_t>(
-                        *cidx, in.table.size() - 1);
-                    requireEndSitesForTraversal(
-                        f, state.traversedFrames(in.table[sel]));
-                }
-                break;
-            }
             // Emitted when br_table OR end hooks are enabled: the
             // side table drives the runtime-selected end hooks.
             if (hooks_.has(HookKind::BrTable) ||
@@ -1103,19 +1043,11 @@ class Checker {
             const FuncType &type = indirect
                                        ? orig_.types.at(in.imm.idx)
                                        : orig_.funcType(in.imm.idx);
-            // A verified constant-target claim narrows the expected
-            // call_pre flavor to direct (no table-index argument).
-            bool expect_indirect =
-                indirect && !planCallTarget(f, i);
-            requireSite(f, i,
-                        expect_indirect ? "call_pre_indirect"
-                        : indirect ? "call_pre (narrowed call_indirect)"
-                                   : "call_pre",
-                        [&type, expect_indirect](const Site &s) {
+            requireSite(f, i, indirect ? "call_pre_indirect" : "call_pre",
+                        [&type, indirect](const Site &s) {
                             return s.spec->kind == HookKind::Call &&
                                    !s.spec->post &&
-                                   s.spec->indirect ==
-                                       expect_indirect &&
+                                   s.spec->indirect == indirect &&
                                    s.spec->types == type.params;
                         });
             requireSite(f, i, "call_post", [&type](const Site &s) {
@@ -1171,317 +1103,6 @@ class Checker {
           case OpClass::Binary:
             perOp(HookKind::Binary);
             break;
-        }
-    }
-
-    // ----- optimization-plan (manifest) verification ------------------
-
-    bool
-    planDeadFunc(uint32_t f) const
-    {
-        return plan_ && plan_->deadFunctions.count(f) != 0;
-    }
-
-    /** Whether the plan licenses omitting every hook at (f, i) —
-     * either a per-site skip or a whole-function dead claim. */
-    bool
-    planSkips(uint32_t f, uint32_t i) const
-    {
-        return plan_ &&
-               (plan_->deadFunctions.count(f) != 0 ||
-                plan_->skips.count(packLoc({f, i})) != 0);
-    }
-
-    bool
-    planElidesBegin(uint32_t f, uint32_t i) const
-    {
-        return plan_ && plan_->elidedBegins.count(packLoc({f, i})) != 0;
-    }
-
-    bool
-    planElidesEnd(uint32_t f, uint32_t i) const
-    {
-        return plan_ && plan_->elidedEnds.count(packLoc({f, i})) != 0;
-    }
-
-    /** Constant br_table index claimed by the plan at (f, i), if any. */
-    const uint32_t *
-    planConstIndex(uint32_t f, uint32_t i) const
-    {
-        if (!plan_)
-            return nullptr;
-        auto it = plan_->constBrTableIndex.find(packLoc({f, i}));
-        return it != plan_->constBrTableIndex.end() ? &it->second
-                                                    : nullptr;
-    }
-
-    /** Unique call_indirect target claimed by the plan at (f, i). */
-    const core::HookOptimizationPlan::CallTargetClaim *
-    planCallTarget(uint32_t f, uint32_t i) const
-    {
-        if (!plan_)
-            return nullptr;
-        auto it = plan_->constCallTargets.find(packLoc({f, i}));
-        return it != plan_->constCallTargets.end() ? &it->second
-                                                   : nullptr;
-    }
-
-    /** True for a defined-function location inside the body; emits
-     * @p code otherwise. */
-    bool
-    validPlanLoc(Location loc, const char *code, const char *claim)
-    {
-        if (loc.func >= orig_.numFunctions() ||
-            orig_.functions[loc.func].imported()) {
-            diags_.error(code,
-                         std::string(claim) +
-                             " claim names function " +
-                             std::to_string(loc.func) +
-                             ", which is not a defined function",
-                         loc.func);
-            return false;
-        }
-        if (loc.instr >= orig_.functions[loc.func].body.size()) {
-            diags_.error(code,
-                         std::string(claim) +
-                             " claim names instruction " +
-                             std::to_string(loc.instr) +
-                             " beyond the function body",
-                         loc.func, loc.instr);
-            return false;
-        }
-        return true;
-    }
-
-    /**
-     * Re-prove every claim of the optimization plan against the
-     * original module. The manifest is untrusted input: an
-     * instrumented binary may legitimately omit hooks *only* where
-     * the omission is statically unobservable, so each licensed
-     * deviation must independently re-verify (check.manifest.*
-     * errors otherwise). Verified claims are then used as exemptions
-     * by the coverage and metadata checks.
-     */
-    void
-    verifyPlan()
-    {
-        const core::HookOptimizationPlan &plan = *plan_;
-        auto unpack = [](uint64_t packed) {
-            return Location{static_cast<uint32_t>(packed >> 32),
-                            static_cast<uint32_t>(packed)};
-        };
-
-        // Dead functions must be defined and dead under the *refined*
-        // call graph (per-site call_indirect resolution) — the same
-        // graph the optimizer widened the elision with, re-derived
-        // here from the original module alone.
-        std::optional<interproc::RefinedCallGraph> rcg;
-        auto refined = [&]() -> interproc::RefinedCallGraph & {
-            if (!rcg)
-                rcg.emplace(orig_);
-            return *rcg;
-        };
-        if (!plan.deadFunctions.empty()) {
-            std::vector<uint32_t> dead(plan.deadFunctions.begin(),
-                                       plan.deadFunctions.end());
-            std::sort(dead.begin(), dead.end());
-            for (uint32_t f : dead) {
-                if (f >= orig_.numFunctions() ||
-                    orig_.functions[f].imported()) {
-                    diags_.error("check.manifest.bad-dead-function",
-                                 "dead-function claim names function " +
-                                     std::to_string(f) +
-                                     ", which is not a defined "
-                                     "function",
-                                 f);
-                } else if (refined().reachable(f)) {
-                    diags_.error("check.manifest.bad-dead-function",
-                                 "dead-function claim names function " +
-                                     std::to_string(f) +
-                                     ", which is reachable from the "
-                                     "module's roots (refined call "
-                                     "graph)",
-                                 f);
-                }
-            }
-        }
-
-        // Narrowed call_indirect sites must re-resolve — through the
-        // checker's own refined graph — to a constant index and the
-        // same unique target the manifest claims.
-        std::vector<std::pair<uint64_t,
-                              core::HookOptimizationPlan::
-                                  CallTargetClaim>>
-            callNarrows(plan.constCallTargets.begin(),
-                        plan.constCallTargets.end());
-        std::sort(callNarrows.begin(), callNarrows.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.first < b.first;
-                  });
-        for (const auto &[packed, claim] : callNarrows) {
-            Location loc = unpack(packed);
-            if (planSkips(loc.func, loc.instr))
-                continue; // skip/dead wins; the claim is moot
-            if (!validPlanLoc(loc, "check.manifest.bad-call-target",
-                              "call-target"))
-                continue;
-            const Instr &in =
-                orig_.functions[loc.func].body[loc.instr];
-            if (wasm::opInfo(in.op).cls != OpClass::CallIndirect) {
-                diags_.error("check.manifest.bad-call-target",
-                             "call-target claim targets a "
-                             "non-call_indirect instruction",
-                             loc.func, loc.instr);
-                continue;
-            }
-            const interproc::CallSite *site =
-                refined().siteAt(loc.func, loc.instr);
-            if (!site ||
-                site->kind != interproc::SiteKind::IndirectConst ||
-                *site->constIndex != claim.tableIndex ||
-                site->targets.size() != 1 ||
-                site->targets[0] != claim.target) {
-                diags_.error(
-                    "check.manifest.bad-call-target",
-                    "call-target claim (index " +
-                        std::to_string(claim.tableIndex) +
-                        " -> function " +
-                        std::to_string(claim.target) +
-                        ") is not proven by the refined call graph",
-                    loc.func, loc.instr);
-            }
-        }
-
-        // Skips must be CFG-unreachable and never of `else` class: the
-        // else instruction is only CFG-reachable via then-region
-        // fallthrough, but its begin_else hook sits at the top of the
-        // (possibly live) else-region.
-        std::vector<uint64_t> skips(plan.skips.begin(),
-                                    plan.skips.end());
-        std::sort(skips.begin(), skips.end());
-        std::optional<Cfg> cfg;
-        std::vector<bool> cfgReach;
-        for (uint64_t packed : skips) {
-            Location loc = unpack(packed);
-            if (planDeadFunc(loc.func))
-                continue; // subsumed by the (verified) dead claim
-            if (!validPlanLoc(loc, "check.manifest.bad-skip", "skip"))
-                continue;
-            const Instr &in =
-                orig_.functions[loc.func].body[loc.instr];
-            if (wasm::opInfo(in.op).cls == OpClass::Else) {
-                diags_.error(
-                    "check.manifest.bad-skip",
-                    "skip claim targets an `else`, whose begin_else "
-                    "hook guards the else-region even when the "
-                    "instruction itself is CFG-unreachable",
-                    loc.func, loc.instr);
-                continue;
-            }
-            if (!cfg || cfg->funcIdx() != loc.func) {
-                cfg.emplace(orig_, loc.func);
-                cfgReach = reachableBlocks(*cfg);
-            }
-            if (cfgReach[cfg->blockOf(loc.instr)]) {
-                diags_.error("check.manifest.bad-skip",
-                             "skip claim targets a CFG-reachable "
-                             "instruction",
-                             loc.func, loc.instr);
-            }
-        }
-
-        // Narrowed br_tables must have a constant index the checker's
-        // own constant propagation re-derives with the same value.
-        std::vector<std::pair<uint64_t, uint32_t>> narrows(
-            plan.constBrTableIndex.begin(),
-            plan.constBrTableIndex.end());
-        std::sort(narrows.begin(), narrows.end());
-        uint32_t factsFunc = 0;
-        std::optional<passes::ConstFacts> facts;
-        for (const auto &[packed, idx] : narrows) {
-            Location loc = unpack(packed);
-            if (planSkips(loc.func, loc.instr))
-                continue; // skip wins; the claim is moot
-            if (!validPlanLoc(loc, "check.manifest.bad-const-index",
-                              "const-index"))
-                continue;
-            const Instr &in =
-                orig_.functions[loc.func].body[loc.instr];
-            if (wasm::opInfo(in.op).cls != OpClass::BrTable) {
-                diags_.error("check.manifest.bad-const-index",
-                             "const-index claim targets a non-br_table "
-                             "instruction",
-                             loc.func, loc.instr);
-                continue;
-            }
-            if (!facts || factsFunc != loc.func) {
-                facts = passes::constantFacts(orig_, loc.func);
-                factsFunc = loc.func;
-            }
-            auto it = facts->brTableIndex.find(packed);
-            if (it == facts->brTableIndex.end() || it->second != idx) {
-                diags_.error(
-                    "check.manifest.bad-const-index",
-                    "const-index claim (index " + std::to_string(idx) +
-                        ") is not proven by constant propagation",
-                    loc.func, loc.instr);
-            }
-        }
-
-        // Elided begin/end pairs must bracket empty blocks/loops.
-        std::vector<uint64_t> elides(plan.elidedBegins.begin(),
-                                     plan.elidedBegins.end());
-        std::sort(elides.begin(), elides.end());
-        uint32_t matchFunc = 0;
-        std::vector<core::BlockMatch> matches;
-        for (uint64_t packed : elides) {
-            Location loc = unpack(packed);
-            if (!validPlanLoc(loc, "check.manifest.bad-elide",
-                              "elided-block"))
-                continue;
-            const Instr &in =
-                orig_.functions[loc.func].body[loc.instr];
-            OpClass cls = wasm::opInfo(in.op).cls;
-            if (cls != OpClass::Block && cls != OpClass::Loop) {
-                diags_.error("check.manifest.bad-elide",
-                             "elided-block claim begins at a "
-                             "non-block/loop instruction",
-                             loc.func, loc.instr);
-                continue;
-            }
-            if (matches.empty() || matchFunc != loc.func) {
-                matches = core::matchBlocks(
-                    orig_.functions[loc.func].body);
-                matchFunc = loc.func;
-            }
-            if (matches[loc.instr].endIdx != loc.instr + 1) {
-                diags_.error("check.manifest.bad-elide",
-                             "elided block is not empty (its end is "
-                             "not the next instruction)",
-                             loc.func, loc.instr);
-                continue;
-            }
-            if (!plan.elidedEnds.count(
-                    packLoc({loc.func, loc.instr + 1}))) {
-                diags_.error("check.manifest.bad-elide",
-                             "elided block's end is not in the elided "
-                             "set (begin/end must pair up)",
-                             loc.func, loc.instr);
-            }
-        }
-        std::vector<uint64_t> elideEnds(plan.elidedEnds.begin(),
-                                        plan.elidedEnds.end());
-        std::sort(elideEnds.begin(), elideEnds.end());
-        for (uint64_t packed : elideEnds) {
-            Location loc = unpack(packed);
-            if (loc.instr == 0 ||
-                !plan.elidedBegins.count(
-                    packLoc({loc.func, loc.instr - 1}))) {
-                diags_.error("check.manifest.bad-elide",
-                             "elided end has no paired elided begin at "
-                             "the preceding instruction",
-                             loc.func, loc.instr);
-            }
         }
     }
 
@@ -1572,39 +1193,6 @@ class Checker {
                 } else {
                     checkBrTable(f, i, in, *tbl, state);
                 }
-                if (const uint32_t *cidx = planConstIndex(f, i)) {
-                    // Narrowed dispatch also records the statically
-                    // taken target under brTargets (the plain br hook
-                    // at this site resolves through it).
-                    size_t sel = std::min<size_t>(
-                        *cidx, in.table.size() - 1);
-                    uint32_t label = in.table[sel];
-                    uint32_t resolved = state.resolveLabel(label);
-                    const core::BranchTarget *bt =
-                        info.findBrTarget(loc);
-                    if (!bt) {
-                        diags_.error(
-                            "check.sidetable.br-target",
-                            "no branch target recorded for this "
-                            "plan-narrowed br_table",
-                            f, i);
-                    } else if (bt->label != label ||
-                               !(bt->location ==
-                                 Location{f, resolved})) {
-                        diags_.error(
-                            "check.sidetable.br-target",
-                            "recorded narrowed br_table target "
-                            "(label " +
-                                std::to_string(bt->label) +
-                                " -> instr " +
-                                locString(bt->location.instr) +
-                                ") disagrees with the constant-index "
-                                "resolution (label " +
-                                std::to_string(label) + " -> instr " +
-                                locString(resolved) + ")",
-                            f, i);
-                    }
-                }
             }
 
             if (cls == OpClass::End || cls == OpClass::Else) {
@@ -1674,9 +1262,6 @@ class Checker {
     const Module &instr_;
     CheckOptions opts_;
     const core::StaticInfo *info_;
-    /** Effective optimization plan (StaticInfo's wins over the
-     * CheckOptions one); null when checking unoptimized output. */
-    const core::HookOptimizationPlan *plan_ = nullptr;
 
     Diagnostics diags_;
     uint32_t base_ = 0;

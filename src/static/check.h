@@ -68,19 +68,6 @@ struct CheckOptions {
      * matches what the instrumenter produces today.
      */
     bool checkSideTables = true;
-
-    /**
-     * Hook-optimization plan the instrumented module was produced
-     * with (`wasabi check --manifest=`). Every per-site deviation the
-     * plan licenses is *re-verified* against the original module
-     * (skips must be CFG-unreachable, dead functions call-graph dead,
-     * narrowed br_tables provably constant-index, elided blocks
-     * empty; check.manifest.* codes otherwise), and the licensed
-     * sites are then exempted from the completeness requirements.
-     * When checking against a StaticInfo that carries its own plan,
-     * the info's plan wins.
-     */
-    std::optional<core::HookOptimizationPlan> plan;
 };
 
 /**

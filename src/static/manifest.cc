@@ -1,7 +1,6 @@
 #include "static/manifest.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace wasabi::static_analysis {
 
@@ -13,7 +12,10 @@ manifestKind(const json::Value &doc, std::string *error)
     if (!doc.isObject())
         err = "manifest is not a JSON object";
     else if (!schema)
-        return ManifestKind::Plan;
+        err = std::string("manifest lacks a \"schema\" field "
+                          "(expected \"") +
+              manifest::kRangeSchema + "\" or \"" +
+              manifest::kOptSchema + "\")";
     else if (!schema->isString())
         err = "manifest \"schema\" is not a string";
     else if (schema->str == manifest::kRangeSchema)
@@ -41,7 +43,7 @@ checkTopLevel(const json::Value &doc, const char *schema,
     const auto &members = doc.object;
     for (size_t i = 0; i < members.size(); ++i) {
         const std::string &key = members[i].first;
-        bool known = key == "version" || (schema && key == "schema") ||
+        bool known = key == "version" || key == "schema" ||
                      std::find(fields.begin(), fields.end(), key) !=
                          fields.end();
         if (!known) {
@@ -55,17 +57,14 @@ checkTopLevel(const json::Value &doc, const char *schema,
             }
         }
     }
-    if (schema) {
-        const json::Value *s = doc.find("schema");
-        if (!s) {
-            error = "manifest lacks a \"schema\" field";
-            return false;
-        }
-        if (!s->isString() || s->str != schema) {
-            error = std::string("manifest schema is not \"") + schema +
-                    "\"";
-            return false;
-        }
+    const json::Value *s = doc.find("schema");
+    if (!s) {
+        error = "manifest lacks a \"schema\" field";
+        return false;
+    }
+    if (!s->isString() || s->str != schema) {
+        error = std::string("manifest schema is not \"") + schema + "\"";
+        return false;
     }
     const json::Value *version = doc.find("version");
     if (!version) {
@@ -84,10 +83,10 @@ checkTopLevel(const json::Value &doc, const char *schema,
 std::optional<uint32_t>
 toU32(const json::Value &v)
 {
-    if (!v.isNumber() || !(v.number >= 0) || v.number > 4294967295.0 ||
-        std::trunc(v.number) != v.number)
+    std::optional<uint64_t> u = v.asUInt(UINT32_MAX);
+    if (!u)
         return std::nullopt;
-    return static_cast<uint32_t>(v.number);
+    return static_cast<uint32_t>(*u);
 }
 
 bool
@@ -138,10 +137,8 @@ forEachRow(const json::Value &doc, const char *key, size_t width,
 std::string
 header(const char *schema)
 {
-    std::string out = "{\n";
-    if (schema)
-        out += std::string("  \"schema\": \"") + schema + "\",\n";
-    return out + "  \"version\": 1";
+    return std::string("{\n  \"schema\": \"") + schema +
+           "\",\n  \"version\": 1";
 }
 
 } // namespace manifest

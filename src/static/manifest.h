@@ -1,19 +1,18 @@
 /**
  * @file
  * Claim manifests: the one router and the shared reading/writing
- * helpers for the three JSON manifests that `wasabi check
- * --manifest=` re-proves.
+ * helpers for the two JSON manifests that `wasabi check --manifest=`
+ * re-proves.
  *
- *  - the instrumentation plan (passes/pipeline.h), from `wasabi
- *    instrument --optimize-hooks`, which has no "schema" field;
  *  - "wasabi-range-manifest" (passes/range.h), from `wasabi analyze
  *    --ranges`;
  *  - "wasabi-opt-manifest" (rewrite/opt.h), from `wasabi opt`.
  *
  * Every manifest is read by parsing the text once with the tree's one
- * JSON reader (support/json.h) and walking the tree. All three share
- * the same strictness: a closed top-level key set with no duplicate
- * keys, "version": 1, and numbers that are integers in [0, 2^32-1].
+ * JSON reader (support/json.h) and walking the tree. Both share the
+ * same strictness: a closed top-level key set with no duplicate keys,
+ * the kind's "schema", "version": 1, and numbers that are integers in
+ * [0, 2^32-1].
  */
 
 #ifndef WASABI_STATIC_MANIFEST_H
@@ -33,15 +32,15 @@
 
 namespace wasabi::static_analysis {
 
-/** The three manifest kinds `wasabi check --manifest=` accepts. */
-enum class ManifestKind { Plan, Range, Opt };
+/** The two manifest kinds `wasabi check --manifest=` accepts. */
+enum class ManifestKind { Range, Opt };
 
 /**
  * Route a parsed manifest on its top-level "schema" field:
- * "wasabi-range-manifest" → Range, "wasabi-opt-manifest" → Opt, no
- * schema → Plan. Anything else (not an object, a non-string or
- * unknown schema) returns nullopt and sets @p error. Only the top
- * level counts: a schema string nested in a value routes nowhere.
+ * "wasabi-range-manifest" → Range, "wasabi-opt-manifest" → Opt.
+ * Anything else (not an object, no schema, a non-string or unknown
+ * schema) returns nullopt and sets @p error. Only the top level
+ * counts: a schema string nested in a value routes nowhere.
  */
 std::optional<ManifestKind> manifestKind(const json::Value &doc,
                                          std::string *error);
@@ -53,17 +52,15 @@ inline constexpr const char *kOptSchema = "wasabi-opt-manifest";
 
 /**
  * The top-level check every reader starts with: @p doc is an object
- * whose keys are distinct and each either "version", "schema" (only
- * when @p schema is non-null) or one of @p fields; "version" is 1;
- * and "schema" equals @p schema when that is non-null. Returns false
- * and sets @p error otherwise.
+ * whose keys are distinct and each either "version", "schema" or one
+ * of @p fields; "version" is 1; and "schema" equals @p schema.
+ * Returns false and sets @p error otherwise.
  */
 bool checkTopLevel(const json::Value &doc, const char *schema,
                    std::initializer_list<std::string_view> fields,
                    std::string &error);
 
-/** @p v as a u32: integral and in [0, 2^32-1], else nullopt. Unlike
- * Value::asU64 it never rounds or clamps. */
+/** @p v as a u32: json::Value::asUInt bounded to 2^32-1. */
 std::optional<uint32_t> toU32(const json::Value &v);
 
 /** One row of a fixed-width u32 array; only the first `width`
@@ -126,7 +123,7 @@ readRows(const json::Value &doc, const char *key, std::vector<Claim> &out,
 }
 
 /** "{\n  \"schema\": ...,\n  \"version\": 1" — the opening of a
- * manifest; the schema line is left out when @p schema is null. */
+ * manifest. */
 std::string header(const char *schema);
 
 /** A row as "[x, y]", or bare when one wide (as forEachRow reads it). */

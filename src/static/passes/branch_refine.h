@@ -6,8 +6,7 @@
  * `br_table` index collapses the whole jump table to one statically
  * known label (resolved to an absolute target location through the
  * abstract control stack, paper §2.4.4). Feeds `wasabi lint`
- * (lint.branch.*) and the `--optimize-hooks` plan (br_table -> br
- * hook narrowing).
+ * (lint.branch.*).
  */
 
 #ifndef WASABI_STATIC_PASSES_BRANCH_REFINE_H

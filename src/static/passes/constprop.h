@@ -9,10 +9,8 @@
  * The extracted facts are the constant-controlled branch points:
  * `br_if`/`if` conditions and `br_table` indices whose value is the
  * same compile-time constant on every execution. They feed
- *  - `wasabi lint` (lint.branch.const-condition / const-index), and
- *  - the `--optimize-hooks` plan (br_table -> br hook narrowing),
- * and are recomputed by `wasabi check --manifest=` to verify every
- * narrowing the manifest claims.
+ * `wasabi lint` (lint.branch.const-condition / const-index) and the
+ * refined call graph's constant-index call_indirect resolution.
  */
 
 #ifndef WASABI_STATIC_PASSES_CONSTPROP_H

@@ -1,7 +1,5 @@
 #include "static/passes/pipeline.h"
 
-#include <algorithm>
-#include <array>
 #include <set>
 
 #include "core/control_stack.h"
@@ -9,7 +7,6 @@
 #include "static/interproc/ipcp.h"
 #include "static/interproc/refined_call_graph.h"
 #include "static/interproc/summaries.h"
-#include "static/manifest.h"
 #include "static/passes/branch_refine.h"
 #include "static/passes/constprop.h"
 #include "static/passes/deadstore.h"
@@ -300,198 +297,6 @@ lintModule(const Module &m)
     lintInterproc(m, dead, diags);
     lintRanges(m, constCondLocs, diags);
     return diags;
-}
-
-core::HookOptimizationPlan
-computePlan(const Module &m)
-{
-    core::HookOptimizationPlan plan;
-    ReachabilityFacts reach = reachabilityFacts(m);
-
-    // Dead-function elision is widened to the refined call graph —
-    // a strict superset of reach.deadFunctions whenever constant-index
-    // call_indirect sites prune whole-table edges. The checker
-    // re-proves each claim against the same refined graph.
-    interproc::RefinedCallGraph rcg(m);
-    for (uint32_t f : rcg.deadFunctions()) {
-        if (!m.functions[f].imported())
-            plan.deadFunctions.insert(f);
-    }
-
-    for (const UnreachableRange &r : reach.unreachableBlocks) {
-        if (plan.deadFunctions.count(r.func))
-            continue; // subsumed: no hooks in the whole function
-        const wasm::Function &func = m.functions[r.func];
-        for (uint32_t i = r.first; i <= r.last; ++i) {
-            // Never skip an `else`: its begin hook is emitted at the
-            // top of the else *region*, which can be live even when
-            // the `else` instruction itself is CFG-unreachable
-            // (then-region ends in br).
-            if (wasm::opInfo(func.body[i].op).cls == OpClass::Else)
-                continue;
-            plan.skips.insert(core::packLoc({r.func, i}));
-        }
-    }
-
-    for (uint32_t f = 0; f < m.numFunctions(); ++f) {
-        if (m.functions[f].imported() || plan.deadFunctions.count(f))
-            continue;
-        ConstFacts facts = constantFacts(m, f);
-        for (const auto &[key, index] : facts.brTableIndex) {
-            if (!plan.skips.count(key))
-                plan.constBrTableIndex[key] = index;
-        }
-        for (auto [begin, end] : emptyBlockPairs(m, f)) {
-            uint64_t bkey = core::packLoc({f, begin});
-            uint64_t ekey = core::packLoc({f, end});
-            if (plan.skips.count(bkey) || plan.skips.count(ekey))
-                continue; // subsumed by unreachability
-            plan.elidedBegins.insert(bkey);
-            plan.elidedEnds.insert(ekey);
-        }
-    }
-
-    // Constant-index call_indirect sites with a unique proven target:
-    // narrow the indirect call_pre hook to the direct variant. The
-    // site kind already encodes every soundness gate (exact element
-    // layout, non-host-visible table, in-range slot, signature match).
-    for (const interproc::CallSite &s : rcg.sites()) {
-        if (s.kind != interproc::SiteKind::IndirectConst)
-            continue;
-        uint64_t key = core::packLoc({s.func, s.instr});
-        if (plan.deadFunctions.count(s.func) || plan.skips.count(key))
-            continue; // subsumed: no hooks at this site anyway
-        plan.constCallTargets[key] =
-            core::HookOptimizationPlan::CallTargetClaim{
-                *s.constIndex, s.targets[0]};
-    }
-    return plan;
-}
-
-// ----- manifest ------------------------------------------------------
-
-namespace {
-
-/** Sorted keys of a set or map, for deterministic manifests. */
-template <typename C>
-std::vector<uint64_t>
-sortedKeys(const C &c)
-{
-    std::vector<uint64_t> v;
-    for (const auto &e : c) {
-        if constexpr (requires { e.first; })
-            v.push_back(e.first);
-        else
-            v.push_back(e);
-    }
-    std::sort(v.begin(), v.end());
-    return v;
-}
-
-/** The row of a packLoc-packed location: func, instr, then @p extra. */
-template <typename... Extra>
-std::array<uint32_t, 2 + sizeof...(Extra)>
-locRow(uint64_t key, Extra... extra)
-{
-    return {static_cast<uint32_t>(key >> 32), static_cast<uint32_t>(key),
-            extra...};
-}
-
-} // namespace
-
-std::string
-planToManifest(const core::HookOptimizationPlan &plan)
-{
-    std::string out = manifest::header(nullptr);
-    manifest::appendField(out, "skips", sortedKeys(plan.skips),
-                          [](uint64_t key) { return locRow(key); });
-    manifest::appendField(out, "deadFunctions",
-                          sortedKeys(plan.deadFunctions), [](uint64_t f) {
-                              return std::array{static_cast<uint32_t>(f)};
-                          });
-    manifest::appendField(out, "brTableToBr",
-                          sortedKeys(plan.constBrTableIndex),
-                          [&](uint64_t key) {
-                              return locRow(key,
-                                            plan.constBrTableIndex.at(key));
-                          });
-    manifest::appendField(out, "elidedBlocks",
-                          sortedKeys(plan.elidedBegins), [](uint64_t key) {
-                              return locRow(key,
-                                            static_cast<uint32_t>(key) + 1);
-                          });
-    manifest::appendField(
-        out, "callIndirectToCall", sortedKeys(plan.constCallTargets),
-        [&](uint64_t key) {
-            const auto &claim = plan.constCallTargets.at(key);
-            return locRow(key, claim.tableIndex, claim.target);
-        });
-    return out + "\n}\n";
-}
-
-std::optional<core::HookOptimizationPlan>
-planFromManifest(const json::Value &doc, std::string *error)
-{
-    core::HookOptimizationPlan plan;
-    auto loc = [](const manifest::Row &r) {
-        return core::packLoc({r[0], r[1]});
-    };
-    bool contiguous = true;
-    std::string err;
-    bool ok =
-        manifest::checkTopLevel(doc, nullptr,
-                                {"skips", "deadFunctions", "brTableToBr",
-                                 "elidedBlocks", "callIndirectToCall"},
-                                err) &&
-        manifest::forEachRow(
-            doc, "skips", 2,
-            [&](const manifest::Row &r) { plan.skips.insert(loc(r)); },
-            err) &&
-        manifest::forEachRow(
-            doc, "deadFunctions", 1,
-            [&](const manifest::Row &r) {
-                plan.deadFunctions.insert(r[0]);
-            },
-            err) &&
-        manifest::forEachRow(
-            doc, "brTableToBr", 3,
-            [&](const manifest::Row &r) {
-                plan.constBrTableIndex[loc(r)] = r[2];
-            },
-            err) &&
-        manifest::forEachRow(
-            doc, "elidedBlocks", 3,
-            [&](const manifest::Row &r) {
-                contiguous &= r[2] == uint64_t{r[1]} + 1;
-                plan.elidedBegins.insert(loc(r));
-                plan.elidedEnds.insert(core::packLoc({r[0], r[2]}));
-            },
-            err) &&
-        manifest::forEachRow(
-            doc, "callIndirectToCall", 4,
-            [&](const manifest::Row &r) {
-                plan.constCallTargets[loc(r)] =
-                    core::HookOptimizationPlan::CallTargetClaim{r[2],
-                                                                r[3]};
-            },
-            err);
-    if (ok && !contiguous) {
-        err = "elided block end must be begin + 1";
-        ok = false;
-    }
-    if (!ok) {
-        if (error)
-            *error = err;
-        return std::nullopt;
-    }
-    return plan;
-}
-
-std::optional<core::HookOptimizationPlan>
-planFromManifest(const std::string &text, std::string *error)
-{
-    std::optional<json::Value> doc = json::parse(text, error);
-    return doc ? planFromManifest(*doc, error) : std::nullopt;
 }
 
 } // namespace wasabi::static_analysis::passes

@@ -1,32 +1,20 @@
 /**
  * @file
- * The static pass pipeline driver behind `wasabi lint` and
- * `wasabi instrument --optimize-hooks`:
- *
- *  - lintModule() runs every pass (constant propagation,
- *    reachability, dead stores, branch refinement) and renders the
- *    facts as structured diagnostics with stable lint.* codes;
- *  - computePlan() turns the subset of facts that licenses hook
- *    optimizations into a core::HookOptimizationPlan for the
- *    instrumenter;
- *  - planToManifest()/planFromManifest() round-trip the plan through
- *    the JSON optimization manifest that `wasabi instrument
- *    --optimize-hooks` emits and `wasabi check --manifest=` consumes,
- *    so the completeness/exclusivity invariant stays verifiable on
- *    optimized output.
+ * The static pass pipeline driver behind `wasabi lint`: lintModule()
+ * runs every pass (constant propagation, reachability, dead stores,
+ * branch refinement, the refined call graph and value ranges) and
+ * renders the facts as structured diagnostics with stable lint.*
+ * codes.
  */
 
 #ifndef WASABI_STATIC_PASSES_PIPELINE_H
 #define WASABI_STATIC_PASSES_PIPELINE_H
 
-#include <optional>
-#include <string>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
-#include "core/opt_plan.h"
 #include "static/diagnostics.h"
-#include "support/json.h"
 #include "wasm/module.h"
 
 namespace wasabi::static_analysis::passes {
@@ -72,38 +60,10 @@ inline constexpr const char *kLintRangeDeadGuard =
  */
 Diagnostics lintModule(const wasm::Module &m);
 
-/**
- * Compute the hook-optimization plan for a validated module: skips
- * for CFG-unreachable sites (never at an `else`, whose begin hook
- * guards the — possibly live — else region), dead functions (under
- * the *refined* call graph, a superset of the whole-table
- * approximation), constant-index br_table narrowings, constant-index
- * call_indirect -> direct-call narrowings, and empty-block begin/end
- * elisions. Claims subsumed by a stronger one (sites inside dead
- * functions, elisions of skipped blocks) are omitted.
- */
-core::HookOptimizationPlan computePlan(const wasm::Module &m);
-
 /** (begin, end) instruction pairs of statically-empty blocks/loops of
  * defined function @p func_idx (end == begin + 1). */
 std::vector<std::pair<uint32_t, uint32_t>>
 emptyBlockPairs(const wasm::Module &m, uint32_t func_idx);
-
-/** Serialize a plan as the JSON optimization manifest. */
-std::string planToManifest(const core::HookOptimizationPlan &plan);
-
-/**
- * Read an optimization manifest (see static/manifest.h for the shared
- * strictness rules). Returns std::nullopt and sets @p error on
- * malformed input; the *claims* themselves are verified later by the
- * checker, not here.
- */
-std::optional<core::HookOptimizationPlan>
-planFromManifest(const json::Value &doc, std::string *error);
-
-/** planFromManifest() over the parse of @p text. */
-std::optional<core::HookOptimizationPlan>
-planFromManifest(const std::string &text, std::string *error);
 
 } // namespace wasabi::static_analysis::passes
 

@@ -3,10 +3,8 @@
  * Reachability (pass 2): intra-procedural unreachable basic blocks
  * (from the CFG entry, via the PR-1 reachableBlocks dataflow instance)
  * plus call-graph dead functions (unreachable from any export, the
- * start function, or a host-visible table). Feeds
- *  - `wasabi lint` (lint.unreachable.code / lint.deadcode.function),
- *  - the `--optimize-hooks` plan (hook-emission skips), and
- *  - `wasabi check --manifest=` (re-verification of every skip claim).
+ * start function, or a host-visible table). Feeds `wasabi lint`
+ * (lint.unreachable.code / lint.deadcode.function).
  */
 
 #ifndef WASABI_STATIC_PASSES_REACHABILITY_H

@@ -19,12 +19,17 @@ Value::find(const std::string &key) const
     return nullptr;
 }
 
-uint64_t
-Value::asU64() const
+std::optional<uint64_t>
+Value::asUInt(uint64_t max) const
 {
-    if (kind != Kind::Number || number < 0)
-        return 0;
-    return static_cast<uint64_t>(std::llround(number));
+    // 2^64 is the first double past the uint64 range.
+    if (kind != Kind::Number || !(number >= 0) ||
+        number >= 18446744073709551616.0 || std::trunc(number) != number)
+        return std::nullopt;
+    uint64_t v = static_cast<uint64_t>(number);
+    if (v > max)
+        return std::nullopt;
+    return v;
 }
 
 namespace {

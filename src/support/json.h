@@ -45,8 +45,9 @@ struct Value {
      * object). */
     const Value *find(const std::string &key) const;
 
-    /** Number rounded to uint64 (0 if not a number). */
-    uint64_t asU64() const;
+    /** The number as an unsigned integer: nullopt unless it is
+     * integral and in [0, @p max]. Never rounds or clamps. */
+    std::optional<uint64_t> asUInt(uint64_t max = UINT64_MAX) const;
 };
 
 /**

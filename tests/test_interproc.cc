@@ -5,10 +5,10 @@
  * per-site call_indirect refinement (constant-index narrowing, typed
  * target sets, host-visibility soundness gates), the parallel
  * bottom-up effect-summary solver and its determinism guarantee, the
- * lint.interproc.* codes, the plan's call-target claims end to end
- * (instrument -> check, manifest round trip, checker rejection of
- * tampered claims), and the runtime's static-target reporting at
- * narrowed sites.
+ * lint.interproc.* codes, the checker's rejection of `wasabi opt`
+ * call_indirect -> call claims the refined graph does not prove, and
+ * the runtime's callee reporting at a constant-index call_indirect
+ * site.
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +25,9 @@
 #include "static/interproc/summaries.h"
 #include "static/interproc/table_layout.h"
 #include "static/passes/pipeline.h"
+#include "static/rewrite/opt.h"
 #include "wasm/builder.h"
+#include "wasm/encoder.h"
 #include "wasm/validator.h"
 #include "workloads/polybench.h"
 #include "workloads/random_program.h"
@@ -546,117 +548,69 @@ TEST(InterprocLint, TableDiagnosticsSurfaceInLint)
     EXPECT_TRUE(d.hasCode(kLintTableFuncOutOfRange)) << toString(d);
 }
 
-// ----- plan integration + checker re-proof ---------------------------
+// ----- `opt` call_indirect claims: checker re-proof -------------------
 
-TEST(InterprocPlan, NarrowsConstIndexSiteAndWidensDeadElision)
-{
-    Module m = constIndexFixture();
-    core::HookOptimizationPlan plan = passes::computePlan(m);
-    EXPECT_EQ(plan.deadFunctions,
-              (std::unordered_set<uint32_t>{0}));
-    ASSERT_EQ(plan.constCallTargets.size(), 1u);
-    const auto &claim =
-        plan.constCallTargets.at(core::packLoc({2, 2}));
-    EXPECT_EQ(claim.tableIndex, 1u);
-    EXPECT_EQ(claim.target, 1u);
-}
+/** The `opt` passes the refined call graph licenses. */
+const std::vector<std::string> kRefinedPasses = {"dead-functions",
+                                                 "call-indirect"};
 
-TEST(InterprocPlan, HostVisibleTableYieldsNoCallClaims)
+TEST(InterprocOpt, HostVisibleTableYieldsNoCallClaims)
 {
+    // The host can rewrite any slot of an exported table, so the
+    // constant index proves nothing.
     Module m = constIndexFixture(/*export_table=*/true);
-    core::HookOptimizationPlan plan = passes::computePlan(m);
-    EXPECT_TRUE(plan.constCallTargets.empty());
-    EXPECT_TRUE(plan.deadFunctions.empty());
+    rewrite::OptResult r = rewrite::optimize(m, kRefinedPasses);
+    EXPECT_TRUE(r.claims.directCalls.empty());
+    EXPECT_TRUE(r.claims.strippedFunctions.empty());
 }
 
-TEST(InterprocPlan, NarrowedInstrumentationChecksClean)
+/** Re-prove @p claims for the fixture against @p optimized. */
+Diagnostics
+recheck(const Module &m, const Module &optimized,
+        const rewrite::OptClaims &claims)
 {
-    Module m = constIndexFixture();
-    core::HookOptimizationPlan plan = passes::computePlan(m);
-    core::InstrumentOptions iopts;
-    iopts.plan = &plan;
-    core::InstrumentResult r =
-        core::instrument(m, HookSet::all(), iopts);
-    Diagnostics d = checkInstrumentation(*r.info, r.module);
-    EXPECT_TRUE(d.empty()) << toString(d);
+    return rewrite::checkOptimization(m, wasm::encodeModule(optimized),
+                                      claims);
 }
 
-TEST(InterprocPlan, ManifestRoundTripPreservesCallClaims)
-{
-    Module m = constIndexFixture();
-    core::HookOptimizationPlan plan = passes::computePlan(m);
-    std::string error;
-    std::optional<core::HookOptimizationPlan> parsed =
-        passes::planFromManifest(passes::planToManifest(plan), &error);
-    ASSERT_TRUE(parsed.has_value()) << error;
-    EXPECT_EQ(parsed->constCallTargets, plan.constCallTargets);
-    EXPECT_EQ(parsed->deadFunctions, plan.deadFunctions);
-
-    core::InstrumentOptions iopts;
-    iopts.plan = &*parsed;
-    core::InstrumentResult r =
-        core::instrument(m, HookSet::all(), iopts);
-    CheckOptions copts;
-    copts.plan = *parsed;
-    Diagnostics d = checkInstrumentation(m, r.module, copts);
-    EXPECT_TRUE(d.empty()) << toString(d);
-}
-
-TEST(InterprocPlan, CheckerRejectsTamperedCallTarget)
+TEST(InterprocOpt, CheckerRejectsTamperedCallTarget)
 {
     // An attacker (or a stale manifest) claiming the wrong callee must
     // be caught by the checker's re-proof, not trusted.
     Module m = constIndexFixture();
-    core::HookOptimizationPlan plan = passes::computePlan(m);
-    core::InstrumentOptions iopts;
-    iopts.plan = &plan;
-    core::InstrumentResult r =
-        core::instrument(m, HookSet::all(), iopts);
-
-    core::HookOptimizationPlan tampered = plan;
-    tampered.constCallTargets.at(core::packLoc({2, 2})).target = 0;
-    CheckOptions copts;
-    copts.plan = tampered;
-    Diagnostics d = checkInstrumentation(m, r.module, copts);
-    EXPECT_TRUE(d.hasCode("check.manifest.bad-call-target"))
-        << toString(d);
+    rewrite::OptResult r = rewrite::optimize(m, kRefinedPasses);
+    rewrite::OptClaims tampered = r.claims;
+    ASSERT_EQ(tampered.directCalls.size(), 1u);
+    tampered.directCalls[0].target = 0;
+    Diagnostics d = recheck(m, r.module, tampered);
+    EXPECT_TRUE(d.hasCode("check.opt.bad-call-target")) << toString(d);
 }
 
-TEST(InterprocPlan, CheckerRejectsCallClaimOnNonCallSite)
+TEST(InterprocOpt, CheckerRejectsCallClaimOnNonCallSite)
 {
     Module m = constIndexFixture();
-    core::HookOptimizationPlan plan = passes::computePlan(m);
-    core::InstrumentOptions iopts;
-    iopts.plan = &plan;
-    core::InstrumentResult r =
-        core::instrument(m, HookSet::all(), iopts);
-
-    core::HookOptimizationPlan tampered = plan;
-    tampered.constCallTargets[core::packLoc({2, 0})] = {1, 1};
-    CheckOptions copts;
-    copts.plan = tampered;
-    Diagnostics d = checkInstrumentation(m, r.module, copts);
-    EXPECT_TRUE(d.hasCode("check.manifest.bad-call-target"))
-        << toString(d);
+    rewrite::OptResult r = rewrite::optimize(m, kRefinedPasses);
+    rewrite::OptClaims tampered = r.claims;
+    ASSERT_EQ(tampered.directCalls.size(), 1u);
+    tampered.directCalls[0].instr = 0; // the i32.const 7
+    Diagnostics d = recheck(m, r.module, tampered);
+    EXPECT_TRUE(d.hasCode("check.opt.bad-call-target")) << toString(d);
 }
 
-TEST(InterprocPlan, CheckerRejectsUnprovableClaimOnHostVisibleTable)
+TEST(InterprocOpt, CheckerRejectsUnprovableClaimOnHostVisibleTable)
 {
-    // Instrument the host-visible variant unoptimized, then claim the
-    // narrowing anyway: the refined graph cannot prove it.
+    // Claim the rewrite on the host-visible variant anyway: the
+    // refined graph cannot prove it.
     Module m = constIndexFixture(/*export_table=*/true);
-    core::InstrumentResult r = core::instrument(m, HookSet::all());
-
-    core::HookOptimizationPlan tampered;
-    tampered.constCallTargets[core::packLoc({2, 2})] = {1, 1};
-    CheckOptions copts;
-    copts.plan = tampered;
-    Diagnostics d = checkInstrumentation(m, r.module, copts);
-    EXPECT_TRUE(d.hasCode("check.manifest.bad-call-target"))
-        << toString(d);
+    Module proven = constIndexFixture();
+    rewrite::OptResult r = rewrite::optimize(proven, kRefinedPasses);
+    rewrite::OptClaims tampered = r.claims;
+    ASSERT_EQ(tampered.directCalls.size(), 1u);
+    Diagnostics d = recheck(m, r.module, tampered);
+    EXPECT_TRUE(d.hasCode("check.opt.bad-call-target")) << toString(d);
 }
 
-// ----- runtime behavior at narrowed sites ----------------------------
+// ----- runtime behavior at constant-index sites ----------------------
 
 /** Records every onCallPre as (callee, table index or -1). */
 class CallRecorder final : public runtime::Analysis {
@@ -681,17 +635,17 @@ class CallRecorder final : public runtime::Analysis {
 
 TEST(InterprocRuntime, NarrowedSiteReportsStaticTargetAndIndex)
 {
-    // At a plan-narrowed call_indirect the direct call_pre hook has no
-    // runtime table-index argument; the runtime must report the
-    // statically proven callee and constant index instead of
-    // misreading the type-index immediate.
+    // The call_indirect the refined call graph narrows to one target
+    // keeps its indirect call_pre hook: the runtime resolves the
+    // table-index argument to the callee the refinement proves, in
+    // the original index space.
     Module m = constIndexFixture();
-    core::HookOptimizationPlan plan = passes::computePlan(m);
-    ASSERT_FALSE(plan.constCallTargets.empty());
-    core::InstrumentOptions iopts;
-    iopts.plan = &plan;
-    core::InstrumentResult r =
-        core::instrument(m, HookSet::all(), iopts);
+    RefinedCallGraph rcg(m);
+    ASSERT_TRUE(std::any_of(rcg.sites().begin(), rcg.sites().end(),
+                            [](const CallSite &s) {
+                                return s.kind == SiteKind::IndirectConst;
+                            }));
+    core::InstrumentResult r = core::instrument(m, HookSet::all());
 
     CallRecorder rec;
     runtime::WasabiRuntime rt(r.info);

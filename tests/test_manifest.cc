@@ -1,7 +1,7 @@
 /**
  * @file
  * The claim-manifest layer (static/manifest.h): routing on the
- * top-level "schema" field, and robustness of the three readers.
+ * top-level "schema" field, and robustness of the two readers.
  * Emitted manifests of every kind, from PolyBench kernels and random
  * programs, are byte-flipped, truncated and spliced with another
  * kind's fields; the router and every reader must then return a
@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "static/manifest.h"
-#include "static/passes/pipeline.h"
 #include "static/passes/range.h"
 #include "static/rewrite/opt.h"
 #include "workloads/polybench.h"
@@ -47,11 +46,13 @@ TEST(ManifestRouter, RoutesOnTopLevelSchemaOnly)
               ManifestKind::Opt);
     EXPECT_EQ(route("{\"claims\": [\"wasabi-range-manifest\"], "
                     "\"version\": 1}"),
-              ManifestKind::Plan);
+              std::nullopt);
+    // No schema at all is an error: the schema-less instrumentation
+    // plan is no longer a manifest kind.
     EXPECT_EQ(route("{\"version\": 1, \"skips\": [], "
                     "\"note\": \"wasabi-opt-manifest\"}"),
-              ManifestKind::Plan);
-    EXPECT_EQ(route("{}"), ManifestKind::Plan);
+              std::nullopt);
+    EXPECT_EQ(route("{}"), std::nullopt);
     // The top-level schema field decides, wherever it appears.
     EXPECT_EQ(route("{\"version\": 1, \"minPages\": 1, "
                     "\"claims\": [[0, 3]], "
@@ -59,7 +60,7 @@ TEST(ManifestRouter, RoutesOnTopLevelSchemaOnly)
               ManifestKind::Range);
     EXPECT_EQ(route("{\"schema\": \"wasabi-range-manifest\"}"),
               ManifestKind::Range);
-    // A schema the checker does not know is an error, not a plan.
+    // A schema the checker does not know is an error.
     EXPECT_EQ(route("{\"schema\": \"wasabi-hook-plan\"}"), std::nullopt);
     EXPECT_EQ(route("{\"schema\": 1, \"version\": 1}"), std::nullopt);
 }
@@ -76,8 +77,8 @@ mix(uint64_t &state)
     return z ^ (z >> 31);
 }
 
-/** Emitted manifests of all three kinds, indexed by ManifestKind. */
-using Corpus = std::vector<std::array<std::string, 3>>;
+/** Emitted manifests of both kinds, indexed by ManifestKind. */
+using Corpus = std::vector<std::array<std::string, 2>>;
 
 const Corpus &
 corpus()
@@ -94,7 +95,6 @@ corpus()
         Corpus out;
         for (const wasm::Module &m : modules) {
             out.push_back({
-                passes::planToManifest(passes::computePlan(m)),
                 passes::rangeClaimsToManifest(passes::provableRangeClaims(
                     passes::moduleRanges(m, 1))),
                 rewrite::claimsToManifest(
@@ -111,18 +111,16 @@ corpus()
 void
 feed(const std::string &text)
 {
-    std::string plan_err, range_err, opt_err;
-    bool plan_ok = false, range_ok = false, opt_ok = false;
+    std::string range_err, opt_err;
+    bool range_ok = false, opt_ok = false;
     EXPECT_NO_THROW({
         route(text);
-        plan_ok = passes::planFromManifest(text, &plan_err).has_value();
         passes::RangeClaims range;
         range_ok =
             passes::rangeClaimsFromManifest(text, &range, &range_err);
         rewrite::OptClaims opt;
         opt_ok = rewrite::claimsFromManifest(text, opt, &opt_err);
     }) << text;
-    EXPECT_TRUE(plan_ok || !plan_err.empty()) << text;
     EXPECT_TRUE(range_ok || !range_err.empty()) << text;
     EXPECT_TRUE(opt_ok || !opt_err.empty()) << text;
 }
@@ -185,7 +183,7 @@ TEST(ManifestFuzz, SplicedFieldsOfAnotherKindAreRejectedOrRead)
     for (int i = 0; i < 900; ++i) {
         const auto &kinds = corpus()[mix(rng) % corpus().size()];
         size_t into = mix(rng) % kinds.size();
-        size_t from = (into + 1 + mix(rng) % 2) % kinds.size();
+        size_t from = (into + 1) % kinds.size();
         std::vector<std::string> donor = fieldLines(kinds[from]);
         ASSERT_FALSE(donor.empty());
         const std::string &field = donor[mix(rng) % donor.size()];

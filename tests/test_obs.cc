@@ -36,7 +36,7 @@ TEST(Json, ParsesScalarsAndContainers)
         &err);
     ASSERT_TRUE(v.has_value()) << err;
     ASSERT_TRUE(v->isObject());
-    EXPECT_EQ(v->find("a")->asU64(), 1u);
+    EXPECT_EQ(v->find("a")->asUInt(), 1u);
     const json::Value *b = v->find("b");
     ASSERT_TRUE(b && b->isArray());
     ASSERT_EQ(b->array.size(), 3u);
@@ -185,17 +185,17 @@ TEST(Profile, JsonReportValidatesAgainstSchema)
     // The parsed document mirrors the collector's counters.
     auto doc = json::parse(c.toJson(), &err);
     ASSERT_TRUE(doc.has_value()) << err;
-    EXPECT_EQ(doc->find("runtime")->find("hookInvocations")->asU64(),
+    EXPECT_EQ(doc->find("runtime")->find("hookInvocations")->asUInt(),
               c.totalDispatches());
-    EXPECT_EQ(doc->find("instrumentation")->find("functions")->asU64(),
+    EXPECT_EQ(doc->find("instrumentation")->find("functions")->asUInt(),
               2u);
-    EXPECT_GT(doc->find("interp")->find("instructions")->asU64(), 0u);
+    EXPECT_GT(doc->find("interp")->find("instructions")->asUInt(), 0u);
     // In the instrumented run every hook dispatch is itself a call to
     // an imported function, on top of main's call to the helper.
-    EXPECT_EQ(doc->find("interp")->find("calls")->asU64(),
+    EXPECT_EQ(doc->find("interp")->find("calls")->asUInt(),
               c.totalDispatches() + 1);
-    EXPECT_EQ(doc->find("interp")->find("memoryOps")->asU64(), 2u);
-    EXPECT_EQ(doc->find("interp")->find("traps")->asU64(), 0u);
+    EXPECT_EQ(doc->find("interp")->find("memoryOps")->asUInt(), 2u);
+    EXPECT_EQ(doc->find("interp")->find("traps")->asUInt(), 0u);
 }
 
 TEST(Profile, ChromeTraceValidatesAndHasExpectedTracks)
@@ -300,6 +300,22 @@ TEST(Schema, RejectsNonProfileDocuments)
         R"({"schema": "wasabi-profile", "version": 999,
             "deterministic": false})",
         &err));
+
+    // Versions and counters are unsigned integers, never rounded.
+    auto doc = [](const std::string &version, const std::string &count) {
+        return R"({"schema": "wasabi-profile", "version": )" + version +
+               R"(, "deterministic": false, "runtime": {
+                   "hookInvocations": )" +
+               count + R"(, "perKind": [
+                   {"kind": "const", "count": )" +
+               count + R"(, "nanos": 0}]}})";
+    };
+    EXPECT_TRUE(validateProfileJson(doc("1", "1"), &err)) << err;
+    EXPECT_FALSE(validateProfileJson(doc("1.4", "1"), &err));
+    EXPECT_FALSE(validateProfileJson(doc("1", "1.5"), &err));
+    EXPECT_FALSE(validateProfileJson(doc("1", "0.4"), &err));
+    EXPECT_FALSE(validateProfileJson(doc("1", "-1"), &err));
+    EXPECT_FALSE(validateProfileJson(doc("1", "1e30"), &err));
 }
 
 TEST(Schema, RejectsUnknownTopLevelKeys)

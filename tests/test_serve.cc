@@ -477,6 +477,22 @@ TEST(ServeProtocol, ParseRequestAndArgSpecs)
     EXPECT_THROW(parseRequest("{\"op\": \"run\", \"module\": \"m\", "
                               "\"memoryPages\": 100000}"),
                  BadRequest);
+    // Quotas are unsigned integers: never rounded, clamped or cast
+    // from out of range.
+    for (const char *quota :
+         {"\"fuel\": 1.5", "\"fuel\": 0.4", "\"fuel\": 1e30",
+          "\"fuel\": -1", "\"memoryPages\": 0.5",
+          "\"memoryPages\": -1"}) {
+        EXPECT_THROW(parseRequest(std::string("{\"op\": \"run\", "
+                                              "\"module\": \"m\", ") +
+                                  quota + "}"),
+                     BadRequest)
+            << quota;
+    }
+    Request big = parseRequest("{\"op\": \"run\", \"module\": \"m\", "
+                               "\"fuel\": 1e15, \"memoryPages\": 65536}");
+    EXPECT_EQ(big.fuel, 1000000000000000u);
+    EXPECT_EQ(big.memoryPages, 65536u);
 }
 
 // ---------------------------------------------------------------------

@@ -1,9 +1,10 @@
 /**
  * @file
  * Fuzz wiring for the instrumentation-invariant checker: random
- * programs, PolyBench kernels and the synthetic app are run through
- * the instrumenter under many hook subsets and the checker must come
- * back empty every time. This is the end-to-end guarantee behind
+ * programs (plain and call_indirect-heavy, before and after `wasabi
+ * opt`), PolyBench kernels and the synthetic app are run through the
+ * instrumenter under many hook subsets and the checker must come back
+ * empty every time. This is the end-to-end guarantee behind
  * `wasabi check` — any instrumenter regression that breaks one of the
  * paper's invariants (selective instrumentation, constant locations,
  * i64 splitting, side tables) trips these tests before it can skew a
@@ -12,10 +13,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/instrument.h"
 #include "static/analyze.h"
 #include "static/check.h"
-#include "static/passes/pipeline.h"
+#include "static/interproc/refined_call_graph.h"
+#include "static/rewrite/opt.h"
 #include "wasm/encoder.h"
 #include "wasm/validator.h"
 #include "workloads/polybench.h"
@@ -92,84 +96,88 @@ TEST_P(RandomProgramCheck, TwoBinaryPathAgreesWithMetadataPath)
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgramCheck,
                          ::testing::Range<uint64_t>(1, 11));
 
+/** Instrument @p m under every hook subset; the checker must accept
+ * each output. */
+void
+expectAllSubsetsClean(const Module &m, const std::string &what)
+{
+    for (const HookSet &hooks : hookSubsets())
+        expectClean(m, hooks, true, what);
+}
+
+/** Optimize @p m with @p passes; the result must re-prove from its
+ * JSON claim manifest. */
+rewrite::OptResult
+optimizeAndReprove(const Module &m, const std::vector<std::string> &passes,
+                   const std::string &what)
+{
+    rewrite::OptResult r = rewrite::optimize(m, passes);
+    rewrite::OptClaims parsed;
+    std::string error;
+    EXPECT_TRUE(rewrite::claimsFromManifest(
+        rewrite::claimsToManifest(r.claims), parsed, &error))
+        << what << ": " << error;
+    Diagnostics d = rewrite::checkOptimization(
+        m, wasm::encodeModule(r.module), parsed);
+    EXPECT_TRUE(d.empty()) << what << ":\n" << toString(d);
+    return r;
+}
+
 TEST_P(RandomProgramCheck, OptimizedInstrumentationChecksClean)
 {
-    // The analysis-guided optimizer must keep every invariant the
-    // checker knows about: each omitted hook is licensed by the plan
-    // embedded in the StaticInfo, and the checker re-proves each
-    // claim before honoring it.
+    // Instrumenting the output of `wasabi opt` must keep every
+    // invariant the checker knows about.
     workloads::RandomProgramOptions opts;
     opts.seed = GetParam();
     Module orig = workloads::randomProgram(opts).module;
     wasm::validateModule(orig);
 
-    core::HookOptimizationPlan plan = passes::computePlan(orig);
-    for (const HookSet &hooks : hookSubsets()) {
-        core::InstrumentOptions iopts;
-        iopts.plan = &plan;
-        InstrumentResult r = core::instrument(orig, hooks, iopts);
-        Diagnostics d = checkInstrumentation(*r.info, r.module);
-        EXPECT_TRUE(d.empty())
-            << "optimized, seed " << opts.seed << ", hooks "
-            << hooks.toString() << ":\n"
-            << toString(d);
-    }
+    Module optimized =
+        rewrite::optimize(orig, rewrite::allOptPasses()).module;
+    wasm::validateModule(optimized);
+    expectAllSubsetsClean(optimized, "optimized random seed " +
+                                         std::to_string(opts.seed));
 }
 
 TEST_P(RandomProgramCheck, ManifestRoundTripTwoBinaryChecksClean)
 {
-    // The CLI flow: `instrument --optimize-hooks --manifest-out=` then
-    // `check --manifest=`. The plan travels through its JSON manifest
-    // and the two-binary checker must accept every licensed omission.
+    // The CLI flow `opt --manifest-out=` then `check orig optimized
+    // --manifest=`: the claims travel through their JSON manifest and
+    // must re-prove against the two binaries.
     workloads::RandomProgramOptions opts;
     opts.seed = GetParam();
-    Module orig = workloads::randomProgram(opts).module;
-
-    core::HookOptimizationPlan plan = passes::computePlan(orig);
-    std::string error;
-    std::optional<core::HookOptimizationPlan> parsed =
-        passes::planFromManifest(passes::planToManifest(plan), &error);
-    ASSERT_TRUE(parsed.has_value()) << error;
-
-    core::InstrumentOptions iopts;
-    iopts.plan = &*parsed;
-    InstrumentResult r = core::instrument(orig, HookSet::all(), iopts);
-
-    CheckOptions copts;
-    copts.plan = *parsed;
-    Diagnostics d = checkInstrumentation(orig, r.module, copts);
-    EXPECT_TRUE(d.empty())
-        << "manifest round trip, seed " << opts.seed << ":\n"
-        << toString(d);
+    optimizeAndReprove(workloads::randomProgram(opts).module,
+                       rewrite::allOptPasses(),
+                       "random seed " + std::to_string(opts.seed));
 }
 
 TEST_P(RandomProgramCheck, OptimizedInstrumentationNeverGrows)
 {
+    // The removal-only passes delete code and never add any, so the
+    // optimized module instruments to at most the original's size,
+    // and strictly less once any claim applies.
     workloads::RandomProgramOptions opts;
     opts.seed = GetParam();
     Module orig = workloads::randomProgram(opts).module;
 
-    core::HookOptimizationPlan plan = passes::computePlan(orig);
+    rewrite::OptResult r = rewrite::optimize(
+        orig, {"dead-functions", "dead-stores", "empty-blocks"});
     const HookSet branch = {HookKind::If, HookKind::BrIf,
                             HookKind::BrTable, HookKind::Select};
-    InstrumentResult plain = core::instrument(orig, branch);
-    core::InstrumentOptions iopts;
-    iopts.plan = &plan;
-    InstrumentResult optimized = core::instrument(orig, branch, iopts);
-    size_t plain_size = wasm::encodeModule(plain.module).size();
-    size_t opt_size = wasm::encodeModule(optimized.module).size();
-    // Under a branch-hook-only config every plan claim can only
-    // remove code; a br_table -> br narrowing removes the index
-    // plumbing, so it shrinks the binary strictly.
+    size_t plain_size =
+        wasm::encodeModule(core::instrument(orig, branch).module).size();
+    size_t opt_size =
+        wasm::encodeModule(core::instrument(r.module, branch).module)
+            .size();
     EXPECT_LE(opt_size, plain_size) << "seed " << opts.seed;
-    if (!plan.constBrTableIndex.empty()) {
+    if (r.claims.totalClaims() != 0) {
         EXPECT_LT(opt_size, plain_size) << "seed " << opts.seed;
     }
 }
 
 /** Indirect-heavy generator config: extra call_indirect statements,
  * half of them with constant in-range indices — the shape the
- * interprocedural refinement narrows to direct-call hooks. */
+ * interprocedural refinement resolves to a unique target. */
 workloads::RandomProgramOptions
 indirectHeavyOptions(uint64_t seed)
 {
@@ -182,53 +190,36 @@ indirectHeavyOptions(uint64_t seed)
 
 class IndirectHeavyCheck : public ::testing::TestWithParam<uint64_t> {};
 
+/** The `opt` passes the refined call graph licenses. */
+const std::vector<std::string> kRefinedPasses = {"dead-functions",
+                                                 "call-indirect"};
+
 TEST_P(IndirectHeavyCheck, RefinedPlanChecksClean)
 {
-    // Plans over indirect-heavy modules include call_indirect ->
-    // direct-call narrowing claims; the checker must re-prove each via
-    // the refined call graph and accept the instrumenter's output.
+    // The refined call graph's narrowings reach instrumentation
+    // through `wasabi opt` (dead-function stripping, call_indirect ->
+    // call). The indirect-heavy module and its refined rewrite must
+    // both instrument cleanly under every hook subset.
+    const std::string what =
+        "indirect-heavy seed " + std::to_string(GetParam());
     Module orig =
         workloads::randomProgram(indirectHeavyOptions(GetParam())).module;
     wasm::validateModule(orig);
+    expectAllSubsetsClean(orig, what);
 
-    core::HookOptimizationPlan plan = passes::computePlan(orig);
-    for (const HookSet &hooks : hookSubsets()) {
-        core::InstrumentOptions iopts;
-        iopts.plan = &plan;
-        InstrumentResult r = core::instrument(orig, hooks, iopts);
-        Diagnostics d = checkInstrumentation(*r.info, r.module);
-        EXPECT_TRUE(d.empty())
-            << "indirect-heavy, seed " << GetParam() << ", hooks "
-            << hooks.toString() << ":\n"
-            << toString(d);
-    }
+    Module refined = rewrite::optimize(orig, kRefinedPasses).module;
+    wasm::validateModule(refined);
+    expectAllSubsetsClean(refined, what + ", refined");
 }
 
 TEST_P(IndirectHeavyCheck, RefinedManifestRoundTripChecksClean)
 {
-    // The narrowing claims must survive the JSON manifest and be
-    // re-proved by the two-binary checker (`check --manifest=`).
-    Module orig =
-        workloads::randomProgram(indirectHeavyOptions(GetParam())).module;
-
-    core::HookOptimizationPlan plan = passes::computePlan(orig);
-    std::string error;
-    std::optional<core::HookOptimizationPlan> parsed =
-        passes::planFromManifest(passes::planToManifest(plan), &error);
-    ASSERT_TRUE(parsed.has_value()) << error;
-    EXPECT_EQ(parsed->constCallTargets, plan.constCallTargets);
-
-    core::InstrumentOptions iopts;
-    iopts.plan = &*parsed;
-    InstrumentResult r = core::instrument(orig, HookSet::all(), iopts);
-
-    CheckOptions copts;
-    copts.plan = *parsed;
-    Diagnostics d = checkInstrumentation(orig, r.module, copts);
-    EXPECT_TRUE(d.empty())
-        << "indirect-heavy manifest round trip, seed " << GetParam()
-        << ":\n"
-        << toString(d);
+    // The refined rewrite's claims must survive their JSON manifest
+    // and re-prove against the two binaries (`check --manifest=`).
+    optimizeAndReprove(
+        workloads::randomProgram(indirectHeavyOptions(GetParam())).module,
+        kRefinedPasses,
+        "indirect-heavy seed " + std::to_string(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndirectHeavyCheck,
@@ -236,16 +227,21 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IndirectHeavyCheck,
 
 TEST(StaticFuzz, IndirectKnobsProduceNarrowableSites)
 {
-    // The knobs must actually exercise the narrowing path: across the
-    // seed range at least one plan carries a constant-target claim
-    // (otherwise the IndirectHeavy suites silently test nothing new).
-    size_t claims = 0;
+    // The knobs must actually exercise the refinement: across the
+    // seed range at least one call_indirect resolves to a unique
+    // target (otherwise the IndirectHeavy suites silently test
+    // nothing new).
+    size_t narrowable = 0;
     for (uint64_t seed = 1; seed <= 10; ++seed) {
-        core::HookOptimizationPlan plan = passes::computePlan(
+        interproc::RefinedCallGraph rcg(
             workloads::randomProgram(indirectHeavyOptions(seed)).module);
-        claims += plan.constCallTargets.size();
+        narrowable += std::count_if(
+            rcg.sites().begin(), rcg.sites().end(),
+            [](const interproc::CallSite &s) {
+                return s.kind == interproc::SiteKind::IndirectConst;
+            });
     }
-    EXPECT_GT(claims, 0u);
+    EXPECT_GT(narrowable, 0u);
 }
 
 TEST(StaticFuzz, PolybenchKernelsCheckClean)

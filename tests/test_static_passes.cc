@@ -1,22 +1,19 @@
 /**
  * @file
- * Unit tests of the static pass suite behind `wasabi lint` and the
- * `--optimize-hooks` instrumentation optimizer: constant propagation
- * over locals + operand stack, reachability (unreachable ranges and
- * dead functions), dead-store detection, branch-target refinement,
- * the lint driver's stable codes, plan computation (including the
- * else-soundness guard), the JSON optimization manifest round trip,
- * the checker's manifest claim re-verification, the backward dataflow
- * solver on looping CFGs, and DOT label escaping.
+ * Unit tests of the static pass suite behind `wasabi lint`: constant
+ * propagation over locals + operand stack, reachability (unreachable
+ * ranges and dead functions), dead-store detection, branch-target
+ * refinement, empty-block detection, the lint driver's stable codes,
+ * the backward dataflow solver on looping CFGs, and DOT label
+ * escaping.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/instrument.h"
+#include "core/static_info.h"
 #include "static/analyze.h"
 #include "static/call_graph.h"
 #include "static/cfg.h"
-#include "static/check.h"
 #include "static/dataflow.h"
 #include "static/dot_util.h"
 #include "static/passes/branch_refine.h"
@@ -30,9 +27,6 @@
 namespace wasabi::static_analysis::passes {
 namespace {
 
-using core::HookKind;
-using core::HookSet;
-using core::Location;
 using core::packLoc;
 using wasm::FuncType;
 using wasm::FunctionBuilder;
@@ -393,66 +387,7 @@ TEST(Lint, CleanModuleHasNoFindings)
     EXPECT_TRUE(d.empty()) << toString(d);
 }
 
-// ----- plan computation ----------------------------------------------
-
-TEST(Plan, SkipsCoverUnreachableCodeButNeverElse)
-{
-    // 0 local.get / 1 if / 2 br 0 / 3 else / 4 nop / 5 end / 6 end.
-    // The `else` instruction is CFG-unreachable (the then-region
-    // branches away), but its begin_else hook guards the live
-    // else-region, so the plan must not skip it.
-    Module m = singleFunction(FuncType({ValType::I32}, {}),
-                              [](FunctionBuilder &f) {
-                                  f.localGet(0).if_();
-                                  f.br(0);
-                                  f.else_();
-                                  f.nop();
-                                  f.end();
-                              });
-    core::HookOptimizationPlan plan = computePlan(m);
-    EXPECT_EQ(plan.skips.count(packLoc({0, 3})), 0u)
-        << "the else instruction must never be skipped";
-
-    // Optimized instrumentation still checks clean: the begin_else
-    // hook survives.
-    core::InstrumentOptions iopts;
-    iopts.plan = &plan;
-    core::InstrumentResult r =
-        core::instrument(m, HookSet::all(), iopts);
-    Diagnostics d = checkInstrumentation(*r.info, r.module);
-    EXPECT_TRUE(d.empty()) << toString(d);
-}
-
-TEST(Plan, DeadFunctionSubsumesItsSites)
-{
-    ModuleBuilder mb;
-    mb.addFunction(FuncType({}, {}), "main",
-                   [](FunctionBuilder &f) { f.nop(); });
-    mb.addFunction(FuncType({}, {}), "", [](FunctionBuilder &f) {
-        f.block();
-        f.br(0);
-        f.nop();
-        f.end();
-    });
-    Module m = mb.build();
-    validateModule(m);
-
-    core::HookOptimizationPlan plan = computePlan(m);
-    EXPECT_EQ(plan.deadFunctions,
-              (std::unordered_set<uint32_t>{1}));
-    // Per-site claims inside the dead function are subsumed.
-    for (uint64_t packed : plan.skips)
-        EXPECT_NE(static_cast<uint32_t>(packed >> 32), 1u);
-
-    core::InstrumentOptions iopts;
-    iopts.plan = &plan;
-    core::InstrumentResult r =
-        core::instrument(m, HookSet::all(), iopts);
-    Diagnostics d = checkInstrumentation(*r.info, r.module);
-    EXPECT_TRUE(d.empty()) << toString(d);
-}
-
-TEST(Plan, EmptyBlockPairsAreElided)
+TEST(Lint, EmptyBlockPairsAreReported)
 {
     Module m = singleFunction(FuncType({}, {}), [](FunctionBuilder &f) {
         f.block().end(); // 0,1
@@ -462,205 +397,8 @@ TEST(Plan, EmptyBlockPairsAreElided)
     EXPECT_EQ(emptyBlockPairs(m, 0),
               (std::vector<std::pair<uint32_t, uint32_t>>{{0, 1},
                                                           {2, 3}}));
-    core::HookOptimizationPlan plan = computePlan(m);
-    EXPECT_EQ(plan.elidedBegins.count(packLoc({0, 0})), 1u);
-    EXPECT_EQ(plan.elidedEnds.count(packLoc({0, 1})), 1u);
-    EXPECT_EQ(plan.elidedBegins.count(packLoc({0, 2})), 1u);
-
-    core::InstrumentOptions iopts;
-    iopts.plan = &plan;
-    core::InstrumentResult r = core::instrument(
-        m, HookSet{HookKind::Begin, HookKind::End}, iopts);
-    Diagnostics d = checkInstrumentation(*r.info, r.module);
-    EXPECT_TRUE(d.empty()) << toString(d);
-}
-
-// ----- manifest round trip -------------------------------------------
-
-TEST(Manifest, RoundTripPreservesEveryClaim)
-{
-    core::HookOptimizationPlan plan;
-    plan.skips = {packLoc({0, 7}), packLoc({3, 1})};
-    plan.deadFunctions = {5};
-    plan.constBrTableIndex[packLoc({2, 9})] = 4;
-    plan.elidedBegins = {packLoc({1, 0})};
-    plan.elidedEnds = {packLoc({1, 1})};
-
-    std::string text = planToManifest(plan);
-    std::string error;
-    std::optional<core::HookOptimizationPlan> parsed =
-        planFromManifest(text, &error);
-    ASSERT_TRUE(parsed.has_value()) << error;
-    EXPECT_EQ(parsed->skips, plan.skips);
-    EXPECT_EQ(parsed->deadFunctions, plan.deadFunctions);
-    EXPECT_EQ(parsed->constBrTableIndex, plan.constBrTableIndex);
-    EXPECT_EQ(parsed->elidedBegins, plan.elidedBegins);
-    EXPECT_EQ(parsed->elidedEnds, plan.elidedEnds);
-}
-
-TEST(Manifest, EmptyPlanRoundTrips)
-{
-    core::HookOptimizationPlan plan;
-    std::string error;
-    std::optional<core::HookOptimizationPlan> parsed =
-        planFromManifest(planToManifest(plan), &error);
-    ASSERT_TRUE(parsed.has_value()) << error;
-    EXPECT_TRUE(parsed->empty());
-}
-
-TEST(Manifest, MalformedInputIsRejectedWithAnError)
-{
-    const char *bad[] = {
-        "",
-        "{",
-        "[]",
-        "{\"version\": 2, \"skips\": []}",          // wrong version
-        "{\"version\": 1, \"bogus\": []}",          // unknown field
-        // Mentions the opt schema only in a value: still a plan.
-        "{\"version\": 1, \"skips\": [], \"note\": \"wasabi-opt-manifest\"}",
-        "{\"version\": 1, \"skips\": [[1]]}",       // wrong row width
-        "{\"version\": 1, \"skips\": [[1, -2]]}",   // negative
-        "{\"version\": 1, \"elidedBlocks\": [[0, 4, 9]]}", // not begin+1
-        "{\"version\": 1, \"elidedBlocks\": [[0, 4294967295, 0]]}", // wraps
-        // Numbers must be integers in [0, 2^32-1], never rounded.
-        "{\"version\": 1, \"deadFunctions\": [-1]}",
-        "{\"version\": 1, \"deadFunctions\": [1.5]}",
-        "{\"version\": 1, \"deadFunctions\": [4294967296]}",
-        "{\"version\": 1, \"skips\": [[0, 1.5]]}",
-        "{\"version\": 1, \"brTableToBr\": [[0, 1, 4294967296]]}",
-        "{\"version\": 1.5, \"skips\": []}",
-        "{\"version\": 1, \"skips\": {}}",        // not an array
-        "{\"version\": 1, \"schema\": \"x\"}",     // plans have none
-    };
-    for (const char *text : bad) {
-        std::string error;
-        EXPECT_FALSE(planFromManifest(text, &error).has_value())
-            << text;
-        EXPECT_FALSE(error.empty()) << text;
-    }
-}
-
-TEST(Manifest, DuplicateKeyIsRejected)
-{
-    core::HookOptimizationPlan plan;
-    plan.skips = {packLoc({0, 7})};
-    std::string text = planToManifest(plan);
-    std::string error;
-    ASSERT_TRUE(planFromManifest(text, &error).has_value()) << error;
-    for (const char *dup : {"\"skips\": [[1, 2]], ", "\"version\": 1, ",
-                            "\"deadFunctions\": [], "}) {
-        std::string bad = text;
-        bad.insert(bad.find('{') + 1, dup);
-        EXPECT_FALSE(planFromManifest(bad, &error).has_value()) << bad;
-        EXPECT_NE(error.find("duplicate"), std::string::npos) << error;
-    }
-}
-
-// ----- checker re-verification of manifest claims --------------------
-
-Module
-planVictim()
-{
-    // 0 local.get / 1 if / 2 br 0 / 3 else / 4 nop / 5 end /
-    // 6 block / 7 const 0 / 8 br_table 0 d0 / 9 nop / 10 end / 11 end
-    return singleFunction(FuncType({ValType::I32}, {}),
-                          [](FunctionBuilder &f) {
-                              f.localGet(0).if_();
-                              f.br(0);
-                              f.else_();
-                              f.nop();
-                              f.end();
-                              f.block();
-                              f.i32Const(0).brTable({0}, 0);
-                              f.nop();
-                              f.end();
-                          });
-}
-
-Diagnostics
-checkWithPlan(const Module &m, const core::HookOptimizationPlan &plan)
-{
-    core::InstrumentOptions iopts;
-    iopts.plan = &plan;
-    core::InstrumentResult r =
-        core::instrument(m, HookSet::all(), iopts);
-    return checkInstrumentation(*r.info, r.module);
-}
-
-TEST(ManifestCheck, BogusSkipClaimsAreRejected)
-{
-    Module m = planVictim();
-    core::HookOptimizationPlan plan;
-    plan.skips.insert(packLoc({0, 4})); // the live nop
-    EXPECT_TRUE(checkWithPlan(m, plan).hasCode(
-        "check.manifest.bad-skip"));
-
-    core::HookOptimizationPlan else_plan;
-    else_plan.skips.insert(packLoc({0, 3})); // the else: unsound
-    EXPECT_TRUE(checkWithPlan(m, else_plan)
-                    .hasCode("check.manifest.bad-skip"));
-}
-
-TEST(ManifestCheck, BogusDeadFunctionClaimIsRejected)
-{
-    Module m = planVictim(); // exported -> a call-graph root
-    core::HookOptimizationPlan plan;
-    plan.deadFunctions.insert(0);
-    EXPECT_TRUE(checkWithPlan(m, plan).hasCode(
-        "check.manifest.bad-dead-function"));
-}
-
-TEST(ManifestCheck, BogusConstIndexClaimIsRejected)
-{
-    Module m = planVictim();
-    core::HookOptimizationPlan plan;
-    plan.constBrTableIndex[packLoc({0, 8})] = 1; // actual index is 0
-    EXPECT_TRUE(checkWithPlan(m, plan).hasCode(
-        "check.manifest.bad-const-index"));
-
-    core::HookOptimizationPlan misplaced;
-    misplaced.constBrTableIndex[packLoc({0, 4})] = 0; // a nop
-    EXPECT_TRUE(checkWithPlan(m, misplaced)
-                    .hasCode("check.manifest.bad-const-index"));
-}
-
-TEST(ManifestCheck, BogusElideClaimIsRejected)
-{
-    Module m = planVictim();
-    core::HookOptimizationPlan plan;
-    plan.elidedBegins.insert(packLoc({0, 6})); // block is not empty
-    plan.elidedEnds.insert(packLoc({0, 7}));
-    EXPECT_TRUE(checkWithPlan(m, plan).hasCode(
-        "check.manifest.bad-elide"));
-
-    core::HookOptimizationPlan unpaired;
-    unpaired.elidedEnds.insert(packLoc({0, 10}));
-    EXPECT_TRUE(checkWithPlan(m, unpaired)
-                    .hasCode("check.manifest.bad-elide"));
-}
-
-TEST(ManifestCheck, ValidClaimsAcceptedViaCheckOptions)
-{
-    Module m = planVictim();
-    core::HookOptimizationPlan plan = computePlan(m);
-    EXPECT_FALSE(plan.empty());
-
-    core::InstrumentOptions iopts;
-    iopts.plan = &plan;
-    core::InstrumentResult r =
-        core::instrument(m, HookSet::all(), iopts);
-
-    // Two-binary path, plan via CheckOptions (the --manifest= flow).
-    CheckOptions copts;
-    copts.plan = plan;
-    Diagnostics d = checkInstrumentation(m, r.module, copts);
-    EXPECT_TRUE(d.empty()) << toString(d);
-
-    // Without the manifest, the same binary fails completeness: the
-    // omissions are only licensed when the plan says so.
-    Diagnostics without = checkInstrumentation(m, r.module);
-    EXPECT_TRUE(without.hasCode("check.selective.missing-hook"))
-        << toString(without);
+    Diagnostics d = lintModule(m);
+    EXPECT_TRUE(d.hasCode(kLintEmptyBlock)) << toString(d);
 }
 
 // ----- DOT label escaping --------------------------------------------

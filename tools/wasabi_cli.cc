@@ -8,7 +8,6 @@
  *   wasabi dump      <in.wasm>
  *   wasabi instrument <in.wasm> <out.wasm> [--hooks=h1,h2|all]
  *                     [--threads=N] [--no-split-i64]
- *                     [--optimize-hooks] [--manifest-out=FILE]
  *   wasabi run       <in.wasm> [--entry=name] [--analysis=NAME]
  *                     [--arg=i32:N ...]
  *   wasabi gen       <polybench:NAME[:N] | random:SEED | app:SIZE>
@@ -39,7 +38,8 @@
  * Analyses: mix, blocks, icov, branch, callgraph, taint, miner, mem.
  *
  * Exit codes: 0 success / no findings, 1 runtime error or invalid
- * module, 2 usage error, 3 `check`/`lint` found findings.
+ * module, 2 usage error (including an unknown `--option`), 3
+ * `check`/`lint` found findings.
  */
 
 #include <algorithm>
@@ -96,6 +96,16 @@ namespace {
 struct UsageError : std::runtime_error {
     using std::runtime_error::runtime_error;
 };
+
+/** An argument no option of @p cmd matched: a `--`-prefixed one is a
+ * misspelled or retired option, never a path. */
+void
+rejectUnknownOption(const char *cmd, const std::string &a)
+{
+    if (a.rfind("--", 0) == 0)
+        throw UsageError(std::string(cmd) + ": unknown option '" + a +
+                         "'");
+}
 
 // Thin wrappers over the checked I/O layer (support/file_io.h), kept
 // so the many call sites below read unchanged. Every write verifies
@@ -215,9 +225,8 @@ cmdDump(const std::string &path)
 int
 cmdInstrument(const std::vector<std::string> &args)
 {
-    std::string in_path, out_path, hooks = "all", manifest_out;
-    std::string profile_out;
-    bool optimize = false, profile = false;
+    std::string in_path, out_path, hooks = "all", profile_out;
+    bool profile = false;
     core::InstrumentOptions opts;
     for (const std::string &a : args) {
         if (a.rfind("--hooks=", 0) == 0)
@@ -227,37 +236,25 @@ cmdInstrument(const std::vector<std::string> &args)
                 static_cast<unsigned>(std::stoul(a.substr(10)));
         else if (a == "--no-split-i64")
             opts.splitI64 = false;
-        else if (a == "--optimize-hooks")
-            optimize = true;
-        else if (a.rfind("--manifest-out=", 0) == 0)
-            manifest_out = a.substr(15);
         else if (a == "--profile")
             profile = true;
         else if (a.rfind("--profile-out=", 0) == 0)
             profile_out = a.substr(14);
-        else if (in_path.empty())
-            in_path = a;
-        else
-            out_path = a;
+        else {
+            rejectUnknownOption("instrument", a);
+            if (in_path.empty())
+                in_path = a;
+            else
+                out_path = a;
+        }
     }
     if (in_path.empty() || out_path.empty())
         throw UsageError("usage: instrument <in> <out> [opts]");
-    if (!manifest_out.empty() && !optimize)
-        throw UsageError(
-            "--manifest-out requires --optimize-hooks");
     obs::ProfileCollector collector(profile || !profile_out.empty());
     wasm::Module m = [&] {
         obs::ProfileCollector::ScopedPhase p(&collector, "decode");
         return loadModule(in_path);
     }();
-    core::HookOptimizationPlan plan;
-    if (optimize) {
-        if (auto err = wasm::validationError(m))
-            throw std::runtime_error(
-                "--optimize-hooks needs a valid module: " + *err);
-        plan = static_analysis::passes::computePlan(m);
-        opts.plan = &plan;
-    }
     core::InstrumentResult r = [&] {
         obs::ProfileCollector::ScopedPhase p(&collector, "instrument");
         return core::instrument(m, parseHooks(hooks), opts);
@@ -275,22 +272,6 @@ cmdInstrument(const std::vector<std::string> &args)
     std::printf("  size: %zu -> %zu bytes (%.1f%%)\n",
                 readFile(in_path).size(), out.size(),
                 100.0 * out.size() / readFile(in_path).size());
-    if (optimize) {
-        std::printf("  optimization plan: %zu skips, %zu dead "
-                    "functions, %zu narrowed br_tables, %zu narrowed "
-                    "call_indirects, %zu elided blocks\n",
-                    plan.skips.size(), plan.deadFunctions.size(),
-                    plan.constBrTableIndex.size(),
-                    plan.constCallTargets.size(),
-                    plan.elidedBegins.size());
-        if (!manifest_out.empty()) {
-            writeTextFile(manifest_out,
-                          static_analysis::passes::planToManifest(plan));
-            std::printf("  manifest: %s (verify with `wasabi check "
-                        "--manifest=%s`)\n",
-                        manifest_out.c_str(), manifest_out.c_str());
-        }
-    }
     if (!profile_out.empty())
         writeTextFile(profile_out, collector.toJson());
     else if (profile)
@@ -392,6 +373,7 @@ cmdRun(const std::vector<std::string> &args)
             call_args.push_back(
                 wasm::Value::makeF64(std::stod(a.substr(10))));
         } else {
+            rejectUnknownOption("run", a);
             path = a;
         }
     }
@@ -507,8 +489,10 @@ cmdProfile(const std::vector<std::string> &args)
         else if (a.rfind("--arg=f64:", 0) == 0)
             call_args.push_back(
                 wasm::Value::makeF64(std::stod(a.substr(10))));
-        else
+        else {
+            rejectUnknownOption("profile", a);
             path = a;
+        }
     }
 
     // Validation mode: check an existing profile JSON against the
@@ -933,10 +917,13 @@ cmdCheck(const std::vector<std::string> &args)
             manifest_path = a.substr(11);
         else if (a == "--json")
             json = true;
-        else if (orig_path.empty())
-            orig_path = a;
-        else
-            instr_path = a;
+        else {
+            rejectUnknownOption("check", a);
+            if (orig_path.empty())
+                orig_path = a;
+            else
+                instr_path = a;
+        }
     }
     if (orig_path.empty())
         throw UsageError(
@@ -946,19 +933,17 @@ cmdCheck(const std::vector<std::string> &args)
     // Parse the manifest once and route it on its top-level schema.
     using static_analysis::ManifestKind;
     std::optional<json::Value> manifest;
-    ManifestKind kind = ManifestKind::Plan;
+    std::optional<ManifestKind> kind;
     if (!manifest_path.empty()) {
         std::vector<uint8_t> bytes = readFile(manifest_path);
         std::string error;
         manifest = json::parse(std::string(bytes.begin(), bytes.end()),
                                &error);
-        std::optional<ManifestKind> routed =
-            manifest ? static_analysis::manifestKind(*manifest, &error)
-                     : std::nullopt;
-        if (!routed)
+        kind = manifest ? static_analysis::manifestKind(*manifest, &error)
+                        : std::nullopt;
+        if (!kind)
             throw std::runtime_error("malformed manifest " +
                                      manifest_path + ": " + error);
-        kind = *routed;
     }
     // Only a range manifest is checked against the original alone.
     if ((kind == ManifestKind::Range) != instr_path.empty())
@@ -967,9 +952,16 @@ cmdCheck(const std::vector<std::string> &args)
                 ? "usage: check <orig.wasm> --manifest=<range-manifest> "
                   "[--json]"
                 : "usage: check <orig.wasm> <instrumented.wasm> [opts]");
+    if (!kind) {
+        wasm::Module orig = loadModule(orig_path);
+        wasm::Module instr = loadModule(instr_path);
+        return reportFindings(
+            static_analysis::checkInstrumentation(orig, instr, opts), json,
+            "OK: all instrumentation invariants hold");
+    }
     static_analysis::Diagnostics diags;
     std::string ok_line;
-    switch (kind) {
+    switch (*kind) {
       case ManifestKind::Range: {
         // Range-claim manifest: there is no second binary, the claims
         // license engine bounds-check elision on the original itself.
@@ -1000,21 +992,6 @@ cmdCheck(const std::vector<std::string> &args)
                   "byte-identical to replay";
         break;
       }
-      case ManifestKind::Plan: {
-        if (manifest) {
-            std::string error;
-            opts.plan = static_analysis::passes::planFromManifest(
-                *manifest, &error);
-            if (!opts.plan)
-                throw std::runtime_error("malformed manifest " +
-                                         manifest_path + ": " + error);
-        }
-        wasm::Module orig = loadModule(orig_path);
-        wasm::Module instr = loadModule(instr_path);
-        diags = static_analysis::checkInstrumentation(orig, instr, opts);
-        ok_line = "OK: all instrumentation invariants hold";
-        break;
-      }
     }
     return reportFindings(diags, json, ok_line);
 }
@@ -1027,8 +1004,10 @@ cmdLint(const std::vector<std::string> &args)
     for (const std::string &a : args) {
         if (a == "--json")
             json = true;
-        else
+        else {
+            rejectUnknownOption("lint", a);
             path = a;
+        }
     }
     if (path.empty())
         throw UsageError("usage: lint <in.wasm> [--json]");
@@ -1062,8 +1041,10 @@ cmdAnalyze(const std::vector<std::string> &args)
             threads = static_cast<unsigned>(std::stoul(a.substr(10)));
         else if (a.rfind("--dot=", 0) == 0)
             dot = a.substr(6);
-        else
+        else {
+            rejectUnknownOption("analyze", a);
             path = a;
+        }
     }
     if (path.empty())
         throw UsageError("usage: analyze <in.wasm> [opts]");
@@ -1263,7 +1244,6 @@ printUsage(std::FILE *to)
         "  dump       <in.wasm>\n"
         "  instrument <in.wasm> <out.wasm> [--hooks=h1,h2|all]\n"
         "             [--threads=N] [--no-split-i64]\n"
-        "             [--optimize-hooks] [--manifest-out=FILE]\n"
         "  run        <in.wasm> [--entry=NAME] [--analysis=mix|blocks|\n"
         "             icov|branch|callgraph|taint|miner|mem]\n"
         "             [--arg=i32:N] [--arg=i64:N] [--arg=f64:X]\n"
@@ -1338,17 +1318,7 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
             "  --threads=N         parallel per-function\n"
             "                      instrumentation\n"
             "  --no-split-i64      pass i64 hook operands directly\n"
-            "                      instead of as (low, high) i32 pairs\n"
-            "  --optimize-hooks    run the static pass suite first and\n"
-            "                      skip hooks in provably-unreachable\n"
-            "                      code, narrow constant-index\n"
-            "                      br_table hooks to plain br hooks,\n"
-            "                      and elide begin/end pairs of empty\n"
-            "                      blocks\n"
-            "  --manifest-out=FILE write the JSON optimization\n"
-            "                      manifest describing every licensed\n"
-            "                      omission (feed it to `wasabi check\n"
-            "                      --manifest=FILE`)\n",
+            "                      instead of as (low, high) i32 pairs\n",
             to);
     } else if (cmd == "run") {
         std::fputs(
@@ -1463,21 +1433,18 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
             "  --import-module=NAME hook import module (default\n"
             "                       `wasabi`)\n"
             "  --no-side-tables     skip side-table re-derivation\n"
-            "  --manifest=FILE      optimization manifest emitted by\n"
-            "                       `instrument --optimize-hooks\n"
-            "                       --manifest-out=`; every claimed\n"
-            "                       omission is re-proved against the\n"
-            "                       original module before it exempts\n"
-            "                       a site from completeness. The\n"
-            "                       top-level \"schema\" routes the\n"
-            "                       file: a `wasabi opt` manifest goes\n"
-            "                       to the optimization checker\n"
-            "                       (check.opt.* findings); a range\n"
-            "                       manifest (`analyze --ranges\n"
-            "                       --manifest-out=`) needs only the\n"
-            "                       original module and re-proves\n"
-            "                       every in-bounds claim\n"
-            "                       (check.range.* findings)\n"
+            "  --manifest=FILE      a claim manifest instead of an\n"
+            "                       instrumentation check; its\n"
+            "                       top-level \"schema\" routes it: a\n"
+            "                       `wasabi opt` manifest goes to the\n"
+            "                       optimization checker (check.opt.*\n"
+            "                       findings); a range manifest\n"
+            "                       (`analyze --ranges --manifest-out=`)\n"
+            "                       needs only the original module and\n"
+            "                       re-proves every in-bounds claim\n"
+            "                       (check.range.* findings); a\n"
+            "                       manifest without a schema is an\n"
+            "                       error\n"
             "  --json               machine-readable findings\n",
             to);
     } else if (cmd == "lint") {
