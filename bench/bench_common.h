@@ -15,6 +15,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "obs/profile.h"
 #include "runtime/runtime.h"
 #include "support/file_io.h"
+#include "support/json.h"
 #include "wasm/encoder.h"
 #include "wasm/validator.h"
 #include "workloads/polybench.h"
@@ -152,6 +154,22 @@ writeBenchProfileJson(
     // Checked write: a full disk must fail the bench, not silently
     // truncate the pinned artifact (support::IoError, exit non-zero).
     support::writeTextFile(path, j);
+}
+
+/** The host a bench ran on, as a raw JSON object: hardware threads,
+ * the CMake build type the bench was compiled with, and @p commit
+ * (the revision the caller says it built; "unknown" if not given). */
+inline std::string
+hostJson(const std::string &commit)
+{
+#ifndef WASABI_BUILD_TYPE
+#define WASABI_BUILD_TYPE "unknown"
+#endif
+    return "{\"cores\": " +
+           std::to_string(std::thread::hardware_concurrency()) +
+           ", \"buildType\": \"" + WASABI_BUILD_TYPE +
+           "\", \"commit\": \"" +
+           json::escape(commit.empty() ? "unknown" : commit) + "\"}";
 }
 
 /** Geometric mean. */

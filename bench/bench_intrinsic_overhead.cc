@@ -128,10 +128,13 @@ main(int argc, char **argv)
 {
     std::vector<std::string> positional;
     std::string json_out;
+    std::string commit;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         if (a.rfind("--json=", 0) == 0)
             json_out = a.substr(7);
+        else if (a.rfind("--commit=", 0) == 0)
+            commit = a.substr(9);
         else
             positional.push_back(a);
     }
@@ -251,7 +254,8 @@ main(int argc, char **argv)
                       in_all);
         writeBenchProfileJson(
             json_out, "intrinsic_overhead",
-            {{"n", std::to_string(n)},
+            {{"host", hostJson(commit)},
+             {"n", std::to_string(n)},
              {"polybenchKernels", std::to_string(poly_count)},
              {"extraWorkloads",
               "[\"pspdfkit-like\", \"call-heavy\"]"},

@@ -6,12 +6,23 @@
 
 namespace wasabi::analyses {
 
+const std::map<BasicBlockProfile::Key, uint64_t> &
+BasicBlockProfile::counts() const
+{
+    if (orderedEvents_ != events_) {
+        ordered_ = std::map<Key, uint64_t>(counts_.begin(), counts_.end());
+        orderedEvents_ = events_;
+    }
+    return ordered_;
+}
+
 std::string
 BasicBlockProfile::report(size_t top_n) const
 {
-    using Entry = std::pair<std::pair<uint64_t, runtime::BlockKind>,
-                            uint64_t>;
-    std::vector<Entry> sorted(counts_.begin(), counts_.end());
+    // Sorted from the key-ordered map: std::sort is unstable, so the
+    // report's order among equal counts depends on its input order.
+    using Entry = std::pair<Key, uint64_t>;
+    std::vector<Entry> sorted(counts().begin(), counts().end());
     std::sort(sorted.begin(), sorted.end(),
               [](const Entry &a, const Entry &b) {
                   return a.second > b.second;

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
 
 #include "runtime/analysis.h"
 
@@ -19,6 +20,8 @@ namespace wasabi::analyses {
 /** Per-block execution counter keyed by (location, block kind). */
 class BasicBlockProfile final : public runtime::Analysis {
   public:
+    using Key = std::pair<uint64_t, runtime::BlockKind>;
+
     runtime::HookSet
     hooks() const override
     {
@@ -29,6 +32,7 @@ class BasicBlockProfile final : public runtime::Analysis {
     onBegin(runtime::Location loc, runtime::BlockKind kind) override
     {
         ++counts_[{core::packLoc(loc), kind}];
+        ++events_;
     }
 
     /** Execution count of the block beginning at @p loc. */
@@ -45,14 +49,25 @@ class BasicBlockProfile final : public runtime::Analysis {
     /** The hottest blocks, formatted one per line. */
     std::string report(size_t top_n = 10) const;
 
-    const std::map<std::pair<uint64_t, runtime::BlockKind>, uint64_t> &
-    counts() const
-    {
-        return counts_;
-    }
+    /** All counts, key-ordered (built from the hash map when read
+     * after new events). */
+    const std::map<Key, uint64_t> &counts() const;
 
   private:
-    std::map<std::pair<uint64_t, runtime::BlockKind>, uint64_t> counts_;
+    struct KeyHash {
+        size_t
+        operator()(const Key &k) const
+        {
+            return std::hash<uint64_t>()(k.first * 8 +
+                                         static_cast<uint64_t>(k.second));
+        }
+    };
+
+    std::unordered_map<Key, uint64_t, KeyHash> counts_;
+    uint64_t events_ = 0;
+    /** counts() cache, current while orderedEvents_ == events_. */
+    mutable std::map<Key, uint64_t> ordered_;
+    mutable uint64_t orderedEvents_ = 0;
 };
 
 } // namespace wasabi::analyses

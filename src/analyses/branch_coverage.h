@@ -11,6 +11,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 
 #include "runtime/analysis.h"
 
@@ -55,17 +56,18 @@ class BranchCoverage final : public runtime::Analysis {
         addBranch(loc, condition ? 1 : 0);
     }
 
-    /** Decisions observed at @p loc (empty set if never executed). */
+    /** Decisions observed at @p loc (empty set if never executed).
+     * The reference stays valid until the next hook event. */
     const std::set<int> &
     branches(runtime::Location loc) const
     {
         static const std::set<int> empty;
-        auto it = coverage_.find(core::packLoc(loc));
-        return it == coverage_.end() ? empty : it->second;
+        auto it = coverage().find(core::packLoc(loc));
+        return it == coverage().end() ? empty : it->second;
     }
 
     /** Number of branch sites executed at least once. */
-    size_t sites() const { return coverage_.size(); }
+    size_t sites() const { return sites_.size(); }
 
     /** Sites where only one of both two-way outcomes was seen. */
     size_t partiallyCoveredTwoWaySites() const;
@@ -73,13 +75,34 @@ class BranchCoverage final : public runtime::Analysis {
     std::string report() const;
 
   private:
+    /** The decisions seen at one site: 0 and 1 (the two-way outcomes
+     * of if, br_if and select) as bits, any other br_table index in
+     * a set. */
+    struct Decisions {
+        uint8_t twoWay = 0;
+        std::set<int> other;
+    };
+
     void
     addBranch(runtime::Location loc, int decision)
     {
-        coverage_[core::packLoc(loc)].insert(decision);
+        Decisions &d = sites_[core::packLoc(loc)];
+        if (decision == 0 || decision == 1)
+            d.twoWay |= static_cast<uint8_t>(1u << decision);
+        else
+            d.other.insert(decision);
+        ++events_;
     }
 
-    std::map<uint64_t, std::set<int>> coverage_;
+    /** Per-site decision sets, key-ordered (built from the hash map
+     * when read after new events). */
+    const std::map<uint64_t, std::set<int>> &coverage() const;
+
+    std::unordered_map<uint64_t, Decisions> sites_;
+    uint64_t events_ = 0;
+    /** coverage() cache, current while coverageEvents_ == events_. */
+    mutable std::map<uint64_t, std::set<int>> coverage_;
+    mutable uint64_t coverageEvents_ = 0;
 };
 
 } // namespace wasabi::analyses

@@ -9,6 +9,7 @@
 #ifndef WASABI_ANALYSES_CRYPTOMINER_H
 #define WASABI_ANALYSES_CRYPTOMINER_H
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -31,26 +32,24 @@ class CryptominerDetector final : public runtime::Analysis {
              wasm::Value) override
     {
         ++total_;
-        switch (op) {
-          case wasm::Opcode::I32Add:
-          case wasm::Opcode::I32And:
-          case wasm::Opcode::I32Shl:
-          case wasm::Opcode::I32ShrU:
-          case wasm::Opcode::I32Xor:
-          case wasm::Opcode::I32Rotl:
-          case wasm::Opcode::I32Rotr:
-            ++signature_[wasm::name(op)];
+        if (isSignatureOp(op)) {
+            ++byOpcode_[static_cast<uint8_t>(op)];
             ++signatureTotal_;
-            break;
-          default:
-            break;
         }
     }
 
-    /** Per-mnemonic signature counts (cf. Figure 1's `signature`). */
-    const std::map<std::string, uint64_t> &signature() const
+    /** Per-mnemonic signature counts (cf. Figure 1's `signature`),
+     * built from the per-opcode counters when read. */
+    std::map<std::string, uint64_t>
+    signature() const
     {
-        return signature_;
+        std::map<std::string, uint64_t> out;
+        for (size_t op = 0; op < byOpcode_.size(); ++op) {
+            if (byOpcode_[op] != 0)
+                out[wasm::name(static_cast<wasm::Opcode>(op))] =
+                    byOpcode_[op];
+        }
+        return out;
     }
 
     uint64_t totalBinaryOps() const { return total_; }
@@ -73,17 +72,34 @@ class CryptominerDetector final : public runtime::Analysis {
     {
         if (total_ < 1000)
             return false; // too little evidence
-        auto count = [this](const char *n) {
-            auto it = signature_.find(n);
-            return it == signature_.end() ? uint64_t(0) : it->second;
-        };
         double xor_ratio =
-            static_cast<double>(count("i32.xor")) / total_;
+            static_cast<double>(
+                byOpcode_[static_cast<uint8_t>(wasm::Opcode::I32Xor)]) /
+            total_;
         return signatureRatio() > 0.8 && xor_ratio > 0.15;
     }
 
   private:
-    std::map<std::string, uint64_t> signature_;
+    /** The mining signature: 32-bit add, bitwise, shift and rotate. */
+    static bool
+    isSignatureOp(wasm::Opcode op)
+    {
+        switch (op) {
+          case wasm::Opcode::I32Add:
+          case wasm::Opcode::I32And:
+          case wasm::Opcode::I32Shl:
+          case wasm::Opcode::I32ShrU:
+          case wasm::Opcode::I32Xor:
+          case wasm::Opcode::I32Rotl:
+          case wasm::Opcode::I32Rotr:
+            return true;
+          default:
+            return false;
+        }
+    }
+
+    /** Signature counts by opcode. */
+    std::array<uint64_t, 256> byOpcode_{};
     uint64_t signatureTotal_ = 0;
     uint64_t total_ = 0;
 };

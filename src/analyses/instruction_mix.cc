@@ -9,6 +9,7 @@ namespace wasabi::analyses {
 using runtime::HookKind;
 using runtime::HookSet;
 using runtime::Location;
+using wasm::Opcode;
 
 HookSet
 InstructionMix::hooks() const
@@ -16,101 +17,120 @@ InstructionMix::hooks() const
     return HookSet::all();
 }
 
-void InstructionMix::onStart(Location) { bump("start"); }
-void InstructionMix::onNop(Location) { bump("nop"); }
-void InstructionMix::onUnreachable(Location) { bump("unreachable"); }
-void InstructionMix::onIf(Location, bool) { bump("if"); }
-void InstructionMix::onBr(Location, runtime::BranchTarget) { bump("br"); }
+void
+InstructionMix::onStart(Location)
+{
+    ++starts_;
+    ++total_;
+}
+void InstructionMix::onNop(Location) { bump(Opcode::Nop); }
+void InstructionMix::onUnreachable(Location) { bump(Opcode::Unreachable); }
+void InstructionMix::onIf(Location, bool) { bump(Opcode::If); }
+void InstructionMix::onBr(Location, runtime::BranchTarget) { bump(Opcode::Br); }
 void
 InstructionMix::onBrIf(Location, runtime::BranchTarget, bool)
 {
-    bump("br_if");
+    bump(Opcode::BrIf);
 }
 void
 InstructionMix::onBrTable(Location, std::span<const runtime::BranchTarget>,
                           runtime::BranchTarget, uint32_t)
 {
-    bump("br_table");
+    bump(Opcode::BrTable);
 }
 void
 InstructionMix::onBegin(Location, runtime::BlockKind kind)
 {
     // Block entries stand in for the block/loop instructions.
     if (kind == runtime::BlockKind::Block)
-        bump("block");
+        bump(Opcode::Block);
     else if (kind == runtime::BlockKind::Loop)
-        bump("loop");
+        bump(Opcode::Loop);
+}
+void InstructionMix::onConst(Location, Opcode op, wasm::Value) { bump(op); }
+void
+InstructionMix::onUnary(Location, Opcode op, wasm::Value, wasm::Value)
+{
+    bump(op);
 }
 void
-InstructionMix::onConst(Location, wasm::Opcode op, wasm::Value)
+InstructionMix::onBinary(Location, Opcode op, wasm::Value, wasm::Value,
+                         wasm::Value)
 {
-    bump(wasm::name(op));
+    bump(op);
 }
-void
-InstructionMix::onUnary(Location, wasm::Opcode op, wasm::Value, wasm::Value)
-{
-    bump(wasm::name(op));
-}
-void
-InstructionMix::onBinary(Location, wasm::Opcode op, wasm::Value,
-                         wasm::Value, wasm::Value)
-{
-    bump(wasm::name(op));
-}
-void InstructionMix::onDrop(Location, wasm::Value) { bump("drop"); }
+void InstructionMix::onDrop(Location, wasm::Value) { bump(Opcode::Drop); }
 void
 InstructionMix::onSelect(Location, bool, wasm::Value, wasm::Value)
 {
-    bump("select");
+    bump(Opcode::Select);
 }
 void
-InstructionMix::onLocal(Location, wasm::Opcode op, uint32_t, wasm::Value)
+InstructionMix::onLocal(Location, Opcode op, uint32_t, wasm::Value)
 {
-    bump(wasm::name(op));
+    bump(op);
 }
 void
-InstructionMix::onGlobal(Location, wasm::Opcode op, uint32_t, wasm::Value)
+InstructionMix::onGlobal(Location, Opcode op, uint32_t, wasm::Value)
 {
-    bump(wasm::name(op));
+    bump(op);
 }
 void
-InstructionMix::onLoad(Location, wasm::Opcode op, runtime::MemArg,
-                       wasm::Value)
+InstructionMix::onLoad(Location, Opcode op, runtime::MemArg, wasm::Value)
 {
-    bump(wasm::name(op));
+    bump(op);
 }
 void
-InstructionMix::onStore(Location, wasm::Opcode op, runtime::MemArg,
-                        wasm::Value)
+InstructionMix::onStore(Location, Opcode op, runtime::MemArg, wasm::Value)
 {
-    bump(wasm::name(op));
+    bump(op);
 }
-void InstructionMix::onMemorySize(Location, uint32_t)
+void
+InstructionMix::onMemorySize(Location, uint32_t)
 {
-    bump("memory.size");
+    bump(Opcode::MemorySize);
 }
 void
 InstructionMix::onMemoryGrow(Location, uint32_t, uint32_t)
 {
-    bump("memory.grow");
+    bump(Opcode::MemoryGrow);
 }
 void
 InstructionMix::onCallPre(Location, uint32_t, std::span<const wasm::Value>,
                           std::optional<uint32_t> table_index)
 {
-    bump(table_index ? "call_indirect" : "call");
+    bump(table_index ? Opcode::CallIndirect : Opcode::Call);
 }
 void
 InstructionMix::onReturn(Location, std::span<const wasm::Value>)
 {
-    bump("return");
+    bump(Opcode::Return);
+}
+
+const std::map<std::string, uint64_t> &
+InstructionMix::counts() const
+{
+    if (countsTotal_ != total_) {
+        counts_.clear();
+        if (starts_ != 0)
+            counts_["start"] = starts_;
+        for (size_t op = 0; op < byOpcode_.size(); ++op) {
+            if (byOpcode_[op] != 0)
+                counts_[wasm::name(static_cast<Opcode>(op))] +=
+                    byOpcode_[op];
+        }
+        countsTotal_ = total_;
+    }
+    return counts_;
 }
 
 std::string
 InstructionMix::report(size_t top_n) const
 {
-    std::vector<std::pair<std::string, uint64_t>> sorted(counts_.begin(),
-                                                         counts_.end());
+    // Sorted from the key-ordered map: std::sort is unstable, so equal
+    // counts keep the order they have always had only from this input.
+    std::vector<std::pair<std::string, uint64_t>> sorted(counts().begin(),
+                                                         counts().end());
     std::sort(sorted.begin(), sorted.end(),
               [](const auto &a, const auto &b) {
                   return a.second > b.second;

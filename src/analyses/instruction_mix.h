@@ -8,6 +8,7 @@
 #ifndef WASABI_ANALYSES_INSTRUCTION_MIX_H
 #define WASABI_ANALYSES_INSTRUCTION_MIX_H
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -16,7 +17,7 @@
 
 namespace wasabi::analyses {
 
-/** Counts executed instructions, by opcode mnemonic and by hook kind. */
+/** Counts executed instructions by opcode; reports them by mnemonic. */
 class InstructionMix final : public runtime::Analysis {
   public:
     runtime::HookSet hooks() const override;
@@ -55,11 +56,9 @@ class InstructionMix final : public runtime::Analysis {
     void onReturn(runtime::Location,
                   std::span<const wasm::Value>) override;
 
-    /** Executed-count per instruction mnemonic. */
-    const std::map<std::string, uint64_t> &counts() const
-    {
-        return counts_;
-    }
+    /** Executed-count per instruction mnemonic (built from the
+     * per-opcode counters when read after new events). */
+    const std::map<std::string, uint64_t> &counts() const;
 
     /** Total dynamic instruction count observed. */
     uint64_t total() const { return total_; }
@@ -67,8 +66,8 @@ class InstructionMix final : public runtime::Analysis {
     uint64_t
     count(const std::string &mnemonic) const
     {
-        auto it = counts_.find(mnemonic);
-        return it == counts_.end() ? 0 : it->second;
+        auto it = counts().find(mnemonic);
+        return it == counts().end() ? 0 : it->second;
     }
 
     /** Human-readable report, most frequent first. */
@@ -76,14 +75,20 @@ class InstructionMix final : public runtime::Analysis {
 
   private:
     void
-    bump(const std::string &key)
+    bump(wasm::Opcode op)
     {
-        ++counts_[key];
+        ++byOpcode_[static_cast<uint8_t>(op)];
         ++total_;
     }
 
-    std::map<std::string, uint64_t> counts_;
+    /** Counts by opcode; the module's start function, which is no
+     * instruction, counts in its own slot. */
+    std::array<uint64_t, 256> byOpcode_{};
+    uint64_t starts_ = 0;
     uint64_t total_ = 0;
+    /** counts() cache, current while countsTotal_ == total_. */
+    mutable std::map<std::string, uint64_t> counts_;
+    mutable uint64_t countsTotal_ = 0;
 };
 
 } // namespace wasabi::analyses

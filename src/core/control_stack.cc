@@ -72,10 +72,7 @@ AbstractState::frameForLabel(uint32_t n) const
 uint32_t
 AbstractState::resolveLabel(uint32_t n) const
 {
-    const ControlFrame &frame = frameForLabel(n);
-    if (frame.kind == BlockKind::Loop)
-        return frame.beginIdx + 1; // first instruction inside the loop
-    return frame.endIdx + 1;       // instruction after the matching end
+    return frameForLabel(n).branchTargetIdx();
 }
 
 std::vector<ControlFrame>

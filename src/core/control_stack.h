@@ -76,6 +76,15 @@ struct ControlFrame {
     {
         return kind == BlockKind::Else && elseIdx ? *elseIdx : beginIdx;
     }
+
+    /** Index of the next instruction executed when a branch to this
+     * frame's label is taken: the first instruction inside a loop, or
+     * the instruction after the matching end otherwise (§2.4.4). */
+    uint32_t
+    branchTargetIdx() const
+    {
+        return kind == BlockKind::Loop ? beginIdx + 1 : endIdx + 1;
+    }
 };
 
 /**

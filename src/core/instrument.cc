@@ -702,7 +702,7 @@ instrument(const Module &m, HookSet hooks, const InstrumentOptions &opts)
     stats.hookMap = hook_map.stats();
 
     auto info = std::make_shared<StaticInfo>();
-    info->original = m;
+    info->original = std::make_shared<const Module>(m);
     info->importModule = opts.importModule;
     info->numOrigImports = m.numImportedFunctions();
     info->splitI64 = opts.splitI64;

@@ -3,20 +3,27 @@
 namespace wasabi::core {
 
 std::shared_ptr<StaticInfo>
-buildIntrinsicInfo(const wasm::Module &m, HookSet kinds)
+buildIntrinsicInfo(std::shared_ptr<const wasm::Module> m, HookSet kinds)
 {
     auto info = std::make_shared<StaticInfo>();
-    info->original = m;
     info->importModule = "wasabi";
-    info->numOrigImports = m.numImportedFunctions();
+    info->numOrigImports = m->numImportedFunctions();
     info->splitI64 = false; // engine values never cross an i32 ABI
     info->instrumentedHooks = kinds;
 
     for (uint32_t f = info->numOrigImports;
-         f < static_cast<uint32_t>(m.functions.size()); ++f)
-        recordFunctionSideTables(m, f, *info);
+         f < static_cast<uint32_t>(m->functions.size()); ++f)
+        recordFunctionSideTables(*m, f, *info);
 
+    info->original = std::move(m);
     return info;
+}
+
+std::shared_ptr<StaticInfo>
+buildIntrinsicInfo(const wasm::Module &m, HookSet kinds)
+{
+    return buildIntrinsicInfo(std::make_shared<const wasm::Module>(m),
+                              kinds);
 }
 
 } // namespace wasabi::core

@@ -24,8 +24,13 @@ namespace wasabi::core {
  * @p kinds needs: brTargets/brTables/blockEnds keyed by original
  * locations (recorded at the same sites, under the same liveness
  * rules, as `instrument()` records them), `instrumentedHooks` set to
- * @p kinds, and an unmodified copy of the module. @p m must validate.
+ * @p kinds, and @p m itself as the original module (shared, not
+ * copied). @p m must validate.
  */
+std::shared_ptr<StaticInfo>
+buildIntrinsicInfo(std::shared_ptr<const wasm::Module> m, HookSet kinds);
+
+/** Convenience: as above, on a copy of @p m. */
 std::shared_ptr<StaticInfo> buildIntrinsicInfo(const wasm::Module &m,
                                                HookSet kinds);
 

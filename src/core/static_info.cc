@@ -40,12 +40,23 @@ recordSideTables(const AbstractState &state, const Instr &instr,
                 e.ended.push_back(endedBlock(func_idx, f));
             return e;
         };
-        BrTableInfo table;
-        for (size_t k = 0; k + 1 < instr.table.size(); ++k)
-            table.cases.push_back(entry(instr.table[k]));
-        table.defaultCase = entry(instr.table.back());
-        out.brTables[key] = std::move(table);
+        std::vector<BrTableEntry> entries;
+        for (uint32_t label : instr.table)
+            entries.push_back(entry(label));
+        out.brTables[key] = BrTableInfo::fromEntries(std::move(entries));
     }
+}
+
+BrTableInfo
+BrTableInfo::fromEntries(std::vector<BrTableEntry> entries)
+{
+    BrTableInfo table;
+    table.defaultCase = std::move(entries.back());
+    entries.pop_back();
+    table.cases = std::move(entries);
+    for (const BrTableEntry &e : table.cases)
+        table.targets.push_back(e.target);
+    return table;
 }
 
 void

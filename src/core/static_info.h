@@ -11,6 +11,7 @@
 #ifndef WASABI_CORE_STATIC_INFO_H
 #define WASABI_CORE_STATIC_INFO_H
 
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -64,6 +65,19 @@ struct BrTableEntry {
 struct BrTableInfo {
     std::vector<BrTableEntry> cases;
     BrTableEntry defaultCase;
+    /** The cases' targets in order, built once with the table: the
+     * span the runtime hands to every br_table hook. */
+    std::vector<BranchTarget> targets;
+
+    /** Build a table from its per-label entries, default last. */
+    static BrTableInfo fromEntries(std::vector<BrTableEntry> entries);
+
+    /** The entry a runtime index selects (out of range: default). */
+    const BrTableEntry &
+    select(uint32_t index) const
+    {
+        return index < cases.size() ? cases[index] : defaultCase;
+    }
 };
 
 /** Begin/kind of the block closed at some end (or else) location. */
@@ -115,8 +129,10 @@ void recordFunctionSideTables(const wasm::Module &m, uint32_t func_idx,
  * tables are the inherited SideTables members. */
 class StaticInfo : public SideTables {
   public:
-    /** The original, uninstrumented module (locations refer to it). */
-    wasm::Module original;
+    /** The original, uninstrumented module (locations refer to it),
+     * shared with whoever else holds it (a serve cache entry holds one
+     * module for all its hook sets). */
+    std::shared_ptr<const wasm::Module> original;
 
     /** Import-module name used for hook imports (default "wasabi"). */
     std::string importModule;
@@ -150,13 +166,6 @@ class StaticInfo : public SideTables {
         if (instrumented_idx < numOrigImports)
             return instrumented_idx;
         return instrumented_idx - static_cast<uint32_t>(hooks.size());
-    }
-
-    /** Instruction at a location in the original module. */
-    const wasm::Instr &
-    instrAt(Location loc) const
-    {
-        return original.functions.at(loc.func).body.at(loc.instr);
     }
 
     /** Lookup helpers for the static checker (`wasabi check`); return

@@ -24,6 +24,7 @@
 #define WASABI_INTERP_ENGINE_CODE_H
 
 #include <cstdint>
+#include <memory>
 #include <unordered_set>
 #include <vector>
 
@@ -156,6 +157,10 @@ struct CompiledFunction {
     /** Intrinsic hook sites referenced by FOp::Hook slots (empty when
      * the module was translated without an attached HookSet). */
     std::vector<HookSite> hookSites;
+    /** Storage the hook sites point to: br_table side tables and
+     * the blocks each branch site ends. */
+    std::vector<std::unique_ptr<core::BrTableInfo>> brTables;
+    std::vector<std::vector<core::EndedBlock>> endedLists;
     /** Zero values of the non-parameter locals, copied on entry. */
     std::vector<wasm::Value> localInit;
     uint32_t numParams = 0;

@@ -150,7 +150,8 @@ execute(Instance &inst, uint32_t func_idx, std::span<const Value> args,
     // Intrinsic instrumentation (DESIGN.md §13): the dispatch sink
     // and the small capture buffer HookStash fills for hooks whose
     // instruction consumes the values they observe (at most 3: the
-    // select hook's cond/first/second).
+    // select hook's first/second/cond, or a binary op's two operands
+    // followed, at dispatch, by its result).
     IntrinsicSink *const sink = cm.intrinsicSink();
     Value hookStash[3];
 
@@ -307,10 +308,17 @@ execute(Instance &inst, uint32_t func_idx, std::span<const Value> args,
             if (sink != nullptr) {
                 const HookSite &site = fn->hookSites[in->a];
                 flushCounters();
-                sink->onHook(
-                    inst, site,
-                    std::span<const Value>(sp - site.peek, site.peek),
-                    std::span<const Value>(hookStash, site.stash));
+                // The dynamic arguments in operand-stack order: the
+                // stashed operands the instruction consumed, then its
+                // live result (at most one beside a stash).
+                std::span<const Value> dyn(sp - site.peek, site.peek);
+                if (site.stash != 0) {
+                    if (site.peek != 0)
+                        hookStash[site.stash] = *(sp - 1);
+                    dyn = std::span<const Value>(hookStash,
+                                                 site.stash + site.peek);
+                }
+                sink->onHook(inst, site, dyn);
                 reloadAfterHost();
             }
             VM_NEXT();

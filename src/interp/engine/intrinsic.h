@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "core/hook_kind.h"
 #include "core/static_info.h"
@@ -32,26 +31,48 @@ class Instance;
 namespace engine {
 
 /**
- * One intrinsic hook site: everything the sink needs to reconstruct
- * the exact high-level hook invocation the rewriting instrumenter
- * would have produced at this source location. `peek` operand-stack
- * values are read in place below the stack top at dispatch time;
- * `stash` values were captured earlier by a HookStash slot.
+ * One hook site, pre-resolved: everything needed to reconstruct the
+ * exact high-level hook invocation the rewriting instrumenter would
+ * have produced at this source location, so dispatching it needs no
+ * lookup. The translator emits one per FOp::Hook slot (intrinsic
+ * mode); the runtime binds the same description for the hook calls
+ * of a rewritten module (rewrite mode), and both dispatch through it.
+ * `peek` operand-stack values are read in place below the stack top
+ * at dispatch time; `stash` values were captured earlier by a
+ * HookStash slot.
  */
 struct HookSite {
     core::HookKind kind = core::HookKind::Nop;
     core::BlockKind block = core::BlockKind::Function; ///< Begin/End
-    wasm::Opcode op = wasm::Opcode::Nop; ///< Const/Unary/Binary/Local/Global
+    /** Const/Unary/Binary/Local/Global/Load/Store: the opcode. */
+    wasm::Opcode op = wasm::Opcode::Nop;
     bool post = false;     ///< call_post (vs call_pre)
     bool indirect = false; ///< call_indirect (vs direct call)
-    core::Location loc{};
-    /** End sites: instruction index of the matching block begin. */
-    uint32_t index = 0;
     uint8_t peek = 0;  ///< live values read below the stack top
     uint8_t stash = 0; ///< values captured by the paired HookStash
-    /** Br/BrIf/Return: blocks the taken branch ends, innermost first
-     * (the sink fires one End hook per entry when End is hooked). */
-    std::vector<core::EndedBlock> ended;
+    core::Location loc{};
+    /** The site's static operand: End, the instruction index of the
+     * matching block begin; Br/BrIf, the relative label; Local/Global,
+     * the variable index; Load/Store, the memarg offset; direct
+     * call_pre, the callee (original function index space). */
+    uint32_t index = 0;
+    /** Br/BrIf: instruction index the taken branch continues at (in
+     * loc.func) — the resolved BranchTarget location. */
+    uint32_t target = 0;
+    /** BrTable: the side table (targets and per-entry ended blocks),
+     * owned by whoever owns the site. */
+    const core::BrTableInfo *table = nullptr;
+    /** Br/BrIf/Return, intrinsic mode with End hooked: blocks the taken
+     * branch ends, innermost first (the sink fires one End hook per
+     * entry), owned by whoever owns the site. */
+    std::span<const core::EndedBlock> ended;
+
+    /** Br/BrIf: the resolved branch target. */
+    core::BranchTarget
+    branchTarget() const
+    {
+        return core::BranchTarget{index, core::Location{loc.func, target}};
+    }
 };
 
 /**
@@ -65,13 +86,13 @@ class IntrinsicSink {
     virtual ~IntrinsicSink() = default;
 
     /**
-     * One hook fired at @p site. @p top is the live operand-stack
-     * window (`site.peek` values ending at the stack top); @p stash is
-     * the capture buffer (`site.stash` values, oldest first).
+     * One hook fired at @p site. @p dyn holds its dynamic arguments in
+     * operand-stack order: the `site.stash` values the instruction
+     * consumed (captured by the paired HookStash), followed by the
+     * `site.peek` live values ending at the stack top.
      */
     virtual void onHook(Instance &inst, const HookSite &site,
-                        std::span<const wasm::Value> top,
-                        std::span<const wasm::Value> stash) = 0;
+                        std::span<const wasm::Value> dyn) = 0;
 };
 
 } // namespace engine

@@ -65,7 +65,8 @@ struct CtrlFrame {
     /** Forward branches to this label (bit 31 set: pool index). */
     std::vector<uint32_t> fixups;
     /** Source-block identity, tracked only in intrinsic-hook mode so
-     * branch sites can report the blocks they end (DESIGN.md §13):
+     * branch sites can report their targets and the blocks they end
+     * (DESIGN.md §13):
      * the instrumenter's own frame, whose kind flips If -> Else at
      * `else`. */
     core::ControlFrame src;
@@ -247,6 +248,10 @@ class Translator {
     void
     hookSite(HookSite site, uint16_t charge)
     {
+        // The VM appends the live result to the stash: both must fit
+        // its three-slot capture buffer.
+        if (site.stash != 0 && site.stash + site.peek > 3)
+            fail("hook site needs more than three stashed values");
         uint32_t idx = static_cast<uint32_t>(out_.hookSites.size());
         out_.hookSites.push_back(std::move(site));
         emit(FOp::Hook, 0, charge, idx);
@@ -271,6 +276,53 @@ class Translator {
         f.src.beginIdx = instrIdx_;
         f.src.endIdx = matches_[instrIdx_].endIdx;
         f.src.elseIdx = matches_[instrIdx_].elseIdx;
+    }
+
+    /** The source frame a branch to @p label targets. */
+    const core::ControlFrame &
+    srcFrame(uint32_t label)
+    {
+        if (label >= frames_.size())
+            fail("branch label out of range");
+        return frames_[frames_.size() - 1 - label].src;
+    }
+
+    /** Resolve a br/br_if site's target (paper §2.4.4). */
+    void
+    resolveBranch(HookSite &s, uint32_t label)
+    {
+        s.index = label;
+        s.target = srcFrame(label).branchTargetIdx();
+    }
+
+    /** Build (and own) the side table of br_table @p ins, resolved
+     * from the open frames as the instrumenter records it. */
+    const core::BrTableInfo *
+    brTableInfo(const Instr &ins)
+    {
+        std::vector<core::BrTableEntry> entries;
+        for (uint32_t label : ins.table) {
+            core::BrTableEntry e;
+            e.target = core::BranchTarget{
+                label,
+                core::Location{funcIdx_, srcFrame(label).branchTargetIdx()}};
+            e.ended = traversedSrc(label);
+            entries.push_back(std::move(e));
+        }
+        if (entries.empty())
+            fail("br_table without a default label");
+        out_.brTables.push_back(std::make_unique<core::BrTableInfo>(
+            core::BrTableInfo::fromEntries(std::move(entries))));
+        return out_.brTables.back().get();
+    }
+
+    /** Keep the blocks a branch site ends in the function's storage
+     * and return the site's view of them. */
+    std::span<const core::EndedBlock>
+    siteEnded(uint32_t label)
+    {
+        out_.endedLists.push_back(traversedSrc(label));
+        return out_.endedLists.back();
     }
 
     /** Blocks a branch to @p label traverses, innermost first, both
@@ -645,7 +697,7 @@ class Translator {
         if (callee >= m_.functions.size())
             fail("call to out-of-range function");
         const wasm::FuncType &t = m_.funcType(callee);
-        emitCallPreHook(t, /*indirect=*/false);
+        emitCallPreHook(t, /*indirect=*/false, callee);
         pop(static_cast<uint32_t>(t.params.size()));
         if (m_.functions[callee].imported()) {
             emit(FOp::CallHost, static_cast<uint8_t>(t.results.size()),
@@ -663,7 +715,7 @@ class Translator {
         if (type_idx >= m_.types.size())
             fail("call_indirect to out-of-range type");
         const wasm::FuncType &t = m_.types[type_idx];
-        emitCallPreHook(t, /*indirect=*/true);
+        emitCallPreHook(t, /*indirect=*/true, 0);
         pop(1); // table index
         pop(static_cast<uint32_t>(t.params.size()));
         emit(FOp::CallIndirect, static_cast<uint8_t>(t.results.size()),
@@ -673,15 +725,18 @@ class Translator {
     }
 
     /** call_pre: observes the arguments (and the table index for an
-     * indirect call) in place on the stack, before the transfer. */
+     * indirect call) in place on the stack, before the transfer. A
+     * direct call's site carries its @p callee. */
     void
-    emitCallPreHook(const wasm::FuncType &t, bool indirect)
+    emitCallPreHook(const wasm::FuncType &t, bool indirect,
+                    uint32_t callee)
     {
         if (!hk(core::HookKind::Call))
             return;
         HookSite s;
         s.kind = core::HookKind::Call;
         s.indirect = indirect;
+        s.index = callee;
         s.peek = static_cast<uint8_t>(t.params.size() +
                                       (indirect ? 1 : 0));
         s.loc = {funcIdx_, instrIdx_};
@@ -753,6 +808,7 @@ class Translator {
             HookSite s;
             s.kind = core::HookKind::Load;
             s.op = ins.op;
+            s.index = off;
             s.peek = 1;  // loaded value
             s.stash = 1; // address
             s.loc = {funcIdx_, instrIdx_};
@@ -796,6 +852,7 @@ class Translator {
             HookSite s;
             s.kind = core::HookKind::Store;
             s.op = ins.op;
+            s.index = off;
             s.stash = 2;
             s.loc = {funcIdx_, instrIdx_};
             hookSite(std::move(s), 0);
@@ -944,8 +1001,9 @@ class Translator {
                 HookSite s;
                 s.kind = core::HookKind::Br;
                 s.loc = {funcIdx_, instrIdx_};
+                resolveBranch(s, ins.imm.idx);
                 if (hk(core::HookKind::End))
-                    s.ended = traversedSrc(ins.imm.idx);
+                    s.ended = siteEnded(ins.imm.idx);
                 hookSite(std::move(s), takeFlush());
             }
             emitBranch(FOp::Br, ins.imm.idx);
@@ -959,8 +1017,9 @@ class Translator {
                 s.kind = core::HookKind::BrIf;
                 s.peek = 1;
                 s.loc = {funcIdx_, instrIdx_};
+                resolveBranch(s, ins.imm.idx);
                 if (hk(core::HookKind::End))
-                    s.ended = traversedSrc(ins.imm.idx);
+                    s.ended = siteEnded(ins.imm.idx);
                 hookSite(std::move(s), takeFlush());
             }
             pop(1); // condition
@@ -970,12 +1029,13 @@ class Translator {
             if (hk(core::HookKind::BrTable) ||
                 hk(core::HookKind::End)) {
                 // Which label is taken — and thus which blocks end —
-                // is only known at runtime; the sink dispatches off
-                // the StaticInfo br_table side table (paper §2.4.5).
+                // is only known at runtime; the sink selects from the
+                // site's side table (paper §2.4.5).
                 HookSite s;
                 s.kind = core::HookKind::BrTable;
                 s.peek = 1;
                 s.loc = {funcIdx_, instrIdx_};
+                s.table = brTableInfo(ins);
                 hookSite(std::move(s), takeFlush());
             }
             doBrTable(ins);
@@ -989,7 +1049,7 @@ class Translator {
                 s.peek = static_cast<uint8_t>(out_.resultArity);
                 s.loc = {funcIdx_, instrIdx_};
                 if (hk(core::HookKind::End)) {
-                    s.ended = traversedSrc(
+                    s.ended = siteEnded(
                         static_cast<uint32_t>(frames_.size() - 1));
                 }
                 hookSite(std::move(s), takeFlush());
@@ -1055,6 +1115,7 @@ class Translator {
                 HookSite s;
                 s.kind = core::HookKind::Local;
                 s.op = ins.op;
+                s.index = ins.imm.idx;
                 s.peek = 1;
                 s.loc = {funcIdx_, instrIdx_};
                 hookSite(std::move(s), takeFlush());
@@ -1071,6 +1132,7 @@ class Translator {
                 HookSite s;
                 s.kind = core::HookKind::Local;
                 s.op = ins.op;
+                s.index = ins.imm.idx;
                 s.stash = 1;
                 s.loc = {funcIdx_, instrIdx_};
                 hookSite(std::move(s), takeFlush());
@@ -1085,6 +1147,7 @@ class Translator {
                 HookSite s;
                 s.kind = core::HookKind::Global;
                 s.op = ins.op;
+                s.index = ins.imm.idx;
                 s.peek = 1;
                 s.loc = {funcIdx_, instrIdx_};
                 hookSite(std::move(s), takeFlush());
@@ -1100,6 +1163,7 @@ class Translator {
                 HookSite s;
                 s.kind = core::HookKind::Global;
                 s.op = ins.op;
+                s.index = ins.imm.idx;
                 s.stash = 1;
                 s.loc = {funcIdx_, instrIdx_};
                 hookSite(std::move(s), 0);

@@ -1,6 +1,7 @@
 #include "runtime/runtime.h"
 
-#include <cassert>
+#include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "interp/engine/code.h"
@@ -11,18 +12,112 @@ using core::HookSpec;
 using core::StaticInfo;
 using interp::Instance;
 using interp::Linker;
+using interp::engine::HookSite;
+using wasm::OpClass;
 using wasm::Value;
 using wasm::ValType;
+
+namespace {
+
+/** siteOf_ entry of an instruction without a pre-resolved site. */
+constexpr uint32_t kNoSite = 0xFFFFFFFF;
+
+/** Whether the hooks of @p spec have a location-dependent static
+ * operand (a branch target, br_table side table or immediate), which
+ * rewrite mode resolves once per site instead of per call. */
+bool
+hasStaticOperand(const HookSpec &spec)
+{
+    switch (spec.kind) {
+      case HookKind::Br:
+      case HookKind::BrIf:
+      case HookKind::BrTable:
+      case HookKind::Local:
+      case HookKind::Global:
+      case HookKind::Load:
+      case HookKind::Store:
+        return true;
+      case HookKind::Call:
+        return !spec.indirect && !spec.post;
+      default:
+        return false;
+    }
+}
+
+/** The pre-resolved site of instruction @p ins at @p loc, if it is
+ * hooked by one of the static-operand hook kinds in @p kinds. */
+std::optional<HookSite>
+staticSite(const StaticInfo &info, HookSet kinds, const wasm::Instr &ins,
+           Location loc)
+{
+    HookSite s;
+    s.loc = loc;
+    const OpClass cls = wasm::opInfo(ins.op).cls;
+    switch (cls) {
+      case OpClass::Br:
+      case OpClass::BrIf: {
+        s.kind = cls == OpClass::Br ? HookKind::Br : HookKind::BrIf;
+        const core::BranchTarget *t = info.findBrTarget(loc);
+        if (!t)
+            return std::nullopt; // dead code: never hooked
+        s.index = t->label;
+        s.target = t->location.instr;
+        break;
+      }
+      case OpClass::BrTable:
+        s.kind = HookKind::BrTable;
+        s.table = info.findBrTable(loc);
+        if (!s.table)
+            return std::nullopt;
+        break;
+      case OpClass::LocalGet:
+      case OpClass::LocalSet:
+      case OpClass::LocalTee:
+        s.kind = HookKind::Local;
+        s.op = ins.op;
+        s.index = ins.imm.idx;
+        break;
+      case OpClass::GlobalGet:
+      case OpClass::GlobalSet:
+        s.kind = HookKind::Global;
+        s.op = ins.op;
+        s.index = ins.imm.idx;
+        break;
+      case OpClass::Load:
+      case OpClass::Store:
+        s.kind = cls == OpClass::Load ? HookKind::Load : HookKind::Store;
+        s.op = ins.op;
+        s.index = ins.imm.mem.offset;
+        break;
+      case OpClass::Call:
+        s.kind = HookKind::Call;
+        s.index = ins.imm.idx;
+        break;
+      default:
+        return std::nullopt;
+    }
+    if (!kinds.has(s.kind))
+        return std::nullopt;
+    return s;
+}
+
+} // namespace
 
 WasabiRuntime::WasabiRuntime(std::shared_ptr<const StaticInfo> info)
     : info_(std::move(info))
 {
+    if (info_)
+        bindSites();
 }
 
 void
 WasabiRuntime::addAnalysis(Analysis *analysis, std::string name)
 {
-    analyses_.push_back(analysis);
+    const HookSet hooks = analysis->hooks();
+    for (int k = 0; k < core::kNumHookKinds; ++k) {
+        if (hooks.has(static_cast<HookKind>(k)))
+            subscribers_[k].push_back({analysis, analysisNames_.size()});
+    }
     analysisNames_.push_back(std::move(name));
     if (profiler_)
         profiler_->setAnalysisNames(analysisNames_);
@@ -46,27 +141,73 @@ WasabiRuntime::requiredHooks(std::initializer_list<const Analysis *> analyses)
 }
 
 void
-WasabiRuntime::bindHooks(Linker &linker)
+WasabiRuntime::bindSites()
 {
+    HookSet resolved_kinds;
+    size_t max_args = 0;
+    bound_.reserve(info_->hooks.size());
     for (const HookSpec &spec : info_->hooks) {
-        auto bound = std::make_shared<BoundHook>();
-        bound->spec = spec;
-        // Resolve the logical argument types once; the dispatch path
-        // runs per executed instruction and must not recompute them.
+        BoundHook b;
+        b.spec = spec;
+        b.site.kind = spec.kind;
+        b.site.op = spec.op;
+        b.site.block = spec.block;
+        b.site.indirect = spec.indirect;
+        b.site.post = spec.post;
         wasm::FuncType logical =
             core::lowLevelType(spec, /*split_i64=*/false);
-        bound->argTypes.assign(logical.params.begin() + 2,
-                               logical.params.end());
+        b.argTypes.assign(logical.params.begin() + 2,
+                          logical.params.end());
         // Raw arity as dispatched on the wire: the split-i64 type's
         // parameter count. Checked before reading any raw argument.
-        bound->expectedRawArgs =
+        b.expectedRawArgs =
             core::lowLevelType(spec, info_->splitI64).params.size();
-        bound_.push_back(bound);
-        linker.func(info_->importModule, mangledName(spec),
-                    [this, bound](Instance &inst,
-                                  std::span<const Value> args,
-                                  std::vector<Value> &) {
-                        dispatch(*bound, inst, args);
+        b.rotate = spec.kind == HookKind::Select ||
+                   (spec.kind == HookKind::Call && spec.indirect &&
+                    !spec.post);
+        b.decode = b.rotate ||
+                   (info_->splitI64 &&
+                    std::count(b.argTypes.begin(), b.argTypes.end(),
+                               ValType::I64) != 0);
+        b.resolved = hasStaticOperand(spec);
+        if (b.resolved)
+            resolved_kinds.add(spec.kind);
+        max_args = std::max(max_args, b.argTypes.size());
+        bound_.push_back(std::move(b));
+    }
+    wire_.resize(max_args);
+    if (resolved_kinds.empty())
+        return;
+
+    // One site per hooked instruction with a static operand, found by
+    // (function, instruction) without a lookup.
+    const wasm::Module &m = *info_->original;
+    for (uint32_t f = 0; f < m.functions.size(); ++f) {
+        siteBase_.push_back(static_cast<uint32_t>(siteOf_.size()));
+        const std::vector<wasm::Instr> &body = m.functions[f].body;
+        for (uint32_t i = 0; i < body.size(); ++i) {
+            std::optional<HookSite> site =
+                staticSite(*info_, resolved_kinds, body[i], {f, i});
+            siteOf_.push_back(site ? static_cast<uint32_t>(sites_.size())
+                                   : kNoSite);
+            if (site)
+                sites_.push_back(std::move(*site));
+        }
+    }
+    siteBase_.push_back(static_cast<uint32_t>(siteOf_.size()));
+}
+
+void
+WasabiRuntime::bindHooks(Linker &linker)
+{
+    // bound_ is never resized after construction, so the bindings may
+    // point into it.
+    for (const BoundHook &hook : bound_) {
+        linker.func(info_->importModule, mangledName(hook.spec),
+                    [this, h = &hook](Instance &inst,
+                                      std::span<const Value> args,
+                                      std::vector<Value> &) {
+                        dispatch(*h, inst, args);
                     });
     }
 }
@@ -126,33 +267,9 @@ WasabiRuntime::instantiate(
 }
 
 void
-WasabiRuntime::decodeArgs(const BoundHook &hook,
-                          std::span<const Value> raw,
-                          std::vector<Value> &out) const
-{
-    size_t k = 0;
-    out.reserve(hook.argTypes.size());
-    for (ValType t : hook.argTypes) {
-        if (t == ValType::I64 && info_->splitI64) {
-            uint64_t lo = raw[k].i32();
-            uint64_t hi = raw[k + 1].i32();
-            out.push_back(Value::makeI64((hi << 32) | lo));
-            k += 2;
-        } else {
-            // Raw hook params arrive with their wire type; re-tag so
-            // analyses see a properly typed Value.
-            out.push_back(Value(t, raw[k].bits));
-            k += 1;
-        }
-    }
-    assert(k == raw.size());
-}
-
-void
 WasabiRuntime::dispatch(const BoundHook &hook, Instance &inst,
                         std::span<const Value> raw_args)
 {
-    const HookSpec &spec = hook.spec;
     // Arity guard before any raw_args element is read: a hook called
     // with the wrong argument count (hand-edited module, stale
     // StaticInfo, mismatched splitI64) must trap with a diagnostic,
@@ -160,186 +277,228 @@ WasabiRuntime::dispatch(const BoundHook &hook, Instance &inst,
     if (raw_args.size() != hook.expectedRawArgs) {
         throw interp::Trap(
             interp::TrapKind::HostError,
-            "wasabi hook arity mismatch: \"" + mangledName(spec) +
+            "wasabi hook arity mismatch: \"" + mangledName(hook.spec) +
                 "\" dispatched with " +
                 std::to_string(raw_args.size()) +
                 " raw argument(s), expected " +
                 std::to_string(hook.expectedRawArgs));
     }
-    Location loc{raw_args[0].i32(), raw_args[1].i32()};
-    std::vector<Value> dyn;
-    decodeArgs(hook, raw_args.subspan(2), dyn);
-    fire(spec, inst, loc, dyn);
+    const Location loc{raw_args[0].i32(), raw_args[1].i32()};
+
+    // The dynamic arguments: the wire values themselves, unless i64
+    // halves must be joined or the operand order differs from the
+    // stack's (decoded into the scratch buffer then).
+    std::span<const Value> dyn = raw_args.subspan(2);
+    if (hook.decode) {
+        size_t k = 2;
+        for (size_t i = 0; i < hook.argTypes.size(); ++i) {
+            if (hook.argTypes[i] == ValType::I64 && info_->splitI64) {
+                uint64_t lo = raw_args[k].i32();
+                uint64_t hi = raw_args[k + 1].i32();
+                wire_[i] = Value::makeI64((hi << 32) | lo);
+                k += 2;
+            } else {
+                wire_[i] = raw_args[k++];
+            }
+        }
+        const auto end = wire_.begin() + hook.argTypes.size();
+        // select's condition and call_indirect's table index travel
+        // first on the wire but sit on top of the operand stack.
+        if (hook.rotate)
+            std::rotate(wire_.begin(), wire_.begin() + 1, end);
+        dyn = std::span<const Value>(wire_.begin(), end);
+    }
+
+    if (hook.resolved) {
+        fire(inst, resolvedSite(hook, loc), dyn);
+        return;
+    }
+    HookSite site = hook.site;
+    site.loc = loc;
+    if (site.kind == HookKind::End)
+        site.index = dyn[0].i32(); // the begin travels on the wire
+    fire(inst, site, dyn);
+}
+
+const HookSite &
+WasabiRuntime::resolvedSite(const BoundHook &hook, Location loc) const
+{
+    if (loc.func + size_t(1) < siteBase_.size() &&
+        loc.instr < siteBase_[loc.func + 1] - siteBase_[loc.func]) {
+        const uint32_t k = siteOf_[siteBase_[loc.func] + loc.instr];
+        if (k != kNoSite && sites_[k].kind == hook.site.kind &&
+            sites_[k].op == hook.site.op)
+            return sites_[k];
+    }
+    throw interp::Trap(interp::TrapKind::HostError,
+                       "wasabi hook \"" + mangledName(hook.spec) +
+                           "\" called at func " +
+                           std::to_string(loc.func) + " instr " +
+                           std::to_string(loc.instr) +
+                           ", which has no such hook site");
 }
 
 void
-WasabiRuntime::fire(const HookSpec &spec, Instance &inst, Location loc,
+WasabiRuntime::fire(Instance &inst, const HookSite &site,
                     std::span<const Value> dyn)
 {
     ++invocations_;
-    const bool prof = profiler_ && profiler_->enabled();
-    const uint64_t t_begin = prof ? profiler_->now() : 0;
+    if (profiler_ && profiler_->enabled()) {
+        const uint64_t t_begin = profiler_->now();
+        deliver<true>(inst, site, dyn);
+        profiler_->addDispatch(site.kind, profiler_->now() - t_begin);
+        return;
+    }
+    deliver<false>(inst, site, dyn);
+}
 
-    auto forEach = [this, &spec, prof](HookKind kind, auto &&fn) {
-        (void)spec;
-        for (size_t i = 0; i < analyses_.size(); ++i) {
-            Analysis *a = analyses_[i];
-            if (!a->hooks().has(kind))
-                continue;
-            if (prof) {
+template <bool kProfiled>
+void
+WasabiRuntime::deliver(Instance &inst, const HookSite &site,
+                       std::span<const Value> dyn)
+{
+    auto notify = [this](HookKind kind, auto &&fn) {
+        for (const Subscriber &s :
+             subscribers_[static_cast<size_t>(kind)]) {
+            if constexpr (kProfiled) {
                 uint64_t t0 = profiler_->now();
-                fn(*a);
-                profiler_->addAnalysisHook(i, kind,
+                fn(*s.analysis);
+                profiler_->addAnalysisHook(s.index, kind,
                                            profiler_->now() - t0);
             } else {
-                fn(*a);
+                fn(*s.analysis);
             }
         }
     };
 
-    switch (spec.kind) {
+    const Location loc = site.loc;
+    switch (site.kind) {
       case HookKind::Start:
-        forEach(HookKind::Start,
-                [&](Analysis &a) { a.onStart(loc); });
+        notify(HookKind::Start, [&](Analysis &a) { a.onStart(loc); });
         break;
       case HookKind::Nop:
-        forEach(HookKind::Nop, [&](Analysis &a) { a.onNop(loc); });
+        notify(HookKind::Nop, [&](Analysis &a) { a.onNop(loc); });
         break;
       case HookKind::Unreachable:
-        forEach(HookKind::Unreachable,
-                [&](Analysis &a) { a.onUnreachable(loc); });
+        notify(HookKind::Unreachable,
+               [&](Analysis &a) { a.onUnreachable(loc); });
         break;
       case HookKind::If:
-        forEach(HookKind::If, [&](Analysis &a) {
+        notify(HookKind::If, [&](Analysis &a) {
             a.onIf(loc, dyn[0].i32() != 0);
         });
         break;
       case HookKind::Br: {
-        core::BranchTarget target =
-            info_->brTargets.at(core::packLoc(loc));
-        forEach(HookKind::Br,
-                [&](Analysis &a) { a.onBr(loc, target); });
+        const core::BranchTarget target = site.branchTarget();
+        notify(HookKind::Br, [&](Analysis &a) { a.onBr(loc, target); });
         break;
       }
       case HookKind::BrIf: {
-        core::BranchTarget target =
-            info_->brTargets.at(core::packLoc(loc));
-        bool cond = dyn[0].i32() != 0;
-        forEach(HookKind::BrIf, [&](Analysis &a) {
+        const core::BranchTarget target = site.branchTarget();
+        const bool cond = dyn[0].i32() != 0;
+        notify(HookKind::BrIf, [&](Analysis &a) {
             a.onBrIf(loc, target, cond);
         });
         break;
       }
       case HookKind::BrTable: {
-        const core::BrTableInfo &table =
-            info_->brTables.at(core::packLoc(loc));
-        uint32_t index = dyn[0].i32();
-        const core::BrTableEntry &selected =
-            index < table.cases.size() ? table.cases[index]
-                                       : table.defaultCase;
-        std::vector<core::BranchTarget> targets;
-        targets.reserve(table.cases.size());
-        for (const core::BrTableEntry &e : table.cases)
-            targets.push_back(e.target);
-        forEach(HookKind::BrTable, [&](Analysis &a) {
-            a.onBrTable(loc, targets, table.defaultCase.target, index);
+        const core::BrTableInfo &table = *site.table;
+        const uint32_t index = dyn[0].i32();
+        notify(HookKind::BrTable, [&](Analysis &a) {
+            a.onBrTable(loc, table.targets, table.defaultCase.target,
+                        index);
         });
         // The blocks left by the selected entry are only known now;
         // fire their end hooks at runtime (paper §2.4.5).
-        for (const core::EndedBlock &e : selected.ended) {
-            forEach(HookKind::End, [&](Analysis &a) {
+        for (const core::EndedBlock &e : table.select(index).ended) {
+            notify(HookKind::End, [&](Analysis &a) {
                 a.onEnd(e.end, e.kind, e.begin);
             });
         }
         break;
       }
       case HookKind::Begin:
-        forEach(HookKind::Begin,
-                [&](Analysis &a) { a.onBegin(loc, spec.block); });
+        notify(HookKind::Begin,
+               [&](Analysis &a) { a.onBegin(loc, site.block); });
         break;
       case HookKind::End: {
-        Location begin{loc.func, dyn[0].i32()};
-        forEach(HookKind::End, [&](Analysis &a) {
-            a.onEnd(loc, spec.block, begin);
+        const Location begin{loc.func, site.index};
+        notify(HookKind::End, [&](Analysis &a) {
+            a.onEnd(loc, site.block, begin);
         });
         break;
       }
       case HookKind::Const:
-        forEach(HookKind::Const, [&](Analysis &a) {
-            a.onConst(loc, spec.op, dyn[0]);
+        notify(HookKind::Const, [&](Analysis &a) {
+            a.onConst(loc, site.op, dyn[0]);
         });
         break;
       case HookKind::Unary:
-        forEach(HookKind::Unary, [&](Analysis &a) {
-            a.onUnary(loc, spec.op, dyn[0], dyn[1]);
+        notify(HookKind::Unary, [&](Analysis &a) {
+            a.onUnary(loc, site.op, dyn[0], dyn[1]);
         });
         break;
       case HookKind::Binary:
-        forEach(HookKind::Binary, [&](Analysis &a) {
-            a.onBinary(loc, spec.op, dyn[0], dyn[1], dyn[2]);
+        notify(HookKind::Binary, [&](Analysis &a) {
+            a.onBinary(loc, site.op, dyn[0], dyn[1], dyn[2]);
         });
         break;
       case HookKind::Drop:
-        forEach(HookKind::Drop,
-                [&](Analysis &a) { a.onDrop(loc, dyn[0]); });
+        notify(HookKind::Drop,
+               [&](Analysis &a) { a.onDrop(loc, dyn[0]); });
         break;
       case HookKind::Select:
-        forEach(HookKind::Select, [&](Analysis &a) {
-            a.onSelect(loc, dyn[0].i32() != 0, dyn[1], dyn[2]);
+        notify(HookKind::Select, [&](Analysis &a) {
+            a.onSelect(loc, dyn[2].i32() != 0, dyn[0], dyn[1]);
         });
         break;
-      case HookKind::Local: {
-        uint32_t index = info_->instrAt(loc).imm.idx;
-        forEach(HookKind::Local, [&](Analysis &a) {
-            a.onLocal(loc, spec.op, index, dyn[0]);
+      case HookKind::Local:
+        notify(HookKind::Local, [&](Analysis &a) {
+            a.onLocal(loc, site.op, site.index, dyn[0]);
         });
         break;
-      }
-      case HookKind::Global: {
-        uint32_t index = info_->instrAt(loc).imm.idx;
-        forEach(HookKind::Global, [&](Analysis &a) {
-            a.onGlobal(loc, spec.op, index, dyn[0]);
+      case HookKind::Global:
+        notify(HookKind::Global, [&](Analysis &a) {
+            a.onGlobal(loc, site.op, site.index, dyn[0]);
         });
         break;
-      }
       case HookKind::Load: {
-        MemArg memarg{dyn[0].i32(), info_->instrAt(loc).imm.mem.offset};
-        forEach(HookKind::Load, [&](Analysis &a) {
-            a.onLoad(loc, spec.op, memarg, dyn[1]);
+        const MemArg memarg{dyn[0].i32(), site.index};
+        notify(HookKind::Load, [&](Analysis &a) {
+            a.onLoad(loc, site.op, memarg, dyn[1]);
         });
         break;
       }
       case HookKind::Store: {
-        MemArg memarg{dyn[0].i32(), info_->instrAt(loc).imm.mem.offset};
-        forEach(HookKind::Store, [&](Analysis &a) {
-            a.onStore(loc, spec.op, memarg, dyn[1]);
+        const MemArg memarg{dyn[0].i32(), site.index};
+        notify(HookKind::Store, [&](Analysis &a) {
+            a.onStore(loc, site.op, memarg, dyn[1]);
         });
         break;
       }
       case HookKind::MemorySize:
-        forEach(HookKind::MemorySize, [&](Analysis &a) {
+        notify(HookKind::MemorySize, [&](Analysis &a) {
             a.onMemorySize(loc, dyn[0].i32());
         });
         break;
       case HookKind::MemoryGrow:
-        forEach(HookKind::MemoryGrow, [&](Analysis &a) {
+        notify(HookKind::MemoryGrow, [&](Analysis &a) {
             a.onMemoryGrow(loc, dyn[0].i32(), dyn[1].i32());
         });
         break;
       case HookKind::Call: {
-        if (spec.post) {
-            forEach(HookKind::Call, [&](Analysis &a) {
-                a.onCallPost(loc, dyn);
-            });
+        if (site.post) {
+            notify(HookKind::Call,
+                   [&](Analysis &a) { a.onCallPost(loc, dyn); });
             break;
         }
-        uint32_t func = 0;
+        uint32_t func = site.index;
         std::optional<uint32_t> table_index;
-        std::span<const Value> args(dyn);
-        if (spec.indirect) {
-            uint32_t idx = dyn[0].i32();
+        std::span<const Value> args = dyn;
+        if (site.indirect) {
+            const uint32_t idx = dyn.back().i32();
             table_index = idx;
-            args = args.subspan(1);
+            args = dyn.first(dyn.size() - 1);
             // Resolve the runtime table index to the actually called
             // function, reported in the original index space (§2.3).
             func = Analysis::kUnresolvedFunc;
@@ -347,137 +506,44 @@ WasabiRuntime::fire(const HookSpec &spec, Instance &inst, Location loc,
                 if (std::optional<uint32_t> f = inst.table().get(idx))
                     func = info_->unmapFuncIdx(*f);
             }
-        } else {
-            func = info_->instrAt(loc).imm.idx;
         }
-        forEach(HookKind::Call, [&](Analysis &a) {
+        notify(HookKind::Call, [&](Analysis &a) {
             a.onCallPre(loc, func, args, table_index);
         });
         break;
       }
       case HookKind::Return:
-        forEach(HookKind::Return,
-                [&](Analysis &a) { a.onReturn(loc, dyn); });
+        notify(HookKind::Return,
+               [&](Analysis &a) { a.onReturn(loc, dyn); });
         break;
     }
-
-    if (prof)
-        profiler_->addDispatch(spec.kind, profiler_->now() - t_begin);
 }
 
 // ----- engine-intrinsic mode (DESIGN.md §13) ---------------------------
 
 void
-WasabiRuntime::onHook(Instance &inst, const interp::engine::HookSite &site,
-                      std::span<const Value> top,
-                      std::span<const Value> stash)
+WasabiRuntime::onHook(Instance &inst, const HookSite &site,
+                      std::span<const Value> dyn)
 {
-    // The hook stream must be byte-identical to rewrite mode: the same
-    // HookSpec, location, and dynamic-argument order the instrumenter
-    // would have arranged for the monomorphic low-level hook call.
-    HookSpec spec;
-    spec.kind = site.kind;
-    spec.op = site.op;
-    spec.indirect = site.indirect;
-    spec.post = site.post;
-    spec.block = site.block;
-
-    // End hooks of blocks left by a taken branch: rewrite mode emits
-    // one low-level call per traversed frame, after the branch's own
-    // hook, so each is its own fire() (its own invocation).
-    auto fireEnds = [&] {
-        for (const core::EndedBlock &e : site.ended) {
-            HookSpec end;
-            end.kind = HookKind::End;
-            end.block = e.kind;
-            const Value begin = Value::makeI32(e.begin.instr);
-            fire(end, inst, e.end, std::span<const Value>(&begin, 1));
-        }
-    };
-
-    switch (site.kind) {
-      case HookKind::Br:
-        if (info_->instrumentedHooks.has(HookKind::Br))
-            fire(spec, inst, site.loc, {});
-        fireEnds();
+    if (site.ended.empty()) {
+        fire(inst, site, dyn);
         return;
-      case HookKind::BrIf:
-        if (info_->instrumentedHooks.has(HookKind::BrIf))
-            fire(spec, inst, site.loc, top);
-        if (top[0].i32() != 0)
-            fireEnds(); // end hooks fire only if the branch is taken
+    }
+    // A br/br_if/return that ends blocks (End is hooked): its own hook
+    // if that kind is instrumented too, then — if the branch is taken
+    // — one End hook per block it leaves, each its own invocation, as
+    // rewrite mode's injected calls are.
+    if (info_->instrumentedHooks.has(site.kind))
+        fire(inst, site, dyn);
+    if (site.kind == HookKind::BrIf && dyn[0].i32() == 0)
         return;
-      case HookKind::Return:
-        if (info_->instrumentedHooks.has(HookKind::Return))
-            fire(spec, inst, site.loc, top);
-        fireEnds();
-        return;
-      case HookKind::BrTable:
-        // One dispatch, like rewrite mode: the ends of the selected
-        // entry come from the br_table side table inside fire().
-        fire(spec, inst, site.loc, top);
-        return;
-      case HookKind::End: {
-        const Value begin = Value::makeI32(site.index);
-        fire(spec, inst, site.loc, std::span<const Value>(&begin, 1));
-        return;
-      }
-      case HookKind::Call: {
-        if (site.post || !site.indirect) {
-            fire(spec, inst, site.loc, top);
-            return;
-        }
-        // call_indirect pre: the table index (stack top) is the first
-        // dynamic argument, then the call arguments in order.
-        std::vector<Value> dyn;
-        dyn.reserve(top.size());
-        dyn.push_back(top.back());
-        dyn.insert(dyn.end(), top.begin(), top.end() - 1);
-        fire(spec, inst, site.loc, dyn);
-        return;
-      }
-      case HookKind::Load: {
-        const Value dyn[2] = {stash[0], top[0]}; // (addr, value)
-        fire(spec, inst, site.loc, std::span<const Value>(dyn, 2));
-        return;
-      }
-      case HookKind::Store: {
-        const Value dyn[2] = {stash[0], stash[1]}; // (addr, value)
-        fire(spec, inst, site.loc, std::span<const Value>(dyn, 2));
-        return;
-      }
-      case HookKind::MemoryGrow: {
-        const Value dyn[2] = {stash[0], top[0]}; // (delta, prev)
-        fire(spec, inst, site.loc, std::span<const Value>(dyn, 2));
-        return;
-      }
-      case HookKind::Select: {
-        // (cond, first, second); the stash holds [first, second, cond].
-        const Value dyn[3] = {stash[2], stash[0], stash[1]};
-        fire(spec, inst, site.loc, std::span<const Value>(dyn, 3));
-        return;
-      }
-      case HookKind::Unary: {
-        const Value dyn[2] = {stash[0], top[0]}; // (input, result)
-        fire(spec, inst, site.loc, std::span<const Value>(dyn, 2));
-        return;
-      }
-      case HookKind::Binary: {
-        const Value dyn[3] = {stash[0], stash[1], top[0]};
-        fire(spec, inst, site.loc, std::span<const Value>(dyn, 3));
-        return;
-      }
-      case HookKind::Local:
-      case HookKind::Global:
-        // get/tee observe the pushed result; set observes the stashed
-        // operand (already popped by the time the hook runs).
-        fire(spec, inst, site.loc, site.peek != 0 ? top : stash);
-        return;
-      default:
-        // Start, Nop, Unreachable, If, Begin, Const, Drop, MemorySize:
-        // the stack-top span is exactly the dynamic argument list.
-        fire(spec, inst, site.loc, top);
-        return;
+    for (const core::EndedBlock &e : site.ended) {
+        HookSite end;
+        end.kind = HookKind::End;
+        end.block = e.kind;
+        end.loc = e.end;
+        end.index = e.begin.instr;
+        fire(inst, end, {});
     }
 }
 

@@ -10,6 +10,7 @@
 #ifndef WASABI_RUNTIME_RUNTIME_H
 #define WASABI_RUNTIME_RUNTIME_H
 
+#include <array>
 #include <memory>
 #include <string>
 
@@ -70,7 +71,9 @@ class WasabiRuntime : public interp::engine::IntrinsicSink {
     /**
      * Bind every hook import into @p linker. Additional (non-hook)
      * imports of the original program can be registered on the same
-     * linker before or after.
+     * linker before or after. The dispatch state the bindings refer
+     * to is resolved once, when the runtime is constructed; binding
+     * into any number of linkers shares it.
      */
     void bindHooks(interp::Linker &linker);
 
@@ -123,22 +126,33 @@ class WasabiRuntime : public interp::engine::IntrinsicSink {
      * subsequent runs execute uninstrumented). */
     void detachIntrinsic(interp::Instance &inst);
 
-    /** Fast-engine hook dispatch (engine-intrinsic mode). */
+    /** Fast-engine hook dispatch (engine-intrinsic mode): fires
+     * @p site's own hook and, for a taken branch that ends blocks
+     * (End hooked), their End hooks. */
     void onHook(interp::Instance &inst,
                 const interp::engine::HookSite &site,
-                std::span<const wasm::Value> top,
-                std::span<const wasm::Value> stash) override;
+                std::span<const wasm::Value> dyn) override;
 
     const core::StaticInfo &info() const { return *info_; }
 
     /** Number of low-level hook invocations dispatched so far. */
     uint64_t hookInvocations() const { return invocations_; }
 
+    /** Number of bound low-level hook imports: one per hook the
+     * StaticInfo declares, bound once per runtime however many
+     * instances it instantiates. */
+    size_t boundHookCount() const { return bound_.size(); }
+
   private:
-    /** Pre-resolved dispatch state for one low-level hook, computed
-     * once at bind time so the per-invocation path is allocation-lean. */
+    using HookSite = interp::engine::HookSite;
+
+    /** Dispatch state of one low-level hook import (rewrite mode),
+     * resolved once per runtime. */
     struct BoundHook {
         core::HookSpec spec;
+        /** The spec's static site fields (kind, op, block, call
+         * variant); the location comes off the wire per call. */
+        HookSite site;
         /** Logical (unsplit) dynamic argument types. */
         std::vector<wasm::ValType> argTypes;
         /** Raw (wire) parameter count the low-level hook must be
@@ -146,33 +160,72 @@ class WasabiRuntime : public interp::engine::IntrinsicSink {
          * split if the module was instrumented that way. Checked on
          * every dispatch before any raw_args element is read. */
         size_t expectedRawArgs = 2;
+        /** The wire values need decoding: i64 halves to join, or the
+         * operand order to rotate (`rotate`). */
+        bool decode = false;
+        /** select / call_indirect pre: the wire's first operand (the
+         * condition, the table index) goes last, as on the stack. */
+        bool rotate = false;
+        /** The site has a location-dependent static operand (branch
+         * target, br_table side table, immediate): dispatch uses the
+         * pre-resolved site at the wire location instead of `site`. */
+        bool resolved = false;
     };
 
+    /** One analysis subscribed to a hook kind. */
+    struct Subscriber {
+        Analysis *analysis;
+        size_t index; ///< registration order (profile attribution)
+    };
+
+    /** Resolve the rewrite-mode dispatch tables (bound_, the site
+     * table and the wire scratch) from the StaticInfo. */
+    void bindSites();
+
+    /** Rewrite-mode wire decoder: check the arity, decode the
+     * location and arguments, and hand the site to fire(). */
     void dispatch(const BoundHook &hook, interp::Instance &inst,
                   std::span<const wasm::Value> raw_args);
 
-    /** Decode raw hook args (after the 2 location args) into logical
-     * values, joining (low, high) i64 pairs when splitI64 is on. */
-    void decodeArgs(const BoundHook &hook,
-                    std::span<const wasm::Value> raw,
-                    std::vector<wasm::Value> &out) const;
+    /** The pre-resolved site of @p hook at @p loc.
+     * @throws interp::Trap if the module calls the hook at a location
+     * that has no such site. */
+    const HookSite &resolvedSite(const BoundHook &hook,
+                                 core::Location loc) const;
 
     /** @throws std::invalid_argument if @p m imports rewrite-mode
      * hooks — combining the two instrumentation modes would fire
      * every hook twice. */
     void requireUnrewritten(const wasm::Module &m) const;
 
-    /** The mode-independent tail of a hook invocation: counts it,
-     * times it, and fans out to every subscribed analysis. Both
-     * dispatch() (rewrite mode) and onHook() (intrinsic mode) end
-     * here, so per-kind accounting is identical across modes. */
-    void fire(const core::HookSpec &spec, interp::Instance &inst,
-              core::Location loc, std::span<const wasm::Value> dyn);
+    /** One hook invocation, the tail both dispatch() (rewrite mode)
+     * and onHook() (intrinsic mode) end in, so the event stream is
+     * identical across modes: counts it, times it, and fans out to the
+     * analyses subscribed to its kind. @p dyn holds the dynamic
+     * arguments in operand-stack order: the instrumenter's order,
+     * except that select's condition and call_indirect's table index
+     * come last. */
+    void fire(interp::Instance &inst, const HookSite &site,
+              std::span<const wasm::Value> dyn);
+
+    /** fire()'s fan-out, timing each analysis iff @p kProfiled. */
+    template <bool kProfiled>
+    void deliver(interp::Instance &inst, const HookSite &site,
+                 std::span<const wasm::Value> dyn);
 
     std::shared_ptr<const core::StaticInfo> info_;
-    std::vector<Analysis *> analyses_;
     std::vector<std::string> analysisNames_;
-    std::vector<std::shared_ptr<BoundHook>> bound_;
+    /** Per hook kind, the analyses subscribed to it, in add order. */
+    std::array<std::vector<Subscriber>, core::kNumHookKinds> subscribers_;
+    /** Rewrite mode: bound hooks by hook id. */
+    std::vector<BoundHook> bound_;
+    /** Rewrite mode: the pre-resolved sites of the resolved hooks,
+     * found through siteOf_[siteBase_[func] + instr]. */
+    std::vector<HookSite> sites_;
+    std::vector<uint32_t> siteBase_;
+    std::vector<uint32_t> siteOf_;
+    /** Rewrite mode: decoded arguments of the current hook call. */
+    std::vector<wasm::Value> wire_;
     uint64_t invocations_ = 0;
     obs::ProfileCollector *profiler_ = nullptr;
 };

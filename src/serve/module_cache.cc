@@ -26,7 +26,7 @@ CachedModule::intrinsicInfo(core::HookSet kinds)
             return info;
     }
     std::shared_ptr<const core::StaticInfo> info =
-        core::buildIntrinsicInfo(*module_, kinds);
+        core::buildIntrinsicInfo(module_, kinds);
     infos_.emplace_back(kinds, info);
     return info;
 }

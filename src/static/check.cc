@@ -1293,7 +1293,7 @@ checkInstrumentation(const core::StaticInfo &info,
 {
     CheckOptions opts;
     opts.importModule = info.importModule;
-    return Checker(info.original, instrumented, opts, &info).run();
+    return Checker(*info.original, instrumented, opts, &info).run();
 }
 
 namespace {

@@ -2,7 +2,8 @@
  * @file
  * Runtime tests for less-traveled hook paths: the start hook, i64
  * globals through the split ABI, memory.size/grow dynamics, nop and
- * unreachable hooks, and hook behavior across traps.
+ * unreachable hooks, hook behavior across traps, binding the hooks
+ * once per runtime, and hooks called where they have no site.
  */
 
 #include <gtest/gtest.h>
@@ -311,6 +312,81 @@ TEST(DispatchHardening, OversizedArgumentSpanTrapsToo)
     Interpreter interp;
     EXPECT_THROW(interp.invokeExport(*inst, "main", {}), Trap);
     EXPECT_EQ(rt.hookInvocations(), 0u);
+}
+
+TEST(RuntimeExtra, SecondInstantiateKeepsOneBindingPerHook)
+{
+    // The dispatch state is bound once per runtime: instantiating
+    // again must neither grow it nor break the first instance.
+    Module m = wasm::parseWat(R"((module
+        (global $g (mut i32) (i32.const 0))
+        (func (export "f")
+            global.get $g
+            i32.const 1
+            i32.add
+            global.set $g)))");
+    Recorder rec(HookSet{HookKind::Global});
+    InstrumentResult r = instrument(m, rec.hooks());
+    WasabiRuntime rt(r.info);
+    rt.addAnalysis(&rec);
+    const size_t hooks = r.info->hooks.size();
+    ASSERT_EQ(rt.boundHookCount(), hooks);
+    auto first = rt.instantiate(r.module);
+    auto second = rt.instantiate(r.module);
+    EXPECT_EQ(rt.boundHookCount(), hooks);
+
+    Interpreter interp;
+    interp.invokeExport(*first, "f", {});
+    interp.invokeExport(*second, "f", {});
+    interp.invokeExport(*second, "f", {});
+    EXPECT_EQ(rt.hookInvocations(), 6u);
+    EXPECT_EQ(rec.events,
+              (std::vector<std::string>{
+                  "global.get g0=i32:0", "global.set g0=i32:1",
+                  "global.get g0=i32:0", "global.set g0=i32:1",
+                  "global.get g0=i32:1", "global.set g0=i32:2"}));
+    EXPECT_EQ(rt.boundHookCount(), hooks);
+}
+
+TEST(RuntimeExtra, HookCalledWhereItHasNoSiteTraps)
+{
+    // A pre-resolved hook (its global index is a static operand)
+    // called at a location where the module has no such site must
+    // trap with a diagnostic, not read another site's operand.
+    Module m = wasm::parseWat(R"((module
+        (global $g (mut i32) (i32.const 0))
+        (func (export "f") global.get $g drop)))");
+    InstrumentResult r = instrument(m, HookSet::only(HookKind::Global));
+    ASSERT_EQ(r.info->hooks.size(), 1u);
+    const core::HookSpec &spec = r.info->hooks[0];
+    wasm::ModuleBuilder mb;
+    mb.importFunction("wasabi", core::mangledName(spec),
+                      core::lowLevelType(spec, r.info->splitI64));
+    mb.addFunction(wasm::FuncType({}, {}), "main",
+                   [](wasm::FunctionBuilder &f) {
+                       // func 0, instr 1 is the `drop`.
+                       f.i32Const(0).i32Const(1).i32Const(5);
+                       f.call(0);
+                   });
+    Module caller = mb.build();
+    ASSERT_EQ(validationError(caller), std::nullopt);
+
+    Recorder rec(HookSet::only(HookKind::Global));
+    WasabiRuntime rt(r.info);
+    rt.addAnalysis(&rec);
+    interp::Linker linker;
+    rt.bindHooks(linker);
+    auto inst = interp::Instance::instantiate(caller, linker);
+    try {
+        Interpreter().invokeExport(*inst, "main", {});
+        FAIL() << "expected a trap";
+    } catch (const Trap &t) {
+        EXPECT_EQ(t.kind(), interp::TrapKind::HostError);
+        EXPECT_NE(std::string(t.what()).find("no such hook site"),
+                  std::string::npos)
+            << t.what();
+    }
+    EXPECT_TRUE(rec.events.empty());
 }
 
 } // namespace
