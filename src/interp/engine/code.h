@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "core/hook_kind.h"
@@ -76,18 +75,6 @@ namespace wasabi::interp::engine {
     X(F32Store)                                                         \
     X(F64Store)                                                         \
     X(StoreNarrow) /* aux=access width in bytes */                      \
-    /* unchecked memory (statically proven in-bounds; emitted only   */ \
-    /* for accesses licensed by a verified RangeClaim set)           */ \
-    X(I32LoadU)                                                         \
-    X(I64LoadU)                                                         \
-    X(F32LoadU)                                                         \
-    X(F64LoadU)                                                         \
-    X(LoadExtU)    /* aux=source opcode */                              \
-    X(I32StoreU)                                                        \
-    X(I64StoreU)                                                        \
-    X(F32StoreU)                                                        \
-    X(F64StoreU)                                                        \
-    X(StoreNarrowU) /* aux=access width in bytes */                     \
     X(MemorySize)                                                       \
     X(MemoryGrow)                                                       \
     /* constants */                                                     \
@@ -204,37 +191,10 @@ class CompiledModule {
     }
 
     /**
-     * License bounds-check elision for the load/store locations in
-     * @p locs (core::packLoc-packed (func, instr) pairs). The caller
-     * is responsible for having *verified* the set (claimed ⊆
-     * provable); the translator then emits the unchecked FOp variant
-     * at exactly these locations. Already-translated functions are
-     * reset so stale checked code cannot linger. Must not be called
-     * while execution is in progress.
-     */
-    void
-    setElisions(std::unordered_set<uint64_t> locs)
-    {
-        elisions_ = std::move(locs);
-        for (CompiledFunction &f : funcs_)
-            f = CompiledFunction{};
-    }
-
-    /** Whether (func, instr) is licensed for an unchecked access. */
-    bool
-    elides(uint64_t packed_loc) const
-    {
-        return !elisions_.empty() &&
-               elisions_.count(packed_loc) != 0;
-    }
-
-    bool hasElisions() const { return !elisions_.empty(); }
-
-    /**
      * Attach (or detach, with an empty set / null sink) engine-
      * intrinsic instrumentation: subsequent translations interleave
-     * FOp::Hook dispatch slots for exactly @p kinds. Like
-     * setElisions, already-translated functions are reset so stale
+     * FOp::Hook dispatch slots for exactly @p kinds.
+     * Already-translated functions are reset so stale
      * code (with the old hook selection) cannot linger — except when
      * @p kinds equals the currently attached set: the translated code
      * is then already correct (FOp::Hook placement depends only on
@@ -281,7 +241,6 @@ class CompiledModule {
     std::vector<CompiledFunction> funcs_;
     std::vector<uint32_t> typeCanon_;
     std::vector<uint32_t> funcTypeCanon_;
-    std::unordered_set<uint64_t> elisions_;
     core::HookSet intrinsicHooks_{};
     IntrinsicSink *intrinsicSink_ = nullptr;
     uint64_t translations_ = 0;

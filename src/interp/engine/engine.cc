@@ -13,7 +13,6 @@
  */
 
 #include <bit>
-#include <cassert>
 #include <cstring>
 
 #include "interp/engine/code.h"
@@ -135,7 +134,6 @@ execute(Instance &inst, uint32_t func_idx, std::span<const Value> args,
     bool hasFuel = fuelSlot.has_value();
     uint64_t fuel = hasFuel ? *fuelSlot : 0;
     uint64_t statInstr = 0, statCalls = 0, statMem = 0;
-    uint64_t statMemElided = 0;
     uint8_t *mb = inst.memory().raw().data();
     size_t msz = inst.memory().raw().size();
     Value *gl = inst.globalsData();
@@ -159,8 +157,7 @@ execute(Instance &inst, uint32_t func_idx, std::span<const Value> args,
         stats.instructions += statInstr;
         stats.calls += statCalls;
         stats.memoryOps += statMem;
-        stats.memoryOpsElided += statMemElided;
-        statInstr = statCalls = statMem = statMemElided = 0;
+        statInstr = statCalls = statMem = 0;
         if (hasFuel)
             fuelSlot = fuel;
     };
@@ -479,131 +476,6 @@ execute(Instance &inst, uint32_t func_idx, std::span<const Value> args,
                 static_cast<uint64_t>((--sp)->i32()) + in->a;
             if (ea + w > msz)
                 throw Trap(TrapKind::MemoryOutOfBounds);
-            std::memcpy(mb + ea, &v.bits, w);
-            VM_NEXT();
-        }
-        // Unchecked variants: identical to their checked twins minus
-        // the bounds test, which a verified RangeClaim proved
-        // redundant. Debug builds keep an assert as the safety gate
-        // the differential tests lean on; the claim checker plus the
-        // memory-never-shrinks invariant make it unreachable.
-        VM_CASE(I32LoadU) : {
-            VM_CHARGE(in->charge);
-            ++statMem;
-            ++statMemElided;
-            uint64_t ea =
-                static_cast<uint64_t>((sp - 1)->i32()) + in->a;
-            assert(ea + 4 <= msz && "elided bounds check violated");
-            uint32_t v;
-            std::memcpy(&v, mb + ea, 4);
-            *(sp - 1) = Value::makeI32(v);
-            VM_NEXT();
-        }
-        VM_CASE(I64LoadU) : {
-            VM_CHARGE(in->charge);
-            ++statMem;
-            ++statMemElided;
-            uint64_t ea =
-                static_cast<uint64_t>((sp - 1)->i32()) + in->a;
-            assert(ea + 8 <= msz && "elided bounds check violated");
-            uint64_t v;
-            std::memcpy(&v, mb + ea, 8);
-            *(sp - 1) = Value::makeI64(v);
-            VM_NEXT();
-        }
-        VM_CASE(F32LoadU) : {
-            VM_CHARGE(in->charge);
-            ++statMem;
-            ++statMemElided;
-            uint64_t ea =
-                static_cast<uint64_t>((sp - 1)->i32()) + in->a;
-            assert(ea + 4 <= msz && "elided bounds check violated");
-            uint32_t v;
-            std::memcpy(&v, mb + ea, 4);
-            *(sp - 1) = Value(ValType::F32, v);
-            VM_NEXT();
-        }
-        VM_CASE(F64LoadU) : {
-            VM_CHARGE(in->charge);
-            ++statMem;
-            ++statMemElided;
-            uint64_t ea =
-                static_cast<uint64_t>((sp - 1)->i32()) + in->a;
-            assert(ea + 8 <= msz && "elided bounds check violated");
-            uint64_t v;
-            std::memcpy(&v, mb + ea, 8);
-            *(sp - 1) = Value(ValType::F64, v);
-            VM_NEXT();
-        }
-        VM_CASE(LoadExtU) : {
-            VM_CHARGE(in->charge);
-            ++statMem;
-            ++statMemElided;
-            uint64_t w = in->b;
-            uint64_t ea =
-                static_cast<uint64_t>((sp - 1)->i32()) + in->a;
-            assert(ea + w <= msz && "elided bounds check violated");
-            uint64_t raw = 0;
-            std::memcpy(&raw, mb + ea, w);
-            *(sp - 1) =
-                loadedValue(static_cast<Opcode>(in->aux), raw);
-            VM_NEXT();
-        }
-        VM_CASE(I32StoreU) : {
-            VM_CHARGE(in->charge);
-            ++statMem;
-            ++statMemElided;
-            Value v = *--sp;
-            uint64_t ea =
-                static_cast<uint64_t>((--sp)->i32()) + in->a;
-            assert(ea + 4 <= msz && "elided bounds check violated");
-            uint32_t bits = static_cast<uint32_t>(v.bits);
-            std::memcpy(mb + ea, &bits, 4);
-            VM_NEXT();
-        }
-        VM_CASE(I64StoreU) : {
-            VM_CHARGE(in->charge);
-            ++statMem;
-            ++statMemElided;
-            Value v = *--sp;
-            uint64_t ea =
-                static_cast<uint64_t>((--sp)->i32()) + in->a;
-            assert(ea + 8 <= msz && "elided bounds check violated");
-            std::memcpy(mb + ea, &v.bits, 8);
-            VM_NEXT();
-        }
-        VM_CASE(F32StoreU) : {
-            VM_CHARGE(in->charge);
-            ++statMem;
-            ++statMemElided;
-            Value v = *--sp;
-            uint64_t ea =
-                static_cast<uint64_t>((--sp)->i32()) + in->a;
-            assert(ea + 4 <= msz && "elided bounds check violated");
-            uint32_t bits = static_cast<uint32_t>(v.bits);
-            std::memcpy(mb + ea, &bits, 4);
-            VM_NEXT();
-        }
-        VM_CASE(F64StoreU) : {
-            VM_CHARGE(in->charge);
-            ++statMem;
-            ++statMemElided;
-            Value v = *--sp;
-            uint64_t ea =
-                static_cast<uint64_t>((--sp)->i32()) + in->a;
-            assert(ea + 8 <= msz && "elided bounds check violated");
-            std::memcpy(mb + ea, &v.bits, 8);
-            VM_NEXT();
-        }
-        VM_CASE(StoreNarrowU) : {
-            VM_CHARGE(in->charge);
-            ++statMem;
-            ++statMemElided;
-            Value v = *--sp;
-            uint64_t w = in->aux;
-            uint64_t ea =
-                static_cast<uint64_t>((--sp)->i32()) + in->a;
-            assert(ea + w <= msz && "elided bounds check violated");
             std::memcpy(mb + ea, &v.bits, w);
             VM_NEXT();
         }

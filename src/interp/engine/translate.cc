@@ -135,7 +135,7 @@ class Translator {
         for (uint32_t i = 0; i < func.body.size(); ++i) {
             if (frames_.empty())
                 break;
-            instrIdx_ = i; // doLoad/doStore key elision claims on it
+            instrIdx_ = i; // hook sites record it as their location
             translateOne(func.body[i]);
         }
         if (!frames_.empty()) {
@@ -759,17 +759,6 @@ class Translator {
 
     // --- memory ----------------------------------------------------
 
-    /** Whether a verified range claim licenses dropping the bounds
-     * check of the access currently being translated. Unchecked
-     * variants keep identical charge/stat behavior, so elision is
-     * unobservable except through ExecStats' elided counter. */
-    bool
-    elide() const
-    {
-        return cm_.hasElisions() &&
-               cm_.elides(core::packLoc({funcIdx_, instrIdx_}));
-    }
-
     void
     doLoad(const Instr &ins)
     {
@@ -778,28 +767,22 @@ class Translator {
             stashTop(1); // the address the load consumes
         pop(1);
         uint32_t off = ins.imm.mem.offset;
-        const bool u = elide();
         switch (ins.op) {
           case Opcode::I32Load:
-            emit(u ? FOp::I32LoadU : FOp::I32Load, 0, takeCharge(),
-                 off);
+            emit(FOp::I32Load, 0, takeCharge(), off);
             break;
           case Opcode::I64Load:
-            emit(u ? FOp::I64LoadU : FOp::I64Load, 0, takeCharge(),
-                 off);
+            emit(FOp::I64Load, 0, takeCharge(), off);
             break;
           case Opcode::F32Load:
-            emit(u ? FOp::F32LoadU : FOp::F32Load, 0, takeCharge(),
-                 off);
+            emit(FOp::F32Load, 0, takeCharge(), off);
             break;
           case Opcode::F64Load:
-            emit(u ? FOp::F64LoadU : FOp::F64Load, 0, takeCharge(),
-                 off);
+            emit(FOp::F64Load, 0, takeCharge(), off);
             break;
           default:
-            emit(u ? FOp::LoadExtU : FOp::LoadExt,
-                 static_cast<uint8_t>(ins.op), takeCharge(), off,
-                 wasm::memAccessBytes(ins.op));
+            emit(FOp::LoadExt, static_cast<uint8_t>(ins.op),
+                 takeCharge(), off, wasm::memAccessBytes(ins.op));
             break;
         }
         push(1);
@@ -824,26 +807,21 @@ class Translator {
             stashTop(2); // [addr, value], both consumed
         pop(2);
         uint32_t off = ins.imm.mem.offset;
-        const bool u = elide();
         switch (ins.op) {
           case Opcode::I32Store:
-            emit(u ? FOp::I32StoreU : FOp::I32Store, 0, takeCharge(),
-                 off);
+            emit(FOp::I32Store, 0, takeCharge(), off);
             break;
           case Opcode::I64Store:
-            emit(u ? FOp::I64StoreU : FOp::I64Store, 0, takeCharge(),
-                 off);
+            emit(FOp::I64Store, 0, takeCharge(), off);
             break;
           case Opcode::F32Store:
-            emit(u ? FOp::F32StoreU : FOp::F32Store, 0, takeCharge(),
-                 off);
+            emit(FOp::F32Store, 0, takeCharge(), off);
             break;
           case Opcode::F64Store:
-            emit(u ? FOp::F64StoreU : FOp::F64Store, 0, takeCharge(),
-                 off);
+            emit(FOp::F64Store, 0, takeCharge(), off);
             break;
           default:
-            emit(u ? FOp::StoreNarrowU : FOp::StoreNarrow,
+            emit(FOp::StoreNarrow,
                  static_cast<uint8_t>(wasm::memAccessBytes(ins.op)),
                  takeCharge(), off);
             break;

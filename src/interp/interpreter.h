@@ -23,10 +23,6 @@ struct ExecStats {
     uint64_t instructions = 0; ///< instructions retired
     uint64_t calls = 0;        ///< call + call_indirect executed
     uint64_t memoryOps = 0;    ///< load/store/memory.size/memory.grow
-    /** Loads/stores executed through an unchecked (bounds-check
-     * elided) fast-engine op; always 0 on the legacy engine and
-     * without a licensed claim set. Subset of memoryOps. */
-    uint64_t memoryOpsElided = 0;
     uint64_t traps = 0;        ///< traps propagated out of invoke()
 };
 

@@ -205,9 +205,8 @@ ProfileCollector::toText() const
     if (interp_) {
         out << "\ninterpreter: " << interp_->instructions
             << " instructions, " << interp_->calls << " calls, "
-            << interp_->memoryOps << " memory ops ("
-            << interp_->memoryOpsElided << " unchecked), "
-            << interp_->traps << " traps\n";
+            << interp_->memoryOps << " memory ops, " << interp_->traps
+            << " traps\n";
     }
     return out.str();
 }
@@ -313,7 +312,6 @@ ProfileCollector::toJson(bool deterministic) const
         out << ",\n  \"interp\": {\"instructions\": "
             << interp_->instructions << ", \"calls\": " << interp_->calls
             << ", \"memoryOps\": " << interp_->memoryOps
-            << ", \"memoryOpsElided\": " << interp_->memoryOpsElided
             << ", \"traps\": " << interp_->traps << "}";
     }
     out << "\n}\n";
@@ -585,8 +583,6 @@ validateProfileJson(const std::string &text, std::string *error)
             !checkU64Field(*interp, "instructions", "interp", error) ||
             !checkU64Field(*interp, "calls", "interp", error) ||
             !checkU64Field(*interp, "memoryOps", "interp", error) ||
-            !checkU64Field(*interp, "memoryOpsElided", "interp",
-                           error) ||
             !checkU64Field(*interp, "traps", "interp", error))
             return false;
     }

@@ -51,7 +51,6 @@ struct InterpCounters {
     uint64_t instructions = 0; ///< instructions retired
     uint64_t calls = 0;        ///< call + call_indirect executed
     uint64_t memoryOps = 0;    ///< load/store/memory.size/memory.grow
-    uint64_t memoryOpsElided = 0; ///< subset run without bounds check
     uint64_t traps = 0;        ///< traps propagated out of invoke()
 };
 

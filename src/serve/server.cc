@@ -272,8 +272,7 @@ Server::opRun(const Request &r, bool with_profile)
     w.field("report", report);
     if (with_profile) {
         collector.setInterpCounters(obs::InterpCounters{
-            es.instructions, es.calls, es.memoryOps,
-            es.memoryOpsElided, es.traps});
+            es.instructions, es.calls, es.memoryOps, es.traps});
         // Deterministic by default so N concurrent clients issuing the
         // same request sequence read byte-identical responses; verbose
         // opts into real (schedule-dependent) timings.

@@ -93,7 +93,7 @@ Diagnostics checkInstrumentation(const core::StaticInfo &info,
  * claimed in-bounds access from @p original with the value-range
  * analysis. Read failures surface as check.range.bad-manifest;
  * semantic failures as check.range.* codes from the range pass. An
- * empty result licenses engine bounds-check elision for the claims.
+ * empty result means every claim re-proved.
  */
 Diagnostics checkRangeManifest(const wasm::Module &original,
                                const json::Value &manifest,

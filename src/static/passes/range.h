@@ -15,8 +15,7 @@
  *  - `wasabi analyze --ranges` (JSON and per-function DOT views), and
  *  - RangeClaims ("this access is in bounds for every execution given
  *    the declared minimum memory"), exported as a claim manifest that
- *    `wasabi check --manifest=` re-proves (check.range.* codes) and
- *    the pre-decoded engine consumes to elide bounds checks.
+ *    `wasabi check --manifest=` re-proves (check.range.* codes).
  */
 
 #ifndef WASABI_STATIC_PASSES_RANGE_H
@@ -197,8 +196,7 @@ bool rangeClaimsFromManifest(const std::string &text, RangeClaims *out,
  * codes): the declared memory must match (check.range.bad-memory),
  * every location must be a load/store of a defined function
  * (check.range.bad-location), and every claim must be re-derivable by
- * the analysis — claimed ⊆ provable (check.range.unprovable). An
- * empty result licenses bounds-check elision for the claimed set.
+ * the analysis — claimed ⊆ provable (check.range.unprovable).
  */
 Diagnostics checkRangeClaims(const wasm::Module &m, const RangeClaims &c,
                              unsigned num_threads = 0);

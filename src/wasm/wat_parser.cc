@@ -124,14 +124,19 @@ class Lexer {
         e.col = col();
         char c = peek();
         if (c == '(') {
+            if (depth_ == kMaxWatNesting)
+                fail("lists nested deeper than " +
+                     std::to_string(kMaxWatNesting));
             advance();
             e.list = true;
+            ++depth_;
             while (true) {
                 skipSpace();
                 if (done())
                     fail("unterminated list");
                 if (peek() == ')') {
                     advance();
+                    --depth_;
                     return e;
                 }
                 e.items.push_back(parseOne());
@@ -198,6 +203,7 @@ class Lexer {
     size_t pos_ = 0;
     int line_ = 1;
     size_t line_start_ = 0;
+    size_t depth_ = 0; ///< lists open around the current position
 };
 
 // =====================================================================
@@ -1029,6 +1035,9 @@ class ModuleParser {
                 Opcode op = head.atom == "block"  ? Opcode::Block
                             : head.atom == "loop" ? Opcode::Loop
                                                   : Opcode::If;
+                if (labels_.size() == kMaxWatNesting)
+                    failAt(head, "blocks nested deeper than " +
+                                     std::to_string(kMaxWatNesting));
                 labels_.push_back(label);
                 instrs.push_back(Instr::blockStart(op, bt));
                 int depth = 1;

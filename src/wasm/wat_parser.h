@@ -21,6 +21,7 @@
 #ifndef WASABI_WASM_WAT_PARSER_H
 #define WASABI_WASM_WAT_PARSER_H
 
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 
@@ -41,6 +42,14 @@ class ParseError : public std::runtime_error {
     int line;
     int col;
 };
+
+/**
+ * Deepest nesting parseWat() accepts, counted separately for
+ * s-expression lists and for blocks (folded or flat). Both are parsed
+ * recursively, so deeper input is a ParseError rather than a host
+ * stack overflow.
+ */
+inline constexpr size_t kMaxWatNesting = 1000;
 
 /** Parse a complete (module ...) from WAT text. */
 Module parseWat(const std::string &text);

@@ -8,12 +8,8 @@
 
 #include <gtest/gtest.h>
 
-#include <unordered_set>
-
-#include "core/static_info.h"
-#include "interp/engine/code.h"
 #include "interp/interpreter.h"
-#include "static/passes/range.h"
+#include "range_claim_oracle.h"
 #include "static/rewrite/opt.h"
 #include "static/rewrite/rewrite.h"
 #include "wasm/builder.h"
@@ -130,8 +126,7 @@ struct FuzzOutcome {
 };
 
 std::optional<FuzzOutcome>
-runBounded(const Module &m, interp::EngineKind engine,
-           bool elide = false)
+runBounded(const Module &m, interp::EngineKind engine)
 {
     FuzzOutcome out;
     std::unique_ptr<interp::Instance> inst;
@@ -141,16 +136,6 @@ runBounded(const Module &m, interp::EngineKind engine,
         // Mutations can break instantiation (segment bounds, start
         // traps); that path is engine-independent, skip the input.
         return std::nullopt;
-    }
-    if (elide) {
-        // License every provable bounds check of the mutated module,
-        // exactly as `wasabi run --elide-bounds-checks` would.
-        using namespace static_analysis::passes;
-        RangeClaims claims = provableRangeClaims(moduleRanges(m, 1));
-        std::unordered_set<uint64_t> locs;
-        for (const RangeClaim &c : claims.claims)
-            locs.insert(core::packLoc({c.func, c.instr}));
-        inst->engineCode().setElisions(std::move(locs));
     }
     // A mutated body may loop forever: bound the run with fuel.
     inst->setFuel(200000);
@@ -211,38 +196,50 @@ TEST(DecoderFuzz, MutationSurvivorsExecuteIdenticallyOnBothEngines)
 }
 
 /**
- * Elision differential on the same mutation corpus: deriving range
- * claims from each surviving mutant and running it with those bounds
- * checks elided must not change any observable behavior. This is the
- * fuzz leg of the bounds-check-elision safety gate.
+ * Range-claim oracle on a second mutation corpus: every access the
+ * range analysis claims in a surviving mutant must stay inside the
+ * claimed memory (tests/range_claim_oracle.h). The test is named for
+ * the elided-vs-checked differential it replaced: a run with those
+ * bounds checks elided was sound exactly when this holds.
  */
 TEST(DecoderFuzz, MutationSurvivorsExecuteIdenticallyWithElision)
 {
     std::vector<uint8_t> base = baseModuleBytes();
     uint64_t rng = 0xE115; // different corpus than the plain gate
     int executed = 0;
+    uint64_t claimed = 0;
     for (int i = 0; i < 400; ++i) {
         std::vector<uint8_t> bytes = base;
         bytes[mix(rng) % bytes.size()] = static_cast<uint8_t>(mix(rng));
-        Module m;
+        workloads::Workload w;
+        w.entry = baseWorkload().entry;
+        w.args = baseWorkload().args;
         try {
-            m = decodeModule(bytes);
+            w.module = decodeModule(bytes);
         } catch (const DecodeError &) {
             continue;
         }
-        if (validationError(m))
+        if (validationError(w.module))
             continue;
-        std::optional<FuzzOutcome> legacy =
-            runBounded(m, interp::EngineKind::Legacy);
-        std::optional<FuzzOutcome> elided =
-            runBounded(m, interp::EngineKind::Fast, /*elide=*/true);
-        ASSERT_EQ(legacy.has_value(), elided.has_value()) << "iter " << i;
-        if (!legacy)
+        tests::OracleRun run;
+        try {
+            // A mutated body may loop forever: bound the run with fuel.
+            run = tests::runRangeOracle(w, tests::provableClaims(w.module),
+                                        tests::OracleMode::Intrinsic,
+                                        200000);
+        } catch (...) {
+            // Mutations can break instantiation (segment bounds, start
+            // traps) or the entry export; skip the input.
             continue;
-        EXPECT_EQ(*legacy == *elided, true) << "iter " << i;
+        }
+        EXPECT_EQ(run.violationCount, 0u)
+            << "iter " << i << ": "
+            << ::testing::PrintToString(run.violations);
+        claimed += run.claimedAccesses;
         ++executed;
     }
     EXPECT_GT(executed, 0);
+    EXPECT_GT(claimed, 0u);
 }
 
 /**

@@ -170,7 +170,7 @@ TEST(Intrinsic, AttachWithRewriteStaticInfoIsUsageError)
 
 // ---------------------------------------------------------------------
 // Attach/detach after first execution must invalidate cached
-// translations, exactly like setElisions.
+// translations.
 
 TEST(Intrinsic, AttachAfterFirstExecutionTakesEffect)
 {

@@ -4,18 +4,14 @@
  * threshold widening, branch-condition edge refinement, interprocedural
  * argument seeding), the RangeClaim manifest round trip with tamper
  * rejection, the lint.range.* diagnostics, the deterministic JSON/DOT
- * views, and the engine bounds-check elision the claims license —
- * including the elided-vs-checked-vs-legacy differential gate and the
- * exact elided-access counters.
+ * views, and the dynamic oracle that checks every claimed access
+ * stays inside the claimed memory (tests/range_claim_oracle.h).
  */
 
 #include <gtest/gtest.h>
 
-#include <unordered_set>
-
-#include "core/static_info.h"
-#include "interp/engine/code.h"
 #include "interp/interpreter.h"
+#include "range_claim_oracle.h"
 #include "static/analyze.h"
 #include "static/check.h"
 #include "static/manifest.h"
@@ -30,13 +26,6 @@
 namespace wasabi::static_analysis::passes {
 namespace {
 
-using core::packLoc;
-using interp::EngineKind;
-using interp::ExecStats;
-using interp::Instance;
-using interp::Interpreter;
-using interp::Linker;
-using interp::Trap;
 using interp::TrapKind;
 using wasm::FuncType;
 using wasm::FunctionBuilder;
@@ -666,79 +655,42 @@ TEST(RangeLint, ConstpropFlaggedGuardIsNotDuplicated)
     EXPECT_FALSE(d.hasCode(kLintRangeDeadGuard)) << toString(d);
 }
 
-// ----- engine elision -----------------------------------------------
+// ----- range-claim soundness oracle --------------------------------
+//
+// The engine once ran claimed accesses without a bounds check, and the
+// tests below compared those runs with checked ones. They keep their
+// names; each now checks the claim such a run relied on, directly: at
+// every claimed access, addr + offset + width <= minPages * 64 KiB.
 
-/** Observable outcome of one run, engine + elision configurable. */
-struct Outcome {
-    std::vector<Value> results;
-    std::optional<TrapKind> trap;
-    std::vector<uint8_t> memory;
-    uint64_t instructions = 0;
-    uint64_t calls = 0;
-    uint64_t memoryOps = 0;
-    uint64_t memoryOpsElided = 0;
+using tests::expectClaimsHold;
+using tests::OracleMode;
+using tests::OracleRun;
+using tests::provableClaims;
+using tests::runRangeOracle;
 
-    /** Everything except the elided counter (which intentionally
-     * differs between checked and elided runs). */
-    bool
-    agreesWith(const Outcome &o) const
-    {
-        return results == o.results && trap == o.trap &&
-               memory == o.memory && instructions == o.instructions &&
-               calls == o.calls && memoryOps == o.memoryOps;
-    }
-};
-
-std::unordered_set<uint64_t>
-elisionSet(const Module &m)
+/** Locations of the I32Store instructions of function 0 of @p m. */
+std::vector<RangeClaim>
+i32StoresOf(const Module &m)
 {
-    RangeClaims claims = provableRangeClaims(moduleRanges(m, 1));
-    std::unordered_set<uint64_t> locs;
-    for (const RangeClaim &c : claims.claims)
-        locs.insert(packLoc({c.func, c.instr}));
-    return locs;
-}
-
-Outcome
-runWorkload(const Workload &w, EngineKind engine, bool elide)
-{
-    Outcome out;
-    auto inst = Instance::instantiate(w.module, Linker());
-    if (elide)
-        inst->engineCode().setElisions(elisionSet(w.module));
-    Interpreter interp;
-    interp.engine = engine;
-    try {
-        out.results = interp.invokeExport(*inst, w.entry, w.args);
-    } catch (const Trap &t) {
-        out.trap = t.kind();
+    std::vector<RangeClaim> out;
+    const std::vector<wasm::Instr> &body = m.functions.at(0).body;
+    for (uint32_t i = 0; i < body.size(); ++i) {
+        if (body[i].op == Opcode::I32Store)
+            out.push_back({0, i});
     }
-    out.memory = inst->memory().raw();
-    const ExecStats &s = interp.stats();
-    out.instructions = s.instructions;
-    out.calls = s.calls;
-    out.memoryOps = s.memoryOps;
-    out.memoryOpsElided = s.memoryOpsElided;
     return out;
 }
 
 class ElisionDifferentialPolybench
     : public ::testing::TestWithParam<std::string> {};
 
-/** Satellite 2, the safety gate: with every provable bounds check
- * elided, the fast engine must stay byte-equivalent to both checked
- * engines on every PolyBench kernel. */
 TEST_P(ElisionDifferentialPolybench, ElidedRunMatchesBothEngines)
 {
-    Workload w = workloads::polybench(GetParam(), 8);
-    Outcome legacy = runWorkload(w, EngineKind::Legacy, false);
-    Outcome checked = runWorkload(w, EngineKind::Fast, false);
-    Outcome elided = runWorkload(w, EngineKind::Fast, true);
-    EXPECT_TRUE(legacy.agreesWith(checked)) << GetParam();
-    EXPECT_TRUE(legacy.agreesWith(elided)) << GetParam();
-    EXPECT_EQ(legacy.memoryOpsElided, 0u);
-    EXPECT_EQ(checked.memoryOpsElided, 0u);
-    EXPECT_LE(elided.memoryOpsElided, elided.memoryOps);
+    // Counted-loop kernels are what the analysis targets: each must
+    // run claimed accesses, or the check would be vacuous.
+    EXPECT_GT(expectClaimsHold(workloads::polybench(GetParam(), 8),
+                               GetParam()),
+              0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Kernels, ElisionDifferentialPolybench,
@@ -746,99 +698,114 @@ INSTANTIATE_TEST_SUITE_P(Kernels, ElisionDifferentialPolybench,
 
 TEST(ElisionDifferential, SyntheticAppsAgree)
 {
-    for (workloads::AppSize size :
-         {workloads::AppSize::Small, workloads::AppSize::PdfkitLike}) {
-        Workload w = workloads::syntheticApp(size);
-        Outcome legacy = runWorkload(w, EngineKind::Legacy, false);
-        Outcome elided = runWorkload(w, EngineKind::Fast, true);
-        EXPECT_TRUE(legacy.agreesWith(elided));
-    }
+    Workload small = workloads::syntheticApp(workloads::AppSize::Small);
+    EXPECT_GT(expectClaimsHold(small, small.name), 0u);
+    // The large app in intrinsic mode only: with every hook attached,
+    // its rewritten module takes seconds on the legacy walker.
+    Workload large =
+        workloads::syntheticApp(workloads::AppSize::PdfkitLike);
+    OracleRun run = runRangeOracle(large, provableClaims(large.module));
+    EXPECT_EQ(run.violationCount, 0u)
+        << ::testing::PrintToString(run.violations);
+    EXPECT_GT(run.claimedAccesses, 0u);
 }
 
 TEST(Elision, CountersAreExact)
 {
-    // 64 proven stores in a counted loop: the elided run must execute
-    // exactly 64 unchecked accesses, and the checked run zero.
-    ModuleBuilder mb;
-    mb.memory(1);
-    mb.addFunction(FuncType({}, {}), "f", [](FunctionBuilder &f) {
-        uint32_t i = f.addLocal(ValType::I32);
-        f.forLoop(i, 0, 64, [&] {
-            f.localGet(i).i32Const(8).op(Opcode::I32Mul);
-            f.localGet(i).i32Store();
-        });
-    });
+    // 64 proven stores in a counted loop: the oracle must check
+    // exactly those 64 accesses.
     Workload w;
-    w.module = mb.build();
+    w.module = provenStoreModule();
     w.entry = "f";
     ASSERT_EQ(validationError(w.module), std::nullopt);
-    ASSERT_EQ(elisionSet(w.module).size(), 1u);
-
-    Outcome checked = runWorkload(w, EngineKind::Fast, false);
-    Outcome elided = runWorkload(w, EngineKind::Fast, true);
-    EXPECT_TRUE(checked.agreesWith(elided));
-    EXPECT_EQ(checked.memoryOpsElided, 0u);
-    EXPECT_EQ(elided.memoryOpsElided, 64u);
-    EXPECT_EQ(elided.memoryOps, 64u);
+    RangeClaims claims = provableClaims(w.module);
+    ASSERT_EQ(claims.claims.size(), 1u);
+    OracleRun run = runRangeOracle(w, claims);
+    EXPECT_EQ(run.trap, std::nullopt);
+    EXPECT_EQ(run.claimedAccesses, 64u);
+    EXPECT_EQ(run.violationCount, 0u);
 }
 
-TEST(Elision, UnclaimedAccessStillTraps)
+/** One proven store, then one store to the address argument. */
+Workload
+provenThenDynamicStore(uint32_t addr)
 {
-    // A function mixing one proven store with one genuinely dynamic
-    // (unproven) store: the latter keeps its bounds check and must
-    // still trap out of bounds after elision licensing.
     ModuleBuilder mb;
     mb.memory(1);
     mb.addFunction(
         FuncType({ValType::I32}, {}), "f", [](FunctionBuilder &f) {
             f.i32Const(16).i32Const(1).i32Store(); // proven
-            f.localGet(0).i32Const(2).i32Store();  // top: stays checked
+            f.localGet(0).i32Const(2).i32Store();  // top: unclaimed
         });
-    Module m = mb.build();
-    ASSERT_EQ(validationError(m), std::nullopt);
-    std::unordered_set<uint64_t> locs = elisionSet(m);
-    ASSERT_EQ(locs.size(), 1u);
-
-    auto inst = Instance::instantiate(m, Linker());
-    inst->engineCode().setElisions(locs);
-    Interpreter interp;
-    std::vector<Value> oob = {Value::makeI32(0xFFFFFFF0u)};
-    try {
-        interp.invokeExport(*inst, "f", oob);
-        FAIL() << "expected MemoryOutOfBounds";
-    } catch (const Trap &t) {
-        EXPECT_EQ(t.kind(), TrapKind::MemoryOutOfBounds);
-    }
-    // In-bounds argument: both stores land, one of them unchecked.
-    auto inst2 = Instance::instantiate(m, Linker());
-    inst2->engineCode().setElisions(locs);
-    Interpreter interp2;
-    std::vector<Value> inBounds = {Value::makeI32(64)};
-    interp2.invokeExport(*inst2, "f", inBounds);
-    EXPECT_EQ(interp2.stats().memoryOpsElided, 1u);
-    EXPECT_EQ(interp2.stats().memoryOps, 2u);
+    Workload w;
+    w.module = mb.build();
+    w.entry = "f";
+    w.args = {Value::makeI32(addr)};
+    return w;
 }
 
-TEST(Elision, SetElisionsInvalidatesCompiledCode)
+TEST(Elision, UnclaimedAccessStillTraps)
 {
-    // Licensing elisions after a function was already translated must
-    // retranslate it — stale checked code may not linger, nor may
-    // stale unchecked code survive clearing the set.
-    Module m = provenStoreModule();
-    auto inst = Instance::instantiate(m, Linker());
-    Interpreter interp;
-    interp.invokeExport(*inst, "f", {}); // translate checked
-    EXPECT_EQ(interp.stats().memoryOpsElided, 0u);
+    // The unclaimed store traps out of bounds; the trap is not blamed
+    // on the claimed store that ran just before it.
+    Workload w = provenThenDynamicStore(0xFFFFFFF0u);
+    ASSERT_EQ(validationError(w.module), std::nullopt);
+    RangeClaims claims = provableClaims(w.module);
+    ASSERT_EQ(claims.claims.size(), 1u);
+    OracleRun oob = runRangeOracle(w, claims);
+    EXPECT_EQ(oob.trap, TrapKind::MemoryOutOfBounds);
+    EXPECT_EQ(oob.claimedAccesses, 1u);
+    EXPECT_EQ(oob.violationCount, 0u);
 
-    inst->engineCode().setElisions(elisionSet(m));
-    Interpreter again;
-    again.invokeExport(*inst, "f", {});
-    EXPECT_EQ(again.stats().memoryOpsElided, 64u);
+    OracleRun inBounds =
+        runRangeOracle(provenThenDynamicStore(64), claims);
+    EXPECT_EQ(inBounds.trap, std::nullopt);
+    EXPECT_EQ(inBounds.claimedAccesses, 1u);
+    EXPECT_EQ(inBounds.violationCount, 0u);
+}
 
-    inst->engineCode().setElisions({});
-    Interpreter third;
-    third.invokeExport(*inst, "f", {});
-    EXPECT_EQ(third.stats().memoryOpsElided, 0u);
+// The oracle's self-tests: a claim the analysis would never make must
+// be reported once the access it covers leaves the claimed memory.
+
+TEST(RangeClaimOracle, ForgedClaimOnTrappingAccessIsReported)
+{
+    Workload w = provenThenDynamicStore(0xFFFFFFF0u);
+    RangeClaims forged{1, i32StoresOf(w.module)};
+    ASSERT_EQ(forged.claims.size(), 2u);
+    for (OracleMode mode : {OracleMode::Intrinsic, OracleMode::RewriteFast,
+                            OracleMode::RewriteLegacy}) {
+        OracleRun run = runRangeOracle(w, forged, mode);
+        EXPECT_EQ(run.trap, TrapKind::MemoryOutOfBounds);
+        EXPECT_EQ(run.claimedAccesses, 1u);
+        EXPECT_EQ(run.violationCount, 1u);
+    }
+    // The same forged claims hold for an in-bounds argument.
+    OracleRun ok = runRangeOracle(provenThenDynamicStore(64), forged);
+    EXPECT_EQ(ok.claimedAccesses, 2u);
+    EXPECT_EQ(ok.violationCount, 0u);
+}
+
+TEST(RangeClaimOracle, ForgedClaimPastMinimumMemoryIsReported)
+{
+    // The store lands in a page the module grew: in bounds for the
+    // engine, but past the 1-page minimum the claim is relative to.
+    ModuleBuilder mb;
+    mb.memory(1);
+    mb.addFunction(FuncType({}, {}), "f", [](FunctionBuilder &f) {
+        f.i32Const(1).op(Opcode::MemoryGrow).drop();
+        f.i32Const(65534).i32Const(7).i32Store();
+    });
+    Workload w;
+    w.module = mb.build();
+    w.entry = "f";
+    ASSERT_EQ(validationError(w.module), std::nullopt);
+    EXPECT_TRUE(provableClaims(w.module).claims.empty());
+    OracleRun run = runRangeOracle(w, {1, i32StoresOf(w.module)});
+    EXPECT_EQ(run.trap, std::nullopt);
+    EXPECT_EQ(run.claimedAccesses, 1u);
+    ASSERT_EQ(run.violationCount, 1u);
+    EXPECT_NE(run.violations.at(0).find("65538"), std::string::npos)
+        << run.violations.at(0);
 }
 
 } // namespace

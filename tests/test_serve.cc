@@ -247,6 +247,29 @@ TEST(ServeErrors, MalformedAndUnknownRequestsNeverKillTheDaemon)
     EXPECT_TRUE(hasField(ok.response, "ok", "true")) << ok.response;
 }
 
+TEST(ServeErrors, DeeplyNestedWatIsAnErrorReplyNotACrash)
+{
+    // Past the parser's nesting limit the module fails to parse (it
+    // used to overflow the stack and take every tenant down with it);
+    // the next request on the same daemon is answered.
+    Server server;
+    std::string deep = "(module (func (export \"main\")";
+    for (int i = 0; i < 200000; ++i)
+        deep += " (block";
+    deep += std::string(200000, ')') + "))";
+    auto bad = server.handle(runRequest(writeTemp("deep.wat", deep)));
+    EXPECT_TRUE(hasField(bad.response, "ok", "false")) << bad.response;
+    EXPECT_TRUE(
+        hasField(bad.response, "code", "\"serve.module-error\""))
+        << bad.response;
+    EXPECT_NE(bad.response.find("nested deeper"), std::string::npos)
+        << bad.response;
+    EXPECT_FALSE(bad.shutdown);
+
+    auto ok = server.handle(runRequest(writeTemp("after_deep.wat", kAddWat)));
+    EXPECT_TRUE(hasField(ok.response, "ok", "true")) << ok.response;
+}
+
 TEST(ServeErrors, ModuleDiagnosticsArePrecise)
 {
     Server server;

@@ -332,6 +332,77 @@ TEST(WatParser, RejectsMalformedInput)
                  ParseError);
 }
 
+/** `(module ((((...))))`: @p n empty lists nested inside the module. */
+std::string
+nestedLists(size_t n)
+{
+    return "(module " + std::string(n, '(') + std::string(n, ')') + ")";
+}
+
+/** `(module (func (block (block ...))))` with @p n folded blocks. */
+std::string
+foldedBlocks(size_t n)
+{
+    std::string s = "(module (func";
+    for (size_t i = 0; i < n; ++i)
+        s += " (block";
+    return s + std::string(n, ')') + "))";
+}
+
+/** `(module (func block block ... end end))` with @p n flat blocks. */
+std::string
+flatBlocks(size_t n)
+{
+    std::string s = "(module (func";
+    for (size_t i = 0; i < n; ++i)
+        s += " block";
+    for (size_t i = 0; i < n; ++i)
+        s += " end";
+    return s + "))";
+}
+
+/** The nesting-limit message of @p text's ParseError ("" if none). */
+std::string
+nestingError(const std::string &text)
+{
+    try {
+        parseWat(text);
+    } catch (const ParseError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(WatParser, NestingPastTheLimitIsAParseError)
+{
+    // Both the list reader and the flat-block parser recurse; past the
+    // limit each must fail cleanly, also far past it, where unbounded
+    // recursion used to overflow the host stack.
+    const size_t past = kMaxWatNesting + 1;
+    for (size_t n : {past, size_t{200000}}) {
+        // The module and func lists count towards the list depth.
+        EXPECT_NE(nestingError(nestedLists(n)).find("lists nested"),
+                  std::string::npos);
+        EXPECT_NE(nestingError(foldedBlocks(n - 2)).find("lists nested"),
+                  std::string::npos);
+        EXPECT_NE(nestingError(flatBlocks(n)).find("blocks nested"),
+                  std::string::npos);
+    }
+}
+
+TEST(WatParser, NestingAtTheLimitParses)
+{
+    Module folded = parseValid(foldedBlocks(kMaxWatNesting - 2));
+    EXPECT_EQ(folded.functions.at(0).body.size(),
+              2 * (kMaxWatNesting - 2) + 1);
+    Module flat = parseValid(flatBlocks(kMaxWatNesting));
+    EXPECT_EQ(flat.functions.at(0).body.size(), 2 * kMaxWatNesting + 1);
+    // At the limit the list reader itself still accepts the input.
+    EXPECT_EQ(nestingError(nestedLists(kMaxWatNesting - 1))
+                  .find("nested"),
+              std::string::npos);
+}
+
 TEST(WatParser, UnreachableAndDropAndSelect)
 {
     Value v = run1(R"((module

@@ -50,7 +50,6 @@
 #include <memory>
 #include <optional>
 #include <thread>
-#include <unordered_set>
 
 #include "analyses/instruction_mix.h"
 #include "analyses/registry.h"
@@ -296,53 +295,11 @@ printReport(const std::string &name, runtime::Analysis &a,
     std::fputs(analyses::analysisReport(name, a, m).c_str(), stdout);
 }
 
-/**
- * License bounds-check elision on @p inst's fast-engine code for the
- * range-claim set of @p m: either re-proved from @p manifest_path
- * (claims are never trusted — an unprovable claim is a hard error,
- * since an unchecked access it licensed would be undefined behavior)
- * or derived in-process when the path is empty.
- */
-void
-applyElisions(const wasm::Module &m, const std::string &manifest_path,
-              interp::Instance &inst, interp::EngineKind engine)
-{
-    if (engine != interp::EngineKind::Fast)
-        throw std::runtime_error(
-            "bounds-check elision requires --engine=fast");
-    static_analysis::passes::RangeClaims claims;
-    if (!manifest_path.empty()) {
-        std::vector<uint8_t> bytes = readFile(manifest_path);
-        std::string text(bytes.begin(), bytes.end());
-        std::string error;
-        if (!static_analysis::passes::rangeClaimsFromManifest(
-                text, &claims, &error))
-            throw std::runtime_error("malformed range manifest " +
-                                     manifest_path + ": " + error);
-        static_analysis::Diagnostics diags =
-            static_analysis::passes::checkRangeClaims(m, claims);
-        if (!diags.empty())
-            throw std::runtime_error(
-                "range manifest rejected (claims must re-prove "
-                "against the module actually executed):\n" +
-                static_analysis::toString(diags));
-    } else {
-        claims = static_analysis::passes::provableRangeClaims(
-            static_analysis::passes::moduleRanges(m));
-    }
-    std::unordered_set<uint64_t> locs;
-    locs.reserve(claims.claims.size());
-    for (const static_analysis::passes::RangeClaim &c : claims.claims)
-        locs.insert(core::packLoc({c.func, c.instr}));
-    inst.engineCode().setElisions(std::move(locs));
-}
-
 int
 cmdRun(const std::vector<std::string> &args)
 {
     std::string path, entry = "main", analysis = "mix", profile_out;
-    std::string elide_manifest;
-    bool profile = false, elide = false;
+    bool profile = false;
     interp::EngineKind engine = interp::EngineKind::Fast;
     InstrumentMode mode = InstrumentMode::Rewrite;
     std::vector<wasm::Value> call_args;
@@ -359,10 +316,6 @@ cmdRun(const std::vector<std::string> &args)
             profile = true;
         } else if (a.rfind("--profile-out=", 0) == 0) {
             profile_out = a.substr(14);
-        } else if (a == "--elide-bounds-checks") {
-            elide = true;
-        } else if (a.rfind("--elide-manifest=", 0) == 0) {
-            elide_manifest = a.substr(17);
         } else if (a.rfind("--arg=i32:", 0) == 0) {
             call_args.push_back(wasm::Value::makeI32(
                 static_cast<uint32_t>(std::stoll(a.substr(10)))));
@@ -411,10 +364,6 @@ cmdRun(const std::vector<std::string> &args)
     auto inst = mode == InstrumentMode::Intrinsic
                     ? rt.instantiateIntrinsic(m)
                     : rt.instantiate(r.module);
-    const wasm::Module &exec_module =
-        mode == InstrumentMode::Intrinsic ? m : r.module;
-    if (elide || !elide_manifest.empty())
-        applyElisions(exec_module, elide_manifest, *inst, engine);
     interp::Interpreter interp;
     interp.engine = engine;
     auto results = [&] {
@@ -423,8 +372,7 @@ cmdRun(const std::vector<std::string> &args)
     }();
     const interp::ExecStats &es = interp.stats();
     collector.setInterpCounters(obs::InterpCounters{
-        es.instructions, es.calls, es.memoryOps, es.memoryOpsElided,
-        es.traps});
+        es.instructions, es.calls, es.memoryOps, es.traps});
     std::printf("%s(", entry.c_str());
     for (size_t i = 0; i < call_args.size(); ++i)
         std::printf("%s%s", i ? ", " : "",
@@ -445,8 +393,8 @@ int
 cmdProfile(const std::vector<std::string> &args)
 {
     std::string path, entry, analysis = "mix", out_path, trace_out;
-    std::string check_path, elide_manifest;
-    bool json = false, deterministic = false, elide = false;
+    std::string check_path;
+    bool json = false, deterministic = false;
     interp::EngineKind engine = interp::EngineKind::Fast;
     InstrumentMode mode = InstrumentMode::Rewrite;
     core::InstrumentOptions iopts;
@@ -476,10 +424,6 @@ cmdProfile(const std::vector<std::string> &args)
             trace_out = a.substr(12);
         else if (a.rfind("--check=", 0) == 0)
             check_path = a.substr(8);
-        else if (a == "--elide-bounds-checks")
-            elide = true;
-        else if (a.rfind("--elide-manifest=", 0) == 0)
-            elide_manifest = a.substr(17);
         else if (a.rfind("--arg=i32:", 0) == 0)
             call_args.push_back(wasm::Value::makeI32(
                 static_cast<uint32_t>(std::stoll(a.substr(10)))));
@@ -546,9 +490,6 @@ cmdProfile(const std::vector<std::string> &args)
     auto inst = mode == InstrumentMode::Intrinsic
                     ? rt.instantiateIntrinsic(m)
                     : rt.instantiate(r.module);
-    if (elide || !elide_manifest.empty())
-        applyElisions(mode == InstrumentMode::Intrinsic ? m : r.module,
-                      elide_manifest, *inst, engine);
     // PolyBench workloads export `kernel`, applications `main`; with
     // no explicit --entry try both.
     if (entry.empty()) {
@@ -564,8 +505,7 @@ cmdProfile(const std::vector<std::string> &args)
     }
     const interp::ExecStats &es = interp.stats();
     collector.setInterpCounters(obs::InterpCounters{
-        es.instructions, es.calls, es.memoryOps, es.memoryOpsElided,
-        es.traps});
+        es.instructions, es.calls, es.memoryOps, es.traps});
 
     if (!trace_out.empty())
         writeTextFile(trace_out, collector.toChromeTrace());
@@ -964,7 +904,7 @@ cmdCheck(const std::vector<std::string> &args)
     switch (*kind) {
       case ManifestKind::Range: {
         // Range-claim manifest: there is no second binary, the claims
-        // license engine bounds-check elision on the original itself.
+        // are in-bounds facts about the original itself.
         diags = static_analysis::checkRangeManifest(
             loadModule(orig_path), *manifest);
         static_analysis::passes::RangeClaims rc;
@@ -1250,7 +1190,6 @@ printUsage(std::FILE *to)
         "             [--engine=fast|legacy]\n"
         "             [--instrument-mode=rewrite|intrinsic]\n"
         "             [--profile] [--profile-out=FILE]\n"
-        "             [--elide-bounds-checks] [--elide-manifest=FILE]\n"
         "  gen        <polybench:NAME[:N]|random:SEED|app:SIZE> "
         "<out.wasm>\n"
         "  opt        <in.wasm> --out=FILE [--passes=p1,p2|all]\n"
@@ -1276,7 +1215,6 @@ printUsage(std::FILE *to)
         "             interprocedural constant/range lattices\n"
         "  profile    <in.wasm> [--analysis=NAME] [--hooks=h1,h2]\n"
         "             [--entry=NAME] [--arg=...] [--threads=N]\n"
-        "             [--elide-bounds-checks] [--elide-manifest=FILE]\n"
         "             [--engine=fast|legacy] [--json]\n"
         "             [--instrument-mode=rewrite|intrinsic]\n"
         "             [--deterministic] [--out=FILE]\n"
@@ -1325,6 +1263,7 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
             "wasabi run <in.wasm> [--entry=NAME] [--analysis=NAME]\n"
             "           [--arg=i32:N] [--arg=i64:N] [--arg=f64:X]\n"
             "           [--engine=fast|legacy]\n"
+            "           [--instrument-mode=rewrite|intrinsic]\n"
             "           [--profile] [--profile-out=FILE]\n"
             "  Instrument, instantiate and execute the module with a\n"
             "  dynamic analysis attached (default entry `main`,\n"
@@ -1342,12 +1281,7 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
             "  stream; requires --engine=fast).\n"
             "  --profile prints a profile table after the analysis\n"
             "  report; --profile-out=FILE writes the wasabi-profile\n"
-            "  JSON document instead.\n"
-            "  --elide-bounds-checks derives the provable range-claim\n"
-            "  set of the executed (instrumented) module and runs the\n"
-            "  fast engine with those bounds checks elided;\n"
-            "  --elide-manifest=FILE re-proves a saved manifest first\n"
-            "  and hard-fails if any claim does not re-derive.\n",
+            "  JSON document instead.\n",
             to);
     } else if (cmd == "profile") {
         std::fputs(
@@ -1373,10 +1307,6 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
             "                     the runtime (default rewrite;\n"
             "                     intrinsic requires --engine=fast\n"
             "                     and skips binary rewriting)\n"
-            "  --elide-bounds-checks  run with statically proven\n"
-            "                     bounds checks elided (fast engine)\n"
-            "  --elide-manifest=FILE  re-prove and apply a saved\n"
-            "                     range-claim manifest\n"
             "  --json             emit wasabi-profile JSON (v1)\n"
             "  --deterministic    JSON with timings zeroed and\n"
             "                     schedule-dependent sections omitted;\n"
@@ -1500,9 +1430,8 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
             "  return intervals plus pinned/pure/terminates facts as\n"
             "  JSON; byte-identical for every --threads=N.\n"
             "  --manifest-out=FILE writes the provable in-bounds\n"
-            "  accesses as a \"wasabi-range-manifest\" claim set for\n"
-            "  `wasabi check --manifest=` and `run/profile\n"
-            "  --elide-manifest=`.\n"
+            "  accesses as a \"wasabi-range-manifest\" claim set that\n"
+            "  `wasabi check --manifest=` re-proves.\n"
             "  --dot=refined renders per-site call_indirect edges:\n"
             "  bold = proven unique target, dashed = unresolved;\n"
             "  --dot=ranges:FUNC renders one CFG with per-block\n"
