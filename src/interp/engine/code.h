@@ -34,6 +34,50 @@
 namespace wasabi::interp::engine {
 
 /**
+ * The i32 binary ops, as F(X, name, C expression over uint32_t l and
+ * r). One line per op generates its base FOp, its fused forms
+ * (WASABI_ENGINE_FUSED_FOPS), their VM handlers (engine.cc) and their
+ * translation (translate.cc). The compares also get a
+ * compare-and-branch form.
+ */
+#define WASABI_ENGINE_I32_ARITH(F, X)                                   \
+    F(X, I32Add, l + r)                                                 \
+    F(X, I32Sub, l - r)                                                 \
+    F(X, I32Mul, l * r)                                                 \
+    F(X, I32And, l & r)                                                 \
+    F(X, I32Or, l | r)                                                  \
+    F(X, I32Xor, l ^ r)                                                 \
+    F(X, I32Shl, l << (r & 31))                                         \
+    F(X, I32ShrS,                                                       \
+      static_cast<uint32_t>(static_cast<int32_t>(l) >> (r & 31)))       \
+    F(X, I32ShrU, l >> (r & 31))
+
+#define WASABI_ENGINE_I32_CMP(F, X)                                     \
+    F(X, I32Eq, l == r)                                                 \
+    F(X, I32Ne, l != r)                                                 \
+    F(X, I32LtS, static_cast<int32_t>(l) < static_cast<int32_t>(r))     \
+    F(X, I32LtU, l < r)                                                 \
+    F(X, I32GtS, static_cast<int32_t>(l) > static_cast<int32_t>(r))     \
+    F(X, I32GtU, l > r)                                                 \
+    F(X, I32LeS, static_cast<int32_t>(l) <= static_cast<int32_t>(r))    \
+    F(X, I32LeU, l <= r)                                                \
+    F(X, I32GeS, static_cast<int32_t>(l) >= static_cast<int32_t>(r))    \
+    F(X, I32GeU, l >= r)
+
+/** The full-width loads, as F(X, name, C type, ValType). */
+#define WASABI_ENGINE_LOADS(F, X)                                       \
+    F(X, I32Load, uint32_t, I32)                                        \
+    F(X, I64Load, uint64_t, I64)                                        \
+    F(X, F32Load, uint32_t, F32)                                        \
+    F(X, F64Load, uint64_t, F64)
+
+#define WASABI_ENGINE_NAME(X, name, ...) X(name)
+#define WASABI_ENGINE_BIN_FORMS(X, name, expr)                          \
+    X(name##Imm) X(name##Local) X(name##LocalImm)
+#define WASABI_ENGINE_BRIF_FORM(X, name, expr) X(name##BrIf)
+#define WASABI_ENGINE_LOAD_FORM(X, name, ...) X(name##AddImm)
+
+/**
  * Internal opcodes, X-macro'd so the computed-goto jump table in
  * engine.cc is generated in lockstep with the enum. Grouped by
  * dispatch shape, not by source opcode.
@@ -65,10 +109,7 @@ namespace wasabi::interp::engine {
     X(GlobalGet)   /* a=global idx */                                   \
     X(GlobalSet)                                                        \
     /* memory (all charge points; a=static offset) */                   \
-    X(I32Load)                                                          \
-    X(I64Load)                                                          \
-    X(F32Load)                                                          \
-    X(F64Load)                                                          \
+    WASABI_ENGINE_LOADS(WASABI_ENGINE_NAME, X)                          \
     X(LoadExt)     /* narrow/extending loads; aux=source opcode */      \
     X(I32Store)                                                         \
     X(I64Store)                                                         \
@@ -85,26 +126,9 @@ namespace wasabi::interp::engine {
     X(BinaryPure)                                                       \
     X(BinaryTrap)  /* integer div/rem (charge point) */                 \
     /* specialized hot numerics (batched) */                            \
-    X(I32Add)                                                           \
-    X(I32Sub)                                                           \
-    X(I32Mul)                                                           \
-    X(I32And)                                                           \
-    X(I32Or)                                                            \
-    X(I32Xor)                                                           \
-    X(I32Shl)                                                           \
-    X(I32ShrS)                                                          \
-    X(I32ShrU)                                                          \
+    WASABI_ENGINE_I32_ARITH(WASABI_ENGINE_NAME, X)                      \
+    WASABI_ENGINE_I32_CMP(WASABI_ENGINE_NAME, X)                        \
     X(I32Eqz)                                                           \
-    X(I32Eq)                                                            \
-    X(I32Ne)                                                            \
-    X(I32LtS)                                                           \
-    X(I32LtU)                                                           \
-    X(I32GtS)                                                           \
-    X(I32GtU)                                                           \
-    X(I32LeS)                                                           \
-    X(I32LeU)                                                           \
-    X(I32GeS)                                                           \
-    X(I32GeU)                                                           \
     X(I64Add)                                                           \
     X(F32Add)                                                           \
     X(F32Mul)                                                           \
@@ -113,11 +137,45 @@ namespace wasabi::interp::engine {
     X(F64Mul)                                                           \
     X(F64Div)
 
+/**
+ * Superinstructions: one slot standing for a sequence of unhooked
+ * FOps, formed by the translator's peephole step (DESIGN.md §9). `OP`
+ * is an i32 binary op from the lists above, `C` an i32 immediate.
+ */
+#define WASABI_ENGINE_FUSED_FOPS(X)                                     \
+    /* OPImm: `Const C; OP` (a=C); OPLocal: `LocalGet; OP` (a=slot);  */\
+    /* OPLocalImm: `LocalGet; Const C; OP` (a=slot, b=C)              */\
+    WASABI_ENGINE_I32_ARITH(WASABI_ENGINE_BIN_FORMS, X)                 \
+    WASABI_ENGINE_I32_CMP(WASABI_ENGINE_BIN_FORMS, X)                   \
+    /* OPBrIf: `OPLocalImm; BrIf` with no unwind                      */\
+    /* (a=target, b=C | slot << 32)                                   */\
+    WASABI_ENGINE_I32_CMP(WASABI_ENGINE_BRIF_FORM, X)                   \
+    /* LOADAddImm: `I32AddImm C; LOAD` (a=offset, b=C)                */\
+    WASABI_ENGINE_LOADS(WASABI_ENGINE_LOAD_FORM, X)                     \
+    X(I32MulAddImm)      /* `I32MulImm M; I32AddImm C`: a=M, b=C */     \
+    X(I32MulAddLocalImm) /* a=slot, b=M | C << 32 */                    \
+    X(I32AddLocalImmSet) /* `I32AddLocalImm; LocalSet`: */              \
+                         /* a=source slot, b=C | dest slot << 32 */     \
+    X(I32IncBr)          /* `I32AddLocalImmSet; Br` on one local with */\
+                         /* no unwind: a=target, b=C | slot << 32 */
+
+#define WASABI_ENGINE_COUNT(name) +1
+
 enum class FOp : uint8_t {
 #define WASABI_ENGINE_ENUM(name) name,
     WASABI_ENGINE_FOPS(WASABI_ENGINE_ENUM)
+    WASABI_ENGINE_FUSED_FOPS(WASABI_ENGINE_ENUM)
 #undef WASABI_ENGINE_ENUM
 };
+
+/** Whether @p op is a superinstruction (the fused FOps follow all
+ * the others). */
+constexpr bool
+isFused(FOp op)
+{
+    return static_cast<unsigned>(op) >=
+           0u WASABI_ENGINE_FOPS(WASABI_ENGINE_COUNT);
+}
 
 /** One pre-decoded instruction slot (16 bytes). */
 struct FInstr {

@@ -83,13 +83,69 @@ struct Frame {
         }                                                               \
     } while (0)
 
-#define VM_BIN_U32(name, expr)                                          \
+/** Low and high halves of a fused slot's packed `b` operand. */
+#define VM_LO(b_) static_cast<uint32_t>(b_)
+#define VM_HI(b_) static_cast<uint32_t>((b_) >> 32)
+
+/** An i32 binary op and its fused forms (code.h), from one list line.
+ * Every form computes the one expression over its own operands. */
+#define VM_I32_FORMS(X_, name, expr)                                    \
     VM_CASE(name) : {                                                   \
         uint32_t r = (--sp)->i32();                                     \
         uint32_t l = (sp - 1)->i32();                                   \
-        (void)l;                                                        \
         *(sp - 1) = Value::makeI32(expr);                               \
         VM_NEXT();                                                      \
+    }                                                                   \
+    VM_CASE(name##Imm) : {                                              \
+        uint32_t r = in->a;                                             \
+        uint32_t l = (sp - 1)->i32();                                   \
+        *(sp - 1) = Value::makeI32(expr);                               \
+        VM_NEXT();                                                      \
+    }                                                                   \
+    VM_CASE(name##Local) : {                                            \
+        uint32_t r = lb[in->a].i32();                                   \
+        uint32_t l = (sp - 1)->i32();                                   \
+        *(sp - 1) = Value::makeI32(expr);                               \
+        VM_NEXT();                                                      \
+    }                                                                   \
+    VM_CASE(name##LocalImm) : {                                         \
+        uint32_t r = VM_LO(in->b);                                      \
+        uint32_t l = lb[in->a].i32();                                   \
+        *sp++ = Value::makeI32(expr);                                   \
+        VM_NEXT();                                                      \
+    }
+
+/** Compare a local with an immediate and branch; the translator
+ * fuses only branches that carry and unwind nothing. */
+#define VM_I32_BRIF(X_, name, expr)                                     \
+    VM_CASE(name##BrIf) : {                                             \
+        VM_CHARGE(in->charge);                                          \
+        uint32_t r = VM_LO(in->b);                                      \
+        uint32_t l = lb[VM_HI(in->b)].i32();                            \
+        if (expr)                                                       \
+            ip = fn->code.data() + in->a;                               \
+        VM_NEXT();                                                      \
+    }
+
+/** A full-width load at a u64 effective address, and its fused form
+ * after an `i32.add C` (the add wraps in 32 bits before the static
+ * offset is added, as in the unfused pair). */
+#define VM_LOAD_AT(addr, T, vt)                                         \
+    VM_CHARGE(in->charge);                                              \
+    ++statMem;                                                          \
+    uint64_t ea = static_cast<uint64_t>(addr) + in->a;                  \
+    if (ea + sizeof(T) > msz)                                           \
+        throw Trap(TrapKind::MemoryOutOfBounds);                        \
+    T v;                                                                \
+    std::memcpy(&v, mb + ea, sizeof(T));                                \
+    *(sp - 1) = Value(ValType::vt, v);                                  \
+    VM_NEXT();
+
+#define VM_LOAD(X_, name, T, vt)                                        \
+    VM_CASE(name) : { VM_LOAD_AT((sp - 1)->i32(), T, vt) }              \
+    VM_CASE(name##AddImm) : {                                           \
+        VM_LOAD_AT(static_cast<uint32_t>((sp - 1)->i32() + VM_LO(in->b)),\
+                   T, vt)                                               \
     }
 
 #define VM_BIN_F64(name, op_)                                           \
@@ -173,6 +229,7 @@ execute(Instance &inst, uint32_t func_idx, std::span<const Value> args,
     static const void *const kJump[] = {
 #define WASABI_VM_LBL(name) &&lbl_##name,
         WASABI_ENGINE_FOPS(WASABI_VM_LBL)
+        WASABI_ENGINE_FUSED_FOPS(WASABI_VM_LBL)
 #undef WASABI_VM_LBL
     };
 #endif
@@ -359,54 +416,7 @@ execute(Instance &inst, uint32_t func_idx, std::span<const Value> args,
             gl[in->a] = *--sp;
             VM_NEXT();
         }
-        VM_CASE(I32Load) : {
-            VM_CHARGE(in->charge);
-            ++statMem;
-            uint64_t ea =
-                static_cast<uint64_t>((sp - 1)->i32()) + in->a;
-            if (ea + 4 > msz)
-                throw Trap(TrapKind::MemoryOutOfBounds);
-            uint32_t v;
-            std::memcpy(&v, mb + ea, 4);
-            *(sp - 1) = Value::makeI32(v);
-            VM_NEXT();
-        }
-        VM_CASE(I64Load) : {
-            VM_CHARGE(in->charge);
-            ++statMem;
-            uint64_t ea =
-                static_cast<uint64_t>((sp - 1)->i32()) + in->a;
-            if (ea + 8 > msz)
-                throw Trap(TrapKind::MemoryOutOfBounds);
-            uint64_t v;
-            std::memcpy(&v, mb + ea, 8);
-            *(sp - 1) = Value::makeI64(v);
-            VM_NEXT();
-        }
-        VM_CASE(F32Load) : {
-            VM_CHARGE(in->charge);
-            ++statMem;
-            uint64_t ea =
-                static_cast<uint64_t>((sp - 1)->i32()) + in->a;
-            if (ea + 4 > msz)
-                throw Trap(TrapKind::MemoryOutOfBounds);
-            uint32_t v;
-            std::memcpy(&v, mb + ea, 4);
-            *(sp - 1) = Value(ValType::F32, v);
-            VM_NEXT();
-        }
-        VM_CASE(F64Load) : {
-            VM_CHARGE(in->charge);
-            ++statMem;
-            uint64_t ea =
-                static_cast<uint64_t>((sp - 1)->i32()) + in->a;
-            if (ea + 8 > msz)
-                throw Trap(TrapKind::MemoryOutOfBounds);
-            uint64_t v;
-            std::memcpy(&v, mb + ea, 8);
-            *(sp - 1) = Value(ValType::F64, v);
-            VM_NEXT();
-        }
+        WASABI_ENGINE_LOADS(VM_LOAD, _)
         VM_CASE(LoadExt) : {
             VM_CHARGE(in->charge);
             ++statMem;
@@ -526,42 +536,13 @@ execute(Instance &inst, uint32_t func_idx, std::span<const Value> args,
 
         // Specialized batched numerics; each expression mirrors the
         // corresponding evalUnary/evalBinary case bit for bit.
-        VM_BIN_U32(I32Add, l + r)
-        VM_BIN_U32(I32Sub, l - r)
-        VM_BIN_U32(I32Mul, l *r)
-        VM_BIN_U32(I32And, l &r)
-        VM_BIN_U32(I32Or, l | r)
-        VM_BIN_U32(I32Xor, l ^ r)
-        VM_BIN_U32(I32Shl, l << (r & 31))
-        VM_BIN_U32(I32ShrS, static_cast<uint32_t>(
-                                static_cast<int32_t>(l) >> (r & 31)))
-        VM_BIN_U32(I32ShrU, l >> (r & 31))
+        WASABI_ENGINE_I32_ARITH(VM_I32_FORMS, _)
+        WASABI_ENGINE_I32_CMP(VM_I32_FORMS, _)
+        WASABI_ENGINE_I32_CMP(VM_I32_BRIF, _)
         VM_CASE(I32Eqz) : {
             *(sp - 1) = Value::makeI32((sp - 1)->i32() == 0 ? 1 : 0);
             VM_NEXT();
         }
-        VM_BIN_U32(I32Eq, l == r ? 1 : 0)
-        VM_BIN_U32(I32Ne, l != r ? 1 : 0)
-        VM_BIN_U32(I32LtS, static_cast<int32_t>(l) <
-                                   static_cast<int32_t>(r)
-                               ? 1
-                               : 0)
-        VM_BIN_U32(I32LtU, l < r ? 1 : 0)
-        VM_BIN_U32(I32GtS, static_cast<int32_t>(l) >
-                                   static_cast<int32_t>(r)
-                               ? 1
-                               : 0)
-        VM_BIN_U32(I32GtU, l > r ? 1 : 0)
-        VM_BIN_U32(I32LeS, static_cast<int32_t>(l) <=
-                                   static_cast<int32_t>(r)
-                               ? 1
-                               : 0)
-        VM_BIN_U32(I32LeU, l <= r ? 1 : 0)
-        VM_BIN_U32(I32GeS, static_cast<int32_t>(l) >=
-                                   static_cast<int32_t>(r)
-                               ? 1
-                               : 0)
-        VM_BIN_U32(I32GeU, l >= r ? 1 : 0)
         VM_CASE(I64Add) : {
             uint64_t r = (--sp)->i64();
             *(sp - 1) = Value::makeI64((sp - 1)->i64() + r);
@@ -581,6 +562,30 @@ execute(Instance &inst, uint32_t func_idx, std::span<const Value> args,
         VM_BIN_F64(F64Sub, -)
         VM_BIN_F64(F64Mul, *)
         VM_BIN_F64(F64Div, /)
+
+        // The remaining superinstructions (code.h).
+        VM_CASE(I32MulAddImm) : {
+            *(sp - 1) = Value::makeI32((sp - 1)->i32() * in->a +
+                                       VM_LO(in->b));
+            VM_NEXT();
+        }
+        VM_CASE(I32MulAddLocalImm) : {
+            *sp++ = Value::makeI32(lb[in->a].i32() * VM_LO(in->b) +
+                                   VM_HI(in->b));
+            VM_NEXT();
+        }
+        VM_CASE(I32AddLocalImmSet) : {
+            lb[VM_HI(in->b)] =
+                Value::makeI32(lb[in->a].i32() + VM_LO(in->b));
+            VM_NEXT();
+        }
+        VM_CASE(I32IncBr) : {
+            VM_CHARGE(in->charge);
+            Value &v = lb[VM_HI(in->b)];
+            v = Value::makeI32(v.i32() + VM_LO(in->b));
+            ip = fn->code.data() + in->a;
+            VM_NEXT();
+        }
 
 #if !WASABI_VM_GOTO
         } // switch
@@ -661,7 +666,12 @@ execute(Instance &inst, uint32_t func_idx, std::span<const Value> args,
 }
 
 #undef VM_BIN_F64
-#undef VM_BIN_U32
+#undef VM_LOAD
+#undef VM_LOAD_AT
+#undef VM_I32_BRIF
+#undef VM_I32_FORMS
+#undef VM_HI
+#undef VM_LO
 #undef VM_CHARGE
 #undef VM_NEXT
 #undef VM_CASE

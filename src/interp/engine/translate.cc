@@ -25,6 +25,7 @@
  * trap; the legacy engine would hit undefined behavior on them.
  */
 
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -179,12 +180,155 @@ class Translator {
 
     // --- code emission and charge accounting -----------------------
 
+    /** Append a slot and fuse it into the tail where a form applies;
+     * returns the index of the slot now holding it. */
     uint32_t
     emit(FOp op, uint8_t aux = 0, uint16_t charge = 0, uint32_t a = 0,
          uint64_t b = 0)
     {
         out_.code.push_back(FInstr{op, aux, charge, a, b});
+        fuseTail();
         return static_cast<uint32_t>(out_.code.size() - 1);
+    }
+
+    /** Bind a branch target at the current end of code: returns its
+     * index and raises the fusion floor (invariant 1 below). */
+    uint32_t
+    bindLabel()
+    {
+        fuseFloor_ = static_cast<uint32_t>(out_.code.size());
+        return fuseFloor_;
+    }
+
+    // --- superinstructions (DESIGN.md §9) ---------------------------
+    //
+    // Peephole fusion over the tail of `code`, run after every emit:
+    // while the last two slots match a form, they become one. The
+    // invariants, each enforced where marked:
+    //  1. No fusion across a branch target (fuseTail).
+    //  2. Hook and HookStash slots are never fused: no form names them
+    //     (fusePair), so hooked code translates exactly as unfused.
+    //  3. Only the last op of a fused sequence may be a charge point;
+    //     the fused slot carries its charge (fuseTail).
+    //  4. Absorbed slots are pure ops, so no recorded slot index
+    //     (branch fixups, falseFixup, thenJumpPos) ever moves: those
+    //     are taken from emit's return, after fusion (fusePair).
+    //  5. i32 arithmetic wraps as unfused; an add-then-load never folds
+    //     its constant into the memarg offset (engine.cc VM_LOAD).
+    //  6. A fused branch carries and unwinds nothing
+    //     (jumpsWithoutUnwind).
+    //  7. FInstr stays 16 bytes (code.h static_assert).
+
+    void
+    fuseTail()
+    {
+        std::vector<FInstr> &code = out_.code;
+        // Invariant 1: the pair (n-2, n-1) fuses only if no label is
+        // bound at n-1, i.e. the floor is at most n-2. A label at n-2
+        // is the start of the fused slot, so its branches still run
+        // the whole sequence. (Every label is today preceded by a
+        // Charge or a transfer, which no form absorbs; the floor keeps
+        // that a local rule rather than a coincidence.)
+        while (code.size() >= 2 && code.size() - 2 >= fuseFloor_) {
+            FInstr &x = code[code.size() - 2];
+            const FInstr &y = code.back();
+            // Invariant 3: the absorbed first op is never a charge
+            // point; the fused slot takes the last op's charge.
+            if (x.charge != 0)
+                return;
+            std::optional<FInstr> f = fusePair(x, y);
+            if (!f)
+                return;
+            f->charge = y.charge;
+            x = *f;
+            code.pop_back();
+        }
+    }
+
+    static bool
+    isI32Const(const FInstr &x)
+    {
+        return x.op == FOp::Const &&
+               x.aux == static_cast<uint8_t>(ValType::I32);
+    }
+
+    static uint64_t
+    pack(uint32_t lo, uint32_t hi)
+    {
+        return lo | static_cast<uint64_t>(hi) << 32;
+    }
+
+    /** Invariant 6: a branch may fuse only when taking it is a plain
+     * jump — it carries no values and the operand stack is already at
+     * the target's entry height (its unwind slot). */
+    bool
+    jumpsWithoutUnwind(const FInstr &br) const
+    {
+        return br.aux == 0 && br.b == out_.numLocals + height_;
+    }
+
+    /** The superinstruction standing for @p x followed by @p y, if a
+     * form exists. Every @p x a form accepts is a pure op or a fused
+     * form of pure ops (invariants 2 and 4). */
+    std::optional<FInstr>
+    fusePair(const FInstr &x, const FInstr &y) const
+    {
+        // Mul-add: the arithmetic of an array index.
+        if (y.op == FOp::I32AddImm && x.op == FOp::I32MulImm)
+            return FInstr{FOp::I32MulAddImm, 0, 0, x.a, y.a};
+        if (y.op == FOp::I32AddImm && x.op == FOp::I32MulLocalImm)
+            return FInstr{FOp::I32MulAddLocalImm, 0, 0, x.a,
+                          pack(static_cast<uint32_t>(x.b), y.a)};
+        switch (y.op) {
+#define WASABI_FUSE_BIN(X_, name, expr)                                 \
+          case FOp::name:                                               \
+            if (isI32Const(x))                                          \
+                return FInstr{FOp::name##Imm, 0, 0,                     \
+                              static_cast<uint32_t>(x.b), 0};           \
+            if (x.op == FOp::LocalGet)                                  \
+                return FInstr{FOp::name##Local, 0, 0, x.a, 0};          \
+            return std::nullopt;                                        \
+          case FOp::name##Imm:                                          \
+            if (x.op == FOp::LocalGet)                                  \
+                return FInstr{FOp::name##LocalImm, 0, 0, x.a, y.a};     \
+            return std::nullopt;
+            WASABI_ENGINE_I32_ARITH(WASABI_FUSE_BIN, _)
+            WASABI_ENGINE_I32_CMP(WASABI_FUSE_BIN, _)
+#undef WASABI_FUSE_BIN
+          case FOp::BrIf:
+            if (!jumpsWithoutUnwind(y))
+                return std::nullopt;
+            switch (x.op) {
+#define WASABI_FUSE_BRIF(X_, name, expr)                                \
+              case FOp::name##LocalImm:                                 \
+                return FInstr{FOp::name##BrIf, 0, 0, y.a,               \
+                              pack(static_cast<uint32_t>(x.b), x.a)};
+                WASABI_ENGINE_I32_CMP(WASABI_FUSE_BRIF, _)
+#undef WASABI_FUSE_BRIF
+              default:
+                return std::nullopt;
+            }
+#define WASABI_FUSE_LOAD(X_, name, ...)                                 \
+          case FOp::name:                                               \
+            if (x.op == FOp::I32AddImm)                                 \
+                return FInstr{FOp::name##AddImm, 0, 0, y.a, x.a};       \
+            return std::nullopt;
+            WASABI_ENGINE_LOADS(WASABI_FUSE_LOAD, _)
+#undef WASABI_FUSE_LOAD
+          case FOp::LocalSet:
+            if (x.op == FOp::I32AddLocalImm)
+                return FInstr{FOp::I32AddLocalImmSet, 0, 0, x.a,
+                              pack(static_cast<uint32_t>(x.b), y.a)};
+            return std::nullopt;
+          case FOp::Br:
+            if (x.op == FOp::I32AddLocalImmSet &&
+                static_cast<uint32_t>(x.b >> 32) == x.a &&
+                jumpsWithoutUnwind(y))
+                return FInstr{FOp::I32IncBr, 0, 0, y.a, x.b};
+            return std::nullopt;
+          default:
+            return std::nullopt;
+        }
     }
 
     /** A batched instruction retires: charged at the next charge
@@ -394,7 +538,7 @@ class Translator {
         if (reachable_) {
             batch();        // the `loop` opcode is dispatched on entry
             flushPending(); // back edges must not re-charge it
-            f.loopTarget = static_cast<uint32_t>(out_.code.size());
+            f.loopTarget = bindLabel();
             if (hk(core::HookKind::Begin)) {
                 // Inside the loop target: the begin hook re-fires on
                 // every back edge, as rewrite mode's injected call
@@ -482,8 +626,7 @@ class Translator {
         if (f.enteredReachable) {
             // False edge of the lowered `if` enters the else body
             // directly (the `else` opcode is not dispatched on it).
-            out_.code[f.falseFixup].a =
-                static_cast<uint32_t>(out_.code.size());
+            out_.code[f.falseFixup].a = bindLabel();
             f.falseFixup = UINT32_MAX;
             if (hk(core::HookKind::Begin)) {
                 // Begin(Else) fires on the false edge, which lands
@@ -525,9 +668,9 @@ class Translator {
         if (!f.fixups.empty()) {
             // Branches to the function label exit without dispatching
             // anything further — a charge-free landing pad.
-            uint32_t pad =
-                emit(FOp::FrameExit,
-                     static_cast<uint8_t>(out_.resultArity), 0);
+            uint32_t pad = bindLabel();
+            emit(FOp::FrameExit, static_cast<uint8_t>(out_.resultArity),
+                 0);
             bind(f.fixups, pad);
         }
         reachable_ = false;
@@ -564,7 +707,7 @@ class Translator {
                 // Branch edges land *after* the end (legacy cont =
                 // endIdx + 1), so flush the fallthrough batch first.
                 flushPending();
-                bind(f.fixups, static_cast<uint32_t>(out_.code.size()));
+                bind(f.fixups, bindLabel());
                 reachable_ = true;
             } else {
                 reachable_ = fell;
@@ -597,9 +740,10 @@ class Translator {
                     emitEndHook(f);
                 flushPending();
             }
-            uint32_t end_pos = emit(FOp::Charge, 0, 1);
+            uint32_t end_pos = bindLabel();
+            emit(FOp::Charge, 0, 1);
             out_.code[f.falseFixup].a = end_pos;
-            bind(f.fixups, static_cast<uint32_t>(out_.code.size()));
+            bind(f.fixups, bindLabel());
             reachable_ = true;
             return;
         }
@@ -612,9 +756,10 @@ class Translator {
                     emitEndHook(f); // ends the else-region only
                 flushPending();
             }
-            uint32_t end_pos = emit(FOp::Charge, 0, 1);
+            uint32_t end_pos = bindLabel();
+            emit(FOp::Charge, 0, 1);
             out_.code[f.thenJumpPos].a = end_pos;
-            bind(f.fixups, static_cast<uint32_t>(out_.code.size()));
+            bind(f.fixups, bindLabel());
             reachable_ = true;
             return;
         }
@@ -626,11 +771,11 @@ class Translator {
             batch(); // the `end`
             if (!f.fixups.empty()) {
                 flushPending();
-                bind(f.fixups, static_cast<uint32_t>(out_.code.size()));
+                bind(f.fixups, bindLabel());
             }
             reachable_ = true;
         } else if (!f.fixups.empty()) {
-            bind(f.fixups, static_cast<uint32_t>(out_.code.size()));
+            bind(f.fixups, bindLabel());
             reachable_ = true;
         } else {
             reachable_ = false;
@@ -874,25 +1019,11 @@ class Translator {
     specializedBinary(Opcode op)
     {
         switch (op) {
-          case Opcode::I32Add: return FOp::I32Add;
-          case Opcode::I32Sub: return FOp::I32Sub;
-          case Opcode::I32Mul: return FOp::I32Mul;
-          case Opcode::I32And: return FOp::I32And;
-          case Opcode::I32Or: return FOp::I32Or;
-          case Opcode::I32Xor: return FOp::I32Xor;
-          case Opcode::I32Shl: return FOp::I32Shl;
-          case Opcode::I32ShrS: return FOp::I32ShrS;
-          case Opcode::I32ShrU: return FOp::I32ShrU;
-          case Opcode::I32Eq: return FOp::I32Eq;
-          case Opcode::I32Ne: return FOp::I32Ne;
-          case Opcode::I32LtS: return FOp::I32LtS;
-          case Opcode::I32LtU: return FOp::I32LtU;
-          case Opcode::I32GtS: return FOp::I32GtS;
-          case Opcode::I32GtU: return FOp::I32GtU;
-          case Opcode::I32LeS: return FOp::I32LeS;
-          case Opcode::I32LeU: return FOp::I32LeU;
-          case Opcode::I32GeS: return FOp::I32GeS;
-          case Opcode::I32GeU: return FOp::I32GeU;
+#define WASABI_SPEC_BIN(X_, name, expr)                                  \
+          case Opcode::name: return FOp::name;
+            WASABI_ENGINE_I32_ARITH(WASABI_SPEC_BIN, _)
+            WASABI_ENGINE_I32_CMP(WASABI_SPEC_BIN, _)
+#undef WASABI_SPEC_BIN
           case Opcode::I64Add: return FOp::I64Add;
           case Opcode::F32Add: return FOp::F32Add;
           case Opcode::F32Mul: return FOp::F32Mul;
@@ -1231,6 +1362,7 @@ class Translator {
     std::vector<CtrlFrame> frames_;
     uint32_t height_ = 0;
     uint32_t pending_ = 0;
+    uint32_t fuseFloor_ = 0; ///< first slot fusion may absorb into
     bool reachable_ = true;
 };
 

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "support/json.h"
+#include "support/numeric.h"
 
 namespace wasabi::serve {
 
@@ -12,28 +13,11 @@ using json::Value;
 wasm::Value
 parseArgSpec(const std::string &spec)
 {
-    size_t colon = spec.find(':');
-    if (colon == std::string::npos)
-        throw BadRequest("bad arg spec \"" + spec +
-                         "\" (expected type:value)");
-    std::string type = spec.substr(0, colon);
-    std::string val = spec.substr(colon + 1);
     try {
-        if (type == "i32")
-            return wasm::Value::makeI32(
-                static_cast<uint32_t>(std::stoll(val)));
-        if (type == "i64")
-            return wasm::Value::makeI64(
-                static_cast<uint64_t>(std::stoll(val)));
-        if (type == "f32")
-            return wasm::Value::makeF32(std::stof(val));
-        if (type == "f64")
-            return wasm::Value::makeF64(std::stod(val));
-    } catch (const std::exception &) {
-        throw BadRequest("bad arg value in \"" + spec + "\"");
+        return support::parseArgSpec(spec);
+    } catch (const std::invalid_argument &e) {
+        throw BadRequest(e.what());
     }
-    throw BadRequest("bad arg type in \"" + spec +
-                     "\" (expected i32/i64/f32/f64)");
 }
 
 namespace {

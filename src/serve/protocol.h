@@ -69,7 +69,8 @@ struct Request {
  * missing/unknown "op", or ill-typed fields. */
 Request parseRequest(const std::string &line);
 
-/** Parse a "i32:5" / "i64:-1" / "f64:1.5" argument spec. */
+/** Parse a "i32:5" / "i64:-1" / "f32:0.5" / "f64:1.5" argument spec
+ * (support::parseArgSpec). @throws BadRequest on a bad spec. */
 wasm::Value parseArgSpec(const std::string &spec);
 
 /** JSON string escaping for response payloads: the shared escaper,

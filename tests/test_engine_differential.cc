@@ -9,6 +9,8 @@
  * the range-claim soundness oracle on the same corpus.
  */
 
+#include <cstdio>
+
 #include <gtest/gtest.h>
 
 #include "analyses/instruction_mix.h"
@@ -16,11 +18,13 @@
 #include "core/intrinsic_info.h"
 #include "core/static_info.h"
 #include "hook_stream_recorder.h"
+#include "interp/engine/code.h"
 #include "interp/interpreter.h"
 #include "range_claim_oracle.h"
 #include "runtime/runtime.h"
 #include "wasm/builder.h"
 #include "wasm/validator.h"
+#include "wasm/wat_parser.h"
 #include "workloads/polybench.h"
 #include "workloads/random_program.h"
 
@@ -117,6 +121,29 @@ TEST_P(EngineDifferentialRandom, UninstrumentedRunsAgree)
                "seed " + std::to_string(GetParam()));
 }
 
+/** Run @p w under each fuel budget on both engines: same outcome, and
+ * at exhaustion exactly `budget` instructions retired (the batched
+ * accounting must keep the legacy per-instruction invariant). */
+void
+expectFuelSweepAgrees(const Workload &w,
+                      const std::vector<uint64_t> &budgets, uint64_t total,
+                      const std::string &what)
+{
+    for (uint64_t fuel : budgets) {
+        Outcome legacy = runEngine(w, EngineKind::Legacy, fuel);
+        Outcome fast = runEngine(w, EngineKind::Fast, fuel);
+        expectSame(legacy, fast, what + " fuel " + std::to_string(fuel));
+        if (fuel < total) {
+            EXPECT_EQ(legacy.trap, TrapKind::FuelExhausted);
+            EXPECT_EQ(fast.instructions, fuel);
+            EXPECT_EQ(fast.fuelLeft, 0u);
+        } else {
+            EXPECT_EQ(legacy.trap, std::nullopt);
+            EXPECT_EQ(fast.instructions, total);
+        }
+    }
+}
+
 TEST_P(EngineDifferentialRandom, FuelSweepAgreesExactly)
 {
     workloads::RandomProgramOptions opts;
@@ -128,26 +155,9 @@ TEST_P(EngineDifferentialRandom, FuelSweepAgreesExactly)
     // sweep so it brackets the exhaustion point.
     uint64_t total = runEngine(w, EngineKind::Legacy).instructions;
     ASSERT_GT(total, 0u);
-    std::vector<uint64_t> budgets = {0,         1,         7,
-                                     total / 2, total - 1, total,
-                                     total + 5};
-    for (uint64_t fuel : budgets) {
-        Outcome legacy = runEngine(w, EngineKind::Legacy, fuel);
-        Outcome fast = runEngine(w, EngineKind::Fast, fuel);
-        expectSame(legacy, fast,
-                   "seed " + std::to_string(GetParam()) + " fuel " +
-                       std::to_string(fuel));
-        // The batched accounting must also preserve the legacy
-        // invariant: at exhaustion, instructions retired == budget.
-        if (fuel < total) {
-            EXPECT_EQ(legacy.trap, TrapKind::FuelExhausted);
-            EXPECT_EQ(fast.instructions, fuel);
-            EXPECT_EQ(fast.fuelLeft, 0u);
-        } else {
-            EXPECT_EQ(legacy.trap, std::nullopt);
-            EXPECT_EQ(fast.instructions, total);
-        }
-    }
+    expectFuelSweepAgrees(
+        w, {0, 1, 7, total / 2, total - 1, total, total + 5}, total,
+        "seed " + std::to_string(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineDifferentialRandom,
@@ -168,6 +178,22 @@ TEST_P(EngineDifferentialPolybench, KernelRunsAgree)
 
 INSTANTIATE_TEST_SUITE_P(Kernels, EngineDifferentialPolybench,
                          ::testing::ValuesIn(workloads::polybenchNames()));
+
+/** Every budget from 0 to the total: exhaustion lands inside each
+ * fused loop shape (compare-and-branch, mul-add, add-then-load, the
+ * loop latch) at every position the random corpus rarely reaches. */
+TEST(EngineDifferentialPolybench, FuelSweepAgreesExactly)
+{
+    for (const char *kernel : {"gemm", "jacobi-1d", "trisolv"}) {
+        Workload w = workloads::polybench(kernel, 4);
+        uint64_t total = runEngine(w, EngineKind::Legacy).instructions;
+        ASSERT_GT(total, 0u) << kernel;
+        std::vector<uint64_t> budgets;
+        for (uint64_t fuel = 0; fuel <= total; ++fuel)
+            budgets.push_back(fuel);
+        expectFuelSweepAgrees(w, budgets, total, kernel);
+    }
+}
 
 // ---------------------------------------------------------------------
 // Instrumented runs: the engines must agree while dispatching hooks
@@ -404,6 +430,208 @@ TEST(EngineDifferential, IntrinsicTrapMidStreamPrefixParity)
     expectSameStream(rewrite, intrinsic, "trap mid-stream");
     EXPECT_GT(intrinsic.perKind[static_cast<size_t>(core::HookKind::Store)],
               0u);
+}
+
+// ---------------------------------------------------------------------
+// Superinstructions (DESIGN.md §9): the fast engine fuses unhooked FOp
+// sequences; each invariant gets a shape that would expose it.
+
+using interp::engine::CompiledModule;
+using interp::engine::FInstr;
+using interp::engine::FOp;
+
+/** A one-export module from WAT, called as `kernel` with @p args. */
+Workload
+watWorkload(const std::string &wat, std::vector<Value> args = {})
+{
+    Workload w;
+    w.module = wasm::parseWat(wat);
+    w.args = std::move(args);
+    return w;
+}
+
+/** The fast engine's translation of function @p func_idx. */
+std::vector<FInstr>
+translated(const wasm::Module &m, uint32_t func_idx,
+           HookSet hooks = HookSet{})
+{
+    CompiledModule cm(m);
+    cm.setIntrinsicHooks(hooks, nullptr);
+    return cm.function(func_idx).code;
+}
+
+bool
+hasOp(const std::vector<FInstr> &code, FOp op)
+{
+    for (const FInstr &in : code) {
+        if (in.op == op)
+            return true;
+    }
+    return false;
+}
+
+void
+expectEnginesAgree(const Workload &w, const std::string &what)
+{
+    ASSERT_EQ(validationError(w.module), std::nullopt) << what;
+    expectSame(runEngine(w, EngineKind::Legacy),
+               runEngine(w, EngineKind::Fast), what);
+}
+
+/** Invariant 1: the `end` of a block that is branched to is a label;
+ * the `i32.const` before it and the `i32.add` after it stay apart, so
+ * the branch edge still runs the add. */
+TEST(EngineFusion, BranchTargetBetweenConstAndAddIsNotFused)
+{
+    Workload w = watWorkload(R"((module
+        (func (export "kernel") (param i32) (result i32)
+            local.get 0
+            block (result i32)
+                i32.const 5
+                local.get 0
+                br_if 0
+                drop
+                i32.const 9
+            end
+            i32.add)))",
+                             {Value::makeI32(0)});
+    std::vector<FInstr> code = translated(w.module, 0);
+    EXPECT_TRUE(hasOp(code, FOp::I32Add));
+    EXPECT_FALSE(hasOp(code, FOp::I32AddImm));
+    for (uint32_t x : {0u, 1u, 40u}) {
+        w.args = {Value::makeI32(x)};
+        expectEnginesAgree(w, "x=" + std::to_string(x));
+    }
+    w.args = {Value::makeI32(40)};
+    EXPECT_EQ(runEngine(w, EngineKind::Fast).results,
+              std::vector<Value>{Value::makeI32(45)});
+}
+
+/** Invariant 5: a fused add-then-load wraps the add in 32 bits and
+ * only then adds the static offset. */
+TEST(EngineFusion, AddThenLoadWrapsBeforeTheOffset)
+{
+    const std::string wat = R"((module
+        (memory 1)
+        (data (i32.const 12) "\2a\00\00\00")
+        (func (export "kernel") (param i32 i32) (result i32)
+            local.get 0
+            local.get 1
+            i32.add
+            i32.const 16
+            i32.add
+            i32.load offset=4)))";
+    Workload w = watWorkload(wat);
+    EXPECT_TRUE(hasOp(translated(w.module, 0), FOp::I32LoadAddImm));
+
+    // 0xFFFFFFF8 + 16 wraps to 8; + offset 4 = 12. Folding 16 into the
+    // offset would address 0x1_0000_000C and trap.
+    w.args = {Value::makeI32(0xFFFFFFF8u), Value::makeI32(0)};
+    expectEnginesAgree(w, "wrapping sum");
+    Outcome fast = runEngine(w, EngineKind::Fast);
+    EXPECT_EQ(fast.trap, std::nullopt);
+    EXPECT_EQ(fast.results, std::vector<Value>{Value::makeI32(42)});
+
+    // A wrapped sum past the memory still traps, with equal counters.
+    w.args = {Value::makeI32(0xFFFFFFF8u), Value::makeI32(0x10000)};
+    expectEnginesAgree(w, "out-of-bounds sum");
+    EXPECT_EQ(runEngine(w, EngineKind::Fast).trap,
+              TrapKind::MemoryOutOfBounds);
+}
+
+/** Invariant 6: a compare-and-br_if that carries a value, or leaves
+ * extra values to unwind, takes the unfused path. */
+TEST(EngineFusion, BranchNeedingUnwindIsNotFused)
+{
+    Workload keep = watWorkload(R"((module
+        (func (export "kernel") (param i32) (result i32)
+            block (result i32)
+                i32.const 7
+                local.get 0
+                i32.const 3
+                i32.lt_s
+                br_if 0
+                drop
+                i32.const 9
+            end)))");
+    Workload extra = watWorkload(R"((module
+        (func (export "kernel") (param i32) (result i32) (local i32)
+            block
+                block
+                    i32.const 1
+                    local.get 0
+                    i32.const 3
+                    i32.lt_s
+                    br_if 1
+                    drop
+                    i32.const 5
+                    local.set 1
+                end
+            end
+            local.get 1)))");
+    for (Workload *w : {&keep, &extra}) {
+        std::vector<FInstr> code = translated(w->module, 0);
+        EXPECT_TRUE(hasOp(code, FOp::BrIf));
+        EXPECT_FALSE(hasOp(code, FOp::I32LtSBrIf));
+        for (uint32_t x : {0u, 3u, 0x80000000u}) {
+            w->args = {Value::makeI32(x)};
+            expectEnginesAgree(*w, "x=" + std::to_string(x));
+        }
+    }
+}
+
+/** The increment-and-jump form needs one local as source and
+ * destination; `local.set` to another local keeps the set and the
+ * branch apart. */
+TEST(EngineFusion, IncrementAndJumpNeedsOneLocal)
+{
+    const char *wat = R"((module
+        (func (export "kernel") (param i32) (result i32) (local i32)
+            block
+                local.get %s
+                i32.const 5
+                i32.add
+                local.set %s
+                br 0
+            end
+            local.get 1
+            local.get 0
+            i32.sub)))";
+    for (const char *src : {"0", "1"}) {
+        char text[512];
+        std::snprintf(text, sizeof text, wat, src, "1");
+        Workload w = watWorkload(text, {Value::makeI32(7)});
+        std::vector<FInstr> code = translated(w.module, 0);
+        bool same = std::string(src) == "1";
+        EXPECT_EQ(hasOp(code, FOp::I32IncBr), same) << src;
+        EXPECT_EQ(hasOp(code, FOp::I32AddLocalImmSet), !same) << src;
+        expectEnginesAgree(w, std::string("source local ") + src);
+    }
+}
+
+/** Fusion actually happens on unhooked code, and never in code where
+ * every instruction is hooked (invariant 2): a silent fall-back to
+ * unfused code, or fusion into hooked code, fails here. */
+TEST(EngineFusion, KernelsFuseUnhookedAndNeverHooked)
+{
+    Workload gemm = workloads::polybench("gemm", 8);
+    size_t body = gemm.module.functions[0].body.size();
+    size_t fused = translated(gemm.module, 0).size();
+    EXPECT_LE(fused * 10, body * 6) << fused << " slots for " << body
+                                    << " instructions";
+    for (const std::string &name : workloads::polybenchNames()) {
+        Workload w = workloads::polybench(name, 8);
+        for (uint32_t f = 0; f < w.module.functions.size(); ++f) {
+            if (w.module.functions[f].imported())
+                continue;
+            for (const FInstr &in :
+                 translated(w.module, f, HookSet::all())) {
+                EXPECT_FALSE(interp::engine::isFused(in.op))
+                    << name << " function " << f << " op "
+                    << static_cast<int>(in.op);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -497,6 +497,23 @@ TEST(ServeProtocol, ParseRequestAndArgSpecs)
     EXPECT_THROW(parseRequest("[1, 2]"), BadRequest);
     EXPECT_THROW(parseArgSpec("i16:5"), BadRequest);
     EXPECT_THROW(parseArgSpec("i32:notanumber"), BadRequest);
+    // Strict: a whole token, in range, never a prefix or a wrap.
+    for (const char *bad :
+         {"i32:12abc", "i32:4294967296", "i32:-2147483649", "i32:",
+          "i32: 12", "i32:+12", "i32:0x10", "i32:1.5", "i64:abc",
+          "i64:18446744073709551616", "i64:-9223372036854775809",
+          "i64:12abc", "f32:1.5abc", "f32:1e60", "f64:", "f64:1.5x",
+          "f64:1e999", "12", "i32"})
+        EXPECT_THROW(parseArgSpec(bad), BadRequest) << bad;
+    EXPECT_EQ(toString(parseArgSpec("i32:4294967295")), "i32:4294967295");
+    EXPECT_EQ(toString(parseArgSpec("i32:-2147483648")), "i32:2147483648");
+    EXPECT_EQ(toString(parseArgSpec("i32:-1")), "i32:4294967295");
+    EXPECT_EQ(toString(parseArgSpec("i64:18446744073709551615")),
+              "i64:18446744073709551615");
+    EXPECT_EQ(toString(parseArgSpec("i64:-9223372036854775808")),
+              "i64:9223372036854775808");
+    EXPECT_EQ(parseArgSpec("f32:0.5").f32(), 0.5f);
+    EXPECT_EQ(parseArgSpec("f64:-2.25").f64(), -2.25);
     EXPECT_THROW(parseRequest("{\"op\": \"run\", \"module\": \"m\", "
                               "\"memoryPages\": 100000}"),
                  BadRequest);

@@ -43,6 +43,7 @@
  */
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -72,6 +73,7 @@
 #include "support/file_io.h"
 #include "support/json.h"
 #include "support/module_io.h"
+#include "support/numeric.h"
 #include "wasm/decoder.h"
 #include "wasm/encoder.h"
 #include "wasm/name_section.h"
@@ -192,6 +194,18 @@ parseInstrumentMode(const std::string &spec)
         return InstrumentMode::Intrinsic;
     throw UsageError("unknown instrument mode '" + spec +
                      "' (expected rewrite or intrinsic)");
+}
+
+/** An `--arg=` value (support::parseArgSpec); a bad one is a usage
+ * error naming it. */
+wasm::Value
+parseArg(const std::string &spec)
+{
+    try {
+        return support::parseArgSpec(spec);
+    } catch (const std::invalid_argument &e) {
+        throw UsageError(e.what());
+    }
 }
 
 const char *
@@ -316,15 +330,8 @@ cmdRun(const std::vector<std::string> &args)
             profile = true;
         } else if (a.rfind("--profile-out=", 0) == 0) {
             profile_out = a.substr(14);
-        } else if (a.rfind("--arg=i32:", 0) == 0) {
-            call_args.push_back(wasm::Value::makeI32(
-                static_cast<uint32_t>(std::stoll(a.substr(10)))));
-        } else if (a.rfind("--arg=i64:", 0) == 0) {
-            call_args.push_back(wasm::Value::makeI64(
-                static_cast<uint64_t>(std::stoll(a.substr(10)))));
-        } else if (a.rfind("--arg=f64:", 0) == 0) {
-            call_args.push_back(
-                wasm::Value::makeF64(std::stod(a.substr(10))));
+        } else if (a.rfind("--arg=", 0) == 0) {
+            call_args.push_back(parseArg(a.substr(6)));
         } else {
             rejectUnknownOption("run", a);
             path = a;
@@ -424,15 +431,8 @@ cmdProfile(const std::vector<std::string> &args)
             trace_out = a.substr(12);
         else if (a.rfind("--check=", 0) == 0)
             check_path = a.substr(8);
-        else if (a.rfind("--arg=i32:", 0) == 0)
-            call_args.push_back(wasm::Value::makeI32(
-                static_cast<uint32_t>(std::stoll(a.substr(10)))));
-        else if (a.rfind("--arg=i64:", 0) == 0)
-            call_args.push_back(wasm::Value::makeI64(
-                static_cast<uint64_t>(std::stoll(a.substr(10)))));
-        else if (a.rfind("--arg=f64:", 0) == 0)
-            call_args.push_back(
-                wasm::Value::makeF64(std::stod(a.substr(10))));
+        else if (a.rfind("--arg=", 0) == 0)
+            call_args.push_back(parseArg(a.substr(6)));
         else {
             rejectUnknownOption("profile", a);
             path = a;
@@ -523,26 +523,41 @@ int
 cmdGen(const std::string &spec, const std::string &out_path)
 {
     wasm::Module m;
+    auto bad = [&](const std::string &what, const std::string &tok) {
+        return UsageError("gen: bad " + what + " '" + tok + "' in '" +
+                          spec + "'");
+    };
     if (spec.rfind("polybench:", 0) == 0) {
         std::string rest = spec.substr(10);
         int n = 20;
         size_t colon = rest.find(':');
         if (colon != std::string::npos) {
-            n = std::stoi(rest.substr(colon + 1));
+            std::string tok = rest.substr(colon + 1);
+            std::optional<uint64_t> v = support::parseUInt(tok, INT_MAX);
+            if (!v || *v < 1)
+                throw bad("size (expected an integer >= 1)", tok);
+            n = static_cast<int>(*v);
             rest = rest.substr(0, colon);
         }
         m = workloads::polybench(rest, n).module;
     } else if (spec.rfind("random:", 0) == 0) {
         workloads::RandomProgramOptions opts;
-        opts.seed = std::stoull(spec.substr(7));
+        std::optional<uint64_t> seed = support::parseUInt(spec.substr(7));
+        if (!seed)
+            throw bad("seed (expected an unsigned integer)", spec.substr(7));
+        opts.seed = *seed;
         m = workloads::randomProgram(opts).module;
     } else if (spec.rfind("app:", 0) == 0) {
         std::string size = spec.substr(4);
-        workloads::AppSize s = size == "small"
-                                   ? workloads::AppSize::Small
-                                   : size == "large"
-                                         ? workloads::AppSize::UnrealLike
-                                         : workloads::AppSize::PdfkitLike;
+        workloads::AppSize s;
+        if (size == "small")
+            s = workloads::AppSize::Small;
+        else if (size == "medium")
+            s = workloads::AppSize::PdfkitLike;
+        else if (size == "large")
+            s = workloads::AppSize::UnrealLike;
+        else
+            throw bad("app size (expected small, medium or large)", size);
         m = workloads::syntheticApp(s).module;
     } else {
         throw std::runtime_error("unknown generator spec: " + spec);
@@ -1186,7 +1201,8 @@ printUsage(std::FILE *to)
         "             [--threads=N] [--no-split-i64]\n"
         "  run        <in.wasm> [--entry=NAME] [--analysis=mix|blocks|\n"
         "             icov|branch|callgraph|taint|miner|mem]\n"
-        "             [--arg=i32:N] [--arg=i64:N] [--arg=f64:X]\n"
+        "             [--arg=i32:N] [--arg=i64:N] [--arg=f32:X]\n"
+        "             [--arg=f64:X]\n"
         "             [--engine=fast|legacy]\n"
         "             [--instrument-mode=rewrite|intrinsic]\n"
         "             [--profile] [--profile-out=FILE]\n"
@@ -1261,7 +1277,8 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
     } else if (cmd == "run") {
         std::fputs(
             "wasabi run <in.wasm> [--entry=NAME] [--analysis=NAME]\n"
-            "           [--arg=i32:N] [--arg=i64:N] [--arg=f64:X]\n"
+            "           [--arg=i32:N] [--arg=i64:N] [--arg=f32:X]\n"
+            "           [--arg=f64:X]\n"
             "           [--engine=fast|legacy]\n"
             "           [--instrument-mode=rewrite|intrinsic]\n"
             "           [--profile] [--profile-out=FILE]\n"
@@ -1300,7 +1317,8 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
             "  --hooks=h1,h2|all  override the instrumented hook set\n"
             "  --entry=NAME       entry export (default: main, then\n"
             "                     kernel)\n"
-            "  --arg=i32:N ...    entry arguments\n"
+            "  --arg=i32:N ...    entry arguments (i32, i64, f32,\n"
+            "                     f64; a whole number in range)\n"
             "  --threads=N        parallel instrumentation workers\n"
             "  --engine=fast|legacy  execution engine (default fast)\n"
             "  --instrument-mode=rewrite|intrinsic  how hooks reach\n"
@@ -1321,7 +1339,9 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
         std::fputs(
             "wasabi gen <spec> <out.wasm>\n"
             "  Generate a workload module: polybench:NAME[:N],\n"
-            "  random:SEED, or app:small|medium|large.\n",
+            "  random:SEED, or app:small|medium|large. N is an\n"
+            "  integer >= 1 and SEED an unsigned integer; any other\n"
+            "  token is a usage error (exit 2).\n",
             to);
     } else if (cmd == "opt") {
         std::fputs(
