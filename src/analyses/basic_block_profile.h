@@ -35,6 +35,20 @@ class BasicBlockProfile final : public runtime::Analysis {
         ++events_;
     }
 
+    runtime::HookSet
+    countedHooks() const override
+    {
+        return hooks();
+    }
+
+    void
+    onCounts(const runtime::HookSite &site,
+             std::span<const uint64_t> outcomes) override
+    {
+        counts_[{core::packLoc(site.loc), site.block}] += outcomes[0];
+        events_ += outcomes[0];
+    }
+
     /** Execution count of the block beginning at @p loc. */
     uint64_t
     count(runtime::Location loc, runtime::BlockKind kind) const

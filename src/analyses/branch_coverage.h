@@ -56,6 +56,25 @@ class BranchCoverage final : public runtime::Analysis {
         addBranch(loc, condition ? 1 : 0);
     }
 
+    /** br_table's raw index and select's condition are values beyond
+     * the site, so only `if` and `br_if` are counted. */
+    runtime::HookSet
+    countedHooks() const override
+    {
+        return runtime::HookSet{runtime::HookKind::If,
+                                runtime::HookKind::BrIf};
+    }
+
+    void
+    onCounts(const runtime::HookSite &site,
+             std::span<const uint64_t> outcomes) override
+    {
+        for (int decision = 0; decision < 2; ++decision) {
+            if (outcomes[decision] != 0)
+                addBranch(site.loc, decision);
+        }
+    }
+
     /** Decisions observed at @p loc (empty set if never executed).
      * The reference stays valid until the next hook event. */
     const std::set<int> &

@@ -38,6 +38,23 @@ class CryptominerDetector final : public runtime::Analysis {
         }
     }
 
+    runtime::HookSet
+    countedHooks() const override
+    {
+        return hooks();
+    }
+
+    void
+    onCounts(const runtime::HookSite &site,
+             std::span<const uint64_t> outcomes) override
+    {
+        total_ += outcomes[0];
+        if (isSignatureOp(site.op)) {
+            byOpcode_[static_cast<uint8_t>(site.op)] += outcomes[0];
+            signatureTotal_ += outcomes[0];
+        }
+    }
+
     /** Per-mnemonic signature counts (cf. Figure 1's `signature`),
      * built from the per-opcode counters when read. */
     std::map<std::string, uint64_t>

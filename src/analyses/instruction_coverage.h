@@ -126,6 +126,21 @@ class InstructionCoverage final : public runtime::Analysis {
         mark(loc);
     }
 
+    runtime::HookSet
+    countedHooks() const override
+    {
+        return runtime::HookSet::all();
+    }
+
+    /** Function-entry sites (start, function begin) fall out in
+     * mark(), as in the hooks. */
+    void
+    onCounts(const runtime::HookSite &site,
+             std::span<const uint64_t>) override
+    {
+        mark(site.loc);
+    }
+
     bool
     covered(runtime::Location loc) const
     {

@@ -107,6 +107,58 @@ InstructionMix::onReturn(Location, std::span<const wasm::Value>)
     bump(Opcode::Return);
 }
 
+HookSet
+InstructionMix::countedHooks() const
+{
+    return HookSet::all();
+}
+
+void
+InstructionMix::onCounts(const runtime::HookSite &site,
+                         std::span<const uint64_t> outcomes)
+{
+    uint64_t n = 0;
+    for (uint64_t k : outcomes)
+        n += k;
+    switch (site.kind) {
+      case HookKind::Start:
+        starts_ += n;
+        total_ += n;
+        return;
+      case HookKind::Nop: bump(Opcode::Nop, n); return;
+      case HookKind::Unreachable: bump(Opcode::Unreachable, n); return;
+      case HookKind::If: bump(Opcode::If, n); return;
+      case HookKind::Br: bump(Opcode::Br, n); return;
+      case HookKind::BrIf: bump(Opcode::BrIf, n); return;
+      case HookKind::BrTable: bump(Opcode::BrTable, n); return;
+      case HookKind::Begin:
+        if (site.block == runtime::BlockKind::Block)
+            bump(Opcode::Block, n);
+        else if (site.block == runtime::BlockKind::Loop)
+            bump(Opcode::Loop, n);
+        return;
+      case HookKind::End: return;
+      case HookKind::Const:
+      case HookKind::Unary:
+      case HookKind::Binary:
+      case HookKind::Local:
+      case HookKind::Global:
+      case HookKind::Load:
+      case HookKind::Store:
+        bump(site.op, n);
+        return;
+      case HookKind::Drop: bump(Opcode::Drop, n); return;
+      case HookKind::Select: bump(Opcode::Select, n); return;
+      case HookKind::MemorySize: bump(Opcode::MemorySize, n); return;
+      case HookKind::MemoryGrow: bump(Opcode::MemoryGrow, n); return;
+      case HookKind::Call:
+        if (!site.post)
+            bump(site.indirect ? Opcode::CallIndirect : Opcode::Call, n);
+        return;
+      case HookKind::Return: bump(Opcode::Return, n); return;
+    }
+}
+
 const std::map<std::string, uint64_t> &
 InstructionMix::counts() const
 {

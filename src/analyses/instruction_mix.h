@@ -56,6 +56,11 @@ class InstructionMix final : public runtime::Analysis {
     void onReturn(runtime::Location,
                   std::span<const wasm::Value>) override;
 
+    /** Every kind: the opcode is the site's (DESIGN.md §13). */
+    runtime::HookSet countedHooks() const override;
+    void onCounts(const runtime::HookSite &site,
+                  std::span<const uint64_t> outcomes) override;
+
     /** Executed-count per instruction mnemonic (built from the
      * per-opcode counters when read after new events). */
     const std::map<std::string, uint64_t> &counts() const;
@@ -75,10 +80,10 @@ class InstructionMix final : public runtime::Analysis {
 
   private:
     void
-    bump(wasm::Opcode op)
+    bump(wasm::Opcode op, uint64_t n = 1)
     {
-        ++byOpcode_[static_cast<uint8_t>(op)];
-        ++total_;
+        byOpcode_[static_cast<uint8_t>(op)] += n;
+        total_ += n;
     }
 
     /** Counts by opcode; the module's start function, which is no

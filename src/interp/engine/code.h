@@ -100,6 +100,9 @@ namespace wasabi::interp::engine {
     /* engine-intrinsic instrumentation (DESIGN.md §13) */              \
     X(Hook)        /* a=hookSites index; dispatch to the sink */        \
     X(HookStash)   /* aux=count; capture top values into the stash */   \
+    X(Count)       /* b=&counter; count a counted hook site */          \
+    X(CountCond)   /* b=&first counter, a=last outcome: count the */    \
+                   /* site by the i32 on top, clamped to a */           \
     /* parametric & variables */                                        \
     X(Drop)                                                             \
     X(Select)                                                           \
@@ -199,9 +202,23 @@ struct BrTarget {
 struct CompiledFunction {
     std::vector<FInstr> code;
     std::vector<BrTarget> tablePool; ///< br_table targets, by segment
-    /** Intrinsic hook sites referenced by FOp::Hook slots (empty when
-     * the module was translated without an attached HookSet). */
+    /** Intrinsic hook sites referenced by FOp::Hook slots and counter
+     * probes (empty when the module was translated without an
+     * attached HookSet). */
     std::vector<HookSite> hookSites;
+    /** Counter probes: per FOp::Count / CountCond slot, its site in
+     * hookSites and its outcome counters in `counters`. */
+    struct CountedSite {
+        uint32_t site = 0;
+        uint32_t first = 0;
+        uint32_t outcomes = 0;
+    };
+    std::vector<CountedSite> countedSites;
+    /** The counted sites' outcome counters: bumped by the VM through
+     * the probes' addresses, handed to the sink and zeroed when the
+     * outermost invocation leaves the VM (CompiledModule::foldCounts).
+     * Sized once by the translator. */
+    std::vector<uint64_t> counters;
     /** Storage the hook sites point to: br_table side tables and
      * the blocks each branch site ends. */
     std::vector<std::unique_ptr<core::BrTableInfo>> brTables;
@@ -251,39 +268,46 @@ class CompiledModule {
     /**
      * Attach (or detach, with an empty set / null sink) engine-
      * intrinsic instrumentation: subsequent translations interleave
-     * FOp::Hook dispatch slots for exactly @p kinds.
+     * FOp::Hook dispatch slots for exactly @p kinds, and counter
+     * probes (FOp::Count) instead at the sites of the kinds in
+     * @p counted, which the sink only counts (DESIGN.md §13).
      * Already-translated functions are reset so stale
      * code (with the old hook selection) cannot linger — except when
-     * @p kinds equals the currently attached set: the translated code
-     * is then already correct (FOp::Hook placement depends only on
-     * the kind set, the sink is read per dispatch), so only the sink
-     * pointer swaps. That cheap re-attach is what lets a serve pool
-     * hand one warmed, pre-translated instance to a sequence of
+     * both sets equal the currently attached ones: the translated code
+     * is then already correct (slot placement depends only on the
+     * sets, the sink is read per dispatch and per fold), so only the
+     * sink pointer swaps. That cheap re-attach is what lets a serve
+     * pool hand one warmed, pre-translated instance to a sequence of
      * requests, each with its own runtime, without re-translating
      * (DESIGN.md §14). Must not be called while execution is in
      * progress.
      */
     void
-    setIntrinsicHooks(core::HookSet kinds, IntrinsicSink *sink)
+    setIntrinsicHooks(core::HookSet kinds, IntrinsicSink *sink,
+                      core::HookSet counted = {})
     {
-        bool same = kinds == intrinsicHooks_;
+        bool same = kinds == intrinsicHooks_ && counted == countedHooks_;
         intrinsicHooks_ = kinds;
+        countedHooks_ = counted;
         intrinsicSink_ = sink;
         if (same)
             return;
         for (CompiledFunction &f : funcs_)
             f = CompiledFunction{};
+        counting_.clear();
     }
 
     /**
      * Swap only the dispatch sink, keeping the attached kind set and
      * every cached translation. A null sink parks the instance (the
-     * engine skips Hook slots); a pool uses this on release/acquire.
-     * Must not be called while execution is in progress.
+     * engine skips Hook slots and drops counts); a pool uses this on
+     * release/acquire. Must not be called while execution is in
+     * progress.
      */
     void setIntrinsicSink(IntrinsicSink *sink) { intrinsicSink_ = sink; }
 
     core::HookSet intrinsicHooks() const { return intrinsicHooks_; }
+    core::HookSet countedHooks() const { return countedHooks_; }
     IntrinsicSink *intrinsicSink() const { return intrinsicSink_; }
 
     /**
@@ -294,13 +318,33 @@ class CompiledModule {
      */
     uint64_t translationsPerformed() const { return translations_; }
 
+    /** Bracket one engine invocation; nested invocations (a host
+     * function calling back into the instance) only count depth. */
+    void enterVm() { ++vmDepth_; }
+
+    /** End one engine invocation. The outermost one hands every
+     * non-zero counter to the sink (dropped if none is attached) and
+     * zeroes it, so results read right after an invocation are exact. */
+    void
+    leaveVm()
+    {
+        if (--vmDepth_ == 0 && !counting_.empty())
+            foldCounts();
+    }
+
   private:
+    void foldCounts();
+
     const wasm::Module &module_;
     std::vector<CompiledFunction> funcs_;
     std::vector<uint32_t> typeCanon_;
     std::vector<uint32_t> funcTypeCanon_;
     core::HookSet intrinsicHooks_{};
+    core::HookSet countedHooks_{};
     IntrinsicSink *intrinsicSink_ = nullptr;
+    /** Translated functions that hold counted sites. */
+    std::vector<uint32_t> counting_;
+    uint32_t vmDepth_ = 0;
     uint64_t translations_ = 0;
 };
 

@@ -12,6 +12,7 @@
  * can be observed: host calls, memory growth, and unwind.
  */
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -156,9 +157,11 @@ struct Frame {
         VM_NEXT();                                                      \
     }
 
+namespace {
+
 std::vector<Value>
-execute(Instance &inst, uint32_t func_idx, std::span<const Value> args,
-        ExecStats &stats, size_t max_call_depth)
+run(Instance &inst, uint32_t func_idx, std::span<const Value> args,
+    ExecStats &stats, size_t max_call_depth)
 {
     CompiledModule &cm = inst.engineCode();
     const wasm::Module &m = cm.module();
@@ -375,6 +378,19 @@ execute(Instance &inst, uint32_t func_idx, std::span<const Value> args,
                 sink->onHook(inst, site, dyn);
                 reloadAfterHost();
             }
+            VM_NEXT();
+        }
+        VM_CASE(Count) : {
+            // Counter probe (DESIGN.md §13): the counts reach the sink
+            // when the outermost invocation leaves the VM.
+            VM_CHARGE(in->charge);
+            ++*reinterpret_cast<uint64_t *>(in->b);
+            VM_NEXT();
+        }
+        VM_CASE(CountCond) : {
+            VM_CHARGE(in->charge);
+            const uint32_t v = (sp - 1)->i32();
+            ++reinterpret_cast<uint64_t *>(in->b)[v < in->a ? v : in->a];
             VM_NEXT();
         }
         VM_CASE(HookStash) : {
@@ -662,6 +678,43 @@ execute(Instance &inst, uint32_t func_idx, std::span<const Value> args,
     } catch (...) {
         flushCounters();
         throw;
+    }
+}
+
+} // namespace
+
+std::vector<Value>
+execute(Instance &inst, uint32_t func_idx, std::span<const Value> args,
+        ExecStats &stats, size_t max_call_depth)
+{
+    CompiledModule &cm = inst.engineCode();
+    cm.enterVm();
+    std::vector<Value> results;
+    try {
+        results = run(inst, func_idx, args, stats, max_call_depth);
+    } catch (...) {
+        cm.leaveVm();
+        throw;
+    }
+    cm.leaveVm();
+    return results;
+}
+
+void
+CompiledModule::foldCounts()
+{
+    for (uint32_t f : counting_) {
+        CompiledFunction &fn = funcs_[f];
+        for (const CompiledFunction::CountedSite &c : fn.countedSites) {
+            std::span<uint64_t> n(fn.counters.data() + c.first,
+                                  c.outcomes);
+            if (std::all_of(n.begin(), n.end(),
+                            [](uint64_t k) { return k == 0; }))
+                continue;
+            if (intrinsicSink_ != nullptr)
+                intrinsicSink_->onCounts(fn.hookSites[c.site], n);
+            std::fill(n.begin(), n.end(), 0);
+        }
     }
 }
 

@@ -12,6 +12,11 @@
  * zero cost. Values a hook must observe but that the instruction
  * consumes (store operands, binary-op inputs, ...) are captured by a
  * preceding FOp::HookStash slot into a small per-invocation stash.
+ *
+ * Counter probes: a kind the attached runtime only counts translates
+ * to FOp::Count / FOp::CountCond slots instead, which bump a dense
+ * per-function counter; the counts reach the sink in bulk when the
+ * outermost invocation leaves the VM.
  */
 
 #ifndef WASABI_INTERP_ENGINE_INTRINSIC_H
@@ -93,6 +98,16 @@ class IntrinsicSink {
      */
     virtual void onHook(Instance &inst, const HookSite &site,
                         std::span<const wasm::Value> dyn) = 0;
+
+    /**
+     * The events a counted site (FOp::Count / FOp::CountCond) saw
+     * since the last delivery, by outcome: [false, true] for If and
+     * BrIf, one per table entry (the default last) for BrTable, one
+     * otherwise. Called for every site with a non-zero count when the
+     * outermost invocation leaves the VM, whether it returns or traps.
+     */
+    virtual void onCounts(const HookSite &site,
+                          std::span<const uint64_t> outcomes) = 0;
 };
 
 } // namespace engine

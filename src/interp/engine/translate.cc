@@ -78,7 +78,8 @@ class Translator {
     Translator(const wasm::Module &module, uint32_t func_idx,
                const CompiledModule &cm)
         : m_(module), funcIdx_(func_idx), cm_(cm),
-          hooks_(cm.intrinsicHooks()), intr_(!hooks_.empty())
+          hooks_(cm.intrinsicHooks()), counted_(cm.countedHooks()),
+          intr_(!hooks_.empty())
     {
     }
 
@@ -147,6 +148,7 @@ class Translator {
                 fail("unclosed blocks at end of body");
             closeFunction(/*end_charged=*/false);
         }
+        bindCounters();
         out_.compiled = true;
         return std::move(out_);
     }
@@ -206,8 +208,9 @@ class Translator {
     // while the last two slots match a form, they become one. The
     // invariants, each enforced where marked:
     //  1. No fusion across a branch target (fuseTail).
-    //  2. Hook and HookStash slots are never fused: no form names them
-    //     (fusePair), so hooked code translates exactly as unfused.
+    //  2. Hook, HookStash and Count slots are never fused: no form
+    //     names them (fusePair), so hooked code translates exactly as
+    //     unfused.
     //  3. Only the last op of a fused sequence may be a charge point;
     //     the fused slot carries its charge (fuseTail).
     //  4. Absorbed slots are pure ops, so no recorded slot index
@@ -386,27 +389,80 @@ class Translator {
 
     bool hk(core::HookKind k) const { return intr_ && hooks_.has(k); }
 
-    /** Append a hook site and its FOp::Hook dispatch slot. The charge
-     * flushes the batch accumulated *before* the hooked instruction,
-     * so a sink reading counters observes exact retired counts. */
+    /** Whether @p s compiles to a counter probe: its kind is counted,
+     * and so are the End hooks of a branch site. */
+    bool
+    counts(const HookSite &s) const
+    {
+        using core::HookKind;
+        const bool endsBlocks =
+            hooks_.has(HookKind::End) &&
+            (s.kind == HookKind::Br || s.kind == HookKind::BrIf ||
+             s.kind == HookKind::BrTable || s.kind == HookKind::Return);
+        if (endsBlocks && !counted_.has(HookKind::End))
+            return false;
+        return counted_.has(s.kind);
+    }
+
+    /** Append a hook site and its dispatch slot: FOp::Hook, or a
+     * counter probe (FOp::Count, FOp::CountCond by outcome) for a
+     * counted site. The charge flushes the batch accumulated *before*
+     * the hooked instruction, so a sink reading counters observes
+     * exact retired counts. */
     void
     hookSite(HookSite site, uint16_t charge)
     {
+        const uint32_t idx = static_cast<uint32_t>(out_.hookSites.size());
+        if (counts(site)) {
+            uint32_t outcomes = 1;
+            if (site.kind == core::HookKind::If ||
+                site.kind == core::HookKind::BrIf)
+                outcomes = 2;
+            else if (site.kind == core::HookKind::BrTable)
+                outcomes =
+                    static_cast<uint32_t>(site.table->cases.size() + 1);
+            const uint32_t first =
+                static_cast<uint32_t>(out_.counters.size());
+            out_.counters.resize(first + outcomes);
+            out_.countedSites.push_back({idx, first, outcomes});
+            out_.hookSites.push_back(std::move(site));
+            // The operands name the counter by index until
+            // bindCounters() turns it into its address.
+            if (outcomes == 1)
+                emit(FOp::Count, 0, charge, 0, first);
+            else
+                emit(FOp::CountCond, 0, charge, outcomes - 1, first);
+            return;
+        }
         // The VM appends the live result to the stash: both must fit
         // its three-slot capture buffer.
         if (site.stash != 0 && site.stash + site.peek > 3)
             fail("hook site needs more than three stashed values");
-        uint32_t idx = static_cast<uint32_t>(out_.hookSites.size());
         out_.hookSites.push_back(std::move(site));
         emit(FOp::Hook, 0, charge, idx);
     }
 
-    /** Capture the top @p n operand values into the VM's stash (for
-     * hooks that must observe values the instruction consumes). */
+    /** Point each counter probe at its counter, once `counters` has
+     * its final size: the VM bumps it with no lookup. The address
+     * stays valid as the CompiledFunction moves (the vector's storage
+     * moves with it) and is never resized after translation. */
     void
-    stashTop(uint8_t n)
+    bindCounters()
     {
-        emit(FOp::HookStash, n);
+        for (FInstr &in : out_.code) {
+            if (in.op == FOp::Count || in.op == FOp::CountCond)
+                in.b = reinterpret_cast<uintptr_t>(&out_.counters[in.b]);
+        }
+    }
+
+    /** Capture the top @p n operand values into the VM's stash, for a
+     * hook of @p kind that must observe values the instruction
+     * consumes. A counted kind observes none. */
+    void
+    stashTop(core::HookKind kind, uint8_t n)
+    {
+        if (!counted_.has(kind))
+            emit(FOp::HookStash, n);
     }
 
     /** Record the source identity of a block being opened at the
@@ -909,7 +965,7 @@ class Translator {
     {
         const bool hooked = hk(core::HookKind::Load);
         if (hooked)
-            stashTop(1); // the address the load consumes
+            stashTop(core::HookKind::Load, 1); // the address, consumed
         pop(1);
         uint32_t off = ins.imm.mem.offset;
         switch (ins.op) {
@@ -949,7 +1005,7 @@ class Translator {
     {
         const bool hooked = hk(core::HookKind::Store);
         if (hooked)
-            stashTop(2); // [addr, value], both consumed
+            stashTop(core::HookKind::Store, 2); // [addr, value], consumed
         pop(2);
         uint32_t off = ins.imm.mem.offset;
         switch (ins.op) {
@@ -989,7 +1045,7 @@ class Translator {
     {
         const bool hooked = hk(core::HookKind::Unary);
         if (hooked)
-            stashTop(1); // the input, consumed by the op
+            stashTop(core::HookKind::Unary, 1); // the input, consumed
         pop(1);
         push(1);
         if (op == Opcode::I32Eqz) {
@@ -1040,7 +1096,7 @@ class Translator {
     {
         const bool hooked = hk(core::HookKind::Binary);
         if (hooked)
-            stashTop(2); // [a, b], both consumed
+            stashTop(core::HookKind::Binary, 2); // [a, b], consumed
         pop(2);
         push(1);
         if (std::optional<FOp> spec = specializedBinary(op)) {
@@ -1192,7 +1248,8 @@ class Translator {
                 // dyn order is (cond, first, second); all three are
                 // consumed, so capture them before the select runs
                 // (the hook itself fires after, as in rewrite mode).
-                stashTop(3); // [first, second, cond]
+                // [first, second, cond]
+                stashTop(core::HookKind::Select, 3);
                 pop(3);
                 push(1);
                 emit(FOp::Select);
@@ -1233,7 +1290,7 @@ class Translator {
           case OpClass::LocalSet:
             checkLocal(ins.imm.idx);
             if (hk(core::HookKind::Local))
-                stashTop(1); // the value the set consumes
+                stashTop(core::HookKind::Local, 1); // the value set
             pop(1);
             emit(FOp::LocalSet, 0, 0, ins.imm.idx);
             batch();
@@ -1265,7 +1322,7 @@ class Translator {
           case OpClass::GlobalSet:
             checkGlobal(ins.imm.idx);
             if (hk(core::HookKind::Global))
-                stashTop(1);
+                stashTop(core::HookKind::Global, 1);
             pop(1);
             emit(FOp::GlobalSet, 0, takeCharge(), ins.imm.idx);
             if (hk(core::HookKind::Global)) {
@@ -1297,7 +1354,7 @@ class Translator {
             break;
           case OpClass::MemoryGrow:
             if (hk(core::HookKind::MemoryGrow))
-                stashTop(1); // the delta the grow consumes
+                stashTop(core::HookKind::MemoryGrow, 1); // the delta
             pop(1);
             push(1);
             emit(FOp::MemoryGrow, 0, takeCharge());
@@ -1356,6 +1413,7 @@ class Translator {
     uint32_t instrIdx_ = 0; ///< source index of the instr in flight
     const CompiledModule &cm_;
     core::HookSet hooks_; ///< intrinsic hook selection (empty = off)
+    core::HookSet counted_; ///< kinds whose sites are counter probes
     bool intr_ = false;   ///< intrinsic instrumentation attached
     std::vector<core::BlockMatch> matches_; ///< block matching (intr_)
     CompiledFunction out_;
@@ -1411,6 +1469,8 @@ CompiledModule::function(uint32_t func_idx)
     if (!f.compiled) {
         f = translateFunction(module_, func_idx, *this);
         ++translations_;
+        if (!f.countedSites.empty())
+            counting_.push_back(func_idx);
     }
     return f;
 }

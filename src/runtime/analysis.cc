@@ -43,4 +43,7 @@ Analysis::onCallPre(Location, uint32_t, std::span<const wasm::Value>,
 void Analysis::onCallPost(Location, std::span<const wasm::Value>) {}
 void Analysis::onReturn(Location, std::span<const wasm::Value>) {}
 
+HookSet Analysis::countedHooks() const { return {}; }
+void Analysis::onCounts(const HookSite &, std::span<const uint64_t>) {}
+
 } // namespace wasabi::runtime

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/static_info.h"
+#include "interp/engine/intrinsic.h"
 
 namespace wasabi::runtime {
 
@@ -23,6 +24,7 @@ using core::BranchTarget;
 using core::HookKind;
 using core::HookSet;
 using core::Location;
+using interp::engine::HookSite;
 
 /** Dynamic memory argument of a load/store: the runtime address
  * operand plus the static offset immediate (paper Table 2: memarg). */
@@ -114,6 +116,29 @@ class Analysis {
                             std::span<const wasm::Value> results);
     virtual void onReturn(Location loc,
                           std::span<const wasm::Value> results);
+
+    /**
+     * Counter probes (DESIGN.md §13): the kinds of hooks() this
+     * analysis only counts per site, needing no dynamic value beyond
+     * the outcomes onCounts() receives. In engine-intrinsic mode a kind
+     * every subscribed analysis counts (with no profiler attached)
+     * compiles to an engine counter instead of a hook call, and its
+     * events arrive in bulk through onCounts(). Elsewhere (rewrite
+     * mode, a subscriber or profiler that keeps the kind hooked, the
+     * End hooks a hooked branch fires) the hook methods still get
+     * them, so an analysis must count the same either way.
+     */
+    virtual HookSet countedHooks() const;
+
+    /**
+     * @p outcomes events of a counted kind at @p site since the last
+     * delivery, delivered after the engine leaves the module's code:
+     * [false, true] for If and BrIf, one per table entry (the default
+     * last) for BrTable, one for every other kind. The End hooks of a
+     * taken branch arrive as End sites of their own.
+     */
+    virtual void onCounts(const HookSite &site,
+                          std::span<const uint64_t> outcomes);
 
     /** Callee reported when an indirect call target cannot be
      * resolved (the call traps immediately afterwards). */

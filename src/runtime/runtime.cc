@@ -548,6 +548,81 @@ WasabiRuntime::onHook(Instance &inst, const HookSite &site,
 }
 
 void
+WasabiRuntime::onCounts(const HookSite &site,
+                        std::span<const uint64_t> outcomes)
+{
+    uint64_t total = 0;
+    for (uint64_t n : outcomes)
+        total += n;
+    // The same invocations onHook() and fire() count: the site's own
+    // hook, then one End hook per block a taken branch leaves.
+    if (site.ended.empty() || info_->instrumentedHooks.has(site.kind)) {
+        invocations_ += total;
+        for (const Subscriber &s :
+             subscribers_[static_cast<size_t>(site.kind)])
+            s.analysis->onCounts(site, outcomes);
+    }
+    if (!site.ended.empty()) {
+        const uint64_t taken =
+            site.kind == HookKind::BrIf ? outcomes[1] : total;
+        invocations_ += taken * site.ended.size();
+        countEnds(site.ended, taken);
+    } else if (site.kind == HookKind::BrTable) {
+        // Within the br_table's own invocation, as fire() does.
+        for (uint32_t i = 0; i < outcomes.size(); ++i)
+            countEnds(site.table->select(i).ended, outcomes[i]);
+    }
+}
+
+void
+WasabiRuntime::countEnds(std::span<const core::EndedBlock> ended, uint64_t n)
+{
+    if (n == 0)
+        return;
+    for (const core::EndedBlock &e : ended) {
+        HookSite end;
+        end.kind = HookKind::End;
+        end.block = e.kind;
+        end.loc = e.end;
+        end.index = e.begin.instr;
+        for (const Subscriber &s :
+             subscribers_[static_cast<size_t>(HookKind::End)])
+            s.analysis->onCounts(end, std::span<const uint64_t>(&n, 1));
+    }
+}
+
+HookSet
+WasabiRuntime::countedKinds() const
+{
+    HookSet counted;
+    if (profiler_)
+        return counted; // profiling keeps real per-hook timings
+    auto counts = [this](HookKind k) {
+        for (const Subscriber &s : subscribers_[static_cast<size_t>(k)]) {
+            if (!s.analysis->countedHooks().has(k))
+                return false;
+        }
+        return true;
+    };
+    // The kinds that have sites: the instrumented ones, and the
+    // branches that fire End hooks.
+    HookSet sited = info_->instrumentedHooks;
+    if (sited.has(HookKind::End))
+        sited |= HookSet{HookKind::Br, HookKind::BrIf, HookKind::BrTable,
+                         HookKind::Return};
+    for (int k = 0; k < core::kNumHookKinds; ++k) {
+        const HookKind kind = static_cast<HookKind>(k);
+        if (sited.has(kind) && counts(kind))
+            counted.add(kind);
+    }
+    // A br_table delivers End events even when End is not
+    // instrumented (fire()), so it counts only if they do.
+    if (!counts(HookKind::End))
+        counted.remove(HookKind::BrTable);
+    return counted;
+}
+
+void
 WasabiRuntime::attachIntrinsic(Instance &inst)
 {
     if (!info_->hooks.empty()) {
@@ -558,7 +633,8 @@ WasabiRuntime::attachIntrinsic(Instance &inst)
             "combining both modes would instrument every site twice");
     }
     requireUnrewritten(inst.module());
-    inst.engineCode().setIntrinsicHooks(info_->instrumentedHooks, this);
+    inst.engineCode().setIntrinsicHooks(info_->instrumentedHooks, this,
+                                        countedKinds());
 }
 
 void

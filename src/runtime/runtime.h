@@ -118,9 +118,18 @@ class WasabiRuntime : public interp::engine::IntrinsicSink {
                          const interp::Linker &extra = {});
 
     /** Attach intrinsic hooks to an existing instance (invalidates its
-     * cached fast-engine translations). Same guards as
+     * cached fast-engine translations unless the hook and counted kind
+     * sets are unchanged). The kinds that every subscribed analysis
+     * only counts compile to engine counters (countedKinds()). Add the
+     * analyses and the profiler first. Same guards as
      * instantiateIntrinsic. */
     void attachIntrinsic(interp::Instance &inst);
+
+    /** The hook-site kinds attachIntrinsic compiles to counter probes:
+     * those every subscriber lists in countedHooks(), none while a
+     * profiler is attached (it times each hook), and br_table only if
+     * its End hooks are counted too (DESIGN.md §13). */
+    HookSet countedKinds() const;
 
     /** Detach intrinsic hooks from @p inst (invalidates translations;
      * subsequent runs execute uninstrumented). */
@@ -132,6 +141,13 @@ class WasabiRuntime : public interp::engine::IntrinsicSink {
     void onHook(interp::Instance &inst,
                 const interp::engine::HookSite &site,
                 std::span<const wasm::Value> dyn) override;
+
+    /** Counter-probe fold (engine-intrinsic mode): delivers @p site's
+     * counts to its subscribers and, for a taken branch that ends
+     * blocks, the End counts of those blocks, with the invocation
+     * count onHook() would have reached. */
+    void onCounts(const interp::engine::HookSite &site,
+                  std::span<const uint64_t> outcomes) override;
 
     const core::StaticInfo &info() const { return *info_; }
 
@@ -207,6 +223,10 @@ class WasabiRuntime : public interp::engine::IntrinsicSink {
      * come last. */
     void fire(interp::Instance &inst, const HookSite &site,
               std::span<const wasm::Value> dyn);
+
+    /** Deliver @p n events of each block in @p ended to the End
+     * subscribers' onCounts. */
+    void countEnds(std::span<const core::EndedBlock> ended, uint64_t n);
 
     /** fire()'s fan-out, timing each analysis iff @p kProfiled. */
     template <bool kProfiled>

@@ -9,14 +9,13 @@ InstancePool::acquire(const CachedModule &entry)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        auto it = parked_.find(entry.hash());
+        auto it = parked_.find(entry.module().get());
         if (it != parked_.end() && !it->second.empty()) {
             Parked p = std::move(it->second.back());
             it->second.pop_back();
             ++hits_;
             return InstanceLease{std::move(p.instance),
-                                 std::move(p.snapshot), entry.hash(),
-                                 /*warm=*/true};
+                                 std::move(p.snapshot), /*warm=*/true};
         }
     }
     // Cold path outside the lock: instantiation runs the start
@@ -25,7 +24,7 @@ InstancePool::acquire(const CachedModule &entry)
     std::unique_ptr<interp::Instance> inst =
         interp::Instance::instantiate(entry.module(), interp::Linker());
     interp::InstanceSnapshot snap = inst->snapshot();
-    return InstanceLease{std::move(inst), std::move(snap), entry.hash(),
+    return InstanceLease{std::move(inst), std::move(snap),
                          /*warm=*/false};
 }
 
@@ -41,15 +40,16 @@ InstancePool::release(InstanceLease lease)
     // setIntrinsicHooks' same-set fast path).
     lease.instance->engineCode().setIntrinsicSink(nullptr);
     std::lock_guard<std::mutex> lock(mutex_);
-    parked_[lease.moduleHash].push_back(
+    const wasm::Module *key = &lease.instance->module();
+    parked_[key].push_back(
         Parked{std::move(lease.instance), std::move(lease.snapshot)});
 }
 
 size_t
-InstancePool::parkedCount(uint64_t module_hash) const
+InstancePool::parkedCount(const CachedModule &entry) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = parked_.find(module_hash);
+    auto it = parked_.find(entry.module().get());
     return it == parked_.end() ? 0 : it->second.size();
 }
 

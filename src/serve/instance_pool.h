@@ -41,7 +41,6 @@ struct InstanceLease {
     std::unique_ptr<interp::Instance> instance;
     /** Post-start state to restore on release. */
     interp::InstanceSnapshot snapshot;
-    uint64_t moduleHash = 0;
     /** True when the instance came warm from the pool. */
     bool warm = false;
 };
@@ -68,8 +67,8 @@ class InstancePool {
     uint64_t hits() const { return hits_.load(); }
     uint64_t misses() const { return misses_.load(); }
 
-    /** Parked instances for @p module_hash (tests/metrics). */
-    size_t parkedCount(uint64_t module_hash) const;
+    /** Parked instances of @p entry's module (tests/metrics). */
+    size_t parkedCount(const CachedModule &entry) const;
 
   private:
     struct Parked {
@@ -78,7 +77,10 @@ class InstancePool {
     };
 
     mutable std::mutex mutex_;
-    std::unordered_map<uint64_t, std::vector<Parked>> parked_;
+    /** Parked instances by the cache entry's module, not by its hash
+     * (colliding modules must not share instances). A parked instance
+     * keeps its module alive, so the key is never reused meanwhile. */
+    std::unordered_map<const wasm::Module *, std::vector<Parked>> parked_;
     std::atomic<uint64_t> hits_{0};
     std::atomic<uint64_t> misses_{0};
 };

@@ -39,6 +39,17 @@ CachedModule::infoCount() const
 }
 
 std::shared_ptr<CachedModule>
+ModuleCache::find(uint64_t hash, const std::vector<uint8_t> &bytes) const
+{
+    auto [first, last] = entries_.equal_range(hash);
+    for (auto it = first; it != last; ++it) {
+        if (it->second->bytes() == bytes)
+            return it->second;
+    }
+    return nullptr;
+}
+
+std::shared_ptr<CachedModule>
 ModuleCache::acquire(const std::vector<uint8_t> &bytes,
                      const std::string &origin, bool *hit)
 {
@@ -47,12 +58,11 @@ ModuleCache::acquire(const std::vector<uint8_t> &bytes,
         *hit = false;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        auto it = entries_.find(hash);
-        if (it != entries_.end()) {
+        if (std::shared_ptr<CachedModule> e = find(hash, bytes)) {
             ++hits_;
             if (hit)
                 *hit = true;
-            return it->second;
+            return e;
         }
     }
     // Decode + validate outside the lock: a slow module upload must
@@ -72,15 +82,15 @@ ModuleCache::acquire(const std::vector<uint8_t> &bytes,
         throw support::IoError("io.module", origin,
                                "invalid module: " + *err);
     auto entry = std::make_shared<CachedModule>(
-        hash, std::make_shared<const wasm::Module>(std::move(m)));
+        hash, bytes, std::make_shared<const wasm::Module>(std::move(m)));
     std::lock_guard<std::mutex> lock(mutex_);
-    auto [it, inserted] = entries_.emplace(hash, entry);
-    if (!inserted) {
+    if (std::shared_ptr<CachedModule> e = find(hash, bytes)) {
         ++hits_; // the racing decoder won; share its entry
         if (hit)
             *hit = true;
-        return it->second;
+        return e;
     }
+    entries_.emplace(hash, entry);
     ++misses_;
     return entry;
 }

@@ -8,12 +8,14 @@
  * construction entirely — pinned by the hit/miss counters surfaced in
  * the serve metrics.
  *
- * Keying is by content (FNV-1a over the raw bytes), not by path: two
- * tenants uploading the same module share one entry, and a file
- * changing under a stable path misses cleanly. Entries are retained
- * for the daemon's lifetime (modules are small relative to the
- * translation state they unlock; an eviction policy can be added
- * without changing the interface).
+ * Keying is by content, not by path: two tenants uploading the same
+ * module share one entry, and a file changing under a stable path
+ * misses cleanly. FNV-1a over the raw bytes finds the candidates, and
+ * a hit also needs the entry's bytes to be equal: FNV-1a is not
+ * collision-resistant, so two different modules with equal hashes get
+ * separate entries. Entries are retained for the daemon's lifetime
+ * (modules are small relative to the translation state they unlock;
+ * an eviction policy can be added without changing the interface).
  */
 
 #ifndef WASABI_SERVE_MODULE_CACHE_H
@@ -34,7 +36,8 @@
 
 namespace wasabi::serve {
 
-/** FNV-1a over @p bytes — the cache key. */
+/** FNV-1a over @p bytes — the cache's bucket key (and the hash the
+ * `analyze` reply reports). */
 uint64_t contentHash(const std::vector<uint8_t> &bytes);
 
 /**
@@ -44,12 +47,16 @@ uint64_t contentHash(const std::vector<uint8_t> &bytes);
  */
 class CachedModule {
   public:
-    CachedModule(uint64_t hash, std::shared_ptr<const wasm::Module> module)
-        : hash_(hash), module_(std::move(module))
+    CachedModule(uint64_t hash, std::vector<uint8_t> bytes,
+                 std::shared_ptr<const wasm::Module> module)
+        : hash_(hash), bytes_(std::move(bytes)), module_(std::move(module))
     {
     }
 
     uint64_t hash() const { return hash_; }
+
+    /** The module bytes the entry was decoded from (its identity). */
+    const std::vector<uint8_t> &bytes() const { return bytes_; }
 
     const std::shared_ptr<const wasm::Module> &module() const
     {
@@ -69,6 +76,7 @@ class CachedModule {
 
   private:
     const uint64_t hash_;
+    const std::vector<uint8_t> bytes_;
     const std::shared_ptr<const wasm::Module> module_;
 
     mutable std::mutex mutex_;
@@ -79,13 +87,14 @@ class CachedModule {
         infos_;
 };
 
-/** Content-hash cache of decoded + validated modules. Thread-safe. */
+/** Content-keyed cache of decoded + validated modules. Thread-safe. */
 class ModuleCache {
   public:
     /**
      * Entry for @p bytes: decoded (binary or WAT, with the same
      * precise truncation diagnostics as the CLI), validated, and
-     * name-section-applied on miss; returned as-is on hit. @p origin
+     * name-section-applied on miss; returned as-is on hit (equal
+     * bytes, not only an equal hash). @p origin
      * labels diagnostics (a path or "<request>"). @p hit, when
      * non-null, reports whether the entry was served from cache.
      * @throws support::IoError ("io.module") on undecodable or
@@ -100,8 +109,15 @@ class ModuleCache {
     size_t size() const;
 
   private:
+    /** The entry holding @p bytes, or null. Caller holds mutex_. */
+    std::shared_ptr<CachedModule> find(uint64_t hash,
+                                       const std::vector<uint8_t> &bytes)
+        const;
+
     mutable std::mutex mutex_;
-    std::unordered_map<uint64_t, std::shared_ptr<CachedModule>> entries_;
+    /** Entries by contentHash(); colliding modules share a hash. */
+    std::unordered_multimap<uint64_t, std::shared_ptr<CachedModule>>
+        entries_;
     std::atomic<uint64_t> hits_{0};
     std::atomic<uint64_t> misses_{0};
 };

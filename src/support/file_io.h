@@ -77,8 +77,18 @@ readBinaryFile(const std::string &path)
     std::ifstream in(path, std::ios::binary);
     if (!in)
         throw IoError("io.read", path, "cannot open");
-    std::vector<uint8_t> bytes{std::istreambuf_iterator<char>(in),
-                               std::istreambuf_iterator<char>()};
+    // One bulk read of the size stat reported. The file may have
+    // changed since: a short read means it shrank, and whatever is
+    // left after the full size means it grew.
+    std::vector<uint8_t> bytes(static_cast<size_t>(st.st_size));
+    in.read(reinterpret_cast<char *>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+    bytes.resize(static_cast<size_t>(in.gcount()));
+    char tail[4096];
+    while (in) {
+        in.read(tail, sizeof tail);
+        bytes.insert(bytes.end(), tail, tail + in.gcount());
+    }
     if (in.bad())
         throw IoError("io.read", path, "read error");
     return bytes;

@@ -1,9 +1,10 @@
 /**
  * @file
- * Test helper: an Analysis that serializes every hook invocation —
+ * Test helpers: an Analysis that serializes every hook invocation —
  * kind, location, and all dynamic arguments — into a flat string
- * stream. Two instrumentation modes are equivalent exactly when they
- * produce byte-identical streams.
+ * stream (two instrumentation modes are equivalent exactly when they
+ * produce byte-identical streams), and one that keeps hook kinds on
+ * the hook path.
  */
 
 #ifndef WASABI_TESTS_HOOK_STREAM_RECORDER_H
@@ -21,6 +22,21 @@ namespace wasabi::tests {
 using core::BlockKind;
 using core::BranchTarget;
 using core::Location;
+
+/**
+ * Subscribes to the given kinds, counts none and does nothing: added
+ * to a runtime beside a count-only analysis, it keeps every site of
+ * those kinds on the hook path (DESIGN.md §13), with no knob.
+ */
+class HookedShadow final : public runtime::Analysis {
+  public:
+    explicit HookedShadow(core::HookSet kinds) : kinds_(kinds) {}
+
+    core::HookSet hooks() const override { return kinds_; }
+
+  private:
+    core::HookSet kinds_;
+};
 
 class HookStreamRecorder : public runtime::Analysis {
   public:

@@ -8,7 +8,11 @@
  * runtime (so both see the very same event stream through the
  * per-kind subscriber lists), and requires identical reports and
  * accessors on every PolyBench kernel, the small and medium synthetic
- * apps and 40 random programs, in both instrument modes.
+ * apps and 40 random programs, in both instrument modes. Intrinsic
+ * mode runs twice: hooked (the pairs on one runtime, where the
+ * references keep every kind on the hook path) and counted (the
+ * shipped analyses alone on their own runtime and instance, so their
+ * kinds compile to counter probes, DESIGN.md §13).
  *
  * Rewrite-vs-intrinsic parity cannot catch a counting bug: both modes
  * feed the same analysis code.
@@ -318,6 +322,26 @@ struct Pairs {
     analyses::CryptominerDetector miner;
     RefMiner refMiner;
 
+    /** The shipped analyses alone: every kind they subscribe to is
+     * one they only count. */
+    void
+    addShipped(runtime::WasabiRuntime &rt)
+    {
+        rt.addAnalysis(&mix, "mix");
+        rt.addAnalysis(&blocks, "blocks");
+        rt.addAnalysis(&branch, "branch");
+        rt.addAnalysis(&miner, "miner");
+    }
+
+    void
+    addRefs(runtime::WasabiRuntime &rt)
+    {
+        rt.addAnalysis(&refMix, "ref-mix");
+        rt.addAnalysis(&refBlocks, "ref-blocks");
+        rt.addAnalysis(&refBranch, "ref-branch");
+        rt.addAnalysis(&refMiner, "ref-miner");
+    }
+
     void
     addTo(runtime::WasabiRuntime &rt)
     {
@@ -368,45 +392,72 @@ struct Pairs {
     }
 };
 
-/** Run @p w with all four pairs attached, in one instrument mode.
- * A @p fuel budget cuts long runs short: the pairs then compare on
- * the prefix of the event stream up to the FuelExhausted trap. */
+enum class Mode { Rewrite, IntrinsicHooked, IntrinsicCounted };
+
+/** Invoke @p w's entry on @p inst under @p fuel, which it must run
+ * out of if there is a budget. */
 void
-checkWorkload(const Workload &w, bool intrinsic, const std::string &what,
+invoke(const Workload &w, interp::Instance &inst,
+       std::optional<uint64_t> fuel, const std::string &what)
+{
+    inst.setFuel(fuel);
+    try {
+        interp::Interpreter().invokeExport(inst, w.entry, w.args);
+        EXPECT_FALSE(fuel) << what << ": expected to run out of fuel";
+    } catch (const interp::Trap &t) {
+        ASSERT_EQ(t.kind(), interp::TrapKind::FuelExhausted) << what;
+    }
+}
+
+/** Run @p w with all four pairs attached, in one mode. A @p fuel
+ * budget cuts long runs short: the pairs then compare on the prefix
+ * of the event stream up to the FuelExhausted trap. */
+void
+checkWorkload(const Workload &w, Mode mode, const std::string &what,
               std::optional<uint64_t> fuel)
 {
     const HookSet kinds = HookSet::all();
     Pairs p;
     core::InstrumentResult r;
     std::shared_ptr<const core::StaticInfo> info;
-    if (intrinsic) {
-        info = core::buildIntrinsicInfo(w.module, kinds);
-    } else {
+    if (mode == Mode::Rewrite) {
         r = core::instrument(w.module, kinds);
         info = r.info;
+    } else {
+        info = core::buildIntrinsicInfo(w.module, kinds);
     }
     runtime::WasabiRuntime rt(info);
-    p.addTo(rt);
-    auto inst = intrinsic ? rt.instantiateIntrinsic(w.module)
-                          : rt.instantiate(r.module);
-    inst->setFuel(fuel);
-    try {
-        interp::Interpreter().invokeExport(*inst, w.entry, w.args);
-        EXPECT_FALSE(fuel) << what << ": expected to run out of fuel";
-    } catch (const interp::Trap &t) {
-        ASSERT_EQ(t.kind(), interp::TrapKind::FuelExhausted) << what;
+    if (mode == Mode::IntrinsicCounted) {
+        // The references run the same module on an instance of their
+        // own: the same events, delivered by hook.
+        runtime::WasabiRuntime refRt(info);
+        p.addShipped(rt);
+        p.addRefs(refRt);
+        EXPECT_FALSE(rt.countedKinds().empty()) << what;
+        EXPECT_TRUE(refRt.countedKinds().empty()) << what;
+        invoke(w, *rt.instantiateIntrinsic(w.module), fuel, what);
+        invoke(w, *refRt.instantiateIntrinsic(w.module), fuel, what);
+        EXPECT_EQ(rt.hookInvocations(), refRt.hookInvocations()) << what;
+    } else {
+        p.addTo(rt);
+        EXPECT_TRUE(rt.countedKinds().empty()) << what;
+        invoke(w,
+               mode == Mode::Rewrite ? *rt.instantiate(r.module)
+                                     : *rt.instantiateIntrinsic(w.module),
+               fuel, what);
     }
     ASSERT_GT(rt.hookInvocations(), 0u) << what;
     p.expectAgree(what);
 }
 
 void
-checkBothModes(const Workload &w, const std::string &what,
-               std::optional<uint64_t> fuel = std::nullopt)
+checkAllModes(const Workload &w, const std::string &what,
+              std::optional<uint64_t> fuel = std::nullopt)
 {
     ASSERT_EQ(validationError(w.module), std::nullopt) << what;
-    checkWorkload(w, /*intrinsic=*/false, what + " (rewrite)", fuel);
-    checkWorkload(w, /*intrinsic=*/true, what + " (intrinsic)", fuel);
+    checkWorkload(w, Mode::Rewrite, what + " (rewrite)", fuel);
+    checkWorkload(w, Mode::IntrinsicHooked, what + " (intrinsic)", fuel);
+    checkWorkload(w, Mode::IntrinsicCounted, what + " (counted)", fuel);
 }
 
 class AnalysisOraclePolybench : public ::testing::TestWithParam<std::string> {
@@ -414,7 +465,7 @@ class AnalysisOraclePolybench : public ::testing::TestWithParam<std::string> {
 
 TEST_P(AnalysisOraclePolybench, DenseCountersMatchReference)
 {
-    checkBothModes(workloads::polybench(GetParam(), 8), GetParam());
+    checkAllModes(workloads::polybench(GetParam(), 8), GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -428,11 +479,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(AnalysisOracle, SyntheticAppsMatchReference)
 {
-    checkBothModes(workloads::syntheticApp(workloads::AppSize::Small),
-                   "app:small");
+    checkAllModes(workloads::syntheticApp(workloads::AppSize::Small),
+                  "app:small");
     // app:medium runs 161M hook events in full; a prefix suffices.
-    checkBothModes(workloads::syntheticApp(workloads::AppSize::PdfkitLike),
-                   "app:medium", 20'000'000);
+    checkAllModes(workloads::syntheticApp(workloads::AppSize::PdfkitLike),
+                  "app:medium", 20'000'000);
 }
 
 TEST(AnalysisOracle, RandomProgramsMatchReference)
@@ -445,8 +496,8 @@ TEST(AnalysisOracle, RandomProgramsMatchReference)
             opts.indirectCallPct = 25;
             opts.constIndexIndirectPct = 50;
         }
-        checkBothModes(workloads::randomProgram(opts),
-                       "random:" + std::to_string(seed));
+        checkAllModes(workloads::randomProgram(opts),
+                      "random:" + std::to_string(seed));
     }
 }
 
@@ -465,6 +516,26 @@ TEST(AnalysisOracle, ViewsRefreshAfterLaterEvents)
     p.expectAgree("atax, first run");
     interp.invokeExport(*inst, w.entry, w.args);
     p.expectAgree("atax, second run");
+}
+
+TEST(AnalysisOracle, ViewsRefreshAfterLaterCountedEvents)
+{
+    // Counts folded after the first read must show in the second.
+    Workload w = workloads::polybench("atax", 6);
+    auto info = core::buildIntrinsicInfo(w.module, HookSet::all());
+    runtime::WasabiRuntime rt(info);
+    runtime::WasabiRuntime refRt(info);
+    Pairs p;
+    p.addShipped(rt);
+    p.addRefs(refRt);
+    auto inst = rt.instantiateIntrinsic(w.module);
+    auto refInst = refRt.instantiateIntrinsic(w.module);
+    interp::Interpreter interp;
+    for (const char *run : {"first", "second"}) {
+        interp.invokeExport(*inst, w.entry, w.args);
+        interp.invokeExport(*refInst, w.entry, w.args);
+        p.expectAgree(std::string("atax, counted, ") + run + " run");
+    }
 }
 
 } // namespace

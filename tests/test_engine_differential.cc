@@ -6,14 +6,20 @@
  * memory, same fuel consumption, and same ExecStats — across the
  * random-program corpus, PolyBench kernels, fuel-budget sweeps,
  * instrumented runs, and the interpreter-hardening regressions — plus
- * the range-claim soundness oracle on the same corpus.
+ * the range-claim soundness oracle on the same corpus, and the
+ * counter-vs-hook leg: count-only analyses report the same through
+ * the engine's counter probes as through hook calls.
  */
 
 #include <cstdio>
 
 #include <gtest/gtest.h>
 
+#include "analyses/basic_block_profile.h"
+#include "analyses/cryptominer.h"
+#include "analyses/instruction_coverage.h"
 #include "analyses/instruction_mix.h"
+#include "analyses/registry.h"
 #include "core/instrument.h"
 #include "core/intrinsic_info.h"
 #include "core/static_info.h"
@@ -27,6 +33,7 @@
 #include "wasm/wat_parser.h"
 #include "workloads/polybench.h"
 #include "workloads/random_program.h"
+#include "workloads/synthetic_app.h"
 
 namespace wasabi {
 namespace {
@@ -61,28 +68,35 @@ struct Outcome {
     bool operator==(const Outcome &other) const = default;
 };
 
+/** Invoke @p w's entry on @p inst and observe the run. */
 Outcome
-runEngine(const Workload &w, EngineKind engine,
-          std::optional<uint64_t> fuel = std::nullopt)
+observeRun(Instance &inst, const Workload &w, EngineKind engine)
 {
     Outcome out;
-    auto inst = Instance::instantiate(w.module, Linker());
-    inst->setFuel(fuel);
     Interpreter interp;
     interp.engine = engine;
     try {
-        out.results = interp.invokeExport(*inst, w.entry, w.args);
+        out.results = interp.invokeExport(inst, w.entry, w.args);
     } catch (const Trap &t) {
         out.trap = t.kind();
     }
-    out.memory = inst->memory().raw();
+    out.memory = inst.memory().raw();
     const ExecStats &s = interp.stats();
     out.instructions = s.instructions;
     out.calls = s.calls;
     out.memoryOps = s.memoryOps;
     out.traps = s.traps;
-    out.fuelLeft = inst->fuel();
+    out.fuelLeft = inst.fuel();
     return out;
+}
+
+Outcome
+runEngine(const Workload &w, EngineKind engine,
+          std::optional<uint64_t> fuel = std::nullopt)
+{
+    auto inst = Instance::instantiate(w.module, Linker());
+    inst->setFuel(fuel);
+    return observeRun(*inst, w, engine);
 }
 
 void
@@ -630,6 +644,229 @@ TEST(EngineFusion, KernelsFuseUnhookedAndNeverHooked)
                     << name << " function " << f << " op "
                     << static_cast<int>(in.op);
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Counter probes (DESIGN.md §13): in intrinsic mode the kinds a
+// count-only analysis counts compile to FOp::Count slots and reach it
+// in bulk. Against the same analysis kept on the hook path by a
+// subscriber that counts nothing (tests::HookedShadow), its report,
+// the hook invocation count and the ExecStats must be equal.
+
+const std::vector<std::string> kCountOnly = {"mix", "blocks", "branch",
+                                             "icov", "miner"};
+
+/** Everything a run of one count-only analysis shows. */
+struct CountedOutcome {
+    Outcome run;
+    std::string report;
+    uint64_t invocations = 0;
+};
+
+/** The analysis state in full: its CLI report plus what that leaves
+ * out (mix and blocks print their top entries only, icov a ratio,
+ * miner a verdict). */
+std::string
+fullReport(const std::string &name, runtime::Analysis &a,
+           const wasm::Module &m)
+{
+    std::string out = analyses::analysisReport(name, a, m);
+    if (name == "mix") {
+        out += static_cast<analyses::InstructionMix &>(a).report(SIZE_MAX);
+    } else if (name == "blocks") {
+        out += static_cast<analyses::BasicBlockProfile &>(a).report(
+            SIZE_MAX);
+    } else if (name == "icov") {
+        auto &cov = static_cast<analyses::InstructionCoverage &>(a);
+        for (uint32_t f = 0; f < m.functions.size(); ++f) {
+            for (uint32_t i = 0; i < m.functions[f].body.size(); ++i) {
+                if (cov.covered({f, i}))
+                    out += " " + std::to_string(f) + ":" +
+                           std::to_string(i);
+            }
+        }
+    } else if (name == "miner") {
+        for (const auto &[op, n] :
+             static_cast<analyses::CryptominerDetector &>(a).signature())
+            out += " " + op + "=" + std::to_string(n);
+    }
+    return out;
+}
+
+/** Count-only analyses on one workload, counted vs hooked. Each
+ * group of analyses shares one runtime. */
+class CountOnlyRuns {
+  public:
+    using Group = std::vector<std::string>;
+
+    /** Each count-only analysis on a runtime of its own. */
+    explicit CountOnlyRuns(const Workload &w) : w_(w)
+    {
+        for (const std::string &name : kCountOnly)
+            add({name});
+    }
+
+    /** The analyses of @p group on one runtime. */
+    CountOnlyRuns(const Workload &w, Group group) : w_(w)
+    {
+        add(std::move(group));
+    }
+
+    /** Every group, counted vs hooked under @p fuel; returns the
+     * counted runs' outcome (the same for each group). */
+    Outcome
+    expectMatch(const std::string &what,
+                std::optional<uint64_t> fuel = std::nullopt) const
+    {
+        Outcome run;
+        for (size_t g = 0; g < groups_.size(); ++g) {
+            std::string label = what;
+            for (const std::string &name : groups_[g])
+                label += " " + name;
+            CountedOutcome counted = runGroup(g, /*hooked=*/false, fuel);
+            CountedOutcome hooked = runGroup(g, /*hooked=*/true, fuel);
+            expectSame(hooked.run, counted.run, label);
+            EXPECT_EQ(hooked.report, counted.report) << label;
+            EXPECT_EQ(hooked.invocations, counted.invocations) << label;
+            run = counted.run;
+        }
+        return run;
+    }
+
+  private:
+    void
+    add(Group group)
+    {
+        HookSet hooks;
+        for (const std::string &name : group)
+            hooks |= analyses::makeAnalysis(name)->hooks();
+        infos_.push_back(core::buildIntrinsicInfo(w_.module, hooks));
+        groups_.push_back(std::move(group));
+    }
+
+    /** Run group @p g counted or, with a shadow subscriber, hooked. */
+    CountedOutcome
+    runGroup(size_t g, bool hooked, std::optional<uint64_t> fuel) const
+    {
+        runtime::WasabiRuntime rt(infos_[g]);
+        std::vector<std::unique_ptr<runtime::Analysis>> as;
+        for (const std::string &name : groups_[g]) {
+            as.push_back(analyses::makeAnalysis(name));
+            rt.addAnalysis(as.back().get(), name);
+        }
+        tests::HookedShadow shadow(infos_[g]->instrumentedHooks);
+        if (hooked)
+            rt.addAnalysis(&shadow, "shadow");
+        EXPECT_EQ(rt.countedKinds().empty(), hooked);
+        auto inst = rt.instantiateIntrinsic(w_.module);
+        inst->setFuel(fuel);
+        CountedOutcome out;
+        out.run = observeRun(*inst, w_, EngineKind::Fast);
+        for (size_t k = 0; k < as.size(); ++k)
+            out.report += fullReport(groups_[g][k], *as[k], w_.module);
+        out.invocations = rt.hookInvocations();
+        return out;
+    }
+
+    const Workload &w_;
+    std::vector<Group> groups_;
+    std::vector<std::shared_ptr<const core::StaticInfo>> infos_;
+};
+
+TEST_P(EngineDifferentialPolybench, CountedMatchesHooked)
+{
+    Workload w = workloads::polybench(GetParam(), 6);
+    CountOnlyRuns(w).expectMatch(GetParam());
+}
+
+TEST_P(EngineDifferentialRandom, CountedMatchesHooked)
+{
+    workloads::RandomProgramOptions opts;
+    opts.seed = GetParam();
+    opts.numFunctions = 8;
+    opts.stmtsPerFunction = 12;
+    opts.indirectCallPct = 25;
+    opts.constIndexIndirectPct = 50;
+    Workload w = workloads::randomProgram(opts);
+    ASSERT_EQ(validationError(w.module), std::nullopt);
+    CountOnlyRuns(w).expectMatch("seed " + std::to_string(GetParam()));
+}
+
+TEST(EngineCounters, SyntheticAppsCountedMatchesHooked)
+{
+    Workload small = workloads::syntheticApp(workloads::AppSize::Small);
+    small.args = {Value::makeI32(1)};
+    CountOnlyRuns(small).expectMatch("app:small");
+    // app:medium runs 161M hook events in full; a prefix suffices, and
+    // folds on the trap path.
+    Workload medium =
+        workloads::syntheticApp(workloads::AppSize::PdfkitLike);
+    medium.args = {Value::makeI32(1)};
+    Outcome run =
+        CountOnlyRuns(medium).expectMatch("app:medium", 3'000'000);
+    EXPECT_EQ(run.trap, TrapKind::FuelExhausted);
+}
+
+class EngineCountersFuelSweep : public ::testing::TestWithParam<std::string> {
+};
+
+/** Every budget from 0 to the total: exhaustion lands before, on and
+ * after every counter probe, and the counts folded on the trap path
+ * equal the hooks fired before it. On one runtime, mix and icov
+ * count every kind (icov marks the blocks a taken branch ends) and
+ * branch keeps select and br_table on the hook path. */
+TEST_P(EngineCountersFuelSweep, CountedMatchesHooked)
+{
+    Workload w = workloads::polybench(GetParam(), 4);
+    uint64_t total = runEngine(w, EngineKind::Legacy).instructions;
+    ASSERT_GT(total, 0u);
+    const CountOnlyRuns runs(w, {"mix", "icov", "branch"});
+    for (uint64_t fuel = 0; fuel <= total; ++fuel) {
+        const std::string what = "fuel " + std::to_string(fuel);
+        Outcome run = runs.expectMatch(what, fuel);
+        EXPECT_EQ(run.trap, fuel < total
+                                ? std::optional(TrapKind::FuelExhausted)
+                                : std::nullopt)
+            << what;
+        EXPECT_EQ(run.instructions, std::min(fuel, total)) << what;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, EngineCountersFuelSweep,
+                         ::testing::Values("gemm", "jacobi-1d",
+                                           "trisolv"));
+
+/** With `mix` counted, every hook site of a translation is a counter
+ * probe: no Hook and no HookStash slot is left. */
+TEST(EngineCounters, CountedMixTranslatesToCountSlotsOnly)
+{
+    std::vector<Workload> corpus;
+    for (const std::string &name : workloads::polybenchNames())
+        corpus.push_back(workloads::polybench(name, 8));
+    corpus.push_back(workloads::syntheticApp(workloads::AppSize::Small));
+    for (const Workload &w : corpus) {
+        analyses::InstructionMix mix;
+        runtime::WasabiRuntime rt(
+            core::buildIntrinsicInfo(w.module, mix.hooks()));
+        rt.addAnalysis(&mix);
+        auto inst = rt.instantiateIntrinsic(w.module);
+        CompiledModule &cm = inst->engineCode();
+        for (uint32_t f = 0; f < w.module.functions.size(); ++f) {
+            if (w.module.functions[f].imported())
+                continue;
+            const auto &fn = cm.function(f);
+            size_t probes = 0;
+            for (const FInstr &in : fn.code) {
+                EXPECT_NE(in.op, FOp::Hook) << "function " << f;
+                EXPECT_NE(in.op, FOp::HookStash) << "function " << f;
+                if (in.op == FOp::Count || in.op == FOp::CountCond)
+                    ++probes;
+            }
+            EXPECT_GT(probes, 0u) << "function " << f;
+            EXPECT_EQ(probes, fn.hookSites.size()) << "function " << f;
+            EXPECT_EQ(fn.countedSites.size(), fn.hookSites.size());
         }
     }
 }

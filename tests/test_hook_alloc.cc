@@ -2,10 +2,11 @@
  * @file
  * Hook dispatch allocates nothing per event. This test binary replaces
  * the global operator new with a counting one and runs hook-heavy
- * workloads with the `mix` analysis (every hook kind) in both
- * instrument modes: after a warm-up run (which translates the code
- * and sizes every buffer), a run of more than 100k hook events must
- * perform only a small, event-independent number of heap allocations.
+ * workloads with the `mix` analysis (every hook kind) in rewrite mode
+ * and in intrinsic mode, both counted (counter probes, DESIGN.md §13)
+ * and hooked: after a warm-up run (which translates the code and sizes
+ * every buffer), a run of more than 100k hook events must perform
+ * only a small, event-independent number of heap allocations.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "analyses/instruction_mix.h"
 #include "core/instrument.h"
 #include "core/intrinsic_info.h"
+#include "hook_stream_recorder.h"
 #include "interp/interpreter.h"
 #include "runtime/runtime.h"
 #include "wasm/validator.h"
@@ -117,31 +119,42 @@ struct Measured {
     analyses::InstructionMix mix; ///< of the measured run only
 };
 
+enum class Mode { Rewrite, Counted, Hooked };
+
 /** Warm up, then count the heap allocations of one more run of @p w
- * with `mix` attached, in the given instrument mode. */
+ * with `mix` attached, in the given mode. */
 void
-measure(const Workload &w, bool intrinsic, Measured &out)
+measure(const Workload &w, Mode mode, Measured &out)
 {
     ASSERT_EQ(validationError(w.module), std::nullopt);
     const HookSet kinds = HookSet::all();
     core::InstrumentResult r;
     std::shared_ptr<const core::StaticInfo> info;
-    if (intrinsic) {
-        info = core::buildIntrinsicInfo(w.module, kinds);
-    } else {
+    if (mode == Mode::Rewrite) {
         r = core::instrument(w.module, kinds);
         info = r.info;
+    } else {
+        info = core::buildIntrinsicInfo(w.module, kinds);
     }
     runtime::WasabiRuntime rt(info);
     analyses::InstructionMix warm;
     rt.addAnalysis(&warm);
-    auto inst = intrinsic ? rt.instantiateIntrinsic(w.module)
-                          : rt.instantiate(r.module);
+    // A subscriber that counts nothing keeps intrinsic sites hooked.
+    tests::HookedShadow shadow(kinds);
+    if (mode == Mode::Hooked)
+        rt.addAnalysis(&shadow);
+    auto inst = mode == Mode::Rewrite ? rt.instantiate(r.module)
+                                      : rt.instantiateIntrinsic(w.module);
+    if (mode != Mode::Rewrite) {
+        EXPECT_EQ(rt.countedKinds(),
+                  mode == Mode::Counted ? kinds : HookSet{});
+    }
     interp::Interpreter interp;
     interp.invokeExport(*inst, w.entry, w.args);
 
     // A second runtime on the same instance would need re-attaching;
-    // keep the first and attach the measured analysis beside it.
+    // keep the first and attach the measured analysis beside it. It
+    // counts every kind too, so the attached translation still holds.
     rt.addAnalysis(&out.mix);
     const uint64_t before = rt.hookInvocations();
     allocations = 0;
@@ -152,21 +165,23 @@ measure(const Workload &w, bool intrinsic, Measured &out)
     out.hooks = rt.hookInvocations() - before;
 }
 
-/** Both modes: > 100k events, more than @p min_seen of them
+/** Every mode: > 100k events, more than @p min_seen of them
  * @p must_see, and fewer than kMaxAllocations allocations. */
 void
 expectAllocationFree(const Workload &w, const std::string &what,
                      const char *must_see, uint64_t min_seen)
 {
-    for (bool intrinsic : {false, true}) {
+    for (Mode m : {Mode::Rewrite, Mode::Counted, Mode::Hooked}) {
         const std::string mode =
-            what + (intrinsic ? " (intrinsic)" : " (rewrite)");
-        Measured m;
-        measure(w, intrinsic, m);
-        EXPECT_GT(m.hooks, 100000u) << mode;
-        EXPECT_GT(m.mix.count(must_see), min_seen) << mode;
-        EXPECT_LT(m.allocations, kMaxAllocations)
-            << mode << ": " << m.hooks << " hook events";
+            what + (m == Mode::Rewrite   ? " (rewrite)"
+                    : m == Mode::Counted ? " (counted)"
+                                         : " (hooked)");
+        Measured out;
+        measure(w, m, out);
+        EXPECT_GT(out.hooks, 100000u) << mode;
+        EXPECT_GT(out.mix.count(must_see), min_seen) << mode;
+        EXPECT_LT(out.allocations, kMaxAllocations)
+            << mode << ": " << out.hooks << " hook events";
     }
 }
 

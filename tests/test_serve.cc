@@ -142,6 +142,62 @@ TEST(ServeCache, ContentKeyedNotPathKeyed)
     EXPECT_EQ(a->infoCount(), 1u);
 }
 
+/** Decode a hex string into bytes. */
+std::vector<uint8_t>
+fromHex(const std::string &hex)
+{
+    std::vector<uint8_t> out;
+    for (size_t i = 0; i + 1 < hex.size(); i += 2)
+        out.push_back(
+            static_cast<uint8_t>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+    return out;
+}
+
+// Two valid 61-byte modules with the same FNV-1a hash
+// (0a8fbae839e487d8). `main` returns the i64 in the data segment,
+// which is all the two differ in.
+const char *const kCollisionA =
+    "0061736d010000000105016000017e030201000503010001070801046d61696e"
+    "00000a0901070041002903000b0b0e010041000b08bdeeb0fbda73ecea";
+const char *const kCollisionB =
+    "0061736d010000000105016000017e030201000503010001070801046d61696e"
+    "00000a0901070041002903000b0b0e010041000b082e063c604baaa54d";
+
+TEST(ServeCache, HashCollisionGetsItsOwnEntryAndInstances)
+{
+    const std::vector<uint8_t> a = fromHex(kCollisionA);
+    const std::vector<uint8_t> b = fromHex(kCollisionB);
+    ASSERT_NE(a, b);
+    ASSERT_EQ(contentHash(a), contentHash(b));
+    ASSERT_EQ(contentHash(a), 0x0a8fbae839e487d8ull);
+
+    Server server;
+    const std::string path_a = testing::TempDir() + "serve_collide_a.wasm";
+    const std::string path_b = testing::TempDir() + "serve_collide_b.wasm";
+    support::writeBinaryFile(path_a, a);
+    support::writeBinaryFile(path_b, b);
+    const std::string result_a = "[\"i64:16928032483741593277\"]";
+    const std::string result_b = "[\"i64:5595065352791524910\"]";
+
+    // Cold, then warm: each module answers with its own result.
+    for (const bool warm : {false, true}) {
+        const std::string w = warm ? "true" : "false";
+        auto ra = server.handle(runRequest(path_a, ", \"verbose\": true"));
+        EXPECT_TRUE(hasField(ra.response, "results", result_a))
+            << ra.response;
+        EXPECT_TRUE(hasField(ra.response, "cacheHit", w)) << ra.response;
+        EXPECT_TRUE(hasField(ra.response, "warm", w)) << ra.response;
+        auto rb = server.handle(runRequest(path_b, ", \"verbose\": true"));
+        EXPECT_TRUE(hasField(rb.response, "results", result_b))
+            << rb.response;
+        EXPECT_TRUE(hasField(rb.response, "cacheHit", w)) << rb.response;
+        EXPECT_TRUE(hasField(rb.response, "warm", w)) << rb.response;
+    }
+    EXPECT_EQ(server.cache().misses(), 2u);
+    EXPECT_EQ(server.cache().hits(), 2u);
+    EXPECT_EQ(server.cache().size(), 2u);
+}
+
 TEST(ServeCache, UndecodableBytesThrowIoModule)
 {
     ModuleCache cache;
@@ -338,7 +394,7 @@ TEST(ServePool, SnapshotRestoreIsExactAfterGrowWriteAndTrap)
 
     const auto bytes = support::readBinaryFile(path);
     auto entry = server.cache().acquire(bytes, path);
-    ASSERT_EQ(server.pool().parkedCount(entry->hash()), 1u);
+    ASSERT_EQ(server.pool().parkedCount(*entry), 1u);
 
     // Lease the restored instance and instantiate a pristine one.
     InstanceLease warm = server.pool().acquire(*entry);
@@ -378,7 +434,7 @@ TEST(ServePool, DroppedLeaseIsDiscardedNotPooled)
         EXPECT_FALSE(lease.warm);
         // Dropped without release(): unknown state, never pooled.
     }
-    EXPECT_EQ(pool.parkedCount(entry->hash()), 0u);
+    EXPECT_EQ(pool.parkedCount(*entry), 0u);
     InstanceLease again = pool.acquire(*entry);
     EXPECT_FALSE(again.warm);
     EXPECT_EQ(pool.misses(), 2u);
@@ -585,6 +641,29 @@ TEST(CheckedIo, RoundTripSucceeds)
     support::writeTextFile(path, "hello\n");
     const auto text = support::readBinaryFile(path);
     EXPECT_EQ(std::string(text.begin(), text.end()), "hello\n");
+}
+
+TEST(CheckedIo, BulkReadReturnsWholeFileAtEverySize)
+{
+    const std::string path = testing::TempDir() + "serve_bulk.bin";
+    for (size_t size : {size_t{0}, size_t{1}, size_t{65536},
+                        size_t{3} << 20}) {
+        std::vector<uint8_t> data(size);
+        for (size_t i = 0; i < size; ++i)
+            data[i] = static_cast<uint8_t>(i * 131 + (i >> 11));
+        support::writeBinaryFile(path, data);
+        EXPECT_EQ(support::readBinaryFile(path), data) << size;
+    }
+    // A file with more content than stat reports (procfs reports 0
+    // bytes) is read to its end, as one that grew after the stat is.
+    std::ifstream cmdline("/proc/self/cmdline", std::ios::binary);
+    if (!cmdline.is_open())
+        GTEST_SKIP() << "/proc/self/cmdline not available";
+    const std::vector<uint8_t> expected{
+        std::istreambuf_iterator<char>(cmdline),
+        std::istreambuf_iterator<char>()};
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(support::readBinaryFile("/proc/self/cmdline"), expected);
 }
 
 TEST(CheckedIo, ReadDiagnosticsNamePathAndCause)
