@@ -1,7 +1,7 @@
 /**
  * @file
  * Figure-9-style overhead comparison of the two instrumentation modes
- * (DESIGN.md §13): for each selectively instrumented hook kind, the
+ * (DESIGN.md §12): for each selectively instrumented hook kind, the
  * runtime of (a) the AOT-rewritten module and (b) the engine-intrinsic
  * run, both relative to the uninstrumented fast-engine baseline, with
  * an empty analysis attached. Intrinsic mode dispatches hooks straight

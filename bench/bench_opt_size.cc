@@ -7,7 +7,7 @@
  * before/after bytes plus per-pass claim counts. Results are pinned in
  * BENCH_opt_size.json (wasabi-profile v1 schema).
  *
- * Usage: bench_opt_size [N] [--json=FILE]
+ * Usage: bench_opt_size [N] [--json=FILE] [--commit=REV]
  */
 
 #include <cstdio>
@@ -56,10 +56,12 @@ int
 main(int argc, char **argv)
 {
     int n = 20;
-    std::string json_path;
+    std::string json_path, commit;
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--json=", 7) == 0)
             json_path = argv[i] + 7;
+        else if (std::strncmp(argv[i], "--commit=", 9) == 0)
+            commit = argv[i] + 9;
         else
             n = std::atoi(argv[i]);
     }
@@ -117,11 +119,15 @@ main(int argc, char **argv)
         per += "\n    ]";
         char mean[64];
         std::snprintf(mean, sizeof mean, "%.4f", mean_ratio);
-        writeBenchProfileJson(json_path, "opt_size",
-                              {{"n", std::to_string(n)},
-                               {"passes", "8"},
-                               {"perWorkload", per},
-                               {"geomeanSizeRatio", mean}});
+        writeBenchProfileJson(
+            json_path, "opt_size",
+            {{"host", hostJson(commit)},
+             {"n", std::to_string(n)},
+             {"passes",
+              std::to_string(
+                  static_analysis::rewrite::allOptPasses().size())},
+             {"perWorkload", per},
+             {"geomeanSizeRatio", mean}});
         std::printf("wrote %s\n", json_path.c_str());
     }
     return 0;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Serve-daemon throughput bench (DESIGN.md §14): cold vs warm request
+ * Serve-daemon throughput bench (DESIGN.md §13): cold vs warm request
  * latency on one Server (the cold request pays decode + validate +
  * static facts + instantiate + translate; the warm request reuses all
  * of it from the content-hash cache and the instance pool), plus

@@ -56,7 +56,7 @@ class InstructionMix final : public runtime::Analysis {
     void onReturn(runtime::Location,
                   std::span<const wasm::Value>) override;
 
-    /** Every kind: the opcode is the site's (DESIGN.md §13). */
+    /** Every kind: the opcode is the site's (DESIGN.md §12). */
     runtime::HookSet countedHooks() const override;
     void onCounts(const runtime::HookSite &site,
                   std::span<const uint64_t> outcomes) override;

@@ -10,11 +10,6 @@ buildIntrinsicInfo(std::shared_ptr<const wasm::Module> m, HookSet kinds)
     info->numOrigImports = m->numImportedFunctions();
     info->splitI64 = false; // engine values never cross an i32 ABI
     info->instrumentedHooks = kinds;
-
-    for (uint32_t f = info->numOrigImports;
-         f < static_cast<uint32_t>(m->functions.size()); ++f)
-        recordFunctionSideTables(*m, f, *info);
-
     info->original = std::move(m);
     return info;
 }

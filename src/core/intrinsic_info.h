@@ -1,11 +1,12 @@
 /**
  * @file
  * StaticInfo construction for the engine-intrinsic instrumentation
- * mode (DESIGN.md §13): the same branch-target / br_table / block-end
- * side tables the instrumenter records while rewriting, but computed
- * by a plain abstract-interpretation walk with no code emission — the
- * module is left untouched and `hooks` stays empty (there are no
- * low-level hook imports in intrinsic mode).
+ * mode (DESIGN.md §12). The module is left untouched, `hooks` stays
+ * empty (there are no low-level hook imports in intrinsic mode) and
+ * so do the side tables: the fast engine resolves branch targets,
+ * br_table entries and ended blocks itself when it translates a
+ * function, so nothing in this mode reads brTargets, brTables or
+ * blockEnds.
  */
 
 #ifndef WASABI_CORE_INTRINSIC_INFO_H
@@ -21,11 +22,8 @@ namespace wasabi::core {
 
 /**
  * Build the static info an intrinsic-mode run of @p m with hook set
- * @p kinds needs: brTargets/brTables/blockEnds keyed by original
- * locations (recorded at the same sites, under the same liveness
- * rules, as `instrument()` records them), `instrumentedHooks` set to
- * @p kinds, and @p m itself as the original module (shared, not
- * copied). @p m must validate.
+ * @p kinds needs: `instrumentedHooks` set to @p kinds and @p m itself
+ * as the original module (shared, not copied). @p m must validate.
  */
 std::shared_ptr<StaticInfo>
 buildIntrinsicInfo(std::shared_ptr<const wasm::Module> m, HookSet kinds);

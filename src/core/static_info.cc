@@ -59,16 +59,4 @@ BrTableInfo::fromEntries(std::vector<BrTableEntry> entries)
     return table;
 }
 
-void
-recordFunctionSideTables(const wasm::Module &m, uint32_t func_idx,
-                         SideTables &out)
-{
-    const std::vector<Instr> &body = m.functions.at(func_idx).body;
-    AbstractState state(m, func_idx);
-    for (uint32_t i = 0; i < body.size(); ++i) {
-        recordSideTables(state, body[i], func_idx, i, out);
-        state.apply(body[i], i);
-    }
-}
-
 } // namespace wasabi::core

@@ -113,17 +113,13 @@ endedBlock(uint32_t func_idx, const ControlFrame &f)
  * (@p func_idx, @p instr_idx) into @p out; @p state is the abstract
  * state *before* the instruction. Every `end`/`else` gets its
  * block-end info, live or not; live br/br_if get their resolved
- * target and live br_tables their side table. This is the one place
- * the tables are built, for both instrument modes.
+ * target and live br_tables their side table. The rewriting
+ * instrumenter calls this as it walks each function; intrinsic-mode
+ * StaticInfo carries no side tables.
  */
 void recordSideTables(const AbstractState &state, const wasm::Instr &instr,
                       uint32_t func_idx, uint32_t instr_idx,
                       SideTables &out);
-
-/** recordSideTables() over the body of defined function @p func_idx,
- * for callers that walk a function for no other purpose. */
-void recordFunctionSideTables(const wasm::Module &m, uint32_t func_idx,
-                              SideTables &out);
 
 /** All static information about one instrumentation run; its side
  * tables are the inherited SideTables members. */

@@ -97,7 +97,7 @@ namespace wasabi::interp::engine {
     X(CallHost)    /* a=callee func idx, b=param count */               \
     X(CallIndirect) /* a=canonical type id */                           \
     X(Unreachable)                                                      \
-    /* engine-intrinsic instrumentation (DESIGN.md §13) */              \
+    /* engine-intrinsic instrumentation (DESIGN.md §12) */              \
     X(Hook)        /* a=hookSites index; dispatch to the sink */        \
     X(HookStash)   /* aux=count; capture top values into the stash */   \
     X(Count)       /* b=&counter; count a counted hook site */          \
@@ -270,7 +270,7 @@ class CompiledModule {
      * intrinsic instrumentation: subsequent translations interleave
      * FOp::Hook dispatch slots for exactly @p kinds, and counter
      * probes (FOp::Count) instead at the sites of the kinds in
-     * @p counted, which the sink only counts (DESIGN.md §13).
+     * @p counted, which the sink only counts (DESIGN.md §12).
      * Already-translated functions are reset so stale
      * code (with the old hook selection) cannot linger — except when
      * both sets equal the currently attached ones: the translated code
@@ -279,7 +279,7 @@ class CompiledModule {
      * sink pointer swaps. That cheap re-attach is what lets a serve
      * pool hand one warmed, pre-translated instance to a sequence of
      * requests, each with its own runtime, without re-translating
-     * (DESIGN.md §14). Must not be called while execution is in
+     * (DESIGN.md §13). Must not be called while execution is in
      * progress.
      */
     void

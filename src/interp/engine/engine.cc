@@ -204,7 +204,7 @@ run(Instance &inst, uint32_t func_idx, std::span<const Value> args,
     uint32_t hostRet = 0;
     std::vector<Value> hostResults;
 
-    // Intrinsic instrumentation (DESIGN.md §13): the dispatch sink
+    // Intrinsic instrumentation (DESIGN.md §12): the dispatch sink
     // and the small capture buffer HookStash fills for hooks whose
     // instruction consumes the values they observe (at most 3: the
     // select hook's first/second/cond, or a binary op's two operands
@@ -356,7 +356,7 @@ run(Instance &inst, uint32_t func_idx, std::span<const Value> args,
         }
         VM_CASE(Hook) : {
             // Engine-intrinsic instrumentation dispatch (DESIGN.md
-            // §13). Counters are flushed first so the analysis
+            // §12). Counters are flushed first so the analysis
             // observes exact retired counts — the same guarantee the
             // host-call boundary gives rewrite mode — and reloaded
             // after, since an analysis may legitimately inspect (or a
@@ -381,7 +381,7 @@ run(Instance &inst, uint32_t func_idx, std::span<const Value> args,
             VM_NEXT();
         }
         VM_CASE(Count) : {
-            // Counter probe (DESIGN.md §13): the counts reach the sink
+            // Counter probe (DESIGN.md §12): the counts reach the sink
             // when the outermost invocation leaves the VM.
             VM_CHARGE(in->charge);
             ++*reinterpret_cast<uint64_t *>(in->b);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Engine-intrinsic instrumentation (DESIGN.md §13): the hook side
+ * Engine-intrinsic instrumentation (DESIGN.md §12): the hook side
  * table the translator emits when a HookSet is attached to a
  * CompiledModule, and the sink interface the VM dispatches into.
  *

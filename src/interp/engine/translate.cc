@@ -67,7 +67,7 @@ struct CtrlFrame {
     std::vector<uint32_t> fixups;
     /** Source-block identity, tracked only in intrinsic-hook mode so
      * branch sites can report their targets and the blocks they end
-     * (DESIGN.md §13):
+     * (DESIGN.md §12):
      * the instrumenter's own frame, whose kind flips If -> Else at
      * `else`. */
     core::ControlFrame src;
@@ -385,7 +385,7 @@ class Translator {
         fixups.clear();
     }
 
-    // --- intrinsic hook emission (DESIGN.md §13) --------------------
+    // --- intrinsic hook emission (DESIGN.md §12) --------------------
 
     bool hk(core::HookKind k) const { return intr_ && hooks_.has(k); }
 

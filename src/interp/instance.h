@@ -208,7 +208,7 @@ struct ControlSideTable {
 
 /**
  * Post-start runtime state of an instance, captured for instance
- * pooling (DESIGN.md §14): everything instantiation computes that a
+ * pooling (DESIGN.md §13): everything instantiation computes that a
  * later request can mutate. Restoring a snapshot onto a pooled
  * instance is byte-equivalent to re-instantiating — segments applied,
  * start function run — without re-doing any of that work.

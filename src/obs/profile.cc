@@ -597,7 +597,7 @@ validateProfileJson(const std::string &text, std::string *error)
 
     // Optional (additive, no version bump): the serve daemon's
     // endpoint metrics — cache/pool/translation/quota counters plus
-    // per-endpoint request totals (DESIGN.md §14).
+    // per-endpoint request totals (DESIGN.md §13).
     if (const json::Value *serve = doc->find("serve")) {
         if (!serve->isObject())
             return failv(error, "\"serve\" must be an object");

@@ -110,7 +110,7 @@ class ProfileCollector {
 
     /** How hooks reached the runtime: "rewrite" (binary-rewriting
      * instrumenter) or "intrinsic" (engine-intrinsified, DESIGN.md
-     * §13). Optional in the schema; empty means unreported. */
+     * §12). Optional in the schema; empty means unreported. */
     void setInstrumentMode(std::string mode);
 
     // ----- runtime dispatch ------------------------------------------

@@ -118,7 +118,7 @@ class Analysis {
                           std::span<const wasm::Value> results);
 
     /**
-     * Counter probes (DESIGN.md §13): the kinds of hooks() this
+     * Counter probes (DESIGN.md §12): the kinds of hooks() this
      * analysis only counts per site, needing no dynamic value beyond
      * the outcomes onCounts() receives. In engine-intrinsic mode a kind
      * every subscribed analysis counts (with no profiler attached)

@@ -519,7 +519,7 @@ WasabiRuntime::deliver(Instance &inst, const HookSite &site,
     }
 }
 
-// ----- engine-intrinsic mode (DESIGN.md §13) ---------------------------
+// ----- engine-intrinsic mode (DESIGN.md §12) ---------------------------
 
 void
 WasabiRuntime::onHook(Instance &inst, const HookSite &site,

@@ -36,9 +36,10 @@ namespace wasabi::runtime {
  *   interp::Interpreter().invokeExport(*inst, "main", args);
  * @endcode
  *
- * Engine-intrinsic mode (DESIGN.md §13) runs the *original* module on
+ * Engine-intrinsic mode (DESIGN.md §12) runs the *original* module on
  * the fast engine, which dispatches hooks straight from its inner
- * loop — no rewriting, no low-level hook imports:
+ * loop — no rewriting, no low-level hook imports, and no side tables
+ * (the engine resolves branch targets and br_table entries itself):
  * @code
  *   auto info = core::buildIntrinsicInfo(module, hooks);
  *   WasabiRuntime rt(info);
@@ -128,7 +129,7 @@ class WasabiRuntime : public interp::engine::IntrinsicSink {
     /** The hook-site kinds attachIntrinsic compiles to counter probes:
      * those every subscriber lists in countedHooks(), none while a
      * profiler is attached (it times each hook), and br_table only if
-     * its End hooks are counted too (DESIGN.md §13). */
+     * its End hooks are counted too (DESIGN.md §12). */
     HookSet countedKinds() const;
 
     /** Detach intrinsic hooks from @p inst (invalidates translations;
@@ -195,7 +196,9 @@ class WasabiRuntime : public interp::engine::IntrinsicSink {
     };
 
     /** Resolve the rewrite-mode dispatch tables (bound_, the site
-     * table and the wire scratch) from the StaticInfo. */
+     * table and the wire scratch) from the StaticInfo. An intrinsic
+     * StaticInfo has no hooks, so this reads none of its (empty)
+     * side tables. */
     void bindSites();
 
     /** Rewrite-mode wire decoder: check the arity, decode the

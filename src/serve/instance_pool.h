@@ -1,6 +1,6 @@
 /**
  * @file
- * Warmed-instance pool for the serve daemon (DESIGN.md §14). A cold
+ * Warmed-instance pool for the serve daemon (DESIGN.md §13). A cold
  * request instantiates (segments applied, start function run) and
  * immediately snapshots the post-start state; on release the snapshot
  * is restored, the intrinsic sink is parked (nulled), and the

@@ -1,6 +1,6 @@
 /**
  * @file
- * The serve daemon's content-hash module cache (DESIGN.md §14): one
+ * The serve daemon's content-hash module cache (DESIGN.md §13): one
  * decoded, validated, immutably shared `wasm::Module` per distinct
  * byte string, plus the lazily built per-hook-set static facts
  * (`core::StaticInfo`) intrinsic-mode requests need. A second request

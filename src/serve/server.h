@@ -1,6 +1,6 @@
 /**
  * @file
- * The serve daemon's request handler (DESIGN.md §14): one Server
+ * The serve daemon's request handler (DESIGN.md §13): one Server
  * instance owns the content-hash ModuleCache, the warmed
  * InstancePool, and per-endpoint metrics, and turns one request line
  * into one response line. Transport-independent — the Unix-socket

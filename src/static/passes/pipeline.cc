@@ -4,7 +4,6 @@
 
 #include "core/control_stack.h"
 #include "core/static_info.h"
-#include "static/interproc/ipcp.h"
 #include "static/interproc/refined_call_graph.h"
 #include "static/interproc/summaries.h"
 #include "static/passes/branch_refine.h"
@@ -41,9 +40,8 @@ namespace {
 
 /** The lint.interproc.* findings: refined-graph-only dead functions,
  * always-trapping or unresolvable indirect call sites, reachable
- * effect-free functions (from the summary solver), never-read
- * parameters, and private functions the ipcp lattice proves return a
- * single constant. */
+ * effect-free functions (from the summary solver), and never-read
+ * parameters. */
 void
 lintInterproc(const Module &m, const std::vector<bool> &base_dead,
               Diagnostics &diags)
@@ -122,24 +120,6 @@ lintInterproc(const Module &m, const std::vector<bool> &base_dead,
                               "ignores",
                           f);
         }
-    }
-
-    // Private functions the interprocedural constant/range lattice
-    // proves always return the same constant. Effect-free functions
-    // have no result, so this never double-reports with the
-    // effect-free finding above.
-    interproc::ModuleIpcp ipcp = interproc::ipcpSolve(m, 1);
-    for (uint32_t f = 0; f < m.numFunctions(); ++f) {
-        const interproc::FunctionIpcp &fi = ipcp.functions[f];
-        if (!fi.defined || !rcg.reachable(f) ||
-            !m.functions[f].exportNames.empty())
-            continue;
-        if (fi.retKnown && fi.ret.isConst())
-            diags.add(Severity::Note, kLintInterprocConstReturn,
-                      "private function always returns the constant " +
-                          std::to_string(fi.ret.lo) +
-                          ": callers could use the value directly",
-                      f);
     }
 }
 

@@ -39,8 +39,6 @@ inline constexpr const char *kLintInterprocUnresolvable =
     "lint.interproc.unresolvable-indirect";
 inline constexpr const char *kLintInterprocEffectFree =
     "lint.interproc.effect-free-function";
-inline constexpr const char *kLintInterprocConstReturn =
-    "lint.interproc.const-return";
 inline constexpr const char *kLintInterprocDeadParam =
     "lint.interproc.dead-param";
 /** Value-range codes (interval abstract interpretation). */

@@ -323,21 +323,14 @@ struct RangeSink {
     FunctionRanges *fr = nullptr;
     /** Direct-call argument intervals (callee, per-param interval). */
     std::map<uint32_t, std::vector<Interval>> *callArgs = nullptr;
-    /** Hull of values live at normal exits (single-i32-result
-     * functions only); null when return flow is not wanted. */
-    Interval *ret = nullptr;
-    bool *retSeen = nullptr;
 };
 
 class FunctionRangeAnalyzer {
   public:
-    FunctionRangeAnalyzer(
-        const Module &m, uint32_t func_idx, std::vector<Interval> args,
-        const std::vector<std::optional<Interval>> *callee_rets =
-            nullptr)
-        : m_(m), funcIdx_(func_idx),
-          body_(m.functions.at(func_idx).body), cfg_(m, func_idx),
-          args_(std::move(args)), calleeRets_(callee_rets)
+    FunctionRangeAnalyzer(const Module &m, uint32_t func_idx,
+                          std::vector<Interval> args)
+        : m_(m), body_(m.functions.at(func_idx).body),
+          cfg_(m, func_idx), args_(std::move(args))
     {
         const wasm::FuncType &type = m.funcType(func_idx);
         const std::vector<ValType> &params = type.params;
@@ -347,21 +340,6 @@ class FunctionRangeAnalyzer {
         localTypes_.insert(localTypes_.end(), locals.begin(),
                            locals.end());
         numParams_ = static_cast<uint32_t>(params.size());
-        resultIsI32_ = type.results.size() == 1 &&
-                       type.results[0] == ValType::I32;
-        // Control nesting depth before each instruction: a branch
-        // whose label equals the depth at its site exits the function.
-        depthAt_.resize(body_.size(), 0);
-        uint32_t depth = 0;
-        for (uint32_t i = 0; i < body_.size(); ++i) {
-            const OpClass cls = wasm::opInfo(body_[i].op).cls;
-            if (cls == OpClass::End && depth > 0)
-                --depth;
-            depthAt_[i] = depth;
-            if (cls == OpClass::Block || cls == OpClass::Loop ||
-                cls == OpClass::If)
-                ++depth;
-        }
         collectThresholds();
         for (auto [tail, head] : backEdges(cfg_)) {
             (void)tail;
@@ -776,12 +754,7 @@ class FunctionRangeAnalyzer {
                     !m_.functions[ins.imm.idx].imported())
                     recordCallArgs(*sink, ins.imm.idx, t, stack);
                 popN(t.params.size());
-                if (calleeRets_ && t.results.size() == 1 &&
-                    t.results[0] == ValType::I32 &&
-                    (*calleeRets_)[ins.imm.idx])
-                    pushIv(*(*calleeRets_)[ins.imm.idx]);
-                else
-                    pushTop(t.results.size());
+                pushTop(t.results.size());
                 break;
               }
               case OpClass::CallIndirect: {
@@ -807,45 +780,22 @@ class FunctionRangeAnalyzer {
                 if (sink && sink->fr && c.iv.isConst())
                     sink->fr->deadGuards.push_back(
                         DeadGuard{i, c.iv.lo});
-                // A taken function-level br_if is a return carrying
-                // the value now on top of the (post-condition) stack.
-                if (sink && ins.imm.idx == depthAt_[i])
-                    recordReturn(*sink, stack);
                 out.hasCond = true;
                 out.cond = c.iv;
                 out.condPred = condPredOf(c);
                 break;
               }
-              case OpClass::BrTable: {
+              case OpClass::BrTable:
                 pop();
-                if (sink) {
-                    for (uint32_t label : ins.table) {
-                        if (label == depthAt_[i]) {
-                            recordReturn(*sink, stack);
-                            break;
-                        }
-                    }
-                }
                 stack.clear();
                 break;
-              }
               case OpClass::Return:
-                if (sink)
-                    recordReturn(*sink, stack);
-                stack.clear();
-                break;
               case OpClass::Br:
-                if (sink && ins.imm.idx == depthAt_[i])
-                    recordReturn(*sink, stack);
                 stack.clear();
-                break;
-              case OpClass::End:
-                // Falling through the final end is a normal exit.
-                if (sink && i + 1 == body_.size())
-                    recordReturn(*sink, stack);
                 break;
               // Structural markers are runtime no-ops on the operand
               // stack: values flow across them untouched.
+              case OpClass::End:
               case OpClass::Nop:
               case OpClass::Block:
               case OpClass::Loop:
@@ -1056,21 +1006,6 @@ class FunctionRangeAnalyzer {
         sink.fr->accesses.push_back(a);
     }
 
-    /** Join the value on top of the stack (the function result at a
-     * normal exit) into the sink's return hull. Values produced in an
-     * earlier block read as top (empty symbolic stack). */
-    void
-    recordReturn(const RangeSink &sink,
-                 const std::vector<StackVal> &stack) const
-    {
-        if (!sink.ret || !resultIsI32_)
-            return;
-        Interval v =
-            stack.empty() ? Interval::top() : stack.back().iv;
-        *sink.ret = *sink.retSeen ? hull(*sink.ret, v) : v;
-        *sink.retSeen = true;
-    }
-
     void
     recordCallArgs(const RangeSink &sink, uint32_t callee,
                    const wasm::FuncType &type,
@@ -1094,15 +1029,11 @@ class FunctionRangeAnalyzer {
     }
 
     const Module &m_;
-    uint32_t funcIdx_;
     const std::vector<Instr> &body_;
     Cfg cfg_;
     std::vector<Interval> args_;
-    const std::vector<std::optional<Interval>> *calleeRets_ = nullptr;
     std::vector<ValType> localTypes_;
     uint32_t numParams_ = 0;
-    bool resultIsI32_ = false;
-    std::vector<uint32_t> depthAt_;
     std::vector<uint32_t> thresholds_;
     std::set<uint32_t> loopHeads_;
     std::vector<std::vector<Interval>> in_;
@@ -1115,28 +1046,6 @@ Interval
 hull(const Interval &a, const Interval &b)
 {
     return Interval{std::min(a.lo, b.lo), std::max(a.hi, b.hi)};
-}
-
-FunctionValueFlow
-functionValueFlow(const Module &m, uint32_t func_idx,
-                  const std::vector<Interval> &args,
-                  const std::vector<std::optional<Interval>>
-                      *callee_rets)
-{
-    FunctionValueFlow vf;
-    const wasm::Function &func = m.functions.at(func_idx);
-    if (func.imported() || func.body.empty())
-        return vf;
-    FunctionRangeAnalyzer fa(m, func_idx, args, callee_rets);
-    if (!fa.solve())
-        return vf;
-    vf.analyzed = true;
-    RangeSink sink;
-    sink.callArgs = &vf.callArgs;
-    sink.ret = &vf.ret;
-    sink.retSeen = &vf.returnSeen;
-    fa.collect(sink);
-    return vf;
 }
 
 // ----- module driver -----------------------------------------------------

@@ -22,8 +22,6 @@
 #define WASABI_STATIC_PASSES_RANGE_H
 
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -113,43 +111,6 @@ struct ModuleRanges {
  * callers strictly before callees).
  */
 ModuleRanges moduleRanges(const wasm::Module &m, unsigned num_threads = 0);
-
-/**
- * Per-function value-flow facts for the interprocedural constant
- * propagation solver (interproc/ipcp): one run of the intraprocedural
- * interval analysis under externally chosen argument seeds, reporting
- * how values leave the function (returns) and flow onward (direct-call
- * arguments).
- */
-struct FunctionValueFlow {
-    /** False when the solver hit its iteration cap; all other fields
-     * are then meaningless and must be treated as top/unknown. */
-    bool analyzed = false;
-
-    /** A normal exit (return, function-level br, fall-through past the
-     * final end) was reached by the analysis. Only tracked for
-     * functions with exactly one i32 result. */
-    bool returnSeen = false;
-
-    /** Hull of the values live at every recorded exit. */
-    Interval ret;
-
-    /** Per direct callee: hull-joined argument intervals over every
-     * reached call site. */
-    std::map<uint32_t, std::vector<Interval>> callArgs;
-};
-
-/**
- * Analyze one defined function under argument seeds @p args (missing
- * or non-i32 entries read as top). When @p callee_rets is non-null,
- * `call` results of a callee whose entry holds an interval are pushed
- * as that interval instead of top — the hook the ipcp solver uses to
- * propagate return values bottom-up. Deterministic for fixed inputs.
- */
-FunctionValueFlow
-functionValueFlow(const wasm::Module &m, uint32_t func_idx,
-                  const std::vector<Interval> &args,
-                  const std::vector<std::optional<Interval>> *callee_rets);
 
 /**
  * Test-only: override the per-function solver pop budget (0 restores

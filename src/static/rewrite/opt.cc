@@ -1,13 +1,9 @@
 #include "static/rewrite/opt.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
 
 #include "core/control_stack.h"
-#include "static/interproc/ipcp.h"
 #include "static/interproc/refined_call_graph.h"
-#include "static/interproc/table_layout.h"
 #include "static/manifest.h"
 #include "static/passes/constprop.h"
 #include "static/passes/deadstore.h"
@@ -21,25 +17,15 @@ namespace wasabi::static_analysis::rewrite {
 
 using wasm::Instr;
 using wasm::Module;
-using wasm::OpClass;
 using wasm::Opcode;
-using wasm::ValType;
 
 namespace {
 
 constexpr const char *kPassDeadFunctions = "dead-functions";
 constexpr const char *kPassCallIndirect = "call-indirect";
-constexpr const char *kPassIpoConst = "ipo-const";
-constexpr const char *kPassInline = "inline";
-constexpr const char *kPassTableCompact = "table-compact";
 constexpr const char *kPassConstFold = "const-fold";
 constexpr const char *kPassDeadStores = "dead-stores";
 constexpr const char *kPassEmptyBlocks = "empty-blocks";
-
-/** Callee body size cap (instructions, incl. the final end) for the
- * inline pass: "trivial" hot callees only — getters, tiny arithmetic
- * helpers, the shapes whose call ABI cost Fig. 9 blames. */
-constexpr size_t kInlineBudget = 16;
 
 // ----- dead-functions ------------------------------------------------
 
@@ -142,453 +128,6 @@ applyDirectCalls(Module &m, const std::vector<DirectCallClaim> &claims)
         body.insert(body.begin() + it->instr + 1,
                     Instr::call(it->target));
     }
-}
-
-// ----- ipo-const -----------------------------------------------------
-
-/**
- * `local.get` sites of provably constant parameters in non-pinned
- * callees. The argument lattice accounts for every caller (pinned
- * functions are excluded, and callers whose own solve hit the budget
- * cap degraded their contributions to top inside the ipcp solver), so
- * an unwritten constant parameter reads the constant on every
- * execution. Claims are sorted by (func, instr).
- *
- * Size guard: only constants whose signed-LEB encoding fits two bytes
- * are propagated. `local.get n` encodes in 2 bytes for small n, so an
- * `i32.const` with a long payload can outgrow the downstream folding
- * it enables; a ≤3-byte replacement keeps the rewrite size-neutral at
- * worst. (Semantically any constant would be sound.)
- */
-bool
-shortLeb(uint32_t value)
-{
-    const int32_t v = static_cast<int32_t>(value);
-    return v >= -8192 && v < 8192;
-}
-
-std::vector<IpoConstArgClaim>
-findIpoConstArgs(const Module &m, const interproc::ModuleIpcp &ipcp)
-{
-    std::vector<IpoConstArgClaim> claims;
-    for (uint32_t f = 0; f < m.numFunctions(); ++f) {
-        const interproc::FunctionIpcp &fi = ipcp.functions[f];
-        if (!fi.defined || fi.pinned)
-            continue;
-        const wasm::FuncType &type = m.funcType(f);
-        const std::vector<Instr> &body = m.functions[f].body;
-        std::vector<char> usable(type.params.size(), 0);
-        for (size_t k = 0; k < type.params.size(); ++k) {
-            usable[k] = type.params[k] == ValType::I32 &&
-                        k < fi.args.size() && fi.args[k].isConst() &&
-                        shortLeb(fi.args[k].lo);
-        }
-        // A written parameter no longer carries the caller value.
-        for (const Instr &ins : body) {
-            const OpClass cls = wasm::opInfo(ins.op).cls;
-            if ((cls == OpClass::LocalSet || cls == OpClass::LocalTee) &&
-                ins.imm.idx < usable.size())
-                usable[ins.imm.idx] = 0;
-        }
-        for (uint32_t i = 0; i < body.size(); ++i) {
-            if (wasm::opInfo(body[i].op).cls == OpClass::LocalGet &&
-                body[i].imm.idx < usable.size() &&
-                usable[body[i].imm.idx])
-                claims.push_back(IpoConstArgClaim{
-                    f, i, body[i].imm.idx,
-                    fi.args[body[i].imm.idx].lo});
-        }
-    }
-    return claims;
-}
-
-/**
- * Call sites whose callee is pure (no observable effect), provably
- * terminating, and returns one provably constant i32 on every normal
- * exit: the call computes `value` and nothing else, so it folds to
- * argument drops + the constant. Purity alone is not enough — a pure
- * non-terminating callee must keep spinning.
- */
-std::vector<IpoConstReturnClaim>
-findIpoConstReturns(const Module &m, const interproc::ModuleIpcp &ipcp)
-{
-    std::vector<IpoConstReturnClaim> claims;
-    for (uint32_t f = 0; f < m.numFunctions(); ++f) {
-        if (m.functions[f].imported())
-            continue;
-        const std::vector<Instr> &body = m.functions[f].body;
-        for (uint32_t i = 0; i < body.size(); ++i) {
-            if (body[i].op != Opcode::Call)
-                continue;
-            const interproc::FunctionIpcp &ci =
-                ipcp.functions[body[i].imm.idx];
-            if (ci.retKnown && ci.ret.isConst() && ci.pure &&
-                ci.terminates)
-                claims.push_back(IpoConstReturnClaim{
-                    f, i, body[i].imm.idx, ci.ret.lo});
-        }
-    }
-    return claims;
-}
-
-/** 1:1 replacement — coordinates never shift, any order works. */
-void
-applyIpoConstArgs(Module &m, const std::vector<IpoConstArgClaim> &claims)
-{
-    for (const IpoConstArgClaim &c : claims) {
-        if (c.func >= m.numFunctions() ||
-            c.instr >= m.functions[c.func].body.size())
-            throw RewriteError("opt.bad-claim",
-                               "ipo-const-arg claim out of range");
-        m.functions[c.func].body[c.instr] = Instr::i32Const(c.value);
-    }
-}
-
-/** Replace each claimed call with nParams drops + the constant.
- * Applied high-to-low so earlier claim coordinates stay valid while
- * later ones grow the body. */
-void
-applyIpoConstReturns(Module &m,
-                     const std::vector<IpoConstReturnClaim> &claims)
-{
-    for (auto it = claims.rbegin(); it != claims.rend(); ++it) {
-        if (it->func >= m.numFunctions() ||
-            it->callee >= m.numFunctions() ||
-            it->instr >= m.functions[it->func].body.size())
-            throw RewriteError("opt.bad-claim",
-                               "ipo-const-return claim out of range");
-        std::vector<Instr> &body = m.functions[it->func].body;
-        const size_t np = m.funcType(it->callee).params.size();
-        std::vector<Instr> seq(np, Instr(Opcode::Drop));
-        seq.push_back(Instr::i32Const(it->value));
-        body.erase(body.begin() + it->instr);
-        body.insert(body.begin() + it->instr, seq.begin(), seq.end());
-    }
-}
-
-// ----- inline --------------------------------------------------------
-
-/**
- * Inlinable call sites: direct calls to a defined callee of at most
- * kInlineBudget instructions that is not the caller itself. No effect
- * restriction is needed — the spliced body executes the identical
- * opcodes in the identical order, so every memory write, global
- * write, nested call, and trap happens exactly as it would through
- * the call. Direct self calls are excluded (the splice would copy the
- * body being edited); the copied body of a mutually recursive callee
- * still *contains* its calls, so recursion is preserved, not
- * unrolled.
- */
-std::vector<InlineClaim>
-findInlines(const Module &m)
-{
-    std::vector<InlineClaim> claims;
-    for (uint32_t f = 0; f < m.numFunctions(); ++f) {
-        if (m.functions[f].imported())
-            continue;
-        const std::vector<Instr> &body = m.functions[f].body;
-        for (uint32_t i = 0; i < body.size(); ++i) {
-            if (body[i].op != Opcode::Call)
-                continue;
-            const uint32_t c = body[i].imm.idx;
-            const wasm::Function &callee = m.functions[c];
-            if (c == f || callee.imported() || callee.body.empty() ||
-                callee.body.size() > kInlineBudget)
-                continue;
-            claims.push_back(InlineClaim{f, i, c});
-        }
-    }
-    return claims;
-}
-
-/** Control nesting depth before each instruction of @p body: a branch
- * whose label equals its depth exits the function. */
-std::vector<uint32_t>
-nestingDepths(const std::vector<Instr> &body)
-{
-    std::vector<uint32_t> at(body.size(), 0);
-    uint32_t depth = 0;
-    for (uint32_t i = 0; i < body.size(); ++i) {
-        const OpClass cls = wasm::opInfo(body[i].op).cls;
-        if (cls == OpClass::End && depth > 0)
-            --depth;
-        at[i] = depth;
-        if (cls == OpClass::Block || cls == OpClass::Loop ||
-            cls == OpClass::If)
-            ++depth;
-    }
-    return at;
-}
-
-Instr
-zeroConst(ValType t)
-{
-    switch (t) {
-      case ValType::I64:
-        return Instr::i64Const(0);
-      case ValType::F32:
-        return Instr::f32Const(0.0f);
-      case ValType::F64:
-        return Instr::f64Const(0.0);
-      default:
-        return Instr::i32Const(0);
-    }
-}
-
-/**
- * Splice one claimed callee body into its call site. The call's
- * arguments pop (last first) into fresh locals appended to the
- * caller, the callee's declared locals get fresh appended slots that
- * are explicitly re-zeroed (unlike a real frame, appended locals
- * persist across executions of the splice, e.g. inside a loop), and
- * the body — minus its final `end` — grafts inside one wrapper block
- * typed like the callee's result. That wrapper is what makes the
- * graft label-safe with no depth rewriting: a branch to label k at
- * nesting depth k (a function-level exit in the callee) now targets
- * the wrapper, which has the same arity; inner branches keep their
- * relative depths. Only the `return` opcode is rewritten, to a `br`
- * of its own nesting depth.
- */
-void
-applyInline(Module &m, const InlineClaim &c)
-{
-    if (c.func >= m.numFunctions() || c.callee >= m.numFunctions() ||
-        c.func == c.callee)
-        throw RewriteError("opt.bad-claim", "inline claim out of range");
-    wasm::Function &caller = m.functions[c.func];
-    const wasm::Function &callee = m.functions[c.callee];
-    if (c.instr >= caller.body.size() ||
-        caller.body[c.instr].op != Opcode::Call ||
-        caller.body[c.instr].imm.idx != c.callee || callee.imported() ||
-        callee.body.empty())
-        throw RewriteError("opt.bad-claim",
-                           "inline claim does not name a call site");
-    const wasm::FuncType &ct = m.funcType(c.callee);
-    const uint32_t base = static_cast<uint32_t>(
-        m.funcType(c.func).params.size() + caller.locals.size());
-
-    caller.locals.insert(caller.locals.end(), ct.params.begin(),
-                         ct.params.end());
-    caller.locals.insert(caller.locals.end(), callee.locals.begin(),
-                         callee.locals.end());
-
-    std::vector<Instr> seq;
-    for (size_t k = ct.params.size(); k-- > 0;)
-        seq.push_back(Instr::localSet(base + static_cast<uint32_t>(k)));
-    for (size_t j = 0; j < callee.locals.size(); ++j) {
-        seq.push_back(zeroConst(callee.locals[j]));
-        seq.push_back(Instr::localSet(
-            base + static_cast<uint32_t>(ct.params.size() + j)));
-    }
-    seq.push_back(Instr::blockStart(
-        Opcode::Block, ct.results.empty()
-                           ? wasm::BlockType{}
-                           : wasm::BlockType{ct.results[0]}));
-    std::vector<uint32_t> depth = nestingDepths(callee.body);
-    for (size_t j = 0; j + 1 < callee.body.size(); ++j) {
-        Instr ins = callee.body[j];
-        switch (wasm::opInfo(ins.op).cls) {
-          case OpClass::LocalGet:
-          case OpClass::LocalSet:
-          case OpClass::LocalTee:
-            ins.imm.idx += base;
-            break;
-          case OpClass::Return:
-            ins = Instr::br(depth[j]);
-            break;
-          default:
-            break;
-        }
-        seq.push_back(ins);
-    }
-    seq.push_back(Instr(Opcode::End));
-
-    std::vector<Instr> &body = caller.body;
-    body.erase(body.begin() + c.instr);
-    body.insert(body.begin() + c.instr, seq.begin(), seq.end());
-}
-
-/** Apply high-to-low: within one caller, later sites first keeps
- * earlier coordinates valid; across functions the order also fixes
- * *which* callee body version gets spliced (a callee's own inlines
- * land before any caller splices it), identically for producer and
- * checker. */
-void
-applyInlines(Module &m, const std::vector<InlineClaim> &claims)
-{
-    for (auto it = claims.rbegin(); it != claims.rend(); ++it)
-        applyInline(m, *it);
-}
-
-/**
- * Candidates from @p cands that survive the same un-strip fixpoint as
- * the dead-functions pass: drop any candidate that is exported, the
- * start function, element-referenced, or — to a fixpoint — called
- * from surviving code. Mutual references among stripped functions are
- * fine; the rewriter deletes them together.
- */
-std::vector<uint32_t>
-stripFixpoint(const Module &m, const std::set<uint32_t> &cands)
-{
-    std::vector<bool> strip(m.numFunctions(), false);
-    for (uint32_t f : cands) {
-        if (f >= m.numFunctions())
-            continue;
-        const wasm::Function &fn = m.functions[f];
-        if (!fn.imported() && fn.exportNames.empty())
-            strip[f] = true;
-    }
-    if (m.start && *m.start < strip.size())
-        strip[*m.start] = false;
-    for (const wasm::ElementSegment &seg : m.elements) {
-        for (uint32_t f : seg.funcIdxs) {
-            if (f < strip.size())
-                strip[f] = false;
-        }
-    }
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (uint32_t g = 0; g < m.numFunctions(); ++g) {
-            if (strip[g])
-                continue;
-            for (const Instr &instr : m.functions[g].body) {
-                if (instr.op == Opcode::Call &&
-                    instr.imm.idx < strip.size() &&
-                    strip[instr.imm.idx]) {
-                    strip[instr.imm.idx] = false;
-                    changed = true;
-                }
-            }
-        }
-    }
-    std::vector<uint32_t> out;
-    for (uint32_t f = 0; f < strip.size(); ++f) {
-        if (strip[f])
-            out.push_back(f);
-    }
-    return out;
-}
-
-/** Inlined callees that no code references anymore (computed on the
- * post-splice module — a surviving call site keeps its callee). */
-std::vector<uint32_t>
-strippableAfterInline(const Module &m,
-                      const std::vector<InlineClaim> &claims)
-{
-    std::set<uint32_t> cands;
-    for (const InlineClaim &c : claims)
-        cands.insert(c.callee);
-    return stripFixpoint(m, cands);
-}
-
-// ----- table-compact -------------------------------------------------
-
-struct TableCompactPlan {
-    std::vector<TableSlotClaim> slots;
-    std::vector<TableIndexRewriteClaim> rewrites;
-    std::vector<uint32_t> stripped;
-};
-
-/**
- * Derive the compaction plan, or nullopt when compaction is not
- * provably safe. Requirements: exactly one non-host-visible table
- * with an exact layout, and *every* call_indirect in the module
- * consumes an immediately preceding literal `i32.const` index that
- * hits an occupied, in-range slot. Those conditions enumerate every
- * possible table access (MVP has no table.get/set and the host cannot
- * see the table), and occupied-slot hits keep trap behavior intact —
- * a site that could hit a null or out-of-range slot vetoes the whole
- * pass rather than turning a trap into a call (or vice versa).
- */
-std::optional<TableCompactPlan>
-planTableCompact(const Module &m)
-{
-    interproc::TableLayout layout = interproc::computeTableLayout(m);
-    if (!layout.hasTable || layout.hostVisible || !layout.exact ||
-        m.tables.size() != 1)
-        return std::nullopt;
-
-    std::vector<TableIndexRewriteClaim> rewrites;
-    std::set<uint32_t> used;
-    for (uint32_t f = 0; f < m.numFunctions(); ++f) {
-        const std::vector<Instr> &body = m.functions[f].body;
-        for (uint32_t i = 0; i < body.size(); ++i) {
-            if (body[i].op != Opcode::CallIndirect)
-                continue;
-            if (i == 0 || body[i - 1].op != Opcode::I32Const)
-                return std::nullopt;
-            const uint32_t s = body[i - 1].imm.i32v;
-            if (s >= layout.slots.size() || !layout.slots[s])
-                return std::nullopt;
-            rewrites.push_back(TableIndexRewriteClaim{f, i - 1, s, 0});
-            used.insert(s);
-        }
-    }
-
-    TableCompactPlan plan;
-    std::map<uint32_t, uint32_t> newSlot;
-    for (uint32_t s : used) {
-        newSlot[s] = static_cast<uint32_t>(plan.slots.size());
-        plan.slots.push_back(TableSlotClaim{s, *layout.slots[s]});
-    }
-    for (TableIndexRewriteClaim &rw : rewrites)
-        rw.newIndex = newSlot[rw.oldIndex];
-    plan.rewrites = std::move(rewrites);
-
-    // Functions pinned only by dropped element slots become
-    // strippable once nothing else references them.
-    std::set<uint32_t> kept;
-    for (const TableSlotClaim &s : plan.slots)
-        kept.insert(s.funcIdx);
-    std::set<uint32_t> cands;
-    for (uint32_t f : layout.segmentFuncs) {
-        if (!kept.count(f) && !m.functions[f].imported())
-            cands.insert(f);
-    }
-    // stripFixpoint consults m.elements, which still pins the
-    // candidates; evaluate it on a copy with the new element layout.
-    Module probe = m;
-    probe.elements.clear();
-    if (!plan.slots.empty()) {
-        wasm::ElementSegment seg;
-        seg.tableIdx = 0;
-        seg.offset = {Instr::i32Const(0), Instr(Opcode::End)};
-        for (const TableSlotClaim &s : plan.slots)
-            seg.funcIdxs.push_back(s.funcIdx);
-        probe.elements.push_back(seg);
-    }
-    plan.stripped = stripFixpoint(probe, cands);
-    return plan;
-}
-
-void
-applyTableCompact(Module &m, const TableCompactPlan &plan)
-{
-    for (const TableIndexRewriteClaim &rw : plan.rewrites) {
-        if (rw.func >= m.numFunctions() ||
-            rw.instr >= m.functions[rw.func].body.size())
-            throw RewriteError("opt.bad-claim",
-                               "table-index rewrite out of range");
-        Instr &ins = m.functions[rw.func].body[rw.instr];
-        if (ins.op != Opcode::I32Const || ins.imm.i32v != rw.oldIndex)
-            throw RewriteError("opt.bad-claim",
-                               "table-index rewrite does not match");
-        ins.imm.i32v = rw.newIndex;
-    }
-    m.elements.clear();
-    if (!plan.slots.empty()) {
-        wasm::ElementSegment seg;
-        seg.tableIdx = 0;
-        seg.offset = {Instr::i32Const(0), Instr(Opcode::End)};
-        for (const TableSlotClaim &s : plan.slots)
-            seg.funcIdxs.push_back(s.funcIdx);
-        m.elements.push_back(seg);
-    }
-    // The new minimum never exceeds the old one (slots is a subset of
-    // the declared layout), so a declared max stays valid unchanged.
-    m.tables[0].limits.min = static_cast<uint32_t>(plan.slots.size());
-    m = applyStrip(m, plan.stripped);
 }
 
 // ----- const-fold ----------------------------------------------------
@@ -734,8 +273,7 @@ const std::vector<std::string> &
 allOptPasses()
 {
     static const std::vector<std::string> kPasses{
-        kPassDeadFunctions, kPassCallIndirect,  kPassIpoConst,
-        kPassInline,        kPassTableCompact,  kPassConstFold,
+        kPassDeadFunctions, kPassCallIndirect, kPassConstFold,
         kPassDeadStores,    kPassEmptyBlocks,
     };
     return kPasses;
@@ -812,32 +350,6 @@ optimize(const Module &m, const std::vector<std::string> &passes)
         claims.directCalls = findDirectCalls(cur);
         applyDirectCalls(cur, claims.directCalls);
     }
-    if (requested(kPassIpoConst)) {
-        claims.passes.push_back(kPassIpoConst);
-        interproc::ModuleIpcp ipcp = interproc::ipcpSolve(cur);
-        claims.ipoConstArgs = findIpoConstArgs(cur, ipcp);
-        claims.ipoConstReturns = findIpoConstReturns(cur, ipcp);
-        applyIpoConstArgs(cur, claims.ipoConstArgs);
-        applyIpoConstReturns(cur, claims.ipoConstReturns);
-    }
-    if (requested(kPassInline)) {
-        claims.passes.push_back(kPassInline);
-        claims.inlinedCalls = findInlines(cur);
-        applyInlines(cur, claims.inlinedCalls);
-        claims.inlineStripped =
-            strippableAfterInline(cur, claims.inlinedCalls);
-        cur = applyStrip(cur, claims.inlineStripped);
-    }
-    if (requested(kPassTableCompact)) {
-        claims.passes.push_back(kPassTableCompact);
-        if (std::optional<TableCompactPlan> plan =
-                planTableCompact(cur)) {
-            claims.tableSlots = plan->slots;
-            claims.tableIndexRewrites = plan->rewrites;
-            claims.tableStripped = plan->stripped;
-            applyTableCompact(cur, *plan);
-        }
-    }
     if (requested(kPassConstFold)) {
         claims.passes.push_back(kPassConstFold);
         claims.constFolds = findAndApplyConstFolds(cur);
@@ -866,13 +378,6 @@ claimsToManifest(const OptClaims &claims)
                           [](const std::string &p) { return p; });
     appendRows<1>(out, "strippedFunctions", claims.strippedFunctions);
     appendRows<4>(out, "directCalls", claims.directCalls);
-    appendRows<4>(out, "ipoConstArgs", claims.ipoConstArgs);
-    appendRows<4>(out, "ipoConstReturns", claims.ipoConstReturns);
-    appendRows<3>(out, "inlinedCalls", claims.inlinedCalls);
-    appendRows<1>(out, "inlineStripped", claims.inlineStripped);
-    appendRows<2>(out, "tableSlots", claims.tableSlots);
-    appendRows<4>(out, "tableIndexRewrites", claims.tableIndexRewrites);
-    appendRows<1>(out, "tableStripped", claims.tableStripped);
     appendRows<4>(out, "constFolds", claims.constFolds);
     appendRows<3>(out, "deadStores", claims.deadStores);
     appendRows<2>(out, "emptyBlocks", claims.emptyBlocks);
@@ -902,23 +407,13 @@ claimsFromManifest(const json::Value &doc, OptClaims &claims,
     bool ok =
         manifest::checkTopLevel(
             doc, manifest::kOptSchema,
-            {"passes", "strippedFunctions", "directCalls", "ipoConstArgs",
-             "ipoConstReturns", "inlinedCalls", "inlineStripped",
-             "tableSlots", "tableIndexRewrites", "tableStripped",
-             "constFolds", "deadStores", "emptyBlocks"},
+            {"passes", "strippedFunctions", "directCalls", "constFolds",
+             "deadStores", "emptyBlocks"},
             err) &&
         passes() &&
         readRows<1>(doc, "strippedFunctions", claims.strippedFunctions,
                     err) &&
         readRows<4>(doc, "directCalls", claims.directCalls, err) &&
-        readRows<4>(doc, "ipoConstArgs", claims.ipoConstArgs, err) &&
-        readRows<4>(doc, "ipoConstReturns", claims.ipoConstReturns, err) &&
-        readRows<3>(doc, "inlinedCalls", claims.inlinedCalls, err) &&
-        readRows<1>(doc, "inlineStripped", claims.inlineStripped, err) &&
-        readRows<2>(doc, "tableSlots", claims.tableSlots, err) &&
-        readRows<4>(doc, "tableIndexRewrites", claims.tableIndexRewrites,
-                    err) &&
-        readRows<1>(doc, "tableStripped", claims.tableStripped, err) &&
         readRows<4>(doc, "constFolds", claims.constFolds, err) &&
         readRows<3>(doc, "deadStores", claims.deadStores, err) &&
         readRows<2>(doc, "emptyBlocks", claims.emptyBlocks, err);
@@ -970,20 +465,6 @@ checkOptimization(const Module &original,
     if (!listed(claims, kPassCallIndirect) && !claims.directCalls.empty())
         ds.error("check.opt.orphan-claims",
                  "directCalls present but call-indirect not in passes");
-    if (!listed(claims, kPassIpoConst) &&
-        (!claims.ipoConstArgs.empty() || !claims.ipoConstReturns.empty()))
-        ds.error("check.opt.orphan-claims",
-                 "ipoConst claims present but ipo-const not in passes");
-    if (!listed(claims, kPassInline) &&
-        (!claims.inlinedCalls.empty() || !claims.inlineStripped.empty()))
-        ds.error("check.opt.orphan-claims",
-                 "inline claims present but inline not in passes");
-    if (!listed(claims, kPassTableCompact) &&
-        (!claims.tableSlots.empty() ||
-         !claims.tableIndexRewrites.empty() ||
-         !claims.tableStripped.empty()))
-        ds.error("check.opt.orphan-claims",
-                 "table claims present but table-compact not in passes");
     if (!listed(claims, kPassConstFold) && !claims.constFolds.empty())
         ds.error("check.opt.orphan-claims",
                  "constFolds present but const-fold not in passes");
@@ -1041,86 +522,6 @@ checkOptimization(const Module &original,
                 if (!ds.empty())
                     return ds;
                 applyDirectCalls(replay, claims.directCalls);
-            } else if (pass == kPassIpoConst) {
-                interproc::ModuleIpcp ipcp =
-                    interproc::ipcpSolve(replay);
-                std::vector<IpoConstArgClaim> provableArgs =
-                    findIpoConstArgs(replay, ipcp);
-                for (const IpoConstArgClaim &c : claims.ipoConstArgs) {
-                    if (std::find(provableArgs.begin(),
-                                  provableArgs.end(),
-                                  c) == provableArgs.end())
-                        ds.error("check.opt.bad-ipo-const-arg",
-                                 "parameter " + std::to_string(c.local) +
-                                     " is not provably constant " +
-                                     std::to_string(c.value),
-                                 c.func, c.instr);
-                }
-                std::vector<IpoConstReturnClaim> provableRets =
-                    findIpoConstReturns(replay, ipcp);
-                for (const IpoConstReturnClaim &c :
-                     claims.ipoConstReturns) {
-                    if (std::find(provableRets.begin(),
-                                  provableRets.end(),
-                                  c) == provableRets.end())
-                        ds.error("check.opt.bad-ipo-const-return",
-                                 "call of function " +
-                                     std::to_string(c.callee) +
-                                     " does not provably fold to " +
-                                     std::to_string(c.value),
-                                 c.func, c.instr);
-                }
-                if (!ds.empty())
-                    return ds;
-                applyIpoConstArgs(replay, claims.ipoConstArgs);
-                applyIpoConstReturns(replay, claims.ipoConstReturns);
-            } else if (pass == kPassInline) {
-                std::vector<InlineClaim> provable = findInlines(replay);
-                for (const InlineClaim &c : claims.inlinedCalls) {
-                    if (std::find(provable.begin(), provable.end(), c) ==
-                        provable.end())
-                        ds.error("check.opt.bad-ipo-inline",
-                                 "call of function " +
-                                     std::to_string(c.callee) +
-                                     " is not provably inlinable",
-                                 c.func, c.instr);
-                }
-                if (!ds.empty())
-                    return ds;
-                applyInlines(replay, claims.inlinedCalls);
-                std::vector<uint32_t> strippable =
-                    strippableAfterInline(replay, claims.inlinedCalls);
-                for (uint32_t f : claims.inlineStripped) {
-                    if (!std::binary_search(strippable.begin(),
-                                            strippable.end(), f))
-                        ds.error("check.opt.bad-ipo-inline",
-                                 "function " + std::to_string(f) +
-                                     " is not provably strippable "
-                                     "after inlining",
-                                 f);
-                }
-                if (!ds.empty())
-                    return ds;
-                replay = applyStrip(replay, claims.inlineStripped);
-            } else if (pass == kPassTableCompact) {
-                std::optional<TableCompactPlan> plan =
-                    planTableCompact(replay);
-                const bool match =
-                    plan ? (claims.tableSlots == plan->slots &&
-                            claims.tableIndexRewrites ==
-                                plan->rewrites &&
-                            claims.tableStripped == plan->stripped)
-                         : (claims.tableSlots.empty() &&
-                            claims.tableIndexRewrites.empty() &&
-                            claims.tableStripped.empty());
-                if (!match) {
-                    ds.error("check.opt.bad-table-compact",
-                             "table claims differ from the derived "
-                             "compaction plan");
-                    return ds;
-                }
-                if (plan)
-                    applyTableCompact(replay, *plan);
             } else if (pass == kPassConstFold) {
                 // Sequential replay: each claim's coordinates refer to
                 // the body after the previous claims were applied.

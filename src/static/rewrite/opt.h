@@ -12,21 +12,6 @@
  *  - "call-indirect": rewrite `call_indirect` sites the refined graph
  *    resolves to a unique target (constant index, exact non-host-
  *    visible table layout) into `drop` + direct `call`.
- *  - "ipo-const": consume the interprocedural constant-propagation
- *    lattices (interproc/ipcp): replace `local.get` of a provably
- *    constant parameter in a private callee with the constant, and
- *    fold calls to pure, terminating, constant-returning callees into
- *    argument drops + the constant.
- *  - "inline": splice trivial (≤ budget) callees into their direct
- *    call sites — arguments pop into fresh appended locals, declared
- *    callee locals are re-zeroed, the body grafts inside one wrapper
- *    block so function-level branches retarget to it and `return`
- *    becomes `br`; callees left without any reference are stripped.
- *  - "table-compact": when every `call_indirect` consumes a literal
- *    constant index hitting an occupied slot of a private, exactly
- *    known table, rebuild the element section to just the referenced
- *    slots, patch the index constants, shrink the table, and strip
- *    element-pinned functions nothing references anymore.
  *  - "const-fold": peephole-fold adjacent provably-constant i32
  *    sequences ([const, unop], [const, const, binop],
  *    [const, const, const, select]) into a single `i32.const`,
@@ -97,73 +82,12 @@ struct EmptyBlockClaim {
     uint32_t begin = 0;
 };
 
-/** One `local.get` of a provably constant parameter replaced with
- * `i32.const value`; `func` is the callee being specialized. */
-struct IpoConstArgClaim {
-    uint32_t func = 0;
-    uint32_t instr = 0;
-    uint32_t local = 0;
-    uint32_t value = 0;
-
-    bool operator==(const IpoConstArgClaim &other) const = default;
-};
-
-/** One call to a pure, terminating, constant-returning callee folded:
- * the `call` at (func, instr) becomes one `drop` per callee parameter
- * plus `i32.const value`. */
-struct IpoConstReturnClaim {
-    uint32_t func = 0;
-    uint32_t instr = 0;
-    uint32_t callee = 0;
-    uint32_t value = 0;
-
-    bool operator==(const IpoConstReturnClaim &other) const = default;
-};
-
-/** One direct call spliced with its callee's body. */
-struct InlineClaim {
-    uint32_t func = 0;
-    uint32_t instr = 0;
-    uint32_t callee = 0;
-
-    bool operator==(const InlineClaim &other) const = default;
-};
-
-/** One surviving table slot: `oldSlot` in the pass-input layout maps
- * to the claim's position in the claim list (the new slot), holding
- * function `funcIdx`. */
-struct TableSlotClaim {
-    uint32_t oldSlot = 0;
-    uint32_t funcIdx = 0;
-
-    bool operator==(const TableSlotClaim &other) const = default;
-};
-
-/** One patched `i32.const` table-index operand of a call_indirect. */
-struct TableIndexRewriteClaim {
-    uint32_t func = 0;
-    uint32_t instr = 0;
-    uint32_t oldIndex = 0;
-    uint32_t newIndex = 0;
-
-    bool operator==(const TableIndexRewriteClaim &other) const = default;
-};
-
 /** The full claim trail of one optimization run. */
 struct OptClaims {
     /** Pass names in applied order (subset of allOptPasses()). */
     std::vector<std::string> passes;
     std::vector<uint32_t> strippedFunctions;
     std::vector<DirectCallClaim> directCalls;
-    std::vector<IpoConstArgClaim> ipoConstArgs;
-    std::vector<IpoConstReturnClaim> ipoConstReturns;
-    std::vector<InlineClaim> inlinedCalls;
-    /** Callees left referenceless after inlining and stripped. */
-    std::vector<uint32_t> inlineStripped;
-    std::vector<TableSlotClaim> tableSlots;
-    std::vector<TableIndexRewriteClaim> tableIndexRewrites;
-    /** Formerly element-pinned functions stripped by table-compact. */
-    std::vector<uint32_t> tableStripped;
     std::vector<ConstFoldClaim> constFolds;
     std::vector<DeadStoreClaim> deadStores;
     std::vector<EmptyBlockClaim> emptyBlocks;
@@ -172,11 +96,7 @@ struct OptClaims {
     totalClaims() const
     {
         return strippedFunctions.size() + directCalls.size() +
-               ipoConstArgs.size() + ipoConstReturns.size() +
-               inlinedCalls.size() + inlineStripped.size() +
-               tableSlots.size() + tableIndexRewrites.size() +
-               tableStripped.size() + constFolds.size() +
-               deadStores.size() + emptyBlocks.size();
+               constFolds.size() + deadStores.size() + emptyBlocks.size();
     }
 };
 
@@ -231,13 +151,9 @@ bool claimsFromManifest(const std::string &text, OptClaims &claims,
  * encode byte-identically to @p optimized_bytes. Diagnostics use
  * stable codes:
  *  - check.opt.unknown-pass         (manifest lists an unknown pass)
+ *  - check.opt.orphan-claims        (claims of a pass not listed)
  *  - check.opt.bad-dead-function    (strip not proved by reachability)
  *  - check.opt.bad-call-target      (site not proved IndirectConst)
- *  - check.opt.bad-ipo-const-arg    (parameter not provably constant)
- *  - check.opt.bad-ipo-const-return (call not provably foldable)
- *  - check.opt.bad-ipo-inline       (site/strip not provably inlinable)
- *  - check.opt.bad-table-compact    (claims differ from the derived
- *                                    compaction plan)
  *  - check.opt.bad-fold             (sequence does not fold to value)
  *  - check.opt.bad-dead-store       (store not proved dead)
  *  - check.opt.bad-empty-block      (not an empty block/loop pair)

@@ -26,7 +26,7 @@ using core::Location;
 /**
  * Subscribes to the given kinds, counts none and does nothing: added
  * to a runtime beside a count-only analysis, it keeps every site of
- * those kinds on the hook path (DESIGN.md §13), with no knob.
+ * those kinds on the hook path (DESIGN.md §12), with no knob.
  */
 class HookedShadow final : public runtime::Analysis {
   public:

@@ -12,7 +12,7 @@
  * mode runs twice: hooked (the pairs on one runtime, where the
  * references keep every kind on the hook path) and counted (the
  * shipped analyses alone on their own runtime and instance, so their
- * kinds compile to counter probes, DESIGN.md §13).
+ * kinds compile to counter probes, DESIGN.md §12).
  *
  * Rewrite-vs-intrinsic parity cannot catch a counting bug: both modes
  * feed the same analysis code.

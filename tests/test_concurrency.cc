@@ -1,6 +1,6 @@
 /**
  * @file
- * Concurrent-runtime stress tests (DESIGN.md §14): many threads
+ * Concurrent-runtime stress tests (DESIGN.md §13): many threads
  * attach/detach intrinsic hooks and invoke exports on pooled
  * instances of one shared, cached module — the serve daemon's
  * multi-tenant hot path. Run under ASan/UBSan in the default CI

@@ -649,7 +649,7 @@ TEST(EngineFusion, KernelsFuseUnhookedAndNeverHooked)
 }
 
 // ---------------------------------------------------------------------
-// Counter probes (DESIGN.md §13): in intrinsic mode the kinds a
+// Counter probes (DESIGN.md §12): in intrinsic mode the kinds a
 // count-only analysis counts compile to FOp::Count slots and reach it
 // in bulk. Against the same analysis kept on the hook path by a
 // subscriber that counts nothing (tests::HookedShadow), its report,

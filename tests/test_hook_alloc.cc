@@ -3,7 +3,7 @@
  * Hook dispatch allocates nothing per event. This test binary replaces
  * the global operator new with a counting one and runs hook-heavy
  * workloads with the `mix` analysis (every hook kind) in rewrite mode
- * and in intrinsic mode, both counted (counter probes, DESIGN.md §13)
+ * and in intrinsic mode, both counted (counter probes, DESIGN.md §12)
  * and hooked: after a warm-up run (which translates the code and sizes
  * every buffer), a run of more than 100k hook events must perform
  * only a small, event-independent number of heap allocations.

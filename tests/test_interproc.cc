@@ -520,26 +520,6 @@ TEST(InterprocLint, DeadParameterReported)
         << toString(d);
 }
 
-TEST(InterprocLint, ConstantReturnOfPrivateFunctionReported)
-{
-    ModuleBuilder mb;
-    uint32_t callee = mb.addFunction(
-        FuncType({}, {ValType::I32}), "",
-        [](FunctionBuilder &f) { f.i32Const(42); });
-    mb.addFunction(FuncType({}, {ValType::I32}), "main",
-                   [&](FunctionBuilder &f) { f.call(callee); });
-    Module m = mb.build();
-    wasm::validateModule(m);
-    Diagnostics d = passes::lintModule(m);
-    EXPECT_TRUE(d.hasCode(passes::kLintInterprocConstReturn))
-        << toString(d);
-    // The exported entry also trivially returns a call result, but
-    // exports keep their ABI: no const-return finding for main.
-    for (const auto &diag : d.all())
-        if (diag.code == passes::kLintInterprocConstReturn)
-            EXPECT_EQ(diag.func, callee) << toString(d);
-}
-
 TEST(InterprocLint, TableDiagnosticsSurfaceInLint)
 {
     Module m = constIndexFixture();

@@ -1,16 +1,13 @@
 /**
  * @file
- * Engine-intrinsic instrumentation mode (DESIGN.md §13): attachment
+ * Engine-intrinsic instrumentation mode (DESIGN.md §12): attachment
  * and invalidation semantics, counter visibility from inside hooks,
- * per-kind dispatch accounting, the structured errors that keep
- * the two instrumentation modes from being combined, and agreement of
- * the two modes' branch/block side tables at every site.
+ * per-kind dispatch accounting, and the structured errors that keep
+ * the two instrumentation modes from being combined.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <string>
 #include <vector>
 
 #include "core/instrument.h"
@@ -22,8 +19,6 @@
 #include "wasm/builder.h"
 #include "wasm/validator.h"
 #include "workloads/polybench.h"
-#include "workloads/random_program.h"
-#include "workloads/synthetic_app.h"
 
 namespace wasabi {
 namespace {
@@ -275,103 +270,6 @@ TEST(Intrinsic, StartFunctionIsInstrumented)
     EXPECT_EQ(out[0].i32(), 1u);
     EXPECT_EQ(rec.perKind[static_cast<size_t>(HookKind::Global)], 2u);
     EXPECT_EQ(rec.perKind[static_cast<size_t>(HookKind::Start)], 1u);
-}
-
-// ---------------------------------------------------------------------
-// Side-table agreement: buildIntrinsicInfo and instrument() must record
-// the same branch targets, br_table side tables and block ends — also
-// at sites no run ever reaches, which the hook-stream differential
-// suites cannot observe.
-
-std::string
-locText(core::Location loc)
-{
-    return std::to_string(loc.func) + ":" + std::to_string(loc.instr);
-}
-
-std::string
-entryText(const core::BrTableEntry &e)
-{
-    std::string out = std::to_string(e.target.label) + "->" +
-                      locText(e.target.location) + " ends";
-    for (const core::EndedBlock &b : e.ended)
-        out += " " + std::string(name(b.kind)) + "[" + locText(b.begin) +
-               ".." + locText(b.end) + "]";
-    return out;
-}
-
-/** Every side-table entry of @p info, one line each, sorted. */
-std::vector<std::string>
-sideTableLines(const core::StaticInfo &info)
-{
-    auto loc = [](uint64_t key) {
-        return locText({static_cast<uint32_t>(key >> 32),
-                        static_cast<uint32_t>(key)});
-    };
-    std::vector<std::string> lines;
-    for (const auto &[key, t] : info.brTargets)
-        lines.push_back("br " + loc(key) + " " +
-                        std::to_string(t.label) + "->" +
-                        locText(t.location));
-    for (const auto &[key, t] : info.brTables) {
-        std::string line = "br_table " + loc(key);
-        for (const core::BrTableEntry &e : t.cases)
-            line += " | " + entryText(e);
-        lines.push_back(line + " | default " + entryText(t.defaultCase));
-    }
-    for (const auto &[key, e] : info.blockEnds)
-        lines.push_back("end " + loc(key) + " " + name(e.kind) + " " +
-                        locText(e.begin));
-    std::sort(lines.begin(), lines.end());
-    return lines;
-}
-
-void
-expectSameSideTables(const wasm::Module &m, const std::string &what)
-{
-    std::vector<std::string> intrinsic =
-        sideTableLines(*core::buildIntrinsicInfo(m, HookSet::all()));
-    std::vector<std::string> rewrite =
-        sideTableLines(*core::instrument(m, HookSet::all()).info);
-    EXPECT_FALSE(intrinsic.empty()) << what;
-    ASSERT_EQ(intrinsic.size(), rewrite.size()) << what;
-    for (size_t k = 0; k < intrinsic.size(); ++k)
-        ASSERT_EQ(intrinsic[k], rewrite[k]) << what;
-}
-
-TEST(SideTables, BothModesAgreeOnPolybench)
-{
-    for (const Workload &w : workloads::polybenchSuite(8))
-        expectSameSideTables(w.module, w.name);
-}
-
-TEST(SideTables, BothModesAgreeOnSyntheticApps)
-{
-    expectSameSideTables(
-        workloads::syntheticApp(workloads::AppSize::Small).module,
-        "app:small");
-    expectSameSideTables(
-        workloads::syntheticApp(workloads::AppSize::PdfkitLike).module,
-        "app:medium");
-}
-
-TEST(SideTables, BothModesAgreeOnRandomPrograms)
-{
-    for (uint64_t seed = 1; seed <= 24; ++seed) {
-        workloads::RandomProgramOptions opts;
-        opts.seed = seed;
-        expectSameSideTables(workloads::randomProgram(opts).module,
-                             "random:" + std::to_string(seed));
-    }
-    for (uint64_t seed = 1; seed <= 8; ++seed) {
-        workloads::RandomProgramOptions opts;
-        opts.seed = seed;
-        opts.indirectCallPct = 30;
-        opts.constIndexIndirectPct = 50;
-        expectSameSideTables(workloads::randomProgram(opts).module,
-                             "indirect-heavy random:" +
-                                 std::to_string(seed));
-    }
 }
 
 } // namespace

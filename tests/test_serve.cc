@@ -1,6 +1,6 @@
 /**
  * @file
- * Serve-daemon tests (DESIGN.md §14): content-hash module cache
+ * Serve-daemon tests (DESIGN.md §13): content-hash module cache
  * hit/miss pins, warmed-instance pooling with zero re-translation,
  * per-request fuel/memory quotas that never kill the daemon,
  * snapshot/restore exactness after grow + global-write + trap, the

@@ -61,7 +61,6 @@
 #include "obs/profile.h"
 #include "static/analyze.h"
 #include "static/check.h"
-#include "static/interproc/ipcp.h"
 #include "static/manifest.h"
 #include "static/passes/pipeline.h"
 #include "static/passes/range.h"
@@ -179,7 +178,7 @@ parseEngine(const std::string &spec)
                      "' (expected fast or legacy)");
 }
 
-/** How hooks reach the runtime (DESIGN.md §13). */
+/** How hooks reach the runtime (DESIGN.md §12). */
 enum class InstrumentMode {
     Rewrite,  ///< binary rewriting + hook imports (the paper's design)
     Intrinsic ///< fast engine dispatches hooks from its inner loop
@@ -206,6 +205,22 @@ parseArg(const std::string &spec)
     } catch (const std::invalid_argument &e) {
         throw UsageError(e.what());
     }
+}
+
+/** Upper bound on every worker/client thread count the CLI accepts. */
+constexpr uint64_t kMaxThreads = 256;
+
+/** A strict count token (support::parseUInt) in [0, @p max]; a bad
+ * one is a usage error naming @p what and the token. */
+uint64_t
+parseCount(const std::string &what, const std::string &tok, uint64_t max)
+{
+    std::optional<uint64_t> v = support::parseUInt(tok, max);
+    if (!v)
+        throw UsageError("bad " + what + " '" + tok +
+                         "' (expected an integer in [0, " +
+                         std::to_string(max) + "])");
+    return *v;
 }
 
 const char *
@@ -245,8 +260,8 @@ cmdInstrument(const std::vector<std::string> &args)
         if (a.rfind("--hooks=", 0) == 0)
             hooks = a.substr(8);
         else if (a.rfind("--threads=", 0) == 0)
-            opts.numThreads =
-                static_cast<unsigned>(std::stoul(a.substr(10)));
+            opts.numThreads = static_cast<unsigned>(
+                parseCount("--threads", a.substr(10), kMaxThreads));
         else if (a == "--no-split-i64")
             opts.splitI64 = false;
         else if (a == "--profile")
@@ -419,8 +434,8 @@ cmdProfile(const std::vector<std::string> &args)
         else if (a.rfind("--hooks=", 0) == 0)
             hooks = a.substr(8);
         else if (a.rfind("--threads=", 0) == 0)
-            iopts.numThreads =
-                static_cast<unsigned>(std::stoul(a.substr(10)));
+            iopts.numThreads = static_cast<unsigned>(
+                parseCount("--threads", a.substr(10), kMaxThreads));
         else if (a == "--json")
             json = true;
         else if (a == "--deterministic")
@@ -760,17 +775,6 @@ cmdOpt(const std::vector<std::string> &args)
         j += "],\n    \"claims\": {\"deadFunctions\": " +
              std::to_string(c.strippedFunctions.size()) +
              ", \"directCalls\": " + std::to_string(c.directCalls.size()) +
-             ", \"ipoConstArgs\": " + std::to_string(c.ipoConstArgs.size()) +
-             ", \"ipoConstReturns\": " +
-             std::to_string(c.ipoConstReturns.size()) +
-             ", \"inlinedCalls\": " + std::to_string(c.inlinedCalls.size()) +
-             ", \"inlineStripped\": " +
-             std::to_string(c.inlineStripped.size()) +
-             ", \"tableSlots\": " + std::to_string(c.tableSlots.size()) +
-             ", \"tableIndexRewrites\": " +
-             std::to_string(c.tableIndexRewrites.size()) +
-             ", \"tableStripped\": " +
-             std::to_string(c.tableStripped.size()) +
              ", \"constFolds\": " + std::to_string(c.constFolds.size()) +
              ", \"deadStores\": " + std::to_string(c.deadStores.size()) +
              ", \"emptyBlocks\": " + std::to_string(c.emptyBlocks.size()) +
@@ -803,16 +807,10 @@ cmdOpt(const std::vector<std::string> &args)
         std::printf(" %s", p.c_str());
     std::printf("\n");
     std::printf("  claims: %zu dead functions, %zu direct calls, "
-                "%zu const args, %zu const returns, %zu inlines "
-                "(%zu stripped), %zu table slots kept "
-                "(%zu rewrites, %zu stripped), %zu const folds, "
-                "%zu dead stores, %zu empty blocks\n",
+                "%zu const folds, %zu dead stores, %zu empty blocks\n",
                 c.strippedFunctions.size(), c.directCalls.size(),
-                c.ipoConstArgs.size(), c.ipoConstReturns.size(),
-                c.inlinedCalls.size(), c.inlineStripped.size(),
-                c.tableSlots.size(), c.tableIndexRewrites.size(),
-                c.tableStripped.size(), c.constFolds.size(),
-                c.deadStores.size(), c.emptyBlocks.size());
+                c.constFolds.size(), c.deadStores.size(),
+                c.emptyBlocks.size());
     std::printf("  size: %zu -> %zu bytes (%.1f%%)\n", before_bytes.size(),
                 after_bytes.size(),
                 100.0 * static_cast<double>(after_bytes.size()) /
@@ -979,7 +977,7 @@ int
 cmdAnalyze(const std::vector<std::string> &args)
 {
     std::string path, dot, manifest_out;
-    bool json = false, summaries = false, ranges = false, ipcp = false;
+    bool json = false, summaries = false, ranges = false;
     unsigned threads = 1;
     for (const std::string &a : args) {
         if (a == "--json")
@@ -988,12 +986,11 @@ cmdAnalyze(const std::vector<std::string> &args)
             summaries = true;
         else if (a == "--ranges")
             ranges = true;
-        else if (a == "--ipcp")
-            ipcp = true;
         else if (a.rfind("--manifest-out=", 0) == 0)
             manifest_out = a.substr(15);
         else if (a.rfind("--threads=", 0) == 0)
-            threads = static_cast<unsigned>(std::stoul(a.substr(10)));
+            threads = static_cast<unsigned>(
+                parseCount("--threads", a.substr(10), kMaxThreads));
         else if (a.rfind("--dot=", 0) == 0)
             dot = a.substr(6);
         else {
@@ -1011,15 +1008,6 @@ cmdAnalyze(const std::vector<std::string> &args)
     if (summaries) {
         std::fputs(
             static_analysis::summariesJson(m, threads).c_str(), stdout);
-        std::fputs("\n", stdout);
-        return 0;
-    }
-    if (ipcp) {
-        static_analysis::interproc::ModuleIpcp facts =
-            static_analysis::interproc::ipcpSolve(m, threads);
-        std::fputs(
-            static_analysis::interproc::ipcpToJson(m, facts).c_str(),
-            stdout);
         std::fputs("\n", stdout);
         return 0;
     }
@@ -1052,16 +1040,16 @@ cmdAnalyze(const std::vector<std::string> &args)
             std::fputs(static_analysis::refinedCallGraphDot(m).c_str(),
                        stdout);
         } else if (dot.rfind("cfg:", 0) == 0) {
-            uint32_t f =
-                static_cast<uint32_t>(std::stoul(dot.substr(4)));
+            uint32_t f = static_cast<uint32_t>(
+                parseCount("--dot=cfg: index", dot.substr(4), UINT32_MAX));
             if (f >= m.numFunctions() || m.functions[f].imported())
                 throw std::runtime_error(
                     "--dot=cfg: not a defined function: " +
                     dot.substr(4));
             std::fputs(static_analysis::cfgDot(m, f).c_str(), stdout);
         } else if (dot.rfind("ranges:", 0) == 0) {
-            uint32_t f =
-                static_cast<uint32_t>(std::stoul(dot.substr(7)));
+            uint32_t f = static_cast<uint32_t>(parseCount(
+                "--dot=ranges: index", dot.substr(7), UINT32_MAX));
             if (f >= m.numFunctions() || m.functions[f].imported())
                 throw std::runtime_error(
                     "--dot=ranges: not a defined function: " +
@@ -1094,7 +1082,8 @@ cmdServe(const std::vector<std::string> &args)
         else if (a.rfind("--request=", 0) == 0)
             request_path = a.substr(10);
         else if (a.rfind("--clients=", 0) == 0)
-            clients = static_cast<unsigned>(std::stoul(a.substr(10)));
+            clients = static_cast<unsigned>(
+                parseCount("--clients", a.substr(10), kMaxThreads));
         else
             throw UsageError("serve: unexpected argument '" + a + "'");
     }
@@ -1212,9 +1201,8 @@ printUsage(std::FILE *to)
         "             [--manifest-out=FILE] [--json[=FILE]]\n"
         "             [--no-verify]\n"
         "             apply analysis-proven binary transforms\n"
-        "             (dead-functions, call-indirect, ipo-const,\n"
-        "             inline, table-compact, const-fold, dead-stores,\n"
-        "             empty-blocks) with a claim manifest\n"
+        "             (dead-functions, call-indirect, const-fold,\n"
+        "             dead-stores, empty-blocks) with a claim manifest\n"
         "  check      <orig.wasm> <instrumented.wasm> [--hooks=h1,h2]\n"
         "             [--no-split-i64] [--import-module=NAME]\n"
         "             [--no-side-tables] [--manifest=FILE] [--json]\n"
@@ -1223,12 +1211,11 @@ printUsage(std::FILE *to)
         "  lint       <in.wasm> [--json]\n"
         "             static pass suite findings; exit 3 if any\n"
         "  analyze    <in.wasm> [--json] [--summaries] [--ranges]\n"
-        "             [--ipcp] [--manifest-out=FILE] [--threads=N]\n"
+        "             [--manifest-out=FILE] [--threads=N]\n"
         "             [--dot=callgraph|refined|cfg:FUNC|ranges:FUNC]\n"
         "             per-function CFG statistics, dominator-based\n"
         "             loop counts, dead functions, effect summaries,\n"
-        "             value-range facts, range-claim manifests and\n"
-        "             interprocedural constant/range lattices\n"
+        "             value-range facts and range-claim manifests\n"
         "  profile    <in.wasm> [--analysis=NAME] [--hooks=h1,h2]\n"
         "             [--entry=NAME] [--arg=...] [--threads=N]\n"
         "             [--engine=fast|legacy] [--json]\n"
@@ -1270,7 +1257,7 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
             "  --hooks=h1,h2|all   hook kinds to instrument (default\n"
             "                      all)\n"
             "  --threads=N         parallel per-function\n"
-            "                      instrumentation\n"
+            "                      instrumentation (N <= 256)\n"
             "  --no-split-i64      pass i64 hook operands directly\n"
             "                      instead of as (low, high) i32 pairs\n",
             to);
@@ -1354,8 +1341,7 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
             "  `wasabi check --manifest=` re-proves against the\n"
             "  output binary.\n"
             "  --passes=p1,p2|all   subset of: dead-functions,\n"
-            "                       call-indirect, ipo-const, inline,\n"
-            "                       table-compact, const-fold,\n"
+            "                       call-indirect, const-fold,\n"
             "                       dead-stores, empty-blocks\n"
             "                       (always applied in that order;\n"
             "                       default all; unknown names are a\n"
@@ -1415,10 +1401,8 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
             "                               functions, zero-target or\n"
             "                               unresolvable call_indirect\n"
             "                               sites, effect-free\n"
-            "                               functions, never-read\n"
-            "                               parameters, and private\n"
-            "                               functions that always\n"
-            "                               return one constant\n"
+            "                               functions and never-read\n"
+            "                               parameters\n"
             "    lint.range.*               provably out-of-bounds\n"
             "                               accesses, div-by-zero,\n"
             "                               dead guards\n"
@@ -1427,7 +1411,7 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
     } else if (cmd == "analyze") {
         std::fputs(
             "wasabi analyze <in.wasm> [--json] [--summaries]\n"
-            "               [--ranges] [--ipcp] [--manifest-out=FILE]\n"
+            "               [--ranges] [--manifest-out=FILE]\n"
             "               [--threads=N]\n"
             "               [--dot=callgraph|refined|cfg:FUNC|\n"
             "                ranges:FUNC]\n"
@@ -1444,11 +1428,6 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
             "  refinement, interprocedural argument seeding) and\n"
             "  prints per-access address intervals as JSON; output is\n"
             "  byte-identical for every --threads=N.\n"
-            "  --ipcp solves the interprocedural sparse constant/\n"
-            "  range lattices (SCCP over the refined call graph's SCC\n"
-            "  condensation) and prints per-function argument and\n"
-            "  return intervals plus pinned/pure/terminates facts as\n"
-            "  JSON; byte-identical for every --threads=N.\n"
             "  --manifest-out=FILE writes the provable in-bounds\n"
             "  accesses as a \"wasabi-range-manifest\" claim set that\n"
             "  `wasabi check --manifest=` re-proves.\n"
@@ -1461,7 +1440,7 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
         std::fputs(
             "wasabi serve --socket=PATH\n"
             "wasabi serve --request=FILE|- [--clients=N]\n"
-            "  Multi-tenant analysis daemon (DESIGN.md §14). Each\n"
+            "  Multi-tenant analysis daemon (DESIGN.md §13). Each\n"
             "  request is one JSON object per line; each response is\n"
             "  one JSON line. Ops:\n"
             "    run        execute with an analysis attached\n"
