@@ -45,6 +45,31 @@ hookKindByName(const std::string &hook_name)
     return std::nullopt;
 }
 
+std::optional<HookSet>
+parseHookSet(const std::string &spec, std::string *error)
+{
+    if (spec.empty() || spec == "all")
+        return HookSet::all();
+    HookSet set;
+    size_t pos = 0;
+    for (;;) {
+        size_t comma = spec.find(',', pos);
+        std::string kind_name = spec.substr(pos, comma - pos);
+        std::optional<HookKind> kind = hookKindByName(kind_name);
+        if (!kind) {
+            if (error)
+                *error = kind_name.empty()
+                             ? "empty hook kind in \"" + spec + "\""
+                             : "unknown hook kind \"" + kind_name + "\"";
+            return std::nullopt;
+        }
+        set.add(*kind);
+        if (comma == std::string::npos)
+            return set;
+        pos = comma + 1;
+    }
+}
+
 std::optional<HookKind>
 hookKindForClass(wasm::OpClass cls)
 {

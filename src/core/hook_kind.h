@@ -144,6 +144,15 @@ class HookSet {
     uint32_t bits_ = 0;
 };
 
+/**
+ * A hook list as `--hooks=` and serve's "hooks" field spell it: ""
+ * and "all" mean every kind, anything else is comma-separated kind
+ * names (hookKindByName). An empty segment ("load,") or an unknown
+ * name returns nullopt and sets @p error.
+ */
+std::optional<HookSet> parseHookSet(const std::string &spec,
+                                    std::string *error);
+
 /** The kinds of blocks begin/end hooks distinguish (paper Table 2). */
 enum class BlockKind : uint8_t {
     Function = 0,

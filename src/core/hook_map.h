@@ -53,10 +53,15 @@ struct HookSpec {
     bool operator==(const HookSpec &other) const = default;
 };
 
+/** Import module of every low-level hook import: the instrumenter
+ * declares hooks under it, and the runtime, the intrinsic engine and
+ * `wasabi check` recognise hook imports by it. */
+inline constexpr const char *kHookImportModule = "wasabi";
+
 /**
- * Unique import name of the hook, e.g. "i32.add", "drop_i64",
- * "call_pre_i32_f64", "call_post_i32", "begin_loop". Doubles as the
- * deduplication key in the HookMap.
+ * Unique import name of the hook within kHookImportModule, e.g.
+ * "i32.add", "drop_i64", "call_pre_i32_f64", "call_post_i32",
+ * "begin_loop". Doubles as the deduplication key in the HookMap.
  */
 std::string mangledName(const HookSpec &spec);
 

@@ -703,7 +703,6 @@ instrument(const Module &m, HookSet hooks, const InstrumentOptions &opts)
 
     auto info = std::make_shared<StaticInfo>();
     info->original = std::make_shared<const Module>(m);
-    info->importModule = opts.importModule;
     info->numOrigImports = m.numImportedFunctions();
     info->splitI64 = opts.splitI64;
     info->instrumentedHooks = hooks;
@@ -729,7 +728,7 @@ instrument(const Module &m, HookSet hooks, const InstrumentOptions &opts)
     for (const HookSpec &spec : info->hooks) {
         Function hf;
         hf.typeIdx = out.addType(lowLevelType(spec, opts.splitI64));
-        hf.import = wasm::ImportRef{opts.importModule, mangledName(spec)};
+        hf.import = wasm::ImportRef{kHookImportModule, mangledName(spec)};
         hf.debugName = mangledName(spec);
         hook_funcs.push_back(std::move(hf));
     }

@@ -37,9 +37,6 @@ struct InstrumentOptions {
     /** Number of worker threads instrumenting functions in parallel
      * (1 = sequential). */
     unsigned numThreads = 1;
-
-    /** Module name under which hook imports are declared. */
-    std::string importModule = "wasabi";
 };
 
 /**

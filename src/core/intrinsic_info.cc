@@ -6,7 +6,6 @@ std::shared_ptr<StaticInfo>
 buildIntrinsicInfo(std::shared_ptr<const wasm::Module> m, HookSet kinds)
 {
     auto info = std::make_shared<StaticInfo>();
-    info->importModule = "wasabi";
     info->numOrigImports = m->numImportedFunctions();
     info->splitI64 = false; // engine values never cross an i32 ABI
     info->instrumentedHooks = kinds;

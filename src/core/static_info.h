@@ -130,9 +130,6 @@ class StaticInfo : public SideTables {
      * module for all its hook sets). */
     std::shared_ptr<const wasm::Module> original;
 
-    /** Import-module name used for hook imports (default "wasabi"). */
-    std::string importModule;
-
     /** Number of functions the original module imports; hook imports
      * occupy indices [numOrigImports, numOrigImports + hooks.size()). */
     uint32_t numOrigImports = 0;

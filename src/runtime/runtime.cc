@@ -203,7 +203,7 @@ WasabiRuntime::bindHooks(Linker &linker)
     // bound_ is never resized after construction, so the bindings may
     // point into it.
     for (const BoundHook &hook : bound_) {
-        linker.func(info_->importModule, mangledName(hook.spec),
+        linker.func(core::kHookImportModule, mangledName(hook.spec),
                     [this, h = &hook](Instance &inst,
                                       std::span<const Value> args,
                                       std::vector<Value> &) {
@@ -217,7 +217,7 @@ WasabiRuntime::validateHookImports(
     const wasm::Module &instrumented_module) const
 {
     for (const wasm::Function &f : instrumented_module.functions) {
-        if (!f.imported() || f.import->module != info_->importModule)
+        if (!f.imported() || f.import->module != core::kHookImportModule)
             continue;
         const core::HookSpec *spec = nullptr;
         for (const core::HookSpec &s : info_->hooks) {
@@ -229,7 +229,8 @@ WasabiRuntime::validateHookImports(
         if (!spec) {
             throw interp::LinkError(
                 "module imports unknown wasabi hook \"" +
-                info_->importModule + "." + f.import->name + "\"");
+                std::string(core::kHookImportModule) + "." +
+                f.import->name + "\"");
         }
         const wasm::FuncType &declared =
             instrumented_module.types.at(f.typeIdx);
@@ -237,8 +238,8 @@ WasabiRuntime::validateHookImports(
             core::lowLevelType(*spec, info_->splitI64);
         if (!(declared == expected)) {
             throw interp::LinkError(
-                "hook import \"" + info_->importModule + "." +
-                f.import->name + "\" has type " + toString(declared) +
+                "hook import \"" + std::string(core::kHookImportModule) +
+                "." + f.import->name + "\" has type " + toString(declared) +
                 " but the runtime dispatches it as " +
                 toString(expected) +
                 " (module instrumented with different options?)");
@@ -647,10 +648,11 @@ void
 WasabiRuntime::requireUnrewritten(const wasm::Module &m) const
 {
     for (const wasm::Function &f : m.functions) {
-        if (f.imported() && f.import->module == info_->importModule) {
+        if (f.imported() && f.import->module == core::kHookImportModule) {
             throw std::invalid_argument(
                 "wasabi: module already imports rewrite-mode hooks (\"" +
-                info_->importModule + "." + f.import->name +
+                std::string(core::kHookImportModule) + "." +
+                f.import->name +
                 "\"); attaching engine-intrinsic hooks on top would "
                 "fire every hook twice — choose one instrumentation "
                 "mode");

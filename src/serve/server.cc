@@ -34,25 +34,16 @@ struct GuestTrap : std::runtime_error {
     }
 };
 
+/** A request's "hooks" list (core::parseHookSet); a bad one is a bad
+ * request. */
 core::HookSet
 parseHookSet(const std::string &spec)
 {
-    if (spec.empty() || spec == "all")
-        return core::HookSet::all();
-    core::HookSet set;
-    size_t pos = 0;
-    while (pos <= spec.size()) {
-        size_t comma = spec.find(',', pos);
-        std::string name = spec.substr(pos, comma - pos);
-        std::optional<core::HookKind> kind = core::hookKindByName(name);
-        if (!kind)
-            throw BadRequest("unknown hook kind \"" + name + "\"");
-        set.add(*kind);
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return set;
+    std::string error;
+    std::optional<core::HookSet> set = core::parseHookSet(spec, &error);
+    if (!set)
+        throw BadRequest(error);
+    return *set;
 }
 
 std::string

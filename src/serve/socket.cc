@@ -7,8 +7,8 @@
 #include <atomic>
 #include <csignal>
 #include <cstring>
+#include <list>
 #include <thread>
-#include <vector>
 
 #include "support/file_io.h"
 
@@ -86,8 +86,24 @@ serveUnixSocket(Server &server, const std::string &socket_path)
                                std::strerror(saved));
     }
 
+    /** One connection's handler thread, joined when the entry is
+     * destroyed. `done` is the last thing the thread sets, so
+     * destroying a done entry does not block. The atomic makes the
+     * entry immovable, and a std::list keeps it in place while its
+     * thread refers to it. */
+    struct Connection {
+        std::thread thread;
+        std::atomic<bool> done{false};
+
+        ~Connection()
+        {
+            if (thread.joinable())
+                thread.join();
+        }
+    };
     std::atomic<bool> stopping{false};
-    std::vector<std::thread> workers;
+    std::list<Connection> connections; // after `stopping`: joined first
+
     while (!stopping.load()) {
         int fd = ::accept(listen_fd, nullptr, nullptr);
         if (fd < 0) {
@@ -99,19 +115,25 @@ serveUnixSocket(Server &server, const std::string &socket_path)
             ::close(fd);
             break;
         }
-        workers.emplace_back([&server, &stopping, fd, listen_fd] {
+        // Join the handlers of connections that have ended, so a
+        // long-lived daemon holds threads (and their stacks) only for
+        // open connections.
+        connections.remove_if(
+            [](const Connection &conn) { return conn.done.load(); });
+        Connection &c = connections.emplace_back();
+        c.thread = std::thread([&server, &stopping, &c, fd, listen_fd] {
             if (serveConnection(server, fd)) {
-                // Wake the accept() below so the daemon can exit.
+                // Wake the accept() above so the daemon can exit.
                 stopping.store(true);
                 ::shutdown(listen_fd, SHUT_RDWR);
             }
             ::close(fd);
+            c.done.store(true);
         });
     }
     ::close(listen_fd);
     ::unlink(socket_path.c_str());
-    for (std::thread &t : workers)
-        t.join();
+    connections.clear(); // joins the handlers still serving
     return 0;
 }
 

@@ -2,7 +2,8 @@
  * @file
  * Unix-domain-socket transport for the serve daemon: a SOCK_STREAM
  * listener speaking the line-oriented JSON protocol (protocol.h), one
- * handler thread per accepted connection. The transport owns no
+ * handler thread per open connection (a finished connection's thread
+ * is joined at the next accept). The transport owns no
  * request logic — every line goes through Server::handle, so socket
  * clients and `--request` driver runs observe identical behavior.
  */

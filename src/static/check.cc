@@ -7,7 +7,6 @@
 
 #include "core/control_stack.h"
 #include "core/instrument.h"
-#include "static/passes/range.h"
 #include "wasm/validator.h"
 
 namespace wasabi::static_analysis {
@@ -106,13 +105,12 @@ class Checker {
         }
         if (info_) {
             checkMetadata(*info_);
-        } else if (opts_.checkSideTables) {
+        } else {
             // The two-binary path has no side-table metadata in the
             // artifact; regenerate it and check the instrumenter's
             // output (also cross-checking the hook-import set).
             core::InstrumentOptions iopts;
             iopts.splitI64 = split_;
-            iopts.importModule = opts_.importModule;
             core::InstrumentResult ref =
                 core::instrument(orig_, hooks_, iopts);
             compareHookSets(ref.info->hooks);
@@ -166,14 +164,14 @@ class Checker {
         std::unordered_set<std::string> seen;
         for (uint32_t i = base_; i < instr_imports; ++i) {
             const Function &hf = instr_.functions[i];
-            if (hf.import->module != opts_.importModule) {
+            if (hf.import->module != core::kHookImportModule) {
                 diags_.error("check.hooks.layout",
                              "import " + std::to_string(i) + " (" +
                                  hf.import->module + "." +
                                  hf.import->name +
                                  ") interleaved with hook imports of "
                                  "module '" +
-                                 opts_.importModule + "'");
+                                 core::kHookImportModule + "'");
                 return false;
             }
             std::optional<HookSpec> spec =
@@ -227,7 +225,7 @@ class Checker {
             split_ = info_->splitI64;
             hooks_ = info_->instrumentedHooks;
         } else {
-            split_ = opts_.splitI64.value_or(detectSplit());
+            split_ = detectSplit();
             if (opts_.hooks) {
                 hooks_ = *opts_.hooks;
             } else {
@@ -1291,45 +1289,7 @@ Diagnostics
 checkInstrumentation(const core::StaticInfo &info,
                      const Module &instrumented)
 {
-    CheckOptions opts;
-    opts.importModule = info.importModule;
-    return Checker(*info.original, instrumented, opts, &info).run();
-}
-
-namespace {
-
-Diagnostics
-badRangeManifest(const std::string &err)
-{
-    Diagnostics ds;
-    ds.error("check.range.bad-manifest",
-             "cannot parse range manifest: " + err);
-    return ds;
-}
-
-} // namespace
-
-Diagnostics
-checkRangeManifest(const Module &original, const json::Value &manifest,
-                   unsigned num_threads)
-{
-    passes::RangeClaims claims;
-    std::string err;
-    if (!passes::rangeClaimsFromManifest(manifest, &claims, &err))
-        return badRangeManifest(err);
-    return passes::checkRangeClaims(original, claims, num_threads);
-}
-
-Diagnostics
-checkRangeManifest(const Module &original,
-                   const std::string &manifest_text,
-                   unsigned num_threads)
-{
-    std::string err;
-    std::optional<json::Value> doc = json::parse(manifest_text, &err);
-    if (!doc)
-        return badRangeManifest(err);
-    return checkRangeManifest(original, *doc, num_threads);
+    return Checker(*info.original, instrumented, {}, &info).run();
 }
 
 } // namespace wasabi::static_analysis

@@ -36,38 +36,28 @@
 #define WASABI_STATIC_CHECK_H
 
 #include <optional>
-#include <string>
 
 #include "core/static_info.h"
 #include "static/diagnostics.h"
-#include "support/json.h"
 
 namespace wasabi::static_analysis {
 
+/**
+ * What the two-binary path cannot recover from the binaries alone.
+ * The rest is derived: hook imports live in core::kHookImportModule,
+ * the i64-split ABI is read off the hook import types, and the
+ * br_table side tables, which are not part of the artifact, are
+ * re-derived by re-running the instrumenter on the original (which
+ * also cross-checks that the binary's hook-import set matches what
+ * the instrumenter produces today).
+ */
 struct CheckOptions {
-    /** Import-module name of the hook imports. */
-    std::string importModule = "wasabi";
-
     /** The hook kinds that were requested at instrumentation time.
      * When unset, the set is inferred from the hook imports actually
      * present (an enabled-but-unused kind leaves no trace, so
      * inference is exact for coverage purposes but cannot flag
      * imports of kinds the user never enabled). */
     std::optional<core::HookSet> hooks;
-
-    /** Whether the i64-split ABI was used; auto-detected from the
-     * hook import types when unset. */
-    std::optional<bool> splitI64;
-
-    /**
-     * Verify branch-target/side-table metadata. Without a StaticInfo
-     * (the two-binary CLI path) the metadata is not part of the
-     * artifact, so the checker re-runs the instrumenter on the
-     * original and checks the freshly produced metadata instead —
-     * this also cross-checks that the artifact's hook-import set
-     * matches what the instrumenter produces today.
-     */
-    bool checkSideTables = true;
 };
 
 /**
@@ -86,24 +76,6 @@ Diagnostics checkInstrumentation(const wasm::Module &original,
  */
 Diagnostics checkInstrumentation(const core::StaticInfo &info,
                                  const wasm::Module &instrumented);
-
-/**
- * Re-prove a range-claim manifest (`wasabi check --manifest=` with a
- * "wasabi-range-manifest"): read @p manifest and re-derive every
- * claimed in-bounds access from @p original with the value-range
- * analysis. Read failures surface as check.range.bad-manifest;
- * semantic failures as check.range.* codes from the range pass. An
- * empty result means every claim re-proved.
- */
-Diagnostics checkRangeManifest(const wasm::Module &original,
-                               const json::Value &manifest,
-                               unsigned num_threads = 1);
-
-/** checkRangeManifest() over the parse of @p manifest_text; a parse
- * failure is a check.range.bad-manifest finding. */
-Diagnostics checkRangeManifest(const wasm::Module &original,
-                               const std::string &manifest_text,
-                               unsigned num_threads = 1);
 
 } // namespace wasabi::static_analysis
 

@@ -22,8 +22,9 @@
  * Every refined callee set is a subset of the seed graph's for the
  * same site and the root set is identical, so refined reachability is
  * a subset of — and refined dead-function detection a superset of —
- * the seed graph's. That monotonicity is what licenses widening the
- * hook optimizer's dead-function elision to this graph.
+ * the seed graph's. That monotonicity is what licenses `wasabi opt`'s
+ * `dead-functions` pass (rewrite/opt.h) to strip every function this
+ * graph proves dead.
  */
 
 #ifndef WASABI_STATIC_INTERPROC_REFINED_CALL_GRAPH_H

@@ -2,34 +2,7 @@
 
 #include <algorithm>
 
-namespace wasabi::static_analysis {
-
-std::optional<ManifestKind>
-manifestKind(const json::Value &doc, std::string *error)
-{
-    std::string err;
-    const json::Value *schema = doc.find("schema");
-    if (!doc.isObject())
-        err = "manifest is not a JSON object";
-    else if (!schema)
-        err = std::string("manifest lacks a \"schema\" field "
-                          "(expected \"") +
-              manifest::kRangeSchema + "\" or \"" +
-              manifest::kOptSchema + "\")";
-    else if (!schema->isString())
-        err = "manifest \"schema\" is not a string";
-    else if (schema->str == manifest::kRangeSchema)
-        return ManifestKind::Range;
-    else if (schema->str == manifest::kOptSchema)
-        return ManifestKind::Opt;
-    else
-        err = "unknown manifest schema \"" + schema->str + "\"";
-    if (error)
-        *error = err;
-    return std::nullopt;
-}
-
-namespace manifest {
+namespace wasabi::static_analysis::manifest {
 
 bool
 checkTopLevel(const json::Value &doc, const char *schema,
@@ -141,6 +114,4 @@ header(const char *schema)
            "\",\n  \"version\": 1";
 }
 
-} // namespace manifest
-
-} // namespace wasabi::static_analysis
+} // namespace wasabi::static_analysis::manifest

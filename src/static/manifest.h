@@ -1,18 +1,13 @@
 /**
  * @file
- * Claim manifests: the one router and the shared reading/writing
- * helpers for the two JSON manifests that `wasabi check --manifest=`
- * re-proves.
+ * Claim manifests: the reading/writing helpers behind the one JSON
+ * manifest schema, "wasabi-opt-manifest" (rewrite/opt.h), which
+ * `wasabi opt` writes and `wasabi check --manifest=` re-proves.
  *
- *  - "wasabi-range-manifest" (passes/range.h), from `wasabi analyze
- *    --ranges`;
- *  - "wasabi-opt-manifest" (rewrite/opt.h), from `wasabi opt`.
- *
- * Every manifest is read by parsing the text once with the tree's one
- * JSON reader (support/json.h) and walking the tree. Both share the
- * same strictness: a closed top-level key set with no duplicate keys,
- * the kind's "schema", "version": 1, and numbers that are integers in
- * [0, 2^32-1].
+ * A manifest is read by parsing the text once with the tree's one
+ * JSON reader (support/json.h) and walking the tree, strictly: a
+ * closed top-level key set with no duplicate keys, the "schema",
+ * "version": 1, and numbers that are integers in [0, 2^32-1].
  */
 
 #ifndef WASABI_STATIC_MANIFEST_H
@@ -30,24 +25,8 @@
 
 #include "support/json.h"
 
-namespace wasabi::static_analysis {
+namespace wasabi::static_analysis::manifest {
 
-/** The two manifest kinds `wasabi check --manifest=` accepts. */
-enum class ManifestKind { Range, Opt };
-
-/**
- * Route a parsed manifest on its top-level "schema" field:
- * "wasabi-range-manifest" → Range, "wasabi-opt-manifest" → Opt.
- * Anything else (not an object, no schema, a non-string or unknown
- * schema) returns nullopt and sets @p error. Only the top level
- * counts: a schema string nested in a value routes nowhere.
- */
-std::optional<ManifestKind> manifestKind(const json::Value &doc,
-                                         std::string *error);
-
-namespace manifest {
-
-inline constexpr const char *kRangeSchema = "wasabi-range-manifest";
 inline constexpr const char *kOptSchema = "wasabi-opt-manifest";
 
 /**
@@ -180,8 +159,6 @@ appendRows(std::string &out, const char *key,
                 [](const Claim &c) { return toRow<N>(c); });
 }
 
-} // namespace manifest
-
-} // namespace wasabi::static_analysis
+} // namespace wasabi::static_analysis::manifest
 
 #endif // WASABI_STATIC_MANIFEST_H

@@ -13,7 +13,6 @@
 #include "static/dataflow.h"
 #include "static/interproc/refined_call_graph.h"
 #include "static/interproc/scc.h"
-#include "static/manifest.h"
 #include "static/passes/constprop.h"
 
 namespace wasabi::static_analysis::passes {
@@ -1242,136 +1241,6 @@ moduleRanges(const Module &m, unsigned num_threads)
     for (std::thread &t : pool)
         t.join();
     return mr;
-}
-
-// ----- claims + manifest -------------------------------------------------
-
-RangeClaims
-provableRangeClaims(const ModuleRanges &mr)
-{
-    RangeClaims c;
-    c.minPages = mr.minPages;
-    for (uint32_t f = 0; f < mr.functions.size(); ++f) {
-        for (const MemAccess &a : mr.functions[f].accesses) {
-            if (a.proven)
-                c.claims.push_back(RangeClaim{f, a.instr});
-        }
-    }
-    std::sort(c.claims.begin(), c.claims.end(),
-              [](const RangeClaim &a, const RangeClaim &b) {
-                  return a.func != b.func ? a.func < b.func
-                                          : a.instr < b.instr;
-              });
-    c.claims.erase(std::unique(c.claims.begin(), c.claims.end()),
-                   c.claims.end());
-    return c;
-}
-
-std::string
-rangeClaimsToManifest(const RangeClaims &c)
-{
-    std::string out = manifest::header(manifest::kRangeSchema);
-    out += ",\n  \"minPages\": " + std::to_string(c.minPages) + ",\n";
-    out += "  \"claims\": [";
-    for (size_t i = 0; i < c.claims.size(); ++i) {
-        out += i ? ",\n    " : "\n    ";
-        out += "[" + std::to_string(c.claims[i].func) + ", " +
-               std::to_string(c.claims[i].instr) + "]";
-    }
-    out += c.claims.empty() ? "]\n" : "\n  ]\n";
-    out += "}\n";
-    return out;
-}
-
-bool
-rangeClaimsFromManifest(const json::Value &doc, RangeClaims *out,
-                        std::string *error)
-{
-    RangeClaims c;
-    std::string err;
-    const json::Value *pages = doc.find("minPages");
-    std::optional<uint32_t> min_pages =
-        pages ? manifest::toU32(*pages) : uint32_t{0};
-    bool ok = manifest::checkTopLevel(doc, manifest::kRangeSchema,
-                                      {"minPages", "claims"}, err) &&
-              manifest::readRows<2>(doc, "claims", c.claims, err);
-    if (ok && !min_pages) {
-        err = "manifest field \"minPages\" is not an integer in "
-              "[0, 4294967295]";
-        ok = false;
-    }
-    if (!ok) {
-        if (error)
-            *error = err;
-        return false;
-    }
-    c.minPages = *min_pages;
-    *out = std::move(c);
-    return true;
-}
-
-bool
-rangeClaimsFromManifest(const std::string &text, RangeClaims *out,
-                        std::string *error)
-{
-    std::optional<json::Value> doc = json::parse(text, error);
-    return doc && rangeClaimsFromManifest(*doc, out, error);
-}
-
-Diagnostics
-checkRangeClaims(const Module &m, const RangeClaims &c,
-                 unsigned num_threads)
-{
-    Diagnostics ds;
-    if (m.memories.empty()) {
-        ds.error("check.range.bad-memory",
-                 "manifest claims in-bounds accesses but the module "
-                 "declares no memory");
-        return ds;
-    }
-    if (m.memories[0].limits.min != c.minPages) {
-        ds.error("check.range.bad-memory",
-                 "manifest was proved against min memory of " +
-                     std::to_string(c.minPages) +
-                     " pages but the module declares " +
-                     std::to_string(m.memories[0].limits.min));
-        return ds;
-    }
-
-    // Re-derive what is provable and require claimed ⊆ provable.
-    ModuleRanges mr = moduleRanges(m, num_threads);
-    RangeClaims provable = provableRangeClaims(mr);
-    std::set<std::pair<uint32_t, uint32_t>> proven;
-    for (const RangeClaim &p : provable.claims)
-        proven.insert({p.func, p.instr});
-
-    for (const RangeClaim &claim : c.claims) {
-        if (claim.func >= m.numFunctions() ||
-            m.functions[claim.func].imported() ||
-            claim.instr >= m.functions[claim.func].body.size()) {
-            ds.error("check.range.bad-location",
-                     "claim names no instruction of a defined "
-                     "function",
-                     claim.func, claim.instr);
-            continue;
-        }
-        OpClass cls =
-            wasm::opInfo(m.functions[claim.func].body[claim.instr].op)
-                .cls;
-        if (cls != OpClass::Load && cls != OpClass::Store) {
-            ds.error("check.range.bad-location",
-                     "claimed instruction is not a load or store",
-                     claim.func, claim.instr);
-            continue;
-        }
-        if (!proven.count({claim.func, claim.instr})) {
-            ds.error("check.range.unprovable",
-                     "claimed in-bounds access is not re-provable by "
-                     "the range analysis",
-                     claim.func, claim.instr);
-        }
-    }
-    return ds;
 }
 
 // ----- views -------------------------------------------------------------

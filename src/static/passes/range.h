@@ -9,13 +9,14 @@
  * PR-3 Tarjan-SCC condensation (top-down, callers before callees) with
  * byte-identical results at any thread count.
  *
- * The facts feed three consumers:
+ * The facts feed two consumers:
  *  - `wasabi lint` (lint.range.* diagnostics: provably out-of-bounds
- *    accesses, constant division by zero, dead guard branches),
- *  - `wasabi analyze --ranges` (JSON and per-function DOT views), and
- *  - RangeClaims ("this access is in bounds for every execution given
- *    the declared minimum memory"), exported as a claim manifest that
- *    `wasabi check --manifest=` re-proves (check.range.* codes).
+ *    accesses, constant division by zero, dead guard branches), and
+ *  - `wasabi analyze --ranges` (JSON and per-function DOT views),
+ *    which lists each proven access ("in bounds for every execution
+ *    given the declared minimum memory", MemAccess::proven).
+ * No engine or rewriter acts on a proven access; the dynamic oracle
+ * in tests/range_claim_oracle.h checks them against real executions.
  */
 
 #ifndef WASABI_STATIC_PASSES_RANGE_H
@@ -25,8 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "static/diagnostics.h"
-#include "support/json.h"
 #include "wasm/module.h"
 
 namespace wasabi::static_analysis::passes {
@@ -116,51 +115,10 @@ ModuleRanges moduleRanges(const wasm::Module &m, unsigned num_threads = 0);
  * Test-only: override the per-function solver pop budget (0 restores
  * the default 64·blocks+4096 formula). Forces the iteration cap
  * deterministically so tests can cover the discard path; never set in
- * production — the claim checker must run the same budget as the
- * producer.
+ * production — `lint`, `analyze --ranges` and the oracle must all see
+ * the same facts for one module.
  */
 void setRangeSolverBudgetForTest(uint64_t budget);
-
-// ----- claims + manifest -------------------------------------------------
-
-/** One claim: the load/store at (func, instr) is in bounds for every
- * execution given the module's declared minimum memory size. */
-struct RangeClaim {
-    uint32_t func = 0;
-    uint32_t instr = 0;
-
-    bool operator==(const RangeClaim &other) const = default;
-};
-
-struct RangeClaims {
-    uint32_t minPages = 0;
-    std::vector<RangeClaim> claims; ///< sorted by (func, instr)
-};
-
-/** All proven accesses of @p mr as a deterministic claim set. */
-RangeClaims provableRangeClaims(const ModuleRanges &mr);
-
-/** Serialize to the "wasabi-range-manifest" v1 JSON format. */
-std::string rangeClaimsToManifest(const RangeClaims &c);
-
-/** Read a parsed manifest (see static/manifest.h for the shared
- * strictness rules); on failure returns false and sets @p error. */
-bool rangeClaimsFromManifest(const json::Value &doc, RangeClaims *out,
-                             std::string *error);
-
-/** rangeClaimsFromManifest() over the parse of @p text. */
-bool rangeClaimsFromManifest(const std::string &text, RangeClaims *out,
-                             std::string *error);
-
-/**
- * Re-prove every claim against @p m from scratch (check.range.*
- * codes): the declared memory must match (check.range.bad-memory),
- * every location must be a load/store of a defined function
- * (check.range.bad-location), and every claim must be re-derivable by
- * the analysis — claimed ⊆ provable (check.range.unprovable).
- */
-Diagnostics checkRangeClaims(const wasm::Module &m, const RangeClaims &c,
-                             unsigned num_threads = 0);
 
 // ----- views -------------------------------------------------------------
 

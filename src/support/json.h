@@ -2,7 +2,7 @@
  * @file
  * The one JSON reader of the tree, a minimal recursive-descent parser
  * into a small tagged tree. It backs every reader of JSON input: the
- * three claim manifests (`wasabi check --manifest=`, see
+ * opt claim manifest (`wasabi check --manifest=`, see
  * static/manifest.h), `serve` request lines, profile schema validation
  * (`wasabi profile --check=`) and trace-event checks in tests. The
  * writers emit JSON by hand and share escape(). Not a general-purpose

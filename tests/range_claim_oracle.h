@@ -1,10 +1,12 @@
 /**
  * @file
- * Test helper: the dynamic soundness oracle for RangeClaims. A
- * RangeClaim says one load/store is in bounds on every execution
- * given the declared minimum memory. The oracle runs a module with
- * every hook attached and, at each claimed location, checks that
- * addr + offset + access width <= minPages * 64 KiB (in u64).
+ * Test helper: the dynamic soundness oracle for the range analysis's
+ * proven accesses (MemAccess::proven, "proven" in `wasabi analyze
+ * --ranges`). Each says one load/store is in bounds on every
+ * execution given the declared minimum memory. The oracle runs a
+ * module with every hook attached and, at each claimed location,
+ * checks that addr + offset + access width <= minPages * 64 KiB (in
+ * u64).
  *
  * Hooks fire after their access, so an access that traps never
  * reaches onLoad/onStore. Every other instruction fires a hook once
@@ -37,22 +39,36 @@ using core::BlockKind;
 using core::BranchTarget;
 using core::Location;
 
-/** The claims `wasabi analyze --ranges --manifest-out=` would emit. */
-inline static_analysis::passes::RangeClaims
+/** Accesses claimed in bounds for a memory of minPages pages. */
+struct AccessClaims {
+    uint32_t minPages = 0;
+    std::vector<Location> locs;
+};
+
+/** The proven accesses of moduleRanges(@p m, 1), as claims. */
+inline AccessClaims
 provableClaims(const wasm::Module &m)
 {
-    using namespace static_analysis::passes;
-    return provableRangeClaims(moduleRanges(m, 1));
+    static_analysis::passes::ModuleRanges mr =
+        static_analysis::passes::moduleRanges(m, 1);
+    AccessClaims c{mr.minPages, {}};
+    for (uint32_t f = 0; f < mr.functions.size(); ++f) {
+        for (const static_analysis::passes::MemAccess &a :
+             mr.functions[f].accesses) {
+            if (a.proven)
+                c.locs.push_back({f, a.instr});
+        }
+    }
+    return c;
 }
 
 class RangeClaimOracle final : public runtime::Analysis {
   public:
-    explicit RangeClaimOracle(
-        const static_analysis::passes::RangeClaims &claims)
+    explicit RangeClaimOracle(const AccessClaims &claims)
         : limit_(uint64_t{claims.minPages} * wasm::kPageSize)
     {
-        for (const static_analysis::passes::RangeClaim &c : claims.claims)
-            claimed_.insert(core::packLoc({c.func, c.instr}));
+        for (Location loc : claims.locs)
+            claimed_.insert(core::packLoc(loc));
     }
 
     core::HookSet hooks() const override { return core::HookSet::all(); }
@@ -199,7 +215,7 @@ struct OracleRun {
  */
 inline OracleRun
 runRangeOracle(const workloads::Workload &w,
-               const static_analysis::passes::RangeClaims &claims,
+               const AccessClaims &claims,
                OracleMode mode = OracleMode::Intrinsic,
                std::optional<uint64_t> fuel = std::nullopt)
 {
@@ -244,7 +260,7 @@ runRangeOracle(const workloads::Workload &w,
 inline uint64_t
 expectClaimsHold(const workloads::Workload &w, const std::string &what)
 {
-    static_analysis::passes::RangeClaims claims = provableClaims(w.module);
+    AccessClaims claims = provableClaims(w.module);
     OracleRun ref = runRangeOracle(w, claims);
     EXPECT_EQ(ref.violationCount, 0u)
         << what << ": " << ::testing::PrintToString(ref.violations);

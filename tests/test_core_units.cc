@@ -57,6 +57,30 @@ TEST(HookSetTest, FigureOrderHas21Kinds)
     EXPECT_EQ(figureOrderHookKinds().back(), HookKind::BrTable);
 }
 
+TEST(HookSetTest, ParseHookSetAcceptsListsAndRejectsBadSegments)
+{
+    std::string error;
+    EXPECT_EQ(parseHookSet("", &error), HookSet::all());
+    EXPECT_EQ(parseHookSet("all", &error), HookSet::all());
+    EXPECT_EQ(parseHookSet("load,store", &error),
+              (HookSet{HookKind::Load, HookKind::Store}));
+    EXPECT_EQ(parseHookSet("br_table", &error),
+              HookSet::only(HookKind::BrTable));
+    for (const char *bad : {"load,", ",load", "load,,store", ","}) {
+        error.clear();
+        EXPECT_EQ(parseHookSet(bad, &error), std::nullopt) << bad;
+        EXPECT_NE(error.find("empty hook kind"), std::string::npos)
+            << bad << ": " << error;
+    }
+    for (const char *bad : {"bogus", "load,bogus", "all,load", "Load"}) {
+        error.clear();
+        EXPECT_EQ(parseHookSet(bad, &error), std::nullopt) << bad;
+        EXPECT_NE(error.find("unknown hook kind"), std::string::npos)
+            << bad << ": " << error;
+    }
+    EXPECT_EQ(parseHookSet("bogus", nullptr), std::nullopt);
+}
+
 // ---------------------------------------------------------------------
 // HookSpec mangling and low-level types.
 

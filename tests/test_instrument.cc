@@ -32,7 +32,7 @@ noopLinker(const StaticInfo &info)
 {
     Linker linker;
     for (const HookSpec &spec : info.hooks) {
-        linker.func(info.importModule, mangledName(spec),
+        linker.func(core::kHookImportModule, mangledName(spec),
                     [](Instance &, std::span<const Value>,
                        std::vector<Value> &) {});
     }
@@ -52,7 +52,7 @@ recordingLinker(const StaticInfo &info, std::vector<HookCall> &calls)
     Linker linker;
     for (const HookSpec &spec : info.hooks) {
         std::string name = mangledName(spec);
-        linker.func(info.importModule, name,
+        linker.func(core::kHookImportModule, name,
                     [&calls, name](Instance &, std::span<const Value> args,
                                    std::vector<Value> &) {
                         calls.push_back(

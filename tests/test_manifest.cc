@@ -1,18 +1,17 @@
 /**
  * @file
- * The claim-manifest layer (static/manifest.h): routing on the
- * top-level "schema" field, and robustness of the two readers.
- * Emitted manifests of every kind, from PolyBench kernels and random
- * programs, are byte-flipped, truncated and spliced with another
- * kind's fields; the router and every reader must then return a
- * result or an error with a message, never throw or crash. Seeded and
- * deterministic.
+ * The claim-manifest layer (static/manifest.h) behind the one
+ * manifest schema, "wasabi-opt-manifest": the reader honours only the
+ * top-level "schema", and it is robust. Emitted manifests, from
+ * PolyBench kernels and random programs, are byte-flipped, truncated
+ * and spliced with fields of other formats; the reader must then
+ * return a result or an error with a message, never throw or crash.
+ * Seeded and deterministic.
  */
 
 #include <gtest/gtest.h>
 
 #include "static/manifest.h"
-#include "static/passes/range.h"
 #include "static/rewrite/opt.h"
 #include "workloads/polybench.h"
 #include "workloads/random_program.h"
@@ -20,49 +19,42 @@
 namespace wasabi::static_analysis {
 namespace {
 
-/** Route @p text: parse, then manifestKind(); nullopt if either
- * fails (with a message). */
-std::optional<ManifestKind>
-route(const std::string &text)
+/** Read @p text as an opt manifest; an error always has a message. */
+bool
+read(const std::string &text)
 {
+    rewrite::OptClaims claims;
     std::string error;
-    std::optional<json::Value> doc = json::parse(text, &error);
-    std::optional<ManifestKind> kind =
-        doc ? manifestKind(*doc, &error) : std::nullopt;
-    EXPECT_EQ(kind.has_value(), error.empty()) << text << "\n" << error;
-    return kind;
+    bool ok = false;
+    EXPECT_NO_THROW(ok = rewrite::claimsFromManifest(text, claims, &error))
+        << text;
+    EXPECT_TRUE(ok || !error.empty()) << text;
+    return ok;
 }
 
-TEST(ManifestRouter, RoutesOnTopLevelSchemaOnly)
+TEST(OptManifest, SchemaCountsOnlyAtTopLevel)
 {
     // Not JSON objects at all.
-    EXPECT_EQ(route(""), std::nullopt);
-    EXPECT_EQ(route("schema: wasabi-range-manifest"), std::nullopt);
-    EXPECT_EQ(route("[\"wasabi-range-manifest\"]"), std::nullopt);
-    // A file of another manifest kind that merely mentions a schema
-    // string in a value must not be routed by it.
-    EXPECT_EQ(route("{\"schema\": \"wasabi-opt-manifest\", "
-                    "\"version\": 1, \"note\": \"wasabi-range-manifest\"}"),
-              ManifestKind::Opt);
-    EXPECT_EQ(route("{\"claims\": [\"wasabi-range-manifest\"], "
-                    "\"version\": 1}"),
-              std::nullopt);
-    // No schema at all is an error: the schema-less instrumentation
-    // plan is no longer a manifest kind.
-    EXPECT_EQ(route("{\"version\": 1, \"skips\": [], "
-                    "\"note\": \"wasabi-opt-manifest\"}"),
-              std::nullopt);
-    EXPECT_EQ(route("{}"), std::nullopt);
+    EXPECT_FALSE(read(""));
+    EXPECT_FALSE(read("schema: wasabi-opt-manifest"));
+    EXPECT_FALSE(read("[\"wasabi-opt-manifest\"]"));
+    // A schema string nested in a value is not a schema.
+    EXPECT_FALSE(read("{\"passes\": [\"wasabi-opt-manifest\"], "
+                      "\"version\": 1}"));
+    // No schema at all is an error, whatever else the file holds.
+    EXPECT_FALSE(read("{\"version\": 1, \"skips\": []}"));
+    EXPECT_FALSE(read("{}"));
     // The top-level schema field decides, wherever it appears.
-    EXPECT_EQ(route("{\"version\": 1, \"minPages\": 1, "
-                    "\"claims\": [[0, 3]], "
-                    "\"schema\": \"wasabi-range-manifest\"}"),
-              ManifestKind::Range);
-    EXPECT_EQ(route("{\"schema\": \"wasabi-range-manifest\"}"),
-              ManifestKind::Range);
+    EXPECT_TRUE(read("{\"version\": 1, \"passes\": [], "
+                     "\"schema\": \"wasabi-opt-manifest\"}"));
+    // The retired range-claim format is one more foreign document.
+    EXPECT_FALSE(read("{\"schema\": \"wasabi-range-manifest\", "
+                      "\"version\": 1, \"minPages\": 1, \"claims\": []}"));
+    EXPECT_FALSE(read("{\"schema\": \"wasabi-range-manifest\", "
+                      "\"version\": 1}"));
     // A schema the checker does not know is an error.
-    EXPECT_EQ(route("{\"schema\": \"wasabi-hook-plan\"}"), std::nullopt);
-    EXPECT_EQ(route("{\"schema\": 1, \"version\": 1}"), std::nullopt);
+    EXPECT_FALSE(read("{\"schema\": \"wasabi-hook-plan\", \"version\": 1}"));
+    EXPECT_FALSE(read("{\"schema\": 1, \"version\": 1}"));
 }
 
 // ----- fuzz ----------------------------------------------------------
@@ -77,13 +69,11 @@ mix(uint64_t &state)
     return z ^ (z >> 31);
 }
 
-/** Emitted manifests of both kinds, indexed by ManifestKind. */
-using Corpus = std::vector<std::array<std::string, 2>>;
-
-const Corpus &
+/** Emitted opt manifests. */
+const std::vector<std::string> &
 corpus()
 {
-    static Corpus c = [] {
+    static std::vector<std::string> c = [] {
         std::vector<wasm::Module> modules;
         for (const char *k : {"gemm", "atax", "floyd-warshall", "durbin"})
             modules.push_back(workloads::polybench(k, 8).module);
@@ -92,58 +82,35 @@ corpus()
             opts.seed = seed;
             modules.push_back(workloads::randomProgram(opts).module);
         }
-        Corpus out;
-        for (const wasm::Module &m : modules) {
-            out.push_back({
-                passes::rangeClaimsToManifest(passes::provableRangeClaims(
-                    passes::moduleRanges(m, 1))),
-                rewrite::claimsToManifest(
-                    rewrite::optimize(m, rewrite::allOptPasses()).claims),
-            });
-        }
+        std::vector<std::string> out;
+        for (const wasm::Module &m : modules)
+            out.push_back(rewrite::claimsToManifest(
+                rewrite::optimize(m, rewrite::allOptPasses()).claims));
         return out;
     }();
     return c;
 }
 
-/** Feed @p text to the router and every reader: each must return a
- * result or an error with a message, never throw. */
-void
-feed(const std::string &text)
+const std::string &
+pick(uint64_t &rng)
 {
-    std::string range_err, opt_err;
-    bool range_ok = false, opt_ok = false;
-    EXPECT_NO_THROW({
-        route(text);
-        passes::RangeClaims range;
-        range_ok =
-            passes::rangeClaimsFromManifest(text, &range, &range_err);
-        rewrite::OptClaims opt;
-        opt_ok = rewrite::claimsFromManifest(text, opt, &opt_err);
-    }) << text;
-    EXPECT_TRUE(range_ok || !range_err.empty()) << text;
-    EXPECT_TRUE(opt_ok || !opt_err.empty()) << text;
+    return corpus()[mix(rng) % corpus().size()];
 }
 
 TEST(ManifestFuzz, EmittedManifestsRouteAndRead)
 {
-    for (const auto &kinds : corpus()) {
-        for (size_t k = 0; k < kinds.size(); ++k) {
-            EXPECT_EQ(route(kinds[k]), static_cast<ManifestKind>(k));
-            feed(kinds[k]);
-        }
-    }
+    for (const std::string &text : corpus())
+        EXPECT_TRUE(read(text)) << text;
 }
 
 TEST(ManifestFuzz, ByteFlipsNeverCrash)
 {
     uint64_t rng = 0x5EED;
     for (int i = 0; i < 1500; ++i) {
-        const auto &kinds = corpus()[mix(rng) % corpus().size()];
-        std::string text = kinds[mix(rng) % kinds.size()];
+        std::string text = pick(rng);
         for (uint64_t n = 1 + mix(rng) % 3; n > 0; --n)
             text[mix(rng) % text.size()] = static_cast<char>(mix(rng));
-        feed(text);
+        read(text);
     }
 }
 
@@ -151,9 +118,8 @@ TEST(ManifestFuzz, TruncationsNeverCrash)
 {
     uint64_t rng = 0x7A1u;
     for (int i = 0; i < 600; ++i) {
-        const auto &kinds = corpus()[mix(rng) % corpus().size()];
-        const std::string &text = kinds[mix(rng) % kinds.size()];
-        feed(text.substr(0, mix(rng) % text.size()));
+        const std::string &text = pick(rng);
+        read(text.substr(0, mix(rng) % text.size()));
     }
 }
 
@@ -179,25 +145,37 @@ fieldLines(const std::string &text)
 
 TEST(ManifestFuzz, SplicedFieldsOfAnotherKindAreRejectedOrRead)
 {
+    // Fields of other formats: the retired range-claim manifest, the
+    // schema-less instrumentation plan and the retired interprocedural
+    // claim kinds. None belongs to the opt schema, so every splice is
+    // an unknown field.
+    const std::vector<std::string> foreign = {
+        "  \"minPages\": 1",
+        "  \"claims\": [[0, 3], [1, 7]]",
+        "  \"claims\": []",
+        "  \"skips\": []",
+        "  \"ipoConstArgs\": []",
+    };
     uint64_t rng = 0x5B11CE;
     for (int i = 0; i < 900; ++i) {
-        const auto &kinds = corpus()[mix(rng) % corpus().size()];
-        size_t into = mix(rng) % kinds.size();
-        size_t from = (into + 1) % kinds.size();
-        std::vector<std::string> donor = fieldLines(kinds[from]);
-        ASSERT_FALSE(donor.empty());
-        const std::string &field = donor[mix(rng) % donor.size()];
-        std::string text = kinds[into];
+        std::string text = pick(rng);
+        const std::string &field = foreign[mix(rng) % foreign.size()];
         // Insert the foreign field after the opening brace, or in
         // place of one of the host's own field lines.
         if (mix(rng) % 2) {
             text.insert(text.find('{') + 1, "\n" + field + ",");
         } else {
             std::vector<std::string> own = fieldLines(text);
+            ASSERT_FALSE(own.empty());
             const std::string &victim = own[mix(rng) % own.size()];
             text.replace(text.find(victim), victim.size(), field);
         }
-        feed(text);
+        rewrite::OptClaims claims;
+        std::string error;
+        EXPECT_FALSE(rewrite::claimsFromManifest(text, claims, &error))
+            << text;
+        EXPECT_NE(error.find("unknown manifest field"), std::string::npos)
+            << text << "\n" << error;
     }
 }
 

@@ -2,19 +2,19 @@
  * @file
  * Tests of the value-range abstract interpretation (interval domain,
  * threshold widening, branch-condition edge refinement, interprocedural
- * argument seeding), the RangeClaim manifest round trip with tamper
- * rejection, the lint.range.* diagnostics, the deterministic JSON/DOT
- * views, and the dynamic oracle that checks every claimed access
- * stays inside the claimed memory (tests/range_claim_oracle.h).
+ * argument seeding), the lint.range.* diagnostics, the deterministic
+ * JSON/DOT views, and the dynamic oracle that checks every proven
+ * access stays inside the declared minimum memory
+ * (tests/range_claim_oracle.h).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "interp/interpreter.h"
 #include "range_claim_oracle.h"
 #include "static/analyze.h"
-#include "static/check.h"
-#include "static/manifest.h"
 #include "static/passes/constprop.h"
 #include "static/passes/pipeline.h"
 #include "static/passes/range.h"
@@ -409,15 +409,18 @@ TEST(Range, JsonIsByteIdenticalAcrossThreadCounts)
 
 TEST(Range, PolybenchKernelsYieldClaims)
 {
-    // The paper-style payoff: counted-loop kernels must produce a
-    // non-empty provable claim set.
+    // The paper-style payoff: counted-loop kernels must have proven
+    // in-bounds accesses.
     for (const std::string &name :
          {std::string("gemm"), std::string("atax"),
           std::string("mvt")}) {
         Workload w = workloads::polybench(name, 16);
-        RangeClaims claims =
-            provableRangeClaims(moduleRanges(w.module, 1));
-        EXPECT_FALSE(claims.claims.empty()) << name;
+        size_t proven = 0;
+        for (const FunctionRanges &fr : moduleRanges(w.module, 1).functions)
+            proven += std::count_if(
+                fr.accesses.begin(), fr.accesses.end(),
+                [](const MemAccess &a) { return a.proven; });
+        EXPECT_GT(proven, 0u) << name;
     }
 }
 
@@ -436,8 +439,7 @@ TEST(Range, DotViewRendersReachedBlocks)
     EXPECT_NE(dot.find("->"), std::string::npos);
 }
 
-// ----- claim manifest: round trip + tamper rejection -----------------
-
+/** A counted loop of 64 stores whose one store instruction is proven. */
 Module
 provenStoreModule()
 {
@@ -451,131 +453,6 @@ provenStoreModule()
         });
     });
     return mb.build();
-}
-
-TEST(RangeManifest, RoundTripsAndReproves)
-{
-    Module m = provenStoreModule();
-    RangeClaims claims = provableRangeClaims(moduleRanges(m, 1));
-    ASSERT_EQ(claims.claims.size(), 1u);
-    std::string text = rangeClaimsToManifest(claims);
-    std::optional<json::Value> doc = json::parse(text, nullptr);
-    ASSERT_TRUE(doc.has_value());
-    EXPECT_EQ(manifestKind(*doc, nullptr), ManifestKind::Range);
-
-    RangeClaims parsed;
-    std::string error;
-    ASSERT_TRUE(rangeClaimsFromManifest(text, &parsed, &error)) << error;
-    EXPECT_EQ(parsed.minPages, claims.minPages);
-    EXPECT_EQ(parsed.claims, claims.claims);
-
-    EXPECT_TRUE(checkRangeClaims(m, parsed).empty());
-    EXPECT_TRUE(checkRangeManifest(m, text).empty());
-}
-
-TEST(RangeManifest, UnprovableClaimIsRejected)
-{
-    Module m = provenStoreModule();
-    RangeClaims claims = provableRangeClaims(moduleRanges(m, 1));
-    // Forge a claim on an instruction that is a load/store boundary
-    // violation candidate: shift the proven claim to the loop-guard
-    // compare, which is not an access at all.
-    RangeClaims forged = claims;
-    forged.claims[0].instr -= 1;
-    Diagnostics d = checkRangeClaims(m, forged);
-    ASSERT_FALSE(d.empty());
-    EXPECT_TRUE(d.hasCode("check.range.bad-location")) << toString(d);
-}
-
-TEST(RangeManifest, WrongMemoryIsRejected)
-{
-    Module m = provenStoreModule();
-    RangeClaims claims = provableRangeClaims(moduleRanges(m, 1));
-    claims.minPages += 1; // claims proved against a bigger memory
-    Diagnostics d = checkRangeClaims(m, claims);
-    ASSERT_FALSE(d.empty());
-    EXPECT_TRUE(d.hasCode("check.range.bad-memory")) << toString(d);
-}
-
-TEST(RangeManifest, OutOfRangeFunctionIsRejected)
-{
-    Module m = provenStoreModule();
-    RangeClaims claims = provableRangeClaims(moduleRanges(m, 1));
-    claims.claims[0].func = 99;
-    Diagnostics d = checkRangeClaims(m, claims);
-    EXPECT_TRUE(d.hasCode("check.range.bad-location")) << toString(d);
-}
-
-TEST(RangeManifest, TamperedAccessIsUnprovable)
-{
-    // Claim a store the analysis cannot prove: same function shape but
-    // with the memory shrunk after manifest generation is simulated by
-    // hand-editing the claim onto a module whose accesses are dynamic.
-    ModuleBuilder mb;
-    mb.memory(1);
-    mb.addFunction(
-        FuncType({ValType::I32}, {}), "f", [](FunctionBuilder &f) {
-            f.localGet(0).i32Const(3).i32Store(); // arg is top
-        });
-    Module m = mb.build();
-    RangeClaims claims;
-    claims.minPages = 1;
-    claims.claims.push_back({0, 2}); // the i32.store, addr is top
-    Diagnostics d = checkRangeClaims(m, claims);
-    ASSERT_FALSE(d.empty());
-    EXPECT_TRUE(d.hasCode("check.range.unprovable")) << toString(d);
-}
-
-TEST(RangeManifest, MalformedTextIsRejected)
-{
-    Module m = provenStoreModule();
-    for (const char *bad :
-         {"", "{", "{\"schema\": \"wasabi-range-manifest\"}",
-          "{\"schema\": \"wasabi-range-manifest\", \"version\": 2, "
-          "\"minPages\": 1, \"claims\": []}",
-          "{\"schema\": \"wasabi-range-manifest\", \"version\": 1, "
-          "\"minPages\": 1, \"claims\": [[0]]}",
-          // Numbers must be integers in [0, 2^32-1], never rounded.
-          "{\"schema\": \"wasabi-range-manifest\", \"version\": 1, "
-          "\"minPages\": -1, \"claims\": []}",
-          "{\"schema\": \"wasabi-range-manifest\", \"version\": 1, "
-          "\"minPages\": 1.5, \"claims\": []}",
-          "{\"schema\": \"wasabi-range-manifest\", \"version\": 1, "
-          "\"minPages\": 4294967296, \"claims\": []}",
-          "{\"schema\": \"wasabi-range-manifest\", \"version\": 1, "
-          "\"minPages\": 1, \"claims\": [[0, -1]]}",
-          "{\"schema\": \"wasabi-range-manifest\", \"version\": 1, "
-          "\"minPages\": 1, \"claims\": [[0, 1.5]]}",
-          "{\"schema\": \"wasabi-range-manifest\", \"version\": 1, "
-          "\"minPages\": 1, \"claims\": [[4294967296, 0]]}"}) {
-        Diagnostics d = checkRangeManifest(m, bad);
-        EXPECT_TRUE(d.hasCode("check.range.bad-manifest"))
-            << "input: " << bad << "\n"
-            << toString(d);
-    }
-}
-
-TEST(RangeManifest, DuplicateKeyIsRejected)
-{
-    // With duplicates, which value wins would depend on the reader;
-    // the manifest is rejected instead of guessing.
-    Module m = provenStoreModule();
-    std::string text =
-        rangeClaimsToManifest(provableRangeClaims(moduleRanges(m, 1)));
-    ASSERT_TRUE(checkRangeManifest(m, text).empty());
-    for (const char *dup :
-         {"\"minPages\": 7, ", "\"claims\": [], ", "\"version\": 1, ",
-          "\"schema\": \"wasabi-range-manifest\", "}) {
-        std::string bad = text;
-        bad.insert(bad.find('{') + 1, dup);
-        RangeClaims parsed;
-        std::string error;
-        EXPECT_FALSE(rangeClaimsFromManifest(bad, &parsed, &error)) << bad;
-        EXPECT_NE(error.find("duplicate"), std::string::npos) << error;
-        EXPECT_TRUE(checkRangeManifest(m, bad).hasCode(
-            "check.range.bad-manifest"))
-            << bad;
-    }
 }
 
 // ----- lint integration ---------------------------------------------
@@ -669,10 +546,10 @@ using tests::provableClaims;
 using tests::runRangeOracle;
 
 /** Locations of the I32Store instructions of function 0 of @p m. */
-std::vector<RangeClaim>
+std::vector<core::Location>
 i32StoresOf(const Module &m)
 {
-    std::vector<RangeClaim> out;
+    std::vector<core::Location> out;
     const std::vector<wasm::Instr> &body = m.functions.at(0).body;
     for (uint32_t i = 0; i < body.size(); ++i) {
         if (body[i].op == Opcode::I32Store)
@@ -718,8 +595,8 @@ TEST(Elision, CountersAreExact)
     w.module = provenStoreModule();
     w.entry = "f";
     ASSERT_EQ(validationError(w.module), std::nullopt);
-    RangeClaims claims = provableClaims(w.module);
-    ASSERT_EQ(claims.claims.size(), 1u);
+    tests::AccessClaims claims = provableClaims(w.module);
+    ASSERT_EQ(claims.locs.size(), 1u);
     OracleRun run = runRangeOracle(w, claims);
     EXPECT_EQ(run.trap, std::nullopt);
     EXPECT_EQ(run.claimedAccesses, 64u);
@@ -750,8 +627,8 @@ TEST(Elision, UnclaimedAccessStillTraps)
     // on the claimed store that ran just before it.
     Workload w = provenThenDynamicStore(0xFFFFFFF0u);
     ASSERT_EQ(validationError(w.module), std::nullopt);
-    RangeClaims claims = provableClaims(w.module);
-    ASSERT_EQ(claims.claims.size(), 1u);
+    tests::AccessClaims claims = provableClaims(w.module);
+    ASSERT_EQ(claims.locs.size(), 1u);
     OracleRun oob = runRangeOracle(w, claims);
     EXPECT_EQ(oob.trap, TrapKind::MemoryOutOfBounds);
     EXPECT_EQ(oob.claimedAccesses, 1u);
@@ -770,8 +647,8 @@ TEST(Elision, UnclaimedAccessStillTraps)
 TEST(RangeClaimOracle, ForgedClaimOnTrappingAccessIsReported)
 {
     Workload w = provenThenDynamicStore(0xFFFFFFF0u);
-    RangeClaims forged{1, i32StoresOf(w.module)};
-    ASSERT_EQ(forged.claims.size(), 2u);
+    tests::AccessClaims forged{1, i32StoresOf(w.module)};
+    ASSERT_EQ(forged.locs.size(), 2u);
     for (OracleMode mode : {OracleMode::Intrinsic, OracleMode::RewriteFast,
                             OracleMode::RewriteLegacy}) {
         OracleRun run = runRangeOracle(w, forged, mode);
@@ -799,7 +676,7 @@ TEST(RangeClaimOracle, ForgedClaimPastMinimumMemoryIsReported)
     w.module = mb.build();
     w.entry = "f";
     ASSERT_EQ(validationError(w.module), std::nullopt);
-    EXPECT_TRUE(provableClaims(w.module).claims.empty());
+    EXPECT_TRUE(provableClaims(w.module).locs.empty());
     OracleRun run = runRangeOracle(w, {1, i32StoresOf(w.module)});
     EXPECT_EQ(run.trap, std::nullopt);
     EXPECT_EQ(run.claimedAccesses, 1u);

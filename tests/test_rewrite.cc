@@ -541,7 +541,9 @@ TEST(OptManifest, RoundTripsAllClaimKinds)
     std::string text = claimsToManifest(claims);
     std::optional<json::Value> doc = json::parse(text, nullptr);
     ASSERT_TRUE(doc.has_value());
-    EXPECT_EQ(manifestKind(*doc, nullptr), ManifestKind::Opt);
+    const json::Value *schema = doc->find("schema");
+    ASSERT_NE(schema, nullptr);
+    EXPECT_EQ(schema->str, manifest::kOptSchema);
     OptClaims parsed;
     std::string error;
     ASSERT_TRUE(claimsFromManifest(text, parsed, &error)) << error;

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -298,6 +300,24 @@ TEST(ServeErrors, MalformedAndUnknownRequestsNeverKillTheDaemon)
     EXPECT_TRUE(
         hasField(trap.response, "trap", "\"unreachable executed\""));
 
+    // A hook list with an empty segment or an unknown kind is refused
+    // (core::parseHookSet, shared with the CLI), never skipped.
+    const std::string out = testing::TempDir() + "serve_hooks_out.wasm";
+    for (const char *hooks : {"load,", ",load", "load,,store", "bogus"}) {
+        const std::string extra =
+            std::string(", \"hooks\": \"") + hooks + "\"";
+        auto run = server.handle(runRequest(path, extra));
+        EXPECT_TRUE(
+            hasField(run.response, "code", "\"serve.bad-request\""))
+            << hooks << ": " << run.response;
+        auto inst = server.handle("{\"op\": \"instrument\", \"module\": "
+                                  "\"" + path + "\", \"out\": \"" + out +
+                                  "\"" + extra + "}");
+        EXPECT_TRUE(
+            hasField(inst.response, "code", "\"serve.bad-request\""))
+            << hooks << ": " << inst.response;
+    }
+
     // After all of that, a normal request still succeeds.
     auto ok = server.handle(runRequest(path));
     EXPECT_TRUE(hasField(ok.response, "ok", "true")) << ok.response;
@@ -484,6 +504,28 @@ TEST(ServeOps, InstrumentToUnwritablePathIsIoErrorNotDeath)
     EXPECT_TRUE(hasField(ok.response, "ok", "true"));
 }
 
+/** Connect to the daemon at @p sock_path, waiting for its listener
+ * to come up; -1 if it never does. */
+int
+connectTo(const std::string &sock_path)
+{
+    for (int attempt = 0; attempt < 200; ++attempt) {
+        int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        if (fd < 0)
+            return -1;
+        sockaddr_un addr{};
+        addr.sun_family = AF_UNIX;
+        std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s",
+                      sock_path.c_str());
+        if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                      sizeof(addr)) == 0)
+            return fd;
+        ::close(fd);
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return -1;
+}
+
 TEST(ServeSocket, EndToEndOverUnixSocket)
 {
     Server server;
@@ -493,22 +535,7 @@ TEST(ServeSocket, EndToEndOverUnixSocket)
     std::thread daemon(
         [&] { serveUnixSocket(server, sock_path); });
 
-    // Wait for the listener to come up, then connect.
-    int fd = -1;
-    for (int attempt = 0; attempt < 200; ++attempt) {
-        fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        ASSERT_GE(fd, 0);
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s",
-                      sock_path.c_str());
-        if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr)) == 0)
-            break;
-        ::close(fd);
-        fd = -1;
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
+    int fd = connectTo(sock_path);
     ASSERT_GE(fd, 0) << "could not connect to " << sock_path;
 
     const std::string payload = runRequest(wat_path) +
@@ -528,6 +555,92 @@ TEST(ServeSocket, EndToEndOverUnixSocket)
               std::string::npos)
         << replies;
     EXPECT_NE(replies.find("\"op\": \"shutdown\""), std::string::npos);
+}
+
+/** Threads of this process, as /proc/self/task lists them. */
+size_t
+taskCount()
+{
+    size_t n = 0;
+    if (DIR *d = ::opendir("/proc/self/task")) {
+        while (dirent *e = ::readdir(d))
+            n += e->d_name[0] != '.';
+        ::closedir(d);
+    }
+    return n;
+}
+
+/** This process's mapped address space (VmSize), in KiB. */
+uint64_t
+vmSizeKib()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmSize:", 0) == 0)
+            return std::stoull(line.substr(7));
+    }
+    return 0;
+}
+
+/** Send one request line on a fresh connection, read its reply line,
+ * and hang up. */
+std::string
+oneShot(const std::string &sock_path, const std::string &request)
+{
+    int fd = connectTo(sock_path);
+    EXPECT_GE(fd, 0) << "could not connect to " << sock_path;
+    if (fd < 0)
+        return "";
+    const std::string line = request + "\n";
+    EXPECT_EQ(::send(fd, line.data(), line.size(), 0),
+              static_cast<ssize_t>(line.size()));
+    std::string reply;
+    char buf[4096];
+    ssize_t n;
+    while (reply.find('\n') == std::string::npos &&
+           (n = ::recv(fd, buf, sizeof(buf), 0)) > 0)
+        reply.append(buf, static_cast<size_t>(n));
+    ::close(fd);
+    return reply;
+}
+
+TEST(ServeSocket, FinishedConnectionThreadsAreReaped)
+{
+    Server server;
+    const std::string sock_path = testing::TempDir() + "serve_reap.sock";
+    const std::string wat_path = writeTemp("reap.wat", kAddWat);
+    std::thread daemon(
+        [&] { serveUnixSocket(server, sock_path); });
+
+    // Warm up: the listener, the module cache and malloc's arenas.
+    for (int i = 0; i < 4; ++i)
+        oneShot(sock_path, runRequest(wat_path));
+    const size_t tasks_before = taskCount();
+    const uint64_t vm_before = vmSizeKib();
+    for (int i = 0; i < 64; ++i) {
+        std::string reply = oneShot(sock_path, runRequest(wat_path));
+        EXPECT_TRUE(hasField(reply, "ok", "true")) << i << ": " << reply;
+    }
+    const size_t tasks_after = taskCount();
+    const uint64_t vm_after = vmSizeKib();
+    oneShot(sock_path, "{\"op\": \"shutdown\"}");
+    daemon.join();
+
+    // At most the handlers of the last few connections are still
+    // winding down.
+    EXPECT_LE(tasks_after, tasks_before + 2);
+    // A handler that has exited leaves /proc/self/task even unjoined,
+    // but keeps its stack mapped until it is joined: 64 unjoined
+    // handlers would add 64 stacks.
+    pthread_attr_t attr;
+    size_t stack_bytes = 0;
+    ASSERT_EQ(pthread_getattr_default_np(&attr), 0);
+    pthread_attr_getstacksize(&attr, &stack_bytes);
+    pthread_attr_destroy(&attr);
+    ASSERT_GT(stack_bytes, 0u);
+    EXPECT_LT(vm_after, vm_before + 16 * (stack_bytes / 1024))
+        << "VmSize " << vm_before << " -> " << vm_after << " KiB";
 }
 
 TEST(ServeProtocol, ParseRequestAndArgSpecs)

@@ -16,15 +16,12 @@
  *                     [--manifest-out=FILE] [--json[=FILE]]
  *                     [--no-verify]
  *   wasabi check     <orig.wasm> <instrumented.wasm> [--hooks=...]
- *                     [--no-split-i64] [--import-module=NAME]
- *                     [--no-side-tables] [--manifest=FILE] [--json]
- *                     (the manifest's top-level "schema" routes
- *                     it: an opt manifest to the optimization
- *                     checker, <orig.wasm> <optimized.wasm>; a range
- *                     manifest to the range checker, <orig.wasm>)
+ *                     [--json]
+ *   wasabi check     <orig.wasm> <optimized.wasm> --manifest=FILE
+ *                     [--json]   (re-prove a `wasabi opt` manifest)
  *   wasabi lint      <in.wasm> [--json]
  *   wasabi analyze   <in.wasm> [--json] [--summaries] [--ranges]
- *                     [--manifest-out=FILE] [--threads=N]
+ *                     [--threads=N]
  *                     [--dot=callgraph|refined|cfg:FUNC|ranges:FUNC]
  *   wasabi profile   <in.wasm> [--analysis=NAME] [--hooks=...]
  *                     [--entry=NAME] [--arg=...] [--threads=N]
@@ -61,7 +58,6 @@
 #include "obs/profile.h"
 #include "static/analyze.h"
 #include "static/check.h"
-#include "static/manifest.h"
 #include "static/passes/pipeline.h"
 #include "static/passes/range.h"
 #include "static/rewrite/opt.h"
@@ -140,31 +136,16 @@ loadModule(const std::string &path)
     return support::loadModuleFromFile(path);
 }
 
+/** A `--hooks=` list (core::parseHookSet); a bad one is a usage
+ * error. */
 core::HookSet
 parseHooks(const std::string &spec)
 {
-    if (spec == "all" || spec.empty())
-        return core::HookSet::all();
-    core::HookSet set;
-    size_t pos = 0;
-    while (pos < spec.size()) {
-        size_t comma = spec.find(',', pos);
-        std::string name = spec.substr(pos, comma - pos);
-        bool found = false;
-        for (int i = 0; i < core::kNumHookKinds; ++i) {
-            auto kind = static_cast<core::HookKind>(i);
-            if (name == core::name(kind)) {
-                set.add(kind);
-                found = true;
-            }
-        }
-        if (!found)
-            throw std::runtime_error("unknown hook kind: " + name);
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return set;
+    std::string error;
+    std::optional<core::HookSet> set = core::parseHookSet(spec, &error);
+    if (!set)
+        throw UsageError("--hooks: " + error);
+    return *set;
 }
 
 interp::EngineKind
@@ -253,12 +234,13 @@ cmdDump(const std::string &path)
 int
 cmdInstrument(const std::vector<std::string> &args)
 {
-    std::string in_path, out_path, hooks = "all", profile_out;
+    std::string in_path, out_path, profile_out;
+    core::HookSet hooks = core::HookSet::all();
     bool profile = false;
     core::InstrumentOptions opts;
     for (const std::string &a : args) {
         if (a.rfind("--hooks=", 0) == 0)
-            hooks = a.substr(8);
+            hooks = parseHooks(a.substr(8));
         else if (a.rfind("--threads=", 0) == 0)
             opts.numThreads = static_cast<unsigned>(
                 parseCount("--threads", a.substr(10), kMaxThreads));
@@ -285,7 +267,7 @@ cmdInstrument(const std::vector<std::string> &args)
     }();
     core::InstrumentResult r = [&] {
         obs::ProfileCollector::ScopedPhase p(&collector, "instrument");
-        return core::instrument(m, parseHooks(hooks), opts);
+        return core::instrument(m, hooks, opts);
     }();
     collector.recordInstrumentation(r.stats);
     std::vector<uint8_t> out = [&] {
@@ -631,6 +613,8 @@ runOptGate(const wasm::Module &orig, const wasm::Module &optimized)
         if (!f.exportNames.empty() && orig.types[f.typeIdx].params.empty())
             entries.push_back(f.exportNames.front());
     }
+    if (entries.empty())
+        return 0; // nothing to run, so nothing to instrument either
     size_t checked = 0;
     for (const std::string &entry : entries) {
         std::optional<GateOutcome> ol =
@@ -860,12 +844,6 @@ cmdCheck(const std::vector<std::string> &args)
     for (const std::string &a : args) {
         if (a.rfind("--hooks=", 0) == 0)
             opts.hooks = parseHooks(a.substr(8));
-        else if (a == "--no-split-i64")
-            opts.splitI64 = false;
-        else if (a.rfind("--import-module=", 0) == 0)
-            opts.importModule = a.substr(16);
-        else if (a == "--no-side-tables")
-            opts.checkSideTables = false;
         else if (a.rfind("--manifest=", 0) == 0)
             manifest_path = a.substr(11);
         else if (a == "--json")
@@ -878,75 +856,33 @@ cmdCheck(const std::vector<std::string> &args)
                 instr_path = a;
         }
     }
-    if (orig_path.empty())
-        throw UsageError(
-            "usage: check <orig.wasm> <instrumented.wasm> [opts]\n"
-            "       check <orig.wasm> --manifest=<range-manifest> "
-            "[--json]");
-    // Parse the manifest once and route it on its top-level schema.
-    using static_analysis::ManifestKind;
-    std::optional<json::Value> manifest;
-    std::optional<ManifestKind> kind;
-    if (!manifest_path.empty()) {
-        std::vector<uint8_t> bytes = readFile(manifest_path);
-        std::string error;
-        manifest = json::parse(std::string(bytes.begin(), bytes.end()),
-                               &error);
-        kind = manifest ? static_analysis::manifestKind(*manifest, &error)
-                        : std::nullopt;
-        if (!kind)
-            throw std::runtime_error("malformed manifest " +
-                                     manifest_path + ": " + error);
-    }
-    // Only a range manifest is checked against the original alone.
-    if ((kind == ManifestKind::Range) != instr_path.empty())
-        throw UsageError(
-            kind == ManifestKind::Range
-                ? "usage: check <orig.wasm> --manifest=<range-manifest> "
-                  "[--json]"
-                : "usage: check <orig.wasm> <instrumented.wasm> [opts]");
-    if (!kind) {
+    if (orig_path.empty() || instr_path.empty())
+        throw UsageError("usage: check <orig.wasm> <instrumented.wasm> "
+                         "[opts]");
+    if (manifest_path.empty()) {
         wasm::Module orig = loadModule(orig_path);
         wasm::Module instr = loadModule(instr_path);
         return reportFindings(
             static_analysis::checkInstrumentation(orig, instr, opts), json,
             "OK: all instrumentation invariants hold");
     }
-    static_analysis::Diagnostics diags;
-    std::string ok_line;
-    switch (*kind) {
-      case ManifestKind::Range: {
-        // Range-claim manifest: there is no second binary, the claims
-        // are in-bounds facts about the original itself.
-        diags = static_analysis::checkRangeManifest(
-            loadModule(orig_path), *manifest);
-        static_analysis::passes::RangeClaims rc;
-        static_analysis::passes::rangeClaimsFromManifest(*manifest, &rc,
-                                                         nullptr);
-        ok_line = "OK: all " + std::to_string(rc.claims.size()) +
-                  " range claim(s) re-proved";
-        break;
-      }
-      case ManifestKind::Opt: {
-        // `wasabi opt` manifest: re-prove every optimization claim
-        // against the original module and require the replayed
-        // result to match the optimized binary byte-for-byte.
-        std::string error;
-        static_analysis::rewrite::OptClaims claims;
-        if (!static_analysis::rewrite::claimsFromManifest(*manifest, claims,
-                                                          &error))
-            throw std::runtime_error("malformed opt manifest " +
-                                     manifest_path + ": " + error);
-        wasm::Module orig = loadModule(orig_path);
-        diags = static_analysis::rewrite::checkOptimization(
-            orig, readFile(instr_path), claims);
-        ok_line = "OK: all " + std::to_string(claims.totalClaims()) +
-                  " optimization claim(s) re-proved, output "
-                  "byte-identical to replay";
-        break;
-      }
-    }
-    return reportFindings(diags, json, ok_line);
+    // `wasabi opt` manifest: re-prove every optimization claim against
+    // the original module and require the replayed result to match the
+    // optimized binary byte-for-byte.
+    namespace rw = static_analysis::rewrite;
+    std::vector<uint8_t> bytes = readFile(manifest_path);
+    std::string error;
+    rw::OptClaims claims;
+    if (!rw::claimsFromManifest(std::string(bytes.begin(), bytes.end()),
+                                claims, &error))
+        throw std::runtime_error("malformed opt manifest " +
+                                 manifest_path + ": " + error);
+    wasm::Module orig = loadModule(orig_path);
+    return reportFindings(
+        rw::checkOptimization(orig, readFile(instr_path), claims), json,
+        "OK: all " + std::to_string(claims.totalClaims()) +
+            " optimization claim(s) re-proved, output byte-identical to "
+            "replay");
 }
 
 int
@@ -976,7 +912,7 @@ cmdLint(const std::vector<std::string> &args)
 int
 cmdAnalyze(const std::vector<std::string> &args)
 {
-    std::string path, dot, manifest_out;
+    std::string path, dot;
     bool json = false, summaries = false, ranges = false;
     unsigned threads = 1;
     for (const std::string &a : args) {
@@ -986,8 +922,6 @@ cmdAnalyze(const std::vector<std::string> &args)
             summaries = true;
         else if (a == "--ranges")
             ranges = true;
-        else if (a.rfind("--manifest-out=", 0) == 0)
-            manifest_out = a.substr(15);
         else if (a.rfind("--threads=", 0) == 0)
             threads = static_cast<unsigned>(
                 parseCount("--threads", a.substr(10), kMaxThreads));
@@ -1014,24 +948,13 @@ cmdAnalyze(const std::vector<std::string> &args)
     if (ranges && !dot.empty())
         throw UsageError("analyze: --dot cannot be combined with "
                          "--ranges (both write to stdout)");
-    if (ranges || !manifest_out.empty()) {
-        static_analysis::passes::ModuleRanges mr =
-            static_analysis::passes::moduleRanges(m, threads);
-        if (!manifest_out.empty())
-            writeTextFile(manifest_out,
-                          static_analysis::passes::rangeClaimsToManifest(
-                              static_analysis::passes::provableRangeClaims(
-                                  mr)));
-        if (ranges) {
-            std::fputs(
-                static_analysis::passes::rangesToJson(m, mr).c_str(),
-                stdout);
-            std::fputs("\n", stdout);
-        }
-        // --manifest-out goes to a file, so it composes with --dot;
-        // fall through to print the requested DOT view.
-        if (dot.empty())
-            return 0;
+    if (ranges) {
+        std::fputs(static_analysis::passes::rangesToJson(
+                       m, static_analysis::passes::moduleRanges(m, threads))
+                       .c_str(),
+                   stdout);
+        std::fputs("\n", stdout);
+        return 0;
     }
     if (!dot.empty()) {
         if (dot == "callgraph") {
@@ -1204,18 +1127,17 @@ printUsage(std::FILE *to)
         "             (dead-functions, call-indirect, const-fold,\n"
         "             dead-stores, empty-blocks) with a claim manifest\n"
         "  check      <orig.wasm> <instrumented.wasm> [--hooks=h1,h2]\n"
-        "             [--no-split-i64] [--import-module=NAME]\n"
-        "             [--no-side-tables] [--manifest=FILE] [--json]\n"
-        "             verifies instrumentation invariants; exit 3 if\n"
-        "             any are violated\n"
+        "             [--manifest=FILE] [--json]\n"
+        "             verifies instrumentation invariants (or an opt\n"
+        "             manifest); exit 3 if any are violated\n"
         "  lint       <in.wasm> [--json]\n"
         "             static pass suite findings; exit 3 if any\n"
         "  analyze    <in.wasm> [--json] [--summaries] [--ranges]\n"
-        "             [--manifest-out=FILE] [--threads=N]\n"
+        "             [--threads=N]\n"
         "             [--dot=callgraph|refined|cfg:FUNC|ranges:FUNC]\n"
         "             per-function CFG statistics, dominator-based\n"
-        "             loop counts, dead functions, effect summaries,\n"
-        "             value-range facts and range-claim manifests\n"
+        "             loop counts, dead functions, effect summaries\n"
+        "             and value-range facts\n"
         "  profile    <in.wasm> [--analysis=NAME] [--hooks=h1,h2]\n"
         "             [--entry=NAME] [--arg=...] [--threads=N]\n"
         "             [--engine=fast|legacy] [--json]\n"
@@ -1255,7 +1177,8 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
         std::fputs(
             "wasabi instrument <in.wasm> <out.wasm> [options]\n"
             "  --hooks=h1,h2|all   hook kinds to instrument (default\n"
-            "                      all)\n"
+            "                      all; an empty or unknown kind is a\n"
+            "                      usage error)\n"
             "  --threads=N         parallel per-function\n"
             "                      instrumentation (N <= 256)\n"
             "  --no-split-i64      pass i64 hook operands directly\n"
@@ -1363,24 +1286,20 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
             "  and exclusivity, constant locations, i64 splitting,\n"
             "  side tables, structure preservation). Exit 3 if any\n"
             "  finding, 0 otherwise.\n"
+            "  The i64-split ABI is read off the hook import types\n"
+            "  (module `wasabi`), and the br_table side tables are\n"
+            "  re-derived from the original.\n"
             "  --hooks=h1,h2        hook kinds that were enabled\n"
             "                       (default: inferred from imports)\n"
-            "  --no-split-i64       the i64-split ABI was not used\n"
-            "  --import-module=NAME hook import module (default\n"
-            "                       `wasabi`)\n"
-            "  --no-side-tables     skip side-table re-derivation\n"
-            "  --manifest=FILE      a claim manifest instead of an\n"
-            "                       instrumentation check; its\n"
-            "                       top-level \"schema\" routes it: a\n"
-            "                       `wasabi opt` manifest goes to the\n"
-            "                       optimization checker (check.opt.*\n"
-            "                       findings); a range manifest\n"
-            "                       (`analyze --ranges --manifest-out=`)\n"
-            "                       needs only the original module and\n"
-            "                       re-proves every in-bounds claim\n"
-            "                       (check.range.* findings); a\n"
-            "                       manifest without a schema is an\n"
-            "                       error\n"
+            "  --manifest=FILE      a `wasabi opt` manifest instead of\n"
+            "                       an instrumentation check: re-prove\n"
+            "                       every claim against <orig.wasm>\n"
+            "                       and require <optimized.wasm> to\n"
+            "                       equal the replay (check.opt.*\n"
+            "                       findings); any other JSON, such as\n"
+            "                       a manifest without the\n"
+            "                       \"wasabi-opt-manifest\" schema, is an\n"
+            "                       error (exit 1)\n"
             "  --json               machine-readable findings\n",
             to);
     } else if (cmd == "lint") {
@@ -1411,8 +1330,7 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
     } else if (cmd == "analyze") {
         std::fputs(
             "wasabi analyze <in.wasm> [--json] [--summaries]\n"
-            "               [--ranges] [--manifest-out=FILE]\n"
-            "               [--threads=N]\n"
+            "               [--ranges] [--threads=N]\n"
             "               [--dot=callgraph|refined|cfg:FUNC|\n"
             "                ranges:FUNC]\n"
             "  Static module report: per-function CFG statistics,\n"
@@ -1426,11 +1344,10 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
             "  --ranges runs the value-range abstract interpretation\n"
             "  (interval domain, threshold widening, branch\n"
             "  refinement, interprocedural argument seeding) and\n"
-            "  prints per-access address intervals as JSON; output is\n"
-            "  byte-identical for every --threads=N.\n"
-            "  --manifest-out=FILE writes the provable in-bounds\n"
-            "  accesses as a \"wasabi-range-manifest\" claim set that\n"
-            "  `wasabi check --manifest=` re-proves.\n"
+            "  prints per-access address intervals as JSON, marking\n"
+            "  each access proven in bounds for the declared minimum\n"
+            "  memory (\"proven\"); output is byte-identical for every\n"
+            "  --threads=N.\n"
             "  --dot=refined renders per-site call_indirect edges:\n"
             "  bold = proven unique target, dashed = unresolved;\n"
             "  --dot=ranges:FUNC renders one CFG with per-block\n"
