@@ -12,8 +12,6 @@
 #include <thread>
 
 #include "bench_common.h"
-#include "static/interproc/refined_call_graph.h"
-#include "static/interproc/summaries.h"
 
 using namespace wasabi;
 using namespace wasabi::bench;
@@ -116,25 +114,6 @@ main(int argc, char **argv)
     std::printf("note: this host exposes %u hardware thread(s); a "
                 "ratio below 1 requires >1 physical core.\n",
                 std::thread::hardware_concurrency());
-
-    // Thread scaling of the interprocedural summary solver over the
-    // same largest binary: the refined call graph is built once (it is
-    // sequential by design); only the SCC-condensation solve is timed.
-    std::printf("\n--- Summary solver thread scaling (largest binary) "
-                "---\n");
-    static_analysis::interproc::RefinedCallGraph rcg(unreal.module);
-    double base = 0;
-    for (unsigned workers : {1u, 2u, 4u, 8u}) {
-        Stats s = timeStats(reps, [&] {
-            static_analysis::interproc::functionSummaries(
-                unreal.module, rcg, workers);
-        });
-        if (workers == 1)
-            base = s.mean;
-        std::printf("workers=%u: %8.2f ms +- %.2f  (speedup %.2fx)\n",
-                    workers, s.mean * 1e3, s.stddev * 1e3,
-                    base / s.mean);
-    }
 
     if (!json_out.empty()) {
         char buf[256];

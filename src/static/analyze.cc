@@ -7,7 +7,6 @@
 #include "static/cfg.h"
 #include "static/dataflow.h"
 #include "static/interproc/refined_call_graph.h"
-#include "static/interproc/summaries.h"
 #include "static/passes/range.h"
 
 namespace wasabi::static_analysis {
@@ -123,14 +122,6 @@ refinedCallGraphDot(const Module &m)
 }
 
 std::string
-summariesJson(const Module &m, unsigned num_threads)
-{
-    interproc::RefinedCallGraph cg(m);
-    return interproc::summariesToJson(
-        m, cg, interproc::functionSummaries(m, cg, num_threads));
-}
-
-std::string
 rangesJson(const Module &m, unsigned num_threads)
 {
     return passes::rangesToJson(m,
@@ -140,7 +131,7 @@ rangesJson(const Module &m, unsigned num_threads)
 std::string
 rangesDot(const Module &m, uint32_t func_idx)
 {
-    return passes::rangesDot(m, passes::moduleRanges(m, 1), func_idx);
+    return passes::rangesDot(m, passes::moduleRanges(m), func_idx);
 }
 
 } // namespace wasabi::static_analysis

@@ -57,18 +57,12 @@ std::string callGraphDot(const wasm::Module &m);
 std::string refinedCallGraphDot(const wasm::Module &m);
 
 /**
- * Per-function effect summaries (interprocedural solver over the SCC
- * condensation of the refined call graph) as a JSON object. The output
- * is deterministic: byte-identical for any @p num_threads.
- */
-std::string summariesJson(const wasm::Module &m, unsigned num_threads = 1);
-
-/**
  * Value-range facts (interval abstract interpretation, argument seeds
  * propagated top-down over the SCC condensation) as a JSON object.
- * Deterministic: byte-identical for any @p num_threads.
+ * Deterministic: byte-identical for any @p num_threads (0 = the
+ * automatic worker count of passes::moduleRanges).
  */
-std::string rangesJson(const wasm::Module &m, unsigned num_threads = 1);
+std::string rangesJson(const wasm::Module &m, unsigned num_threads = 0);
 
 /** One function's CFG with per-block locals intervals as Graphviz. */
 std::string rangesDot(const wasm::Module &m, uint32_t func_idx);

@@ -1,11 +1,10 @@
 /**
  * @file
  * Tarjan SCC condensation of the refined call graph. The condensation
- * is the DAG the bottom-up summary solver walks: each SCC is one
- * solver unit (its members' summaries are identical — every member
- * reaches every other through paths that stay inside the SCC), and
+ * is the DAG the range analysis walks top-down to seed argument
+ * intervals (passes/range.h): each SCC is one solver unit, and
  * Tarjan's pop order gives SCC ids in reverse topological order, so
- * processing ids 0..numSccs()-1 visits callees before callers.
+ * processing ids numSccs()-1..0 visits callers before callees.
  */
 
 #ifndef WASABI_STATIC_INTERPROC_SCC_H

@@ -5,7 +5,6 @@
 #include "core/control_stack.h"
 #include "core/static_info.h"
 #include "static/interproc/refined_call_graph.h"
-#include "static/interproc/summaries.h"
 #include "static/passes/branch_refine.h"
 #include "static/passes/constprop.h"
 #include "static/passes/deadstore.h"
@@ -39,8 +38,7 @@ emptyBlockPairs(const Module &m, uint32_t func_idx)
 namespace {
 
 /** The lint.interproc.* findings: refined-graph-only dead functions,
- * always-trapping or unresolvable indirect call sites, reachable
- * effect-free functions (from the summary solver), and never-read
+ * always-trapping or unresolvable indirect call sites, and never-read
  * parameters. */
 void
 lintInterproc(const Module &m, const std::vector<bool> &base_dead,
@@ -81,22 +79,6 @@ lintInterproc(const Module &m, const std::vector<bool> &base_dead,
         }
     }
 
-    std::vector<interproc::EffectSummary> summaries =
-        interproc::functionSummaries(m, rcg);
-    for (uint32_t f = 0; f < m.numFunctions(); ++f) {
-        if (m.functions[f].imported() || !rcg.reachable(f))
-            continue;
-        if (!m.funcType(f).results.empty())
-            continue; // computes a value; calls are not removable
-        if (summaries[f].effectFree()) {
-            diags.add(Severity::Note, kLintInterprocEffectFree,
-                      "reachable function has no observable effect "
-                      "(no writes, traps, or host calls) and no "
-                      "result: calls to it can be removed",
-                      f);
-        }
-    }
-
     // Parameters no instruction ever reads: callers still compute and
     // pass the argument for nothing. Dead functions are skipped (the
     // whole function was already reported above).
@@ -131,7 +113,7 @@ void
 lintRanges(const Module &m, const std::set<uint64_t> &const_cond_locs,
            Diagnostics &diags)
 {
-    ModuleRanges mr = moduleRanges(m, 1);
+    ModuleRanges mr = moduleRanges(m);
     const uint64_t minBytes = static_cast<uint64_t>(mr.minPages) *
                               65536;
     std::optional<uint64_t> maxBytes;

@@ -30,15 +30,13 @@ inline constexpr const char *kLintConstCondition =
 inline constexpr const char *kLintConstIndex =
     "lint.branch.const-index";
 inline constexpr const char *kLintEmptyBlock = "lint.block.empty";
-/** Interprocedural codes (refined call graph + effect summaries). */
+/** Interprocedural codes (refined call graph). */
 inline constexpr const char *kLintInterprocDeadFunction =
     "lint.interproc.dead-function";
 inline constexpr const char *kLintInterprocNoTargets =
     "lint.interproc.no-targets";
 inline constexpr const char *kLintInterprocUnresolvable =
     "lint.interproc.unresolvable-indirect";
-inline constexpr const char *kLintInterprocEffectFree =
-    "lint.interproc.effect-free-function";
 inline constexpr const char *kLintInterprocDeadParam =
     "lint.interproc.dead-param";
 /** Value-range codes (interval abstract interpretation). */

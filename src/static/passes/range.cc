@@ -1196,9 +1196,8 @@ moduleRanges(const Module &m, unsigned num_threads)
         return mr;
     }
 
-    // Parallel top-down walk of the condensation DAG (the mirror
-    // image of the bottom-up summary solver): an SCC becomes ready
-    // once every caller SCC has published its argument joins.
+    // Parallel top-down walk of the condensation DAG: an SCC becomes
+    // ready once every caller SCC has published its argument joins.
     std::mutex mu;
     std::condition_variable cv;
     std::deque<uint32_t> ready;

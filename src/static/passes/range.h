@@ -6,8 +6,8 @@
  * refinement computes, for every reachable load/store, a sound
  * interval of its dynamic base address; comparison and division facts
  * ride along. Argument intervals are seeded interprocedurally over the
- * PR-3 Tarjan-SCC condensation (top-down, callers before callees) with
- * byte-identical results at any thread count.
+ * Tarjan-SCC condensation of the refined call graph (top-down, callers
+ * before callees) with byte-identical results at any thread count.
  *
  * The facts feed two consumers:
  *  - `wasabi lint` (lint.range.* diagnostics: provably out-of-bounds
@@ -104,10 +104,12 @@ struct ModuleRanges {
 };
 
 /**
- * Run the interprocedural range analysis. @p num_threads = 0 picks a
- * hardware default; the result is byte-identical for any thread count
- * (argument seeds are commutative joins gated on the SCC condensation,
- * callers strictly before callees).
+ * Run the interprocedural range analysis. @p num_threads = 0, what
+ * every production caller passes, uses hardware_concurrency workers
+ * clamped to the SCC count; tests pass 1 for the serial reference.
+ * The result is byte-identical for any thread count (argument seeds
+ * are commutative joins gated on the SCC condensation, callers
+ * strictly before callees).
  */
 ModuleRanges moduleRanges(const wasm::Module &m, unsigned num_threads = 0);
 

@@ -3,12 +3,10 @@
  * Tests of the interprocedural engine: Tarjan SCC condensation,
  * element-segment layout resolution with structured diagnostics,
  * per-site call_indirect refinement (constant-index narrowing, typed
- * target sets, host-visibility soundness gates), the parallel
- * bottom-up effect-summary solver and its determinism guarantee, the
- * lint.interproc.* codes, the checker's rejection of `wasabi opt`
- * call_indirect -> call claims the refined graph does not prove, and
- * the runtime's callee reporting at a constant-index call_indirect
- * site.
+ * target sets, host-visibility soundness gates), the lint.interproc.*
+ * codes, the checker's rejection of `wasabi opt` call_indirect -> call
+ * claims the refined graph does not prove, and the runtime's callee
+ * reporting at a constant-index call_indirect site.
  */
 
 #include <gtest/gtest.h>
@@ -22,15 +20,12 @@
 #include "static/check.h"
 #include "static/interproc/refined_call_graph.h"
 #include "static/interproc/scc.h"
-#include "static/interproc/summaries.h"
 #include "static/interproc/table_layout.h"
 #include "static/passes/pipeline.h"
 #include "static/rewrite/opt.h"
 #include "wasm/builder.h"
 #include "wasm/encoder.h"
 #include "wasm/validator.h"
-#include "workloads/polybench.h"
-#include "workloads/random_program.h"
 
 namespace wasabi::static_analysis::interproc {
 namespace {
@@ -328,124 +323,6 @@ TEST(RefinedCallGraph, RefinedDotRendersPerSiteEdges)
         << dot;
 }
 
-// ----- effect summaries ----------------------------------------------
-
-TEST(Summaries, DirectEffectsOfLeafFunctions)
-{
-    ModuleBuilder mb;
-    mb.memory(1, 1);
-    mb.global(ValType::I32, true, wasm::Value::makeI32(0));
-    mb.addFunction(FuncType({}, {}), "w", [&](FunctionBuilder &f) {
-        f.i32Const(0).i32Const(5).store(Opcode::I32Store);
-    });
-    mb.addFunction(FuncType({}, {ValType::I32}), "r",
-                   [&](FunctionBuilder &f) {
-                       f.globalGet(0);
-                   });
-    Module m = mb.build();
-    wasm::validateModule(m);
-
-    std::vector<EffectSummary> s = functionSummaries(m);
-    ASSERT_EQ(s.size(), 2u);
-    EXPECT_TRUE(s[0].writesMemory);
-    EXPECT_TRUE(s[0].mayTrap); // stores can go out of bounds
-    EXPECT_FALSE(s[0].readsMemory);
-    EXPECT_FALSE(s[1].mayTrap);
-    EXPECT_EQ(s[1].globalsRead, (std::vector<uint32_t>{0}));
-    EXPECT_TRUE(s[1].globalsWritten.empty());
-    EXPECT_TRUE(s[1].effectFree());
-    EXPECT_FALSE(s[0].effectFree());
-}
-
-TEST(Summaries, EffectsPropagateTransitively)
-{
-    ModuleBuilder mb;
-    mb.memory(1, 1);
-    uint32_t leaf =
-        mb.addFunction(FuncType({}, {}), "", [&](FunctionBuilder &f) {
-            f.i32Const(0).i32Const(5).store(Opcode::I32Store);
-        });
-    uint32_t mid =
-        mb.addFunction(FuncType({}, {}), "", [&](FunctionBuilder &f) {
-            f.call(leaf);
-        });
-    mb.addFunction(FuncType({}, {}), "main", [&](FunctionBuilder &f) {
-        f.call(mid);
-    });
-    Module m = mb.build();
-    wasm::validateModule(m);
-
-    std::vector<EffectSummary> s = functionSummaries(m);
-    EXPECT_TRUE(s[2].writesMemory);
-    EXPECT_TRUE(s[2].mayTrap);
-    // The callee closure is transitive.
-    EXPECT_EQ(s[2].callees, (std::vector<uint32_t>{leaf, mid}));
-    EXPECT_EQ(s[1].callees, (std::vector<uint32_t>{leaf}));
-    EXPECT_TRUE(s[0].callees.empty());
-}
-
-TEST(Summaries, RecursiveFunctionsIncludeThemselvesInClosure)
-{
-    ModuleBuilder mb;
-    // 0 <-> 1 mutual recursion (statically; never executed).
-    uint32_t f0_idx = 0, f1_idx = 1;
-    mb.addFunction(FuncType({}, {}), "a", [&](FunctionBuilder &f) {
-        f.block();
-        f.i32Const(0).brIf(0);
-        f.call(f1_idx);
-        f.end();
-    });
-    mb.addFunction(FuncType({}, {}), "b", [&](FunctionBuilder &f) {
-        f.block();
-        f.i32Const(0).brIf(0);
-        f.call(f0_idx);
-        f.end();
-    });
-    Module m = mb.build();
-    wasm::validateModule(m);
-
-    std::vector<EffectSummary> s = functionSummaries(m);
-    EXPECT_EQ(s[0].callees, (std::vector<uint32_t>{0, 1}));
-    EXPECT_EQ(s[1].callees, (std::vector<uint32_t>{0, 1}));
-}
-
-TEST(Summaries, ImportedCalleeSubsumesUnknownHostEffects)
-{
-    ModuleBuilder mb;
-    uint32_t imp = mb.importFunction("env", "host", FuncType({}, {}));
-    mb.addFunction(FuncType({}, {}), "main", [&](FunctionBuilder &f) {
-        f.call(imp);
-    });
-    Module m = mb.build();
-    wasm::validateModule(m);
-
-    std::vector<EffectSummary> s = functionSummaries(m);
-    EXPECT_TRUE(s[imp].callsImport);
-    EXPECT_TRUE(s[1].callsImport);
-    EXPECT_FALSE(s[1].effectFree());
-}
-
-TEST(Summaries, JsonIsByteIdenticalAcrossThreadCounts)
-{
-    // The determinism gate: the solver output is the unique least
-    // fixpoint, so worker count and scheduling cannot change a byte.
-    for (const auto &w : workloads::polybenchSuite(8)) {
-        std::string one = summariesJson(w.module, 1);
-        for (unsigned threads : {2u, 4u, 8u})
-            EXPECT_EQ(one, summariesJson(w.module, threads))
-                << w.name << " threads=" << threads;
-    }
-    for (uint64_t seed = 1; seed <= 4; ++seed) {
-        workloads::RandomProgramOptions opts;
-        opts.seed = seed;
-        opts.indirectCallPct = 25;
-        opts.constIndexIndirectPct = 50;
-        Module m = workloads::randomProgram(opts).module;
-        EXPECT_EQ(summariesJson(m, 1), summariesJson(m, 8))
-            << "random seed " << seed;
-    }
-}
-
 // ----- lint integration ----------------------------------------------
 
 TEST(InterprocLint, RefinedOnlyDeadFunctionReported)
@@ -479,24 +356,6 @@ TEST(InterprocLint, UnresolvableSiteOnHostVisibleTableReported)
     Module m = constIndexFixture(/*export_table=*/true);
     Diagnostics d = passes::lintModule(m);
     EXPECT_TRUE(d.hasCode(passes::kLintInterprocUnresolvable))
-        << toString(d);
-}
-
-TEST(InterprocLint, EffectFreeReachableFunctionReported)
-{
-    ModuleBuilder mb;
-    uint32_t pure =
-        mb.addFunction(FuncType({}, {}), "", [&](FunctionBuilder &f) {
-            uint32_t l = f.addLocal(ValType::I32);
-            f.i32Const(1).i32Const(2).op(Opcode::I32Add).localSet(l);
-        });
-    mb.addFunction(FuncType({}, {}), "main", [&](FunctionBuilder &f) {
-        f.call(pure);
-    });
-    Module m = mb.build();
-    wasm::validateModule(m);
-    Diagnostics d = passes::lintModule(m);
-    EXPECT_TRUE(d.hasCode(passes::kLintInterprocEffectFree))
         << toString(d);
 }
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "interp/interpreter.h"
 #include "range_claim_oracle.h"
@@ -392,14 +393,17 @@ TEST(Range, ManyConstantsKeepWideningSound)
 
 TEST(Range, JsonIsByteIdenticalAcrossThreadCounts)
 {
-    for (const std::string &name :
-         {std::string("gemm"), std::string("atax"),
-          std::string("jacobi-1d")}) {
-        Workload w = workloads::polybench(name, 16);
+    // Against the serial reference: explicit worker counts and the
+    // automatic count (0) every production caller uses.
+    const std::pair<const char *, int> kernels[] = {
+        {"gemm", 16}, {"atax", 16},     {"jacobi-1d", 16},
+        {"gemm", 8},  {"cholesky", 8}, {"floyd-warshall", 8}};
+    for (const auto &[name, size] : kernels) {
+        Workload w = workloads::polybench(name, size);
         std::string one = static_analysis::rangesJson(w.module, 1);
-        for (unsigned t : {2u, 4u, 8u}) {
+        for (unsigned t : {0u, 2u, 4u, 8u}) {
             EXPECT_EQ(one, static_analysis::rangesJson(w.module, t))
-                << name << " threads=" << t;
+                << name << ":" << size << " threads=" << t;
         }
     }
     Workload app = workloads::syntheticApp(workloads::AppSize::Small);

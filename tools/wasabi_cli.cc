@@ -20,8 +20,7 @@
  *   wasabi check     <orig.wasm> <optimized.wasm> --manifest=FILE
  *                     [--json]   (re-prove a `wasabi opt` manifest)
  *   wasabi lint      <in.wasm> [--json]
- *   wasabi analyze   <in.wasm> [--json] [--summaries] [--ranges]
- *                     [--threads=N]
+ *   wasabi analyze   <in.wasm> [--json] [--ranges]
  *                     [--dot=callgraph|refined|cfg:FUNC|ranges:FUNC]
  *   wasabi profile   <in.wasm> [--analysis=NAME] [--hooks=...]
  *                     [--entry=NAME] [--arg=...] [--threads=N]
@@ -35,8 +34,9 @@
  * Analyses: mix, blocks, icov, branch, callgraph, taint, miner, mem.
  *
  * Exit codes: 0 success / no findings, 1 runtime error or invalid
- * module, 2 usage error (including an unknown `--option`), 3
- * `check`/`lint` found findings.
+ * module (every command that consumes a module validates it first and
+ * prints `INVALID: ...`), 2 usage error (including an unknown
+ * `--option` or option value), 3 `check`/`lint` found findings.
  */
 
 #include <algorithm>
@@ -59,7 +59,6 @@
 #include "static/analyze.h"
 #include "static/check.h"
 #include "static/passes/pipeline.h"
-#include "static/passes/range.h"
 #include "static/rewrite/opt.h"
 #include "static/rewrite/rewrite.h"
 #include "runtime/runtime.h"
@@ -90,6 +89,11 @@ namespace {
 
 /** Bad invocation (missing operands) — exits 2, not 1. */
 struct UsageError : std::runtime_error {
+    using std::runtime_error::runtime_error;
+};
+
+/** A module that fails validation — `INVALID: <why>`, exit 1. */
+struct InvalidModule : std::runtime_error {
     using std::runtime_error::runtime_error;
 };
 
@@ -134,6 +138,18 @@ wasm::Module
 loadModule(const std::string &path)
 {
     return support::loadModuleFromFile(path);
+}
+
+/** Load a module and validate it: the engines, the instrumenter and
+ * the static passes all assume a valid module, so every command that
+ * consumes one goes through here before it writes anything. */
+wasm::Module
+loadValidModule(const std::string &path)
+{
+    wasm::Module m = loadModule(path);
+    if (std::optional<std::string> err = wasm::validationError(m))
+        throw InvalidModule(*err);
+    return m;
 }
 
 /** A `--hooks=` list (core::parseHookSet); a bad one is a usage
@@ -263,7 +279,7 @@ cmdInstrument(const std::vector<std::string> &args)
     obs::ProfileCollector collector(profile || !profile_out.empty());
     wasm::Module m = [&] {
         obs::ProfileCollector::ScopedPhase p(&collector, "decode");
-        return loadModule(in_path);
+        return loadValidModule(in_path);
     }();
     core::InstrumentResult r = [&] {
         obs::ProfileCollector::ScopedPhase p(&collector, "instrument");
@@ -345,7 +361,7 @@ cmdRun(const std::vector<std::string> &args)
     collector.setInstrumentMode(name(mode));
     wasm::Module m = [&] {
         obs::ProfileCollector::ScopedPhase p(&collector, "decode");
-        return loadModule(path);
+        return loadValidModule(path);
     }();
     auto a = makeAnalysis(analysis);
     core::HookSet hook_set =
@@ -464,7 +480,7 @@ cmdProfile(const std::vector<std::string> &args)
     collector.setInstrumentMode(name(mode));
     wasm::Module m = [&] {
         obs::ProfileCollector::ScopedPhase p(&collector, "decode");
-        return loadModule(path);
+        return loadValidModule(path);
     }();
     auto a = makeAnalysis(analysis);
     core::HookSet hook_set =
@@ -702,9 +718,7 @@ cmdOpt(const std::vector<std::string> &args)
                          " [--manifest-out=FILE] [--json[=FILE]]"
                          " [--no-verify]");
 
-    wasm::Module m = loadModule(in_path);
-    if (auto err = wasm::validationError(m))
-        throw std::runtime_error("opt needs a valid module: " + *err);
+    wasm::Module m = loadValidModule(in_path);
 
     std::vector<std::string> passes;
     try {
@@ -900,33 +914,51 @@ cmdLint(const std::vector<std::string> &args)
     }
     if (path.empty())
         throw UsageError("usage: lint <in.wasm> [--json]");
-    wasm::Module m = loadModule(path);
-    if (auto err = wasm::validationError(m)) {
-        std::fprintf(stderr, "INVALID: %s\n", err->c_str());
-        return 1;
-    }
+    wasm::Module m = loadValidModule(path);
     return reportFindings(static_analysis::passes::lintModule(m), json,
                           "OK: no findings");
+}
+
+/** An `analyze --dot=` view, parsed before the module is loaded so a
+ * bad one is a usage error. */
+struct DotView {
+    enum Kind { None, CallGraph, Refined, Cfg, Ranges } kind = None;
+    uint32_t func = 0; ///< Cfg, Ranges
+};
+
+DotView
+parseDotView(const std::string &spec)
+{
+    if (spec == "callgraph")
+        return {DotView::CallGraph};
+    if (spec == "refined")
+        return {DotView::Refined};
+    if (spec.rfind("cfg:", 0) == 0)
+        return {DotView::Cfg,
+                static_cast<uint32_t>(parseCount(
+                    "--dot=cfg: index", spec.substr(4), UINT32_MAX))};
+    if (spec.rfind("ranges:", 0) == 0)
+        return {DotView::Ranges,
+                static_cast<uint32_t>(parseCount(
+                    "--dot=ranges: index", spec.substr(7), UINT32_MAX))};
+    throw UsageError("unknown --dot target '" + spec +
+                     "' (expected callgraph, refined, cfg:FUNC or "
+                     "ranges:FUNC)");
 }
 
 int
 cmdAnalyze(const std::vector<std::string> &args)
 {
-    std::string path, dot;
-    bool json = false, summaries = false, ranges = false;
-    unsigned threads = 1;
+    std::string path;
+    DotView dot;
+    bool json = false, ranges = false;
     for (const std::string &a : args) {
         if (a == "--json")
             json = true;
-        else if (a == "--summaries")
-            summaries = true;
         else if (a == "--ranges")
             ranges = true;
-        else if (a.rfind("--threads=", 0) == 0)
-            threads = static_cast<unsigned>(
-                parseCount("--threads", a.substr(10), kMaxThreads));
         else if (a.rfind("--dot=", 0) == 0)
-            dot = a.substr(6);
+            dot = parseDotView(a.substr(6));
         else {
             rejectUnknownOption("analyze", a);
             path = a;
@@ -934,55 +966,38 @@ cmdAnalyze(const std::vector<std::string> &args)
     }
     if (path.empty())
         throw UsageError("usage: analyze <in.wasm> [opts]");
-    wasm::Module m = loadModule(path);
-    if (auto err = wasm::validationError(m)) {
-        std::fprintf(stderr, "INVALID: %s\n", err->c_str());
-        return 1;
-    }
-    if (summaries) {
-        std::fputs(
-            static_analysis::summariesJson(m, threads).c_str(), stdout);
-        std::fputs("\n", stdout);
-        return 0;
-    }
-    if (ranges && !dot.empty())
+    if (ranges && dot.kind != DotView::None)
         throw UsageError("analyze: --dot cannot be combined with "
                          "--ranges (both write to stdout)");
+    wasm::Module m = loadValidModule(path);
     if (ranges) {
-        std::fputs(static_analysis::passes::rangesToJson(
-                       m, static_analysis::passes::moduleRanges(m, threads))
-                       .c_str(),
-                   stdout);
+        std::fputs(static_analysis::rangesJson(m).c_str(), stdout);
         std::fputs("\n", stdout);
         return 0;
     }
-    if (!dot.empty()) {
-        if (dot == "callgraph") {
-            std::fputs(static_analysis::callGraphDot(m).c_str(), stdout);
-        } else if (dot == "refined") {
-            std::fputs(static_analysis::refinedCallGraphDot(m).c_str(),
-                       stdout);
-        } else if (dot.rfind("cfg:", 0) == 0) {
-            uint32_t f = static_cast<uint32_t>(
-                parseCount("--dot=cfg: index", dot.substr(4), UINT32_MAX));
-            if (f >= m.numFunctions() || m.functions[f].imported())
-                throw std::runtime_error(
-                    "--dot=cfg: not a defined function: " +
-                    dot.substr(4));
-            std::fputs(static_analysis::cfgDot(m, f).c_str(), stdout);
-        } else if (dot.rfind("ranges:", 0) == 0) {
-            uint32_t f = static_cast<uint32_t>(parseCount(
-                "--dot=ranges: index", dot.substr(7), UINT32_MAX));
-            if (f >= m.numFunctions() || m.functions[f].imported())
-                throw std::runtime_error(
-                    "--dot=ranges: not a defined function: " +
-                    dot.substr(7));
-            std::fputs(static_analysis::rangesDot(m, f).c_str(),
-                       stdout);
-        } else {
-            throw std::runtime_error("unknown --dot target: " + dot);
-        }
+    switch (dot.kind) {
+    case DotView::None:
+        break;
+    case DotView::CallGraph:
+        std::fputs(static_analysis::callGraphDot(m).c_str(), stdout);
         return 0;
+    case DotView::Refined:
+        std::fputs(static_analysis::refinedCallGraphDot(m).c_str(),
+                   stdout);
+        return 0;
+    case DotView::Cfg:
+    case DotView::Ranges: {
+        const bool cfg = dot.kind == DotView::Cfg;
+        if (dot.func >= m.numFunctions() ||
+            m.functions[dot.func].imported())
+            throw std::runtime_error(
+                std::string(cfg ? "--dot=cfg" : "--dot=ranges") +
+                ": not a defined function: " + std::to_string(dot.func));
+        std::string out = cfg ? static_analysis::cfgDot(m, dot.func)
+                              : static_analysis::rangesDot(m, dot.func);
+        std::fputs(out.c_str(), stdout);
+        return 0;
+    }
     }
     static_analysis::ModuleReport report =
         static_analysis::analyzeModule(m);
@@ -1132,12 +1147,11 @@ printUsage(std::FILE *to)
         "             manifest); exit 3 if any are violated\n"
         "  lint       <in.wasm> [--json]\n"
         "             static pass suite findings; exit 3 if any\n"
-        "  analyze    <in.wasm> [--json] [--summaries] [--ranges]\n"
-        "             [--threads=N]\n"
+        "  analyze    <in.wasm> [--json] [--ranges]\n"
         "             [--dot=callgraph|refined|cfg:FUNC|ranges:FUNC]\n"
         "             per-function CFG statistics, dominator-based\n"
-        "             loop counts, dead functions, effect summaries\n"
-        "             and value-range facts\n"
+        "             loop counts, dead functions and value-range\n"
+        "             facts\n"
         "  profile    <in.wasm> [--analysis=NAME] [--hooks=h1,h2]\n"
         "             [--entry=NAME] [--arg=...] [--threads=N]\n"
         "             [--engine=fast|legacy] [--json]\n"
@@ -1319,8 +1333,7 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
             "    lint.interproc.*           refined-graph dead\n"
             "                               functions, zero-target or\n"
             "                               unresolvable call_indirect\n"
-            "                               sites, effect-free\n"
-            "                               functions and never-read\n"
+            "                               sites and never-read\n"
             "                               parameters\n"
             "    lint.range.*               provably out-of-bounds\n"
             "                               accesses, div-by-zero,\n"
@@ -1329,25 +1342,19 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
             to);
     } else if (cmd == "analyze") {
         std::fputs(
-            "wasabi analyze <in.wasm> [--json] [--summaries]\n"
-            "               [--ranges] [--threads=N]\n"
+            "wasabi analyze <in.wasm> [--json] [--ranges]\n"
             "               [--dot=callgraph|refined|cfg:FUNC|\n"
             "                ranges:FUNC]\n"
             "  Static module report: per-function CFG statistics,\n"
             "  dominator-based loop counts, dead functions; or a\n"
             "  Graphviz rendering of the call graph / one CFG.\n"
-            "  --summaries solves interprocedural effect summaries\n"
-            "  (memory/global effects, may-trap, import escape,\n"
-            "  callee closure) over the refined call graph's SCC\n"
-            "  condensation with N workers and prints them as JSON;\n"
-            "  output is byte-identical for every N.\n"
+
             "  --ranges runs the value-range abstract interpretation\n"
             "  (interval domain, threshold widening, branch\n"
             "  refinement, interprocedural argument seeding) and\n"
             "  prints per-access address intervals as JSON, marking\n"
             "  each access proven in bounds for the declared minimum\n"
-            "  memory (\"proven\"); output is byte-identical for every\n"
-            "  --threads=N.\n"
+            "  memory (\"proven\").\n"
             "  --dot=refined renders per-site call_indirect edges:\n"
             "  bold = proven unique target, dashed = unresolved;\n"
             "  --dot=ranges:FUNC renders one CFG with per-block\n"
@@ -1460,6 +1467,9 @@ main(int argc, char **argv)
     } catch (const UsageError &e) {
         std::fprintf(stderr, "wasabi: %s\n", e.what());
         return 2;
+    } catch (const InvalidModule &e) {
+        std::fprintf(stderr, "INVALID: %s\n", e.what());
+        return 1;
     } catch (const support::IoError &e) {
         // Structured I/O failure: the code ("io.read" / "io.write" /
         // "io.short-write" / "io.module") leads, so scripts can match
