@@ -165,12 +165,8 @@ Server::opRun(const Request &r, bool with_profile)
             ? runtime::WasabiRuntime::requiredHooks({analysis.get()})
             : parseHookSet(r.hooks);
 
-    std::string entry_name = r.entry;
-    if (entry_name.empty()) {
-        entry_name = "main";
-        if (!m.findFuncExport(entry_name) && m.findFuncExport("kernel"))
-            entry_name = "kernel";
-    }
+    const std::string entry_name =
+        r.entry.empty() ? m.defaultEntry() : r.entry;
     if (!m.findFuncExport(entry_name))
         throw BadRequest("no exported function \"" + entry_name +
                          "\" in " + r.module);

@@ -22,9 +22,9 @@
  * Every refined callee set is a subset of the seed graph's for the
  * same site and the root set is identical, so refined reachability is
  * a subset of — and refined dead-function detection a superset of —
- * the seed graph's. That monotonicity is what licenses `wasabi opt`'s
- * `dead-functions` pass (rewrite/opt.h) to strip every function this
- * graph proves dead.
+ * the seed graph's. That monotonicity is what licenses
+ * `lint.interproc.dead-function` to report every function this graph
+ * proves dead that the seed graph keeps.
  */
 
 #ifndef WASABI_STATIC_INTERPROC_REFINED_CALL_GRAPH_H

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 
-#include "core/control_stack.h"
 #include "static/interproc/refined_call_graph.h"
 #include "static/manifest.h"
 #include "static/passes/constprop.h"
 #include "static/passes/deadstore.h"
-#include "static/rewrite/rewrite.h"
 #include "wasm/decoder.h"
 #include "wasm/encoder.h"
 #include "wasm/leb128.h"
@@ -21,76 +19,9 @@ using wasm::Opcode;
 
 namespace {
 
-constexpr const char *kPassDeadFunctions = "dead-functions";
 constexpr const char *kPassCallIndirect = "call-indirect";
 constexpr const char *kPassConstFold = "const-fold";
 constexpr const char *kPassDeadStores = "dead-stores";
-constexpr const char *kPassEmptyBlocks = "empty-blocks";
-
-// ----- dead-functions ------------------------------------------------
-
-/**
- * Functions provably strippable: refined-unreachable, defined,
- * unexported, not the start function, not referenced by any element
- * segment, and — enforced to a fixpoint — not referenced by a `call`
- * in any surviving function. The last rule is belt-and-braces: a
- * refined-unreachable function can still be named by a call in
- * unreachable code of a live function, and deleting it would leave a
- * dangling immediate the remap layer (rightly) rejects.
- */
-std::vector<uint32_t>
-strippableFunctions(const Module &m)
-{
-    interproc::RefinedCallGraph rcg(m);
-    std::vector<bool> strip(m.numFunctions(), false);
-    for (uint32_t f : rcg.deadFunctions()) {
-        const wasm::Function &fn = m.functions[f];
-        if (!fn.imported() && fn.exportNames.empty())
-            strip[f] = true;
-    }
-    if (m.start && *m.start < strip.size())
-        strip[*m.start] = false;
-    for (const wasm::ElementSegment &seg : m.elements) {
-        for (uint32_t f : seg.funcIdxs) {
-            if (f < strip.size())
-                strip[f] = false;
-        }
-    }
-    // Fixpoint: un-strip anything called from surviving code.
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (uint32_t g = 0; g < m.numFunctions(); ++g) {
-            if (strip[g])
-                continue;
-            for (const Instr &instr : m.functions[g].body) {
-                if (instr.op == Opcode::Call &&
-                    instr.imm.idx < strip.size() &&
-                    strip[instr.imm.idx]) {
-                    strip[instr.imm.idx] = false;
-                    changed = true;
-                }
-            }
-        }
-    }
-    std::vector<uint32_t> out;
-    for (uint32_t f = 0; f < strip.size(); ++f) {
-        if (strip[f])
-            out.push_back(f);
-    }
-    return out;
-}
-
-Module
-applyStrip(const Module &m, const std::vector<uint32_t> &funcs)
-{
-    if (funcs.empty())
-        return m;
-    ModuleRewriter rw(m);
-    for (uint32_t f : funcs)
-        rw.deleteFunction(f);
-    return rw.apply().module;
-}
 
 // ----- call-indirect -------------------------------------------------
 
@@ -231,51 +162,13 @@ applyDeadStores(Module &m, const std::vector<DeadStoreClaim> &claims)
     }
 }
 
-// ----- empty-blocks --------------------------------------------------
-
-std::vector<EmptyBlockClaim>
-findEmptyBlocks(const Module &m)
-{
-    std::vector<EmptyBlockClaim> claims;
-    for (uint32_t f = 0; f < m.numFunctions(); ++f) {
-        if (m.functions[f].imported())
-            continue;
-        const std::vector<Instr> &body = m.functions[f].body;
-        std::vector<core::BlockMatch> match = core::matchBlocks(body);
-        for (uint32_t i = 0; i < body.size(); ++i) {
-            // `if` is excluded: deleting an empty if/end pair would
-            // leave its popped condition on the stack.
-            if ((body[i].op == Opcode::Block ||
-                 body[i].op == Opcode::Loop) &&
-                match[i].endIdx == i + 1)
-                claims.push_back(EmptyBlockClaim{f, i});
-        }
-    }
-    return claims;
-}
-
-void
-applyEmptyBlocks(Module &m, const std::vector<EmptyBlockClaim> &claims)
-{
-    for (auto it = claims.rbegin(); it != claims.rend(); ++it) {
-        std::vector<Instr> &body = m.functions[it->func].body;
-        if (static_cast<uint64_t>(it->begin) + 2 > body.size())
-            throw RewriteError("opt.bad-claim",
-                               "empty-block claim out of range");
-        body.erase(body.begin() + it->begin,
-                   body.begin() + it->begin + 2);
-    }
-}
-
 } // namespace
 
 const std::vector<std::string> &
 allOptPasses()
 {
     static const std::vector<std::string> kPasses{
-        kPassDeadFunctions, kPassCallIndirect, kPassConstFold,
-        kPassDeadStores,    kPassEmptyBlocks,
-    };
+        kPassCallIndirect, kPassConstFold, kPassDeadStores};
     return kPasses;
 }
 
@@ -340,11 +233,6 @@ optimize(const Module &m, const std::vector<std::string> &passes)
     OptClaims &claims = result.claims;
 
     // Canonical order, independent of the order requested.
-    if (requested(kPassDeadFunctions)) {
-        claims.passes.push_back(kPassDeadFunctions);
-        claims.strippedFunctions = strippableFunctions(cur);
-        cur = applyStrip(cur, claims.strippedFunctions);
-    }
     if (requested(kPassCallIndirect)) {
         claims.passes.push_back(kPassCallIndirect);
         claims.directCalls = findDirectCalls(cur);
@@ -359,11 +247,6 @@ optimize(const Module &m, const std::vector<std::string> &passes)
         claims.deadStores = findDeadStores(cur);
         applyDeadStores(cur, claims.deadStores);
     }
-    if (requested(kPassEmptyBlocks)) {
-        claims.passes.push_back(kPassEmptyBlocks);
-        claims.emptyBlocks = findEmptyBlocks(cur);
-        applyEmptyBlocks(cur, claims.emptyBlocks);
-    }
     return result;
 }
 
@@ -376,11 +259,9 @@ claimsToManifest(const OptClaims &claims)
     std::string out = manifest::header(manifest::kOptSchema);
     manifest::appendField(out, "passes", claims.passes,
                           [](const std::string &p) { return p; });
-    appendRows<1>(out, "strippedFunctions", claims.strippedFunctions);
     appendRows<4>(out, "directCalls", claims.directCalls);
     appendRows<4>(out, "constFolds", claims.constFolds);
     appendRows<3>(out, "deadStores", claims.deadStores);
-    appendRows<2>(out, "emptyBlocks", claims.emptyBlocks);
     return out + "\n}\n";
 }
 
@@ -407,16 +288,12 @@ claimsFromManifest(const json::Value &doc, OptClaims &claims,
     bool ok =
         manifest::checkTopLevel(
             doc, manifest::kOptSchema,
-            {"passes", "strippedFunctions", "directCalls", "constFolds",
-             "deadStores", "emptyBlocks"},
+            {"passes", "directCalls", "constFolds", "deadStores"},
             err) &&
         passes() &&
-        readRows<1>(doc, "strippedFunctions", claims.strippedFunctions,
-                    err) &&
         readRows<4>(doc, "directCalls", claims.directCalls, err) &&
         readRows<4>(doc, "constFolds", claims.constFolds, err) &&
-        readRows<3>(doc, "deadStores", claims.deadStores, err) &&
-        readRows<2>(doc, "emptyBlocks", claims.emptyBlocks, err);
+        readRows<3>(doc, "deadStores", claims.deadStores, err);
     if (!ok && error)
         *error = err;
     return ok;
@@ -457,11 +334,6 @@ checkOptimization(const Module &original,
     }
     // Claims for a pass the manifest does not list cannot have been
     // produced by that manifest's run — tamper evidence.
-    if (!listed(claims, kPassDeadFunctions) &&
-        !claims.strippedFunctions.empty())
-        ds.error("check.opt.orphan-claims",
-                 "strippedFunctions present but dead-functions not in "
-                 "passes");
     if (!listed(claims, kPassCallIndirect) && !claims.directCalls.empty())
         ds.error("check.opt.orphan-claims",
                  "directCalls present but call-indirect not in passes");
@@ -471,30 +343,13 @@ checkOptimization(const Module &original,
     if (!listed(claims, kPassDeadStores) && !claims.deadStores.empty())
         ds.error("check.opt.orphan-claims",
                  "deadStores present but dead-stores not in passes");
-    if (!listed(claims, kPassEmptyBlocks) && !claims.emptyBlocks.empty())
-        ds.error("check.opt.orphan-claims",
-                 "emptyBlocks present but empty-blocks not in passes");
     if (!ds.empty())
         return ds;
 
     Module replay = original;
     try {
         for (const std::string &pass : claims.passes) {
-            if (pass == kPassDeadFunctions) {
-                std::vector<uint32_t> provable =
-                    strippableFunctions(replay);
-                for (uint32_t f : claims.strippedFunctions) {
-                    if (!std::binary_search(provable.begin(),
-                                            provable.end(), f))
-                        ds.error("check.opt.bad-dead-function",
-                                 "function " + std::to_string(f) +
-                                     " is not provably dead",
-                                 f);
-                }
-                if (!ds.empty())
-                    return ds;
-                replay = applyStrip(replay, claims.strippedFunctions);
-            } else if (pass == kPassCallIndirect) {
+            if (pass == kPassCallIndirect) {
                 interproc::RefinedCallGraph rcg(replay);
                 for (const DirectCallClaim &c : claims.directCalls) {
                     const interproc::CallSite *site =
@@ -562,25 +417,6 @@ checkOptimization(const Module &original,
                 if (!ds.empty())
                     return ds;
                 applyDeadStores(replay, claims.deadStores);
-            } else if (pass == kPassEmptyBlocks) {
-                std::vector<EmptyBlockClaim> provable =
-                    findEmptyBlocks(replay);
-                for (const EmptyBlockClaim &c : claims.emptyBlocks) {
-                    bool ok = std::any_of(
-                        provable.begin(), provable.end(),
-                        [&](const EmptyBlockClaim &p) {
-                            return p.func == c.func &&
-                                   p.begin == c.begin;
-                        });
-                    if (!ok)
-                        ds.error("check.opt.bad-empty-block",
-                                 "instructions are not an empty "
-                                 "block/loop pair",
-                                 c.func, c.begin);
-                }
-                if (!ds.empty())
-                    return ds;
-                applyEmptyBlocks(replay, claims.emptyBlocks);
             }
         }
     } catch (const std::exception &e) {

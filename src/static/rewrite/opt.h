@@ -1,17 +1,13 @@
 /**
  * @file
- * The applied-pass layer on top of the rewriting API: turns the
- * static facts of PRs 1–3 into actual binary transforms, each with a
+ * `wasabi opt`: analysis-proven binary transforms, each with a
  * machine-checkable claim trail.
  *
  * Passes (always applied in this fixed order):
- *  - "dead-functions": strip defined, non-exported, non-start
- *    functions that the refined interprocedural call graph proves
- *    unreachable and that no surviving code or element segment
- *    references.
- *  - "call-indirect": rewrite `call_indirect` sites the refined graph
- *    resolves to a unique target (constant index, exact non-host-
- *    visible table layout) into `drop` + direct `call`.
+ *  - "call-indirect": rewrite `call_indirect` sites the refined
+ *    interprocedural call graph resolves to a unique target (constant
+ *    index, exact non-host-visible table layout) into `drop` + direct
+ *    `call`.
  *  - "const-fold": peephole-fold adjacent provably-constant i32
  *    sequences ([const, unop], [const, const, binop],
  *    [const, const, const, select]) into a single `i32.const`,
@@ -19,8 +15,9 @@
  *    are never folded).
  *  - "dead-stores": rewrite `local.set` instructions whose value the
  *    backward liveness pass proves unread into `drop`.
- *  - "empty-blocks": delete `block`/`loop` begin+end pairs with empty
- *    bodies (no label can target them, so deletion is depth-safe).
+ *
+ * Every transform edits function bodies in place; none adds, deletes
+ * or renumbers a module entity, so no index fixup is needed.
  *
  * Every transform is recorded as a claim in the coordinates of the
  * module *as it was at the start of that pass*; the claim set
@@ -38,6 +35,7 @@
 #define WASABI_STATIC_REWRITE_OPT_H
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -46,6 +44,22 @@
 #include "wasm/module.h"
 
 namespace wasabi::static_analysis::rewrite {
+
+/** Structured optimizer failure with a stable dotted code, e.g.
+ * "opt.unknown-pass". */
+class RewriteError : public std::runtime_error {
+  public:
+    RewriteError(std::string code, const std::string &what)
+        : std::runtime_error("rewrite error [" + code + "]: " + what),
+          code_(std::move(code))
+    {
+    }
+
+    const std::string &code() const { return code_; }
+
+  private:
+    std::string code_;
+};
 
 /** One call_indirect -> direct call rewrite. `func`/`instr` locate
  * the call_indirect in the pass-input module; `typeIdx` is its type
@@ -75,28 +89,18 @@ struct DeadStoreClaim {
     uint32_t local = 0;
 };
 
-/** One empty block/loop begin+end pair deleted; `begin` indexes the
- * opening instruction in the pass-input body. */
-struct EmptyBlockClaim {
-    uint32_t func = 0;
-    uint32_t begin = 0;
-};
-
 /** The full claim trail of one optimization run. */
 struct OptClaims {
     /** Pass names in applied order (subset of allOptPasses()). */
     std::vector<std::string> passes;
-    std::vector<uint32_t> strippedFunctions;
     std::vector<DirectCallClaim> directCalls;
     std::vector<ConstFoldClaim> constFolds;
     std::vector<DeadStoreClaim> deadStores;
-    std::vector<EmptyBlockClaim> emptyBlocks;
 
     size_t
     totalClaims() const
     {
-        return strippedFunctions.size() + directCalls.size() +
-               constFolds.size() + deadStores.size() + emptyBlocks.size();
+        return directCalls.size() + constFolds.size() + deadStores.size();
     }
 };
 
@@ -152,11 +156,9 @@ bool claimsFromManifest(const std::string &text, OptClaims &claims,
  * stable codes:
  *  - check.opt.unknown-pass         (manifest lists an unknown pass)
  *  - check.opt.orphan-claims        (claims of a pass not listed)
- *  - check.opt.bad-dead-function    (strip not proved by reachability)
  *  - check.opt.bad-call-target      (site not proved IndirectConst)
  *  - check.opt.bad-fold             (sequence does not fold to value)
  *  - check.opt.bad-dead-store       (store not proved dead)
- *  - check.opt.bad-empty-block      (not an empty block/loop pair)
  *  - check.opt.replay-failed        (claimed edit not applicable)
  *  - check.opt.invalid-output       (optimized binary fails validation)
  *  - check.opt.output-mismatch      (replayed bytes != optimized bytes)

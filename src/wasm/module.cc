@@ -46,6 +46,13 @@ Module::findFuncExport(const std::string &name) const
     return std::nullopt;
 }
 
+std::string
+Module::defaultEntry() const
+{
+    return !findFuncExport("main") && findFuncExport("kernel") ? "kernel"
+                                                               : "main";
+}
+
 size_t
 Module::numInstructions() const
 {

@@ -137,6 +137,11 @@ struct Module {
     /** Find a function index by export name; nullopt if absent. */
     std::optional<uint32_t> findFuncExport(const std::string &name) const;
 
+    /** The export `run`, `profile` and serve invoke when no entry is
+     * named: `main`, else `kernel` (PolyBench workloads export
+     * `kernel`, applications `main`). "main" when neither exists. */
+    std::string defaultEntry() const;
+
     /** Total number of instructions across all function bodies. */
     size_t numInstructions() const;
 };

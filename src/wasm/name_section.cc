@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "wasm/leb128.h"
-#include "wasm/remap.h"
 
 namespace wasabi::wasm {
 

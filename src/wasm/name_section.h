@@ -8,7 +8,7 @@
  * Beyond the function-name shortcut, the full section is exposed as
  * structured NameSectionData (module name, function names, and the
  * local-/label-name subsections keyed by function index) so the
- * rewriting layer can remap *all* subsections when function indices
+ * instrumenter can remap *all* subsections when function indices
  * shift, instead of silently dropping local and label names.
  */
 
@@ -21,6 +21,9 @@
 #include "wasm/module.h"
 
 namespace wasabi::wasm {
+
+/** Sentinel in a remapNameData() map: the old index has no new home. */
+inline constexpr uint32_t kDeletedIndex = 0xFFFFFFFFu;
 
 /**
  * Parse the "name" custom section of @p m (if present) and fill
@@ -51,9 +54,10 @@ std::string functionName(const Module &m, uint32_t func_idx);
 using NameMap = std::vector<std::pair<uint32_t, std::string>>;
 
 /** Function index -> inner NameMap (locals or labels of that
- * function). Inner indices are opaque to the rewriter: they refer to
- * locals (params first) or label positions *within* the function and
- * survive any edit that does not touch that function's body/locals. */
+ * function). Inner indices are opaque to remapNameData(): they refer
+ * to locals (params first) or label positions *within* the function
+ * and survive any edit that does not touch that function's
+ * body/locals. */
 using IndirectNameMap = std::vector<std::pair<uint32_t, NameMap>>;
 
 /** Decoded "name" section: subsections 0 (module), 1 (functions),

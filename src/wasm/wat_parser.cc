@@ -1051,6 +1051,9 @@ class ModuleParser {
                         continue;
                     }
                     if (cur.isAtom("else") && depth == 1) {
+                        if (op != Opcode::If)
+                            failAt(cur, "else outside an if (in a " +
+                                            head.atom + ")");
                         instrs.push_back(Instr(Opcode::Else));
                         ++j;
                         // optional label id after else

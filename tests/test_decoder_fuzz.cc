@@ -11,7 +11,6 @@
 #include "interp/interpreter.h"
 #include "range_claim_oracle.h"
 #include "static/rewrite/opt.h"
-#include "static/rewrite/rewrite.h"
 #include "wasm/decoder.h"
 #include "wasm/encoder.h"
 #include "wasm/leb128.h"
@@ -299,105 +298,6 @@ TEST(DecoderFuzz, MutationSurvivorsOptimizeProveAndMatchOnBothEngines)
         ++proved;
     }
     EXPECT_GT(proved, 0);
-}
-
-// ---------------------------------------------------------------------
-// Rewriter edit-script fuzz: apply random *valid* edit scripts to the
-// random-program corpus through ModuleRewriter. Every apply() must
-// either succeed (then the module re-validates and executes
-// identically on both engines) or fail with a structured
-// RewriteError/RemapError — never silent corruption or a crash.
-
-/** A body that satisfies @p type: one constant per result, then end. */
-std::vector<Instr>
-constantBody(const FuncType &type)
-{
-    std::vector<Instr> body;
-    for (ValType vt : type.results) {
-        switch (vt) {
-        case ValType::I32: body.push_back(Instr::i32Const(7)); break;
-        case ValType::I64: body.push_back(Instr::i64Const(7)); break;
-        case ValType::F32: body.push_back(Instr::f32Const(7.0f)); break;
-        case ValType::F64: body.push_back(Instr::f64Const(7.0)); break;
-        }
-    }
-    body.push_back(Instr(Opcode::End));
-    return body;
-}
-
-TEST(RewriterFuzz, RandomEditScriptsNeverCorrupt)
-{
-    namespace rw = static_analysis::rewrite;
-    uint64_t rng = 0xED17;
-    int survivors = 0, structured_failures = 0;
-    for (int iter = 0; iter < 60; ++iter) {
-        workloads::RandomProgramOptions opts;
-        opts.seed = 1000 + iter;
-        opts.indirectCallPct = 20;
-        opts.constIndexIndirectPct = 50;
-        workloads::Workload w = workloads::randomProgram(opts);
-        Module &m = w.module;
-        ASSERT_EQ(validationError(m), std::nullopt);
-
-        rw::ModuleRewriter rewriter(m);
-        int edits = 1 + static_cast<int>(mix(rng) % 5);
-        for (int e = 0; e < edits; ++e) {
-            uint32_t f =
-                static_cast<uint32_t>(mix(rng) % m.functions.size());
-            switch (mix(rng) % 4) {
-            case 0: // replace a defined body with a constant one
-                if (!m.functions[f].imported())
-                    rewriter.replaceBody(f, constantBody(m.funcType(f)));
-                break;
-            case 1: { // add a function and call it from nowhere
-                Function neu;
-                neu.typeIdx = rewriter.addType(FuncType({}, {}));
-                neu.body = {Instr(Opcode::End)};
-                rewriter.addFunction(neu);
-                break;
-            }
-            case 2: // delete an unexported function; later apply()
-                    // may legitimately refuse with a structured error
-                if (!m.functions[f].imported() &&
-                    m.functions[f].exportNames.empty())
-                    rewriter.deleteFunction(f);
-                break;
-            case 3: // clear the start function, if any
-                rewriter.setStart(std::nullopt);
-                break;
-            }
-        }
-
-        rw::RewriteResult result;
-        try {
-            result = rewriter.apply();
-        } catch (const rw::RewriteError &) {
-            ++structured_failures;
-            continue;
-        } catch (const RemapError &) {
-            ++structured_failures;
-            continue;
-        }
-        // Survivors must re-validate and roundtrip...
-        ASSERT_EQ(validationError(result.module), std::nullopt)
-            << "iter " << iter;
-        std::vector<uint8_t> bytes = encodeModule(result.module);
-        EXPECT_EQ(encodeModule(decodeModule(bytes)), bytes)
-            << "iter " << iter;
-        // ...and execute identically on both engines.
-        std::optional<FuzzOutcome> legacy =
-            runBounded(result.module, interp::EngineKind::Legacy);
-        std::optional<FuzzOutcome> fast =
-            runBounded(result.module, interp::EngineKind::Fast);
-        ASSERT_EQ(legacy.has_value(), fast.has_value()) << "iter " << iter;
-        if (legacy) {
-            EXPECT_EQ(*legacy == *fast, true) << "iter " << iter;
-        }
-        ++survivors;
-    }
-    // The script mix must exercise both outcomes.
-    EXPECT_GT(survivors, 0);
-    EXPECT_GT(structured_failures, 0);
 }
 
 TEST(DecoderFuzz, SectionSizeLiesAreRejected)

@@ -390,8 +390,7 @@ TEST(InterprocLint, TableDiagnosticsSurfaceInLint)
 // ----- `opt` call_indirect claims: checker re-proof -------------------
 
 /** The `opt` passes the refined call graph licenses. */
-const std::vector<std::string> kRefinedPasses = {"dead-functions",
-                                                 "call-indirect"};
+const std::vector<std::string> kRefinedPasses = {"call-indirect"};
 
 TEST(InterprocOpt, HostVisibleTableYieldsNoCallClaims)
 {
@@ -400,7 +399,6 @@ TEST(InterprocOpt, HostVisibleTableYieldsNoCallClaims)
     Module m = constIndexFixture(/*export_table=*/true);
     rewrite::OptResult r = rewrite::optimize(m, kRefinedPasses);
     EXPECT_TRUE(r.claims.directCalls.empty());
-    EXPECT_TRUE(r.claims.strippedFunctions.empty());
 }
 
 /** Re-prove @p claims for the fixture against @p optimized. */

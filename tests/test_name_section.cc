@@ -12,7 +12,6 @@
 #include "wasm/decoder.h"
 #include "wasm/encoder.h"
 #include "wasm/name_section.h"
-#include "wasm/remap.h"
 
 namespace wasabi::wasm {
 namespace {

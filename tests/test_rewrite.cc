@@ -1,12 +1,10 @@
 /**
  * @file
- * Tests for the rewriting toolkit: ModuleRewriter index fixup (delete /
- * add / replace with automatic remapping of calls, element segments,
- * exports, start, and name subsections), the applied optimization
- * passes, the claim-manifest round trip, the manifest checker's
- * accept/reject behavior, and the differential-execution guarantee of
- * `wasabi opt` (original and optimized modules are observationally
- * identical on both engines, instrumented and uninstrumented).
+ * Tests for `wasabi opt`: the three optimization passes, the
+ * claim-manifest round trip, the manifest checker's accept/reject
+ * behavior, and the differential-execution guarantee (original and
+ * optimized modules are observationally identical on both engines,
+ * instrumented and uninstrumented).
  */
 
 #include <gtest/gtest.h>
@@ -17,9 +15,7 @@
 #include "runtime/runtime.h"
 #include "static/manifest.h"
 #include "static/rewrite/opt.h"
-#include "static/rewrite/rewrite.h"
 #include "wasm/builder.h"
-#include "wasm/decoder.h"
 #include "wasm/encoder.h"
 #include "wasm/name_section.h"
 #include "wasm/validator.h"
@@ -31,7 +27,6 @@ namespace wasabi::static_analysis::rewrite {
 namespace {
 
 using wasm::FuncType;
-using wasm::Function;
 using wasm::FunctionBuilder;
 using wasm::Instr;
 using wasm::Module;
@@ -78,280 +73,7 @@ run(const Module &m, const std::string &entry, interp::EngineKind engine)
 }
 
 // ---------------------------------------------------------------------
-// ModuleRewriter: zero-edit byte identity.
-
-TEST(Rewriter, ZeroEditsAreByteIdentical)
-{
-    Module m = chainModule();
-    ModuleRewriter rw(m);
-    EXPECT_FALSE(rw.hasEdits());
-    RewriteResult r = rw.apply();
-    EXPECT_TRUE(r.remap.identity());
-    EXPECT_EQ(wasm::encodeModule(r.module), wasm::encodeModule(m));
-}
-
-TEST(Rewriter, ZeroEditsOnEmptyModule)
-{
-    Module m;
-    RewriteResult r = ModuleRewriter(m).apply();
-    EXPECT_EQ(wasm::encodeModule(r.module), wasm::encodeModule(m));
-}
-
-// ---------------------------------------------------------------------
-// Deletion: calls, exports, names, start, and element fixup.
-
-TEST(Rewriter, DeleteRemapsCallsExportsAndNames)
-{
-    // Rebuild f0 to call f2 directly so f1 becomes deletable.
-    Module m = chainModule();
-    ModuleRewriter rw(m);
-    rw.replaceBody(0, {Instr::call(2), Instr(Opcode::End)});
-    rw.deleteFunction(1);
-    RewriteResult r = rw.apply();
-
-    ASSERT_EQ(r.module.functions.size(), 2u);
-    EXPECT_EQ(r.remap.func(0), 0u);
-    EXPECT_EQ(r.remap.func(1), wasm::kDeletedIndex);
-    EXPECT_EQ(r.remap.func(2), 1u);
-    // The rebuilt call now targets the compacted index of f2.
-    EXPECT_EQ(r.module.functions[0].body[0].imm.idx, 1u);
-    EXPECT_EQ(wasm::validationError(r.module), std::nullopt);
-
-    // Export survives at its new position and still runs; the name
-    // subsections followed the surviving functions.
-    Module decoded = wasm::decodeModule(wasm::encodeModule(r.module));
-    ASSERT_TRUE(decoded.findFuncExport("main").has_value());
-    wasm::applyNameSection(decoded);
-    EXPECT_EQ(decoded.functions[0].debugName, "entry");
-    EXPECT_EQ(decoded.functions[1].debugName, "leaf");
-    auto [results, trap] =
-        run(decoded, "main", interp::EngineKind::Fast);
-    ASSERT_FALSE(trap.has_value());
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].i32(), 42);
-}
-
-TEST(Rewriter, CallToDeletedFunctionIsStructuredError)
-{
-    Module m = chainModule();
-    ModuleRewriter rw(m);
-    rw.deleteFunction(2); // f1 still calls it
-    try {
-        rw.apply();
-        FAIL() << "expected RemapError";
-    } catch (const wasm::RemapError &e) {
-        EXPECT_EQ(e.code(), "remap.call-deleted-function");
-    }
-}
-
-TEST(Rewriter, DeleteExportedFunctionIsRefused)
-{
-    Module m = chainModule();
-    ModuleRewriter rw(m);
-    rw.deleteFunction(0);
-    try {
-        rw.apply();
-        FAIL() << "expected RewriteError";
-    } catch (const RewriteError &e) {
-        EXPECT_EQ(e.code(), "rewrite.delete-exported");
-    }
-}
-
-TEST(Rewriter, StartSectionIsRetargeted)
-{
-    ModuleBuilder mb;
-    mb.addFunction(FuncType({}, {ValType::I32}), "keep",
-                   [](FunctionBuilder &f) { f.i32Const(1); });
-    mb.addFunction(FuncType({}, {}), "", [](FunctionBuilder &) {});
-    mb.addFunction(FuncType({}, {}), "", [](FunctionBuilder &) {});
-    mb.start(2);
-    Module m = mb.build();
-
-    ModuleRewriter rw(m);
-    rw.deleteFunction(1);
-    RewriteResult r = rw.apply();
-    EXPECT_EQ(r.module.start, std::optional<uint32_t>(1));
-    EXPECT_EQ(wasm::validationError(r.module), std::nullopt);
-}
-
-TEST(Rewriter, DeletingTheStartFunctionIsStructuredError)
-{
-    ModuleBuilder mb;
-    mb.addFunction(FuncType({}, {}), "", [](FunctionBuilder &) {});
-    mb.start(0);
-    Module m = mb.build();
-    ModuleRewriter rw(m);
-    rw.deleteFunction(0);
-    try {
-        rw.apply();
-        FAIL() << "expected RemapError";
-    } catch (const wasm::RemapError &e) {
-        EXPECT_EQ(e.code(), "remap.start-deleted-function");
-    }
-}
-
-TEST(Rewriter, ElementReferencingDeletedFunctionIsStructuredError)
-{
-    ModuleBuilder mb;
-    mb.table(2, 2);
-    mb.addFunction(FuncType({}, {ValType::I32}), "main",
-                   [](FunctionBuilder &f) { f.i32Const(0); });
-    uint32_t victim = mb.addFunction(FuncType({}, {ValType::I32}), "",
-                                     [](FunctionBuilder &f) {
-                                         f.i32Const(9);
-                                     });
-    mb.elem(0, {victim});
-    Module m = mb.build();
-
-    ModuleRewriter rw(m);
-    rw.deleteFunction(victim);
-    try {
-        rw.apply();
-        FAIL() << "expected RemapError";
-    } catch (const wasm::RemapError &e) {
-        EXPECT_EQ(e.code(), "remap.element-deleted-function");
-    }
-
-    // Replacing the element list first makes the same deletion legal.
-    ModuleRewriter rw2(m);
-    rw2.setElementFuncs(0, {0});
-    rw2.deleteFunction(victim);
-    RewriteResult r = rw2.apply();
-    EXPECT_EQ(r.module.elements[0].funcIdxs,
-              (std::vector<uint32_t>{0}));
-    EXPECT_EQ(wasm::validationError(r.module), std::nullopt);
-}
-
-// ---------------------------------------------------------------------
-// Additions: handles in calls, elements, and start.
-
-TEST(Rewriter, AddedFunctionsResolveHandles)
-{
-    ModuleBuilder mb;
-    mb.table(2, 2);
-    mb.addFunction(FuncType({}, {ValType::I32}), "main",
-                   [](FunctionBuilder &f) { f.i32Const(0); });
-    mb.elem(0, {0});
-    Module m = mb.build();
-
-    ModuleRewriter rw(m);
-    Function neu;
-    neu.typeIdx = rw.addType(FuncType({}, {ValType::I32}));
-    neu.body = {Instr::i32Const(77), Instr(Opcode::End)};
-    uint32_t handle = rw.addFunction(neu);
-    EXPECT_GE(handle, kNewFuncHandle);
-    // Reference the new function from a replaced body, the element
-    // section, and the start-style index surface all at once.
-    rw.replaceBody(0, {Instr::call(handle), Instr(Opcode::End)});
-    rw.setElementFuncs(0, {0, handle});
-    RewriteResult r = rw.apply();
-
-    ASSERT_EQ(r.newFunctionIndices.size(), 1u);
-    uint32_t idx = r.newFunctionIndices[0];
-    EXPECT_EQ(idx, 1u);
-    EXPECT_EQ(r.module.functions[0].body[0].imm.idx, idx);
-    EXPECT_EQ(r.module.elements[0].funcIdxs,
-              (std::vector<uint32_t>{0, idx}));
-    EXPECT_EQ(wasm::validationError(r.module), std::nullopt);
-    auto [results, trap] =
-        run(r.module, "main", interp::EngineKind::Fast);
-    ASSERT_FALSE(trap.has_value());
-    EXPECT_EQ(results[0].i32(), 77);
-}
-
-TEST(Rewriter, UnknownHandleIsStructuredError)
-{
-    Module m = chainModule();
-    ModuleRewriter rw(m);
-    rw.replaceBody(0, {Instr::call(kNewFuncHandle + 5),
-                       Instr(Opcode::End)});
-    try {
-        rw.apply();
-        FAIL() << "expected RewriteError";
-    } catch (const RewriteError &e) {
-        EXPECT_EQ(e.code(), "rewrite.bad-handle");
-    }
-}
-
-TEST(Rewriter, EmptyModuleGrowsFromNothing)
-{
-    Module m;
-    ModuleRewriter rw(m);
-    Function f;
-    f.typeIdx = rw.addType(FuncType({}, {ValType::I32}));
-    f.body = {Instr::i32Const(5), Instr(Opcode::End)};
-    rw.addFunction(f);
-    RewriteResult r = rw.apply();
-    ASSERT_EQ(r.module.functions.size(), 1u);
-    ASSERT_EQ(r.module.types.size(), 1u);
-    EXPECT_EQ(wasm::validationError(r.module), std::nullopt);
-}
-
-TEST(Rewriter, GlobalEditsAndTypeDedup)
-{
-    ModuleBuilder mb;
-    mb.global(ValType::I32, true, Value::makeI32(3));
-    mb.addFunction(FuncType({}, {ValType::I32}),
-                   "main", [](FunctionBuilder &f) { f.globalGet(0); });
-    Module m = mb.build();
-
-    ModuleRewriter rw(m);
-    // addType of an existing signature reuses the existing index.
-    EXPECT_EQ(rw.addType(FuncType({}, {ValType::I32})), 0u);
-    wasm::Global g;
-    g.type = ValType::I64;
-    g.mut = false;
-    g.init = {Instr::i64Const(8), Instr(Opcode::End)};
-    EXPECT_EQ(rw.addGlobal(g), 1u);
-    rw.setGlobalInit(0, {Instr::i32Const(11), Instr(Opcode::End)});
-    RewriteResult r = rw.apply();
-    ASSERT_EQ(r.module.globals.size(), 2u);
-    EXPECT_EQ(r.module.globals[0].init[0].imm.i32v, 11);
-    EXPECT_EQ(wasm::validationError(r.module), std::nullopt);
-    auto [results, trap] =
-        run(r.module, "main", interp::EngineKind::Fast);
-    ASSERT_FALSE(trap.has_value());
-    EXPECT_EQ(results[0].i32(), 11);
-}
-
-TEST(Rewriter, BadIndicesAreRefusedUpFront)
-{
-    Module m = chainModule();
-    ModuleRewriter rw(m);
-    EXPECT_THROW(rw.deleteFunction(99), RewriteError);
-    EXPECT_THROW(rw.replaceBody(99, {Instr(Opcode::End)}), RewriteError);
-    EXPECT_THROW(rw.setElementFuncs(0, {}), RewriteError);
-    EXPECT_THROW(rw.setGlobalInit(0, {Instr(Opcode::End)}), RewriteError);
-    Function imported;
-    imported.typeIdx = 0;
-    imported.import = wasm::ImportRef{"env", "f"};
-    EXPECT_THROW(rw.addFunction(imported), RewriteError);
-}
-
-// ---------------------------------------------------------------------
 // Optimization passes.
-
-TEST(Opt, DeadFunctionStripping)
-{
-    Module m = chainModule(); // all three reachable: nothing to strip
-    OptResult r0 = optimize(m, {"dead-functions"});
-    EXPECT_TRUE(r0.claims.strippedFunctions.empty());
-
-    // Orphan f1 by short-circuiting f0 past it.
-    m.functions[0].body = {Instr::call(2), Instr(Opcode::End)};
-    OptResult r = optimize(m, {"dead-functions"});
-    EXPECT_EQ(r.claims.strippedFunctions,
-              (std::vector<uint32_t>{1}));
-    ASSERT_EQ(r.module.functions.size(), 2u);
-    EXPECT_EQ(wasm::validationError(r.module), std::nullopt);
-    auto [results, trap] = run(r.module, "main", interp::EngineKind::Fast);
-    ASSERT_FALSE(trap.has_value());
-    EXPECT_EQ(results[0].i32(), 42);
-
-    Diagnostics ds = checkOptimization(
-        m, wasm::encodeModule(r.module), r.claims);
-    EXPECT_TRUE(ds.empty()) << toString(ds);
-}
 
 TEST(Opt, CallIndirectWithConstantIndexBecomesDirectCall)
 {
@@ -461,38 +183,17 @@ TEST(Opt, DeadStoresBecomeDrops)
     EXPECT_TRUE(ds.empty()) << toString(ds);
 }
 
-TEST(Opt, EmptyBlocksAreDeleted)
-{
-    ModuleBuilder mb;
-    mb.addFunction(FuncType({}, {ValType::I32}), "main",
-                   [](FunctionBuilder &f) {
-                       f.block();
-                       f.end();
-                       f.loop();
-                       f.end();
-                       f.i32Const(4);
-                   });
-    Module m = mb.build();
-
-    OptResult r = optimize(m, {"empty-blocks"});
-    EXPECT_EQ(r.claims.emptyBlocks.size(), 2u);
-    ASSERT_EQ(r.module.functions[0].body.size(), 2u); // const + end
-    auto [results, trap] = run(r.module, "main", interp::EngineKind::Fast);
-    ASSERT_FALSE(trap.has_value());
-    EXPECT_EQ(results[0].i32(), 4);
-
-    Diagnostics ds = checkOptimization(
-        m, wasm::encodeModule(r.module), r.claims);
-    EXPECT_TRUE(ds.empty()) << toString(ds);
-}
-
 TEST(Opt, UnknownPassIsRefused)
 {
     Module m = chainModule();
     EXPECT_THROW(optimize(m, {"inline-everything"}), RewriteError);
-    EXPECT_TRUE(isOptPass("dead-functions"));
+    EXPECT_THROW(optimize(m, {"dead-functions"}), RewriteError);
+    EXPECT_TRUE(isOptPass("call-indirect"));
     EXPECT_FALSE(isOptPass("inline-everything"));
-    EXPECT_EQ(allOptPasses().size(), 5u);
+    EXPECT_FALSE(isOptPass("empty-blocks"));
+    EXPECT_EQ(allOptPasses(),
+              (std::vector<std::string>{"call-indirect", "const-fold",
+                                        "dead-stores"}));
 }
 
 // ---------------------------------------------------------------------
@@ -505,10 +206,12 @@ TEST(Opt, ParsePassSpecAcceptsSubsetsAndRejectsUnknownNames)
     EXPECT_EQ(parsePassSpec("const-fold,dead-stores"),
               (std::vector<std::string>{"const-fold", "dead-stores"}));
 
-    // "ipo-const" was a pass once; it is as unknown as any typo now.
-    for (const char *bad : {"inline-everything", "ipo-const"}) {
+    // "ipo-const", "dead-functions" and "empty-blocks" were passes
+    // once; they are as unknown as any typo now.
+    for (const char *bad : {"inline-everything", "ipo-const",
+                            "dead-functions", "empty-blocks"}) {
         try {
-            parsePassSpec(std::string("dead-functions,") + bad);
+            parsePassSpec(std::string("call-indirect,") + bad);
             FAIL() << "expected RewriteError for " << bad;
         } catch (const RewriteError &e) {
             EXPECT_EQ(e.code(), "opt.unknown-pass");
@@ -521,7 +224,7 @@ TEST(Opt, ParsePassSpecAcceptsSubsetsAndRejectsUnknownNames)
                     << p;
         }
     }
-    EXPECT_THROW(parsePassSpec("dead-functions,,const-fold"),
+    EXPECT_THROW(parsePassSpec("call-indirect,,const-fold"),
                  RewriteError);
 }
 
@@ -532,11 +235,9 @@ TEST(OptManifest, RoundTripsAllClaimKinds)
 {
     OptClaims claims;
     claims.passes = allOptPasses();
-    claims.strippedFunctions = {3, 7};
     claims.directCalls = {{1, 2, 3, 4}};
     claims.constFolds = {{0, 5, 3, 0xFFFFFFFFu}};
     claims.deadStores = {{2, 9, 1}};
-    claims.emptyBlocks = {{4, 0}};
 
     std::string text = claimsToManifest(claims);
     std::optional<json::Value> doc = json::parse(text, nullptr);
@@ -548,14 +249,12 @@ TEST(OptManifest, RoundTripsAllClaimKinds)
     std::string error;
     ASSERT_TRUE(claimsFromManifest(text, parsed, &error)) << error;
     EXPECT_EQ(parsed.passes, claims.passes);
-    EXPECT_EQ(parsed.strippedFunctions, claims.strippedFunctions);
     ASSERT_EQ(parsed.directCalls.size(), 1u);
     EXPECT_EQ(parsed.directCalls[0].target, 4u);
     ASSERT_EQ(parsed.constFolds.size(), 1u);
     EXPECT_EQ(parsed.constFolds[0].value, 0xFFFFFFFFu);
     ASSERT_EQ(parsed.deadStores.size(), 1u);
     EXPECT_EQ(parsed.deadStores[0].local, 1u);
-    ASSERT_EQ(parsed.emptyBlocks.size(), 1u);
     EXPECT_EQ(parsed.totalClaims(), claims.totalClaims());
 }
 
@@ -569,14 +268,14 @@ TEST(OptManifest, MalformedInputIsRejected)
         &error));
     // Numbers must be integers in [0, 2^32-1], never rounded.
     for (const char *rows :
-         {"\"strippedFunctions\": [-1]", "\"strippedFunctions\": [1.5]",
-          "\"strippedFunctions\": [4294967296]",
+         {"\"deadStores\": [[0, 1, -1]]", "\"deadStores\": [[0, 1, 1.5]]",
+          "\"deadStores\": [[0, 1, 4294967296]]",
           "\"directCalls\": [[0, 1, 2, -1]]",
           "\"constFolds\": [[0, 1, 1.5, 3]]",
-          "\"emptyBlocks\": [[4294967296, 0]]",
-          // A claim kind of the retired interprocedural passes is an
-          // unknown field like any other, even when empty.
-          "\"ipoConstArgs\": []"}) {
+          "\"directCalls\": [[4294967296, 0, 0, 0]]",
+          // A claim kind of a retired pass is an unknown field like
+          // any other, even when empty.
+          "\"ipoConstArgs\": []", "\"emptyBlocks\": []"}) {
         std::string text =
             std::string("{\"schema\": \"wasabi-opt-manifest\", "
                         "\"version\": 1, ") +
@@ -592,7 +291,7 @@ TEST(OptManifest, MalformedInputIsRejected)
     OptClaims stale;
     ASSERT_TRUE(claimsFromManifest(
         "{\"schema\": \"wasabi-opt-manifest\", \"version\": 1, "
-        "\"passes\": [\"dead-functions\", \"inline\"]}",
+        "\"passes\": [\"dead-functions\", \"empty-blocks\"]}",
         stale, &error))
         << error;
     Module m = chainModule();
@@ -665,18 +364,9 @@ TEST(OptCheck, RejectsForgedClaims)
             << toString(ds);
     }
     {
-        // Stripping a function reachability proves live.
-        OptClaims forged = r.claims;
-        forged.strippedFunctions.push_back(0);
-        Diagnostics ds = checkOptimization(m, bytes, forged);
-        ASSERT_FALSE(ds.empty());
-        EXPECT_TRUE(ds.hasCode("check.opt.bad-dead-function"))
-            << toString(ds);
-    }
-    {
         // A claim for a pass the manifest does not list.
         OptClaims forged = r.claims;
-        forged.passes = {"dead-functions"};
+        forged.passes = {"const-fold"};
         forged.directCalls.push_back({0, 0, 0, 0});
         Diagnostics ds = checkOptimization(m, bytes, forged);
         ASSERT_FALSE(ds.empty());

@@ -224,8 +224,8 @@ TEST(Roundtrip, StartSection)
 // ---------------------------------------------------------------------
 // Corpus byte-identity audit: decode -> encode with zero edits must be
 // byte-identical for every module the toolkit itself can produce. Any
-// LEB128 or section-size drift here would silently defeat the
-// rewriter's zero-edit guarantee and the opt checker's byte compare.
+// LEB128 or section-size drift here would silently defeat the opt
+// checker's byte compare.
 
 void
 expectByteIdentity(const Module &m, const std::string &what)

@@ -153,15 +153,14 @@ TEST_P(RandomProgramCheck, ManifestRoundTripTwoBinaryChecksClean)
 
 TEST_P(RandomProgramCheck, OptimizedInstrumentationNeverGrows)
 {
-    // The removal-only passes delete code and never add any, so the
-    // optimized module instruments to at most the original's size,
-    // and strictly less once any claim applies.
+    // `dead-stores` turns a `local.set N` into a one-byte `drop` and
+    // adds nothing, so the optimized module instruments to at most
+    // the original's size, and strictly less once any claim applies.
     workloads::RandomProgramOptions opts;
     opts.seed = GetParam();
     Module orig = workloads::randomProgram(opts).module;
 
-    rewrite::OptResult r = rewrite::optimize(
-        orig, {"dead-functions", "dead-stores", "empty-blocks"});
+    rewrite::OptResult r = rewrite::optimize(orig, {"dead-stores"});
     const HookSet branch = {HookKind::If, HookKind::BrIf,
                             HookKind::BrTable, HookKind::Select};
     size_t plain_size =
@@ -191,14 +190,12 @@ indirectHeavyOptions(uint64_t seed)
 class IndirectHeavyCheck : public ::testing::TestWithParam<uint64_t> {};
 
 /** The `opt` passes the refined call graph licenses. */
-const std::vector<std::string> kRefinedPasses = {"dead-functions",
-                                                 "call-indirect"};
+const std::vector<std::string> kRefinedPasses = {"call-indirect"};
 
 TEST_P(IndirectHeavyCheck, RefinedPlanChecksClean)
 {
     // The refined call graph's narrowings reach instrumentation
-    // through `wasabi opt` (dead-function stripping, call_indirect ->
-    // call). The indirect-heavy module and its refined rewrite must
+    // through `wasabi opt` (call_indirect -> call). The indirect-heavy module and its refined rewrite must
     // both instrument cleanly under every hook subset.
     const std::string what =
         "indirect-heavy seed " + std::to_string(GetParam());

@@ -320,6 +320,44 @@ TEST(WatParser, ErrorsCarryPositions)
     }
 }
 
+TEST(WatParser, ElseOnlyInsideAnIf)
+{
+    // An `else` at the top of a flat `block` or `loop` body is a parse
+    // error located at the `else`, not a module for the validator.
+    for (const char *kind : {"block", "loop"}) {
+        std::string text = std::string("(module\n  (func (export \"main\")\n"
+                                       "    ") +
+                           kind + "\n    else\n    end))";
+        try {
+            parseWat(text);
+            FAIL() << "expected ParseError for " << kind << " ... else";
+        } catch (const ParseError &e) {
+            EXPECT_EQ(e.line, 4) << kind;
+            EXPECT_EQ(e.col, 5) << kind;
+            EXPECT_NE(std::string(e.what()).find("else outside an if"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // Nested inside an `if`'s arm, a `block`'s `else` is still wrong.
+    EXPECT_THROW(parseWat("(module (func i32.const 1 if block else end "
+                          "end))"),
+                 ParseError);
+    // The `if` it belongs to makes the same `else` legal.
+    const char *text = R"((module
+        (func (export "main") (param i32) (result i32)
+            local.get 0
+            if (result i32)
+                block
+                end
+                i32.const 1
+            else
+                i32.const 2
+            end)))";
+    EXPECT_EQ(run1(text, "main", {Value::makeI32(1)}).i32(), 1u);
+    EXPECT_EQ(run1(text, "main", {Value::makeI32(0)}).i32(), 2u);
+}
+
 TEST(WatParser, RejectsMalformedInput)
 {
     EXPECT_THROW(parseWat("(module"), ParseError);

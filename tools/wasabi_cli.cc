@@ -9,12 +9,13 @@
  *   wasabi instrument <in.wasm> <out.wasm> [--hooks=h1,h2|all]
  *                     [--threads=N] [--no-split-i64]
  *   wasabi run       <in.wasm> [--entry=name] [--analysis=NAME]
- *                     [--arg=i32:N ...]
+ *                     [--arg=i32:N ...]   (entry: main, else kernel)
  *   wasabi gen       <polybench:NAME[:N] | random:SEED | app:SIZE>
  *                     <out.wasm>
  *   wasabi opt       <in.wasm> --out=FILE [--passes=p1,p2|all]
  *                     [--manifest-out=FILE] [--json[=FILE]]
  *                     [--no-verify]
+ *                     (passes: call-indirect, const-fold, dead-stores)
  *   wasabi check     <orig.wasm> <instrumented.wasm> [--hooks=...]
  *                     [--json]
  *   wasabi check     <orig.wasm> <optimized.wasm> --manifest=FILE
@@ -60,7 +61,6 @@
 #include "static/check.h"
 #include "static/passes/pipeline.h"
 #include "static/rewrite/opt.h"
-#include "static/rewrite/rewrite.h"
 #include "runtime/runtime.h"
 #include "serve/server.h"
 #include "serve/socket.h"
@@ -325,7 +325,7 @@ printReport(const std::string &name, runtime::Analysis &a,
 int
 cmdRun(const std::vector<std::string> &args)
 {
-    std::string path, entry = "main", analysis = "mix", profile_out;
+    std::string path, entry, analysis = "mix", profile_out;
     bool profile = false;
     interp::EngineKind engine = interp::EngineKind::Fast;
     InstrumentMode mode = InstrumentMode::Rewrite;
@@ -363,6 +363,8 @@ cmdRun(const std::vector<std::string> &args)
         obs::ProfileCollector::ScopedPhase p(&collector, "decode");
         return loadValidModule(path);
     }();
+    if (entry.empty())
+        entry = m.defaultEntry();
     auto a = makeAnalysis(analysis);
     core::HookSet hook_set =
         runtime::WasabiRuntime::requiredHooks({a.get()});
@@ -503,13 +505,8 @@ cmdProfile(const std::vector<std::string> &args)
     auto inst = mode == InstrumentMode::Intrinsic
                     ? rt.instantiateIntrinsic(m)
                     : rt.instantiate(r.module);
-    // PolyBench workloads export `kernel`, applications `main`; with
-    // no explicit --entry try both.
-    if (entry.empty()) {
-        entry = "main";
-        if (!m.findFuncExport(entry) && m.findFuncExport("kernel"))
-            entry = "kernel";
-    }
+    if (entry.empty())
+        entry = m.defaultEntry();
     interp::Interpreter interp;
     interp.engine = engine;
     {
@@ -708,10 +705,12 @@ cmdOpt(const std::vector<std::string> &args)
             json_out = a.substr(7);
         else if (a == "--no-verify")
             verify = false;
-        else if (in_path.empty())
+        else {
+            rejectUnknownOption("opt", a);
+            if (!in_path.empty())
+                throw UsageError("opt: unexpected argument '" + a + "'");
             in_path = a;
-        else
-            throw UsageError("opt: unexpected argument '" + a + "'");
+        }
     }
     if (in_path.empty() || out_path.empty())
         throw UsageError("usage: opt <in.wasm> --out=FILE [--passes=...]"
@@ -770,12 +769,10 @@ cmdOpt(const std::vector<std::string> &args)
             "  \"bench\": {\"name\": \"opt\",\n    \"passes\": [";
         for (size_t i = 0; i < c.passes.size(); ++i)
             j += std::string(i ? ", " : "") + "\"" + c.passes[i] + "\"";
-        j += "],\n    \"claims\": {\"deadFunctions\": " +
-             std::to_string(c.strippedFunctions.size()) +
-             ", \"directCalls\": " + std::to_string(c.directCalls.size()) +
+        j += "],\n    \"claims\": {\"directCalls\": " +
+             std::to_string(c.directCalls.size()) +
              ", \"constFolds\": " + std::to_string(c.constFolds.size()) +
              ", \"deadStores\": " + std::to_string(c.deadStores.size()) +
-             ", \"emptyBlocks\": " + std::to_string(c.emptyBlocks.size()) +
              "},\n    \"beforeBytes\": " +
              std::to_string(before_bytes.size()) +
              ",\n    \"afterBytes\": " + std::to_string(after_bytes.size()) +
@@ -804,11 +801,10 @@ cmdOpt(const std::vector<std::string> &args)
     for (const std::string &p : c.passes)
         std::printf(" %s", p.c_str());
     std::printf("\n");
-    std::printf("  claims: %zu dead functions, %zu direct calls, "
-                "%zu const folds, %zu dead stores, %zu empty blocks\n",
-                c.strippedFunctions.size(), c.directCalls.size(),
-                c.constFolds.size(), c.deadStores.size(),
-                c.emptyBlocks.size());
+    std::printf("  claims: %zu direct calls, %zu const folds, "
+                "%zu dead stores\n",
+                c.directCalls.size(), c.constFolds.size(),
+                c.deadStores.size());
     std::printf("  size: %zu -> %zu bytes (%.1f%%)\n", before_bytes.size(),
                 after_bytes.size(),
                 100.0 * static_cast<double>(after_bytes.size()) /
@@ -1139,8 +1135,8 @@ printUsage(std::FILE *to)
         "             [--manifest-out=FILE] [--json[=FILE]]\n"
         "             [--no-verify]\n"
         "             apply analysis-proven binary transforms\n"
-        "             (dead-functions, call-indirect, const-fold,\n"
-        "             dead-stores, empty-blocks) with a claim manifest\n"
+        "             (call-indirect, const-fold, dead-stores) with a\n"
+        "             claim manifest\n"
         "  check      <orig.wasm> <instrumented.wasm> [--hooks=h1,h2]\n"
         "             [--manifest=FILE] [--json]\n"
         "             verifies instrumentation invariants (or an opt\n"
@@ -1207,9 +1203,9 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
             "           [--instrument-mode=rewrite|intrinsic]\n"
             "           [--profile] [--profile-out=FILE]\n"
             "  Instrument, instantiate and execute the module with a\n"
-            "  dynamic analysis attached (default entry `main`,\n"
-            "  default analysis `mix`). Analyses: mix, blocks, icov,\n"
-            "  branch, callgraph, taint, miner, mem.\n"
+            "  dynamic analysis attached (default entry `main`, then\n"
+            "  `kernel`; default analysis `mix`). Analyses: mix,\n"
+            "  blocks, icov, branch, callgraph, taint, miner, mem.\n"
             "  --engine selects the execution engine: `fast` (the\n"
             "  pre-decoded default) or `legacy` (the structured\n"
             "  walker kept as the differential oracle); both are\n"
@@ -1271,15 +1267,14 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
         std::fputs(
             "wasabi opt <in.wasm> --out=FILE [options]\n"
             "  Apply analysis-driven binary transforms. Each applied\n"
-            "  edit is licensed by a static fact (refined call graph\n"
-            "  reachability, unique indirect-call targets, the\n"
-            "  constant-propagation lattice, backward liveness,\n"
-            "  block matching) and recorded as a claim that\n"
+            "  edit is licensed by a static fact (unique indirect-call\n"
+            "  targets in the refined call graph, the\n"
+            "  constant-propagation lattice, backward liveness) and\n"
+            "  recorded as a claim that\n"
             "  `wasabi check --manifest=` re-proves against the\n"
             "  output binary.\n"
-            "  --passes=p1,p2|all   subset of: dead-functions,\n"
-            "                       call-indirect, const-fold,\n"
-            "                       dead-stores, empty-blocks\n"
+            "  --passes=p1,p2|all   subset of: call-indirect,\n"
+            "                       const-fold, dead-stores\n"
             "                       (always applied in that order;\n"
             "                       default all; unknown names are a\n"
             "                       usage error listing the valid set)\n"
