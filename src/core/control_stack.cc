@@ -147,7 +147,7 @@ AbstractState::apply(const Instr &instr, uint32_t instr_idx)
         f.beginIdx = instr_idx;
         f.endIdx = matches_[instr_idx].endIdx;
         f.elseIdx = matches_[instr_idx].elseIdx;
-        f.result = instr.block;
+        f.result = instr.block();
         f.height = stack_.size();
         f.deadEntry = frames_.back().unreachable;
         f.unreachable = f.deadEntry;

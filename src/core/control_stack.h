@@ -108,6 +108,9 @@ class AbstractState {
 
     const std::vector<ControlFrame> &frames() const { return frames_; }
 
+    /** The function whose body this state walks. */
+    const wasm::Function &function() const { return func_; }
+
     /** Frame targeted by relative label @p n (0 = innermost). */
     const ControlFrame &frameForLabel(uint32_t n) const;
 

@@ -31,6 +31,8 @@ constexpr uint32_t kHookBase = 0x80000000u;
 /** Per-function instrumentation output. */
 struct FuncOut {
     std::vector<Instr> body;
+    /** The br_table labels of body (Function::labelPool). */
+    std::vector<uint32_t> labelPool;
     std::vector<ValType> extraLocals;
     SideTables tables;
 };
@@ -78,7 +80,19 @@ class FuncInstrumenter {
   private:
     // ----- emission helpers ------------------------------------------
 
-    void emit(Instr instr) { out_.body.push_back(std::move(instr)); }
+    /** Append @p instr; a br_table (always one of the input body's)
+     * copies its labels into the output's pool. */
+    void
+    emit(Instr instr)
+    {
+        if (instr.op == Opcode::BrTable) {
+            std::span<const uint32_t> labels = func_.labels(instr);
+            instr.aux = static_cast<uint32_t>(out_.labelPool.size());
+            out_.labelPool.insert(out_.labelPool.end(), labels.begin(),
+                                  labels.end());
+        }
+        out_.body.push_back(instr);
+    }
 
     /** Push the two location arguments (function, instruction). */
     void
@@ -706,12 +720,57 @@ instrument(const Module &m, HookSet hooks, const InstrumentOptions &opts)
     info->numOrigImports = m.numImportedFunctions();
     info->splitI64 = opts.splitI64;
     info->instrumentedHooks = hooks;
-    info->hooks = hook_map.specs();
 
-    const uint32_t num_hooks = static_cast<uint32_t>(info->hooks.size());
     const uint32_t base = info->numOrigImports;
+    std::vector<HookSpec> specs = hook_map.specs();
+    const uint32_t num_hooks = static_cast<uint32_t>(specs.size());
 
-    Module out = m;
+    // Patch every call for the shifted index space. Hook ids were
+    // handed out in the order the workers asked for them; renumber
+    // them in first-use order (function, then instruction index),
+    // which is the order one worker assigns, so the output does not
+    // depend on the thread count.
+    constexpr uint32_t kUnnumbered = UINT32_MAX;
+    std::vector<uint32_t> hook_id(num_hooks, kUnnumbered);
+    uint32_t next_id = 0;
+    for (FuncOut &o : outs) {
+        for (Instr &instr : o.body) {
+            if (instr.op != Opcode::Call)
+                continue;
+            if (instr.imm.idx >= kHookBase) {
+                uint32_t &id = hook_id[instr.imm.idx - kHookBase];
+                if (id == kUnnumbered)
+                    id = next_id++;
+                instr.imm.idx = kHookBase + id;
+            }
+            instr.imm.idx = remapFuncIdx(instr.imm.idx, base, num_hooks);
+        }
+    }
+    assert(next_id == num_hooks && "every hook id is called");
+    info->hooks.resize(num_hooks);
+    for (uint32_t h = 0; h < num_hooks; ++h)
+        info->hooks[hook_id[h]] = std::move(specs[h]);
+
+    // The output module: the input's sections, and its functions
+    // without the bodies that instrumentation replaces.
+    Module out;
+    out.types = m.types;
+    out.globals = m.globals;
+    out.tables = m.tables;
+    out.memories = m.memories;
+    out.elements = m.elements;
+    out.data = m.data;
+    out.start = m.start;
+    out.customs = m.customs;
+    out.functions.reserve(num_funcs + num_hooks);
+    for (const Function &f : m.functions) {
+        Function &g = out.functions.emplace_back();
+        g.typeIdx = f.typeIdx;
+        g.import = f.import;
+        g.locals = f.locals;
+        g.exportNames = f.exportNames;
+        g.debugName = f.debugName;
+    }
 
     // Lift any "name" custom section into debugNames now: its function
     // indices refer to the pre-instrumentation index space and would be
@@ -743,21 +802,14 @@ instrument(const Module &m, HookSet hooks, const InstrumentOptions &opts)
         g.locals.insert(g.locals.end(), outs[f].extraLocals.begin(),
                         outs[f].extraLocals.end());
         g.body = std::move(outs[f].body);
+        g.labelPool = std::move(outs[f].labelPool);
         // Merge this function's static-info contributions.
         info->brTargets.merge(outs[f].tables.brTargets);
         info->brTables.merge(outs[f].tables.brTables);
         info->blockEnds.merge(outs[f].tables.blockEnds);
     }
 
-    // Final pass: patch all function references for the shifted index
-    // space (call immediates, element segments, start).
-    for (Function &g : out.functions) {
-        for (Instr &instr : g.body) {
-            if (instr.op == Opcode::Call)
-                instr.imm.idx =
-                    remapFuncIdx(instr.imm.idx, base, num_hooks);
-        }
-    }
+    // Element segments and the start function name functions too.
     for (wasm::ElementSegment &seg : out.elements) {
         for (uint32_t &f : seg.funcIdxs)
             f = remapFuncIdx(f, base, num_hooks);

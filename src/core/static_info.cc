@@ -41,7 +41,7 @@ recordSideTables(const AbstractState &state, const Instr &instr,
             return e;
         };
         std::vector<BrTableEntry> entries;
-        for (uint32_t label : instr.table)
+        for (uint32_t label : state.function().labels(instr))
             entries.push_back(entry(label));
         out.brTables[key] = BrTableInfo::fromEntries(std::move(entries));
     }

@@ -495,13 +495,20 @@ class Translator {
         s.target = srcFrame(label).branchTargetIdx();
     }
 
+    /** The labels of br_table @p ins, default last. */
+    std::span<const uint32_t>
+    labels(const Instr &ins) const
+    {
+        return m_.functions[funcIdx_].labels(ins);
+    }
+
     /** Build (and own) the side table of br_table @p ins, resolved
      * from the open frames as the instrumenter records it. */
     const core::BrTableInfo *
     brTableInfo(const Instr &ins)
     {
         std::vector<core::BrTableEntry> entries;
-        for (uint32_t label : ins.table) {
+        for (uint32_t label : labels(ins)) {
             core::BrTableEntry e;
             e.target = core::BranchTarget{
                 label,
@@ -556,7 +563,7 @@ class Translator {
     static uint32_t
     blockArity(const Instr &ins)
     {
-        return ins.block ? 1u : 0u;
+        return ins.block() ? 1u : 0u;
     }
 
     void
@@ -868,10 +875,11 @@ class Translator {
     doBrTable(const Instr &ins)
     {
         pop(1); // selector
-        if (ins.table.empty())
+        std::span<const uint32_t> targets = labels(ins);
+        if (targets.empty())
             fail("br_table without targets");
         uint32_t start = static_cast<uint32_t>(out_.tablePool.size());
-        for (uint32_t label : ins.table) {
+        for (uint32_t label : targets) {
             CtrlFrame &f = frameOf(label);
             uint32_t keep = f.brArity;
             if (height_ < f.entryHeight + keep)
@@ -887,7 +895,7 @@ class Translator {
                 f.fixups.push_back(pool_idx | kPoolFixupBit);
             out_.tablePool.push_back(t);
         }
-        emit(FOp::BrTable, 0, takeCharge(), start, ins.table.size());
+        emit(FOp::BrTable, 0, takeCharge(), start, targets.size());
     }
 
     // --- calls -----------------------------------------------------

@@ -165,7 +165,7 @@ Interpreter::callFunction(Instance &inst, uint32_t func_idx,
           case OpClass::Unreachable:
             throw Trap(TrapKind::Unreachable);
           case OpClass::Block:
-            labels.push_back({instr.block ? 1u : 0u, stack.size(),
+            labels.push_back({instr.block() ? 1u : 0u, stack.size(),
                               sides.byInstr[pc].endIdx + 1, false});
             break;
           case OpClass::Loop:
@@ -174,7 +174,7 @@ Interpreter::callFunction(Instance &inst, uint32_t func_idx,
           case OpClass::If: {
             uint32_t cond = pop().i32();
             const ControlSideTable::Entry &e = sides.byInstr[pc];
-            labels.push_back({instr.block ? 1u : 0u, stack.size(),
+            labels.push_back({instr.block() ? 1u : 0u, stack.size(),
                               e.endIdx + 1, false});
             if (!cond) {
                 if (e.elseIdx) {
@@ -222,9 +222,9 @@ Interpreter::callFunction(Instance &inst, uint32_t func_idx,
           }
           case OpClass::BrTable: {
             uint32_t idx = pop().i32();
-            uint32_t n = idx < instr.table.size() - 1
-                             ? instr.table[idx]
-                             : instr.table.back();
+            std::span<const uint32_t> targets = func.labels(instr);
+            uint32_t n = idx < targets.size() - 1 ? targets[idx]
+                                                  : targets.back();
             branchTo(n);
             continue;
           }

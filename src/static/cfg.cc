@@ -103,7 +103,7 @@ Cfg::Cfg(const wasm::Module &m, uint32_t func_idx) : funcIdx_(func_idx)
             succs[i] = {resolver.resolve(body[i].imm.idx), i + 1};
             break;
           case OpClass::BrTable:
-            for (uint32_t label : body[i].table)
+            for (uint32_t label : func.labels(body[i]))
                 succs[i].push_back(resolver.resolve(label));
             break;
           case OpClass::Return:

@@ -1219,12 +1219,13 @@ class Checker {
     checkBrTable(uint32_t f, uint32_t i, const Instr &in,
                  const core::BrTableInfo &tbl, const AbstractState &state)
     {
-        if (tbl.cases.size() + 1 != in.table.size()) {
+        std::span<const uint32_t> labels = orig_.functions[f].labels(in);
+        if (tbl.cases.size() + 1 != labels.size()) {
             diags_.error(
                 "check.sidetable.case-count",
                 "side table has " + std::to_string(tbl.cases.size()) +
                     " cases for a br_table with " +
-                    std::to_string(in.table.size() - 1) +
+                    std::to_string(labels.size() - 1) +
                     " non-default targets",
                 f, i);
             return;
@@ -1248,10 +1249,10 @@ class Checker {
                     f, i);
             }
         };
-        for (size_t k = 0; k + 1 < in.table.size(); ++k)
-            checkEntry(tbl.cases[k], in.table[k],
+        for (size_t k = 0; k + 1 < labels.size(); ++k)
+            checkEntry(tbl.cases[k], labels[k],
                        ("case " + std::to_string(k)).c_str());
-        checkEntry(tbl.defaultCase, in.table.back(), "default");
+        checkEntry(tbl.defaultCase, labels.back(), "default");
     }
 
     // ----- state ------------------------------------------------------

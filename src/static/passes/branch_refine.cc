@@ -41,15 +41,15 @@ refineBranches(const wasm::Module &m, uint32_t func_idx,
             auto it = facts.brTableIndex.find(key);
             if (it != facts.brTableIndex.end()) {
                 uint32_t index = it->second;
-                size_t sel = std::min<size_t>(index,
-                                              in.table.size() - 1);
+                std::span<const uint32_t> labels = func.labels(in);
+                size_t sel = std::min<size_t>(index, labels.size() - 1);
                 ConstBrTable entry;
                 entry.func = func_idx;
                 entry.instr = i;
                 entry.index = index;
-                entry.label = in.table[sel];
+                entry.label = labels[sel];
                 entry.target = state.resolveLabel(entry.label);
-                entry.isDefault = sel + 1 == in.table.size();
+                entry.isDefault = sel + 1 == labels.size();
                 out.constBrTables.push_back(entry);
             }
         }

@@ -13,6 +13,16 @@ FunctionBuilder::emit(Instr instr)
     return *this;
 }
 
+FunctionBuilder &
+FunctionBuilder::brTable(const std::vector<uint32_t> &labels,
+                         uint32_t default_label)
+{
+    if (finished_)
+        throw std::logic_error("FunctionBuilder: emit after finish");
+    Function &f = mb_.m_.functions.at(funcIdx_);
+    return emit(Instr::brTable(f.labelPool, labels, default_label));
+}
+
 uint32_t
 FunctionBuilder::addLocal(ValType t)
 {

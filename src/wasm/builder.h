@@ -107,11 +107,9 @@ class FunctionBuilder {
     {
         return emit(Instr::brIf(label));
     }
-    FunctionBuilder &brTable(std::vector<uint32_t> labels,
-                             uint32_t default_label)
-    {
-        return emit(Instr::brTable(std::move(labels), default_label));
-    }
+    /** br_table: the labels go to the function's label pool. */
+    FunctionBuilder &brTable(const std::vector<uint32_t> &labels,
+                             uint32_t default_label);
     FunctionBuilder &call(uint32_t func) { return emit(Instr::call(func)); }
     FunctionBuilder &callIndirect(uint32_t type_idx)
     {

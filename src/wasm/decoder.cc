@@ -46,8 +46,9 @@ readLimits(ByteReader &r)
     return l;
 }
 
+/** Read one instruction; br_table labels go to @p pool. */
 Instr
-readInstr(ByteReader &r)
+readInstr(ByteReader &r, std::vector<uint32_t> &pool)
 {
     uint8_t byte = r.readByte();
     const OpInfo &info = opInfoByte(byte);
@@ -60,14 +61,9 @@ readInstr(ByteReader &r)
         break;
       case ImmKind::BlockType: {
         uint8_t bt = r.readByte();
-        if (bt == 0x40) {
-            instr.block = std::nullopt;
-        } else {
-            auto t = valTypeFromByte(bt);
-            if (!t)
-                throw DecodeError("invalid block type");
-            instr.block = *t;
-        }
+        if (bt != kEmptyBlockByte && !valTypeFromByte(bt))
+            throw DecodeError("invalid block type");
+        instr.blockByte = bt;
         break;
       }
       case ImmKind::Label:
@@ -84,10 +80,11 @@ readInstr(ByteReader &r)
       }
       case ImmKind::BrTableImm: {
         uint32_t count = r.readU32();
-        instr.table.reserve(count + 1);
+        instr.aux = static_cast<uint32_t>(pool.size());
         for (uint32_t i = 0; i < count; ++i)
-            instr.table.push_back(r.readU32());
-        instr.table.push_back(r.readU32()); // default target
+            pool.push_back(r.readU32());
+        pool.push_back(r.readU32()); // default target
+        instr.imm.idx = count + 1;
         break;
       }
       case ImmKind::Mem:
@@ -116,15 +113,16 @@ readInstr(ByteReader &r)
 
 /**
  * Read an expression: instructions up to and including the `end` that
- * closes the expression (nesting-aware).
+ * closes the expression (nesting-aware). br_table labels go to @p
+ * pool.
  */
 std::vector<Instr>
-readExpr(ByteReader &r)
+readExpr(ByteReader &r, std::vector<uint32_t> &pool)
 {
     std::vector<Instr> body;
     int depth = 0;
     while (true) {
-        Instr instr = readInstr(r);
+        Instr instr = readInstr(r, pool);
         if (isBlockStart(instr.op)) {
             ++depth;
         } else if (instr.op == Opcode::End) {
@@ -136,6 +134,15 @@ readExpr(ByteReader &r)
         }
         body.push_back(instr);
     }
+}
+
+/** A constant expression has no label pool; a br_table in one (never
+ * valid) reads its labels into a scratch pool. */
+std::vector<Instr>
+readConstExpr(ByteReader &r)
+{
+    std::vector<uint32_t> scratch;
+    return readExpr(r, scratch);
 }
 
 struct Decoder {
@@ -256,7 +263,7 @@ struct Decoder {
             Global g;
             g.type = readValType(r);
             g.mut = r.readByte() == 0x01;
-            g.init = readExpr(r);
+            g.init = readConstExpr(r);
             m.globals.push_back(std::move(g));
         }
     }
@@ -300,7 +307,7 @@ struct Decoder {
         for (uint32_t i = 0; i < count; ++i) {
             ElementSegment seg;
             seg.tableIdx = r.readU32();
-            seg.offset = readExpr(r);
+            seg.offset = readConstExpr(r);
             uint32_t n = r.readU32();
             for (uint32_t j = 0; j < n; ++j)
                 seg.funcIdxs.push_back(r.readU32());
@@ -329,7 +336,8 @@ struct Decoder {
                     throw DecodeError("too many locals");
                 f.locals.insert(f.locals.end(), n, t);
             }
-            f.body = readExpr(r);
+            f.labelPool.clear();
+            f.body = readExpr(r, f.labelPool);
             if (r.pos() != end_pos)
                 throw DecodeError("code body size mismatch");
         }
@@ -342,7 +350,7 @@ struct Decoder {
         for (uint32_t i = 0; i < count; ++i) {
             DataSegment seg;
             seg.memIdx = r.readU32();
-            seg.offset = readExpr(r);
+            seg.offset = readConstExpr(r);
             uint32_t n = r.readU32();
             seg.bytes = r.readBytes(n);
             m.data.push_back(std::move(seg));

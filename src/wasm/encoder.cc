@@ -57,10 +57,11 @@ putLimits(std::vector<uint8_t> &out, const Limits &l)
 }
 
 void
-putExpr(std::vector<uint8_t> &out, const std::vector<Instr> &expr)
+putExpr(std::vector<uint8_t> &out, const std::vector<Instr> &expr,
+        std::span<const uint32_t> pool = {})
 {
     for (const Instr &i : expr)
-        encodeInstr(out, i);
+        encodeInstr(out, i, pool);
 }
 
 /** Append a section with the given id; empty payloads are skipped. */
@@ -85,7 +86,8 @@ struct ExportEntry {
 } // namespace
 
 void
-encodeInstr(std::vector<uint8_t> &out, const Instr &instr)
+encodeInstr(std::vector<uint8_t> &out, const Instr &instr,
+            std::span<const uint32_t> pool)
 {
     const OpInfo &info = opInfo(instr.op);
     if (!info.valid())
@@ -95,7 +97,7 @@ encodeInstr(std::vector<uint8_t> &out, const Instr &instr)
       case ImmKind::None:
         break;
       case ImmKind::BlockType:
-        out.push_back(instr.block ? binaryByte(*instr.block) : 0x40);
+        out.push_back(instr.blockByte);
         break;
       case ImmKind::Label:
       case ImmKind::Func:
@@ -108,10 +110,11 @@ encodeInstr(std::vector<uint8_t> &out, const Instr &instr)
         out.push_back(0x00);
         break;
       case ImmKind::BrTableImm: {
-        if (instr.table.empty())
+        std::span<const uint32_t> labels = brTableLabels(pool, instr);
+        if (labels.empty())
             throw EncodeError("br_table without default target");
-        putU32(out, static_cast<uint32_t>(instr.table.size() - 1));
-        for (uint32_t label : instr.table)
+        putU32(out, static_cast<uint32_t>(labels.size() - 1));
+        for (uint32_t label : labels)
             putU32(out, label);
         break;
       }
@@ -358,13 +361,17 @@ encodeModule(const Module &m)
 
     // --- Code section.
     {
-        std::vector<uint8_t> sec;
         uint32_t count = 0;
-        std::vector<uint8_t> entries;
+        for (const Function &f : m.functions)
+            count += f.imported() ? 0 : 1;
+        std::vector<uint8_t> sec;
+        if (count > 0)
+            putU32(sec, count);
+        std::vector<uint8_t> body; // reused: one allocation per module
         for (const Function &f : m.functions) {
             if (f.imported())
                 continue;
-            std::vector<uint8_t> body;
+            body.clear();
             // Run-length encode the locals.
             std::vector<std::pair<ValType, uint32_t>> runs;
             for (ValType t : f.locals) {
@@ -378,14 +385,9 @@ encodeModule(const Module &m)
                 putU32(body, n);
                 putValType(body, t);
             }
-            putExpr(body, f.body);
-            putU32(entries, static_cast<uint32_t>(body.size()));
-            entries.insert(entries.end(), body.begin(), body.end());
-            ++count;
-        }
-        if (count > 0) {
-            putU32(sec, count);
-            sec.insert(sec.end(), entries.begin(), entries.end());
+            putExpr(body, f.body, f.labelPool);
+            putU32(sec, static_cast<uint32_t>(body.size()));
+            sec.insert(sec.end(), body.begin(), body.end());
         }
         putSection(out, 10, sec);
     }

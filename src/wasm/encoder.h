@@ -31,8 +31,10 @@ class EncodeError : public std::runtime_error {
 /** Encode a module to binary. */
 std::vector<uint8_t> encodeModule(const Module &m);
 
-/** Encode a single instruction (exposed for tests). */
-void encodeInstr(std::vector<uint8_t> &out, const Instr &instr);
+/** Encode a single instruction (exposed for tests); a br_table reads
+ * its labels from its function's label @p pool. */
+void encodeInstr(std::vector<uint8_t> &out, const Instr &instr,
+                 std::span<const uint32_t> pool = {});
 
 /** Size of one top-level section in an encoded module. */
 struct SectionSize {

@@ -24,7 +24,7 @@ sameImm(const Instr &a, const Instr &b)
       case ImmKind::MemIdx:
         return true;
       case ImmKind::BlockType:
-        return a.block == b.block;
+        return a.blockByte == b.blockByte;
       case ImmKind::Label:
       case ImmKind::Func:
       case ImmKind::CallInd:
@@ -32,7 +32,7 @@ sameImm(const Instr &a, const Instr &b)
       case ImmKind::Global:
         return a.imm.idx == b.imm.idx;
       case ImmKind::BrTableImm:
-        return a.table == b.table;
+        return a.aux == b.aux && a.imm.idx == b.imm.idx;
       case ImmKind::Mem:
         return a.imm.mem == b.imm.mem;
       case ImmKind::I32:

@@ -11,6 +11,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "wasm/opcode.h"
@@ -32,16 +34,30 @@ struct MemArg {
     bool operator==(const MemArg &other) const = default;
 };
 
+/** Block-type byte of a block/loop/if without a result. */
+inline constexpr uint8_t kEmptyBlockByte = 0x40;
+
 /**
- * One decoded instruction. Immediates are a union discriminated by
- * opInfo(op).imm; br_table labels live in a side vector since they are
- * variable-length.
+ * One decoded instruction, 16 bytes and trivially copyable, so that a
+ * body copies as one memcpy. Immediates are a union discriminated by
+ * opInfo(op).imm. br_table labels are variable-length and live in the
+ * owning function's label pool (Function::labelPool): the instruction
+ * holds their offset in `aux` and their count, default included, in
+ * `imm.idx`.
  */
 struct Instr {
     Opcode op = Opcode::Nop;
 
+    /** block/loop/if: the binary block-type byte (kEmptyBlockByte, or
+     * a value type's byte); read it through block(). */
+    uint8_t blockByte = kEmptyBlockByte;
+
+    /** br_table: offset of its labels in the function's label pool. */
+    uint32_t aux = 0;
+
     union Imm {
-        uint32_t idx;    ///< label / func / local / global / type index
+        uint32_t idx;    ///< label / func / local / global / type index;
+                         ///< br_table: label count, default included
         MemArg mem;      ///< loads & stores
         uint32_t i32v;   ///< i32.const payload (as bits)
         uint64_t i64v;   ///< i64.const payload (as bits)
@@ -51,15 +67,19 @@ struct Instr {
         Imm() : i64v(0) {}
     } imm;
 
-    /** Block result type; meaningful for block/loop/if only. */
-    BlockType block;
-
-    /** br_table: target labels; the *last* element is the default. */
-    std::vector<uint32_t> table;
-
     Instr() = default;
 
     explicit Instr(Opcode o) : op(o) {}
+
+    /** Block result type; meaningful for block/loop/if only. */
+    BlockType
+    block() const
+    {
+        // Value type bytes run down from 0x7F (i32) in ValType order.
+        if (blockByte == kEmptyBlockByte)
+            return std::nullopt;
+        return static_cast<ValType>(0x7F - blockByte);
+    }
 
     /** Builder helpers for common instructions. @{ */
     static Instr
@@ -156,12 +176,17 @@ struct Instr {
         return withIdx(Opcode::BrIf, label);
     }
 
+    /** A br_table whose labels, then @p default_label, are appended
+     * to the function's label @p pool. */
     static Instr
-    brTable(std::vector<uint32_t> labels, uint32_t default_label)
+    brTable(std::vector<uint32_t> &pool, std::span<const uint32_t> labels,
+            uint32_t default_label)
     {
         Instr i(Opcode::BrTable);
-        i.table = std::move(labels);
-        i.table.push_back(default_label);
+        i.aux = static_cast<uint32_t>(pool.size());
+        i.imm.idx = static_cast<uint32_t>(labels.size() + 1);
+        pool.insert(pool.end(), labels.begin(), labels.end());
+        pool.push_back(default_label);
         return i;
     }
 
@@ -169,7 +194,7 @@ struct Instr {
     blockStart(Opcode o, BlockType bt)
     {
         Instr i(o);
-        i.block = bt;
+        i.blockByte = bt ? binaryByte(*bt) : kEmptyBlockByte;
         return i;
     }
 
@@ -188,7 +213,23 @@ struct Instr {
     bool operator==(const Instr &other) const;
 };
 
-/** Structural + immediate equality (ignores unused union bytes). */
+static_assert(sizeof(Instr) == 16);
+static_assert(std::is_trivially_copyable_v<Instr>);
+
+/**
+ * The labels of br_table @p in (default last) in its function's label
+ * @p pool; empty if the instruction names no slice of the pool.
+ */
+inline std::span<const uint32_t>
+brTableLabels(std::span<const uint32_t> pool, const Instr &in)
+{
+    if (in.aux > pool.size() || in.imm.idx > pool.size() - in.aux)
+        return {};
+    return pool.subspan(in.aux, in.imm.idx);
+}
+
+/** Structural + immediate equality (ignores unused union bytes). A
+ * br_table compares its pool slice, not the labels in it. */
 bool sameImm(const Instr &a, const Instr &b);
 
 } // namespace wasabi::wasm

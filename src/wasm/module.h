@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,11 +44,21 @@ struct Function {
     /** Types of non-parameter locals, already flattened. */
     std::vector<ValType> locals;
     std::vector<Instr> body;
+    /** The body's br_table labels: each br_table names its slice
+     * (Instr::aux, Instr::imm.idx), default label last. */
+    std::vector<uint32_t> labelPool;
     std::vector<std::string> exportNames;
     /** Optional debug name (not encoded). */
     std::string debugName;
 
     bool imported() const { return import.has_value(); }
+
+    /** The labels of br_table @p in of this body, default last. */
+    std::span<const uint32_t>
+    labels(const Instr &in) const
+    {
+        return brTableLabels(labelPool, in);
+    }
 };
 
 /** A global variable. */

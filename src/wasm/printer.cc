@@ -5,7 +5,7 @@
 namespace wasabi::wasm {
 
 std::string
-toString(const Instr &instr)
+toString(const Instr &instr, std::span<const uint32_t> pool)
 {
     const OpInfo &info = opInfo(instr.op);
     std::ostringstream os;
@@ -15,8 +15,8 @@ toString(const Instr &instr)
       case ImmKind::MemIdx:
         break;
       case ImmKind::BlockType:
-        if (instr.block)
-            os << " (result " << name(*instr.block) << ")";
+        if (BlockType bt = instr.block())
+            os << " (result " << name(*bt) << ")";
         break;
       case ImmKind::Label:
       case ImmKind::Func:
@@ -28,7 +28,7 @@ toString(const Instr &instr)
         os << " (type " << instr.imm.idx << ")";
         break;
       case ImmKind::BrTableImm:
-        for (uint32_t label : instr.table)
+        for (uint32_t label : brTableLabels(pool, instr))
             os << " " << label;
         break;
       case ImmKind::Mem:
@@ -85,7 +85,7 @@ toString(const Module &m, uint32_t func_idx)
             indent = std::max(1, indent - 1);
         for (int s = 0; s < indent; ++s)
             os << "  ";
-        os << toString(instr) << "  ;; @" << i << "\n";
+        os << toString(instr, f.labelPool) << "  ;; @" << i << "\n";
         if (isBlockStart(instr.op) || c == OpClass::Else)
             ++indent;
     }

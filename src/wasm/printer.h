@@ -13,8 +13,10 @@
 
 namespace wasabi::wasm {
 
-/** Render one instruction, e.g. "i32.const 42" or "br_table 0 1 2". */
-std::string toString(const Instr &instr);
+/** Render one instruction, e.g. "i32.const 42" or "br_table 0 1 2";
+ * a br_table reads its labels from its function's label @p pool. */
+std::string toString(const Instr &instr,
+                     std::span<const uint32_t> pool = {});
 
 /** Render a function (header, locals and indented body). */
 std::string toString(const Module &m, uint32_t func_idx);

@@ -147,8 +147,8 @@ class FuncValidator {
     std::vector<ValType>
     blockResults(const Instr &instr) const
     {
-        if (instr.block)
-            return {*instr.block};
+        if (BlockType bt = instr.block())
+            return {*bt};
         return {};
     }
 
@@ -253,13 +253,14 @@ class FuncValidator {
           }
           case OpClass::BrTable: {
             popExpect(ValType::I32);
-            if (instr.table.empty())
+            std::span<const uint32_t> labels = func_.labels(instr);
+            if (labels.empty())
                 fail("br_table without default");
             const std::vector<ValType> &default_types =
-                labelTypes(frameAt(instr.table.back()));
-            for (size_t i = 0; i + 1 < instr.table.size(); ++i) {
+                labelTypes(frameAt(labels.back()));
+            for (size_t i = 0; i + 1 < labels.size(); ++i) {
                 const std::vector<ValType> &types =
-                    labelTypes(frameAt(instr.table[i]));
+                    labelTypes(frameAt(labels[i]));
                 if (types != default_types)
                     fail("br_table targets have inconsistent types");
             }

@@ -785,6 +785,7 @@ class ModuleParser {
         body.parseSeq(e, i, e.items.size());
         body.instrs.push_back(Instr(Opcode::End));
         f.body = std::move(body.instrs);
+        f.labelPool = std::move(body.labelPool);
     }
 
     // ----- instruction parsing -------------------------------------------
@@ -799,6 +800,8 @@ class ModuleParser {
         }
 
         std::vector<Instr> instrs;
+        /** The br_table labels of instrs (Function::labelPool). */
+        std::vector<uint32_t> labelPool;
 
         /** Parse flat instructions e.items[i, end). */
         void
@@ -953,7 +956,7 @@ class ModuleParser {
                     failAt(e, "br_table needs at least a default");
                 uint32_t def = targets.back();
                 targets.pop_back();
-                instr = Instr::brTable(std::move(targets), def);
+                instr = Instr::brTable(labelPool, targets, def);
                 break;
               }
               case ImmKind::Func:

@@ -24,6 +24,44 @@ TEST(Builder, BuildsMinimalValidModule)
     EXPECT_EQ(m.findFuncExport("answer"), 0u);
 }
 
+TEST(Builder, EachFunctionHasItsOwnLabelPool)
+{
+    ModuleBuilder mb;
+    FuncType t({ValType::I32}, {});
+    mb.addFunction(t, "a", [](FunctionBuilder &f) {
+        f.block().block();
+        f.localGet(0).brTable({1, 0}, 1);
+        f.end().end();
+    });
+    mb.addFunction(t, "b", [](FunctionBuilder &f) {
+        f.block();
+        f.localGet(0).brTable({}, 0);
+        f.end();
+        f.block();
+        f.localGet(0).brTable({0, 0, 0}, 0);
+        f.end();
+    });
+    Module m = mb.build();
+    ASSERT_EQ(validationError(m), std::nullopt);
+    EXPECT_EQ(m.functions[0].labelPool, (std::vector<uint32_t>{1, 0, 1}));
+    EXPECT_EQ(m.functions[1].labelPool,
+              (std::vector<uint32_t>{0, 0, 0, 0, 0}));
+    // b's first table starts its own pool at 0, not after a's labels.
+    const Instr &b0 = m.functions[1].body[2];
+    const Instr &b1 = m.functions[1].body[6];
+    ASSERT_EQ(b0.op, Opcode::BrTable);
+    ASSERT_EQ(b1.op, Opcode::BrTable);
+    EXPECT_EQ(b0.aux, 0u);
+    EXPECT_EQ(m.functions[1].labels(b0).size(), 1u);
+    EXPECT_EQ(b1.aux, 1u);
+    EXPECT_EQ(m.functions[1].labels(b1).size(), 4u);
+    const Instr &a0 = m.functions[0].body[3];
+    ASSERT_EQ(a0.op, Opcode::BrTable);
+    std::span<const uint32_t> a_labels = m.functions[0].labels(a0);
+    EXPECT_EQ(std::vector<uint32_t>(a_labels.begin(), a_labels.end()),
+              (std::vector<uint32_t>{1, 0, 1}));
+}
+
 TEST(Builder, DeduplicatesTypes)
 {
     ModuleBuilder mb;

@@ -11,7 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,6 +53,29 @@ watBytes(const char *wat)
     const std::string s(wat);
     return std::vector<uint8_t>(s.begin(), s.end());
 }
+
+/**
+ * A WAT file under the test temp directory, named per process (two
+ * suites running at once do not share it) and removed when the test
+ * ends.
+ */
+class TempWat {
+  public:
+    TempWat(const std::string &stem, const std::string &text)
+        : path_(testing::TempDir() + "concurrency_" + stem + "_" +
+                std::to_string(::getpid()) + ".wat")
+    {
+        support::writeTextFile(path_, text);
+    }
+    ~TempWat() { std::remove(path_.c_str()); }
+    TempWat(const TempWat &) = delete;
+    TempWat &operator=(const TempWat &) = delete;
+
+    const std::string &path() const { return path_; }
+
+  private:
+    std::string path_;
+};
 
 /**
  * The low-level stress: N threads lease instances of one shared
@@ -113,9 +139,8 @@ TEST(Concurrency, SharedServerDeterministicUnderParallelClients)
     constexpr int kIters = 10;
 
     Server server;
-    const std::string path =
-        testing::TempDir() + "concurrency_loop.wat";
-    support::writeTextFile(path, kLoopWat);
+    const TempWat loop("loop", kLoopWat);
+    const std::string &path = loop.path();
     const std::string request =
         "{\"op\": \"run\", \"module\": \"" + path + "\"}";
 
@@ -163,14 +188,11 @@ TEST(Concurrency, ErrorStormIsolatesFailuresPerRequest)
     constexpr int kIters = 8;
 
     Server server;
-    const std::string good =
-        testing::TempDir() + "concurrency_good.wat";
-    support::writeTextFile(good, kLoopWat);
-    const std::string trapping =
-        testing::TempDir() + "concurrency_trap.wat";
-    support::writeTextFile(
-        trapping,
-        "(module (func (export \"main\") unreachable))");
+    const TempWat good_wat("good", kLoopWat);
+    const TempWat trap_wat(
+        "trap", "(module (func (export \"main\") unreachable))");
+    const std::string &good = good_wat.path();
+    const std::string &trapping = trap_wat.path();
 
     const std::string good_req =
         "{\"op\": \"run\", \"module\": \"" + good + "\"}";

@@ -11,7 +11,9 @@
 #include "core/instrument.h"
 #include "interp/interpreter.h"
 #include "wasm/builder.h"
+#include "wasm/encoder.h"
 #include "wasm/validator.h"
+#include "workloads/synthetic_app.h"
 
 namespace wasabi::core {
 namespace {
@@ -549,22 +551,33 @@ TEST(Instrument, BrTableSideTableIsRecorded)
 
 TEST(Instrument, ParallelInstrumentationMatchesSequentialBehavior)
 {
+    // Hook ids are numbered in first-use order whatever the schedule,
+    // so every thread count gives the sequential output, byte for
+    // byte, with the same hook order.
+    for (const wasm::Module &m :
+         {sampleModule(),
+          workloads::syntheticApp(workloads::AppSize::Small).module}) {
+        InstrumentResult rs = instrument(m, HookSet::all());
+        std::vector<uint8_t> bytes = encodeModule(rs.module);
+        for (unsigned threads : {2u, 4u, 8u}) {
+            InstrumentOptions par;
+            par.numThreads = threads;
+            InstrumentResult rp = instrument(m, HookSet::all(), par);
+            ASSERT_EQ(validationError(rp.module), std::nullopt);
+            EXPECT_EQ(encodeModule(rp.module), bytes)
+                << threads << " threads";
+            ASSERT_EQ(rp.info->hooks.size(), rs.info->hooks.size());
+            for (size_t h = 0; h < rs.info->hooks.size(); ++h)
+                EXPECT_EQ(mangledName(rp.info->hooks[h]),
+                          mangledName(rs.info->hooks[h]))
+                    << threads << " threads, hook " << h;
+        }
+    }
+    // And behavior matches the original.
     wasm::Module m = sampleModule();
     InstrumentOptions par;
     par.numThreads = 4;
     InstrumentResult rp = instrument(m, HookSet::all(), par);
-    InstrumentResult rs = instrument(m, HookSet::all());
-    ASSERT_EQ(validationError(rp.module), std::nullopt);
-    // The same set of hooks is generated (ids may differ by schedule).
-    std::vector<std::string> np, ns;
-    for (const HookSpec &s : rp.info->hooks)
-        np.push_back(mangledName(s));
-    for (const HookSpec &s : rs.info->hooks)
-        ns.push_back(mangledName(s));
-    std::sort(np.begin(), np.end());
-    std::sort(ns.begin(), ns.end());
-    EXPECT_EQ(np, ns);
-    // And behavior matches the original.
     auto inst = Instance::instantiate(rp.module, noopLinker(*rp.info));
     Interpreter interp;
     std::vector<Value> args{Value::makeI32(7)};

@@ -24,7 +24,11 @@ TEST(Printer, RendersInstructions)
     EXPECT_EQ(toString(Instr::callIndirect(2)),
               "call_indirect (type 2)");
     EXPECT_EQ(toString(Instr::br(1)), "br 1");
-    EXPECT_EQ(toString(Instr::brTable({0, 1}, 2)), "br_table 0 1 2");
+    // A br_table prints the labels its slice of the pool holds.
+    std::vector<uint32_t> pool = {9};
+    const uint32_t targets[] = {0, 1};
+    Instr table = Instr::brTable(pool, targets, 2);
+    EXPECT_EQ(toString(table, pool), "br_table 0 1 2");
     EXPECT_EQ(toString(Instr(Opcode::I32Add)), "i32.add");
     EXPECT_EQ(toString(Instr::memOp(Opcode::I32Load, 2, 8)),
               "i32.load offset=8 align=4");

@@ -33,6 +33,7 @@ expectModulesEqual(const Module &a, const Module &b)
         EXPECT_EQ(fa.import, fb.import);
         EXPECT_EQ(fa.locals, fb.locals);
         EXPECT_EQ(fa.exportNames, fb.exportNames);
+        EXPECT_EQ(fa.labelPool, fb.labelPool) << "function " << i;
         ASSERT_EQ(fa.body.size(), fb.body.size()) << "function " << i;
         for (size_t j = 0; j < fa.body.size(); ++j) {
             EXPECT_TRUE(sameImm(fa.body[j], fb.body[j]))

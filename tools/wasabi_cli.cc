@@ -144,9 +144,12 @@ loadModule(const std::string &path)
  * the static passes all assume a valid module, so every command that
  * consumes one goes through here before it writes anything. */
 wasm::Module
-loadValidModule(const std::string &path)
+loadValidModule(const std::string &path, size_t *file_size = nullptr)
 {
-    wasm::Module m = loadModule(path);
+    std::vector<uint8_t> bytes = readFile(path);
+    if (file_size)
+        *file_size = bytes.size();
+    wasm::Module m = support::loadModuleFromBytes(bytes, path);
     if (std::optional<std::string> err = wasm::validationError(m))
         throw InvalidModule(*err);
     return m;
@@ -277,9 +280,10 @@ cmdInstrument(const std::vector<std::string> &args)
     if (in_path.empty() || out_path.empty())
         throw UsageError("usage: instrument <in> <out> [opts]");
     obs::ProfileCollector collector(profile || !profile_out.empty());
+    size_t in_size = 0;
     wasm::Module m = [&] {
         obs::ProfileCollector::ScopedPhase p(&collector, "decode");
-        return loadValidModule(in_path);
+        return loadValidModule(in_path, &in_size);
     }();
     core::InstrumentResult r = [&] {
         obs::ProfileCollector::ScopedPhase p(&collector, "instrument");
@@ -295,9 +299,8 @@ cmdInstrument(const std::vector<std::string> &args)
                 out_path.c_str());
     std::printf("  hooks generated: %zu (on-demand monomorphization)\n",
                 r.info->hooks.size());
-    std::printf("  size: %zu -> %zu bytes (%.1f%%)\n",
-                readFile(in_path).size(), out.size(),
-                100.0 * out.size() / readFile(in_path).size());
+    std::printf("  size: %zu -> %zu bytes (%.1f%%)\n", in_size, out.size(),
+                100.0 * out.size() / in_size);
     if (!profile_out.empty())
         writeTextFile(profile_out, collector.toJson());
     else if (profile)
