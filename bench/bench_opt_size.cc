@@ -4,12 +4,17 @@
  * PolyBench suite, the two synthetic applications, and a
  * random-program corpus with resolvable indirect calls, run all
  * passes, verify every claim with the manifest checker, and report
- * before/after bytes plus per-pass claim counts. Results are pinned in
- * BENCH_opt_size.json (wasabi-profile v1 schema).
+ * before/after bytes plus per-pass claim counts. It also times
+ * `optimize` and `checkOptimization` on the medium synthetic app (one
+ * warmup run, then the median, minimum and interquartile range of
+ * kTimingRuns runs), the static kernels' share of `wasabi opt` and
+ * `wasabi check --manifest`. Results are pinned in BENCH_opt_size.json
+ * (wasabi-profile v1 schema).
  *
  * Usage: bench_opt_size [N] [--json=FILE] [--commit=REV]
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -48,6 +53,51 @@ measure(const workloads::Workload &w)
     row.after = after.size();
     row.claims = r.claims.totalClaims();
     return row;
+}
+
+constexpr int kTimingRuns = 9;
+
+/** Wall-clock milliseconds of one warmup run and kTimingRuns timed
+ * runs of a function. */
+struct Timing {
+    double warmupMs = 0;
+    double medianMs = 0;
+    double minMs = 0;
+    double iqrMs = 0;
+
+    std::string
+    json() const
+    {
+        char buf[160];
+        std::snprintf(buf, sizeof buf,
+                      "{\"warmupMs\": %.2f, \"medianMs\": %.2f, "
+                      "\"minMs\": %.2f, \"iqrMs\": %.2f}",
+                      warmupMs, medianMs, minMs, iqrMs);
+        return buf;
+    }
+};
+
+Timing
+timeRuns(const std::function<void()> &fn)
+{
+    Timing t;
+    t.warmupMs = 1e3 * timeSeconds(fn);
+    std::vector<double> ms;
+    for (int i = 0; i < kTimingRuns; ++i)
+        ms.push_back(1e3 * timeSeconds(fn));
+    std::sort(ms.begin(), ms.end());
+    // Quantile by linear interpolation between order statistics.
+    auto quantile = [&ms](double q) {
+        double pos = q * static_cast<double>(ms.size() - 1);
+        size_t lo = static_cast<size_t>(pos);
+        size_t hi = std::min(lo + 1, ms.size() - 1);
+        double frac = pos - static_cast<double>(lo);
+        return ms[lo] + frac * (ms[hi] - ms[lo]);
+    };
+    t.medianMs = quantile(0.5);
+    t.minMs = ms.front();
+    t.iqrMs = quantile(0.75) - quantile(0.25);
+    return t;
 }
 
 } // namespace
@@ -100,6 +150,25 @@ main(int argc, char **argv)
         add(w);
     }
 
+    namespace rw = static_analysis::rewrite;
+    const workloads::Workload app =
+        workloads::syntheticApp(workloads::AppSize::PdfkitLike);
+    rw::OptResult opt = rw::optimize(app.module, rw::allOptPasses());
+    const std::vector<uint8_t> opt_bytes = wasm::encodeModule(opt.module);
+    const Timing optimize_time = timeRuns(
+        [&] { rw::optimize(app.module, rw::allOptPasses()); });
+    const Timing check_time = timeRuns([&] {
+        if (!rw::checkOptimization(app.module, opt_bytes, opt.claims)
+                 .empty())
+            throw std::runtime_error("app claim check failed");
+    });
+    std::printf("\n%s, %d runs after 1 warmup (ms): median / min / IQR\n"
+                "  optimize           %8.1f %8.1f %8.1f\n"
+                "  checkOptimization  %8.1f %8.1f %8.1f\n",
+                app.name.c_str(), kTimingRuns, optimize_time.medianMs,
+                optimize_time.minMs, optimize_time.iqrMs,
+                check_time.medianMs, check_time.minMs, check_time.iqrMs);
+
     double mean_ratio = geomean(ratios);
     std::printf("\ngeomean size ratio: %.4f (%.1f%% saved), every "
                 "claim re-proved by the manifest checker\n",
@@ -122,6 +191,12 @@ main(int argc, char **argv)
         writeBenchProfileJson(
             json_path, "opt_size",
             {{"host", hostJson(commit)},
+             {"timing",
+              "{\"workload\": \"" + app.name +
+                  "\", \"runs\": " + std::to_string(kTimingRuns) +
+                  ", \"optimize\": " + optimize_time.json() +
+                  ", \"checkOptimization\": " + check_time.json() +
+                  "}"},
              {"n", std::to_string(n)},
              {"passes",
               std::to_string(

@@ -1,6 +1,5 @@
 #include "static/analyze.h"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "static/call_graph.h"
@@ -35,9 +34,7 @@ analyzeModule(const Module &m)
         s.numBlocks = cfg.numBlocks();
         s.numEdges = cfg.numEdges();
         s.numBackEdges = static_cast<uint32_t>(backEdges(cfg).size());
-        std::vector<bool> reach = reachableBlocks(cfg);
-        s.numUnreachable = static_cast<uint32_t>(
-            std::count(reach.begin(), reach.end(), false));
+        s.numUnreachable = cfg.numBlocks() - cfg.numReachable();
         s.dead = !cg.reachable(f);
         r.functions.push_back(s);
     }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "core/control_stack.h"
 #include "static/dot_util.h"
 #include "wasm/opcode.h"
 
@@ -13,211 +12,222 @@ using wasm::Instr;
 using wasm::OpClass;
 using wasm::Opcode;
 
-namespace {
-
-/** One open structural frame during the resolution walk; only what
- * label resolution needs (a stripped-down paper Figure 6 stack). */
-struct Frame {
-    bool isLoop = false;
-    uint32_t beginIdx = 0;
-    uint32_t endIdx = 0;
-};
-
-/** Resolves relative labels to absolute instruction indices, exactly
- * like AbstractState::resolveLabel (§2.4.4). An index equal to
- * body.size() denotes the function exit. */
-class LabelResolver {
-  public:
-    LabelResolver(const std::vector<Instr> &body,
-                  const std::vector<core::BlockMatch> &matches)
-        : body_(body), matches_(matches)
-    {
-        // Function frame: a branch to it exits the function.
-        frames_.push_back(
-            {false, 0, static_cast<uint32_t>(body.size()) - 1});
-    }
-
-    uint32_t
-    resolve(uint32_t label) const
-    {
-        assert(label < frames_.size());
-        const Frame &f = frames_[frames_.size() - 1 - label];
-        return f.isLoop ? f.beginIdx + 1 : f.endIdx + 1;
-    }
-
-    /** Update the frame stack after instruction @p i. */
-    void
-    apply(uint32_t i)
-    {
-        const wasm::OpInfo &info = wasm::opInfo(body_[i].op);
-        switch (info.cls) {
-          case OpClass::Block:
-          case OpClass::Loop:
-          case OpClass::If:
-            frames_.push_back({info.cls == OpClass::Loop, i,
-                               matches_[i].endIdx});
-            break;
-          case OpClass::End:
-            if (frames_.size() > 1)
-                frames_.pop_back();
-            break;
-          default:
-            break;
-        }
-    }
-
-  private:
-    const std::vector<Instr> &body_;
-    const std::vector<core::BlockMatch> &matches_;
-    std::vector<Frame> frames_;
-};
-
-} // namespace
-
 Cfg::Cfg(const wasm::Module &m, uint32_t func_idx) : funcIdx_(func_idx)
 {
     const wasm::Function &func = m.functions.at(func_idx);
     assert(!func.imported() && "cannot build a CFG of an import");
     const std::vector<Instr> &body = func.body;
     const uint32_t n = static_cast<uint32_t>(body.size());
-    std::vector<core::BlockMatch> matches = core::matchBlocks(body);
 
-    // Map each `else` to the `end` of its if (fallthrough out of the
-    // then-region jumps over the else-region).
-    std::vector<uint32_t> elseToEnd(n, 0);
+    // Pass 1: opcode classes, the matching `end` of every block, loop
+    // and if, and each if's `else` (0: none; index 0 is never an
+    // `else`). An `else` maps to its if's `end` as well: fallthrough
+    // out of the then-region jumps over the else-region.
+    std::vector<OpClass> cls(n);
+    std::vector<uint32_t> endOf(n, 0);
+    std::vector<uint32_t> elseOf(n, 0);
+    std::vector<uint32_t> open;
     for (uint32_t i = 0; i < n; ++i) {
-        if (matches[i].elseIdx)
-            elseToEnd[*matches[i].elseIdx] = matches[i].endIdx;
+        cls[i] = wasm::opInfo(body[i].op).cls;
+        switch (cls[i]) {
+          case OpClass::Block:
+          case OpClass::Loop:
+          case OpClass::If:
+            open.push_back(i);
+            break;
+          case OpClass::Else:
+            assert(!open.empty());
+            elseOf[open.back()] = i;
+            break;
+          case OpClass::End:
+            if (!open.empty()) {
+                endOf[open.back()] = i;
+                if (elseOf[open.back()])
+                    endOf[elseOf[open.back()]] = i;
+                open.pop_back();
+            }
+            break;
+          default:
+            break;
+        }
     }
 
-    // Pass 1: per-instruction successors (n = synthetic exit).
-    std::vector<std::vector<uint32_t>> succs(n);
-    LabelResolver resolver(body, matches);
+    // Pass 2: successors of the branch points (n = synthetic exit),
+    // flat: instruction i's are succ[off[i] .. off[i + 1]), sorted and
+    // unique. An empty range means fallthrough to i + 1, except for
+    // `unreachable`, which has no successors. Labels resolve exactly
+    // like AbstractState::resolveLabel (§2.4.4): `labelTarget` holds
+    // the branch target of every open frame, the first instruction
+    // inside a loop or the one after the matching `end` otherwise; the
+    // function frame's is the exit. Leaders: instruction 0, every
+    // branch target, and every instruction following a branch point
+    // (leader[n] is scratch).
+    std::vector<uint32_t> off(n + 1, 0);
+    std::vector<uint32_t> succ;
+    succ.reserve(n / 4);
+    std::vector<uint8_t> leader(n + 1, 0);
+    if (n > 0)
+        leader[0] = 1;
+    std::vector<uint32_t> &labelTarget = open;
+    labelTarget.assign(1, n);
+    auto resolve = [&labelTarget](uint32_t label) {
+        assert(label < labelTarget.size());
+        return labelTarget[labelTarget.size() - 1 - label];
+    };
     for (uint32_t i = 0; i < n; ++i) {
-        const wasm::OpInfo &info = wasm::opInfo(body[i].op);
-        switch (info.cls) {
+        const uint32_t first = static_cast<uint32_t>(succ.size());
+        switch (cls[i]) {
           case OpClass::Br:
-            succs[i] = {resolver.resolve(body[i].imm.idx)};
+            succ.push_back(resolve(body[i].imm.idx));
             break;
           case OpClass::BrIf:
-            succs[i] = {resolver.resolve(body[i].imm.idx), i + 1};
+            succ.push_back(resolve(body[i].imm.idx));
+            succ.push_back(i + 1);
             break;
           case OpClass::BrTable:
             for (uint32_t label : func.labels(body[i]))
-                succs[i].push_back(resolver.resolve(label));
+                succ.push_back(resolve(label));
             break;
           case OpClass::Return:
-            succs[i] = {n};
+            succ.push_back(n);
             break;
           case OpClass::Unreachable:
-            break; // trap: no successors
-          case OpClass::If: {
+            leader[i + 1] = 1; // trap: no successors
+            break;
+          case OpClass::If:
             // True: fall into the then-region. False: jump to the
             // else-region, or (no else) to the matching end.
-            uint32_t on_false = matches[i].elseIdx
-                                    ? *matches[i].elseIdx + 1
-                                    : matches[i].endIdx;
-            succs[i] = {i + 1, on_false};
+            succ.push_back(i + 1);
+            succ.push_back(elseOf[i] ? elseOf[i] + 1 : endOf[i]);
+            labelTarget.push_back(endOf[i] + 1);
             break;
-          }
           case OpClass::Else:
             // Reached by fallthrough from the then-region: skip the
             // else-region entirely.
-            succs[i] = {elseToEnd[i]};
+            succ.push_back(endOf[i]);
+            break;
+          case OpClass::Block:
+            labelTarget.push_back(endOf[i] + 1);
+            break;
+          case OpClass::Loop:
+            labelTarget.push_back(i + 1);
+            break;
+          case OpClass::End:
+            if (labelTarget.size() > 1)
+                labelTarget.pop_back();
             break;
           default:
-            succs[i] = {i + 1};
             break;
         }
-        resolver.apply(i);
+        off[i + 1] = static_cast<uint32_t>(succ.size());
+        const size_t count = off[i + 1] - first;
+        if (count == 0)
+            continue;
         // Deduplicate (br_table repeats labels; br_if 0 around a
         // block end can coincide with fallthrough).
-        std::sort(succs[i].begin(), succs[i].end());
-        succs[i].erase(std::unique(succs[i].begin(), succs[i].end()),
-                       succs[i].end());
-    }
-
-    // Pass 2: leaders. Instruction 0, every branch target, and every
-    // instruction following a branch point.
-    std::vector<bool> leader(n, false);
-    if (n > 0)
-        leader[0] = true;
-    for (uint32_t i = 0; i < n; ++i) {
-        bool fallthrough_only =
-            succs[i].size() == 1 && succs[i][0] == i + 1;
-        if (!fallthrough_only) {
-            for (uint32_t t : succs[i]) {
-                if (t < n)
-                    leader[t] = true;
-            }
-            if (i + 1 < n)
-                leader[i + 1] = true;
+        if (count == 2) {
+            if (succ[first] == succ[first + 1])
+                succ.pop_back();
+            else if (succ[first] > succ[first + 1])
+                std::swap(succ[first], succ[first + 1]);
+        } else if (count > 2) {
+            std::sort(succ.begin() + first, succ.end());
+            succ.erase(std::unique(succ.begin() + first, succ.end()),
+                       succ.end());
         }
+        off[i + 1] = static_cast<uint32_t>(succ.size());
+        if (off[i + 1] - first == 1 && succ[first] == i + 1)
+            continue; // fallthrough only
+        for (uint32_t k = first; k < off[i + 1]; ++k)
+            leader[succ[k]] = 1;
+        leader[i + 1] = 1;
     }
 
-    // Pass 3: blocks and edges.
+    // Pass 3: blocks.
     instrToBlock_.assign(n, 0);
     for (uint32_t i = 0; i < n; ++i) {
         if (leader[i])
-            blocks_.push_back(BasicBlock{i, i, {}, {}});
+            blocks_.push_back(BasicBlock{i, i});
         blocks_.back().last = i;
         instrToBlock_[i] = static_cast<uint32_t>(blocks_.size()) - 1;
     }
     // Synthetic exit block (empty instruction range: first > last).
-    blocks_.push_back(BasicBlock{1, 0, {}, {}});
-    const uint32_t exit_block = static_cast<uint32_t>(blocks_.size()) - 1;
+    blocks_.push_back(BasicBlock{1, 0});
+    const uint32_t nb = static_cast<uint32_t>(blocks_.size());
+    const uint32_t exit_block = nb - 1;
 
-    for (uint32_t b = 0; b + 1 < blocks_.size(); ++b) {
-        for (uint32_t t : succs[blocks_[b].last]) {
-            uint32_t target =
-                t >= n ? exit_block : instrToBlock_[t];
-            blocks_[b].succs.push_back(target);
+    // Pass 4: CSR edges. instrToBlock_ is non-decreasing and the exit
+    // block is last, so mapping a block's sorted instruction targets
+    // keeps them sorted; only adjacent duplicates need dropping.
+    succOffsets_.assign(nb + 1, 0);
+    predOffsets_.assign(nb + 1, 0);
+    auto addEdge = [&](uint32_t b, uint32_t t) {
+        const uint32_t target = t >= n ? exit_block : instrToBlock_[t];
+        if (succEdges_.size() == succOffsets_[b] ||
+            succEdges_.back() != target) {
+            succEdges_.push_back(target);
+            ++predOffsets_[target + 1];
         }
-        std::sort(blocks_[b].succs.begin(), blocks_[b].succs.end());
-        blocks_[b].succs.erase(std::unique(blocks_[b].succs.begin(),
-                                           blocks_[b].succs.end()),
-                               blocks_[b].succs.end());
-        for (uint32_t t : blocks_[b].succs)
-            blocks_[t].preds.push_back(b);
+    };
+    for (uint32_t b = 0; b < exit_block; ++b) {
+        const uint32_t last = blocks_[b].last;
+        if (off[last] == off[last + 1]) {
+            if (cls[last] != OpClass::Unreachable)
+                addEdge(b, last + 1);
+        } else {
+            for (uint32_t k = off[last]; k < off[last + 1]; ++k)
+                addEdge(b, succ[k]);
+        }
+        succOffsets_[b + 1] = static_cast<uint32_t>(succEdges_.size());
     }
+    succOffsets_[nb] = static_cast<uint32_t>(succEdges_.size());
+    for (uint32_t b = 0; b < nb; ++b)
+        predOffsets_[b + 1] += predOffsets_[b];
+    // Filling in source order keeps every predecessor list sorted.
+    predEdges_.resize(succEdges_.size());
+    std::vector<uint32_t> fill(predOffsets_.begin(),
+                               predOffsets_.end() - 1);
+    for (uint32_t b = 0; b < nb; ++b) {
+        for (uint32_t s : succs(b))
+            predEdges_[fill[s]++] = b;
+    }
+
+    computeReversePostOrder();
 }
 
-size_t
-Cfg::numEdges() const
+void
+Cfg::computeReversePostOrder()
 {
-    size_t edges = 0;
-    for (const BasicBlock &b : blocks_)
-        edges += b.succs.size();
-    return edges;
-}
-
-std::vector<uint32_t>
-Cfg::reversePostOrder() const
-{
-    std::vector<uint32_t> order;
-    std::vector<bool> visited(blocks_.size(), false);
-    // Iterative post-order DFS from the entry.
-    std::vector<std::pair<uint32_t, size_t>> stack{{entry(), 0}};
-    visited[entry()] = true;
+    const uint32_t nb = numBlocks();
+    constexpr uint32_t kUnvisited = 0xFFFFFFFF;
+    rpoIndex_.assign(nb, kUnvisited);
+    rpo_.clear();
+    rpo_.reserve(nb);
+    // Iterative post-order DFS from the entry; rpoIndex_ doubles as
+    // the visited set until the positions are written.
+    std::vector<std::pair<uint32_t, uint32_t>> stack{{entry(), 0}};
+    rpoIndex_[entry()] = 0;
     while (!stack.empty()) {
         auto &[b, next] = stack.back();
-        if (next < blocks_[b].succs.size()) {
-            uint32_t s = blocks_[b].succs[next++];
-            if (!visited[s]) {
-                visited[s] = true;
+        if (next < succs(b).size()) {
+            uint32_t s = succs(b)[next++];
+            if (rpoIndex_[s] == kUnvisited) {
+                rpoIndex_[s] = 0;
                 stack.push_back({s, 0});
             }
         } else {
-            order.push_back(b);
+            rpo_.push_back(b);
             stack.pop_back();
         }
     }
-    std::reverse(order.begin(), order.end());
-    for (uint32_t b = 0; b < blocks_.size(); ++b) {
-        if (!visited[b])
-            order.push_back(b);
+    std::reverse(rpo_.begin(), rpo_.end());
+    numReachable_ = static_cast<uint32_t>(rpo_.size());
+    for (uint32_t b = 0; b < nb; ++b) {
+        if (rpoIndex_[b] == kUnvisited)
+            rpo_.push_back(b);
     }
-    return order;
+    for (uint32_t i = 0; i < nb; ++i)
+        rpoIndex_[rpo_[i]] = i;
 }
 
 std::string
@@ -238,7 +248,7 @@ Cfg::toDot(const wasm::Module &m) const
                        wasm::name(func.body[blocks_[b].first].op));
         }
         out += "\"];\n";
-        for (uint32_t s : blocks_[b].succs)
+        for (uint32_t s : succs(b))
             out += "  B" + std::to_string(b) + " -> B" +
                    std::to_string(s) + ";\n";
     }

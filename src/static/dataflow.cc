@@ -47,39 +47,17 @@ BitSet::count() const
 
 namespace {
 
-/** Reachability: value true = "block can execute". */
-struct ReachabilityProblem {
-    using Value = bool;
-    Value boundary() { return true; }
-    Value initial() { return false; }
-    Value
-    transfer(const Cfg &, uint32_t, const Value &in)
-    {
-        return in;
-    }
-    bool
-    merge(Value &into, const Value &from)
-    {
-        if (!into && from) {
-            into = true;
-            return true;
-        }
-        return false;
-    }
-};
-
 /** Dominators: in[b] = blocks dominating all paths to b's entry. */
 struct DominatorProblem {
     uint32_t numBlocks;
     using Value = BitSet;
     Value boundary() { return BitSet(numBlocks, false); }
     Value initial() { return BitSet(numBlocks, true); }
-    Value
-    transfer(const Cfg &, uint32_t block, const Value &in)
+    void
+    transfer(const Cfg &, uint32_t block, const Value &in, Value &out)
     {
-        Value out = in;
+        out = in;
         out.set(block);
-        return out;
     }
     bool
     merge(Value &into, const Value &from)
@@ -93,8 +71,10 @@ struct DominatorProblem {
 std::vector<bool>
 reachableBlocks(const Cfg &cfg)
 {
-    ReachabilityProblem p;
-    return solveForward(cfg, p);
+    std::vector<bool> reach(cfg.numBlocks());
+    for (uint32_t b = 0; b < cfg.numBlocks(); ++b)
+        reach[b] = cfg.reachable(b);
+    return reach;
 }
 
 std::vector<BitSet>
@@ -113,10 +93,12 @@ std::vector<uint32_t>
 immediateDominators(const Cfg &cfg)
 {
     std::vector<BitSet> doms = dominatorSets(cfg);
-    std::vector<bool> reach = reachableBlocks(cfg);
+    std::vector<uint32_t> counts(cfg.numBlocks());
+    for (uint32_t b = 0; b < cfg.numBlocks(); ++b)
+        counts[b] = doms[b].count();
     std::vector<uint32_t> idom(cfg.numBlocks(), kNoIdom);
     for (uint32_t b = 0; b < cfg.numBlocks(); ++b) {
-        if (!reach[b] || b == cfg.entry())
+        if (!cfg.reachable(b) || b == cfg.entry())
             continue;
         // The immediate dominator is the strict dominator with the
         // largest dominator set of its own.
@@ -125,10 +107,9 @@ immediateDominators(const Cfg &cfg)
         for (uint32_t d = 0; d < cfg.numBlocks(); ++d) {
             if (d == b || !doms[b].test(d))
                 continue;
-            uint32_t c = doms[d].count();
-            if (best == kNoIdom || c > best_count) {
+            if (best == kNoIdom || counts[d] > best_count) {
                 best = d;
-                best_count = c;
+                best_count = counts[d];
             }
         }
         idom[b] = best;
@@ -140,12 +121,11 @@ std::vector<std::pair<uint32_t, uint32_t>>
 backEdges(const Cfg &cfg)
 {
     std::vector<BitSet> doms = dominatorSets(cfg);
-    std::vector<bool> reach = reachableBlocks(cfg);
     std::vector<std::pair<uint32_t, uint32_t>> edges;
     for (uint32_t b = 0; b < cfg.numBlocks(); ++b) {
-        if (!reach[b])
+        if (!cfg.reachable(b))
             continue;
-        for (uint32_t s : cfg.blocks()[b].succs) {
+        for (uint32_t s : cfg.succs(b)) {
             if (doms[b].test(s))
                 edges.push_back({b, s});
         }

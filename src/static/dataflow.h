@@ -1,16 +1,15 @@
 /**
  * @file
- * A small forward dataflow framework over per-function CFGs: a
- * worklist solver in reverse post-order, parameterized over the
- * lattice (merge) and transfer function, plus the two standard
- * instances the checker and `wasabi analyze` need — reachability and
+ * A small dataflow framework over per-function CFGs: forward and
+ * backward worklist solvers in (reverse) post-order, parameterized over
+ * the lattice (merge) and transfer function, plus what the checker and
+ * `wasabi analyze` need — reachability (read off the CFG's DFS) and
  * dominators (with immediate dominators and back-edge detection).
  */
 
 #ifndef WASABI_STATIC_DATAFLOW_H
 #define WASABI_STATIC_DATAFLOW_H
 
-#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -26,11 +25,18 @@ namespace wasabi::static_analysis {
  *   using Value = ...;             // one lattice element
  *   Value boundary();              // entry block's in-value
  *   Value initial();               // all other blocks' in-value
- *   Value transfer(const Cfg &, uint32_t block, const Value &in);
+ *   void  transfer(const Cfg &, uint32_t block, const Value &in,
+ *                  Value &out);    // out: a reused buffer
  *   bool  merge(Value &into, const Value &from);  // true if changed
  *
- * Returns the in-value of every block. Iterates blocks in reverse
- * post-order, which converges in O(loop-nesting-depth) passes for the
+ * Returns the in-value of every block. A dirty-flag worklist keyed by
+ * reverse post-order position: each sweep visits the dirty blocks in
+ * RPO, and a block is dirty only while its in-value changed since its
+ * last transfer (all blocks start dirty). A merge that dirties a block
+ * at or before the current position (a back edge) asks for another
+ * sweep. For a monotone transfer and a join merge, this chaotic
+ * iteration reaches the same least fixpoint as re-running every block
+ * until nothing changes, in O(loop-nesting-depth) sweeps on the
  * reducible CFGs structured Wasm control flow produces.
  */
 template <typename Problem>
@@ -42,19 +48,22 @@ solveForward(const Cfg &cfg, Problem &problem)
     std::vector<Value> in(n, problem.initial());
     in[cfg.entry()] = problem.boundary();
 
-    std::vector<uint32_t> order = cfg.reversePostOrder();
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (uint32_t b : order) {
-            Value out = problem.transfer(cfg, b, in[b]);
-            for (uint32_t s : cfg.blocks()[b].succs) {
-                // Copy in/out of the container: std::vector<bool>'s
-                // proxy references cannot bind to Value&.
-                Value merged = in[s];
-                if (problem.merge(merged, out)) {
-                    in[s] = std::move(merged);
-                    changed = true;
+    const std::vector<uint32_t> &order = cfg.reversePostOrder();
+    std::vector<uint8_t> dirty(n, 1); // by RPO position
+    Value out = problem.initial();
+    for (bool again = true; again;) {
+        again = false;
+        for (uint32_t pos = 0; pos < n; ++pos) {
+            if (!dirty[pos])
+                continue;
+            dirty[pos] = 0;
+            const uint32_t b = order[pos];
+            problem.transfer(cfg, b, in[b], out);
+            for (uint32_t s : cfg.succs(b)) {
+                if (problem.merge(in[s], out)) {
+                    const uint32_t sp = cfg.rpoIndex(s);
+                    dirty[sp] = 1;
+                    again |= sp <= pos;
                 }
             }
         }
@@ -66,7 +75,7 @@ solveForward(const Cfg &cfg, Problem &problem)
  * Solve a backward dataflow problem to a fixpoint (same problem
  * signature as solveForward, with transfer mapping a block's
  * *out*-value to its *in*-value). The boundary value seeds the
- * synthetic exit block; blocks are iterated in post order, the
+ * synthetic exit block; the worklist sweeps in post order, the
  * backward analogue of reverse post-order. Returns the out-value of
  * every block.
  */
@@ -79,18 +88,22 @@ solveBackward(const Cfg &cfg, Problem &problem)
     std::vector<Value> out(n, problem.initial());
     out[cfg.exit()] = problem.boundary();
 
-    std::vector<uint32_t> order = cfg.reversePostOrder();
-    std::reverse(order.begin(), order.end());
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (uint32_t b : order) {
-            Value in = problem.transfer(cfg, b, out[b]);
-            for (uint32_t p : cfg.blocks()[b].preds) {
-                Value merged = out[p];
-                if (problem.merge(merged, in)) {
-                    out[p] = std::move(merged);
-                    changed = true;
+    const std::vector<uint32_t> &order = cfg.reversePostOrder();
+    std::vector<uint8_t> dirty(n, 1); // by RPO position
+    Value in = problem.initial();
+    for (bool again = true; again;) {
+        again = false;
+        for (uint32_t pos = n; pos-- > 0;) {
+            if (!dirty[pos])
+                continue;
+            dirty[pos] = 0;
+            const uint32_t b = order[pos];
+            problem.transfer(cfg, b, out[b], in);
+            for (uint32_t p : cfg.preds(b)) {
+                if (problem.merge(out[p], in)) {
+                    const uint32_t pp = cfg.rpoIndex(p);
+                    dirty[pp] = 1;
+                    again |= pp >= pos;
                 }
             }
         }
@@ -126,7 +139,7 @@ class BitSet {
     std::vector<uint64_t> words_;
 };
 
-/** Reachability from the entry block (a trivial dataflow instance). */
+/** Reachability from the entry block, per block (Cfg::reachable). */
 std::vector<bool> reachableBlocks(const Cfg &cfg);
 
 /**

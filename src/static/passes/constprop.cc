@@ -5,6 +5,7 @@
 
 #include "core/static_info.h"
 #include "static/dataflow.h"
+#include "static/passes/problems.h"
 
 namespace wasabi::static_analysis::passes {
 
@@ -15,10 +16,6 @@ using wasm::Opcode;
 using wasm::ValType;
 
 namespace {
-
-/** One abstract value: a known i32 constant or unknown (⊤). Values of
- * other types are always unknown; that is sound, just imprecise. */
-using AbsConst = std::optional<uint32_t>;
 
 /** Fold an i32-producing unary op over a known input. */
 AbsConst
@@ -128,283 +125,244 @@ foldBinary(Opcode op, uint32_t a, uint32_t b)
     }
 }
 
-/** Records constant branch controls during a block simulation. */
-struct FactSink {
-    uint32_t funcIdx = 0;
-    ConstFacts *facts = nullptr;
-
-    void
-    record(OpClass cls, uint32_t i, const AbsConst &v) const
-    {
-        if (!facts || !v)
-            return;
-        uint64_t key = core::packLoc({funcIdx, i});
-        if (cls == OpClass::BrIf)
-            facts->brIfCond[key] = *v;
-        else if (cls == OpClass::If)
-            facts->ifCond[key] = *v;
-        else if (cls == OpClass::BrTable)
-            facts->brTableIndex[key] = *v;
-        else if (cls == OpClass::CallIndirect)
-            facts->callIndirectIndex[key] = *v;
-    }
-};
-
-/** The dataflow lattice element: reached flag (⊥ when false) plus one
- * abstract constant per local. */
-struct LocalsValue {
-    bool reached = false;
-    std::vector<AbsConst> locals;
-};
-
-class ConstPropProblem {
-  public:
-    using Value = LocalsValue;
-
-    ConstPropProblem(const Module &m, uint32_t func_idx)
-        : m_(m), funcIdx_(func_idx),
-          body_(m.functions.at(func_idx).body)
-    {
-        const std::vector<ValType> &params =
-            m.funcType(func_idx).params;
-        localTypes_ = params;
-        const std::vector<ValType> &locals =
-            m.functions.at(func_idx).locals;
-        localTypes_.insert(localTypes_.end(), locals.begin(),
-                           locals.end());
-        numParams_ = static_cast<uint32_t>(params.size());
-    }
-
-    Value
-    boundary() const
-    {
-        Value v;
-        v.reached = true;
-        v.locals.resize(localTypes_.size());
-        // Parameters are unknown; declared locals are zero-initialized
-        // by the Wasm semantics (tracked for i32 only).
-        for (size_t k = numParams_; k < localTypes_.size(); ++k) {
-            if (localTypes_[k] == ValType::I32)
-                v.locals[k] = 0;
-        }
-        return v;
-    }
-
-    Value initial() const { return Value{}; }
-
-    bool
-    merge(Value &into, const Value &from) const
-    {
-        if (!from.reached)
-            return false;
-        if (!into.reached) {
-            into = from;
-            return true;
-        }
-        bool changed = false;
-        for (size_t k = 0; k < into.locals.size(); ++k) {
-            if (into.locals[k] &&
-                (!from.locals[k] ||
-                 *from.locals[k] != *into.locals[k])) {
-                into.locals[k] = std::nullopt;
-                changed = true;
-            }
-        }
-        return changed;
-    }
-
-    Value
-    transfer(const Cfg &cfg, uint32_t b, const Value &in) const
-    {
-        if (!in.reached)
-            return in;
-        Value out = in;
-        simulate(cfg.blocks()[b], out.locals, nullptr);
-        return out;
-    }
-
-    /**
-     * Symbolically execute one basic block over @p locals, tracking a
-     * block-local operand stack. Values flowing in on the operand
-     * stack from outside the block are unknown (pop on empty yields
-     * ⊤), as is anything crossing a structural boundary — sound and
-     * cheap, and enough for the `const; br_if` / folded-expression
-     * shapes real producers emit.
-     */
-    void
-    simulate(const BasicBlock &blk, std::vector<AbsConst> &locals,
-             const FactSink *sink) const
-    {
-        if (blk.empty())
-            return;
-        std::vector<AbsConst> stack;
-        auto pop = [&stack]() -> AbsConst {
-            if (stack.empty())
-                return std::nullopt;
-            AbsConst v = stack.back();
-            stack.pop_back();
-            return v;
-        };
-        auto popN = [&pop](size_t n) {
-            for (size_t k = 0; k < n; ++k)
-                pop();
-        };
-        auto pushUnknown = [&stack](size_t n) {
-            stack.insert(stack.end(), n, std::nullopt);
-        };
-
-        for (uint32_t i = blk.first; i <= blk.last; ++i) {
-            const Instr &in = body_[i];
-            const wasm::OpInfo &info = wasm::opInfo(in.op);
-            switch (info.cls) {
-              case OpClass::Const:
-                if (in.op == Opcode::I32Const)
-                    stack.push_back(in.imm.i32v);
-                else
-                    pushUnknown(1);
-                break;
-              case OpClass::LocalGet:
-                stack.push_back(localTypes_[in.imm.idx] == ValType::I32
-                                    ? locals[in.imm.idx]
-                                    : std::nullopt);
-                break;
-              case OpClass::LocalSet: {
-                AbsConst v = pop();
-                locals[in.imm.idx] =
-                    localTypes_[in.imm.idx] == ValType::I32
-                        ? v
-                        : AbsConst{};
-                break;
-              }
-              case OpClass::LocalTee:
-                if (localTypes_[in.imm.idx] == ValType::I32 &&
-                    !stack.empty())
-                    locals[in.imm.idx] = stack.back();
-                else
-                    locals[in.imm.idx] = std::nullopt;
-                break;
-              case OpClass::GlobalGet:
-                stack.push_back(
-                    immutableI32GlobalInit(m_, in.imm.idx));
-                break;
-              case OpClass::GlobalSet:
-                pop();
-                break;
-              case OpClass::Unary: {
-                AbsConst v = pop();
-                stack.push_back(v ? foldUnary(in.op, *v)
-                                  : std::nullopt);
-                break;
-              }
-              case OpClass::Binary: {
-                AbsConst b2 = pop();
-                AbsConst a = pop();
-                stack.push_back(a && b2 ? foldBinary(in.op, *a, *b2)
-                                        : std::nullopt);
-                break;
-              }
-              case OpClass::Drop:
-                pop();
-                break;
-              case OpClass::Select: {
-                AbsConst c = pop();
-                AbsConst onFalse = pop();
-                AbsConst onTrue = pop();
-                stack.push_back(c ? (*c ? onTrue : onFalse)
-                                  : std::nullopt);
-                break;
-              }
-              case OpClass::Load:
-                pop();
-                pushUnknown(1);
-                break;
-              case OpClass::Store:
-                popN(2);
-                break;
-              case OpClass::MemorySize:
-                pushUnknown(1);
-                break;
-              case OpClass::MemoryGrow:
-                pop();
-                pushUnknown(1);
-                break;
-              case OpClass::Call: {
-                const wasm::FuncType &t = m_.funcType(in.imm.idx);
-                popN(t.params.size());
-                pushUnknown(t.results.size());
-                break;
-              }
-              case OpClass::CallIndirect: {
-                const wasm::FuncType &t = m_.types.at(in.imm.idx);
-                AbsConst idx = pop(); // table index
-                if (sink)
-                    sink->record(OpClass::CallIndirect, i, idx);
-                popN(t.params.size());
-                pushUnknown(t.results.size());
-                break;
-              }
-              case OpClass::Nop:
-                break;
-              case OpClass::If: {
-                AbsConst c = pop();
-                if (sink)
-                    sink->record(OpClass::If, i, c);
-                stack.clear();
-                break;
-              }
-              case OpClass::BrIf: {
-                AbsConst c = pop();
-                if (sink)
-                    sink->record(OpClass::BrIf, i, c);
-                break;
-              }
-              case OpClass::BrTable: {
-                AbsConst idx = pop();
-                if (sink)
-                    sink->record(OpClass::BrTable, i, idx);
-                stack.clear();
-                break;
-              }
-              default:
-                // block/loop/else/end/br/return/unreachable: operand
-                // values do not flow across structural boundaries in
-                // this abstraction.
-                stack.clear();
-                break;
-            }
-        }
-    }
-
-  private:
-    const Module &m_;
-    uint32_t funcIdx_;
-    const std::vector<Instr> &body_;
-    std::vector<ValType> localTypes_;
-    uint32_t numParams_ = 0;
-};
-
 } // namespace
+
+ConstPropProblem::ConstPropProblem(const Module &m, uint32_t func_idx)
+    : m_(m), body_(m.functions.at(func_idx).body),
+      control_(body_.size())
+{
+    const std::vector<ValType> &params = m.funcType(func_idx).params;
+    localTypes_ = params;
+    const std::vector<ValType> &locals = m.functions.at(func_idx).locals;
+    localTypes_.insert(localTypes_.end(), locals.begin(), locals.end());
+    numParams_ = static_cast<uint32_t>(params.size());
+}
+
+LocalsValue
+ConstPropProblem::boundary() const
+{
+    LocalsValue v;
+    v.reached = true;
+    v.locals.resize(localTypes_.size());
+    // Parameters are unknown; declared locals are zero-initialized by
+    // the Wasm semantics (tracked for i32 only).
+    for (size_t k = numParams_; k < localTypes_.size(); ++k) {
+        if (localTypes_[k] == ValType::I32)
+            v.locals[k] = 0;
+    }
+    return v;
+}
+
+bool
+ConstPropProblem::merge(LocalsValue &into, const LocalsValue &from) const
+{
+    if (!from.reached)
+        return false;
+    if (!into.reached) {
+        into = from;
+        return true;
+    }
+    bool changed = false;
+    for (size_t k = 0; k < into.locals.size(); ++k) {
+        if (into.locals[k] &&
+            (!from.locals[k] || *from.locals[k] != *into.locals[k])) {
+            into.locals[k] = std::nullopt;
+            changed = true;
+        }
+    }
+    return changed;
+}
+
+void
+ConstPropProblem::transfer(const Cfg &cfg, uint32_t b,
+                           const LocalsValue &in, LocalsValue &out)
+{
+    out.reached = in.reached;
+    if (!in.reached)
+        return;
+    out.locals = in.locals;
+    simulate(cfg.blocks()[b], out.locals);
+}
+
+void
+ConstPropProblem::simulate(const BasicBlock &blk,
+                           std::vector<AbsConst> &locals)
+{
+    if (blk.empty())
+        return;
+    std::vector<AbsConst> &stack = stack_;
+    stack.clear();
+    auto pop = [&stack]() -> AbsConst {
+        if (stack.empty())
+            return std::nullopt;
+        AbsConst v = stack.back();
+        stack.pop_back();
+        return v;
+    };
+    auto popN = [&pop](size_t n) {
+        for (size_t k = 0; k < n; ++k)
+            pop();
+    };
+    auto pushUnknown = [&stack](size_t n) {
+        stack.insert(stack.end(), n, std::nullopt);
+    };
+
+    for (uint32_t i = blk.first; i <= blk.last; ++i) {
+        const Instr &in = body_[i];
+        const wasm::OpInfo &info = wasm::opInfo(in.op);
+        switch (info.cls) {
+          case OpClass::Const:
+            if (in.op == Opcode::I32Const)
+                stack.push_back(in.imm.i32v);
+            else
+                pushUnknown(1);
+            break;
+          case OpClass::LocalGet:
+            stack.push_back(localTypes_[in.imm.idx] == ValType::I32
+                                ? locals[in.imm.idx]
+                                : std::nullopt);
+            break;
+          case OpClass::LocalSet: {
+            AbsConst v = pop();
+            locals[in.imm.idx] =
+                localTypes_[in.imm.idx] == ValType::I32
+                    ? v
+                    : AbsConst{};
+            break;
+          }
+          case OpClass::LocalTee:
+            if (localTypes_[in.imm.idx] == ValType::I32 &&
+                !stack.empty())
+                locals[in.imm.idx] = stack.back();
+            else
+                locals[in.imm.idx] = std::nullopt;
+            break;
+          case OpClass::GlobalGet:
+            stack.push_back(
+                immutableI32GlobalInit(m_, in.imm.idx));
+            break;
+          case OpClass::GlobalSet:
+            pop();
+            break;
+          case OpClass::Unary: {
+            AbsConst v = pop();
+            stack.push_back(v ? foldUnary(in.op, *v)
+                              : std::nullopt);
+            break;
+          }
+          case OpClass::Binary: {
+            AbsConst b2 = pop();
+            AbsConst a = pop();
+            stack.push_back(a && b2 ? foldBinary(in.op, *a, *b2)
+                                    : std::nullopt);
+            break;
+          }
+          case OpClass::Drop:
+            pop();
+            break;
+          case OpClass::Select: {
+            AbsConst c = pop();
+            AbsConst onFalse = pop();
+            AbsConst onTrue = pop();
+            stack.push_back(c ? (*c ? onTrue : onFalse)
+                              : std::nullopt);
+            break;
+          }
+          case OpClass::Load:
+            pop();
+            pushUnknown(1);
+            break;
+          case OpClass::Store:
+            popN(2);
+            break;
+          case OpClass::MemorySize:
+            pushUnknown(1);
+            break;
+          case OpClass::MemoryGrow:
+            pop();
+            pushUnknown(1);
+            break;
+          case OpClass::Call: {
+            const wasm::FuncType &t = m_.funcType(in.imm.idx);
+            popN(t.params.size());
+            pushUnknown(t.results.size());
+            break;
+          }
+          case OpClass::CallIndirect: {
+            const wasm::FuncType &t = m_.types.at(in.imm.idx);
+            control_[i] = pop(); // table index
+            popN(t.params.size());
+            pushUnknown(t.results.size());
+            break;
+          }
+          case OpClass::Nop:
+            break;
+          case OpClass::If:
+          case OpClass::BrTable:
+            control_[i] = pop();
+            stack.clear();
+            break;
+          case OpClass::BrIf:
+            control_[i] = pop();
+            break;
+          default:
+            // block/loop/else/end/br/return/unreachable: operand
+            // values do not flow across structural boundaries in
+            // this abstraction.
+            stack.clear();
+            break;
+        }
+    }
+}
+
+ConstFacts
+constFactsOf(const Module &m, const Cfg &cfg,
+             const std::vector<AbsConst> &controls,
+             const std::vector<LocalsValue> &in)
+{
+    ConstFacts facts;
+    const std::vector<Instr> &body = m.functions.at(cfg.funcIdx()).body;
+    for (uint32_t b = 0; b < cfg.numBlocks(); ++b) {
+        if (!in[b].reached)
+            continue; // unreachable: no facts (reported elsewhere)
+        const BasicBlock &blk = cfg.blocks()[b];
+        for (uint32_t i = blk.first; i <= blk.last; ++i) {
+            if (!controls[i])
+                continue;
+            const uint64_t key = core::packLoc({cfg.funcIdx(), i});
+            switch (wasm::opInfo(body[i].op).cls) {
+              case OpClass::BrIf:
+                facts.brIfCond[key] = *controls[i];
+                break;
+              case OpClass::If:
+                facts.ifCond[key] = *controls[i];
+                break;
+              case OpClass::BrTable:
+                facts.brTableIndex[key] = *controls[i];
+                break;
+              default: // call_indirect
+                facts.callIndirectIndex[key] = *controls[i];
+                break;
+            }
+        }
+    }
+    return facts;
+}
 
 ConstFacts
 constantFacts(const Module &m, uint32_t func_idx)
 {
-    ConstFacts facts;
     const wasm::Function &func = m.functions.at(func_idx);
     if (func.imported() || func.body.empty())
-        return facts;
+        return {};
 
     Cfg cfg(m, func_idx);
     ConstPropProblem problem(m, func_idx);
     std::vector<LocalsValue> in = solveForward(cfg, problem);
-
-    FactSink sink{func_idx, &facts};
-    for (uint32_t b = 0; b < cfg.numBlocks(); ++b) {
-        if (!in[b].reached)
-            continue; // unreachable: no facts (reported elsewhere)
-        std::vector<AbsConst> locals = in[b].locals;
-        problem.simulate(cfg.blocks()[b], locals, &sink);
-    }
-    return facts;
+    // The solver's last transfer of a block runs on its fixpoint
+    // in-value (a changed in-value makes the block dirty again), so
+    // the controls recorded by that simulation are the block's facts.
+    return constFactsOf(m, cfg, problem.controls(), in);
 }
 
 std::optional<uint32_t>

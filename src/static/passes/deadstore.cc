@@ -1,82 +1,47 @@
 #include "static/passes/deadstore.h"
 
+#include <algorithm>
+
 #include "static/dataflow.h"
+#include "static/passes/problems.h"
 
 namespace wasabi::static_analysis::passes {
 
 using wasm::Instr;
 using wasm::OpClass;
 
-namespace {
-
-/** Backward liveness of locals: gen at local.get, kill at
- * local.set/tee. local.tee reads the operand stack, not the local, so
- * it kills without generating. */
-class LivenessProblem {
-  public:
-    using Value = BitSet;
-
-    LivenessProblem(const std::vector<Instr> &body, uint32_t num_locals)
-        : body_(body), numLocals_(num_locals)
-    {
+void
+LivenessProblem::transfer(const Cfg &cfg, uint32_t b, const Value &out,
+                          Value &live) const
+{
+    live = out;
+    const BasicBlock &blk = cfg.blocks()[b];
+    if (blk.empty())
+        return;
+    for (uint32_t i = blk.last + 1; i-- > blk.first;) {
+        OpClass cls = wasm::opInfo(body_[i].op).cls;
+        if (cls == OpClass::LocalGet)
+            live.set(body_[i].imm.idx);
+        else if (cls == OpClass::LocalSet || cls == OpClass::LocalTee)
+            live.reset(body_[i].imm.idx);
     }
-
-    Value boundary() const { return BitSet(numLocals_); }
-    Value initial() const { return BitSet(numLocals_); }
-
-    bool
-    merge(Value &into, const Value &from) const
-    {
-        return into.unionWith(from);
-    }
-
-    Value
-    transfer(const Cfg &cfg, uint32_t b, const Value &out) const
-    {
-        BitSet live = out;
-        const BasicBlock &blk = cfg.blocks()[b];
-        if (blk.empty())
-            return live;
-        for (uint32_t i = blk.last + 1; i-- > blk.first;) {
-            OpClass cls = wasm::opInfo(body_[i].op).cls;
-            if (cls == OpClass::LocalGet)
-                live.set(body_[i].imm.idx);
-            else if (cls == OpClass::LocalSet ||
-                     cls == OpClass::LocalTee)
-                live.reset(body_[i].imm.idx);
-        }
-        return live;
-    }
-
-  private:
-    const std::vector<Instr> &body_;
-    uint32_t numLocals_;
-};
-
-} // namespace
+}
 
 std::vector<DeadStore>
-deadStores(const wasm::Module &m, uint32_t func_idx)
+deadStoresOf(const wasm::Module &m, const Cfg &cfg,
+             const std::vector<BitSet> &out)
 {
+    const uint32_t func_idx = cfg.funcIdx();
+    const std::vector<Instr> &body = m.functions.at(func_idx).body;
     std::vector<DeadStore> found;
-    const wasm::Function &func = m.functions.at(func_idx);
-    if (func.imported() || func.body.empty())
-        return found;
-
-    const uint32_t num_locals = static_cast<uint32_t>(
-        m.funcType(func_idx).params.size() + func.locals.size());
-    Cfg cfg(m, func_idx);
-    LivenessProblem problem(func.body, num_locals);
-    std::vector<BitSet> out = solveBackward(cfg, problem);
-    std::vector<bool> reachable = reachableBlocks(cfg);
-
+    BitSet live;
     for (uint32_t b = 0; b < cfg.numBlocks(); ++b) {
         const BasicBlock &blk = cfg.blocks()[b];
-        if (!reachable[b] || blk.empty())
+        if (!cfg.reachable(b) || blk.empty())
             continue;
-        BitSet live = out[b];
+        live = out[b];
         for (uint32_t i = blk.last + 1; i-- > blk.first;) {
-            const Instr &in = func.body[i];
+            const Instr &in = body[i];
             OpClass cls = wasm::opInfo(in.op).cls;
             if (cls == OpClass::LocalGet) {
                 live.set(in.imm.idx);
@@ -96,6 +61,20 @@ deadStores(const wasm::Module &m, uint32_t func_idx)
                   return a.instr < b.instr;
               });
     return found;
+}
+
+std::vector<DeadStore>
+deadStores(const wasm::Module &m, uint32_t func_idx)
+{
+    const wasm::Function &func = m.functions.at(func_idx);
+    if (func.imported() || func.body.empty())
+        return {};
+
+    const uint32_t num_locals = static_cast<uint32_t>(
+        m.funcType(func_idx).params.size() + func.locals.size());
+    Cfg cfg(m, func_idx);
+    LivenessProblem problem(func.body, num_locals);
+    return deadStoresOf(m, cfg, solveBackward(cfg, problem));
 }
 
 } // namespace wasabi::static_analysis::passes

@@ -357,15 +357,10 @@ class FunctionRangeAnalyzer {
         in_[cfg_.entry()] = boundary();
         reached_[cfg_.entry()] = true;
 
-        std::vector<uint32_t> rpoPos(n, 0);
-        std::vector<uint32_t> order = cfg_.reversePostOrder();
-        for (uint32_t i = 0; i < order.size(); ++i)
-            rpoPos[order[i]] = i;
-
         // Worklist keyed by RPO position: deterministic and converges
         // in few passes on the reducible CFGs structured Wasm yields.
         std::set<std::pair<uint32_t, uint32_t>> work;
-        work.insert({rpoPos[cfg_.entry()], cfg_.entry()});
+        work.insert({cfg_.rpoIndex(cfg_.entry()), cfg_.entry()});
 
         // Threshold widening bounds head-block changes; the cap is a
         // pure backstop (facts are discarded if it ever fires).
@@ -378,7 +373,7 @@ class FunctionRangeAnalyzer {
             uint32_t b = work.begin()->second;
             work.erase(work.begin());
             propagate(b, [&](uint32_t s) {
-                work.insert({rpoPos[s], s});
+                work.insert({cfg_.rpoIndex(s), s});
             });
         }
         return true;
@@ -518,13 +513,14 @@ class FunctionRangeAnalyzer {
         // positional identity is lost).
         uint32_t fallthrough = kU32Max;
         bool fallthroughIsTaken = false; // `if`: next instr = then-arm
-        if (out.hasCond && blk.succs.size() == 2 && !blk.empty() &&
+        const std::span<const uint32_t> succs = cfg_.succs(b);
+        if (out.hasCond && succs.size() == 2 && !blk.empty() &&
             blk.last + 1 < body_.size()) {
             fallthrough = cfg_.blockOf(blk.last + 1);
             fallthroughIsTaken = body_[blk.last].op == Opcode::If;
         }
 
-        for (uint32_t s : blk.succs) {
+        for (uint32_t s : succs) {
             std::vector<Interval> locals = out.locals;
             if (out.condPred && fallthrough != kU32Max) {
                 bool taken = (s == fallthrough) == fallthroughIsTaken;
@@ -1367,7 +1363,7 @@ rangesDot(const Module &m, const ModuleRanges &mr, uint32_t func_idx)
         out += "];\n";
     }
     for (uint32_t b = 0; b < cfg.numBlocks(); ++b) {
-        for (uint32_t s : cfg.blocks()[b].succs)
+        for (uint32_t s : cfg.succs(b))
             out += "  n" + std::to_string(b) + " -> n" +
                    std::to_string(s) + ";\n";
     }

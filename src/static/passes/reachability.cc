@@ -1,7 +1,7 @@
 #include "static/passes/reachability.h"
 
 #include "static/call_graph.h"
-#include "static/dataflow.h"
+#include "static/cfg.h"
 
 namespace wasabi::static_analysis::passes {
 
@@ -14,10 +14,9 @@ reachabilityFacts(const wasm::Module &m)
         if (func.imported() || func.body.empty())
             continue;
         Cfg cfg(m, f);
-        std::vector<bool> reachable = reachableBlocks(cfg);
         for (uint32_t b = 0; b < cfg.numBlocks(); ++b) {
             const BasicBlock &blk = cfg.blocks()[b];
-            if (reachable[b] || blk.empty())
+            if (cfg.reachable(b) || blk.empty())
                 continue;
             // Merge adjacent unreachable blocks into maximal ranges.
             if (!facts.unreachableBlocks.empty()) {

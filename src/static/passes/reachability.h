@@ -1,7 +1,7 @@
 /**
  * @file
  * Reachability (pass 2): intra-procedural unreachable basic blocks
- * (from the CFG entry, via the PR-1 reachableBlocks dataflow instance)
+ * (from the CFG entry, read off the CFG's depth-first search)
  * plus call-graph dead functions (unreachable from any export, the
  * start function, or a host-visible table). Feeds `wasabi lint`
  * (lint.unreachable.code / lint.deadcode.function).

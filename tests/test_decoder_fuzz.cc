@@ -196,11 +196,9 @@ TEST(DecoderFuzz, MutationSurvivorsExecuteIdenticallyOnBothEngines)
 /**
  * Range-claim oracle on a second mutation corpus: every access the
  * range analysis claims in a surviving mutant must stay inside the
- * claimed memory (tests/range_claim_oracle.h). The test is named for
- * the elided-vs-checked differential it replaced: a run with those
- * bounds checks elided was sound exactly when this holds.
+ * claimed memory (tests/range_claim_oracle.h).
  */
-TEST(DecoderFuzz, MutationSurvivorsExecuteIdenticallyWithElision)
+TEST(DecoderFuzz, MutationSurvivorsHonorRangeClaims)
 {
     std::vector<uint8_t> base = baseModuleBytes();
     uint64_t rng = 0xE115; // different corpus than the plain gate

@@ -577,7 +577,7 @@ TEST_P(ElisionDifferentialPolybench, ElidedRunMatchesBothEngines)
 INSTANTIATE_TEST_SUITE_P(Kernels, ElisionDifferentialPolybench,
                          ::testing::ValuesIn(workloads::polybenchNames()));
 
-TEST(ElisionDifferential, SyntheticAppsAgree)
+TEST(RangeClaimOracle, SyntheticAppsAgree)
 {
     Workload small = workloads::syntheticApp(workloads::AppSize::Small);
     EXPECT_GT(expectClaimsHold(small, small.name), 0u);

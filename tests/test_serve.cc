@@ -34,17 +34,36 @@
 namespace wasabi::serve {
 namespace {
 
-/** Write @p content under a unique name in the test temp dir. */
-std::string
-writeTemp(const std::string &name, const std::string &content)
-{
-    const std::string path = testing::TempDir() + "serve_" + name;
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(content.data(),
-              static_cast<std::streamsize>(content.size()));
-    EXPECT_TRUE(out.good());
-    return path;
-}
+/**
+ * A file in the test temp dir under a per-process name, removed when
+ * the test ends, so that concurrent runs of the suite never overwrite
+ * each other's files. Given content, it writes it; otherwise it only
+ * names a path (an output file or a socket).
+ */
+class TempFile {
+  public:
+    explicit TempFile(const std::string &name)
+        : path_(testing::TempDir() + "serve_" +
+                std::to_string(::getpid()) + "_" + name)
+    {
+    }
+    TempFile(const std::string &name, const std::string &content)
+        : TempFile(name)
+    {
+        std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+        out.write(content.data(),
+                  static_cast<std::streamsize>(content.size()));
+        EXPECT_TRUE(out.good());
+    }
+    ~TempFile() { std::remove(path_.c_str()); }
+    TempFile(const TempFile &) = delete;
+    TempFile &operator=(const TempFile &) = delete;
+
+    const std::string &path() const { return path_; }
+
+  private:
+    std::string path_;
+};
 
 /** A module whose main does a little arithmetic through a global. */
 const char *const kAddWat = R"((module
@@ -83,7 +102,8 @@ runRequest(const std::string &path, const std::string &extra = "")
 TEST(ServeCache, SecondIdenticalRequestHitsAndSkipsTranslation)
 {
     Server server;
-    const std::string path = writeTemp("add.wat", kAddWat);
+    const TempFile path_file("add.wat", kAddWat);
+    const std::string &path = path_file.path();
 
     auto first =
         server.handle(runRequest(path, ", \"verbose\": true"));
@@ -174,8 +194,10 @@ TEST(ServeCache, HashCollisionGetsItsOwnEntryAndInstances)
     ASSERT_EQ(contentHash(a), 0x0a8fbae839e487d8ull);
 
     Server server;
-    const std::string path_a = testing::TempDir() + "serve_collide_a.wasm";
-    const std::string path_b = testing::TempDir() + "serve_collide_b.wasm";
+    const TempFile path_a_file("collide_a.wasm");
+    const std::string &path_a = path_a_file.path();
+    const TempFile path_b_file("collide_b.wasm");
+    const std::string &path_b = path_b_file.path();
     support::writeBinaryFile(path_a, a);
     support::writeBinaryFile(path_b, b);
     const std::string result_a = "[\"i64:16928032483741593277\"]";
@@ -219,7 +241,8 @@ TEST(ServeCache, UndecodableBytesThrowIoModule)
 TEST(ServeQuota, FuelExhaustionIsStructuredAndNonFatal)
 {
     Server server;
-    const std::string path = writeTemp("fuel.wat", kAddWat);
+    const TempFile path_file("fuel.wat", kAddWat);
+    const std::string &path = path_file.path();
 
     auto denied = server.handle(runRequest(path, ", \"fuel\": 3"));
     EXPECT_TRUE(hasField(denied.response, "ok", "false"));
@@ -243,12 +266,13 @@ TEST(ServeQuota, MemoryQuotaDeniesGrowAndAttributesTrap)
     // Grows by 1 page then stores into the grown page: under a 1-page
     // quota the grow is denied (spec-conformant -1) and the store
     // traps out of bounds — attributed to the quota.
-    const std::string path = writeTemp("grow_use.wat", R"((module
+    const TempFile path_file("grow_use.wat", R"((module
   (memory 1 4)
   (func (export "main") (result i32)
     (drop (memory.grow (i32.const 1)))
     (i32.store (i32.const 65536) (i32.const 1))
     (i32.const 0))))");
+    const std::string &path = path_file.path();
 
     auto denied =
         server.handle(runRequest(path, ", \"memoryPages\": 1"));
@@ -266,7 +290,8 @@ TEST(ServeQuota, MemoryQuotaDeniesGrowAndAttributesTrap)
 TEST(ServeQuota, PostStartMemoryAlreadyOverQuota)
 {
     Server server;
-    const std::string path = writeTemp("prequota.wat", kAddWat);
+    const TempFile path_file("prequota.wat", kAddWat);
+    const std::string &path = path_file.path();
     auto r = server.handle(runRequest(path, ", \"memoryPages\": 0"));
     EXPECT_TRUE(hasField(r.response, "ok", "false"));
     EXPECT_TRUE(
@@ -279,7 +304,8 @@ TEST(ServeQuota, PostStartMemoryAlreadyOverQuota)
 TEST(ServeErrors, MalformedAndUnknownRequestsNeverKillTheDaemon)
 {
     Server server;
-    const std::string path = writeTemp("alive.wat", kAddWat);
+    const TempFile path_file("alive.wat", kAddWat);
+    const std::string &path = path_file.path();
 
     auto bad = server.handle("this is not json");
     EXPECT_TRUE(hasField(bad.response, "ok", "false"));
@@ -291,10 +317,9 @@ TEST(ServeErrors, MalformedAndUnknownRequestsNeverKillTheDaemon)
     EXPECT_TRUE(
         hasField(unknown.response, "code", "\"serve.bad-request\""));
 
-    auto trap = server.handle(
-        runRequest(writeTemp("trap.wat",
-                             "(module (func (export \"main\") "
-                             "unreachable))")));
+    const TempFile trap_wat("trap.wat", "(module (func (export \"main\") "
+                                        "unreachable))");
+    auto trap = server.handle(runRequest(trap_wat.path()));
     EXPECT_TRUE(hasField(trap.response, "ok", "false"));
     EXPECT_TRUE(hasField(trap.response, "code", "\"serve.trap\""));
     EXPECT_TRUE(
@@ -302,7 +327,8 @@ TEST(ServeErrors, MalformedAndUnknownRequestsNeverKillTheDaemon)
 
     // A hook list with an empty segment or an unknown kind is refused
     // (core::parseHookSet, shared with the CLI), never skipped.
-    const std::string out = testing::TempDir() + "serve_hooks_out.wasm";
+    const TempFile out_file("hooks_out.wasm");
+    const std::string &out = out_file.path();
     for (const char *hooks : {"load,", ",load", "load,,store", "bogus"}) {
         const std::string extra =
             std::string(", \"hooks\": \"") + hooks + "\"";
@@ -333,7 +359,8 @@ TEST(ServeErrors, DeeplyNestedWatIsAnErrorReplyNotACrash)
     for (int i = 0; i < 200000; ++i)
         deep += " (block";
     deep += std::string(200000, ')') + "))";
-    auto bad = server.handle(runRequest(writeTemp("deep.wat", deep)));
+    const TempFile deep_wat("deep.wat", deep);
+    auto bad = server.handle(runRequest(deep_wat.path()));
     EXPECT_TRUE(hasField(bad.response, "ok", "false")) << bad.response;
     EXPECT_TRUE(
         hasField(bad.response, "code", "\"serve.module-error\""))
@@ -342,7 +369,8 @@ TEST(ServeErrors, DeeplyNestedWatIsAnErrorReplyNotACrash)
         << bad.response;
     EXPECT_FALSE(bad.shutdown);
 
-    auto ok = server.handle(runRequest(writeTemp("after_deep.wat", kAddWat)));
+    const TempFile after_wat("after_deep.wat", kAddWat);
+    auto ok = server.handle(runRequest(after_wat.path()));
     EXPECT_TRUE(hasField(ok.response, "ok", "true")) << ok.response;
 }
 
@@ -359,15 +387,16 @@ TEST(ServeErrors, ModuleDiagnosticsArePrecise)
         << dir.response;
 
     // A truncated binary names the truncation, not a WAT error.
-    const std::string trunc =
-        writeTemp("trunc.wasm", std::string("\0as", 3));
+    const TempFile trunc_file("trunc.wasm", std::string("\0as", 3));
+    const std::string &trunc = trunc_file.path();
     auto t = server.handle(runRequest(trunc));
     EXPECT_TRUE(
         hasField(t.response, "code", "\"serve.module-error\""));
     EXPECT_NE(t.response.find("magic"), std::string::npos)
         << t.response;
 
-    const std::string empty = writeTemp("empty.wasm", "");
+    const TempFile empty_file("empty.wasm", "");
+    const std::string &empty = empty_file.path();
     auto e = server.handle(runRequest(empty));
     EXPECT_NE(e.response.find("empty file"), std::string::npos)
         << e.response;
@@ -380,7 +409,8 @@ TEST(ServeErrors, ModuleDiagnosticsArePrecise)
 TEST(ServeMetrics, ValidatesAgainstProfileSchemaAndCountsEndpoints)
 {
     Server server;
-    const std::string path = writeTemp("metrics.wat", kAddWat);
+    const TempFile path_file("metrics.wat", kAddWat);
+    const std::string &path = path_file.path();
     server.handle(runRequest(path));
     server.handle(runRequest(path));
     server.handle("garbage");
@@ -404,7 +434,8 @@ TEST(ServeMetrics, ValidatesAgainstProfileSchemaAndCountsEndpoints)
 TEST(ServePool, SnapshotRestoreIsExactAfterGrowWriteAndTrap)
 {
     Server server;
-    const std::string path = writeTemp("dirty.wat", kDirtyTrapWat);
+    const TempFile path_file("dirty.wat", kDirtyTrapWat);
+    const std::string &path = path_file.path();
 
     // Run once: grows memory, dirties a global and the grown page,
     // then traps mid-execution. The lease is restored and re-parked.
@@ -463,8 +494,10 @@ TEST(ServePool, DroppedLeaseIsDiscardedNotPooled)
 TEST(ServeOps, InstrumentWritesModuleAndAnalyzeReports)
 {
     Server server;
-    const std::string path = writeTemp("inst_src.wat", kAddWat);
-    const std::string out = testing::TempDir() + "serve_inst_out.wasm";
+    const TempFile path_file("inst_src.wat", kAddWat);
+    const std::string &path = path_file.path();
+    const TempFile out_file("inst_out.wasm");
+    const std::string &out = out_file.path();
 
     auto inst = server.handle("{\"op\": \"instrument\", \"module\": \"" +
                               path + "\", \"out\": \"" + out + "\"}");
@@ -492,7 +525,8 @@ TEST(ServeOps, InstrumentToUnwritablePathIsIoErrorNotDeath)
     probe.close();
 
     Server server;
-    const std::string path = writeTemp("io_src.wat", kAddWat);
+    const TempFile path_file("io_src.wat", kAddWat);
+    const std::string &path = path_file.path();
     auto r = server.handle("{\"op\": \"instrument\", \"module\": \"" +
                            path +
                            "\", \"out\": \"/dev/full\"}");
@@ -529,8 +563,10 @@ connectTo(const std::string &sock_path)
 TEST(ServeSocket, EndToEndOverUnixSocket)
 {
     Server server;
-    const std::string sock_path = testing::TempDir() + "serve_e2e.sock";
-    const std::string wat_path = writeTemp("sock.wat", kAddWat);
+    const TempFile sock_path_file("e2e.sock");
+    const std::string &sock_path = sock_path_file.path();
+    const TempFile wat_path_file("sock.wat", kAddWat);
+    const std::string &wat_path = wat_path_file.path();
 
     std::thread daemon(
         [&] { serveUnixSocket(server, sock_path); });
@@ -608,8 +644,10 @@ oneShot(const std::string &sock_path, const std::string &request)
 TEST(ServeSocket, FinishedConnectionThreadsAreReaped)
 {
     Server server;
-    const std::string sock_path = testing::TempDir() + "serve_reap.sock";
-    const std::string wat_path = writeTemp("reap.wat", kAddWat);
+    const TempFile sock_path_file("reap.sock");
+    const std::string &sock_path = sock_path_file.path();
+    const TempFile wat_path_file("reap.wat", kAddWat);
+    const std::string &wat_path = wat_path_file.path();
     std::thread daemon(
         [&] { serveUnixSocket(server, sock_path); });
 
@@ -747,7 +785,8 @@ TEST(CheckedIo, WriteToUnwritableDirectoryThrows)
 
 TEST(CheckedIo, RoundTripSucceeds)
 {
-    const std::string path = testing::TempDir() + "serve_rt.bin";
+    const TempFile path_file("rt.bin");
+    const std::string &path = path_file.path();
     const std::vector<uint8_t> data = {0, 1, 2, 254, 255};
     support::writeBinaryFile(path, data);
     EXPECT_EQ(support::readBinaryFile(path), data);
@@ -758,7 +797,8 @@ TEST(CheckedIo, RoundTripSucceeds)
 
 TEST(CheckedIo, BulkReadReturnsWholeFileAtEverySize)
 {
-    const std::string path = testing::TempDir() + "serve_bulk.bin";
+    const TempFile path_file("bulk.bin");
+    const std::string &path = path_file.path();
     for (size_t size : {size_t{0}, size_t{1}, size_t{65536},
                         size_t{3} << 20}) {
         std::vector<uint8_t> data(size);

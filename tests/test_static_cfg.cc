@@ -26,6 +26,13 @@ using wasm::ModuleBuilder;
 using wasm::Opcode;
 using wasm::ValType;
 
+/** A CFG edge span as a vector, for EXPECT_EQ. */
+std::vector<uint32_t>
+edges(std::span<const uint32_t> span)
+{
+    return {span.begin(), span.end()};
+}
+
 Module
 singleFunction(const FuncType &type,
                const std::function<void(FunctionBuilder &)> &fill)
@@ -46,7 +53,7 @@ TEST(Cfg, StraightLineIsOneBlockPlusExit)
     ASSERT_EQ(cfg.numBlocks(), 2u); // one real block + synthetic exit
     EXPECT_EQ(cfg.blocks()[0].first, 0u);
     EXPECT_EQ(cfg.blocks()[0].last, 1u);
-    EXPECT_EQ(cfg.blocks()[0].succs, std::vector<uint32_t>{cfg.exit()});
+    EXPECT_EQ(edges(cfg.succs(0)), std::vector<uint32_t>{cfg.exit()});
     EXPECT_TRUE(cfg.blocks()[cfg.exit()].empty());
     EXPECT_EQ(cfg.numEdges(), 1u);
     EXPECT_EQ(cfg.blockOf(0), 0u);
@@ -81,10 +88,10 @@ TEST(Cfg, IfElseDiamondShape)
     Cfg cfg(m, 0);
     // B0=[0,1] B1=[2,4] B2=[5,6] B3=[7,9] B4=exit.
     ASSERT_EQ(cfg.numBlocks(), 5u);
-    EXPECT_EQ(cfg.blocks()[0].succs, (std::vector<uint32_t>{1, 2}));
-    EXPECT_EQ(cfg.blocks()[1].succs, (std::vector<uint32_t>{3}));
-    EXPECT_EQ(cfg.blocks()[2].succs, (std::vector<uint32_t>{3}));
-    EXPECT_EQ(cfg.blocks()[3].succs,
+    EXPECT_EQ(edges(cfg.succs(0)), (std::vector<uint32_t>{1, 2}));
+    EXPECT_EQ(edges(cfg.succs(1)), (std::vector<uint32_t>{3}));
+    EXPECT_EQ(edges(cfg.succs(2)), (std::vector<uint32_t>{3}));
+    EXPECT_EQ(edges(cfg.succs(3)),
               (std::vector<uint32_t>{cfg.exit()}));
     EXPECT_EQ(cfg.numEdges(), 5u);
 
@@ -98,7 +105,7 @@ TEST(Cfg, IfElseDiamondShape)
     EXPECT_EQ(idom[cfg.exit()], 3u);
     EXPECT_TRUE(backEdges(cfg).empty());
 
-    std::vector<uint32_t> rpo = cfg.reversePostOrder();
+    const std::vector<uint32_t> &rpo = cfg.reversePostOrder();
     ASSERT_EQ(rpo.size(), 5u);
     EXPECT_EQ(rpo.front(), cfg.entry());
     EXPECT_EQ(rpo.back(), cfg.exit());
@@ -130,7 +137,7 @@ TEST(Cfg, LoopProducesOneBackEdge)
     // B0=[0,1] B1=[2,8] (loop body) B2=[9,11] B3=exit.
     ASSERT_EQ(cfg.numBlocks(), 4u);
     // The br_if targets the loop header, i.e. block B1 itself.
-    EXPECT_EQ(cfg.blocks()[1].succs, (std::vector<uint32_t>{1, 2}));
+    EXPECT_EQ(edges(cfg.succs(1)), (std::vector<uint32_t>{1, 2}));
 
     std::vector<std::pair<uint32_t, uint32_t>> back = backEdges(cfg);
     ASSERT_EQ(back.size(), 1u);
@@ -172,7 +179,7 @@ TEST(Cfg, BrTableEdgesResolvePerLabel)
     // B0=[0,4] B1=[5,5] B2=[6,6] B3=[7,7] B4=[8,8] B5=exit.
     ASSERT_EQ(cfg.numBlocks(), 6u);
     // label 0 -> after inner end (6), label 1 -> 7, default -> 8.
-    EXPECT_EQ(cfg.blocks()[0].succs, (std::vector<uint32_t>{2, 3, 4}));
+    EXPECT_EQ(edges(cfg.succs(0)), (std::vector<uint32_t>{2, 3, 4}));
     // The inner `end` itself is only reachable by fallthrough, which
     // the br_table cuts off.
     std::vector<bool> reach = reachableBlocks(cfg);
@@ -212,11 +219,11 @@ TEST(Cfg, ReturnAndUnreachableEdges)
     // 0 get / 1 if / 2 return / 3 end / 4 unreachable / 5 end.
     Cfg cfg(m, 0);
     uint32_t ret_block = cfg.blockOf(2);
-    EXPECT_EQ(cfg.blocks()[ret_block].succs,
+    EXPECT_EQ(edges(cfg.succs(ret_block)),
               (std::vector<uint32_t>{cfg.exit()}));
     // `unreachable` traps: no successors at all.
     uint32_t trap_block = cfg.blockOf(4);
-    EXPECT_TRUE(cfg.blocks()[trap_block].succs.empty());
+    EXPECT_TRUE(cfg.succs(trap_block).empty());
 }
 
 TEST(CallGraph, DirectIndirectEdgesAndDeadFunctions)
