@@ -1,5 +1,6 @@
 #include "core/instrument.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <chrono>
@@ -8,6 +9,9 @@
 
 #include "core/control_stack.h"
 #include "core/hook_map.h"
+#include "wasm/decoder.h"
+#include "wasm/encoder.h"
+#include "wasm/leb128.h"
 #include "wasm/name_section.h"
 
 namespace wasabi::core {
@@ -23,31 +27,106 @@ using wasm::ValType;
 
 namespace {
 
-/** Placeholder base for hook call indices, patched in a final pass.
+/** Placeholder base for hook call targets, resolved in the stitch.
  * Keeping hook targets symbolic makes per-function instrumentation
  * independent and hence parallelizable. */
 constexpr uint32_t kHookBase = 0x80000000u;
 
+/** A call whose function index is left out of a body's bytes: the
+ * index of @p target belongs at byte @p offset. The target is
+ * kHookBase + a hook id, or a function index of the input module. */
+struct CallReloc {
+    uint32_t offset;
+    uint32_t target;
+};
+
 /** Per-function instrumentation output. */
 struct FuncOut {
-    std::vector<Instr> body;
-    /** The br_table labels of body (Function::labelPool). */
-    std::vector<uint32_t> labelPool;
+    /** The instrumented body's bytes, with every call's function index
+     * left out (see calls). */
+    std::vector<uint8_t> code;
+    /** The calls of code, in order. */
+    std::vector<CallReloc> calls;
     std::vector<ValType> extraLocals;
     SideTables tables;
 };
 
+/** A HookSpec's fields with its type list borrowed: the per-worker
+ * hook cache is probed with it, so that a hit allocates nothing. */
+struct HookKey {
+    HookKind kind = HookKind::Nop;
+    Opcode op = Opcode::Nop;
+    std::span<const ValType> types;
+    bool indirect = false;
+    bool post = false;
+    BlockKind block = BlockKind::Block;
+
+    HookSpec
+    spec() const
+    {
+        return HookSpec{kind, op, {types.begin(), types.end()},
+                        indirect, post, block};
+    }
+};
+
+HookKey
+keyOf(const HookKey &k)
+{
+    return k;
+}
+
+HookKey
+keyOf(const HookSpec &s)
+{
+    return HookKey{s.kind, s.op, s.types, s.indirect, s.post, s.block};
+}
+
+/** Hash and equality of HookSpec and HookKey alike (transparent). */
+struct HookKeyHash {
+    using is_transparent = void;
+
+    template <class K>
+    size_t
+    operator()(const K &key) const
+    {
+        HookKey k = keyOf(key);
+        size_t h = static_cast<size_t>(k.kind) |
+                   static_cast<size_t>(k.op) << 8 |
+                   static_cast<size_t>(k.block) << 16 |
+                   static_cast<size_t>(k.indirect) << 24 |
+                   static_cast<size_t>(k.post) << 25;
+        for (ValType t : k.types)
+            h = h * 0x100000001b3ull + static_cast<size_t>(t) + 1;
+        return h;
+    }
+};
+
+struct HookKeyEq {
+    using is_transparent = void;
+
+    template <class A, class B>
+    bool
+    operator()(const A &a, const B &b) const
+    {
+        HookKey x = keyOf(a), y = keyOf(b);
+        return x.kind == y.kind && x.op == y.op && x.block == y.block &&
+               x.indirect == y.indirect && x.post == y.post &&
+               std::ranges::equal(x.types, y.types);
+    }
+};
+
+/** A worker's hook ids, shared across the functions it instruments. */
+using HookCache =
+    std::unordered_map<HookSpec, uint32_t, HookKeyHash, HookKeyEq>;
+
 /** Instruments a single function (runs on a worker thread). */
 class FuncInstrumenter {
   public:
-    /** @p local_hook_ids is a per-worker cache shared across the
-     * functions one thread instruments. */
     FuncInstrumenter(const Module &m, uint32_t func_idx, HookSet hooks,
                      const InstrumentOptions &opts, HookMap &hook_map,
-                     std::unordered_map<std::string, uint32_t>
-                         &local_hook_ids)
+                     HookCache &hook_cache)
         : m_(m), funcIdx_(func_idx), hooks_(hooks), opts_(opts),
-          hookMap_(hook_map), localHookIds_(local_hook_ids),
+          hookMap_(hook_map), hookCache_(hook_cache),
           func_(m.functions.at(func_idx)), state_(m, func_idx)
     {
         firstScratch_ =
@@ -62,12 +141,12 @@ class FuncInstrumenter {
         if (hooks_.has(HookKind::Start) && m_.start &&
             *m_.start == funcIdx_) {
             emitLoc(kFunctionEntry);
-            emitHookCall(HookSpec{.kind = HookKind::Start});
+            emitHookCall(HookKey{.kind = HookKind::Start});
         }
         if (hooks_.has(HookKind::Begin)) {
             emitLoc(kFunctionEntry);
-            emitHookCall(HookSpec{.kind = HookKind::Begin,
-                                  .block = BlockKind::Function});
+            emitHookCall(HookKey{.kind = HookKind::Begin,
+                                 .block = BlockKind::Function});
         }
 
         for (uint32_t i = 0; i < func_.body.size(); ++i) {
@@ -80,18 +159,19 @@ class FuncInstrumenter {
   private:
     // ----- emission helpers ------------------------------------------
 
-    /** Append @p instr; a br_table (always one of the input body's)
-     * copies its labels into the output's pool. */
+    /** Append @p instr's bytes. A call's function index is left out
+     * and recorded; a br_table (always one of the input body's) reads
+     * its labels from the input function's pool. */
     void
-    emit(Instr instr)
+    emit(const Instr &instr)
     {
-        if (instr.op == Opcode::BrTable) {
-            std::span<const uint32_t> labels = func_.labels(instr);
-            instr.aux = static_cast<uint32_t>(out_.labelPool.size());
-            out_.labelPool.insert(out_.labelPool.end(), labels.begin(),
-                                  labels.end());
+        if (instr.op == Opcode::Call) {
+            out_.code.push_back(static_cast<uint8_t>(Opcode::Call));
+            out_.calls.push_back(
+                {static_cast<uint32_t>(out_.code.size()), instr.imm.idx});
+            return;
         }
-        out_.body.push_back(instr);
+        wasm::encodeInstr(out_.code, instr, func_.labelPool);
     }
 
     /** Push the two location arguments (function, instruction). */
@@ -102,21 +182,21 @@ class FuncInstrumenter {
         emit(Instr::i32Const(instr_idx));
     }
 
-    /** Call into the (deduplicated) low-level hook for @p spec.
+    /** Call into the (deduplicated) low-level hook for @p key.
      * A per-worker cache keeps the hot path off the shared map's
      * readers/writer lock (important for parallel instrumentation —
      * every instrumented instruction resolves a hook id). */
     void
-    emitHookCall(const HookSpec &spec)
+    emitHookCall(const HookKey &key)
     {
-        std::string key = mangledName(spec);
-        auto it = localHookIds_.find(key);
+        auto it = hookCache_.find(key);
         uint32_t id;
-        if (it != localHookIds_.end()) {
+        if (it != hookCache_.end()) {
             id = it->second;
         } else {
+            HookSpec spec = key.spec();
             id = hookMap_.getOrAdd(spec);
-            localHookIds_.emplace(std::move(key), id);
+            hookCache_.emplace(std::move(spec), id);
         }
         emit(Instr::call(kHookBase + id));
     }
@@ -173,7 +253,7 @@ class FuncInstrumenter {
     {
         emitLoc(f.regionEnd());
         emit(Instr::i32Const(f.regionBegin()));
-        emitHookCall(HookSpec{.kind = HookKind::End, .block = f.kind});
+        emitHookCall(HookKey{.kind = HookKind::End, .block = f.kind});
     }
 
     // ----- per-instruction instrumentation ----------------------------
@@ -195,8 +275,8 @@ class FuncInstrumenter {
                 emit(instr);
                 if (hooks_.has(HookKind::Begin)) {
                     emitLoc(i);
-                    emitHookCall(HookSpec{.kind = HookKind::Begin,
-                                          .block = BlockKind::Else});
+                    emitHookCall(HookKey{.kind = HookKind::Begin,
+                                         .block = BlockKind::Else});
                 }
                 return;
             }
@@ -209,7 +289,7 @@ class FuncInstrumenter {
             emit(instr);
             if (hooks_.has(HookKind::Nop)) {
                 emitLoc(i);
-                emitHookCall(HookSpec{.kind = HookKind::Nop});
+                emitHookCall(HookKey{.kind = HookKind::Nop});
             }
             break;
 
@@ -217,7 +297,7 @@ class FuncInstrumenter {
             // The hook must run *before* the trapping instruction.
             if (hooks_.has(HookKind::Unreachable)) {
                 emitLoc(i);
-                emitHookCall(HookSpec{.kind = HookKind::Unreachable});
+                emitHookCall(HookKey{.kind = HookKind::Unreachable});
             }
             emit(instr);
             break;
@@ -227,7 +307,7 @@ class FuncInstrumenter {
             emit(instr);
             if (hooks_.has(HookKind::Begin)) {
                 emitLoc(i);
-                emitHookCall(HookSpec{
+                emitHookCall(HookKey{
                     .kind = HookKind::Begin,
                     .block = info.cls == OpClass::Block ? BlockKind::Block
                                                         : BlockKind::Loop});
@@ -241,13 +321,13 @@ class FuncInstrumenter {
                 emit(Instr::localTee(c));
                 emitLoc(i);
                 emit(Instr::localGet(c));
-                emitHookCall(HookSpec{.kind = HookKind::If});
+                emitHookCall(HookKey{.kind = HookKind::If});
             }
             emit(instr);
             if (hooks_.has(HookKind::Begin)) {
                 emitLoc(i);
-                emitHookCall(HookSpec{.kind = HookKind::Begin,
-                                      .block = BlockKind::If});
+                emitHookCall(HookKey{.kind = HookKind::Begin,
+                                     .block = BlockKind::If});
             }
             break;
           }
@@ -258,14 +338,14 @@ class FuncInstrumenter {
                 const ControlFrame &f = state_.frames().back();
                 emitLoc(i);
                 emit(Instr::i32Const(f.beginIdx));
-                emitHookCall(HookSpec{.kind = HookKind::End,
-                                      .block = BlockKind::If});
+                emitHookCall(HookKey{.kind = HookKind::End,
+                                     .block = BlockKind::If});
             }
             emit(instr);
             if (hooks_.has(HookKind::Begin)) {
                 emitLoc(i);
-                emitHookCall(HookSpec{.kind = HookKind::Begin,
-                                      .block = BlockKind::Else});
+                emitHookCall(HookKey{.kind = HookKind::Begin,
+                                     .block = BlockKind::Else});
             }
             break;
           }
@@ -276,7 +356,7 @@ class FuncInstrumenter {
                 emitLoc(i);
                 emit(Instr::i32Const(f.regionBegin()));
                 emitHookCall(
-                    HookSpec{.kind = HookKind::End, .block = f.kind});
+                    HookKey{.kind = HookKind::End, .block = f.kind});
             }
             emit(instr);
             break;
@@ -286,7 +366,7 @@ class FuncInstrumenter {
             uint32_t label = instr.imm.idx;
             if (hooks_.has(HookKind::Br)) {
                 emitLoc(i);
-                emitHookCall(HookSpec{.kind = HookKind::Br});
+                emitHookCall(HookKey{.kind = HookKind::Br});
             }
             if (hooks_.has(HookKind::End)) {
                 for (const ControlFrame &f : state_.traversedFrames(label))
@@ -306,7 +386,7 @@ class FuncInstrumenter {
                 if (want_hook) {
                     emitLoc(i);
                     emit(Instr::localGet(c));
-                    emitHookCall(HookSpec{.kind = HookKind::BrIf});
+                    emitHookCall(HookKey{.kind = HookKind::BrIf});
                 }
                 if (want_ends) {
                     // End hooks fire only if the branch is taken.
@@ -333,7 +413,7 @@ class FuncInstrumenter {
                 emit(Instr::localTee(idx));
                 emitLoc(i);
                 emit(Instr::localGet(idx));
-                emitHookCall(HookSpec{.kind = HookKind::BrTable});
+                emitHookCall(HookKey{.kind = HookKind::BrTable});
             }
             emit(instr);
             break;
@@ -343,7 +423,7 @@ class FuncInstrumenter {
             const std::vector<ValType> &results =
                 m_.funcType(funcIdx_).results;
             if (hooks_.has(HookKind::Return)) {
-                HookSpec spec{.kind = HookKind::Return, .types = results};
+                HookKey spec{.kind = HookKind::Return, .types = results};
                 if (results.empty()) {
                     emitLoc(i);
                     emitHookCall(spec);
@@ -390,9 +470,9 @@ class FuncInstrumenter {
                 emit(Instr::localGet(tbl));
             for (int j = 0; j < nargs; ++j)
                 emitLocalArg(scratch(type.params[j], j), type.params[j]);
-            emitHookCall(HookSpec{.kind = HookKind::Call,
-                                  .types = type.params,
-                                  .indirect = indirect});
+            emitHookCall(HookKey{.kind = HookKind::Call,
+                                 .types = type.params,
+                                 .indirect = indirect});
             // Restore arguments and perform the call.
             for (int j = 0; j < nargs; ++j)
                 emit(Instr::localGet(scratch(type.params[j], j)));
@@ -400,9 +480,9 @@ class FuncInstrumenter {
                 emit(Instr::localGet(tbl));
             emit(instr);
             // call_post hook: loc, results.
-            HookSpec post{.kind = HookKind::Call,
-                          .types = type.results,
-                          .post = true};
+            HookKey post{.kind = HookKind::Call,
+                         .types = type.results,
+                         .post = true};
             if (type.results.empty()) {
                 emitLoc(i);
                 emitHookCall(post);
@@ -429,7 +509,8 @@ class FuncInstrumenter {
             emit(Instr::localSet(v));
             emitLoc(i);
             emitLocalArg(v, *t);
-            emitHookCall(HookSpec{.kind = HookKind::Drop, .types = {*t}});
+            emitHookCall(
+                HookKey{.kind = HookKind::Drop, .types = {&*t, 1}});
             break;
           }
 
@@ -454,7 +535,7 @@ class FuncInstrumenter {
             emitLocalArg(a, *t);
             emitLocalArg(b, *t);
             emitHookCall(
-                HookSpec{.kind = HookKind::Select, .types = {*t}});
+                HookKey{.kind = HookKind::Select, .types = {&*t, 1}});
             break;
           }
 
@@ -466,9 +547,9 @@ class FuncInstrumenter {
                 ValType t = localType(instr.imm.idx);
                 emitLoc(i);
                 emitLocalArg(instr.imm.idx, t);
-                emitHookCall(HookSpec{.kind = HookKind::Local,
-                                      .op = instr.op,
-                                      .types = {t}});
+                emitHookCall(HookKey{.kind = HookKind::Local,
+                                     .op = instr.op,
+                                     .types = {&t, 1}});
             }
             break;
           }
@@ -480,9 +561,9 @@ class FuncInstrumenter {
                 ValType t = m_.globals.at(instr.imm.idx).type;
                 emitLoc(i);
                 emitGlobalArg(instr.imm.idx, t);
-                emitHookCall(HookSpec{.kind = HookKind::Global,
-                                      .op = instr.op,
-                                      .types = {t}});
+                emitHookCall(HookKey{.kind = HookKind::Global,
+                                     .op = instr.op,
+                                     .types = {&t, 1}});
             }
             break;
           }
@@ -501,7 +582,7 @@ class FuncInstrumenter {
             emit(Instr::localGet(addr));
             emitLocalArg(v, info.out);
             emitHookCall(
-                HookSpec{.kind = HookKind::Load, .op = instr.op});
+                HookKey{.kind = HookKind::Load, .op = instr.op});
             break;
           }
 
@@ -521,7 +602,7 @@ class FuncInstrumenter {
             emit(Instr::localGet(addr));
             emitLocalArg(v, vt);
             emitHookCall(
-                HookSpec{.kind = HookKind::Store, .op = instr.op});
+                HookKey{.kind = HookKind::Store, .op = instr.op});
             break;
           }
 
@@ -532,7 +613,7 @@ class FuncInstrumenter {
                 emit(Instr::localTee(s));
                 emitLoc(i);
                 emit(Instr::localGet(s));
-                emitHookCall(HookSpec{.kind = HookKind::MemorySize});
+                emitHookCall(HookKey{.kind = HookKind::MemorySize});
             }
             break;
           }
@@ -550,7 +631,7 @@ class FuncInstrumenter {
             emitLoc(i);
             emit(Instr::localGet(d));
             emit(Instr::localGet(p));
-            emitHookCall(HookSpec{.kind = HookKind::MemoryGrow});
+            emitHookCall(HookKey{.kind = HookKind::MemoryGrow});
             break;
           }
 
@@ -568,7 +649,7 @@ class FuncInstrumenter {
                     emit(instr); // re-push the constant for the hook
                 }
                 emitHookCall(
-                    HookSpec{.kind = HookKind::Const, .op = instr.op});
+                    HookKey{.kind = HookKind::Const, .op = instr.op});
             }
             break;
           }
@@ -587,7 +668,7 @@ class FuncInstrumenter {
             emitLocalArg(in, info.in[0]);
             emitLocalArg(r, info.out);
             emitHookCall(
-                HookSpec{.kind = HookKind::Unary, .op = instr.op});
+                HookKey{.kind = HookKind::Unary, .op = instr.op});
             break;
           }
 
@@ -609,7 +690,7 @@ class FuncInstrumenter {
             emitLocalArg(b, info.in[1]);
             emitLocalArg(r, info.out);
             emitHookCall(
-                HookSpec{.kind = HookKind::Binary, .op = instr.op});
+                HookKey{.kind = HookKind::Binary, .op = instr.op});
             break;
           }
         }
@@ -630,7 +711,7 @@ class FuncInstrumenter {
     HookSet hooks_;
     const InstrumentOptions &opts_;
     HookMap &hookMap_;
-    std::unordered_map<std::string, uint32_t> &localHookIds_;
+    HookCache &hookCache_;
     const Function &func_;
     AbstractState state_;
     FuncOut out_;
@@ -649,10 +730,55 @@ remapFuncIdx(uint32_t idx, uint32_t num_orig_imports, uint32_t num_hooks)
     return idx + num_hooks;
 }
 
+/** The code section of the output: each instrumented body's bytes
+ * with its calls' resolved function indices put back in. A body's
+ * buffers are released as soon as it is written. */
+class StitchedBodies final : public wasm::BodyWriter {
+  public:
+    /** @p outs is indexed by input function; output function f is
+     * input function f - @p num_hooks (defined functions follow the
+     * hook imports). */
+    StitchedBodies(std::vector<FuncOut> &outs, uint32_t num_hooks)
+        : outs_(outs), numHooks_(num_hooks)
+    {
+    }
+
+    size_t
+    size(uint32_t func_idx) override
+    {
+        const FuncOut &o = outs_[func_idx - numHooks_];
+        size_t n = o.code.size();
+        for (const CallReloc &c : o.calls)
+            n += wasm::ulebSize(c.target);
+        return n;
+    }
+
+    void
+    write(std::vector<uint8_t> &out, uint32_t func_idx) override
+    {
+        FuncOut &o = outs_[func_idx - numHooks_];
+        uint32_t pos = 0;
+        for (const CallReloc &c : o.calls) {
+            out.insert(out.end(), o.code.begin() + pos,
+                       o.code.begin() + c.offset);
+            wasm::encodeULEB(out, c.target);
+            pos = c.offset;
+        }
+        out.insert(out.end(), o.code.begin() + pos, o.code.end());
+        std::vector<uint8_t>().swap(o.code);
+        std::vector<CallReloc>().swap(o.calls);
+    }
+
+  private:
+    std::vector<FuncOut> &outs_;
+    uint32_t numHooks_;
+};
+
 } // namespace
 
-InstrumentResult
-instrument(const Module &m, HookSet hooks, const InstrumentOptions &opts)
+InstrumentedBinary
+instrumentToBytes(std::shared_ptr<const Module> module, HookSet hooks,
+                  const InstrumentOptions &opts)
 {
     using Clock = std::chrono::steady_clock;
     const auto t_begin = Clock::now();
@@ -663,6 +789,7 @@ instrument(const Module &m, HookSet hooks, const InstrumentOptions &opts)
                 .count());
     };
 
+    const Module &m = *module;
     const uint32_t num_funcs = m.numFunctions();
     HookMap hook_map;
     std::vector<FuncOut> outs(num_funcs);
@@ -671,8 +798,7 @@ instrument(const Module &m, HookSet hooks, const InstrumentOptions &opts)
     // `cache` is per worker: it keeps the hot hook-id lookups off the
     // shared map's lock (paper §3: the monomorphization map is the
     // only synchronization point of the parallel instrumentation).
-    auto work = [&](uint32_t f,
-                    std::unordered_map<std::string, uint32_t> &cache,
+    auto work = [&](uint32_t f, HookCache &cache,
                     InstrumentStats::Worker &wstats) {
         if (!m.functions[f].imported()) {
             outs[f] =
@@ -685,7 +811,7 @@ instrument(const Module &m, HookSet hooks, const InstrumentOptions &opts)
     if (opts.numThreads <= 1) {
         InstrumentStats::Worker wstats;
         wstats.startNanos = since_begin();
-        std::unordered_map<std::string, uint32_t> cache;
+        HookCache cache;
         for (uint32_t f = 0; f < num_funcs; ++f)
             work(f, cache, wstats);
         wstats.nanos = since_begin() - wstats.startNanos;
@@ -698,7 +824,7 @@ instrument(const Module &m, HookSet hooks, const InstrumentOptions &opts)
             threads.emplace_back([&, t]() {
                 InstrumentStats::Worker &wstats = stats.workers[t];
                 wstats.startNanos = since_begin();
-                std::unordered_map<std::string, uint32_t> cache;
+                HookCache cache;
                 while (true) {
                     uint32_t f = next.fetch_add(1);
                     if (f >= num_funcs)
@@ -716,7 +842,7 @@ instrument(const Module &m, HookSet hooks, const InstrumentOptions &opts)
     stats.hookMap = hook_map.stats();
 
     auto info = std::make_shared<StaticInfo>();
-    info->original = std::make_shared<const Module>(m);
+    info->original = module;
     info->numOrigImports = m.numImportedFunctions();
     info->splitI64 = opts.splitI64;
     info->instrumentedHooks = hooks;
@@ -725,25 +851,23 @@ instrument(const Module &m, HookSet hooks, const InstrumentOptions &opts)
     std::vector<HookSpec> specs = hook_map.specs();
     const uint32_t num_hooks = static_cast<uint32_t>(specs.size());
 
-    // Patch every call for the shifted index space. Hook ids were
-    // handed out in the order the workers asked for them; renumber
-    // them in first-use order (function, then instruction index),
-    // which is the order one worker assigns, so the output does not
-    // depend on the thread count.
+    // Resolve every call target for the shifted index space. Hook ids
+    // were handed out in the order the workers asked for them;
+    // renumber them in first-use order (function, then instruction
+    // index), which is the order one worker assigns, so the output
+    // does not depend on the thread count.
     constexpr uint32_t kUnnumbered = UINT32_MAX;
     std::vector<uint32_t> hook_id(num_hooks, kUnnumbered);
     uint32_t next_id = 0;
     for (FuncOut &o : outs) {
-        for (Instr &instr : o.body) {
-            if (instr.op != Opcode::Call)
-                continue;
-            if (instr.imm.idx >= kHookBase) {
-                uint32_t &id = hook_id[instr.imm.idx - kHookBase];
+        for (CallReloc &c : o.calls) {
+            if (c.target >= kHookBase) {
+                uint32_t &id = hook_id[c.target - kHookBase];
                 if (id == kUnnumbered)
                     id = next_id++;
-                instr.imm.idx = kHookBase + id;
+                c.target = kHookBase + id;
             }
-            instr.imm.idx = remapFuncIdx(instr.imm.idx, base, num_hooks);
+            c.target = remapFuncIdx(c.target, base, num_hooks);
         }
     }
     assert(next_id == num_hooks && "every hook id is called");
@@ -751,8 +875,8 @@ instrument(const Module &m, HookSet hooks, const InstrumentOptions &opts)
     for (uint32_t h = 0; h < num_hooks; ++h)
         info->hooks[hook_id[h]] = std::move(specs[h]);
 
-    // The output module: the input's sections, and its functions
-    // without the bodies that instrumentation replaces.
+    // The output module without code: the input's sections, and its
+    // functions without bodies (the stitch writes those).
     Module out;
     out.types = m.types;
     out.globals = m.globals;
@@ -794,16 +918,14 @@ instrument(const Module &m, HookSet hooks, const InstrumentOptions &opts)
     out.functions.insert(out.functions.begin() + base, hook_funcs.begin(),
                          hook_funcs.end());
 
-    // Install the instrumented bodies and extra locals.
+    // Declare the extra locals and merge each function's static-info
+    // contributions.
     for (uint32_t f = 0; f < num_funcs; ++f) {
         if (m.functions[f].imported())
             continue;
-        Function &g = out.functions.at(f + num_hooks);
-        g.locals.insert(g.locals.end(), outs[f].extraLocals.begin(),
-                        outs[f].extraLocals.end());
-        g.body = std::move(outs[f].body);
-        g.labelPool = std::move(outs[f].labelPool);
-        // Merge this function's static-info contributions.
+        std::vector<ValType> &locals = out.functions.at(f + num_hooks).locals;
+        locals.insert(locals.end(), outs[f].extraLocals.begin(),
+                      outs[f].extraLocals.end());
         info->brTargets.merge(outs[f].tables.brTargets);
         info->brTables.merge(outs[f].tables.brTables);
         info->blockEnds.merge(outs[f].tables.blockEnds);
@@ -837,10 +959,26 @@ instrument(const Module &m, HookSet hooks, const InstrumentOptions &opts)
     }
     wasm::setNameSection(out, names);
 
+    const uint64_t encode_begin = since_begin();
+    StitchedBodies bodies(outs, num_hooks);
+    std::vector<uint8_t> bytes = wasm::encodeModule(out, bodies);
+
     stats.hooksGenerated = num_hooks;
     stats.wallNanos = since_begin();
-    return InstrumentResult{std::move(out), std::move(info),
-                            std::move(stats)};
+    stats.encodeNanos = stats.wallNanos - encode_begin;
+    return InstrumentedBinary{std::move(bytes), std::move(info),
+                              std::move(stats)};
+}
+
+InstrumentResult
+instrument(const Module &m, HookSet hooks, const InstrumentOptions &opts)
+{
+    InstrumentedBinary b =
+        instrumentToBytes(std::make_shared<const Module>(m), hooks, opts);
+    Module out = wasm::decodeModule(b.bytes);
+    wasm::applyNameSection(out);
+    return InstrumentResult{std::move(out), std::move(b.info),
+                            std::move(b.stats)};
 }
 
 } // namespace wasabi::core

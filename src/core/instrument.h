@@ -13,7 +13,8 @@
  *    and runtime-selected side tables for br_table (§2.4.5);
  *  - i64 values split into two i32s at the hook boundary (§2.4.6);
  *  - functions can be instrumented in parallel; the shared hook map is
- *    guarded by a readers/writer lock (§3);
+ *    guarded by a readers/writer lock (§3). Each worker encodes its
+ *    function straight to bytes, so no typed IR of the output exists;
  *  - the original memory behavior is untouched: inserted code uses
  *    fresh locals only, never the program's linear memory.
  */
@@ -46,14 +47,18 @@ struct InstrumentOptions {
  * (`src/obs/`) ingests this verbatim for `wasabi profile`.
  */
 struct InstrumentStats {
-    /** Wall time of the whole instrument() call. */
+    /** Wall time of the whole instrumentToBytes() call. */
     uint64_t wallNanos = 0;
+
+    /** Wall time of its last step, the encoding of the output (part of
+     * wallNanos): the stitch of the workers' bytes into the binary. */
+    uint64_t encodeNanos = 0;
 
     /** One entry per worker thread of the parallel phase. */
     struct Worker {
         /** Functions this worker instrumented. */
         uint64_t functions = 0;
-        /** Start of the worker's span, ns relative to instrument()
+        /** Start of the worker's span, ns relative to the call's
          * entry (for trace-event rendering). */
         uint64_t startNanos = 0;
         /** Wall time of the worker's span. */
@@ -72,8 +77,31 @@ struct InstrumentStats {
     uint64_t hooksGenerated = 0;
 };
 
-/** Result: the instrumented module plus the static info that the
+/** Result: the instrumented binary plus the static info that the
  * runtime needs to drive high-level hooks. */
+struct InstrumentedBinary {
+    std::vector<uint8_t> bytes;
+    /** Its `original` is the module that was instrumented. */
+    std::shared_ptr<StaticInfo> info;
+    InstrumentStats stats;
+};
+
+/**
+ * Instrument @p module for the hook kinds in @p hooks and encode the
+ * result. The input module must be valid (validateModule); the output
+ * validates and behaves identically apart from the inserted hook
+ * calls. The input is not modified, and `info->original` shares it.
+ *
+ * Each worker encodes its functions straight to bytes, leaving every
+ * call's function index out; once the workers joined, hook ids are
+ * numbered and the bytes are stitched into the code section with the
+ * resolved indices. No instrumented wasm::Module is ever built.
+ */
+InstrumentedBinary
+instrumentToBytes(std::shared_ptr<const wasm::Module> module, HookSet hooks,
+                  const InstrumentOptions &opts = {});
+
+/** Result of instrument(): the instrumented module, decoded. */
 struct InstrumentResult {
     wasm::Module module;
     std::shared_ptr<StaticInfo> info;
@@ -81,10 +109,9 @@ struct InstrumentResult {
 };
 
 /**
- * Instrument @p module for the hook kinds in @p hooks.
- * The input module must be valid (validateModule); the output module
- * validates and behaves identically apart from the inserted hook
- * calls. The input is not modified.
+ * instrumentToBytes() of a copy of @p module, decoded back into a
+ * module, for callers that go on to run or inspect the output. Callers
+ * that only write the binary use instrumentToBytes().
  */
 InstrumentResult instrument(const wasm::Module &module, HookSet hooks,
                             const InstrumentOptions &opts = {});

@@ -10,7 +10,6 @@
 #include "obs/profile.h"
 #include "runtime/runtime.h"
 #include "support/file_io.h"
-#include "wasm/encoder.h"
 
 namespace wasabi::serve {
 
@@ -281,9 +280,9 @@ Server::opInstrument(const Request &r)
     std::shared_ptr<CachedModule> entry =
         cache_.acquire(bytes, r.module, &cache_hit);
     core::HookSet hook_set = parseHookSet(r.hooks);
-    core::InstrumentResult res =
-        core::instrument(*entry->module(), hook_set);
-    std::vector<uint8_t> out = wasm::encodeModule(res.module);
+    core::InstrumentedBinary res =
+        core::instrumentToBytes(entry->module(), hook_set);
+    const std::vector<uint8_t> &out = res.bytes;
     support::writeBinaryFile(r.out, out);
 
     ResponseWriter w(true, "instrument", r.id);

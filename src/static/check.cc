@@ -108,11 +108,14 @@ class Checker {
         } else {
             // The two-binary path has no side-table metadata in the
             // artifact; regenerate it and check the instrumenter's
-            // output (also cross-checking the hook-import set).
+            // output (also cross-checking the hook-import set). The
+            // reference shares orig_, which outlives it.
             core::InstrumentOptions iopts;
             iopts.splitI64 = split_;
-            core::InstrumentResult ref =
-                core::instrument(orig_, hooks_, iopts);
+            core::InstrumentedBinary ref = core::instrumentToBytes(
+                std::shared_ptr<const Module>(std::shared_ptr<void>(),
+                                              &orig_),
+                hooks_, iopts);
             compareHookSets(ref.info->hooks);
             checkMetadata(*ref.info);
         }

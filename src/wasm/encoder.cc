@@ -83,6 +83,102 @@ struct ExportEntry {
     uint32_t idx;
 };
 
+/** Append the run-length encoded local declarations of a code entry. */
+void
+putLocals(std::vector<uint8_t> &out, const std::vector<ValType> &locals)
+{
+    size_t runs = 0;
+    for (size_t i = 0; i < locals.size(); ++i)
+        runs += i == 0 || locals[i] != locals[i - 1];
+    putU32(out, static_cast<uint32_t>(runs));
+    for (size_t i = 0; i < locals.size();) {
+        size_t j = i;
+        while (j < locals.size() && locals[j] == locals[i])
+            ++j;
+        putU32(out, static_cast<uint32_t>(j - i));
+        putValType(out, locals[i]);
+        i = j;
+    }
+}
+
+/**
+ * Append the code section: every defined function's entry size,
+ * locals header and the instructions @p bodies writes. The sizes are
+ * computed first, so the section goes straight into @p out, which is
+ * reserved for it and @p tail_bytes more.
+ */
+void
+putCodeSection(std::vector<uint8_t> &out, const Module &m,
+               BodyWriter &bodies, size_t tail_bytes)
+{
+    std::vector<uint32_t> entry_sizes;
+    std::vector<uint8_t> locals;
+    size_t payload = 0;
+    for (uint32_t i = 0; i < m.numFunctions(); ++i) {
+        const Function &f = m.functions[i];
+        if (f.imported())
+            continue;
+        locals.clear();
+        putLocals(locals, f.locals);
+        size_t entry = locals.size() + bodies.size(i);
+        entry_sizes.push_back(static_cast<uint32_t>(entry));
+        payload += ulebSize(entry) + entry;
+    }
+    if (entry_sizes.empty()) {
+        out.reserve(out.size() + tail_bytes);
+        return;
+    }
+    payload += ulebSize(entry_sizes.size());
+    out.reserve(out.size() + 1 + ulebSize(payload) + payload + tail_bytes);
+    out.push_back(10);
+    putU32(out, static_cast<uint32_t>(payload));
+    const size_t end = out.size() + payload;
+    putU32(out, static_cast<uint32_t>(entry_sizes.size()));
+    size_t k = 0;
+    for (uint32_t i = 0; i < m.numFunctions(); ++i) {
+        const Function &f = m.functions[i];
+        if (f.imported())
+            continue;
+        putU32(out, entry_sizes[k++]);
+        putLocals(out, f.locals);
+        bodies.write(out, i);
+    }
+    if (out.size() != end)
+        throw EncodeError("function bodies differ from their sizes");
+}
+
+/** The body writer of encodeModule(m): encodes Function::body. */
+class EncodedBodies final : public BodyWriter {
+  public:
+    explicit EncodedBodies(const Module &m)
+        : m_(m), spans_(m.functions.size())
+    {
+    }
+
+    size_t
+    size(uint32_t func_idx) override
+    {
+        const Function &f = m_.functions[func_idx];
+        size_t start = bytes_.size();
+        putExpr(bytes_, f.body, f.labelPool);
+        spans_[func_idx] = {start, bytes_.size() - start};
+        return spans_[func_idx].second;
+    }
+
+    void
+    write(std::vector<uint8_t> &out, uint32_t func_idx) override
+    {
+        auto [start, n] = spans_[func_idx];
+        out.insert(out.end(), bytes_.begin() + start,
+                   bytes_.begin() + start + n);
+    }
+
+  private:
+    const Module &m_;
+    std::vector<uint8_t> bytes_;
+    std::vector<std::pair<size_t, size_t>> spans_;
+};
+
 } // namespace
 
 void
@@ -142,6 +238,13 @@ encodeInstr(std::vector<uint8_t> &out, const Instr &instr,
 
 std::vector<uint8_t>
 encodeModule(const Module &m)
+{
+    EncodedBodies bodies(m);
+    return encodeModule(m, bodies);
+}
+
+std::vector<uint8_t>
+encodeModule(const Module &m, BodyWriter &bodies)
 {
     std::vector<uint8_t> out;
     putFixedU32(out, 0x6D736100);
@@ -359,38 +462,10 @@ encodeModule(const Module &m)
         putSection(out, 9, sec);
     }
 
-    // --- Code section.
-    {
-        uint32_t count = 0;
-        for (const Function &f : m.functions)
-            count += f.imported() ? 0 : 1;
-        std::vector<uint8_t> sec;
-        if (count > 0)
-            putU32(sec, count);
-        std::vector<uint8_t> body; // reused: one allocation per module
-        for (const Function &f : m.functions) {
-            if (f.imported())
-                continue;
-            body.clear();
-            // Run-length encode the locals.
-            std::vector<std::pair<ValType, uint32_t>> runs;
-            for (ValType t : f.locals) {
-                if (!runs.empty() && runs.back().first == t)
-                    ++runs.back().second;
-                else
-                    runs.push_back({t, 1});
-            }
-            putU32(body, static_cast<uint32_t>(runs.size()));
-            for (auto [t, n] : runs) {
-                putU32(body, n);
-                putValType(body, t);
-            }
-            putExpr(body, f.body, f.labelPool);
-            putU32(sec, static_cast<uint32_t>(body.size()));
-            sec.insert(sec.end(), body.begin(), body.end());
-        }
-        putSection(out, 10, sec);
-    }
+    // The data and custom sections follow the code section. Encode
+    // them first, so that the output is allocated once at its final
+    // size and the code section is written straight into it.
+    std::vector<uint8_t> tail;
 
     // --- Data section.
     if (!m.data.empty()) {
@@ -402,7 +477,7 @@ encodeModule(const Module &m)
             putU32(sec, static_cast<uint32_t>(seg.bytes.size()));
             sec.insert(sec.end(), seg.bytes.begin(), seg.bytes.end());
         }
-        putSection(out, 11, sec);
+        putSection(tail, 11, sec);
     }
 
     // --- Custom sections, appended at the end.
@@ -410,9 +485,11 @@ encodeModule(const Module &m)
         std::vector<uint8_t> sec;
         putName(sec, c.name);
         sec.insert(sec.end(), c.bytes.begin(), c.bytes.end());
-        putSection(out, 0, sec);
+        putSection(tail, 0, sec);
     }
 
+    putCodeSection(out, m, bodies, tail.size());
+    out.insert(out.end(), tail.begin(), tail.end());
     return out;
 }
 

@@ -31,6 +31,29 @@ class EncodeError : public std::runtime_error {
 /** Encode a module to binary. */
 std::vector<uint8_t> encodeModule(const Module &m);
 
+/**
+ * The instructions of a module's defined functions, as the code
+ * section lays them out. The encoder writes each code entry's size and
+ * locals header itself (from Function::locals) and asks the writer for
+ * the rest: first size() of every defined function, so that it can
+ * write the section in place, then write() of each one once, in index
+ * order. A writer may release a function's bytes once it wrote them.
+ */
+class BodyWriter {
+  public:
+    virtual ~BodyWriter() = default;
+    /** Byte size of function @p func_idx's instructions, the final
+     * `end` included. */
+    virtual size_t size(uint32_t func_idx) = 0;
+    /** Append function @p func_idx's instructions to @p out. */
+    virtual void write(std::vector<uint8_t> &out, uint32_t func_idx) = 0;
+};
+
+/** Encode @p m with the instructions of its defined functions taken
+ * from @p bodies instead of Function::body (which is not read).
+ * encodeModule(m) is this with a writer that encodes Function::body. */
+std::vector<uint8_t> encodeModule(const Module &m, BodyWriter &bodies);
+
 /** Encode a single instruction (exposed for tests); a br_table reads
  * its labels from its function's label @p pool. */
 void encodeInstr(std::vector<uint8_t> &out, const Instr &instr,

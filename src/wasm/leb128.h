@@ -29,6 +29,16 @@ void encodeULEB(std::vector<uint8_t> &out, uint64_t value);
 /** Append a signed LEB128 encoding of @p value to @p out. */
 void encodeSLEB(std::vector<uint8_t> &out, int64_t value);
 
+/** Number of bytes encodeULEB writes for @p value. */
+constexpr size_t
+ulebSize(uint64_t value)
+{
+    size_t n = 1;
+    while (value >>= 7)
+        ++n;
+    return n;
+}
+
 /**
  * A bounds-checked byte cursor over an input buffer, with LEB128 and
  * fixed-width primitives. All read methods throw DecodeError on

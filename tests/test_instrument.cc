@@ -8,11 +8,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <unistd.h>
+
 #include "core/instrument.h"
 #include "interp/interpreter.h"
+#include "serve/server.h"
+#include "support/file_io.h"
+#include "support/module_io.h"
 #include "wasm/builder.h"
+#include "wasm/decoder.h"
 #include "wasm/encoder.h"
 #include "wasm/validator.h"
+#include "workloads/polybench.h"
+#include "workloads/random_program.h"
 #include "workloads/synthetic_app.h"
 
 namespace wasabi::core {
@@ -657,6 +666,187 @@ TEST(Instrument, MemoryBehaviorIsUntouched)
     i2.invokeExport(*inst, "f", {});
 
     EXPECT_EQ(orig->memory().raw(), inst->memory().raw());
+}
+
+// ----- the byte entry (instrumentToBytes) ------------------------------
+
+/** The hook sets of the byte-identity gates. */
+std::vector<HookSet>
+gateHookSets()
+{
+    return {HookSet::all(), HookSet{HookKind::Call},
+            HookSet{HookKind::Load, HookKind::Store},
+            HookSet{HookKind::Br, HookKind::BrIf, HookKind::BrTable,
+                    HookKind::End}};
+}
+
+InstrumentedBinary
+toBytes(const wasm::Module &m, HookSet hooks,
+        const InstrumentOptions &opts = {})
+{
+    return instrumentToBytes(std::make_shared<const wasm::Module>(m), hooks,
+                             opts);
+}
+
+/** The bytes decode, validate and encode back to the same bytes. */
+void
+expectCanonicalBinary(const wasm::Module &m, const std::string &what)
+{
+    for (HookSet hooks : gateHookSets()) {
+        std::vector<uint8_t> bytes = toBytes(m, hooks).bytes;
+        wasm::Module decoded = wasm::decodeModule(bytes);
+        ASSERT_EQ(validationError(decoded), std::nullopt)
+            << what << ", hooks " << hooks.toString();
+        EXPECT_EQ(encodeModule(decoded), bytes)
+            << what << ", hooks " << hooks.toString();
+    }
+}
+
+TEST(InstrumentBytes, DecodeValidateAndReencodeIdentically)
+{
+    for (const std::string &k : workloads::polybenchNames())
+        expectCanonicalBinary(workloads::polybench(k, 8).module, k);
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+        workloads::RandomProgramOptions opts;
+        opts.seed = seed;
+        expectCanonicalBinary(workloads::randomProgram(opts).module,
+                              "random:" + std::to_string(seed));
+    }
+    expectCanonicalBinary(
+        workloads::syntheticApp(workloads::AppSize::Small).module,
+        "app:small");
+}
+
+TEST(InstrumentBytes, ThreadCountsGiveEqualBytes)
+{
+    workloads::RandomProgramOptions rp;
+    rp.seed = 3;
+    for (const wasm::Module &m :
+         {workloads::syntheticApp(workloads::AppSize::Small).module,
+          workloads::randomProgram(rp).module}) {
+        for (HookSet hooks : gateHookSets()) {
+            std::vector<uint8_t> serial = toBytes(m, hooks).bytes;
+            for (unsigned threads : {2u, 4u, 8u}) {
+                InstrumentOptions opts;
+                opts.numThreads = threads;
+                EXPECT_EQ(toBytes(m, hooks, opts).bytes, serial)
+                    << threads << " threads, hooks " << hooks.toString();
+            }
+        }
+    }
+}
+
+TEST(InstrumentBytes, DecodeWrapperMatchesBytes)
+{
+    wasm::Module m = sampleModule();
+    for (HookSet hooks : gateHookSets()) {
+        InstrumentedBinary b = toBytes(m, hooks);
+        InstrumentResult r = instrument(m, hooks);
+        EXPECT_EQ(encodeModule(r.module), b.bytes) << hooks.toString();
+        EXPECT_EQ(r.info->hooks, b.info->hooks) << hooks.toString();
+    }
+}
+
+TEST(InstrumentBytes, StaticInfoSharesTheCallersModule)
+{
+    auto m = std::make_shared<const wasm::Module>(sampleModule());
+    InstrumentedBinary r = instrumentToBytes(m, HookSet::all());
+    EXPECT_EQ(r.info->original.get(), m.get());
+    EXPECT_EQ(m.use_count(), 2);
+}
+
+/**
+ * A module of 16383 functions, indices 0..16382: every function
+ * index fits the LEB width it has, but hook imports shift the ones
+ * just below 128 and 16384 past the boundary, so their call
+ * immediates grow a byte in the output. main (index 0) threads its
+ * argument through every function; the odd ones call an even one
+ * from the other end of the index space, across both boundaries.
+ */
+wasm::Module
+lebBoundaryModule()
+{
+    constexpr uint32_t kFuncs = 16383;
+    FuncType unary({ValType::I32}, {ValType::I32});
+    ModuleBuilder mb;
+    mb.addFunction(unary, "main", [&](FunctionBuilder &f) {
+        f.localGet(0);
+        for (uint32_t j = 1; j < kFuncs; ++j)
+            f.call(j);
+    });
+    for (uint32_t j = 1; j < kFuncs; ++j) {
+        mb.addFunction(unary, "", [&](FunctionBuilder &f) {
+            f.localGet(0).i32Const(static_cast<int32_t>(j));
+            if (j % 2 == 1) {
+                f.op(Opcode::I32Add).call(kFuncs - j);
+                f.i32Const(static_cast<int32_t>(j)).op(Opcode::I32Xor);
+            } else {
+                f.i32Const(3).op(Opcode::I32Mul).op(Opcode::I32Add);
+            }
+        });
+    }
+    return mb.build();
+}
+
+TEST(InstrumentBytes, CallIndicesWidenAcrossLebBoundaries)
+{
+    wasm::Module m = lebBoundaryModule();
+    ASSERT_EQ(m.numFunctions(), 16383u);
+    ASSERT_EQ(validationError(m), std::nullopt);
+    std::vector<Value> args{Value::makeI32(7)};
+    std::vector<Value> expected;
+    {
+        auto inst = Instance::instantiate(m, Linker());
+        Interpreter interp;
+        expected = interp.invokeExport(*inst, "main", args);
+    }
+    for (HookSet hooks : {HookSet::all(), HookSet{HookKind::Call}}) {
+        InstrumentResult r = instrument(m, hooks);
+        ASSERT_GE(r.info->hooks.size(), 2u);
+        ASSERT_EQ(validationError(r.module), std::nullopt);
+        // The output calls the shifted indices, widened or not.
+        const uint32_t shift = static_cast<uint32_t>(r.info->hooks.size());
+        const wasm::Function &main_out = r.module.functions.at(shift);
+        std::vector<uint32_t> direct;
+        for (const wasm::Instr &in : main_out.body) {
+            if (in.op == Opcode::Call && in.imm.idx >= shift)
+                direct.push_back(in.imm.idx);
+        }
+        ASSERT_EQ(direct.size(), 16382u);
+        for (uint32_t j = 1; j < 16383; ++j)
+            ASSERT_EQ(direct[j - 1], j + shift);
+        for (interp::EngineKind engine :
+             {interp::EngineKind::Legacy, interp::EngineKind::Fast}) {
+            auto inst =
+                Instance::instantiate(r.module, noopLinker(*r.info));
+            Interpreter interp;
+            interp.engine = engine;
+            EXPECT_EQ(interp.invokeExport(*inst, "main", args), expected)
+                << hooks.toString();
+        }
+    }
+}
+
+TEST(InstrumentBytes, ServeWritesTheSameBytesAsTheByteEntry)
+{
+    const std::string base = testing::TempDir() + "instrument_" +
+                             std::to_string(::getpid());
+    const std::string in = base + "_in.wasm", out = base + "_out.wasm";
+    wasm::Module app =
+        workloads::syntheticApp(workloads::AppSize::Small).module;
+    support::writeBinaryFile(in, encodeModule(app));
+    serve::Server server;
+    auto reply = server.handle("{\"op\": \"instrument\", \"module\": \"" +
+                               in + "\", \"out\": \"" + out +
+                               "\", \"hooks\": \"all\"}");
+    EXPECT_NE(reply.response.find("\"ok\": true"), std::string::npos)
+        << reply.response;
+    auto loaded = std::make_shared<const wasm::Module>(
+        support::loadModuleFromFile(in));
+    EXPECT_EQ(support::readBinaryFile(out),
+              instrumentToBytes(loaded, HookSet::all()).bytes);
+    std::remove(in.c_str());
+    std::remove(out.c_str());
 }
 
 } // namespace

@@ -140,19 +140,27 @@ loadModule(const std::string &path)
     return support::loadModuleFromFile(path);
 }
 
-/** Load a module and validate it: the engines, the instrumenter and
- * the static passes all assume a valid module, so every command that
- * consumes one goes through here before it writes anything. */
+/** Decode or parse a module and validate it: the engines, the
+ * instrumenter and the static passes all assume a valid module, so
+ * every command that consumes one goes through here before it writes
+ * anything. */
+wasm::Module
+validModule(const std::vector<uint8_t> &bytes, const std::string &path)
+{
+    wasm::Module m = support::loadModuleFromBytes(bytes, path);
+    if (std::optional<std::string> err = wasm::validationError(m))
+        throw InvalidModule(*err);
+    return m;
+}
+
+/** validModule() of the file at @p path. */
 wasm::Module
 loadValidModule(const std::string &path, size_t *file_size = nullptr)
 {
     std::vector<uint8_t> bytes = readFile(path);
     if (file_size)
         *file_size = bytes.size();
-    wasm::Module m = support::loadModuleFromBytes(bytes, path);
-    if (std::optional<std::string> err = wasm::validationError(m))
-        throw InvalidModule(*err);
-    return m;
+    return validModule(bytes, path);
 }
 
 /** A `--hooks=` list (core::parseHookSet); a bad one is a usage
@@ -281,19 +289,21 @@ cmdInstrument(const std::vector<std::string> &args)
         throw UsageError("usage: instrument <in> <out> [opts]");
     obs::ProfileCollector collector(profile || !profile_out.empty());
     size_t in_size = 0;
-    wasm::Module m = [&] {
+    auto m = [&] {
         obs::ProfileCollector::ScopedPhase p(&collector, "decode");
-        return loadValidModule(in_path, &in_size);
+        return std::make_shared<const wasm::Module>(
+            loadValidModule(in_path, &in_size));
     }();
-    core::InstrumentResult r = [&] {
-        obs::ProfileCollector::ScopedPhase p(&collector, "instrument");
-        return core::instrument(m, hooks, opts);
-    }();
+    // The instrumenter encodes as it goes; its last step, the stitch
+    // of the workers' bytes, is reported as the encode phase.
+    const uint64_t start = collector.now();
+    core::InstrumentedBinary r = core::instrumentToBytes(m, hooks, opts);
+    const uint64_t nanos = collector.now() - start;
+    collector.recordPhase("instrument", start, nanos - r.stats.encodeNanos);
+    collector.recordPhase("encode", start + nanos - r.stats.encodeNanos,
+                          r.stats.encodeNanos);
     collector.recordInstrumentation(r.stats);
-    std::vector<uint8_t> out = [&] {
-        obs::ProfileCollector::ScopedPhase p(&collector, "encode");
-        return wasm::encodeModule(r.module);
-    }();
+    const std::vector<uint8_t> &out = r.bytes;
     writeFile(out_path, out);
     std::printf("instrumented %s -> %s\n", in_path.c_str(),
                 out_path.c_str());
@@ -720,7 +730,8 @@ cmdOpt(const std::vector<std::string> &args)
                          " [--manifest-out=FILE] [--json[=FILE]]"
                          " [--no-verify]");
 
-    wasm::Module m = loadValidModule(in_path);
+    std::vector<uint8_t> in_bytes = readFile(in_path);
+    wasm::Module m = validModule(in_bytes, in_path);
 
     std::vector<std::string> passes;
     try {
@@ -733,7 +744,13 @@ cmdOpt(const std::vector<std::string> &args)
     if (auto err = wasm::validationError(r.module))
         throw std::runtime_error(
             "internal error: optimized module fails validation: " + *err);
-    std::vector<uint8_t> before_bytes = wasm::encodeModule(m);
+    // The "before" sizes are the loaded file's; WAT text has no
+    // sections, so a text input is measured as encoded.
+    std::vector<uint8_t> before_bytes =
+        support::classifyModuleBytes(in_bytes, in_path) ==
+                support::ModuleBytesKind::WasmBinary
+            ? std::move(in_bytes)
+            : wasm::encodeModule(m);
     std::vector<uint8_t> after_bytes = wasm::encodeModule(r.module);
 
     size_t gate_exports = 0;
