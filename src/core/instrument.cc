@@ -1,14 +1,13 @@
 #include "core/instrument.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <map>
-#include <thread>
 
 #include "core/control_stack.h"
 #include "core/hook_map.h"
+#include "support/parallel.h"
 #include "wasm/decoder.h"
 #include "wasm/encoder.h"
 #include "wasm/leb128.h"
@@ -795,48 +794,28 @@ instrumentToBytes(std::shared_ptr<const Module> module, HookSet hooks,
     std::vector<FuncOut> outs(num_funcs);
     InstrumentStats stats;
 
-    // `cache` is per worker: it keeps the hot hook-id lookups off the
-    // shared map's lock (paper §3: the monomorphization map is the
+    // An explicit count is kept as given, so `profile --threads=N`
+    // lists N worker spans; 0 is one worker per CPU.
+    const unsigned threads = opts.numThreads
+                                 ? opts.numThreads
+                                 : support::workerCount(0, num_funcs);
+    stats.workers.resize(threads);
+    // The caches are per worker: they keep the hot hook-id lookups off
+    // the shared map's lock (paper §3: the monomorphization map is the
     // only synchronization point of the parallel instrumentation).
-    auto work = [&](uint32_t f, HookCache &cache,
-                    InstrumentStats::Worker &wstats) {
-        if (!m.functions[f].imported()) {
-            outs[f] =
-                FuncInstrumenter(m, f, hooks, opts, hook_map, cache)
-                    .run();
-            ++wstats.functions;
-        }
-    };
-
-    if (opts.numThreads <= 1) {
-        InstrumentStats::Worker wstats;
-        wstats.startNanos = since_begin();
-        HookCache cache;
-        for (uint32_t f = 0; f < num_funcs; ++f)
-            work(f, cache, wstats);
+    std::vector<HookCache> caches(threads);
+    support::parallelFor(num_funcs, threads, [&](size_t f, unsigned w) {
+        if (m.functions[f].imported())
+            return;
+        InstrumentStats::Worker &wstats = stats.workers[w];
+        if (wstats.functions == 0)
+            wstats.startNanos = since_begin();
+        outs[f] = FuncInstrumenter(m, static_cast<uint32_t>(f), hooks,
+                                   opts, hook_map, caches[w])
+                      .run();
+        ++wstats.functions;
         wstats.nanos = since_begin() - wstats.startNanos;
-        stats.workers.push_back(wstats);
-    } else {
-        std::atomic<uint32_t> next{0};
-        std::vector<std::thread> threads;
-        stats.workers.resize(opts.numThreads);
-        for (unsigned t = 0; t < opts.numThreads; ++t) {
-            threads.emplace_back([&, t]() {
-                InstrumentStats::Worker &wstats = stats.workers[t];
-                wstats.startNanos = since_begin();
-                HookCache cache;
-                while (true) {
-                    uint32_t f = next.fetch_add(1);
-                    if (f >= num_funcs)
-                        break;
-                    work(f, cache, wstats);
-                }
-                wstats.nanos = since_begin() - wstats.startNanos;
-            });
-        }
-        for (std::thread &t : threads)
-            t.join();
-    }
+    });
     for (const InstrumentStats::Worker &w : stats.workers)
         stats.functionsInstrumented += w.functions;
     stats.hookMap = hook_map.stats();

@@ -36,14 +36,15 @@ struct InstrumentOptions {
     bool splitI64 = true;
 
     /** Number of worker threads instrumenting functions in parallel
-     * (1 = sequential). */
+     * (1 = sequential, 0 = one per CPU, support::workerCount). The
+     * output is byte-identical for any count. */
     unsigned numThreads = 1;
 };
 
 /**
  * Instrumentation-phase metrics, always collected (the counters are
- * per-worker and the clock is read only a handful of times per run,
- * so the overhead is unmeasurable). The observability layer
+ * per-worker and the clock is read twice per function, so the
+ * overhead is unmeasurable). The observability layer
  * (`src/obs/`) ingests this verbatim for `wasabi profile`.
  */
 struct InstrumentStats {
@@ -58,10 +59,11 @@ struct InstrumentStats {
     struct Worker {
         /** Functions this worker instrumented. */
         uint64_t functions = 0;
-        /** Start of the worker's span, ns relative to the call's
-         * entry (for trace-event rendering). */
+        /** Start of the worker's span (its first function), ns
+         * relative to the call's entry (for trace-event rendering). */
         uint64_t startNanos = 0;
-        /** Wall time of the worker's span. */
+        /** Wall time of the worker's span, to the end of its last
+         * function (0 for a worker that got none). */
         uint64_t nanos = 0;
     };
     std::vector<Worker> workers;

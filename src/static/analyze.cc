@@ -7,13 +7,14 @@
 #include "static/dataflow.h"
 #include "static/interproc/refined_call_graph.h"
 #include "static/passes/range.h"
+#include "support/parallel.h"
 
 namespace wasabi::static_analysis {
 
 using wasm::Module;
 
 ModuleReport
-analyzeModule(const Module &m)
+analyzeModule(const Module &m, unsigned workers)
 {
     ModuleReport r;
     r.numFunctions = m.numFunctions();
@@ -24,19 +25,27 @@ analyzeModule(const Module &m)
     r.numCallEdges = cg.numEdges();
     r.deadFunctions = cg.deadFunctions();
 
-    for (uint32_t f = 0; f < m.numFunctions(); ++f) {
+    // One slot per function, joined in function order.
+    const uint32_t n = m.numFunctions();
+    std::vector<FunctionStats> stats(n);
+    support::parallelFor(n, support::workerCount(workers, n), [&](size_t f,
+                                                                  unsigned) {
         if (m.functions[f].imported())
-            continue;
-        Cfg cfg(m, f);
-        FunctionStats s;
-        s.funcIdx = f;
+            return;
+        const uint32_t fi = static_cast<uint32_t>(f);
+        Cfg cfg(m, fi);
+        FunctionStats &s = stats[f];
+        s.funcIdx = fi;
         s.numInstrs = static_cast<uint32_t>(m.functions[f].body.size());
         s.numBlocks = cfg.numBlocks();
         s.numEdges = cfg.numEdges();
         s.numBackEdges = static_cast<uint32_t>(backEdges(cfg).size());
         s.numUnreachable = cfg.numBlocks() - cfg.numReachable();
-        s.dead = !cg.reachable(f);
-        r.functions.push_back(s);
+        s.dead = !cg.reachable(fi);
+    });
+    for (uint32_t f = 0; f < n; ++f) {
+        if (!m.functions[f].imported())
+            r.functions.push_back(stats[f]);
     }
     return r;
 }
@@ -113,9 +122,9 @@ callGraphDot(const Module &m)
 }
 
 std::string
-refinedCallGraphDot(const Module &m)
+refinedCallGraphDot(const Module &m, unsigned workers)
 {
-    return interproc::RefinedCallGraph(m).toDot(m);
+    return interproc::RefinedCallGraph(m, workers).toDot(m);
 }
 
 std::string

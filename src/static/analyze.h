@@ -40,8 +40,10 @@ struct ModuleReport {
     std::vector<uint32_t> deadFunctions;
 };
 
-/** Analyze a valid module (call validateModule first). */
-ModuleReport analyzeModule(const wasm::Module &m);
+/** Analyze a valid module (call validateModule first); the functions'
+ * CFGs are built on @p workers workers (support::workerCount; 0 = one
+ * per CPU). The report is the same for any count. */
+ModuleReport analyzeModule(const wasm::Module &m, unsigned workers = 1);
 
 /** Human-readable table. */
 std::string toString(const ModuleReport &r);
@@ -53,8 +55,10 @@ std::string toJson(const ModuleReport &r);
 std::string cfgDot(const wasm::Module &m, uint32_t func_idx);
 std::string callGraphDot(const wasm::Module &m);
 
-/** Refined call graph (per-site call_indirect edges) as Graphviz. */
-std::string refinedCallGraphDot(const wasm::Module &m);
+/** Refined call graph (per-site call_indirect edges) as Graphviz,
+ * built on @p workers workers. */
+std::string refinedCallGraphDot(const wasm::Module &m,
+                                unsigned workers = 1);
 
 /**
  * Value-range facts (interval abstract interpretation, argument seeds

@@ -82,14 +82,14 @@ class Checker {
     Diagnostics
     run()
     {
-        if (auto err = wasm::validationError(orig_)) {
+        if (auto err = wasm::validationError(orig_, opts_.workers)) {
             diags_.error("check.input.invalid-original",
                          "original module does not validate: " + *err);
             return std::move(diags_);
         }
         if (!recoverHooks())
             return std::move(diags_);
-        if (auto err = wasm::validationError(instr_)) {
+        if (auto err = wasm::validationError(instr_, opts_.workers)) {
             diags_.error("check.structure.invalid-instrumented",
                          "instrumented module does not validate: " +
                              *err);
@@ -112,6 +112,7 @@ class Checker {
             // reference shares orig_, which outlives it.
             core::InstrumentOptions iopts;
             iopts.splitI64 = split_;
+            iopts.numThreads = opts_.workers;
             core::InstrumentedBinary ref = core::instrumentToBytes(
                 std::shared_ptr<const Module>(std::shared_ptr<void>(),
                                               &orig_),

@@ -5,6 +5,7 @@
 #include "core/static_info.h"
 #include "static/dot_util.h"
 #include "static/passes/constprop.h"
+#include "support/parallel.h"
 #include "wasm/opcode.h"
 
 namespace wasabi::static_analysis::interproc {
@@ -41,7 +42,7 @@ typeMatched(const Module &m, const std::vector<uint32_t> &funcs,
 
 } // namespace
 
-RefinedCallGraph::RefinedCallGraph(const Module &m)
+RefinedCallGraph::RefinedCallGraph(const Module &m, unsigned workers)
     : table_(computeTableLayout(m))
 {
     const uint32_t n = m.numFunctions();
@@ -62,10 +63,17 @@ RefinedCallGraph::RefinedCallGraph(const Module &m)
             slot_funcs.end());
     }
 
-    for (uint32_t f = 0; f < n; ++f) {
+    // Each function's sites and callees are found on their own, then
+    // joined in function order.
+    std::vector<std::vector<CallSite>> func_sites(n);
+    support::parallelFor(n, support::workerCount(workers, n), [&](size_t fi,
+                                                                  unsigned) {
+        const uint32_t f = static_cast<uint32_t>(fi);
         const wasm::Function &func = m.functions[f];
         if (func.imported())
-            continue;
+            return;
+        std::vector<CallSite> &sites = func_sites[f];
+        std::vector<uint32_t> &callees = callees_[f];
         // Constant table indices from the PR-2 constprop lattice are
         // only needed when some call_indirect could use them.
         std::optional<passes::ConstFacts> facts;
@@ -119,15 +127,23 @@ RefinedCallGraph::RefinedCallGraph(const Module &m)
                                     : SiteKind::IndirectTyped;
                 }
             }
-            for (uint32_t t : site.targets)
-                callees_[f].push_back(t);
-            siteIndex_[core::packLoc({f, i})] = sites_.size();
+            callees.insert(callees.end(), site.targets.begin(),
+                           site.targets.end());
+            sites.push_back(std::move(site));
+        }
+        std::sort(callees.begin(), callees.end());
+        callees.erase(std::unique(callees.begin(), callees.end()),
+                      callees.end());
+    });
+    size_t num_sites = 0;
+    for (const std::vector<CallSite> &sites : func_sites)
+        num_sites += sites.size();
+    sites_.reserve(num_sites);
+    for (uint32_t f = 0; f < n; ++f) {
+        for (CallSite &site : func_sites[f]) {
+            siteIndex_[core::packLoc({f, site.instr})] = sites_.size();
             sites_.push_back(std::move(site));
         }
-        std::sort(callees_[f].begin(), callees_[f].end());
-        callees_[f].erase(
-            std::unique(callees_[f].begin(), callees_[f].end()),
-            callees_[f].end());
         for (uint32_t c : callees_[f])
             callers_[c].push_back(f);
     }

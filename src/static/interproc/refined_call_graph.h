@@ -68,7 +68,10 @@ struct CallSite {
 
 class RefinedCallGraph {
   public:
-    explicit RefinedCallGraph(const wasm::Module &m);
+    /** Build the graph of valid module @p m. Functions are scanned
+     * for sites on @p workers workers (support::workerCount; 0 = one
+     * per CPU); the graph is the same for any count. */
+    explicit RefinedCallGraph(const wasm::Module &m, unsigned workers = 1);
 
     const TableLayout &table() const { return table_; }
 

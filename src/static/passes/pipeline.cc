@@ -1,5 +1,6 @@
 #include "static/passes/pipeline.h"
 
+#include <numeric>
 #include <set>
 
 #include "core/control_stack.h"
@@ -10,6 +11,7 @@
 #include "static/passes/deadstore.h"
 #include "static/passes/range.h"
 #include "static/passes/reachability.h"
+#include "support/parallel.h"
 
 namespace wasabi::static_analysis::passes {
 
@@ -42,9 +44,9 @@ namespace {
  * parameters. */
 void
 lintInterproc(const Module &m, const std::vector<bool> &base_dead,
-              Diagnostics &diags)
+              Diagnostics &diags, unsigned workers)
 {
-    interproc::RefinedCallGraph rcg(m);
+    interproc::RefinedCallGraph rcg(m, workers);
     diags.merge(rcg.table().diags);
 
     for (uint32_t f : rcg.deadFunctions()) {
@@ -111,9 +113,9 @@ lintInterproc(const Module &m, const std::vector<bool> &base_dead,
  * pass already reported (lint.branch.const-condition) are skipped. */
 void
 lintRanges(const Module &m, const std::set<uint64_t> &const_cond_locs,
-           Diagnostics &diags)
+           Diagnostics &diags, unsigned workers)
 {
-    ModuleRanges mr = moduleRanges(m);
+    ModuleRanges mr = moduleRanges(m, workers);
     const uint64_t minBytes = static_cast<uint64_t>(mr.minPages) *
                               65536;
     std::optional<uint64_t> maxBytes;
@@ -174,21 +176,37 @@ lintRanges(const Module &m, const std::set<uint64_t> &const_cond_locs,
 } // namespace
 
 Diagnostics
-lintModule(const Module &m)
+lintModule(const Module &m, unsigned workers)
 {
-    Diagnostics diags;
     ReachabilityFacts reach = reachabilityFacts(m);
-    std::set<uint64_t> constCondLocs;
+    const uint32_t n = m.numFunctions();
 
-    std::vector<bool> dead(m.numFunctions(), false);
+    std::vector<bool> dead(n, false);
     for (uint32_t f : reach.deadFunctions)
         dead[f] = true;
 
-    size_t range_pos = 0;
-    for (uint32_t f = 0; f < m.numFunctions(); ++f) {
+    // unreachableBlocks is in function order: function f's ranges are
+    // [range_begin[f], range_begin[f + 1]).
+    std::vector<size_t> range_begin(n + 1, 0);
+    for (const UnreachableRange &r : reach.unreachableBlocks)
+        ++range_begin[r.func + 1];
+    std::partial_sum(range_begin.begin(), range_begin.end(),
+                     range_begin.begin());
+
+    // Each function's findings are found on their own and joined in
+    // function order.
+    struct FuncFindings {
+        Diagnostics diags;
+        std::vector<uint64_t> constCondLocs;
+    };
+    std::vector<FuncFindings> per_func(n);
+    support::parallelFor(n, support::workerCount(workers, n), [&](size_t fi,
+                                                                  unsigned) {
+        const uint32_t f = static_cast<uint32_t>(fi);
         const wasm::Function &func = m.functions[f];
         if (func.imported())
-            continue;
+            return;
+        Diagnostics &diags = per_func[f].diags;
 
         if (dead[f]) {
             diags.warning(kLintDeadFunction,
@@ -198,11 +216,8 @@ lintModule(const Module &m)
                           f);
         }
 
-        for (; range_pos < reach.unreachableBlocks.size() &&
-               reach.unreachableBlocks[range_pos].func == f;
-             ++range_pos) {
-            const UnreachableRange &r =
-                reach.unreachableBlocks[range_pos];
+        for (size_t k = range_begin[f]; k < range_begin[f + 1]; ++k) {
+            const UnreachableRange &r = reach.unreachableBlocks[k];
             diags.warning(kLintUnreachableCode,
                           "instructions " + std::to_string(r.first) +
                               ".." + std::to_string(r.last) +
@@ -213,7 +228,8 @@ lintModule(const Module &m)
         ConstFacts facts = constantFacts(m, f);
         BranchRefinements refs = refineBranches(m, f, facts);
         for (const ConstCondition &c : refs.constConditions) {
-            constCondLocs.insert(core::packLoc({c.func, c.instr}));
+            per_func[f].constCondLocs.push_back(
+                core::packLoc({c.func, c.instr}));
             std::string what = c.isIf ? "if" : "br_if";
             std::string effect =
                 c.isIf ? (c.cond ? "the then-branch is always taken"
@@ -255,9 +271,17 @@ lintModule(const Module &m)
                           std::to_string(end) + ")",
                       f, begin);
         }
+    });
+
+    Diagnostics diags;
+    std::set<uint64_t> constCondLocs;
+    for (const FuncFindings &ff : per_func) {
+        diags.merge(ff.diags);
+        constCondLocs.insert(ff.constCondLocs.begin(),
+                             ff.constCondLocs.end());
     }
-    lintInterproc(m, dead, diags);
-    lintRanges(m, constCondLocs, diags);
+    lintInterproc(m, dead, diags, workers);
+    lintRanges(m, constCondLocs, diags, workers);
     return diags;
 }
 

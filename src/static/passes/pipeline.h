@@ -52,9 +52,12 @@ inline constexpr const char *kLintRangeDeadGuard =
 /**
  * Run the full pass suite over a validated module and report every
  * finding. Findings are warnings/notes about the *original* program;
- * an empty result means the linter proved nothing suspicious.
+ * an empty result means the linter proved nothing suspicious. The
+ * per-function passes, the refined call graph and the range solver
+ * run on @p workers workers (support::workerCount; 0 = one per CPU);
+ * the findings are the same for any count.
  */
-Diagnostics lintModule(const wasm::Module &m);
+Diagnostics lintModule(const wasm::Module &m, unsigned workers = 1);
 
 /** (begin, end) instruction pairs of statically-empty blocks/loops of
  * defined function @p func_idx (end == begin + 1). */

@@ -14,6 +14,7 @@
 #include "static/interproc/refined_call_graph.h"
 #include "static/interproc/scc.h"
 #include "static/passes/constprop.h"
+#include "support/parallel.h"
 
 namespace wasabi::static_analysis::passes {
 
@@ -1100,7 +1101,7 @@ moduleRanges(const Module &m, unsigned num_threads)
     const uint64_t minBytes = static_cast<uint64_t>(mr.minPages) *
                               kPageBytes;
 
-    interproc::RefinedCallGraph cg(m);
+    interproc::RefinedCallGraph cg(m, num_threads);
     interproc::SccGraph scc = interproc::condense(
         n, [&cg](uint32_t f) -> const std::vector<uint32_t> & {
             return cg.callees(f);
@@ -1180,11 +1181,8 @@ moduleRanges(const Module &m, unsigned num_threads)
         }
     };
 
-    unsigned workers = num_threads == 0
-                           ? std::max(1u,
-                                      std::thread::hardware_concurrency())
-                           : num_threads;
-    if (workers == 1 || num_sccs == 1) {
+    const unsigned workers = support::workerCount(num_threads, num_sccs);
+    if (workers == 1) {
         // Tarjan ids are reverse-topological: descending is top-down
         // (callers strictly before their callees).
         for (uint32_t sid = num_sccs; sid-- > 0;)
@@ -1229,9 +1227,8 @@ moduleRanges(const Module &m, unsigned num_threads)
     };
 
     std::vector<std::thread> pool;
-    unsigned count = std::min<unsigned>(workers, num_sccs);
-    pool.reserve(count);
-    for (unsigned t = 0; t < count; ++t)
+    pool.reserve(workers);
+    for (unsigned t = 0; t < workers; ++t)
         pool.emplace_back(worker);
     for (std::thread &t : pool)
         t.join();

@@ -104,9 +104,10 @@ struct ModuleRanges {
 };
 
 /**
- * Run the interprocedural range analysis. @p num_threads = 0, what
- * every production caller passes, uses hardware_concurrency workers
- * clamped to the SCC count; tests pass 1 for the serial reference.
+ * Run the interprocedural range analysis on @p num_threads workers
+ * (support::workerCount: 0 = one per CPU, clamped to the SCC count;
+ * tests pass 1 for the serial reference). The refined call graph it
+ * walks is built on the same count.
  * The result is byte-identical for any thread count (argument seeds
  * are commutative joins gated on the SCC condensation, callers
  * strictly before callees).

@@ -6,6 +6,7 @@
 #include "static/manifest.h"
 #include "static/passes/constprop.h"
 #include "static/passes/deadstore.h"
+#include "support/parallel.h"
 #include "wasm/decoder.h"
 #include "wasm/encoder.h"
 #include "wasm/leb128.h"
@@ -26,9 +27,9 @@ constexpr const char *kPassDeadStores = "dead-stores";
 // ----- call-indirect -------------------------------------------------
 
 std::vector<DirectCallClaim>
-findDirectCalls(const Module &m)
+findDirectCalls(const Module &m, unsigned workers)
 {
-    interproc::RefinedCallGraph rcg(m);
+    interproc::RefinedCallGraph rcg(m, workers);
     std::vector<DirectCallClaim> claims;
     for (const interproc::CallSite &site : rcg.sites()) {
         if (site.kind != interproc::SiteKind::IndirectConst ||
@@ -101,18 +102,38 @@ applyConstFold(std::vector<Instr> &body, const ConstFoldClaim &claim,
                body.begin() + claim.first + claim.count);
 }
 
+/** @p per_func's vectors, concatenated in function order. */
+template <class Claim>
+std::vector<Claim>
+joinClaims(const std::vector<std::vector<Claim>> &per_func)
+{
+    size_t total = 0;
+    for (const std::vector<Claim> &c : per_func)
+        total += c.size();
+    std::vector<Claim> claims;
+    claims.reserve(total);
+    for (const std::vector<Claim> &c : per_func)
+        claims.insert(claims.end(), c.begin(), c.end());
+    return claims;
+}
+
 /** Scan-and-fold until no window folds; records each application in
  * the coordinates of the body at the moment it is applied (claims in
  * one function are therefore sequential, which is exactly how the
- * checker replays them). */
+ * checker replays them). Functions are folded on @p workers workers
+ * and their claims joined in function order. */
 std::vector<ConstFoldClaim>
-findAndApplyConstFolds(Module &m)
+findAndApplyConstFolds(Module &m, unsigned workers)
 {
-    std::vector<ConstFoldClaim> claims;
-    for (uint32_t f = 0; f < m.numFunctions(); ++f) {
+    const uint32_t n = m.numFunctions();
+    std::vector<std::vector<ConstFoldClaim>> per_func(n);
+    support::parallelFor(n, support::workerCount(workers, n), [&](size_t fi,
+                                                                  unsigned) {
+        const uint32_t f = static_cast<uint32_t>(fi);
         if (m.functions[f].imported())
-            continue;
+            return;
         std::vector<Instr> &body = m.functions[f].body;
+        std::vector<ConstFoldClaim> &claims = per_func[f];
         uint32_t i = 0;
         while (i < body.size()) {
             bool folded = false;
@@ -131,23 +152,26 @@ findAndApplyConstFolds(Module &m)
             if (!folded)
                 ++i;
         }
-    }
-    return claims;
+    });
+    return joinClaims(per_func);
 }
 
 // ----- dead-stores ---------------------------------------------------
 
 std::vector<DeadStoreClaim>
-findDeadStores(const Module &m)
+findDeadStores(const Module &m, unsigned workers)
 {
-    std::vector<DeadStoreClaim> claims;
-    for (uint32_t f = 0; f < m.numFunctions(); ++f) {
+    const uint32_t n = m.numFunctions();
+    std::vector<std::vector<DeadStoreClaim>> per_func(n);
+    support::parallelFor(n, support::workerCount(workers, n), [&](size_t f,
+                                                                  unsigned) {
         if (m.functions[f].imported())
-            continue;
-        for (const passes::DeadStore &ds : passes::deadStores(m, f))
-            claims.push_back(DeadStoreClaim{ds.func, ds.instr, ds.local});
-    }
-    return claims;
+            return;
+        for (const passes::DeadStore &ds :
+             passes::deadStores(m, static_cast<uint32_t>(f)))
+            per_func[f].push_back(DeadStoreClaim{ds.func, ds.instr, ds.local});
+    });
+    return joinClaims(per_func);
 }
 
 void
@@ -215,7 +239,8 @@ parsePassSpec(const std::string &spec)
 }
 
 OptResult
-optimize(const Module &m, const std::vector<std::string> &passes)
+optimize(const Module &m, const std::vector<std::string> &passes,
+         unsigned workers)
 {
     for (const std::string &p : passes) {
         if (!isOptPass(p))
@@ -235,16 +260,16 @@ optimize(const Module &m, const std::vector<std::string> &passes)
     // Canonical order, independent of the order requested.
     if (requested(kPassCallIndirect)) {
         claims.passes.push_back(kPassCallIndirect);
-        claims.directCalls = findDirectCalls(cur);
+        claims.directCalls = findDirectCalls(cur, workers);
         applyDirectCalls(cur, claims.directCalls);
     }
     if (requested(kPassConstFold)) {
         claims.passes.push_back(kPassConstFold);
-        claims.constFolds = findAndApplyConstFolds(cur);
+        claims.constFolds = findAndApplyConstFolds(cur, workers);
     }
     if (requested(kPassDeadStores)) {
         claims.passes.push_back(kPassDeadStores);
-        claims.deadStores = findDeadStores(cur);
+        claims.deadStores = findDeadStores(cur, workers);
         applyDeadStores(cur, claims.deadStores);
     }
     return result;
@@ -323,9 +348,18 @@ listed(const OptClaims &claims, const char *pass)
 Diagnostics
 checkOptimization(const Module &original,
                   const std::vector<uint8_t> &optimized_bytes,
-                  const OptClaims &claims)
+                  const OptClaims &claims, unsigned workers)
 {
     Diagnostics ds;
+
+    // The passes assume a valid module; the two-binary check reports
+    // an invalid original with the same code.
+    if (std::optional<std::string> err =
+            wasm::validationError(original, workers)) {
+        ds.error("check.input.invalid-original",
+                 "original module does not validate: " + *err);
+        return ds;
+    }
 
     for (const std::string &p : claims.passes) {
         if (!isOptPass(p))
@@ -350,7 +384,7 @@ checkOptimization(const Module &original,
     try {
         for (const std::string &pass : claims.passes) {
             if (pass == kPassCallIndirect) {
-                interproc::RefinedCallGraph rcg(replay);
+                interproc::RefinedCallGraph rcg(replay, workers);
                 for (const DirectCallClaim &c : claims.directCalls) {
                     const interproc::CallSite *site =
                         rcg.siteAt(c.func, c.instr);
@@ -398,7 +432,7 @@ checkOptimization(const Module &original,
                 }
             } else if (pass == kPassDeadStores) {
                 std::vector<DeadStoreClaim> provable =
-                    findDeadStores(replay);
+                    findDeadStores(replay, workers);
                 for (const DeadStoreClaim &c : claims.deadStores) {
                     bool ok = std::any_of(
                         provable.begin(), provable.end(),
@@ -428,10 +462,15 @@ checkOptimization(const Module &original,
 
     // The shipped binary must decode, validate, and be byte-identical
     // to the replay — anything else means it was not produced by the
-    // claimed transforms.
+    // claimed transforms. Equal bytes decode to the replay itself, so
+    // only a mismatch needs the binary decoded.
+    const bool identical = wasm::encodeModule(replay) == optimized_bytes;
     try {
-        Module decoded = wasm::decodeModule(optimized_bytes);
-        if (std::optional<std::string> err = wasm::validationError(decoded))
+        Module decoded;
+        if (!identical)
+            decoded = wasm::decodeModule(optimized_bytes, workers);
+        if (std::optional<std::string> err = wasm::validationError(
+                identical ? replay : decoded, workers))
             ds.error("check.opt.invalid-output",
                      "optimized binary fails validation: " + *err);
     } catch (const wasm::DecodeError &e) {
@@ -440,7 +479,7 @@ checkOptimization(const Module &original,
                      e.what());
         return ds;
     }
-    if (wasm::encodeModule(replay) != optimized_bytes)
+    if (!identical)
         ds.error("check.opt.output-mismatch",
                  "optimized binary differs from the replayed transforms");
     return ds;

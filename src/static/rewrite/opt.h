@@ -128,10 +128,13 @@ std::vector<std::string> parsePassSpec(const std::string &spec);
  * Run the named passes (any subset of allOptPasses(), applied in
  * canonical order regardless of the order given) over validated
  * module @p m and return the optimized module plus its claim trail.
- * Throws RewriteError on unknown pass names.
+ * Each pass works on @p workers workers (support::workerCount; 0 =
+ * one per CPU); the result is the same for any count. Throws
+ * RewriteError on unknown pass names.
  */
 OptResult optimize(const wasm::Module &m,
-                   const std::vector<std::string> &passes);
+                   const std::vector<std::string> &passes,
+                   unsigned workers = 1);
 
 /** Serialize claims as a "wasabi-opt-manifest" JSON document. */
 std::string claimsToManifest(const OptClaims &claims);
@@ -152,8 +155,10 @@ bool claimsFromManifest(const std::string &text, OptClaims &claims,
  * Re-prove every claim: replay the pass pipeline on @p original,
  * re-deriving each pass's licensing facts and verifying the claims
  * against them before applying, then require the replayed module to
- * encode byte-identically to @p optimized_bytes. Diagnostics use
- * stable codes:
+ * encode byte-identically to @p optimized_bytes. The proofs run on
+ * @p workers workers, as in optimize(); the report is the same for
+ * any count. Diagnostics use stable codes:
+ *  - check.input.invalid-original   (@p original fails validation)
  *  - check.opt.unknown-pass         (manifest lists an unknown pass)
  *  - check.opt.orphan-claims        (claims of a pass not listed)
  *  - check.opt.bad-call-target      (site not proved IndirectConst)
@@ -165,7 +170,8 @@ bool claimsFromManifest(const std::string &text, OptClaims &claims,
  */
 Diagnostics checkOptimization(const wasm::Module &original,
                               const std::vector<uint8_t> &optimized_bytes,
-                              const OptClaims &claims);
+                              const OptClaims &claims,
+                              unsigned workers = 1);
 
 } // namespace wasabi::static_analysis::rewrite
 

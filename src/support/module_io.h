@@ -21,18 +21,19 @@ namespace wasabi::support {
 
 /**
  * Decode (binary) or parse (WAT) @p bytes into a Module, applying the
- * name section. @p origin labels diagnostics.
+ * name section. @p origin labels diagnostics; a binary's function
+ * bodies are decoded on @p workers workers (wasm::decodeModule).
  * @throws IoError for empty/truncated/garbage inputs,
  * wasm::DecodeError / wat parse errors for malformed-but-classified
  * ones.
  */
 inline wasm::Module
 loadModuleFromBytes(const std::vector<uint8_t> &bytes,
-                    const std::string &origin)
+                    const std::string &origin, unsigned workers = 1)
 {
     wasm::Module m;
     if (classifyModuleBytes(bytes, origin) == ModuleBytesKind::WasmBinary)
-        m = wasm::decodeModule(bytes);
+        m = wasm::decodeModule(bytes, workers);
     else
         m = wasm::parseWat(std::string(bytes.begin(), bytes.end()));
     wasm::applyNameSection(m);
@@ -41,9 +42,9 @@ loadModuleFromBytes(const std::vector<uint8_t> &bytes,
 
 /** Load a module from a .wasm / .wat file (content-routed). */
 inline wasm::Module
-loadModuleFromFile(const std::string &path)
+loadModuleFromFile(const std::string &path, unsigned workers = 1)
 {
-    return loadModuleFromBytes(readBinaryFile(path), path);
+    return loadModuleFromBytes(readBinaryFile(path), path, workers);
 }
 
 } // namespace wasabi::support

@@ -1,7 +1,9 @@
 #include "wasm/decoder.h"
 
 #include <bit>
+#include <exception>
 
+#include "support/parallel.h"
 #include "wasm/leb128.h"
 
 namespace wasabi::wasm {
@@ -315,32 +317,71 @@ struct Decoder {
         }
     }
 
+    /**
+     * The entries' sizes are read serially first; then the bodies are
+     * decoded on @p workers workers, each from its start to the end
+     * of the section, so a body that overruns its size reads on
+     * exactly as one reader through the section would. The error is
+     * the one that reader stops at: the lowest failing body's, else
+     * the split's.
+     */
     void
-    codeSection(ByteReader &r)
+    codeSection(ByteReader &r, unsigned workers)
     {
         uint32_t count = r.readU32();
         if (count != defined_func_types.size())
             throw DecodeError("code/function section count mismatch");
         uint32_t first_defined =
             static_cast<uint32_t>(m.functions.size()) - count;
-        for (uint32_t i = 0; i < count; ++i) {
-            uint32_t body_size = r.readU32();
-            size_t end_pos = r.pos() + body_size;
-            Function &f = m.functions.at(first_defined + i);
-            uint32_t num_locals = r.readU32();
-            for (uint32_t j = 0; j < num_locals; ++j) {
-                uint32_t n = r.readU32();
-                ValType t = readValType(r);
-                // Cap to avoid absurd allocations on corrupt input.
-                if (f.locals.size() + n > 1000000)
-                    throw DecodeError("too many locals");
-                f.locals.insert(f.locals.end(), n, t);
+
+        const uint8_t *entries = r.cursor();
+        const size_t size = r.remaining();
+        struct Entry {
+            size_t begin, end; // body bytes, relative to `entries`
+        };
+        std::vector<Entry> bodies;
+        bodies.reserve(count);
+        std::exception_ptr split_error;
+        size_t pos = 0;
+        try {
+            while (bodies.size() < count) {
+                ByteReader e(entries + pos, size - pos);
+                const uint32_t body_size = e.readU32();
+                const size_t begin = pos + e.pos();
+                bodies.push_back({begin, begin + body_size});
+                // A body that overruns the section fails to decode,
+                // and no later entry can be found.
+                if (body_size > size - begin)
+                    break;
+                pos = begin + body_size;
             }
-            f.labelPool.clear();
-            f.body = readExpr(r, f.labelPool);
-            if (r.pos() != end_pos)
-                throw DecodeError("code body size mismatch");
+        } catch (const DecodeError &) {
+            split_error = std::current_exception();
         }
+
+        support::parallelFor(
+            bodies.size(), support::workerCount(workers, bodies.size()),
+            [&](size_t i, unsigned) {
+                ByteReader b(entries + bodies[i].begin,
+                             size - bodies[i].begin);
+                Function &f = m.functions.at(first_defined + i);
+                uint32_t num_locals = b.readU32();
+                for (uint32_t j = 0; j < num_locals; ++j) {
+                    uint32_t n = b.readU32();
+                    ValType t = readValType(b);
+                    // Cap to avoid absurd allocations on corrupt input.
+                    if (f.locals.size() + n > 1000000)
+                        throw DecodeError("too many locals");
+                    f.locals.insert(f.locals.end(), n, t);
+                }
+                f.labelPool.clear();
+                f.body = readExpr(b, f.labelPool);
+                if (bodies[i].begin + b.pos() != bodies[i].end)
+                    throw DecodeError("code body size mismatch");
+            });
+        if (split_error)
+            std::rethrow_exception(split_error);
+        r.skip(pos);
     }
 
     void
@@ -361,7 +402,7 @@ struct Decoder {
 } // namespace
 
 Module
-decodeModule(const uint8_t *data, size_t size)
+decodeModule(const uint8_t *data, size_t size, unsigned workers)
 {
     ByteReader r(data, size);
     if (r.readFixedU32() != 0x6D736100)
@@ -400,7 +441,7 @@ decodeModule(const uint8_t *data, size_t size)
           case kExport: d.exportSection(sec); break;
           case kStart: d.m.start = sec.readU32(); break;
           case kElement: d.elementSection(sec); break;
-          case kCode: d.codeSection(sec); break;
+          case kCode: d.codeSection(sec, workers); break;
           case kData: d.dataSection(sec); break;
           default:
             throw DecodeError("unknown section id");
@@ -408,7 +449,7 @@ decodeModule(const uint8_t *data, size_t size)
         if (id != kCustom && !sec.done())
             throw DecodeError("trailing bytes in section");
         // Advance past the section regardless.
-        r.readBytes(sec_size);
+        r.skip(sec_size);
     }
     for (const Function &f : d.m.functions) {
         if (!f.imported() && f.body.empty())
@@ -418,9 +459,9 @@ decodeModule(const uint8_t *data, size_t size)
 }
 
 Module
-decodeModule(const std::vector<uint8_t> &bytes)
+decodeModule(const std::vector<uint8_t> &bytes, unsigned workers)
 {
-    return decodeModule(bytes.data(), bytes.size());
+    return decodeModule(bytes.data(), bytes.size(), workers);
 }
 
 } // namespace wasabi::wasm

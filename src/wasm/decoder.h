@@ -14,11 +14,17 @@
 
 namespace wasabi::wasm {
 
-/** Decode a complete binary module. */
-Module decodeModule(const std::vector<uint8_t> &bytes);
+/**
+ * Decode a complete binary module. Function bodies are decoded on
+ * @p workers workers (support::workerCount; 0 = one per CPU); the
+ * result, or the DecodeError thrown, is the same for any count.
+ */
+Module decodeModule(const std::vector<uint8_t> &bytes,
+                    unsigned workers = 1);
 
 /** Decode a complete binary module from a raw buffer. */
-Module decodeModule(const uint8_t *data, size_t size);
+Module decodeModule(const uint8_t *data, size_t size,
+                    unsigned workers = 1);
 
 } // namespace wasabi::wasm
 

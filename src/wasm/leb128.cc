@@ -57,6 +57,14 @@ ByteReader::readBytes(uint8_t *dst, size_t n)
     pos_ += n;
 }
 
+void
+ByteReader::skip(size_t n)
+{
+    if (remaining() < n)
+        throw DecodeError("unexpected end of input (bytes)");
+    pos_ += n;
+}
+
 std::vector<uint8_t>
 ByteReader::readBytes(size_t n)
 {

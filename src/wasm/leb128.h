@@ -66,6 +66,10 @@ class ByteReader {
     uint8_t peekByte() const;
     void readBytes(uint8_t *dst, size_t n);
     std::vector<uint8_t> readBytes(size_t n);
+    /** Advance @p n bytes without copying them. */
+    void skip(size_t n);
+    /** The unread bytes (remaining() of them). */
+    const uint8_t *cursor() const { return data_ + pos_; }
 
     /** Unsigned LEB128, at most @p max_bits significant bits. */
     uint64_t readULEB(int max_bits = 32);

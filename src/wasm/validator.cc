@@ -3,6 +3,8 @@
 #include <optional>
 #include <vector>
 
+#include "support/parallel.h"
+
 namespace wasabi::wasm {
 
 namespace {
@@ -421,7 +423,7 @@ checkConstExpr(const Module &m, const std::vector<Instr> &expr,
 } // namespace
 
 void
-validateModule(const Module &m)
+validateModule(const Module &m, unsigned workers)
 {
     // Index-space invariants.
     if (m.tables.size() > 1)
@@ -531,18 +533,22 @@ validateModule(const Module &m)
         }
     }
 
-    for (uint32_t i = 0; i < m.functions.size(); ++i) {
-        if (m.functions[i].imported())
-            continue;
-        FuncValidator(m, i).run();
-    }
+    // Bodies are independent; parallelFor rethrows the lowest
+    // function's error, the one a serial loop stops at.
+    const size_t n = m.functions.size();
+    support::parallelFor(n, support::workerCount(workers, n),
+                         [&m](size_t i, unsigned) {
+                             if (!m.functions[i].imported())
+                                 FuncValidator(m, static_cast<uint32_t>(i))
+                                     .run();
+                         });
 }
 
 std::optional<std::string>
-validationError(const Module &m)
+validationError(const Module &m, unsigned workers)
 {
     try {
-        validateModule(m);
+        validateModule(m, workers);
         return std::nullopt;
     } catch (const ValidationError &e) {
         return e.what();

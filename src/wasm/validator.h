@@ -51,14 +51,20 @@ class ValidationError : public std::runtime_error {
     size_t instrIdx;
 };
 
-/** Validate a whole module; throws ValidationError on failure. */
-void validateModule(const Module &m);
+/**
+ * Validate a whole module; throws ValidationError on failure.
+ * Function bodies are checked on @p workers workers
+ * (support::workerCount; 0 = one per CPU); the error is the lowest
+ * function's, whatever the count.
+ */
+void validateModule(const Module &m, unsigned workers = 1);
 
 /**
  * Validate and return the error message instead of throwing;
  * nullopt means the module is valid.
  */
-std::optional<std::string> validationError(const Module &m);
+std::optional<std::string> validationError(const Module &m,
+                                           unsigned workers = 1);
 
 } // namespace wasabi::wasm
 

@@ -562,13 +562,13 @@ TEST(Instrument, ParallelInstrumentationMatchesSequentialBehavior)
 {
     // Hook ids are numbered in first-use order whatever the schedule,
     // so every thread count gives the sequential output, byte for
-    // byte, with the same hook order.
+    // byte, with the same hook order. 0 is one worker per CPU.
     for (const wasm::Module &m :
          {sampleModule(),
           workloads::syntheticApp(workloads::AppSize::Small).module}) {
         InstrumentResult rs = instrument(m, HookSet::all());
         std::vector<uint8_t> bytes = encodeModule(rs.module);
-        for (unsigned threads : {2u, 4u, 8u}) {
+        for (unsigned threads : {2u, 4u, 8u, 0u}) {
             InstrumentOptions par;
             par.numThreads = threads;
             InstrumentResult rp = instrument(m, HookSet::all(), par);

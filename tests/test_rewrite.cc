@@ -19,6 +19,7 @@
 #include "wasm/encoder.h"
 #include "wasm/name_section.h"
 #include "wasm/validator.h"
+#include "wasm/wat_parser.h"
 #include "workloads/polybench.h"
 #include "workloads/random_program.h"
 #include "workloads/synthetic_app.h"
@@ -380,6 +381,24 @@ TEST(OptCheck, RejectsForgedClaims)
         Diagnostics ds = checkOptimization(m, bytes, forged);
         ASSERT_FALSE(ds.empty());
         EXPECT_TRUE(ds.hasCode("check.opt.unknown-pass"))
+            << toString(ds);
+    }
+}
+
+TEST(OptCheck, InvalidOriginalIsRejectedBeforeAnyPass)
+{
+    // The passes assume a valid module: local 70000 does not exist,
+    // and re-proving even an empty claim list must not reach them.
+    Module bad = wasm::parseWat(
+        "(module (func (export \"main\") i32.const 1 local.set 70000))");
+    std::vector<uint8_t> bytes =
+        wasm::encodeModule(workloads::polybench("gemm", 4).module);
+    for (const char *pass : {"dead-stores", "call-indirect", "const-fold"}) {
+        OptClaims claims;
+        claims.passes = {pass};
+        Diagnostics ds = checkOptimization(bad, bytes, claims);
+        ASSERT_EQ(ds.size(), 1u) << pass << "\n" << toString(ds);
+        EXPECT_TRUE(ds.hasCode("check.input.invalid-original"))
             << toString(ds);
     }
 }

@@ -8,6 +8,7 @@
  *   wasabi dump      <in.wasm>
  *   wasabi instrument <in.wasm> <out.wasm> [--hooks=h1,h2|all]
  *                     [--threads=N] [--no-split-i64]
+ *                     (--threads: default and 0 = one per CPU)
  *   wasabi run       <in.wasm> [--entry=name] [--analysis=NAME]
  *                     [--arg=i32:N ...]   (entry: main, else kernel)
  *   wasabi gen       <polybench:NAME[:N] | random:SEED | app:SIZE>
@@ -133,11 +134,16 @@ writeTextFile(const std::string &path, const std::string &text)
     support::writeTextFile(path, text);
 }
 
+/** Worker count of every per-function phase the CLI runs (decode,
+ * validation, instrument, opt, check, lint, analyze):
+ * support::workerCount's one per CPU. Outputs do not depend on it. */
+constexpr unsigned kAllCpus = 0;
+
 /** Load a module from .wasm binary or .wat text (by content). */
 wasm::Module
 loadModule(const std::string &path)
 {
-    return support::loadModuleFromFile(path);
+    return support::loadModuleFromFile(path, kAllCpus);
 }
 
 /** Decode or parse a module and validate it: the engines, the
@@ -147,8 +153,8 @@ loadModule(const std::string &path)
 wasm::Module
 validModule(const std::vector<uint8_t> &bytes, const std::string &path)
 {
-    wasm::Module m = support::loadModuleFromBytes(bytes, path);
-    if (std::optional<std::string> err = wasm::validationError(m))
+    wasm::Module m = support::loadModuleFromBytes(bytes, path, kAllCpus);
+    if (std::optional<std::string> err = wasm::validationError(m, kAllCpus))
         throw InvalidModule(*err);
     return m;
 }
@@ -241,7 +247,7 @@ int
 cmdValidate(const std::string &path)
 {
     wasm::Module m = loadModule(path);
-    if (auto err = wasm::validationError(m)) {
+    if (auto err = wasm::validationError(m, kAllCpus)) {
         std::printf("INVALID: %s\n", err->c_str());
         return 1;
     }
@@ -265,6 +271,7 @@ cmdInstrument(const std::vector<std::string> &args)
     core::HookSet hooks = core::HookSet::all();
     bool profile = false;
     core::InstrumentOptions opts;
+    opts.numThreads = kAllCpus;
     for (const std::string &a : args) {
         if (a.rfind("--hooks=", 0) == 0)
             hooks = parseHooks(a.substr(8));
@@ -740,8 +747,8 @@ cmdOpt(const std::vector<std::string> &args)
         throw UsageError(std::string("opt: ") + e.what());
     }
 
-    rw::OptResult r = rw::optimize(m, passes);
-    if (auto err = wasm::validationError(r.module))
+    rw::OptResult r = rw::optimize(m, passes, kAllCpus);
+    if (auto err = wasm::validationError(r.module, kAllCpus))
         throw std::runtime_error(
             "internal error: optimized module fails validation: " + *err);
     // The "before" sizes are the loaded file's; WAT text has no
@@ -870,6 +877,7 @@ cmdCheck(const std::vector<std::string> &args)
 {
     std::string orig_path, instr_path, manifest_path;
     static_analysis::CheckOptions opts;
+    opts.workers = kAllCpus;
     bool json = false;
     for (const std::string &a : args) {
         if (a.rfind("--hooks=", 0) == 0)
@@ -909,7 +917,9 @@ cmdCheck(const std::vector<std::string> &args)
                                  manifest_path + ": " + error);
     wasm::Module orig = loadModule(orig_path);
     return reportFindings(
-        rw::checkOptimization(orig, readFile(instr_path), claims), json,
+        rw::checkOptimization(orig, readFile(instr_path), claims,
+                              kAllCpus),
+        json,
         "OK: all " + std::to_string(claims.totalClaims()) +
             " optimization claim(s) re-proved, output byte-identical to "
             "replay");
@@ -931,7 +941,8 @@ cmdLint(const std::vector<std::string> &args)
     if (path.empty())
         throw UsageError("usage: lint <in.wasm> [--json]");
     wasm::Module m = loadValidModule(path);
-    return reportFindings(static_analysis::passes::lintModule(m), json,
+    return reportFindings(static_analysis::passes::lintModule(m, kAllCpus),
+                          json,
                           "OK: no findings");
 }
 
@@ -987,7 +998,7 @@ cmdAnalyze(const std::vector<std::string> &args)
                          "--ranges (both write to stdout)");
     wasm::Module m = loadValidModule(path);
     if (ranges) {
-        std::fputs(static_analysis::rangesJson(m).c_str(), stdout);
+        std::fputs(static_analysis::rangesJson(m, kAllCpus).c_str(), stdout);
         std::fputs("\n", stdout);
         return 0;
     }
@@ -998,7 +1009,7 @@ cmdAnalyze(const std::vector<std::string> &args)
         std::fputs(static_analysis::callGraphDot(m).c_str(), stdout);
         return 0;
     case DotView::Refined:
-        std::fputs(static_analysis::refinedCallGraphDot(m).c_str(),
+        std::fputs(static_analysis::refinedCallGraphDot(m, kAllCpus).c_str(),
                    stdout);
         return 0;
     case DotView::Cfg:
@@ -1016,7 +1027,7 @@ cmdAnalyze(const std::vector<std::string> &args)
     }
     }
     static_analysis::ModuleReport report =
-        static_analysis::analyzeModule(m);
+        static_analysis::analyzeModule(m, kAllCpus);
     std::fputs(json ? static_analysis::toJson(report).c_str()
                     : static_analysis::toString(report).c_str(),
                stdout);
@@ -1210,7 +1221,10 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
             "                      all; an empty or unknown kind is a\n"
             "                      usage error)\n"
             "  --threads=N         parallel per-function\n"
-            "                      instrumentation (N <= 256)\n"
+            "                      instrumentation (N <= 256; default\n"
+            "                      and 0: one worker per available\n"
+            "                      CPU; the output is the same for\n"
+            "                      any N)\n"
             "  --no-split-i64      pass i64 hook operands directly\n"
             "                      instead of as (low, high) i32 pairs\n",
             to);
@@ -1260,6 +1274,7 @@ printCommandHelp(const std::string &cmd, std::FILE *to)
             "  --arg=i32:N ...    entry arguments (i32, i64, f32,\n"
             "                     f64; a whole number in range)\n"
             "  --threads=N        parallel instrumentation workers\n"
+            "                     (default 1; 0 = one per CPU)\n"
             "  --engine=fast|legacy  execution engine (default fast)\n"
             "  --instrument-mode=rewrite|intrinsic  how hooks reach\n"
             "                     the runtime (default rewrite;\n"
