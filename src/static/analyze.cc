@@ -14,7 +14,7 @@ namespace wasabi::static_analysis {
 using wasm::Module;
 
 ModuleReport
-analyzeModule(const Module &m, unsigned workers)
+analyzeModule(const Module &m)
 {
     ModuleReport r;
     r.numFunctions = m.numFunctions();
@@ -28,8 +28,8 @@ analyzeModule(const Module &m, unsigned workers)
     // One slot per function, joined in function order.
     const uint32_t n = m.numFunctions();
     std::vector<FunctionStats> stats(n);
-    support::parallelFor(n, support::workerCount(workers, n), [&](size_t f,
-                                                                  unsigned) {
+    const unsigned workers = support::workerCount(support::kAllCpus, n);
+    support::parallelFor(n, workers, [&](size_t f, unsigned) {
         if (m.functions[f].imported())
             return;
         const uint32_t fi = static_cast<uint32_t>(f);
@@ -122,9 +122,9 @@ callGraphDot(const Module &m)
 }
 
 std::string
-refinedCallGraphDot(const Module &m, unsigned workers)
+refinedCallGraphDot(const Module &m)
 {
-    return interproc::RefinedCallGraph(m, workers).toDot(m);
+    return interproc::RefinedCallGraph(m, support::kAllCpus).toDot(m);
 }
 
 std::string

@@ -41,9 +41,8 @@ struct ModuleReport {
 };
 
 /** Analyze a valid module (call validateModule first); the functions'
- * CFGs are built on @p workers workers (support::workerCount; 0 = one
- * per CPU). The report is the same for any count. */
-ModuleReport analyzeModule(const wasm::Module &m, unsigned workers = 1);
+ * CFGs are built on one worker per CPU. */
+ModuleReport analyzeModule(const wasm::Module &m);
 
 /** Human-readable table. */
 std::string toString(const ModuleReport &r);
@@ -56,9 +55,8 @@ std::string cfgDot(const wasm::Module &m, uint32_t func_idx);
 std::string callGraphDot(const wasm::Module &m);
 
 /** Refined call graph (per-site call_indirect edges) as Graphviz,
- * built on @p workers workers. */
-std::string refinedCallGraphDot(const wasm::Module &m,
-                                unsigned workers = 1);
+ * built on one worker per CPU. */
+std::string refinedCallGraphDot(const wasm::Module &m);
 
 /**
  * Value-range facts (interval abstract interpretation, argument seeds

@@ -7,6 +7,7 @@
 
 #include "core/control_stack.h"
 #include "core/instrument.h"
+#include "support/parallel.h"
 #include "wasm/validator.h"
 
 namespace wasabi::static_analysis {
@@ -82,14 +83,14 @@ class Checker {
     Diagnostics
     run()
     {
-        if (auto err = wasm::validationError(orig_, opts_.workers)) {
+        if (auto err = wasm::validationError(orig_, support::kAllCpus)) {
             diags_.error("check.input.invalid-original",
                          "original module does not validate: " + *err);
             return std::move(diags_);
         }
         if (!recoverHooks())
             return std::move(diags_);
-        if (auto err = wasm::validationError(instr_, opts_.workers)) {
+        if (auto err = wasm::validationError(instr_, support::kAllCpus)) {
             diags_.error("check.structure.invalid-instrumented",
                          "instrumented module does not validate: " +
                              *err);
@@ -112,7 +113,7 @@ class Checker {
             // reference shares orig_, which outlives it.
             core::InstrumentOptions iopts;
             iopts.splitI64 = split_;
-            iopts.numThreads = opts_.workers;
+            iopts.numThreads = support::kAllCpus;
             core::InstrumentedBinary ref = core::instrumentToBytes(
                 std::shared_ptr<const Module>(std::shared_ptr<void>(),
                                               &orig_),

@@ -58,11 +58,6 @@ struct CheckOptions {
      * inference is exact for coverage purposes but cannot flag
      * imports of kinds the user never enabled). */
     std::optional<core::HookSet> hooks;
-
-    /** Workers for the validation of both modules and the reference
-     * instrumentation (support::workerCount; 0 = one per CPU). The
-     * findings are the same for any count. */
-    unsigned workers = 1;
 };
 
 /**

@@ -44,9 +44,9 @@ namespace {
  * parameters. */
 void
 lintInterproc(const Module &m, const std::vector<bool> &base_dead,
-              Diagnostics &diags, unsigned workers)
+              Diagnostics &diags)
 {
-    interproc::RefinedCallGraph rcg(m, workers);
+    interproc::RefinedCallGraph rcg(m, support::kAllCpus);
     diags.merge(rcg.table().diags);
 
     for (uint32_t f : rcg.deadFunctions()) {
@@ -113,9 +113,9 @@ lintInterproc(const Module &m, const std::vector<bool> &base_dead,
  * pass already reported (lint.branch.const-condition) are skipped. */
 void
 lintRanges(const Module &m, const std::set<uint64_t> &const_cond_locs,
-           Diagnostics &diags, unsigned workers)
+           Diagnostics &diags)
 {
-    ModuleRanges mr = moduleRanges(m, workers);
+    ModuleRanges mr = moduleRanges(m);
     const uint64_t minBytes = static_cast<uint64_t>(mr.minPages) *
                               65536;
     std::optional<uint64_t> maxBytes;
@@ -176,7 +176,7 @@ lintRanges(const Module &m, const std::set<uint64_t> &const_cond_locs,
 } // namespace
 
 Diagnostics
-lintModule(const Module &m, unsigned workers)
+lintModule(const Module &m)
 {
     ReachabilityFacts reach = reachabilityFacts(m);
     const uint32_t n = m.numFunctions();
@@ -200,8 +200,8 @@ lintModule(const Module &m, unsigned workers)
         std::vector<uint64_t> constCondLocs;
     };
     std::vector<FuncFindings> per_func(n);
-    support::parallelFor(n, support::workerCount(workers, n), [&](size_t fi,
-                                                                  unsigned) {
+    const unsigned workers = support::workerCount(support::kAllCpus, n);
+    support::parallelFor(n, workers, [&](size_t fi, unsigned) {
         const uint32_t f = static_cast<uint32_t>(fi);
         const wasm::Function &func = m.functions[f];
         if (func.imported())
@@ -280,8 +280,8 @@ lintModule(const Module &m, unsigned workers)
         constCondLocs.insert(ff.constCondLocs.begin(),
                              ff.constCondLocs.end());
     }
-    lintInterproc(m, dead, diags, workers);
-    lintRanges(m, constCondLocs, diags, workers);
+    lintInterproc(m, dead, diags);
+    lintRanges(m, constCondLocs, diags);
     return diags;
 }
 

@@ -54,10 +54,9 @@ inline constexpr const char *kLintRangeDeadGuard =
  * finding. Findings are warnings/notes about the *original* program;
  * an empty result means the linter proved nothing suspicious. The
  * per-function passes, the refined call graph and the range solver
- * run on @p workers workers (support::workerCount; 0 = one per CPU);
- * the findings are the same for any count.
+ * run on one worker per CPU; the findings do not depend on the count.
  */
-Diagnostics lintModule(const wasm::Module &m, unsigned workers = 1);
+Diagnostics lintModule(const wasm::Module &m);
 
 /** (begin, end) instruction pairs of statically-empty blocks/loops of
  * defined function @p func_idx (end == begin + 1). */

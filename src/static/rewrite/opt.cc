@@ -462,8 +462,10 @@ checkOptimization(const Module &original,
 
     // The shipped binary must decode, validate, and be byte-identical
     // to the replay — anything else means it was not produced by the
-    // claimed transforms. Equal bytes decode to the replay itself, so
-    // only a mismatch needs the binary decoded.
+    // claimed transforms. A module that validates decodes back from
+    // its encoding (the validator enforces the decoder's limits), so
+    // equal bytes decode to the replay itself and only a mismatch
+    // needs the binary decoded.
     const bool identical = wasm::encodeModule(replay) == optimized_bytes;
     try {
         Module decoded;

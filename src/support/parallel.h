@@ -22,6 +22,9 @@
 
 namespace wasabi::support {
 
+/** The requested worker count that means one worker per CPU. */
+inline constexpr unsigned kAllCpus = 0;
+
 /**
  * Workers for a loop over @p items items: @p requested, where 0 means
  * one per CPU this process may run on (sched_getaffinity, else

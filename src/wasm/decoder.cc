@@ -370,7 +370,7 @@ struct Decoder {
                     uint32_t n = b.readU32();
                     ValType t = readValType(b);
                     // Cap to avoid absurd allocations on corrupt input.
-                    if (f.locals.size() + n > 1000000)
+                    if (f.locals.size() + n > kMaxLocals)
                         throw DecodeError("too many locals");
                     f.locals.insert(f.locals.end(), n, t);
                 }

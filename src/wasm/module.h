@@ -33,6 +33,14 @@ struct ImportRef {
 };
 
 /**
+ * Most non-parameter locals one function may declare. The decoder
+ * stops at it before allocating a corrupt binary's locals; the
+ * validator enforces it too, so a valid module built in memory (from
+ * WAT, say) always decodes back from its own encoding.
+ */
+inline constexpr size_t kMaxLocals = 1000000;
+
+/**
  * A function: either imported (no body) or defined (locals + body).
  * The body *includes* the terminating `end` instruction, mirroring the
  * binary format; instruction locations (Wasabi's `instr` index) count

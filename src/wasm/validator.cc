@@ -463,6 +463,13 @@ validateModule(const Module &m, unsigned workers)
             throw ValidationError("multiple results not allowed (MVP)",
                                   i);
         }
+        if (f.locals.size() > kMaxLocals) {
+            throw ValidationError("too many locals (" +
+                                      std::to_string(f.locals.size()) +
+                                      ", at most " +
+                                      std::to_string(kMaxLocals) + ")",
+                                  i);
+        }
     }
 
     for (size_t i = 0; i < m.globals.size(); ++i) {

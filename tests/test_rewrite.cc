@@ -403,6 +403,21 @@ TEST(OptCheck, InvalidOriginalIsRejectedBeforeAnyPass)
     }
 }
 
+TEST(OptCheck, OriginalOverTheLocalsCapIsInvalid)
+{
+    // A WAT original can declare more locals than the decoder accepts.
+    // Its encoding, shipped as the "optimized" binary of an empty
+    // pass list, is byte-identical to the replay but cannot be loaded,
+    // so the check must not pass it.
+    Module big = wasm::parseWat("(module (func (export \"main\")))");
+    big.functions[0].locals.assign(wasm::kMaxLocals + 1, ValType::I32);
+    Diagnostics ds =
+        checkOptimization(big, wasm::encodeModule(big), OptClaims{});
+    ASSERT_EQ(ds.size(), 1u) << toString(ds);
+    EXPECT_TRUE(ds.hasCode("check.input.invalid-original"))
+        << toString(ds);
+}
+
 // ---------------------------------------------------------------------
 // End-to-end over generated corpora: optimize with all passes, check
 // the manifest, and differentially execute original vs optimized on

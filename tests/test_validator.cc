@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "wasm/builder.h"
+#include "wasm/decoder.h"
+#include "wasm/encoder.h"
+#include "wasm/leb128.h"
 #include "wasm/validator.h"
 
 namespace wasabi::wasm {
@@ -243,6 +246,21 @@ TEST(Validator, LocalIndexOutOfRangeRejected)
         f.drop();
     });
     EXPECT_NE(validationError(m), std::nullopt);
+}
+
+TEST(Validator, LocalsOverTheDecoderCapRejected)
+{
+    // The decoder rejects a binary declaring more than kMaxLocals
+    // locals; a module built in memory must fail validation there
+    // too, or it would encode to a binary that no command can load.
+    Module m = funcModule(FuncType({}, {}), [](FunctionBuilder &) {});
+    m.functions[0].locals.assign(kMaxLocals, ValType::I32);
+    EXPECT_EQ(validationError(m), std::nullopt);
+    m.functions[0].locals.push_back(ValType::I64);
+    std::optional<std::string> err = validationError(m);
+    ASSERT_NE(err, std::nullopt);
+    EXPECT_NE(err->find("too many locals"), std::string::npos) << *err;
+    EXPECT_THROW(decodeModule(encodeModule(m)), DecodeError);
 }
 
 TEST(Validator, GlobalSetOfImmutableRejected)

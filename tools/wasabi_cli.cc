@@ -69,6 +69,7 @@
 #include "support/json.h"
 #include "support/module_io.h"
 #include "support/numeric.h"
+#include "support/parallel.h"
 #include "wasm/decoder.h"
 #include "wasm/encoder.h"
 #include "wasm/name_section.h"
@@ -134,10 +135,10 @@ writeTextFile(const std::string &path, const std::string &text)
     support::writeTextFile(path, text);
 }
 
-/** Worker count of every per-function phase the CLI runs (decode,
- * validation, instrument, opt, check, lint, analyze):
- * support::workerCount's one per CPU. Outputs do not depend on it. */
-constexpr unsigned kAllCpus = 0;
+/** Every per-function phase the CLI runs (decode, validation,
+ * instrument, opt, check) gets one worker per CPU; outputs do not
+ * depend on the count. */
+using support::kAllCpus;
 
 /** Load a module from .wasm binary or .wat text (by content). */
 wasm::Module
@@ -877,7 +878,6 @@ cmdCheck(const std::vector<std::string> &args)
 {
     std::string orig_path, instr_path, manifest_path;
     static_analysis::CheckOptions opts;
-    opts.workers = kAllCpus;
     bool json = false;
     for (const std::string &a : args) {
         if (a.rfind("--hooks=", 0) == 0)
@@ -941,8 +941,7 @@ cmdLint(const std::vector<std::string> &args)
     if (path.empty())
         throw UsageError("usage: lint <in.wasm> [--json]");
     wasm::Module m = loadValidModule(path);
-    return reportFindings(static_analysis::passes::lintModule(m, kAllCpus),
-                          json,
+    return reportFindings(static_analysis::passes::lintModule(m), json,
                           "OK: no findings");
 }
 
@@ -998,7 +997,7 @@ cmdAnalyze(const std::vector<std::string> &args)
                          "--ranges (both write to stdout)");
     wasm::Module m = loadValidModule(path);
     if (ranges) {
-        std::fputs(static_analysis::rangesJson(m, kAllCpus).c_str(), stdout);
+        std::fputs(static_analysis::rangesJson(m).c_str(), stdout);
         std::fputs("\n", stdout);
         return 0;
     }
@@ -1009,7 +1008,7 @@ cmdAnalyze(const std::vector<std::string> &args)
         std::fputs(static_analysis::callGraphDot(m).c_str(), stdout);
         return 0;
     case DotView::Refined:
-        std::fputs(static_analysis::refinedCallGraphDot(m, kAllCpus).c_str(),
+        std::fputs(static_analysis::refinedCallGraphDot(m).c_str(),
                    stdout);
         return 0;
     case DotView::Cfg:
@@ -1027,7 +1026,7 @@ cmdAnalyze(const std::vector<std::string> &args)
     }
     }
     static_analysis::ModuleReport report =
-        static_analysis::analyzeModule(m, kAllCpus);
+        static_analysis::analyzeModule(m);
     std::fputs(json ? static_analysis::toJson(report).c_str()
                     : static_analysis::toString(report).c_str(),
                stdout);
