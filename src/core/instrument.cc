@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <map>
 
 #include "core/control_stack.h"
 #include "core/hook_map.h"
@@ -47,7 +46,6 @@ struct FuncOut {
     /** The calls of code, in order. */
     std::vector<CallReloc> calls;
     std::vector<ValType> extraLocals;
-    SideTables tables;
 };
 
 /** A HookSpec's fields with its type list borrowed: the per-worker
@@ -201,18 +199,21 @@ class FuncInstrumenter {
     }
 
     /** Scratch local of type @p t for slot @p slot; slots separate
-     * concurrently-live temporaries within one instrumentation unit. */
+     * concurrently-live temporaries within one instrumentation unit.
+     * Locals are declared in first-use order. */
     uint32_t
     scratch(ValType t, int slot)
     {
-        auto key = std::pair(t, slot);
-        auto it = scratch_.find(key);
-        if (it != scratch_.end())
-            return it->second;
-        uint32_t idx =
-            firstScratch_ + static_cast<uint32_t>(out_.extraLocals.size());
-        out_.extraLocals.push_back(t);
-        scratch_.emplace(key, idx);
+        const size_t key = static_cast<size_t>(slot) * wasm::kNumValTypes +
+                           static_cast<size_t>(t);
+        if (key >= scratch_.size())
+            scratch_.resize(key + 1, kNoScratch);
+        uint32_t &idx = scratch_[key];
+        if (idx == kNoScratch) {
+            idx = firstScratch_ +
+                  static_cast<uint32_t>(out_.extraLocals.size());
+            out_.extraLocals.push_back(t);
+        }
         return idx;
     }
 
@@ -261,7 +262,6 @@ class FuncInstrumenter {
     instrumentInstr(const Instr &instr, uint32_t i)
     {
         const OpInfo &info = wasm::opInfo(instr.op);
-        recordSideTables(state_, instr, funcIdx_, i, out_.tables);
 
         if (!state_.reachable()) {
             // Dead code never executes: copy it unchanged. (Its types
@@ -405,7 +405,7 @@ class FuncInstrumenter {
           case OpClass::BrTable: {
             // Which branch is taken — and thus which blocks are left —
             // is only known at runtime; the low-level hook dispatches
-            // through the side table recorded above (paper §2.4.5).
+            // through the instruction's side table (paper §2.4.5).
             if (hooks_.has(HookKind::BrTable) ||
                 hooks_.has(HookKind::End)) {
                 uint32_t idx = scratch(ValType::I32, 0);
@@ -715,7 +715,9 @@ class FuncInstrumenter {
     AbstractState state_;
     FuncOut out_;
     uint32_t firstScratch_;
-    std::map<std::pair<ValType, int>, uint32_t> scratch_;
+    /** Scratch local per (slot, type), kNoScratch until first use. */
+    static constexpr uint32_t kNoScratch = UINT32_MAX;
+    std::vector<uint32_t> scratch_;
 };
 
 /** Patch a function index after hook imports were inserted. */
@@ -897,17 +899,13 @@ instrumentToBytes(std::shared_ptr<const Module> module, HookSet hooks,
     out.functions.insert(out.functions.begin() + base, hook_funcs.begin(),
                          hook_funcs.end());
 
-    // Declare the extra locals and merge each function's static-info
-    // contributions.
+    // Declare the extra locals.
     for (uint32_t f = 0; f < num_funcs; ++f) {
         if (m.functions[f].imported())
             continue;
         std::vector<ValType> &locals = out.functions.at(f + num_hooks).locals;
         locals.insert(locals.end(), outs[f].extraLocals.begin(),
                       outs[f].extraLocals.end());
-        info->brTargets.merge(outs[f].tables.brTargets);
-        info->brTables.merge(outs[f].tables.brTables);
-        info->blockEnds.merge(outs[f].tables.blockEnds);
     }
 
     // Element segments and the start function name functions too.
@@ -954,6 +952,8 @@ instrument(const Module &m, HookSet hooks, const InstrumentOptions &opts)
 {
     InstrumentedBinary b =
         instrumentToBytes(std::make_shared<const Module>(m), hooks, opts);
+    static_cast<SideTables &>(*b.info) =
+        sideTables(*b.info->original, opts.numThreads);
     Module out = wasm::decodeModule(b.bytes);
     wasm::applyNameSection(out);
     return InstrumentResult{std::move(out), std::move(b.info),

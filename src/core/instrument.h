@@ -79,11 +79,12 @@ struct InstrumentStats {
     uint64_t hooksGenerated = 0;
 };
 
-/** Result: the instrumented binary plus the static info that the
- * runtime needs to drive high-level hooks. */
+/** Result: the instrumented binary plus its static info. */
 struct InstrumentedBinary {
     std::vector<uint8_t> bytes;
-    /** Its `original` is the module that was instrumented. */
+    /** Its `original` is the module that was instrumented. Its side
+     * tables are empty: a caller that reads them builds them with
+     * sideTables(). */
     std::shared_ptr<StaticInfo> info;
     InstrumentStats stats;
 };
@@ -112,8 +113,10 @@ struct InstrumentResult {
 
 /**
  * instrumentToBytes() of a copy of @p module, decoded back into a
- * module, for callers that go on to run or inspect the output. Callers
- * that only write the binary use instrumentToBytes().
+ * module, with `info`'s side tables filled (sideTables() on
+ * `opts.numThreads` workers): what the runtime needs to drive
+ * high-level hooks. Callers that only write the binary use
+ * instrumentToBytes().
  */
 InstrumentResult instrument(const wasm::Module &module, HookSet hooks,
                             const InstrumentOptions &opts = {});

@@ -1,5 +1,6 @@
 #include "core/static_info.h"
 
+#include "support/parallel.h"
 #include "wasm/opcode.h"
 
 namespace wasabi::core {
@@ -45,6 +46,32 @@ recordSideTables(const AbstractState &state, const Instr &instr,
             entries.push_back(entry(label));
         out.brTables[key] = BrTableInfo::fromEntries(std::move(entries));
     }
+}
+
+SideTables
+sideTables(const wasm::Module &m, unsigned workers)
+{
+    const uint32_t n = m.numFunctions();
+    std::vector<SideTables> per_func(n);
+    support::parallelFor(n, support::workerCount(workers, n),
+                         [&](size_t f, unsigned) {
+        if (m.functions[f].imported())
+            return;
+        const uint32_t func_idx = static_cast<uint32_t>(f);
+        const std::vector<Instr> &body = m.functions[f].body;
+        AbstractState state(m, func_idx);
+        for (uint32_t i = 0; i < body.size(); ++i) {
+            recordSideTables(state, body[i], func_idx, i, per_func[f]);
+            state.apply(body[i], i);
+        }
+    });
+    SideTables out;
+    for (SideTables &t : per_func) {
+        out.brTargets.merge(t.brTargets);
+        out.brTables.merge(t.brTables);
+        out.blockEnds.merge(t.blockEnds);
+    }
+    return out;
 }
 
 BrTableInfo

@@ -5,7 +5,8 @@
  * paper's instrumenter generates alongside the instrumented binary
  * (Figure 2): resolved branch targets, br_table side tables with the
  * blocks ended by each entry, block begin/end matchings, the original
- * module, and the list of generated low-level hooks.
+ * module, and the list of generated low-level hooks. The side tables
+ * are built on demand (sideTables()), by the callers that read them.
  */
 
 #ifndef WASABI_CORE_STATIC_INFO_H
@@ -52,12 +53,16 @@ struct EndedBlock {
     BlockKind kind = BlockKind::Block;
     Location end;   ///< location of the block's end instruction
     Location begin; ///< location of the block's begin
+
+    bool operator==(const EndedBlock &other) const = default;
 };
 
 /** One resolved br_table entry with the blocks its jump ends. */
 struct BrTableEntry {
     BranchTarget target;
     std::vector<EndedBlock> ended;
+
+    bool operator==(const BrTableEntry &other) const = default;
 };
 
 /** Side table of one br_table instruction: per-case entries plus the
@@ -78,12 +83,16 @@ struct BrTableInfo {
     {
         return index < cases.size() ? cases[index] : defaultCase;
     }
+
+    bool operator==(const BrTableInfo &other) const = default;
 };
 
 /** Begin/kind of the block closed at some end (or else) location. */
 struct BlockEndInfo {
     BlockKind kind = BlockKind::Block;
     Location begin;
+
+    bool operator==(const BlockEndInfo &other) const = default;
 };
 
 /** The per-location side tables the runtime resolves branches and
@@ -97,6 +106,8 @@ struct SideTables {
 
     /** Block info keyed by end (and else) locations. */
     std::unordered_map<uint64_t, BlockEndInfo> blockEnds;
+
+    bool operator==(const SideTables &other) const = default;
 };
 
 /** The block a branch in function @p func_idx leaves by traversing
@@ -113,16 +124,25 @@ endedBlock(uint32_t func_idx, const ControlFrame &f)
  * (@p func_idx, @p instr_idx) into @p out; @p state is the abstract
  * state *before* the instruction. Every `end`/`else` gets its
  * block-end info, live or not; live br/br_if get their resolved
- * target and live br_tables their side table. The rewriting
- * instrumenter calls this as it walks each function; intrinsic-mode
- * StaticInfo carries no side tables.
+ * target and live br_tables their side table. sideTables() calls this
+ * for every instruction of a module; the instrumenter does not, so
+ * neither byte-path nor intrinsic-mode StaticInfo carries side tables.
  */
 void recordSideTables(const AbstractState &state, const wasm::Instr &instr,
                       uint32_t func_idx, uint32_t instr_idx,
                       SideTables &out);
 
+/**
+ * The side tables of every defined function of @p m (which must
+ * validate): each function is walked with an AbstractState on one of
+ * @p workers workers (0 = one per CPU), recording every instruction
+ * with recordSideTables. The result does not depend on the count.
+ */
+SideTables sideTables(const wasm::Module &m, unsigned workers);
+
 /** All static information about one instrumentation run; its side
- * tables are the inherited SideTables members. */
+ * tables are the inherited SideTables members, empty unless the caller
+ * filled them from sideTables() (core::instrument does). */
 class StaticInfo : public SideTables {
   public:
     /** The original, uninstrumented module (locations refer to it),

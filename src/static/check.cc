@@ -110,7 +110,8 @@ class Checker {
             // The two-binary path has no side-table metadata in the
             // artifact; regenerate it and check the instrumenter's
             // output (also cross-checking the hook-import set). The
-            // reference shares orig_, which outlives it.
+            // reference shares orig_, which outlives it; the byte
+            // entry builds no side tables, so build them here.
             core::InstrumentOptions iopts;
             iopts.splitI64 = split_;
             iopts.numThreads = support::kAllCpus;
@@ -118,6 +119,8 @@ class Checker {
                 std::shared_ptr<const Module>(std::shared_ptr<void>(),
                                               &orig_),
                 hooks_, iopts);
+            static_cast<core::SideTables &>(*ref.info) =
+                core::sideTables(orig_, support::kAllCpus);
             compareHookSets(ref.info->hooks);
             checkMetadata(*ref.info);
         }

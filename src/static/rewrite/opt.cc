@@ -1,6 +1,7 @@
 #include "static/rewrite/opt.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "static/interproc/refined_call_graph.h"
 #include "static/manifest.h"
@@ -431,17 +432,15 @@ checkOptimization(const Module &original,
                                    *v);
                 }
             } else if (pass == kPassDeadStores) {
+                auto key = [](const DeadStoreClaim &c) {
+                    return std::tuple(c.func, c.instr, c.local);
+                };
                 std::vector<DeadStoreClaim> provable =
                     findDeadStores(replay, workers);
+                std::ranges::sort(provable, {}, key);
                 for (const DeadStoreClaim &c : claims.deadStores) {
-                    bool ok = std::any_of(
-                        provable.begin(), provable.end(),
-                        [&](const DeadStoreClaim &p) {
-                            return p.func == c.func &&
-                                   p.instr == c.instr &&
-                                   p.local == c.local;
-                        });
-                    if (!ok)
+                    if (!std::ranges::binary_search(provable, key(c), {},
+                                                    key))
                         ds.error("check.opt.bad-dead-store",
                                  "local.set of local " +
                                      std::to_string(c.local) +

@@ -747,6 +747,31 @@ TEST(InstrumentBytes, DecodeWrapperMatchesBytes)
     }
 }
 
+TEST(InstrumentBytes, ByteEntryBuildsNoSideTables)
+{
+    // Only readers build side tables: the byte entry leaves them empty,
+    // the decode wrapper fills them, equal to the standalone builder's.
+    workloads::RandomProgramOptions rp;
+    rp.seed = 3;
+    for (const wasm::Module &m :
+         {sampleModule(), workloads::randomProgram(rp).module,
+          workloads::syntheticApp(workloads::AppSize::Small).module}) {
+        const SideTables expected = sideTables(m, 1);
+        EXPECT_FALSE(expected.brTargets.empty());
+        EXPECT_FALSE(expected.blockEnds.empty());
+        for (HookSet hooks : gateHookSets()) {
+            InstrumentedBinary b = toBytes(m, hooks);
+            EXPECT_TRUE(b.info->brTargets.empty()) << hooks.toString();
+            EXPECT_TRUE(b.info->brTables.empty()) << hooks.toString();
+            EXPECT_TRUE(b.info->blockEnds.empty()) << hooks.toString();
+            InstrumentResult r = instrument(m, hooks);
+            EXPECT_TRUE(static_cast<const SideTables &>(*r.info) ==
+                        expected)
+                << hooks.toString();
+        }
+    }
+}
+
 TEST(InstrumentBytes, StaticInfoSharesTheCallersModule)
 {
     auto m = std::make_shared<const wasm::Module>(sampleModule());

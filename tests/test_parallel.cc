@@ -1,11 +1,11 @@
 /**
  * @file
  * Parallel per-function phases (support/parallel.h): decode,
- * validation, the refined call graph, `opt`'s passes and `check
- * --manifest`'s replay must give the same result, and report the
- * same error, at every worker count. Each case runs the phase at 1
- * worker (the serial reference), at 2, 4 and 8, and at 0 (one per
- * CPU, what the CLI passes). `lint` and `analyze`, which always use
+ * validation, the side tables, the refined call graph, `opt`'s passes
+ * and `check --manifest`'s replay must give the same result, and
+ * report the same error, at every worker count. Each case runs the
+ * phase at 1 worker (the serial reference), at 2, 4 and 8, and at 0
+ * (one per CPU, what the CLI passes). `lint` and `analyze`, which always use
  * one worker per CPU, must give the same output on every run.
  */
 
@@ -15,8 +15,10 @@
 #include <atomic>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/static_info.h"
 #include "static/analyze.h"
 #include "static/interproc/refined_call_graph.h"
 #include "static/passes/pipeline.h"
@@ -187,6 +189,28 @@ TEST(ParallelPhases, DecodeReportsTheFirstCorruptBody)
     for (unsigned w : kWorkerCounts)
         EXPECT_EQ(errorOf([&] { wasm::decodeModule(bytes, w); }), serial)
             << w << " workers";
+}
+
+TEST(ParallelPhases, SideTablesEqualAcrossWorkerCounts)
+{
+    std::vector<std::pair<std::string, Module>> mods;
+    for (const std::string &k : workloads::polybenchNames())
+        mods.emplace_back(k, workloads::polybench(k, 8).module);
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+        workloads::RandomProgramOptions opts;
+        opts.seed = seed;
+        mods.emplace_back("random:" + std::to_string(seed),
+                          workloads::randomProgram(opts).module);
+    }
+    mods.emplace_back(
+        "app:small",
+        workloads::syntheticApp(workloads::AppSize::Small).module);
+    for (const auto &[name, m] : mods) {
+        const core::SideTables one = core::sideTables(m, 1);
+        for (unsigned w : kWorkerCounts)
+            EXPECT_TRUE(core::sideTables(m, w) == one)
+                << name << ", " << w << " workers";
+    }
 }
 
 TEST(ParallelPhases, RefinedCallGraphSitesAreEqual)

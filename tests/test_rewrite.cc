@@ -184,6 +184,36 @@ TEST(Opt, DeadStoresBecomeDrops)
     EXPECT_TRUE(ds.empty()) << toString(ds);
 }
 
+TEST(OptCheck, BadDeadStoreClaimsAreReportedInClaimOrder)
+{
+    // Two dead stores (instrs 1 and 3); the forged claims name a
+    // non-store and a live local between valid ones, out of order.
+    ModuleBuilder mb;
+    FunctionBuilder fb =
+        mb.startFunction(FuncType({}, {ValType::I32}), "main");
+    uint32_t tmp = fb.addLocal(ValType::I32);
+    fb.i32Const(5);
+    fb.localSet(tmp);
+    fb.i32Const(6);
+    fb.localSet(tmp);
+    fb.i32Const(1);
+    fb.finish();
+    Module m = mb.build();
+
+    OptResult r = optimize(m, {"dead-stores"});
+    ASSERT_EQ(r.claims.deadStores.size(), 2u);
+    OptClaims forged = r.claims;
+    forged.deadStores = {{0, 3, tmp}, {0, 2, tmp}, {0, 1, tmp + 1},
+                         {0, 1, tmp}};
+    Diagnostics ds =
+        checkOptimization(m, wasm::encodeModule(r.module), forged);
+    EXPECT_EQ(toString(ds),
+              "error check.opt.bad-dead-store (func 0, instr 2): "
+              "local.set of local 0 is not provably dead\n"
+              "error check.opt.bad-dead-store (func 0, instr 1): "
+              "local.set of local 1 is not provably dead\n");
+}
+
 TEST(Opt, UnknownPassIsRefused)
 {
     Module m = chainModule();
