@@ -2,10 +2,10 @@
 
 #include <cstdio>
 
-#include "static/call_graph.h"
 #include "static/cfg.h"
 #include "static/dataflow.h"
-#include "static/interproc/refined_call_graph.h"
+#include "static/dot_util.h"
+#include "static/interproc/call_graph.h"
 #include "static/passes/range.h"
 #include "support/parallel.h"
 
@@ -21,7 +21,8 @@ analyzeModule(const Module &m)
     r.numImportedFunctions = m.numImportedFunctions();
     r.numInstructions = static_cast<uint32_t>(m.numInstructions());
 
-    StaticCallGraph cg(m);
+    interproc::CallGraph cg(m, interproc::Precision::Seed,
+                            support::kAllCpus);
     r.numCallEdges = cg.numEdges();
     r.deadFunctions = cg.deadFunctions();
 
@@ -118,13 +119,24 @@ cfgDot(const Module &m, uint32_t func_idx)
 std::string
 callGraphDot(const Module &m)
 {
-    return StaticCallGraph(m).toDot(m);
+    interproc::CallGraph cg(m, interproc::Precision::Seed,
+                            support::kAllCpus);
+    std::vector<DotNode> nodes;
+    std::vector<DotEdge> edges;
+    for (uint32_t f = 0; f < m.numFunctions(); ++f) {
+        nodes.push_back(funcDotNode(m, f, !cg.reachable(f)));
+        for (uint32_t c : cg.callees(f))
+            edges.push_back({nodes.back().id, "f" + std::to_string(c), ""});
+    }
+    return renderDigraph("callgraph", nodes, edges);
 }
 
 std::string
 refinedCallGraphDot(const Module &m)
 {
-    return interproc::RefinedCallGraph(m, support::kAllCpus).toDot(m);
+    return interproc::CallGraph(m, interproc::Precision::Refined,
+                                support::kAllCpus)
+        .toDot(m);
 }
 
 std::string

@@ -50,8 +50,11 @@ std::string toString(const ModuleReport &r);
 /** Machine-readable JSON object. */
 std::string toJson(const ModuleReport &r);
 
-/** Graphviz rendering of one function's CFG or of the call graph. */
+/** Graphviz rendering of one function's CFG. */
 std::string cfgDot(const wasm::Module &m, uint32_t func_idx);
+
+/** Seed call graph as Graphviz: one unlabeled edge per caller-callee
+ * pair, dead functions dashed. */
 std::string callGraphDot(const wasm::Module &m);
 
 /** Refined call graph (per-site call_indirect edges) as Graphviz,

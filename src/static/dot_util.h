@@ -1,7 +1,7 @@
 /**
  * @file
  * Graphviz helpers shared by every DOT emitter (`wasabi analyze
- * --dot=`, the static and refined call graphs): label escaping plus
+ * --dot=`, the seed and refined call graphs): label escaping plus
  * one generic digraph renderer, so node/edge styling conventions live
  * in a single place. Function debug names come from an untrusted name
  * section and may contain quotes, backslashes or arbitrary non-ASCII
@@ -16,6 +16,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "wasm/module.h"
 
 namespace wasabi::static_analysis {
 
@@ -56,6 +58,17 @@ struct DotNode {
     std::string label;
     bool dashed = false; ///< rendered `style=dashed` (dead/unknown)
 };
+
+/** Function @p f as node `fN`, labeled with its escaped debug name
+ * (or `fN` when it has none); @p dashed marks a dead function. */
+inline DotNode
+funcDotNode(const wasm::Module &m, uint32_t f, bool dashed)
+{
+    std::string id = "f" + std::to_string(f);
+    const std::string &name = m.functions[f].debugName;
+    std::string label = name.empty() ? id : escapeDotLabel(name);
+    return DotNode{std::move(id), std::move(label), dashed};
+}
 
 /** One edge of a rendered digraph. `label` must be pre-escaped. */
 struct DotEdge {

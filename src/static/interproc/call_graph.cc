@@ -1,6 +1,8 @@
-#include "static/interproc/refined_call_graph.h"
+#include "static/interproc/call_graph.h"
 
 #include <algorithm>
+#include <iterator>
+#include <utility>
 
 #include "core/static_info.h"
 #include "static/dot_util.h"
@@ -42,17 +44,23 @@ typeMatched(const Module &m, const std::vector<uint32_t> &funcs,
 
 } // namespace
 
-RefinedCallGraph::RefinedCallGraph(const Module &m, unsigned workers)
+CallGraph::CallGraph(const Module &m, Precision precision, unsigned workers)
     : table_(computeTableLayout(m))
 {
     const uint32_t n = m.numFunctions();
     callees_.resize(n);
     callers_.resize(n);
 
+    // A Seed graph, a host-visible table (the host can mutate or
+    // pre-populate it) and an inexact layout all leave nothing
+    // stronger than the type-matched segment union.
+    const bool unknown_layout = precision == Precision::Seed ||
+                                table_.hostVisible || !table_.exact;
+
     // Functions actually placed in a slot (exact layouts only),
     // sorted — strictly tighter than the whole segment union.
     std::vector<uint32_t> slot_funcs;
-    if (table_.exact) {
+    if (!unknown_layout) {
         for (const std::optional<uint32_t> &s : table_.slots) {
             if (s)
                 slot_funcs.push_back(*s);
@@ -74,7 +82,7 @@ RefinedCallGraph::RefinedCallGraph(const Module &m, unsigned workers)
             return;
         std::vector<CallSite> &sites = func_sites[f];
         std::vector<uint32_t> &callees = callees_[f];
-        // Constant table indices from the PR-2 constprop lattice are
+        // Constant table indices from the constprop lattice are
         // only needed when some call_indirect could use them.
         std::optional<passes::ConstFacts> facts;
         for (uint32_t i = 0; i < func.body.size(); ++i) {
@@ -90,28 +98,22 @@ RefinedCallGraph::RefinedCallGraph(const Module &m, unsigned workers)
                 site.kind = SiteKind::Direct;
                 if (instr.imm.idx < n)
                     site.targets.push_back(instr.imm.idx);
+            } else if (unknown_layout) {
+                site.kind = SiteKind::IndirectUnknown;
+                site.targets = typeMatched(m, table_.segmentFuncs,
+                                           m.types.at(instr.imm.idx));
             } else {
                 const wasm::FuncType &sig = m.types.at(instr.imm.idx);
                 if (!facts)
                     facts = passes::constantFacts(m, f);
                 auto it = facts->callIndirectIndex.find(
                     core::packLoc({f, i}));
-                std::optional<uint32_t> cidx;
-                if (it != facts->callIndirectIndex.end())
-                    cidx = it->second;
-
-                if (table_.hostVisible || !table_.exact) {
-                    // The host can mutate (or pre-populate) the
-                    // table: nothing stronger than the type-matched
-                    // segment union, and even that set is open.
-                    site.kind = SiteKind::IndirectUnknown;
-                    site.targets =
-                        typeMatched(m, table_.segmentFuncs, sig);
-                } else if (cidx) {
+                if (it != facts->callIndirectIndex.end()) {
+                    const uint32_t cidx = it->second;
                     site.constIndex = cidx;
                     std::optional<uint32_t> target;
-                    if (*cidx < table_.slots.size())
-                        target = table_.slots[*cidx];
+                    if (cidx < table_.slots.size())
+                        target = table_.slots[cidx];
                     if (target && m.funcType(*target) == sig) {
                         site.kind = SiteKind::IndirectConst;
                         site.targets.push_back(*target);
@@ -140,10 +142,8 @@ RefinedCallGraph::RefinedCallGraph(const Module &m, unsigned workers)
         num_sites += sites.size();
     sites_.reserve(num_sites);
     for (uint32_t f = 0; f < n; ++f) {
-        for (CallSite &site : func_sites[f]) {
-            siteIndex_[core::packLoc({f, site.instr})] = sites_.size();
-            sites_.push_back(std::move(site));
-        }
+        std::move(func_sites[f].begin(), func_sites[f].end(),
+                  std::back_inserter(sites_));
         for (uint32_t c : callees_[f])
             callers_[c].push_back(f);
     }
@@ -154,8 +154,8 @@ RefinedCallGraph::RefinedCallGraph(const Module &m, unsigned workers)
             callers_[f].end());
     }
 
-    // Roots: identical to StaticCallGraph, so refined reachability is
-    // comparable (and provably a subset).
+    // Roots are the same at both precisions, so refined reachability
+    // is comparable with (and provably a subset of) the seed's.
     for (uint32_t f = 0; f < n; ++f) {
         if (!m.functions[f].exportNames.empty())
             roots_.push_back(f);
@@ -187,14 +187,20 @@ RefinedCallGraph::RefinedCallGraph(const Module &m, unsigned workers)
 }
 
 const CallSite *
-RefinedCallGraph::siteAt(uint32_t func, uint32_t instr) const
+CallGraph::siteAt(uint32_t func, uint32_t instr) const
 {
-    auto it = siteIndex_.find(core::packLoc({func, instr}));
-    return it == siteIndex_.end() ? nullptr : &sites_[it->second];
+    auto it = std::lower_bound(
+        sites_.begin(), sites_.end(), std::make_pair(func, instr),
+        [](const CallSite &s, const std::pair<uint32_t, uint32_t> &at) {
+            return std::make_pair(s.func, s.instr) < at;
+        });
+    return it != sites_.end() && it->func == func && it->instr == instr
+               ? &*it
+               : nullptr;
 }
 
 std::vector<uint32_t>
-RefinedCallGraph::deadFunctions() const
+CallGraph::deadFunctions() const
 {
     std::vector<uint32_t> dead;
     for (uint32_t f = 0; f < reachable_.size(); ++f) {
@@ -205,7 +211,7 @@ RefinedCallGraph::deadFunctions() const
 }
 
 size_t
-RefinedCallGraph::numEdges() const
+CallGraph::numEdges() const
 {
     size_t edges = 0;
     for (const std::vector<uint32_t> &c : callees_)
@@ -214,20 +220,12 @@ RefinedCallGraph::numEdges() const
 }
 
 std::string
-RefinedCallGraph::toDot(const Module &m) const
+CallGraph::toDot(const Module &m) const
 {
     std::vector<DotNode> nodes;
     std::vector<DotEdge> edges;
-    for (uint32_t f = 0; f < callees_.size(); ++f) {
-        const wasm::Function &func = m.functions[f];
-        DotNode node;
-        node.id = "f" + std::to_string(f);
-        node.label = func.debugName.empty()
-                         ? "f" + std::to_string(f)
-                         : escapeDotLabel(func.debugName);
-        node.dashed = !reachable_[f];
-        nodes.push_back(std::move(node));
-    }
+    for (uint32_t f = 0; f < callees_.size(); ++f)
+        nodes.push_back(funcDotNode(m, f, !reachable_[f]));
     for (const CallSite &s : sites_) {
         for (uint32_t t : s.targets) {
             DotEdge e;

@@ -1,39 +1,47 @@
 /**
  * @file
- * The refined call graph: per-site `call_indirect` resolution on top
- * of the seed StaticCallGraph's whole-table approximation.
+ * The static call graph of a module, built at one of two precisions.
+ * It is the static counterpart of the dynamic analyses'
+ * `analyses::CallGraph`, which records the edges actually taken at
+ * runtime; comparing the two is the classic precision experiment.
+ *
+ * Roots are the exports, the start function, and every segment
+ * function when the table is host-visible; functions unreachable from
+ * the roots are statically dead.
  *
  * Each call site is classified:
  *  - Direct: a plain `call` with one known callee.
  *  - IndirectConst: the table index operand is a compile-time constant
- *    (PR-2 constprop lattice), the element layout is exact, and the
+ *    (the constprop lattice), the element layout is exact, and the
  *    table is not host-visible — the site resolves to the unique
  *    element-segment target.
  *  - IndirectTyped: the exact slot layout is known; targets are the
  *    type-matching functions actually placed in slots.
- *  - IndirectUnknown: host-visible table or unknown layout; targets
- *    fall back to the type-matched segment union (and, because the
- *    host can insert arbitrary exports, consumers must treat the
- *    callee set as open).
+ *  - IndirectUnknown: host-visible table, unknown layout, or a Seed
+ *    graph; targets are the type-matched segment union (and, on a
+ *    host-visible table, consumers must treat the callee set as open
+ *    because the host can insert arbitrary exports).
  *  - IndirectNone: no possible target — the call always traps
  *    (constant index out of range / null slot / signature mismatch,
  *    or no type-matching table entry at all).
  *
- * Every refined callee set is a subset of the seed graph's for the
- * same site and the root set is identical, so refined reachability is
- * a subset of — and refined dead-function detection a superset of —
- * the seed graph's. That monotonicity is what licenses
- * `lint.interproc.dead-function` to report every function this graph
- * proves dead that the seed graph keeps.
+ * Precision::Seed runs no constant propagation and trusts no slot
+ * layout: every `call_indirect` is IndirectUnknown. Precision::Refined
+ * resolves each site as above. Every refined callee set is a subset of
+ * the seed graph's for the same site and the root set is identical, so
+ * refined reachability is a subset of — and refined dead-function
+ * detection a superset of — the seed graph's. That monotonicity is
+ * what licenses `lint.interproc.dead-function` to report every
+ * function the Refined graph proves dead that the Seed graph keeps
+ * (`lint.deadcode.function`).
  */
 
-#ifndef WASABI_STATIC_INTERPROC_REFINED_CALL_GRAPH_H
-#define WASABI_STATIC_INTERPROC_REFINED_CALL_GRAPH_H
+#ifndef WASABI_STATIC_INTERPROC_CALL_GRAPH_H
+#define WASABI_STATIC_INTERPROC_CALL_GRAPH_H
 
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "static/interproc/table_layout.h"
@@ -52,6 +60,12 @@ enum class SiteKind : uint8_t {
 /** Name, e.g. "direct" or "indirect-const". */
 const char *name(SiteKind k);
 
+/** How `call_indirect` sites are resolved. */
+enum class Precision : uint8_t {
+    Seed,    ///< type-matched segment union; no constprop
+    Refined, ///< per-site resolution from constprop and the layout
+};
+
 /** One call site of a defined function, with its resolved targets. */
 struct CallSite {
     uint32_t func = 0;
@@ -66,12 +80,14 @@ struct CallSite {
     std::vector<uint32_t> targets;
 };
 
-class RefinedCallGraph {
+class CallGraph {
   public:
-    /** Build the graph of valid module @p m. Functions are scanned
-     * for sites on @p workers workers (support::workerCount; 0 = one
-     * per CPU); the graph is the same for any count. */
-    explicit RefinedCallGraph(const wasm::Module &m, unsigned workers = 1);
+    /** Build the graph of valid module @p m at @p precision. Functions
+     * are scanned for sites on @p workers workers
+     * (support::workerCount; 0 = one per CPU); the graph is the same
+     * for any count. */
+    CallGraph(const wasm::Module &m, Precision precision,
+              unsigned workers = 1);
 
     const TableLayout &table() const { return table_; }
 
@@ -93,8 +109,8 @@ class RefinedCallGraph {
         return callers_.at(func_idx);
     }
 
-    /** Root set (same as StaticCallGraph: exports, start, and every
-     * segment function when the table is host-visible). */
+    /** Root set (sorted, deduplicated): exports, start, and every
+     * segment function when the table is host-visible. */
     const std::vector<uint32_t> &roots() const { return roots_; }
 
     bool reachable(uint32_t func_idx) const
@@ -102,11 +118,12 @@ class RefinedCallGraph {
         return reachable_.at(func_idx);
     }
 
-    /** Functions unreachable from any root under refinement; always a
-     * superset of StaticCallGraph::deadFunctions(). */
+    /** Functions (imports included) unreachable from every root. */
     std::vector<uint32_t> deadFunctions() const;
 
     size_t numFunctions() const { return callees_.size(); }
+
+    /** Distinct (caller, callee) pairs. */
     size_t numEdges() const;
 
     /** Graphviz rendering with one edge per (site, target): constant
@@ -117,7 +134,6 @@ class RefinedCallGraph {
   private:
     TableLayout table_;
     std::vector<CallSite> sites_;
-    std::unordered_map<uint64_t, size_t> siteIndex_;
     std::vector<std::vector<uint32_t>> callees_;
     std::vector<std::vector<uint32_t>> callers_;
     std::vector<uint32_t> roots_;
@@ -126,4 +142,4 @@ class RefinedCallGraph {
 
 } // namespace wasabi::static_analysis::interproc
 
-#endif // WASABI_STATIC_INTERPROC_REFINED_CALL_GRAPH_H
+#endif // WASABI_STATIC_INTERPROC_CALL_GRAPH_H

@@ -1,10 +1,10 @@
 /**
  * @file
- * Tarjan SCC condensation of the refined call graph. The condensation
- * is the DAG the range analysis walks top-down to seed argument
+ * Tarjan SCC condensation of the Refined call graph. The condensation
+ * is the DAG the range analysis walks level by level to seed argument
  * intervals (passes/range.h): each SCC is one solver unit, and
  * Tarjan's pop order gives SCC ids in reverse topological order, so
- * processing ids numSccs()-1..0 visits callers before callees.
+ * descending ids meet every caller before its callees.
  */
 
 #ifndef WASABI_STATIC_INTERPROC_SCC_H

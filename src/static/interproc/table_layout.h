@@ -4,8 +4,8 @@
  * layout: which function occupies which slot after instantiation, and
  * whether that layout is exact enough to refine `call_indirect` sites.
  *
- * Unlike the seed StaticCallGraph, which silently folded every segment
- * into one function set, this resolver reports structured diagnostics
+ * Rather than silently folding every segment into one function set,
+ * this resolver reports structured diagnostics
  * (lint.table.* codes) for out-of-range function indices, overlapping
  * or duplicate segments, and non-constant offsets — and records
  * whether the table is host-visible (imported or exported), in which

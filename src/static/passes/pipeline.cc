@@ -1,16 +1,15 @@
 #include "static/passes/pipeline.h"
 
-#include <numeric>
 #include <set>
 
 #include "core/control_stack.h"
 #include "core/static_info.h"
-#include "static/interproc/refined_call_graph.h"
+#include "static/cfg.h"
+#include "static/interproc/call_graph.h"
 #include "static/passes/branch_refine.h"
 #include "static/passes/constprop.h"
 #include "static/passes/deadstore.h"
 #include "static/passes/range.h"
-#include "static/passes/reachability.h"
 #include "support/parallel.h"
 
 namespace wasabi::static_analysis::passes {
@@ -37,20 +36,39 @@ emptyBlockPairs(const Module &m, uint32_t func_idx)
     return pairs;
 }
 
+std::vector<std::pair<uint32_t, uint32_t>>
+unreachableRanges(const Module &m, uint32_t func_idx)
+{
+    std::vector<std::pair<uint32_t, uint32_t>> ranges;
+    const wasm::Function &func = m.functions.at(func_idx);
+    if (func.imported() || func.body.empty())
+        return ranges;
+    Cfg cfg(m, func_idx);
+    for (uint32_t b = 0; b < cfg.numBlocks(); ++b) {
+        const BasicBlock &blk = cfg.blocks()[b];
+        if (cfg.reachable(b) || blk.empty())
+            continue;
+        if (!ranges.empty() && ranges.back().second + 1 == blk.first)
+            ranges.back().second = blk.last;
+        else
+            ranges.emplace_back(blk.first, blk.last);
+    }
+    return ranges;
+}
+
 namespace {
 
 /** The lint.interproc.* findings: refined-graph-only dead functions,
  * always-trapping or unresolvable indirect call sites, and never-read
  * parameters. */
 void
-lintInterproc(const Module &m, const std::vector<bool> &base_dead,
-              Diagnostics &diags)
+lintInterproc(const Module &m, const interproc::CallGraph &seed,
+              const interproc::CallGraph &rcg, Diagnostics &diags)
 {
-    interproc::RefinedCallGraph rcg(m, support::kAllCpus);
     diags.merge(rcg.table().diags);
 
     for (uint32_t f : rcg.deadFunctions()) {
-        if (base_dead[f] || m.functions[f].imported())
+        if (!seed.reachable(f) || m.functions[f].imported())
             continue; // already reported as lint.deadcode.function
         diags.warning(kLintInterprocDeadFunction,
                       "function is only reachable through indirect "
@@ -112,10 +130,10 @@ lintInterproc(const Module &m, const std::vector<bool> &base_dead,
  * whose condition is a range-derived constant. Guards the constant
  * pass already reported (lint.branch.const-condition) are skipped. */
 void
-lintRanges(const Module &m, const std::set<uint64_t> &const_cond_locs,
-           Diagnostics &diags)
+lintRanges(const Module &m, const interproc::CallGraph &rcg,
+           const std::set<uint64_t> &const_cond_locs, Diagnostics &diags)
 {
-    ModuleRanges mr = moduleRanges(m);
+    ModuleRanges mr = moduleRanges(m, rcg);
     const uint64_t minBytes = static_cast<uint64_t>(mr.minPages) *
                               65536;
     std::optional<uint64_t> maxBytes;
@@ -178,20 +196,9 @@ lintRanges(const Module &m, const std::set<uint64_t> &const_cond_locs,
 Diagnostics
 lintModule(const Module &m)
 {
-    ReachabilityFacts reach = reachabilityFacts(m);
     const uint32_t n = m.numFunctions();
-
-    std::vector<bool> dead(n, false);
-    for (uint32_t f : reach.deadFunctions)
-        dead[f] = true;
-
-    // unreachableBlocks is in function order: function f's ranges are
-    // [range_begin[f], range_begin[f + 1]).
-    std::vector<size_t> range_begin(n + 1, 0);
-    for (const UnreachableRange &r : reach.unreachableBlocks)
-        ++range_begin[r.func + 1];
-    std::partial_sum(range_begin.begin(), range_begin.end(),
-                     range_begin.begin());
+    const interproc::CallGraph seed(m, interproc::Precision::Seed,
+                                    support::kAllCpus);
 
     // Each function's findings are found on their own and joined in
     // function order.
@@ -208,7 +215,7 @@ lintModule(const Module &m)
             return;
         Diagnostics &diags = per_func[f].diags;
 
-        if (dead[f]) {
+        if (!seed.reachable(f)) {
             diags.warning(kLintDeadFunction,
                           "function is never called: unreachable from "
                           "any export, the start function, or a "
@@ -216,13 +223,12 @@ lintModule(const Module &m)
                           f);
         }
 
-        for (size_t k = range_begin[f]; k < range_begin[f + 1]; ++k) {
-            const UnreachableRange &r = reach.unreachableBlocks[k];
+        for (auto [first, last] : unreachableRanges(m, f)) {
             diags.warning(kLintUnreachableCode,
-                          "instructions " + std::to_string(r.first) +
-                              ".." + std::to_string(r.last) +
+                          "instructions " + std::to_string(first) +
+                              ".." + std::to_string(last) +
                               " can never execute",
-                          f, r.first);
+                          f, first);
         }
 
         ConstFacts facts = constantFacts(m, f);
@@ -280,8 +286,10 @@ lintModule(const Module &m)
         constCondLocs.insert(ff.constCondLocs.begin(),
                              ff.constCondLocs.end());
     }
-    lintInterproc(m, dead, diags);
-    lintRanges(m, constCondLocs, diags);
+    const interproc::CallGraph refined(m, interproc::Precision::Refined,
+                                       support::kAllCpus);
+    lintInterproc(m, seed, refined, diags);
+    lintRanges(m, refined, constCondLocs, diags);
     return diags;
 }
 

@@ -2,7 +2,7 @@
  * @file
  * The static pass pipeline driver behind `wasabi lint`: lintModule()
  * runs every pass (constant propagation, reachability, dead stores,
- * branch refinement, the refined call graph and value ranges) and
+ * branch refinement, the call graph and value ranges) and
  * renders the facts as structured diagnostics with stable lint.*
  * codes.
  */
@@ -22,6 +22,8 @@ namespace wasabi::static_analysis::passes {
 /** Stable lint diagnostic codes. @{ */
 inline constexpr const char *kLintUnreachableCode =
     "lint.unreachable.code";
+/** Dead under the Seed call graph; dead only under the Refined one is
+ * kLintInterprocDeadFunction. */
 inline constexpr const char *kLintDeadFunction =
     "lint.deadcode.function";
 inline constexpr const char *kLintDeadStore = "lint.deadstore.local";
@@ -53,10 +55,18 @@ inline constexpr const char *kLintRangeDeadGuard =
  * Run the full pass suite over a validated module and report every
  * finding. Findings are warnings/notes about the *original* program;
  * an empty result means the linter proved nothing suspicious. The
- * per-function passes, the refined call graph and the range solver
- * run on one worker per CPU; the findings do not depend on the count.
+ * per-function passes, both call graphs and the range solver run on
+ * one worker per CPU; the findings do not depend on the count. One
+ * Refined call graph serves the interprocedural codes and the range
+ * solver.
  */
 Diagnostics lintModule(const wasm::Module &m);
+
+/** (first, last) inclusive instruction ranges of defined function
+ * @p func_idx that its CFG entry never reaches: maximal runs of
+ * adjacent unreachable blocks, in instruction order. */
+std::vector<std::pair<uint32_t, uint32_t>>
+unreachableRanges(const wasm::Module &m, uint32_t func_idx);
 
 /** (begin, end) instruction pairs of statically-empty blocks/loops of
  * defined function @p func_idx (end == begin + 1). */

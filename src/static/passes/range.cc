@@ -1,17 +1,13 @@
 #include "static/passes/range.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <deque>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <set>
-#include <thread>
 
 #include "static/cfg.h"
 #include "static/dataflow.h"
-#include "static/interproc/refined_call_graph.h"
+#include "static/interproc/call_graph.h"
 #include "static/interproc/scc.h"
 #include "static/passes/constprop.h"
 #include "support/parallel.h"
@@ -1053,7 +1049,7 @@ namespace {
  * members of recursive SCCs (incl. self loops). */
 std::vector<char>
 topSeededFunctions(const Module &m,
-                   const interproc::RefinedCallGraph &cg,
+                   const interproc::CallGraph &cg,
                    const interproc::SccGraph &scc)
 {
     std::vector<char> top(m.numFunctions(), 0);
@@ -1090,6 +1086,17 @@ setRangeSolverBudgetForTest(uint64_t budget)
 ModuleRanges
 moduleRanges(const Module &m, unsigned num_threads)
 {
+    return moduleRanges(
+        m,
+        interproc::CallGraph(m, interproc::Precision::Refined,
+                             num_threads),
+        num_threads);
+}
+
+ModuleRanges
+moduleRanges(const Module &m, const interproc::CallGraph &cg,
+             unsigned num_threads)
+{
     ModuleRanges mr;
     mr.hasMemory = !m.memories.empty();
     mr.minPages = mr.hasMemory ? m.memories[0].limits.min : 0;
@@ -1101,7 +1108,6 @@ moduleRanges(const Module &m, unsigned num_threads)
     const uint64_t minBytes = static_cast<uint64_t>(mr.minPages) *
                               kPageBytes;
 
-    interproc::RefinedCallGraph cg(m, num_threads);
     interproc::SccGraph scc = interproc::condense(
         n, [&cg](uint32_t f) -> const std::vector<uint32_t> & {
             return cg.callees(f);
@@ -1109,15 +1115,16 @@ moduleRanges(const Module &m, unsigned num_threads)
     const uint32_t num_sccs = scc.numSccs();
     std::vector<char> top = topSeededFunctions(m, cg, scc);
 
-    // Joined argument intervals contributed by finalized callers.
-    // Joins are commutative and associative, and a function's seed is
-    // read only after every caller SCC finished, so the result is
-    // identical at any thread count.
+    // Joined argument intervals contributed by the levels solved so
+    // far. A function's seed is read only after every caller SCC was
+    // solved, and joins are commutative and associative, so the result
+    // is identical at any thread count.
     std::vector<std::vector<Interval>> argSeed(n);
-    std::mutex seedMu;
+    using Contrib = std::map<uint32_t, std::vector<Interval>>;
 
-    auto solveScc = [&](uint32_t sid) {
-        std::map<uint32_t, std::vector<Interval>> contrib;
+    // Solve SCC @p sid; the argument intervals its members pass to each
+    // callee go to @p contrib.
+    auto solveScc = [&](uint32_t sid, Contrib &contrib) {
         for (uint32_t f : scc.members[sid]) {
             FunctionRanges &fr = mr.functions[f];
             const wasm::Function &func = m.functions[f];
@@ -1127,13 +1134,10 @@ moduleRanges(const Module &m, unsigned num_threads)
                 continue;
             }
             std::vector<Interval> args(np, Interval::top());
-            if (!top[f]) {
-                std::lock_guard<std::mutex> lock(seedMu);
-                if (!argSeed[f].empty())
-                    args = argSeed[f];
-                // No recorded caller: the function is never invoked;
-                // top keeps its (vacuous) facts sound.
-            }
+            // No recorded caller: the function is never invoked; top
+            // keeps its (vacuous) facts sound.
+            if (!top[f] && !argSeed[f].empty())
+                args = argSeed[f];
             fr.args = args;
 
             FunctionRangeAnalyzer fa(m, f, args);
@@ -1167,9 +1171,29 @@ moduleRanges(const Module &m, unsigned num_threads)
                 a.proven = mr.hasMemory && end <= minBytes;
             }
         }
-        if (!contrib.empty()) {
-            std::lock_guard<std::mutex> lock(seedMu);
-            for (auto &[callee, args] : contrib) {
+    };
+
+    // An SCC's level is the longest path to it from a source SCC, so
+    // all its callers sit on lower levels. Tarjan ids are
+    // reverse-topological: descending ids meet every caller first.
+    std::vector<uint32_t> level(num_sccs, 0);
+    std::vector<std::vector<uint32_t>> levels;
+    for (uint32_t sid = num_sccs; sid-- > 0;) {
+        for (uint32_t p : scc.preds[sid])
+            level[sid] = std::max(level[sid], level[p] + 1);
+        if (level[sid] == levels.size())
+            levels.emplace_back();
+        levels[level[sid]].push_back(sid);
+    }
+
+    std::vector<Contrib> contrib;
+    for (const std::vector<uint32_t> &sids : levels) {
+        contrib.assign(sids.size(), Contrib{});
+        support::parallelFor(
+            sids.size(), support::workerCount(num_threads, sids.size()),
+            [&](size_t k, unsigned) { solveScc(sids[k], contrib[k]); });
+        for (const Contrib &c : contrib) {
+            for (const auto &[callee, args] : c) {
                 std::vector<Interval> &seed = argSeed[callee];
                 if (seed.empty()) {
                     seed = args;
@@ -1179,59 +1203,7 @@ moduleRanges(const Module &m, unsigned num_threads)
                 }
             }
         }
-    };
-
-    const unsigned workers = support::workerCount(num_threads, num_sccs);
-    if (workers == 1) {
-        // Tarjan ids are reverse-topological: descending is top-down
-        // (callers strictly before their callees).
-        for (uint32_t sid = num_sccs; sid-- > 0;)
-            solveScc(sid);
-        return mr;
     }
-
-    // Parallel top-down walk of the condensation DAG: an SCC becomes
-    // ready once every caller SCC has published its argument joins.
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<uint32_t> ready;
-    std::vector<uint32_t> pending(num_sccs);
-    uint32_t solved = 0;
-    for (uint32_t sid = 0; sid < num_sccs; ++sid) {
-        pending[sid] = static_cast<uint32_t>(scc.preds[sid].size());
-        if (pending[sid] == 0)
-            ready.push_back(sid);
-    }
-
-    auto worker = [&] {
-        std::unique_lock<std::mutex> lock(mu);
-        while (solved < num_sccs) {
-            if (ready.empty()) {
-                cv.wait(lock, [&] {
-                    return !ready.empty() || solved == num_sccs;
-                });
-                continue;
-            }
-            uint32_t sid = ready.front();
-            ready.pop_front();
-            lock.unlock();
-            solveScc(sid);
-            lock.lock();
-            ++solved;
-            for (uint32_t s : scc.succs[sid]) {
-                if (--pending[s] == 0)
-                    ready.push_back(s);
-            }
-            cv.notify_all();
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t)
-        pool.emplace_back(worker);
-    for (std::thread &t : pool)
-        t.join();
     return mr;
 }
 

@@ -6,8 +6,9 @@
  * refinement computes, for every reachable load/store, a sound
  * interval of its dynamic base address; comparison and division facts
  * ride along. Argument intervals are seeded interprocedurally over the
- * Tarjan-SCC condensation of the refined call graph (top-down, callers
- * before callees) with byte-identical results at any thread count.
+ * Tarjan-SCC condensation of the Refined call graph, level by level
+ * (callers before callees), with byte-identical results at any thread
+ * count.
  *
  * The facts feed two consumers:
  *  - `wasabi lint` (lint.range.* diagnostics: provably out-of-bounds
@@ -27,6 +28,10 @@
 #include <vector>
 
 #include "wasm/module.h"
+
+namespace wasabi::static_analysis::interproc {
+class CallGraph;
+}
 
 namespace wasabi::static_analysis::passes {
 
@@ -104,14 +109,23 @@ struct ModuleRanges {
 };
 
 /**
- * Run the interprocedural range analysis on @p num_threads workers
- * (support::workerCount: 0 = one per CPU, clamped to the SCC count;
- * tests pass 1 for the serial reference). The refined call graph it
- * walks is built on the same count.
- * The result is byte-identical for any thread count (argument seeds
- * are commutative joins gated on the SCC condensation, callers
- * strictly before callees).
+ * Run the interprocedural range analysis over the call graph @p cg of
+ * @p m (every production caller passes a Precision::Refined graph) on
+ * @p num_threads workers (support::workerCount: 0 = one per CPU,
+ * clamped to each level's SCC count; tests pass 1 for the serial
+ * reference). The SCCs of the condensation are solved level by
+ * level, where an SCC's level is the longest path to it from a
+ * source SCC: every caller of an SCC sits on a lower level, so one
+ * level's SCCs are independent. The result is byte-identical for any
+ * thread count (argument seeds are commutative joins, merged after
+ * each level in SCC order).
  */
+ModuleRanges moduleRanges(const wasm::Module &m,
+                          const interproc::CallGraph &cg,
+                          unsigned num_threads = 0);
+
+/** moduleRanges over a Refined call graph built on @p num_threads
+ * workers. */
 ModuleRanges moduleRanges(const wasm::Module &m, unsigned num_threads = 0);
 
 /**

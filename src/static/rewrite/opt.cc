@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <tuple>
 
-#include "static/interproc/refined_call_graph.h"
+#include "static/interproc/call_graph.h"
 #include "static/manifest.h"
 #include "static/passes/constprop.h"
 #include "static/passes/deadstore.h"
@@ -30,7 +30,7 @@ constexpr const char *kPassDeadStores = "dead-stores";
 std::vector<DirectCallClaim>
 findDirectCalls(const Module &m, unsigned workers)
 {
-    interproc::RefinedCallGraph rcg(m, workers);
+    interproc::CallGraph rcg(m, interproc::Precision::Refined, workers);
     std::vector<DirectCallClaim> claims;
     for (const interproc::CallSite &site : rcg.sites()) {
         if (site.kind != interproc::SiteKind::IndirectConst ||
@@ -385,7 +385,8 @@ checkOptimization(const Module &original,
     try {
         for (const std::string &pass : claims.passes) {
             if (pass == kPassCallIndirect) {
-                interproc::RefinedCallGraph rcg(replay, workers);
+                interproc::CallGraph rcg(
+                    replay, interproc::Precision::Refined, workers);
                 for (const DirectCallClaim &c : claims.directCalls) {
                     const interproc::CallSite *site =
                         rcg.siteAt(c.func, c.instr);

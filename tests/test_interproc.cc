@@ -2,7 +2,8 @@
  * @file
  * Tests of the interprocedural engine: Tarjan SCC condensation,
  * element-segment layout resolution with structured diagnostics,
- * per-site call_indirect refinement (constant-index narrowing, typed
+ * the call graph at its two precisions, per-site call_indirect
+ * refinement (constant-index narrowing, typed
  * target sets, host-visibility soundness gates), the lint.interproc.*
  * codes, the checker's rejection of `wasabi opt` call_indirect -> call
  * claims the refined graph does not prove, and the runtime's callee
@@ -16,9 +17,8 @@
 #include "core/instrument.h"
 #include "runtime/runtime.h"
 #include "static/analyze.h"
-#include "static/call_graph.h"
 #include "static/check.h"
-#include "static/interproc/refined_call_graph.h"
+#include "static/interproc/call_graph.h"
 #include "static/interproc/scc.h"
 #include "static/interproc/table_layout.h"
 #include "static/passes/pipeline.h"
@@ -154,7 +154,7 @@ TEST(TableLayout, ExactLayoutOfWellFormedSegments)
 
 TEST(TableLayout, OutOfRangeFunctionIndexIsDiagnosedAndDropped)
 {
-    // Regression: the seed StaticCallGraph silently folded any
+    // Regression: the seed call graph once silently folded any
     // segment content into the target set, including indices past the
     // function space (a hostile or truncated module).
     Module m = constIndexFixture();
@@ -163,7 +163,7 @@ TEST(TableLayout, OutOfRangeFunctionIndexIsDiagnosedAndDropped)
     EXPECT_TRUE(t.diags.hasCode(kLintTableFuncOutOfRange));
     EXPECT_EQ(t.segmentFuncs, (std::vector<uint32_t>{0, 1}));
     // The invalid entry also must not survive into the seed graph.
-    StaticCallGraph cg(m);
+    CallGraph cg(m, Precision::Seed);
     for (uint32_t f = 0; f < m.numFunctions(); ++f) {
         for (uint32_t c : cg.callees(f))
             EXPECT_LT(c, m.numFunctions());
@@ -223,7 +223,7 @@ TEST(TableLayout, ImportedTableIsHostVisibleAndInexact)
 TEST(RefinedCallGraph, ConstantIndexResolvesToUniqueTarget)
 {
     Module m = constIndexFixture();
-    RefinedCallGraph rcg(m);
+    CallGraph rcg(m, Precision::Refined);
     // main: 0 i32.const 7 / 1 i32.const 1 / 2 call_indirect
     const CallSite *site = rcg.siteAt(2, 2);
     ASSERT_NE(site, nullptr);
@@ -237,9 +237,10 @@ TEST(RefinedCallGraph, DeadFunctionsAreStrictSupersetOfSeed)
     // The acceptance fixture: seed whole-table reachability keeps both
     // table functions alive; refinement proves slot 0 dead.
     Module m = constIndexFixture();
-    std::vector<uint32_t> seed_dead = StaticCallGraph(m).deadFunctions();
+    std::vector<uint32_t> seed_dead =
+        CallGraph(m, Precision::Seed).deadFunctions();
     std::vector<uint32_t> refined_dead =
-        RefinedCallGraph(m).deadFunctions();
+        CallGraph(m, Precision::Refined).deadFunctions();
     EXPECT_TRUE(seed_dead.empty());
     EXPECT_EQ(refined_dead, (std::vector<uint32_t>{0}));
     EXPECT_TRUE(std::includes(refined_dead.begin(), refined_dead.end(),
@@ -251,7 +252,7 @@ TEST(RefinedCallGraph, HostVisibleTableBlocksNarrowing)
     // Exporting the table lets the host rewrite any slot; the same
     // constant-index site must degrade to an open target set.
     Module m = constIndexFixture(/*export_table=*/true);
-    RefinedCallGraph rcg(m);
+    CallGraph rcg(m, Precision::Refined);
     const CallSite *site = rcg.siteAt(2, 2);
     ASSERT_NE(site, nullptr);
     EXPECT_EQ(site->kind, SiteKind::IndirectUnknown);
@@ -279,7 +280,7 @@ TEST(RefinedCallGraph, DynamicIndexYieldsTypedTargetSet)
     Module m = mb.build();
     wasm::validateModule(m);
 
-    RefinedCallGraph rcg(m);
+    CallGraph rcg(m, Precision::Refined);
     const CallSite *site = rcg.siteAt(3, 2);
     ASSERT_NE(site, nullptr);
     // Only the signature-matching slot occupants, not `other`.
@@ -301,7 +302,7 @@ TEST(RefinedCallGraph, SignatureMismatchAtConstantIndexHasNoTargets)
     mb.elem(0, {f0});
     Module m = mb.build();
 
-    RefinedCallGraph rcg(m);
+    CallGraph rcg(m, Precision::Refined);
     // main: 0 i32.const 0 / 1 call_indirect / 2 drop
     const CallSite *site = rcg.siteAt(1, 1);
     ASSERT_NE(site, nullptr);
@@ -327,10 +328,38 @@ TEST(RefinedCallGraph, RefinedDotRendersPerSiteEdges)
 
 TEST(InterprocLint, RefinedOnlyDeadFunctionReported)
 {
+    // Function 0 is dead only under refinement; an appended function
+    // that nothing references is dead under both graphs.
     Module m = constIndexFixture();
+    m.functions.push_back(m.functions[0]);
+    m.functions.back().debugName.clear();
+    wasm::validateModule(m);
+    const uint32_t seed_dead = m.numFunctions() - 1;
     Diagnostics d = passes::lintModule(m);
     EXPECT_TRUE(d.hasCode(passes::kLintInterprocDeadFunction))
         << toString(d);
+    EXPECT_TRUE(d.hasCode(passes::kLintDeadFunction)) << toString(d);
+
+    // The two codes partition the dead functions: the Seed graph's
+    // under lint.deadcode.function, the rest of the Refined graph's
+    // under lint.interproc.dead-function, none under both.
+    auto reportedUnder = [&](uint32_t f, const std::string &code) {
+        return std::count_if(d.all().begin(), d.all().end(),
+                             [&](const Diagnostic &x) {
+                                 return x.code == code && x.func == f;
+                             });
+    };
+    std::vector<uint32_t> dead =
+        CallGraph(m, Precision::Refined).deadFunctions();
+    EXPECT_EQ(dead, (std::vector<uint32_t>{0, seed_dead}));
+    for (uint32_t f : dead) {
+        EXPECT_EQ(reportedUnder(f, passes::kLintDeadFunction) +
+                      reportedUnder(f, passes::kLintInterprocDeadFunction),
+                  1)
+            << "function " << f << "\n" << toString(d);
+    }
+    EXPECT_EQ(reportedUnder(0, passes::kLintInterprocDeadFunction), 1);
+    EXPECT_EQ(reportedUnder(seed_dead, passes::kLintDeadFunction), 1);
 }
 
 TEST(InterprocLint, NoTargetSiteReported)
@@ -477,7 +506,7 @@ TEST(InterprocRuntime, NarrowedSiteReportsStaticTargetAndIndex)
     // table-index argument to the callee the refinement proves, in
     // the original index space.
     Module m = constIndexFixture();
-    RefinedCallGraph rcg(m);
+    CallGraph rcg(m, Precision::Refined);
     ASSERT_TRUE(std::any_of(rcg.sites().begin(), rcg.sites().end(),
                             [](const CallSite &s) {
                                 return s.kind == SiteKind::IndirectConst;

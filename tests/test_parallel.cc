@@ -20,7 +20,7 @@
 
 #include "core/static_info.h"
 #include "static/analyze.h"
-#include "static/interproc/refined_call_graph.h"
+#include "static/interproc/call_graph.h"
 #include "static/passes/pipeline.h"
 #include "static/rewrite/opt.h"
 #include "support/parallel.h"
@@ -216,9 +216,11 @@ TEST(ParallelPhases, SideTablesEqualAcrossWorkerCounts)
 TEST(ParallelPhases, RefinedCallGraphSitesAreEqual)
 {
     for (const Module &m : corpus()) {
-        static_analysis::interproc::RefinedCallGraph one(m, 1);
+        using static_analysis::interproc::CallGraph;
+        using static_analysis::interproc::Precision;
+        CallGraph one(m, Precision::Refined, 1);
         for (unsigned w : kWorkerCounts) {
-            static_analysis::interproc::RefinedCallGraph g(m, w);
+            CallGraph g(m, Precision::Refined, w);
             ASSERT_EQ(g.sites().size(), one.sites().size()) << w;
             for (size_t s = 0; s < one.sites().size(); ++s) {
                 const auto &a = one.sites()[s];

@@ -22,6 +22,7 @@
 #include "wasm/builder.h"
 #include "wasm/validator.h"
 #include "workloads/polybench.h"
+#include "workloads/random_program.h"
 #include "workloads/synthetic_app.h"
 
 namespace wasabi::static_analysis::passes {
@@ -406,9 +407,25 @@ TEST(Range, JsonIsByteIdenticalAcrossThreadCounts)
                 << name << ":" << size << " threads=" << t;
         }
     }
-    Workload app = workloads::syntheticApp(workloads::AppSize::Small);
-    EXPECT_EQ(static_analysis::rangesJson(app.module, 1),
-              static_analysis::rangesJson(app.module, 8));
+    // Condensations with hundreds of SCCs over several levels: the
+    // synthetic apps, and a random program whose indirect calls give
+    // the refined graph sites of every kind.
+    workloads::RandomProgramOptions indirect;
+    indirect.seed = 7;
+    indirect.numFunctions = 24;
+    indirect.indirectCallPct = 30;
+    indirect.constIndexIndirectPct = 50;
+    const Workload programs[] = {
+        workloads::syntheticApp(workloads::AppSize::Small),
+        workloads::syntheticApp(workloads::AppSize::PdfkitLike),
+        workloads::randomProgram(indirect)};
+    for (const Workload &w : programs) {
+        std::string one = static_analysis::rangesJson(w.module, 1);
+        for (unsigned t : {0u, 2u, 4u, 8u}) {
+            EXPECT_EQ(one, static_analysis::rangesJson(w.module, t))
+                << w.name << " threads=" << t;
+        }
+    }
 }
 
 TEST(Range, PolybenchKernelsYieldClaims)
@@ -539,9 +556,10 @@ TEST(RangeLint, ConstpropFlaggedGuardIsNotDuplicated)
 // ----- range-claim soundness oracle --------------------------------
 //
 // The engine once ran claimed accesses without a bounds check, and the
-// tests below compared those runs with checked ones. They keep their
-// names; each now checks the claim such a run relied on, directly: at
-// every claimed access, addr + offset + width <= minPages * 64 KiB.
+// tests below compared those runs with checked ones (the `Elision.*`
+// names are from then). Each now checks the claim such a run relied
+// on, directly: at every claimed access,
+// addr + offset + width <= minPages * 64 KiB.
 
 using tests::expectClaimsHold;
 using tests::OracleMode;
@@ -562,10 +580,10 @@ i32StoresOf(const Module &m)
     return out;
 }
 
-class ElisionDifferentialPolybench
+class RangeClaimOraclePolybench
     : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(ElisionDifferentialPolybench, ElidedRunMatchesBothEngines)
+TEST_P(RangeClaimOraclePolybench, ClaimsHold)
 {
     // Counted-loop kernels are what the analysis targets: each must
     // run claimed accesses, or the check would be vacuous.
@@ -574,7 +592,7 @@ TEST_P(ElisionDifferentialPolybench, ElidedRunMatchesBothEngines)
               0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Kernels, ElisionDifferentialPolybench,
+INSTANTIATE_TEST_SUITE_P(Kernels, RangeClaimOraclePolybench,
                          ::testing::ValuesIn(workloads::polybenchNames()));
 
 TEST(RangeClaimOracle, SyntheticAppsAgree)

@@ -10,9 +10,9 @@
 #include <gtest/gtest.h>
 
 #include "static/analyze.h"
-#include "static/call_graph.h"
 #include "static/cfg.h"
 #include "static/dataflow.h"
+#include "static/interproc/call_graph.h"
 #include "wasm/builder.h"
 #include "wasm/validator.h"
 
@@ -245,7 +245,7 @@ TEST(CallGraph, DirectIndirectEdgesAndDeadFunctions)
     Module m = mb.build();
     validateModule(m);
 
-    StaticCallGraph cg(m);
+    interproc::CallGraph cg(m, interproc::Precision::Seed);
     EXPECT_EQ(cg.callees(0), (std::vector<uint32_t>{1, 2}));
     EXPECT_EQ(cg.callers(2), (std::vector<uint32_t>{0}));
     EXPECT_EQ(cg.numEdges(), 2u);

@@ -18,7 +18,7 @@
 #include "core/instrument.h"
 #include "static/analyze.h"
 #include "static/check.h"
-#include "static/interproc/refined_call_graph.h"
+#include "static/interproc/call_graph.h"
 #include "static/rewrite/opt.h"
 #include "wasm/encoder.h"
 #include "wasm/validator.h"
@@ -230,8 +230,9 @@ TEST(StaticFuzz, IndirectKnobsProduceNarrowableSites)
     // nothing new).
     size_t narrowable = 0;
     for (uint64_t seed = 1; seed <= 10; ++seed) {
-        interproc::RefinedCallGraph rcg(
-            workloads::randomProgram(indirectHeavyOptions(seed)).module);
+        interproc::CallGraph rcg(
+            workloads::randomProgram(indirectHeavyOptions(seed)).module,
+            interproc::Precision::Refined);
         narrowable += std::count_if(
             rcg.sites().begin(), rcg.sites().end(),
             [](const interproc::CallSite &s) {

@@ -12,15 +12,14 @@
 
 #include "core/static_info.h"
 #include "static/analyze.h"
-#include "static/call_graph.h"
 #include "static/cfg.h"
 #include "static/dataflow.h"
 #include "static/dot_util.h"
+#include "static/interproc/call_graph.h"
 #include "static/passes/branch_refine.h"
 #include "static/passes/constprop.h"
 #include "static/passes/deadstore.h"
 #include "static/passes/pipeline.h"
-#include "static/passes/reachability.h"
 #include "wasm/builder.h"
 #include "wasm/validator.h"
 
@@ -28,6 +27,8 @@ namespace wasabi::static_analysis::passes {
 namespace {
 
 using core::packLoc;
+using interproc::CallGraph;
+using interproc::Precision;
 using wasm::FuncType;
 using wasm::FunctionBuilder;
 using wasm::Module;
@@ -150,21 +151,22 @@ TEST(Reachability, ReportsUnreachableRangeAndDeadFunction)
     Module m = mb.build();
     validateModule(m);
 
-    ReachabilityFacts facts = reachabilityFacts(m);
-    EXPECT_EQ(facts.deadFunctions, (std::vector<uint32_t>{1}));
-    ASSERT_EQ(facts.unreachableBlocks.size(), 1u);
-    EXPECT_EQ(facts.unreachableBlocks[0].func, 0u);
-    EXPECT_EQ(facts.unreachableBlocks[0].first, 2u);
-    EXPECT_EQ(facts.unreachableBlocks[0].last, 4u);
+    EXPECT_EQ(CallGraph(m, Precision::Seed).deadFunctions(),
+              (std::vector<uint32_t>{1}));
+    std::vector<std::pair<uint32_t, uint32_t>> ranges =
+        unreachableRanges(m, 0);
+    ASSERT_EQ(ranges.size(), 1u);
+    EXPECT_EQ(ranges[0].first, 2u);
+    EXPECT_EQ(ranges[0].second, 4u);
+    EXPECT_TRUE(unreachableRanges(m, 1).empty());
 }
 
 TEST(Reachability, CleanFunctionHasNoFindings)
 {
     Module m = singleFunction(FuncType({}, {ValType::I32}),
                               [](FunctionBuilder &f) { f.i32Const(1); });
-    ReachabilityFacts facts = reachabilityFacts(m);
-    EXPECT_TRUE(facts.unreachableBlocks.empty());
-    EXPECT_TRUE(facts.deadFunctions.empty());
+    EXPECT_TRUE(unreachableRanges(m, 0).empty());
+    EXPECT_TRUE(CallGraph(m, Precision::Seed).deadFunctions().empty());
 }
 
 // ----- dead stores ----------------------------------------------------
@@ -282,8 +284,7 @@ TEST(Dataflow, IrregularBrTableLoopTerminates)
     EXPECT_TRUE(reach[cfg.entry()]);
     EXPECT_TRUE(reach[cfg.exit()]);
     EXPECT_FALSE(backEdges(cfg).empty());
-    ReachabilityFacts facts = reachabilityFacts(m);
-    EXPECT_TRUE(facts.deadFunctions.empty());
+    EXPECT_TRUE(CallGraph(m, Precision::Seed).deadFunctions().empty());
 }
 
 // ----- branch refinement ---------------------------------------------
@@ -422,7 +423,7 @@ TEST(DotEscape, HostileDebugNamesCannotBreakCallGraphDot)
     validateModule(m);
     m.functions[0].debugName = "evil\"]; bad [label=\"\\";
 
-    std::string dot = StaticCallGraph(m).toDot(m);
+    std::string dot = callGraphDot(m);
     // The raw quote must not survive unescaped: every quote in the
     // label is preceded by a backslash.
     EXPECT_EQ(dot.find("evil\""), std::string::npos);
